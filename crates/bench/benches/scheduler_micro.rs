@@ -1,9 +1,10 @@
 //! Micro-benchmarks of the scheduler hot path: the costs a production
 //! deployment pays every dispatch tick and every scheduling period.
 //!
-//! `schedule_two_pass` vs `schedule_reference` measures the tentpole
-//! optimisation: the heap-based incremental pass 2 (`O(d log n)`)
-//! against the naive full-rescan loop (`O(d·n)`), under a demotion-heavy
+//! `schedule_two_pass` vs `schedule_reference` measures the production
+//! pass 2 (flat loss rows, bucketed demotion queue, `O(n + d)` plus the
+//! in-bucket sorts) against the naive full-rescan loop (`O(d·n)`),
+//! under a demotion-heavy
 //! budget drop where pass 2 dominates. Run
 //! `cargo run -p fvs-bench --bin collect_bench` afterwards to gather the
 //! medians into `BENCH_scheduler.json`.

@@ -13,10 +13,12 @@
 //! `schedule_reference` groups plus `cluster_tick` and the
 //! `sim_tick_batched`/`sim_tick_scalar` pair, times the harness
 //! fast suite (every experiment, run in parallel), and writes a flat
-//! summary (median ns/iter, the naive/heap speedup, the cache-hit
+//! summary (median ns/iter, the naive/production speedup, the cache-hit
 //! speedup per size, and core-tick throughput of the batched SoA
 //! simulator pass vs the scalar reference) to `BENCH_scheduler.json`
-//! in the workspace root.
+//! in the workspace root, stamped with the commit and the core count it
+//! was recorded on. The production column keeps its historical name,
+//! `heap_median_ns`; the file's `scenario` string says what it times.
 //!
 //! `collect_bench --check` instead validates an existing
 //! `BENCH_scheduler.json`: it must parse as JSON and carry the expected
@@ -106,8 +108,13 @@ fn check(root: &Path) -> i32 {
         }
     };
     let mut errors = Vec::new();
-    if v.get("benchmark").and_then(|b| b.as_str()).is_none() {
-        errors.push("missing string field 'benchmark'".to_string());
+    for field in ["benchmark", "scenario", "commit"] {
+        if v.get(field).and_then(|b| b.as_str()).is_none() {
+            errors.push(format!("missing string field '{field}'"));
+        }
+    }
+    if v.get("nproc").and_then(|n| n.as_u64()).is_none() {
+        errors.push("missing integer field 'nproc'".to_string());
     }
     match v.get("sizes").and_then(|s| s.as_array()) {
         None => errors.push("missing array field 'sizes'".to_string()),
@@ -172,6 +179,26 @@ fn check(root: &Path) -> i32 {
             eprintln!("{}: {e}", path.display());
         }
         1
+    }
+}
+
+/// The commit the numbers belong to: `git rev-parse --short HEAD`, with
+/// `-dirty` appended when the work tree differs from it (a recording
+/// made before its own commit exists names the parent that way).
+fn recorded_commit(root: &Path) -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(root)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    match git(&["rev-parse", "--short", "HEAD"]) {
+        Some(head) if git(&["status", "--porcelain"]).is_some_and(|s| s.is_empty()) => head,
+        Some(head) => format!("{head}-dirty"),
+        None => "unknown".to_string(),
     }
 }
 
@@ -287,7 +314,14 @@ fn main() {
     // serializer behaviour for optional fields.
     let mut out = String::from("{\n  \"benchmark\": \"schedule_two_pass\",\n");
     out.push_str("  \"units\": \"ns/iter (median)\",\n");
-    out.push_str("  \"scenario\": \"demotion-heavy budget drop (10 W/processor)\",\n");
+    out.push_str(
+        "  \"scenario\": \"demotion-heavy budget drop (10 W/processor); heap_median_ns times \
+         schedule_with_scratch: flat loss rows and the bucketed demotion queue (the column \
+         keeps the name it had when pass 2 drew victims from a binary heap)\",\n",
+    );
+    out.push_str(&format!("  \"commit\": \"{}\",\n", recorded_commit(&root)));
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    out.push_str(&format!("  \"nproc\": {nproc},\n"));
     out.push_str("  \"sizes\": [\n");
     for (i, e) in entries.iter().enumerate() {
         out.push_str(&format!(

@@ -433,10 +433,14 @@ impl GlobalCoordinator {
         for ((node, _p), f) in self.coords.iter().zip(&d.freqs) {
             match commands.last_mut() {
                 Some(cmd) if cmd.node == *node => cmd.freqs.push(*f),
-                _ => commands.push(FrequencyCommand {
-                    node: *node,
-                    freqs: vec![*f],
-                }),
+                _ => {
+                    // `compute` built `coords` from this summary, so its
+                    // length is the command's: one allocation, no regrowth.
+                    let n_procs = self.latest[*node].as_ref().map_or(1, |s| s.models.len());
+                    let mut freqs = Vec::with_capacity(n_procs);
+                    freqs.push(*f);
+                    commands.push(FrequencyCommand { node: *node, freqs });
+                }
             }
         }
         // Remember each commanded node's power ceiling for conservative

@@ -32,6 +32,12 @@ use crate::chaos::{ChaosStream, WriteFault};
 use crate::error::FvsError;
 use crate::wire::{encode_with, FrameFault, FrameReader, WireCodec, WireMsg};
 
+/// Most bytes one [`Transport::fill`] call takes off its socket: well
+/// above what a node sends between two polls (a reconnect burst is
+/// under 8 KiB), small enough that the caller is back within a few
+/// hundred microseconds.
+const FILL_BUDGET: u64 = 64 * 1024;
+
 /// What [`Transport::fill`] observed on the socket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FillStatus {
@@ -201,13 +207,21 @@ impl Transport {
         Ok(())
     }
 
-    /// Read whatever the socket has into the frame buffer. Loops until
-    /// the socket runs dry (`WouldBlock` or a read timeout), the peer
+    /// Read what the socket has into the frame buffer, at most 64 KiB
+    /// (plus one read) a call. Loops until the socket runs dry
+    /// (`WouldBlock` or a read timeout), the budget is spent, the peer
     /// closes, or an error surfaces.
+    ///
+    /// The budget is what keeps a peer that writes faster than this side
+    /// reads from holding the caller here forever (no frame parsed, no
+    /// round run, no stop flag seen, the buffer growing by whatever
+    /// arrives). The pollers are level-triggered, so what is left in the
+    /// socket is reported again on the next poll.
     pub fn fill(&mut self) -> io::Result<FillStatus> {
         let mut buf = [0u8; 4096];
         let mut progressed = false;
-        loop {
+        let spent_at = self.bytes_rx + FILL_BUDGET;
+        while self.bytes_rx < spent_at {
             match self.stream.read(&mut buf) {
                 // EOF right after fresh bytes (peer wrote, then closed):
                 // report the progress first so the caller parses what
@@ -233,6 +247,7 @@ impl Transport {
                 Err(e) => return Err(e),
             }
         }
+        Ok(FillStatus::Progress)
     }
 
     /// Parse the next buffered frame; `Ok(None)` means more bytes are
@@ -367,6 +382,43 @@ mod tests {
         }
         assert_eq!(got, sent);
         assert_eq!(tx.queued_bytes(), 0);
+    }
+
+    /// Against a peer that writes faster than `fill` reads, every call
+    /// still returns after its byte budget: the caller gets to parse
+    /// frames, run rounds and see its stop flag.
+    #[test]
+    fn fill_returns_under_a_flooding_writer() {
+        use std::io::Write;
+        let (mut client, server) = pair();
+        let writer = std::thread::spawn(move || {
+            let block = vec![0u8; 64 * 1024];
+            for _ in 0..128 {
+                if client.write_all(&block).is_err() {
+                    break;
+                }
+            }
+        });
+        let mut rx = Transport::new(ChaosStream::passthrough(server));
+        rx.stream().set_nonblocking(true).unwrap();
+        let mut largest = 0;
+        loop {
+            let before = rx.bytes_rx();
+            match rx.fill().unwrap() {
+                FillStatus::Eof => break,
+                FillStatus::Idle => std::thread::yield_now(),
+                FillStatus::Progress => largest = largest.max(rx.bytes_rx() - before),
+            }
+        }
+        writer.join().unwrap();
+        assert_eq!(rx.bytes_rx(), 128 * 64 * 1024, "nothing may be lost");
+        // 4 KiB reads against 64 KiB writes: the socket never runs dry
+        // first, so the budget is what ended the longest call.
+        assert!(largest >= FILL_BUDGET, "flood never outran fill: {largest}");
+        assert!(
+            largest < FILL_BUDGET + 4096,
+            "one fill took {largest} bytes"
+        );
     }
 
     /// A chaos-delayed frame must not block frames sent after it — the

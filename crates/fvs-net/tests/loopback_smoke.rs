@@ -3,10 +3,20 @@
 //! cluster scenario (budget drop + dead node + ΔT compliance) lives in
 //! the workspace-root `net_loopback` integration test.
 
-use fvs_net::{AgentConfig, CoordinatorConfig, CoordinatorServer, NodeAgent, SCHEMA_VERSION};
+use fvs_cluster::NodeSummary;
+use fvs_model::{CpiModel, FreqMhz};
+use fvs_net::wire::{encode, encode_binary};
+use fvs_net::{
+    AgentConfig, CoordinatorConfig, CoordinatorServer, NodeAgent, WireMsg, CODEC_ALL,
+    SCHEMA_VERSION,
+};
 use fvs_sched::FvsstAlgorithm;
 use fvs_sim::MachineBuilder;
 use fvs_workloads::WorkloadSpec;
+use std::io::Write;
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn cpu_bound_node(id: usize) -> fvs_cluster::ClusterNode {
@@ -123,4 +133,77 @@ fn agent_survives_a_coordinator_restart() {
     let report = agent.stop();
     assert!(report.reconnects >= 1, "ladder never climbed: {report:?}");
     server.shutdown().unwrap();
+}
+
+/// Two peers that write summaries as fast as their sockets take them
+/// must not keep the event loop from scheduling or from stopping:
+/// `Transport::fill` hands control back after its byte budget.
+#[test]
+fn flooding_peers_starve_neither_rounds_nor_shutdown() {
+    const PERIOD_S: f64 = 0.05;
+    let server = CoordinatorServer::bind(
+        "127.0.0.1:0",
+        2,
+        FvsstAlgorithm::p630(),
+        CoordinatorConfig::default_lan().with_period_s(PERIOD_S),
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let stop = Arc::new(AtomicBool::new(false));
+    let flooding = Arc::new(Barrier::new(3));
+    let writers: Vec<_> = (0..2)
+        .map(|node| {
+            let (stop, flooding) = (Arc::clone(&stop), Arc::clone(&flooding));
+            std::thread::spawn(move || {
+                let mut socket = TcpStream::connect(addr).unwrap();
+                // A server that stops reading must end the writer, not
+                // park it in the kernel past the end of the test.
+                socket
+                    .set_write_timeout(Some(Duration::from_secs(2)))
+                    .unwrap();
+                let hello = WireMsg::Hello {
+                    node,
+                    procs: 4,
+                    version: SCHEMA_VERSION,
+                    last_epoch: 0,
+                    codecs: CODEC_ALL,
+                };
+                socket.write_all(&encode(&hello).unwrap()).unwrap();
+                let summary = WireMsg::Summary(NodeSummary {
+                    node,
+                    sent_at_s: 0.0,
+                    models: vec![Some(CpiModel::from_components(1.0, 2.0e-9)); 4],
+                    idle: vec![false; 4],
+                    current: vec![FreqMhz(1000); 4],
+                    power_w: 400.0,
+                });
+                let block = encode_binary(&summary).unwrap().repeat(64);
+                socket.write_all(&block).unwrap();
+                flooding.wait();
+                // Ends when the server goes away or the test says so.
+                while !stop.load(Ordering::SeqCst) && socket.write_all(&block).is_ok() {}
+            })
+        })
+        .collect();
+    flooding.wait();
+
+    let before = server.status().rounds;
+    std::thread::sleep(Duration::from_secs(1));
+    let ran = server.status().rounds - before;
+
+    // Shut down with the flood still running; bounded so that a hang
+    // fails the test instead of wedging the suite.
+    let (done, stopped) = mpsc::channel();
+    std::thread::spawn(move || done.send(server.shutdown().is_ok()));
+    let stopped = stopped.recv_timeout(Duration::from_secs(10));
+    stop.store(true, Ordering::SeqCst);
+    for w in writers {
+        w.join().unwrap();
+    }
+    assert!(
+        ran >= 10,
+        "{ran} rounds in 1 s of flood, {} due",
+        1.0 / PERIOD_S
+    );
+    assert_eq!(stopped, Ok(true), "shutdown() must return under flood");
 }

@@ -3,11 +3,13 @@
 //! Two implementations of the budget pass are provided:
 //!
 //! - [`FvsstAlgorithm::schedule`] / [`FvsstAlgorithm::schedule_with_scratch`]
-//!   — the production path. Pass 2 keeps the running total power updated
-//!   by per-step deltas from a per-index power table and selects each
-//!   demotion victim from a binary heap keyed on the next-step predicted
-//!   loss, with lazy invalidation of stale entries. For `d` demotions
-//!   over `n` processors this is `O(d log n)` instead of the naive
+//!   — the production path. Pass 1 writes one flat row of `|F|` losses
+//!   per processor; pass 2 keeps the running total power updated by
+//!   per-step deltas from a per-index power table and draws each demotion
+//!   victim from a [`DemotionQueue`]: candidates bucketed by a monotone
+//!   function of their next-step predicted loss, each bucket sorted only
+//!   when the cursor reaches it. For `d` demotions over `n` processors
+//!   this is `O(n + d)` plus the in-bucket sorts, instead of the naive
 //!   `O(d·n)` (which also re-summed power, `O(d·n)` again on top).
 //! - [`FvsstAlgorithm::schedule_reference`] — the naive loop, kept as the
 //!   executable specification. Both implementations share the exact same
@@ -19,7 +21,7 @@
 //!
 //! On top of the scratch path, [`FvsstAlgorithm::schedule_cached`] adds
 //! the *incremental* pass 1: a [`ScheduleCache`] keyed on quantized
-//! per-processor model fingerprints. A processor's [`PerfLossTable`] and
+//! per-processor model fingerprints. A processor's loss row and
 //! desired slot are recomputed only when its fitted model moves beyond
 //! the cache's [`ModelTolerance`], and when no processor, nor the budget,
 //! changed at all — and the previous decision was feasible — the cached
@@ -29,7 +31,6 @@ use fvs_model::{ideal_frequency, CpiModel, FreqMhz, FrequencySet, PerfLossTable}
 use fvs_power::{FreqPowerTable, PowerVoltageIndex, VoltageTable};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// How pass 1 picks the per-processor candidate frequency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -149,63 +150,147 @@ pub enum DemotionOrder {
 /// demoted, and its power contribution is interpolated once.
 const OFFGRID: usize = usize::MAX;
 
-/// One heap entry of the incremental pass 2: "processor `proc`, sitting
-/// at set index `idx_at_push`, would have absolute predicted loss `loss`
-/// after one step down".
+/// End-of-list marker of the [`DemotionQueue`] bucket lists.
+const NIL: u32 = u32::MAX;
+
+/// Pass 2's victim queue: the one live candidate per processor, "after
+/// one more step down `proc` would have absolute predicted loss `loss`",
+/// popped in ascending `(loss by f64::total_cmp, proc)` order — exactly
+/// the winner of the reference implementation's first-minimum scan.
 ///
-/// Ordering is inverted (BinaryHeap is a max-heap) so the smallest
-/// `(loss, proc)` pops first — exactly the winner of the reference
-/// implementation's first-minimum linear scan. Entries are invalidated
-/// lazily: after a processor is demoted, its older entries remain in the
-/// heap and are discarded on pop when `idx_at_push` no longer matches
-/// the processor's current index.
-#[derive(Debug, Clone, Copy)]
-struct DemotionCandidate {
-    loss: f64,
-    proc: usize,
-    idx_at_push: usize,
+/// Candidates sit in intrusive per-bucket lists (`head[bucket]` →
+/// `links[proc].1` → …), so storage is `O(n + buckets)` and never grows
+/// with the key distribution. The bucket index is a monotone function of
+/// the loss, so every candidate of a later bucket orders strictly after
+/// every candidate of an earlier one; a bucket is gathered into `run`
+/// and sorted only when the cursor reaches it. A demoted processor's
+/// next candidate normally lands in a later bucket; one that lands in an
+/// already gathered bucket goes to the `side` min-heap instead, and
+/// `pop` takes the smaller of the two fronts. Order is therefore exact
+/// for any keys, NaN and ±∞ included.
+#[derive(Debug, Clone, Default)]
+struct DemotionQueue {
+    /// First processor of each bucket's list, or [`NIL`].
+    head: Vec<u32>,
+    /// Per processor: its candidate's sort key and the next processor in
+    /// the same bucket.
+    links: Vec<(u64, u32)>,
+    /// Buckets below `cursor` have been gathered.
+    cursor: usize,
+    /// The gathered bucket, sorted descending so the front pops off the end.
+    run: Vec<(u64, u32)>,
+    /// Binary min-heap of candidates re-inserted behind the cursor.
+    side: Vec<(u64, u32)>,
 }
 
-impl PartialEq for DemotionCandidate {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+impl DemotionQueue {
+    /// Empty the queue for a round over `n` processors. The bucket count
+    /// follows `n`: a 16-processor machine scheduled every few ticks must
+    /// not pay for resetting and scanning a cluster-sized bucket array.
+    fn reset(&mut self, n: usize) {
+        assert!(n < NIL as usize, "processor index must fit the queue's u32");
+        self.head.clear();
+        self.head.resize((n / 8).next_power_of_two().min(2048), NIL);
+        self.links.resize(n, (0, NIL));
+        self.cursor = 0;
+        self.run.clear();
+        self.run.reserve(n);
+        self.side.clear();
+        self.side.reserve(n);
     }
-}
 
-impl Eq for DemotionCandidate {}
-
-impl PartialOrd for DemotionCandidate {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+    /// Insert (or replace) `proc`'s candidate.
+    fn push(&mut self, proc: usize, loss: f64) {
+        // `total_cmp` order as an unsigned integer: flip negative values
+        // entirely, set the sign bit of the others.
+        let bits = loss.to_bits();
+        let key = if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        };
+        // Monotone under the same order: −NaN, −∞ and negatives clamp to
+        // the first bucket (the cast saturates), +∞ and +NaN to the last.
+        let last = self.head.len() - 1;
+        let bucket = if loss.is_nan() && loss.is_sign_positive() {
+            last
+        } else {
+            ((loss * self.head.len() as f64) as usize).min(last)
+        };
+        if bucket >= self.cursor {
+            self.links[proc] = (key, self.head[bucket]);
+            self.head[bucket] = proc as u32;
+            return;
+        }
+        let entry = (key, proc as u32);
+        let mut at = self.side.len();
+        self.side.push(entry);
+        while at > 0 && entry < self.side[(at - 1) / 2] {
+            self.side[at] = self.side[(at - 1) / 2];
+            at = (at - 1) / 2;
+        }
+        self.side[at] = entry;
     }
-}
 
-impl Ord for DemotionCandidate {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // NaN losses sort after +∞ under total_cmp, so a processor whose
-        // model degenerated is only ever demoted once every finite-loss
-        // candidate is exhausted — in both implementations.
-        other
-            .loss
-            .total_cmp(&self.loss)
-            .then_with(|| other.proc.cmp(&self.proc))
+    /// Remove and return the processor with the smallest `(loss, proc)`.
+    fn pop(&mut self) -> Option<usize> {
+        if self.run.is_empty() && self.side.is_empty() {
+            while *self.head.get(self.cursor)? == NIL {
+                self.cursor += 1;
+            }
+            let mut proc = self.head[self.cursor];
+            self.cursor += 1;
+            while proc != NIL {
+                let (key, next) = self.links[proc as usize];
+                self.run.push((key, proc));
+                proc = next;
+            }
+            self.run.sort_unstable_by(|a, b| b.cmp(a));
+        }
+        let from_run = match (self.run.last(), self.side.first()) {
+            (Some(r), Some(s)) => r < s,
+            (r, _) => r.is_some(),
+        };
+        if from_run {
+            self.run.pop().map(|(_, proc)| proc as usize)
+        } else {
+            Some(self.pop_side())
+        }
+    }
+
+    fn pop_side(&mut self) -> usize {
+        let (_, proc) = self.side.swap_remove(0);
+        let (mut at, len) = (0, self.side.len());
+        loop {
+            let mut child = 2 * at + 1;
+            if child + 1 < len && self.side[child + 1] < self.side[child] {
+                child += 1;
+            }
+            if child >= len || self.side[at] <= self.side[child] {
+                return proc as usize;
+            }
+            self.side.swap(at, child);
+            at = child;
+        }
     }
 }
 
 /// Reusable storage for [`FvsstAlgorithm::schedule_with_scratch`].
 ///
-/// Holds the per-index platform tables, the per-processor performance
-/// tables, the demotion heap, and the output vectors. After a warm-up
+/// Holds the per-index platform tables, the per-processor loss rows,
+/// the demotion queue, and the output vectors. After a warm-up
 /// call at a given processor count, subsequent calls perform **zero**
 /// heap allocations — the steady-state property the daemon tick paths
 /// rely on (asserted by `tests/zero_alloc.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleScratch {
     index: PowerVoltageIndex,
-    tables: Vec<PerfLossTable>,
-    has_table: Vec<bool>,
+    /// `n × |F|` predicted losses, one row per processor (see
+    /// [`fill_loss_row`]).
+    losses: Vec<f64>,
+    models: Vec<Option<CpiModel>>,
     idx: Vec<usize>,
-    heap: BinaryHeap<DemotionCandidate>,
+    queue: DemotionQueue,
     decision: ScheduleDecision,
     demotion_log: Vec<DemotionRecord>,
 }
@@ -236,7 +321,7 @@ impl ScheduleScratch {
 
 /// Quantization steps for the model fingerprint of [`ScheduleCache`].
 ///
-/// A processor's cached [`PerfLossTable`] and desired slot are reused as
+/// A processor's cached loss row and desired slot are reused as
 /// long as both fitted coefficients stay inside their quantization
 /// bucket; a move beyond half a step across a bucket boundary triggers a
 /// rebuild. Steps of `0.0` mean bit-exact comparison (every coefficient
@@ -305,7 +390,7 @@ enum ProcKey {
     Stale,
     /// Idle-pinned (idle signal set and idle detection on), no model.
     IdleUnmodelled,
-    /// Idle-pinned with a model (the table still feeds pass 3).
+    /// Idle-pinned with a model (the loss row still feeds pass 3).
     IdleModel { cpi0: u64, mem: u64 },
     /// No model: the processor keeps `current` through pass 1.
     Unmodelled(FreqMhz),
@@ -346,7 +431,7 @@ pub struct CacheStats {
 
 /// Incremental-scheduling state for [`FvsstAlgorithm::schedule_cached`].
 ///
-/// Persists per-processor model fingerprints, `PerfLossTable`s and
+/// Persists per-processor model fingerprints, loss rows and
 /// desired slots across rounds so pass 1 runs only for processors whose
 /// fitted model moved beyond the [`ModelTolerance`], and keeps the last
 /// decision so a fully-unchanged round is answered without running any
@@ -363,12 +448,15 @@ pub struct ScheduleCache {
     alg: Option<FvsstAlgorithm>,
     index: PowerVoltageIndex,
     keys: Vec<ProcKey>,
-    tables: Vec<PerfLossTable>,
-    has_table: Vec<bool>,
+    /// `n × |F|` predicted losses, one row per processor, under the
+    /// *effective* models below.
+    losses: Vec<f64>,
+    /// The model each row was last filled from.
+    models: Vec<Option<CpiModel>>,
     desired_idx: Vec<usize>,
     desired_freq: Vec<FreqMhz>,
     work_idx: Vec<usize>,
-    heap: BinaryHeap<DemotionCandidate>,
+    queue: DemotionQueue,
     decision: ScheduleDecision,
     demotion_log: Vec<DemotionRecord>,
     last_budget_bits: u64,
@@ -483,13 +571,14 @@ impl ScheduleCache {
         if !self.valid {
             return;
         }
+        let w = self.index.len();
         for i in 0..self.keys.len() {
             let k = self.desired_idx[i];
             if k == OFFGRID {
                 continue;
             }
             for at in (1..=k).rev() {
-                let loss = demotion_key(self.has_table[i].then(|| &self.tables[i]), at);
+                let loss = self.losses[i * w + at - 1];
                 let shed = self.index.power_w(at) - self.index.power_w(at - 1);
                 f(loss, shed);
             }
@@ -500,12 +589,28 @@ impl ScheduleCache {
 /// The paper's pass-2 selection key for processor `i` at set index `at`:
 /// the *absolute* predicted loss vs `f_max` after one step down
 /// (Figure 3 step 2, "smallest PerfLoss(f_max, f_less)"). Processors
-/// without a model are free to demote (zero predicted loss).
+/// without a model are free to demote (zero predicted loss). The
+/// production paths read the same value as `row[at - 1]` of a row
+/// written by [`fill_loss_row`].
 #[inline]
 fn demotion_key(table: Option<&PerfLossTable>, at: usize) -> f64 {
     match table {
         Some(t) => t.entries[at - 1].loss_vs_ref,
         None => 0.0,
+    }
+}
+
+/// One processor's row of the flat loss matrix: the predicted loss vs
+/// `f_max` at every set frequency, ascending — the exact expression
+/// [`PerfLossTable::rebuild`] evaluates, so rows and tables agree bit
+/// for bit. A processor without a model gets zeros: free to demote.
+fn fill_loss_row(row: &mut [f64], model: Option<&CpiModel>, set: &FrequencySet) {
+    let Some(model) = model else {
+        return row.fill(0.0);
+    };
+    let p_ref = model.perf_at(set.max());
+    for (loss, f) in row.iter_mut().zip(set.iter()) {
+        *loss = (p_ref - model.perf_at(f)) / p_ref;
     }
 }
 
@@ -580,22 +685,34 @@ impl FvsstAlgorithm {
     /// frequency for one processor. `table` must be the processor's
     /// evaluated [`PerfLossTable`] whenever it has a model.
     fn desired_slot(&self, input: &ProcInput, table: Option<&PerfLossTable>) -> (usize, FreqMhz) {
+        self.desired_slot_by(input, || {
+            let t = table.expect("a modelled processor always has a table");
+            t.entries.iter().map(|e| e.loss_vs_ref)
+        })
+    }
+
+    /// [`desired_slot`](Self::desired_slot) over any source of the
+    /// processor's ascending-frequency losses (a table's entries or a
+    /// flat loss row); asked for only when a modelled processor is
+    /// scanned.
+    fn desired_slot_by<L: Iterator<Item = f64>>(
+        &self,
+        input: &ProcInput,
+        losses: impl FnOnce() -> L,
+    ) -> (usize, FreqMhz) {
         let set = &self.freq_set;
         if input.idle && self.idle_detection {
             return (0, set.min());
         }
         if let Some(model) = &input.model {
-            let t = table.expect("a modelled processor always has a table");
             match self.mode {
                 SchedulingMode::DiscreteEpsilon => {
                     // Lowest setting with loss < ε; loss is monotone
                     // non-increasing in frequency, so the first
                     // admissible ascending entry is the answer. Falls
                     // back to f_max (loss 0 by construction).
-                    let k = t
-                        .entries
-                        .iter()
-                        .position(|e| e.loss_vs_ref < self.epsilon)
+                    let k = losses()
+                        .position(|loss| loss < self.epsilon)
                         .unwrap_or(set.len() - 1);
                     (k, set.at(k))
                 }
@@ -651,45 +768,37 @@ impl FvsstAlgorithm {
     ) -> &'a ScheduleDecision {
         let n = procs.len();
         let set = &self.freq_set;
+        let w = set.len();
         scratch
             .index
             .rebuild(&self.power_table, &self.voltage_table, set);
-        if scratch.tables.len() < n {
-            scratch.tables.resize_with(n, PerfLossTable::placeholder);
-        }
-        scratch.has_table.clear();
+        scratch.losses.resize(n * w, 0.0);
+        scratch.models.clear();
         scratch.idx.clear();
         scratch.decision.desired.clear();
 
         // ---- Pass 1: per-processor ε-constrained frequencies. ----
-        for (i, p) in procs.iter().enumerate() {
-            let has = match p.model {
-                Some(m) => {
-                    scratch.tables[i].rebuild(&m, set);
-                    true
-                }
-                None => false,
-            };
-            scratch.has_table.push(has);
-            let (k, f) = self.desired_slot(p, has.then(|| &scratch.tables[i]));
+        for (p, row) in procs.iter().zip(scratch.losses.chunks_exact_mut(w)) {
+            fill_loss_row(row, p.model.as_ref(), set);
+            let (k, f) = self.desired_slot_by(p, || row.iter().copied());
+            scratch.models.push(p.model);
             scratch.idx.push(k);
             scratch.decision.desired.push(f);
         }
 
         let (demotions, feasible) = self.budget_pass(
             &scratch.index,
-            &scratch.tables,
-            &scratch.has_table,
+            &scratch.losses,
             &mut scratch.idx,
-            &mut scratch.heap,
+            &mut scratch.queue,
             &mut scratch.demotion_log,
             procs,
             budget_w,
         );
         self.finish_pass(
             &scratch.index,
-            &scratch.tables,
-            &scratch.has_table,
+            &scratch.losses,
+            &scratch.models,
             &scratch.idx,
             procs,
             &mut scratch.decision,
@@ -706,7 +815,7 @@ impl FvsstAlgorithm {
     /// quantized by the cache's [`ModelTolerance`], idle pinning, and —
     /// for unmodelled processors — the current frequency) changed since
     /// the previous round; unchanged processors keep their cached
-    /// [`PerfLossTable`] and desired slot, so a within-tolerance model
+    /// loss row and desired slot, so a within-tolerance model
     /// wobble schedules against the previously fitted coefficients (the
     /// *effective* model). When no fingerprint changed, the budget is
     /// bit-identical, and the previous decision was feasible, the cached
@@ -741,6 +850,7 @@ impl FvsstAlgorithm {
     ) -> &'a ScheduleDecision {
         let n = procs.len();
         let set = &self.freq_set;
+        let w = set.len();
         cache.stats.rounds += 1;
 
         // Configuration watch: any change to the platform tables or the
@@ -756,10 +866,7 @@ impl FvsstAlgorithm {
         if cache.keys.len() != n {
             cache.keys.clear();
             cache.keys.resize(n, ProcKey::Stale);
-            if cache.tables.len() < n {
-                cache.tables.resize_with(n, PerfLossTable::placeholder);
-            }
-            cache.has_table.resize(n, false);
+            cache.models.resize(n, None);
             cache.desired_idx.resize(n, 0);
             cache.desired_freq.resize(n, FreqMhz(0));
             cache.valid = false;
@@ -768,6 +875,8 @@ impl FvsstAlgorithm {
                 *k = ProcKey::Stale;
             }
         }
+        // After the configuration watch: a flushed cache may have a new |F|.
+        cache.losses.resize(n * w, 0.0);
 
         // ---- Incremental pass 1: rebuild only what moved. ----
         let mut changed = false;
@@ -782,15 +891,10 @@ impl FvsstAlgorithm {
                 changed = true;
                 cache.stats.proc_rebuilds += 1;
                 cache.keys[i] = key;
-                let has = match p.model {
-                    Some(m) => {
-                        cache.tables[i].rebuild(&m, set);
-                        true
-                    }
-                    None => false,
-                };
-                cache.has_table[i] = has;
-                let (k, f) = self.desired_slot(p, has.then(|| &cache.tables[i]));
+                let row = &mut cache.losses[i * w..(i + 1) * w];
+                fill_loss_row(row, p.model.as_ref(), set);
+                let (k, f) = self.desired_slot_by(p, || row.iter().copied());
+                cache.models[i] = p.model;
                 cache.desired_idx[i] = k;
                 cache.desired_freq[i] = f;
             }
@@ -821,10 +925,9 @@ impl FvsstAlgorithm {
         cache.work_idx.extend_from_slice(&cache.desired_idx[..n]);
         let (demotions, feasible) = self.budget_pass(
             &cache.index,
-            &cache.tables,
-            &cache.has_table,
+            &cache.losses,
             &mut cache.work_idx,
-            &mut cache.heap,
+            &mut cache.queue,
             &mut cache.demotion_log,
             procs,
             budget_w,
@@ -836,8 +939,8 @@ impl FvsstAlgorithm {
             .extend_from_slice(&cache.desired_freq[..n]);
         self.finish_pass(
             &cache.index,
-            &cache.tables,
-            &cache.has_table,
+            &cache.losses,
+            &cache.models,
             &cache.work_idx,
             procs,
             &mut cache.decision,
@@ -850,7 +953,7 @@ impl FvsstAlgorithm {
 
     /// Pass 2: demote least-painful steps until under budget. `idx` is
     /// mutated in place; the running power total is updated by per-step
-    /// deltas and victims come from the heap (or the round-robin cursor).
+    /// deltas and victims come from the queue (or the round-robin cursor).
     /// Every step taken is appended to `log` (cleared first; capacity is
     /// reserved for the worst case so steady-state calls never grow it).
     /// Returns `(demotions, feasible)`.
@@ -858,16 +961,16 @@ impl FvsstAlgorithm {
     fn budget_pass(
         &self,
         index: &PowerVoltageIndex,
-        tables: &[PerfLossTable],
-        has_table: &[bool],
+        losses: &[f64],
         idx: &mut [usize],
-        heap: &mut BinaryHeap<DemotionCandidate>,
+        queue: &mut DemotionQueue,
         log: &mut Vec<DemotionRecord>,
         procs: &[ProcInput],
         budget_w: f64,
     ) -> (usize, bool) {
         let n = procs.len();
         let set = &self.freq_set;
+        let w = set.len();
         log.clear();
         // Worst case: every processor walks from f_max to f_min.
         log.reserve(n * set.len().saturating_sub(1));
@@ -880,26 +983,15 @@ impl FvsstAlgorithm {
         if n > 0 {
             match self.demotion_order {
                 DemotionOrder::LeastPredictedLoss => {
-                    heap.clear();
+                    queue.reset(n);
                     for i in 0..n {
                         let k = idx[i];
                         if k != OFFGRID && k > 0 {
-                            heap.push(DemotionCandidate {
-                                loss: demotion_key(has_table[i].then(|| &tables[i]), k),
-                                proc: i,
-                                idx_at_push: k,
-                            });
+                            queue.push(i, losses[i * w + k - 1]);
                         }
                     }
                     while power > budget_w {
-                        let victim = loop {
-                            match heap.pop() {
-                                None => break None,
-                                Some(c) if idx[c.proc] == c.idx_at_push => break Some(c.proc),
-                                Some(_) => {} // stale: the processor moved on
-                            }
-                        };
-                        let Some(i) = victim else {
+                        let Some(i) = queue.pop() else {
                             // Everything at f_min and still over budget.
                             feasible = false;
                             break;
@@ -913,15 +1005,11 @@ impl FvsstAlgorithm {
                             proc: i,
                             from: set.at(k),
                             to: set.at(k - 1),
-                            predicted_loss: demotion_key(has_table[i].then(|| &tables[i]), k),
+                            predicted_loss: losses[i * w + k - 1],
                             power_delta_w: delta,
                         });
                         if k - 1 > 0 {
-                            heap.push(DemotionCandidate {
-                                loss: demotion_key(has_table[i].then(|| &tables[i]), k - 1),
-                                proc: i,
-                                idx_at_push: k - 1,
-                            });
+                            queue.push(i, losses[i * w + k - 2]);
                         }
                     }
                 }
@@ -951,7 +1039,7 @@ impl FvsstAlgorithm {
                             proc: i,
                             from: set.at(k),
                             to: set.at(k - 1),
-                            predicted_loss: demotion_key(has_table[i].then(|| &tables[i]), k),
+                            predicted_loss: losses[i * w + k - 1],
                             power_delta_w: delta,
                         });
                     }
@@ -968,8 +1056,8 @@ impl FvsstAlgorithm {
     fn finish_pass(
         &self,
         index: &PowerVoltageIndex,
-        tables: &[PerfLossTable],
-        has_table: &[bool],
+        losses: &[f64],
+        models: &[Option<CpiModel>],
         idx: &[usize],
         procs: &[ProcInput],
         decision: &mut ScheduleDecision,
@@ -990,14 +1078,13 @@ impl FvsstAlgorithm {
             };
             decision.freqs.push(f);
             decision.voltages.push(v);
-            if has_table[i] {
-                let e = &tables[i].entries[k];
-                decision.predicted_ipc.push(Some(e.ipc));
-                decision.predicted_loss.push(e.loss_vs_ref);
-            } else {
-                decision.predicted_ipc.push(None);
-                decision.predicted_loss.push(0.0);
-            }
+            // Only an unmodelled processor can be off the grid.
+            let (ipc, loss) = match models[i] {
+                Some(m) => (Some(m.ipc_at(f)), losses[i * set.len() + k]),
+                None => (None, 0.0),
+            };
+            decision.predicted_ipc.push(ipc);
+            decision.predicted_loss.push(loss);
         }
         let mut predicted_power_w = 0.0;
         for (&k, p) in idx.iter().zip(procs) {
@@ -1322,7 +1409,7 @@ mod tests {
     }
 
     #[test]
-    fn heap_matches_reference_across_budget_sweep() {
+    fn queue_matches_reference_across_budget_sweep() {
         let alg = FvsstAlgorithm::p630();
         let procs = vec![busy(100.0), busy(75.0), busy(50.0), busy(25.0), busy(0.0)];
         let top = alg.schedule(&procs, f64::INFINITY).predicted_power_w;

@@ -64,12 +64,12 @@ fn main() {
         alg.demotion_order = order;
         let procs = mixed_procs(64);
         // Demotion-heavy: just above the 9 W/processor floor, so pass 2
-        // walks nearly every processor down the whole table — the heap
-        // sees its maximum churn.
+        // walks nearly every processor down the whole table — the
+        // demotion queue sees its maximum churn.
         let budget = 64.0 * 10.0;
         let mut scratch = ScheduleScratch::new();
 
-        // Warm-up sizes every buffer (tables, heap, output vectors).
+        // Warm-up sizes every buffer (loss rows, queue, output vectors).
         for _ in 0..3 {
             alg.schedule_with_scratch(&mut scratch, &procs, budget);
         }
@@ -94,8 +94,8 @@ fn main() {
 
         // The cached path must also be allocation-free once warm — on
         // full hits (nothing at all runs), on budget changes (pass 2/3
-        // rerun on cached tables), and on model changes (per-processor
-        // rebuild into the cached table slots).
+        // rerun on cached loss rows), and on model changes (per-processor
+        // refill of the cached rows).
         let mut cache = ScheduleCache::new();
         let mut wobbled = procs.clone();
         for _ in 0..3 {
@@ -230,6 +230,53 @@ fn main() {
             "ring tracer must actually have recorded spans"
         );
     }
+    // Cluster scale, with the demotion queue's bucket occupancy moving
+    // under it: every round every processor takes another of nine model
+    // classes and the budget alternates between demotion-heavy and
+    // loose, so no two rounds fill the same buckets or the same side
+    // heap. One warm-up round at this processor count — on yet another
+    // mix — must have sized everything.
+    let alg = FvsstAlgorithm::p630();
+    let n = 4096;
+    let churned = |round: usize| -> Vec<ProcInput> {
+        (0..n)
+            .map(|i| ProcInput {
+                model: (i % 29 != 0).then(|| {
+                    let class = (i * 7 + round * 11) % 9;
+                    CpiModel::from_components(1.0, class as f64 * 2.5e-9)
+                }),
+                idle: false,
+                current: FreqMhz(1000),
+            })
+            .collect()
+    };
+    let rounds: Vec<Vec<ProcInput>> = (0..13).map(churned).collect();
+    let budget = |round: usize| n as f64 * [30.0, 110.0][round % 2];
+    let mut scratch = ScheduleScratch::new();
+    let mut cache = ScheduleCache::new();
+    alg.schedule_with_scratch(&mut scratch, &rounds[0], budget(1));
+    alg.schedule_cached(&mut cache, &rounds[0], budget(1));
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let mut demotions = 0;
+    for (round, procs) in rounds.iter().enumerate().skip(1) {
+        demotions += alg
+            .schedule_with_scratch(&mut scratch, procs, budget(round))
+            .demotions;
+        demotions += alg
+            .schedule_cached(&mut cache, procs, budget(round))
+            .demotions;
+    }
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "churning 4 096-processor rounds allocated"
+    );
+    assert!(
+        demotions > 12 * n,
+        "the tight rounds must demote: {demotions}"
+    );
+
     // The substrate half of the daemon's hot loop: the batched SoA
     // machine tick plus the reused-buffer sample sweep the scheduler
     // consumes each round must be allocation-free once warm, with

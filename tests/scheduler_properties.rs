@@ -247,6 +247,246 @@ proptest! {
     }
 }
 
+/// Adversarial key distributions for pass 2's bucketed demotion queue.
+/// Every case is differential against `schedule_reference` — the whole
+/// decision bit for bit, on both production paths — and against the
+/// naive selection rule replayed over the demotion log.
+mod demotion_queue {
+    use super::*;
+    use fvsst::model::PerfLossTable;
+    use fvsst::sched::{DemotionRecord, ScheduleDecision};
+
+    /// The queue's bucket count for `n` processors (white box: the cases
+    /// below aim at its boundaries and steps).
+    fn buckets(n: usize) -> usize {
+        (n / 8).next_power_of_two().min(2048)
+    }
+
+    /// Every field of a decision with floats as bit patterns, so that a
+    /// NaN prediction compares equal to itself and −0.0 differs from 0.0.
+    fn bits(d: &ScheduleDecision) -> impl PartialEq + std::fmt::Debug {
+        let f = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        (
+            d.freqs.clone(),
+            d.desired.clone(),
+            f(&d.voltages),
+            d.predicted_ipc
+                .iter()
+                .map(|x| x.map(f64::to_bits))
+                .collect::<Vec<_>>(),
+            f(&d.predicted_loss),
+            d.predicted_power_w.to_bits(),
+            d.feasible,
+            d.demotions,
+        )
+    }
+
+    /// Replay `log` from the desired frequencies: each step must take
+    /// the victim the paper's rule names — smallest loss after the step
+    /// by `total_cmp`, then lowest index, found by a full scan — one
+    /// rung down, and the steps must end at the decision's frequencies.
+    fn assert_log_replays(
+        alg: &FvsstAlgorithm,
+        procs: &[ProcInput],
+        d: &ScheduleDecision,
+        log: &[DemotionRecord],
+    ) {
+        let set = &alg.freq_set;
+        let tables: Vec<Option<PerfLossTable>> = procs
+            .iter()
+            .map(|p| p.model.map(|m| PerfLossTable::build(&m, set)))
+            .collect();
+        let key = |i: usize, k: usize| {
+            tables[i]
+                .as_ref()
+                .map_or(0.0, |t| t.entries[k - 1].loss_vs_ref)
+        };
+        let mut freqs = d.desired.clone();
+        assert_eq!(log.len(), d.demotions);
+        for step in log {
+            if alg.demotion_order == DemotionOrder::LeastPredictedLoss {
+                let (loss, victim) = (0..procs.len())
+                    .filter_map(|i| match set.index_of(freqs[i]) {
+                        Some(k) if k > 0 => Some((key(i, k), i)),
+                        _ => None,
+                    })
+                    .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+                    .expect("a step was logged, so a victim exists");
+                assert_eq!(step.proc, victim);
+                assert_eq!(step.predicted_loss.to_bits(), loss.to_bits());
+            }
+            assert_eq!(freqs[step.proc], step.from);
+            assert_eq!(set.step_down(step.from), Some(step.to));
+            freqs[step.proc] = step.to;
+        }
+        assert_eq!(freqs, d.freqs);
+    }
+
+    fn assert_matches_reference(alg: &FvsstAlgorithm, procs: &[ProcInput], budget_w: f64) {
+        let naive = alg.schedule_reference(procs, budget_w);
+        let mut scratch = ScheduleScratch::new();
+        alg.schedule_with_scratch(&mut scratch, procs, budget_w);
+        assert_eq!(bits(scratch.decision()), bits(&naive));
+        assert_log_replays(alg, procs, scratch.decision(), scratch.demotion_log());
+        let mut cache = ScheduleCache::new();
+        alg.schedule_cached(&mut cache, procs, budget_w);
+        assert_eq!(bits(cache.decision()), bits(&naive));
+        assert_log_replays(alg, procs, cache.decision(), cache.demotion_log());
+    }
+
+    /// Both demotion orders, at budgets that force a few steps, about
+    /// half of them, and all of them (infeasible: every bucket empties).
+    fn assert_matches_reference_across_budgets(procs: &[ProcInput]) {
+        for order in [DemotionOrder::LeastPredictedLoss, DemotionOrder::RoundRobin] {
+            let mut alg = FvsstAlgorithm::p630();
+            alg.demotion_order = order;
+            let top = alg.schedule(procs, f64::INFINITY).predicted_power_w;
+            for budget_w in [top - 1.0, 0.5 * top, 0.0] {
+                assert_matches_reference(&alg, procs, budget_w);
+            }
+        }
+    }
+
+    fn modelled(cpi0: f64, mem: f64) -> ProcInput {
+        ProcInput {
+            model: Some(CpiModel::from_components(cpi0, mem)),
+            idle: false,
+            current: FreqMhz(1000),
+        }
+    }
+
+    /// One key for everybody: a single bucket, and nothing but the
+    /// processor index to order the victims by.
+    #[test]
+    fn all_losses_equal() {
+        let unmodelled = ProcInput {
+            model: None,
+            idle: false,
+            current: FreqMhz(1000),
+        };
+        assert_matches_reference_across_budgets(&[unmodelled; 40]);
+        assert_matches_reference_across_budgets(&[modelled(1.0, 0.0); 40]);
+    }
+
+    /// Losses placed a hair below, on and a hair above every bucket
+    /// boundary a sane model can reach (loss at `f_min` ≤ 1 − f_min/f_max).
+    #[test]
+    fn losses_straddle_every_bucket_boundary() {
+        let alg = FvsstAlgorithm::p630();
+        let set = &alg.freq_set;
+        let (f_min, f_max) = (set.min().hz(), set.max().hz());
+        let n = 768;
+        let reachable: Vec<usize> = (1..buckets(n))
+            .filter(|&b| (b as f64 / buckets(n) as f64) < 0.99 * (1.0 - f_min / f_max))
+            .collect();
+        let mut procs = Vec::new();
+        for &b in &reachable {
+            let boundary = b as f64 / buckets(n) as f64;
+            let mut sides = Vec::new();
+            for nudge in [1.0 - 1e-12, 1.0, 1.0 + 1e-12] {
+                // Solve loss(f_min) = boundary · nudge for M, with CPI₀ = 1.
+                let loss = boundary * nudge;
+                let mem = (1.0 - loss - f_min / f_max) / (f_min * loss);
+                procs.push(modelled(1.0, mem));
+                let table = PerfLossTable::build(&procs.last().unwrap().model.unwrap(), set);
+                sides.push(table.entries[0].loss_vs_ref);
+            }
+            assert!(
+                sides[0] < boundary && sides[2] >= boundary,
+                "bucket {b} is not straddled: {sides:?}"
+            );
+        }
+        // Pad to the processor count the boundaries were computed for.
+        assert!(procs.len() <= n);
+        procs.resize(n, modelled(1.0, 0.0));
+        assert_matches_reference_across_budgets(&procs);
+    }
+
+    /// Models no estimator would hand over, whose losses are −NaN, −∞,
+    /// negative, above 1, +∞ and +NaN: the bucket map clamps them, the
+    /// order stays `total_cmp`'s.
+    #[test]
+    fn degenerate_losses_keep_total_order() {
+        let weird = [
+            modelled(f64::NAN, 0.0),      // +NaN on every rung
+            modelled(-f64::NAN, 0.0),     // −NaN on every rung
+            modelled(0.0, 0.0),           // ∞ − ∞
+            modelled(-1.0, 2.0e-9),       // negative, −∞ at 500 MHz, then above 1
+            modelled(-1.0e308, 3.0e299),  // p_ref = 0: −∞ and +∞
+            modelled(1.0, -0.5e-9),       // CPI falling with frequency
+            modelled(1.0, f64::INFINITY), // 0 / 0
+            modelled(f64::NEG_INFINITY, 1.0e-9),
+        ];
+        let seen: Vec<f64> = weird
+            .iter()
+            .flat_map(|p| {
+                PerfLossTable::build(&p.model.unwrap(), &FvsstAlgorithm::p630().freq_set).entries
+            })
+            .map(|e| e.loss_vs_ref)
+            .collect();
+        for (what, found) in [
+            (
+                "+NaN",
+                seen.iter().any(|l| l.is_nan() && l.is_sign_positive()),
+            ),
+            (
+                "-NaN",
+                seen.iter().any(|l| l.is_nan() && l.is_sign_negative()),
+            ),
+            ("+inf", seen.contains(&f64::INFINITY)),
+            ("-inf", seen.contains(&f64::NEG_INFINITY)),
+            ("negative", seen.iter().any(|l| l.is_finite() && *l < 0.0)),
+            ("above 1", seen.iter().any(|l| l.is_finite() && *l > 1.0)),
+        ] {
+            assert!(found, "no {what} loss among the degenerate models");
+        }
+        // Alone, then scattered among ordinary processors.
+        assert_matches_reference_across_budgets(&weird);
+        let mut procs: Vec<ProcInput> = (0..120)
+            .map(|i| modelled(0.5 + 0.01 * i as f64, 0.3e-9 * (i % 13) as f64))
+            .collect();
+        for (at, w) in weird.iter().enumerate() {
+            procs.insert(at * 15, *w);
+        }
+        assert_matches_reference_across_budgets(&procs);
+    }
+
+    /// Processor counts on both sides of the bucket-count steps (one
+    /// bucket up to 15, two from 16, the 2 048 cap from 16 384).
+    #[test]
+    fn sizes_around_the_bucket_count_steps() {
+        assert_eq!(
+            [0, 1, 7, 8, 9, 15, 16, 16_385].map(buckets),
+            [1, 1, 1, 1, 1, 1, 2, 2048]
+        );
+        let mixed = |n: usize| -> Vec<ProcInput> {
+            (0..n)
+                .map(|i| match i % 11 {
+                    0 => ProcInput {
+                        model: None,
+                        idle: false,
+                        current: FreqMhz([800, 675][i % 2]),
+                    },
+                    1 => ProcInput {
+                        idle: true,
+                        ..modelled(1.0, 0.0)
+                    },
+                    k => modelled(0.4 + 0.07 * k as f64, 1.0e-9 * ((i * 7) % 23) as f64),
+                })
+                .collect()
+        };
+        for n in [0, 1, 7, 8, 9, 15, 16, 17] {
+            assert_matches_reference_across_budgets(&mixed(n));
+        }
+        // The reference is O(d·n): keep d to a few hundred steps here.
+        let procs = mixed(16_385);
+        let alg = FvsstAlgorithm::p630();
+        let top = alg.schedule(&procs, f64::INFINITY).predicted_power_w;
+        assert_matches_reference(&alg, &procs, top - 2_000.0);
+        assert!(alg.schedule(&procs, top - 2_000.0).demotions > 100);
+    }
+}
+
 /// End-to-end property: random diverse machines under random budgets
 /// always end up compliant (or floored) after a second of simulation.
 mod end_to_end {
