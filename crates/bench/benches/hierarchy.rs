@@ -16,6 +16,14 @@
 //! round; the tree re-runs only the drifters' racks and skips every
 //! clean subtree, which is the ≥10× `collect_bench` reports as
 //! `hier_vs_flat_speedup`.
+//!
+//! `hier_steady_state/{flat,hier}_reingest/...` is the other steady
+//! state: the same drifters, but *every* node re-reports each round, as
+//! a wire server sees it. Both coordinators then pay per summary, and
+//! the tree earns its keep only if its comparison at ingest plus a
+//! skip-only round costs no more than flat's ingest plus its sweep —
+//! the `reingest_all` row, whose ratio the `hier-smoke` CI job holds
+//! at ≤ 1.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fvs_cluster::{
@@ -77,53 +85,84 @@ fn bench_cluster_tick_hier(c: &mut Criterion) {
     g.finish();
 }
 
+/// What the steady-state rounds need of either coordinator.
+trait Coordinator {
+    fn ingest(&mut self, summary: NodeSummary);
+    /// One scheduling round; the number of commands it emitted.
+    fn round(&mut self, budget_w: f64) -> usize;
+}
+
+impl Coordinator for GlobalCoordinator {
+    fn ingest(&mut self, summary: NodeSummary) {
+        GlobalCoordinator::ingest(self, summary);
+    }
+    fn round(&mut self, budget_w: f64) -> usize {
+        self.schedule(budget_w, 1.0).len()
+    }
+}
+
+impl Coordinator for DelegationTree {
+    fn ingest(&mut self, summary: NodeSummary) {
+        DelegationTree::ingest(self, summary);
+    }
+    fn round(&mut self, budget_w: f64) -> usize {
+        self.schedule(budget_w, 1.0).len()
+    }
+}
+
+/// Warm `coord` on the quiet cluster, then time its steady rounds twice:
+/// `<name>/<nodes>` re-ingests only the drifters, `<name>_reingest/<nodes>`
+/// every node (summary construction included, the same on both sides).
+fn bench_steady_rounds(
+    g: &mut criterion::BenchmarkGroup<'_>,
+    name: &str,
+    nodes: usize,
+    coord: &mut impl Coordinator,
+) {
+    let budget = nodes as f64 * PROCS_PER_NODE as f64 * 70.0;
+    let stride = nodes / DRIFTERS;
+    for n in 0..nodes {
+        coord.ingest(summary(n, 1.0, false));
+    }
+    coord.round(budget);
+    coord.round(budget);
+    let mut i = 0u64;
+    g.bench_with_input(BenchmarkId::new(name, nodes), &(), |b, _| {
+        b.iter(|| {
+            i += 1;
+            for d in 0..DRIFTERS {
+                coord.ingest(summary(d * stride, 1.0, i.is_multiple_of(2)));
+            }
+            black_box(coord.round(budget))
+        })
+    });
+    let id = BenchmarkId::new(format!("{name}_reingest"), nodes);
+    g.bench_with_input(id, &(), |b, _| {
+        b.iter(|| {
+            i += 1;
+            for n in 0..nodes {
+                let drifts = n % stride == 0 && n / stride < DRIFTERS;
+                coord.ingest(summary(n, 1.0, drifts && i.is_multiple_of(2)));
+            }
+            black_box(coord.round(budget))
+        })
+    });
+}
+
 fn bench_hier_steady_state(c: &mut Criterion) {
     let alg = FvsstAlgorithm::p630();
     let mut g = c.benchmark_group("hier_steady_state");
     g.sample_size(10);
     for &nodes in &[10_000usize, 100_000] {
-        let budget = nodes as f64 * PROCS_PER_NODE as f64 * 70.0;
-        let stride = nodes / DRIFTERS;
         // Flat baseline: every round sweeps all processors.
-        {
-            let mut flat =
-                GlobalCoordinator::new(alg.clone(), nodes).with_heartbeat_timeout(f64::INFINITY);
-            for n in 0..nodes {
-                flat.ingest(summary(n, 1.0, false));
-            }
-            flat.schedule(budget, 1.0);
-            flat.schedule(budget, 1.0);
-            let mut i = 0u64;
-            g.bench_with_input(BenchmarkId::new("flat", nodes), &(), |b, _| {
-                b.iter(|| {
-                    i += 1;
-                    for d in 0..DRIFTERS {
-                        flat.ingest(summary(d * stride, 1.0, i.is_multiple_of(2)));
-                    }
-                    black_box(flat.schedule(budget, 1.0).len())
-                })
-            });
-        }
+        let mut flat =
+            GlobalCoordinator::new(alg.clone(), nodes).with_heartbeat_timeout(f64::INFINITY);
+        bench_steady_rounds(&mut g, "flat", nodes, &mut flat);
+        drop(flat);
         // Delegation tree: only the drifters' racks re-run.
-        {
-            let mut tree = DelegationTree::new(alg.clone(), nodes, HierTopology::default())
-                .with_heartbeat_timeout(f64::INFINITY);
-            for n in 0..nodes {
-                tree.ingest(summary(n, 1.0, false));
-            }
-            tree.schedule(budget, 1.0);
-            tree.schedule(budget, 1.0);
-            let mut i = 0u64;
-            g.bench_with_input(BenchmarkId::new("hier", nodes), &(), |b, _| {
-                b.iter(|| {
-                    i += 1;
-                    for d in 0..DRIFTERS {
-                        tree.ingest(summary(d * stride, 1.0, i.is_multiple_of(2)));
-                    }
-                    black_box(tree.schedule(budget, 1.0).len())
-                })
-            });
-        }
+        let mut tree = DelegationTree::new(alg.clone(), nodes, HierTopology::default())
+            .with_heartbeat_timeout(f64::INFINITY);
+        bench_steady_rounds(&mut g, "hier", nodes, &mut tree);
     }
     g.finish();
 }

@@ -81,12 +81,16 @@ struct SimEntry {
     speedup: Option<f64>,
 }
 
-/// One row of the steady-state hierarchy-vs-flat table.
+/// One row of the steady-state hierarchy-vs-flat table: median ns of a
+/// round in which only the drifters re-ingest, and of one in which
+/// every node does (`reingest_all`).
 struct HierEntry {
     nodes: usize,
     flat: f64,
     hier: f64,
     speedup: f64,
+    flat_reingest: f64,
+    hier_reingest: f64,
 }
 
 /// Validate an existing `BENCH_scheduler.json`: parseable, and shaped
@@ -166,6 +170,14 @@ fn check(root: &Path) -> i32 {
                 for field in ["flat_median_ns", "hier_median_ns", "hier_vs_flat_speedup"] {
                     if row.get(field).and_then(|n| n.as_f64()).is_none() {
                         errors.push(format!("hier_steady_state[{i}] missing number '{field}'"));
+                    }
+                }
+                for field in ["flat_round_us", "tree_round_us", "tree_vs_flat"] {
+                    let value = row.get("reingest_all").and_then(|r| r.get(field));
+                    if value.and_then(|n| n.as_f64()).is_none() {
+                        errors.push(format!(
+                            "hier_steady_state[{i}] missing number 'reingest_all.{field}'"
+                        ));
                     }
                 }
             }
@@ -281,13 +293,27 @@ fn main() {
         let id = nodes.to_string();
         let flat = median_ns(&criterion_dir, "hier_steady_state", &format!("flat/{id}"));
         let h = median_ns(&criterion_dir, "hier_steady_state", &format!("hier/{id}"));
-        match (flat, h) {
-            (Some(flat), Some(h)) => hier.push(HierEntry {
-                nodes,
-                flat,
-                hier: h,
-                speedup: flat / h,
-            }),
+        let flat_reingest = median_ns(
+            &criterion_dir,
+            "hier_steady_state",
+            &format!("flat_reingest/{id}"),
+        );
+        let hier_reingest = median_ns(
+            &criterion_dir,
+            "hier_steady_state",
+            &format!("hier_reingest/{id}"),
+        );
+        match (flat, h, flat_reingest, hier_reingest) {
+            (Some(flat), Some(h), Some(flat_reingest), Some(hier_reingest)) => {
+                hier.push(HierEntry {
+                    nodes,
+                    flat,
+                    hier: h,
+                    speedup: flat / h,
+                    flat_reingest,
+                    hier_reingest,
+                })
+            }
             _ => missing.push(format!("hier_steady_state/{nodes}")),
         }
     }
@@ -378,11 +404,15 @@ fn main() {
     for (i, e) in hier.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"nodes\": {}, \"flat_median_ns\": {:.1}, \"hier_median_ns\": {:.1}, \
-             \"hier_vs_flat_speedup\": {:.2}}}{}\n",
+             \"hier_vs_flat_speedup\": {:.2}, \"reingest_all\": {{\"flat_round_us\": {:.1}, \
+             \"tree_round_us\": {:.1}, \"tree_vs_flat\": {:.3}}}}}{}\n",
             e.nodes,
             e.flat,
             e.hier,
             e.speedup,
+            e.flat_reingest / 1e3,
+            e.hier_reingest / 1e3,
+            e.hier_reingest / e.flat_reingest,
             if i + 1 < hier.len() { "," } else { "" }
         ));
     }
@@ -423,8 +453,14 @@ fn main() {
     }
     for e in &hier {
         println!(
-            "hier nodes={:<7} flat {:>14.1} ns  hier {:>12.1} ns  speedup {:.2}x",
-            e.nodes, e.flat, e.hier, e.speedup
+            "hier nodes={:<7} flat {:>14.1} ns  hier {:>12.1} ns  speedup {:.2}x  \
+             all re-ingest: flat {:.1} us  tree {:.1} us",
+            e.nodes,
+            e.flat,
+            e.hier,
+            e.speedup,
+            e.flat_reingest / 1e3,
+            e.hier_reingest / 1e3
         );
     }
     println!("harness fast suite: {suite_ran} experiments in {suite_wall_s:.2}s wall");
@@ -455,6 +491,10 @@ fn main() {
                 "warning: hier steady-state speedup at 10k nodes is {:.2}x (< 10x target)",
                 e.speedup
             );
+        }
+        // ...and when every node re-reports, no dearer than flat.
+        if e.hier_reingest > e.flat_reingest {
+            eprintln!("warning: an all-re-ingest round at 10k nodes is slower through the tree");
         }
     }
 }

@@ -161,15 +161,23 @@ impl GlobalCoordinator {
     /// Override the heartbeat timeout after which a silent node is
     /// declared dead and charged conservatively.
     pub fn with_heartbeat_timeout(mut self, timeout_s: f64) -> Self {
-        self.heartbeat_timeout_s = timeout_s;
+        self.set_heartbeat_timeout(timeout_s);
         self
+    }
+
+    pub(crate) fn set_heartbeat_timeout(&mut self, timeout_s: f64) {
+        self.heartbeat_timeout_s = timeout_s;
     }
 
     /// Override the conservative charge for nodes that have never
     /// reported (heterogeneous clusters with bigger machines).
     pub fn with_worst_case_node_w(mut self, watts: f64) -> Self {
-        self.worst_case_node_w = watts;
+        self.set_worst_case_node_w(watts);
         self
+    }
+
+    pub(crate) fn set_worst_case_node_w(&mut self, watts: f64) {
+        self.worst_case_node_w = watts;
     }
 
     /// Attach a causal span tracer: each global round records
@@ -177,8 +185,12 @@ impl GlobalCoordinator {
     /// spans (`sched.pass1` / `sched.cache_probe` / `sched.pass2`) and
     /// `cluster.emit_commands` as children.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
+        self.set_tracer(tracer);
         self
+    }
+
+    pub(crate) fn set_tracer(&mut self, tracer: Tracer) {
+        self.tracer = tracer;
     }
 
     /// Cache effectiveness counters for the global computation.

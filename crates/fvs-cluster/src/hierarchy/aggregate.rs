@@ -15,6 +15,8 @@
 //! re-merges only when a child's fingerprint moved, making the
 //! steady-state cost of a tier O(changed children).
 
+use std::borrow::Borrow;
+
 use serde::{Deserialize, Serialize};
 
 /// Predicted-loss quantum for ladder rungs. Losses are fractions in
@@ -191,12 +193,23 @@ pub struct ChildInput<'a> {
 /// consumption of a coalesced rung, and rounds pressured assignments
 /// down to [`SUBBUDGET_GRID_W`]; Σ assigned never exceeds
 /// `budget_w − Σ charges` beyond [`ULP_GUARD_W`] per child.
-pub fn assign_subbudgets(children: &[ChildInput], budget_w: f64, out: &mut Vec<f64>) -> bool {
+///
+/// `children` is walked several times, hence `Clone`: a slice of
+/// [`ChildInput`]s, or an iterator building them on the fly so that a
+/// tier need not collect its children into a vector every round.
+pub fn assign_subbudgets<'a, I>(children: I, budget_w: f64, out: &mut Vec<f64>) -> bool
+where
+    I: IntoIterator,
+    I::Item: Borrow<ChildInput<'a>>,
+    I::IntoIter: Clone,
+{
+    let children = children.into_iter();
     out.clear();
-    out.resize(children.len(), f64::NAN);
     let mut charges = 0.0;
     let mut desired = 0.0;
-    for child in children {
+    for child in children.clone() {
+        let child = child.borrow();
+        out.push(f64::NAN);
         match child.offline_charge_w {
             Some(w) => charges += w,
             None => desired += child.agg.desired_w,
@@ -204,7 +217,8 @@ pub fn assign_subbudgets(children: &[ChildInput], budget_w: f64, out: &mut Vec<f
     }
     let avail = budget_w - charges;
     if desired <= avail {
-        for (i, child) in children.iter().enumerate() {
+        for (i, child) in children.enumerate() {
+            let child = child.borrow();
             if child.offline_charge_w.is_none() {
                 out[i] = child.agg.desired_w + ULP_GUARD_W;
             }
@@ -214,7 +228,8 @@ pub fn assign_subbudgets(children: &[ChildInput], budget_w: f64, out: &mut Vec<f
 
     // Budget pressure: consume the globally cheapest rungs first.
     let mut rungs: Vec<(u32, usize, f64)> = Vec::new();
-    for (i, child) in children.iter().enumerate() {
+    for (i, child) in children.clone().enumerate() {
+        let child = child.borrow();
         if child.offline_charge_w.is_some() {
             continue;
         }
@@ -223,7 +238,7 @@ pub fn assign_subbudgets(children: &[ChildInput], budget_w: f64, out: &mut Vec<f
         }
     }
     rungs.sort_unstable_by_key(|&(q, i, _)| (q, i));
-    let mut shed = vec![0.0; children.len()];
+    let mut shed = vec![0.0; out.len()];
     let mut need = desired - avail;
     for &(_, i, shed_w) in &rungs {
         if need <= 0.0 {
@@ -235,14 +250,16 @@ pub fn assign_subbudgets(children: &[ChildInput], budget_w: f64, out: &mut Vec<f
     }
     if need > 0.0 {
         // Infeasible: every live child to its floor.
-        for (i, child) in children.iter().enumerate() {
+        for (i, child) in children.enumerate() {
+            let child = child.borrow();
             if child.offline_charge_w.is_none() {
                 out[i] = child.agg.floor_w;
             }
         }
         return false;
     }
-    for (i, child) in children.iter().enumerate() {
+    for (i, child) in children.enumerate() {
+        let child = child.borrow();
         if child.offline_charge_w.is_some() {
             continue;
         }

@@ -6,10 +6,11 @@
 //! [`SubtreeAggregate`] upward. Two mechanisms keep its steady-state
 //! cost near zero:
 //!
-//! - **Content dirty-tracking.** Every ingested summary is hashed under
-//!   the same [`ModelTolerance`] quantization the `ScheduleCache`
+//! - **Content dirty-tracking.** Every ingested summary is compared
+//!   with the one the inner coordinator already holds for that node,
+//!   under the same [`ModelTolerance`] quantization the `ScheduleCache`
 //!   `ProcKey` uses (timestamp and telemetry power excluded); the rack
-//!   only recomputes when a hash moved, a dead node recovered, or a
+//!   only recomputes when a summary moved, a dead node recovered, or a
 //!   liveness deadline passed. A heartbeat alone never forces a round.
 //! - **Budget split.** [`refresh`](RackCoordinator::refresh) runs the
 //!   expensive sweep + pass 1 under the *last* sub-budget so the
@@ -19,10 +20,11 @@
 //!   sub-budget, and emits commands only when something actually
 //!   changed.
 
+use fvs_model::CpiModel;
 use fvs_sched::{CacheStats, FvsstAlgorithm, ModelTolerance};
-use fvs_telemetry::Telemetry;
+use fvs_telemetry::{Telemetry, Tracer};
 
-use super::aggregate::{coalesce_rungs, quantize_loss, Fingerprint, SubtreeAggregate};
+use super::aggregate::{coalesce_rungs, quantize_loss, SubtreeAggregate};
 use crate::coordinator::{FrequencyCommand, GlobalCoordinator, NodeSummary};
 
 /// One rack: `len` globally-numbered nodes `[base, base + len)` under a
@@ -33,9 +35,6 @@ pub struct RackCoordinator {
     /// First global node index owned by this rack.
     base: usize,
     len: usize,
-    tol: ModelTolerance,
-    /// Per-local-node content hash of the last accepted summary.
-    hashes: Vec<u64>,
     /// Something schedule-shaping changed since the last run.
     dirty: bool,
     /// The last `refresh` actually recomputed (vs skipped).
@@ -57,6 +56,25 @@ pub struct RackCoordinator {
     rung_scratch: Vec<(u32, f64)>,
 }
 
+/// Whether two (already validity-filtered) models land in the same
+/// [`ModelTolerance`] buckets. Raw bits are tested first — an unchanged
+/// refit is the common case — and only a coefficient that moved pays
+/// for the quantizing division.
+fn same_model(new: Option<CpiModel>, held: Option<CpiModel>, tol: &ModelTolerance) -> bool {
+    let same_bucket = |a: f64, b: f64, step: f64| {
+        a.to_bits() == b.to_bits()
+            || ModelTolerance::quantize(a, step) == ModelTolerance::quantize(b, step)
+    };
+    match (new, held) {
+        (Some(a), Some(b)) => {
+            same_bucket(a.cpi0, b.cpi0, tol.cpi0_step)
+                && same_bucket(a.mem_time_per_instr, b.mem_time_per_instr, tol.mem_step_s)
+        }
+        (None, None) => true,
+        _ => false,
+    }
+}
+
 impl RackCoordinator {
     /// Rack over global nodes `[base, base + len)`.
     pub fn new(algorithm: FvsstAlgorithm, base: usize, len: usize) -> Self {
@@ -74,8 +92,6 @@ impl RackCoordinator {
             inner: GlobalCoordinator::with_telemetry(algorithm, len, telemetry),
             base,
             len,
-            tol: ModelTolerance::PHASE_DEFAULT,
-            hashes: vec![0; len],
             dirty: true,
             ran: false,
             fp_changed: false,
@@ -92,21 +108,33 @@ impl RackCoordinator {
 
     /// Forwarded to the inner coordinator.
     pub fn with_heartbeat_timeout(mut self, timeout_s: f64) -> Self {
-        self.inner = self.inner.with_heartbeat_timeout(timeout_s);
+        self.set_heartbeat_timeout(timeout_s);
         self
+    }
+
+    pub(crate) fn set_heartbeat_timeout(&mut self, timeout_s: f64) {
+        self.inner.set_heartbeat_timeout(timeout_s);
     }
 
     /// Forwarded to the inner coordinator.
     pub fn with_worst_case_node_w(mut self, watts: f64) -> Self {
-        self.inner = self.inner.with_worst_case_node_w(watts);
+        self.set_worst_case_node_w(watts);
         self
+    }
+
+    pub(crate) fn set_worst_case_node_w(&mut self, watts: f64) {
+        self.inner.set_worst_case_node_w(watts);
     }
 
     /// Forwarded to the inner coordinator: the rack's per-round spans
     /// nest under whatever `hier.*` span is open on the calling thread.
-    pub fn with_tracer(mut self, tracer: fvs_telemetry::Tracer) -> Self {
-        self.inner = self.inner.with_tracer(tracer);
+    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
+        self.set_tracer(tracer);
         self
+    }
+
+    pub(crate) fn set_tracer(&mut self, tracer: Tracer) {
+        self.inner.set_tracer(tracer);
     }
 
     /// First global node index owned by this rack.
@@ -141,30 +169,27 @@ impl RackCoordinator {
         self.online = online;
     }
 
-    /// Content hash of a summary under the cache's quantization:
-    /// everything that can change the schedule (quantized models with
-    /// the same invalid→unmodelled degradation `ingest` applies, idle
-    /// flags, current frequencies) and nothing that cannot (send
-    /// timestamp, telemetry power). Two summaries with equal hashes
-    /// produce identical `ProcKey`s downstream.
-    fn content_hash(&self, s: &NodeSummary) -> u64 {
-        let mut fp = Fingerprint::new();
-        for (p, model) in s.models.iter().enumerate() {
-            match model {
-                Some(m) if m.is_valid() => {
-                    fp.push(1);
-                    fp.push(ModelTolerance::quantize(m.cpi0, self.tol.cpi0_step));
-                    fp.push(ModelTolerance::quantize(
-                        m.mem_time_per_instr,
-                        self.tol.mem_step_s,
-                    ));
-                }
-                _ => fp.push(0),
-            }
-            fp.push(u64::from(s.idle[p]));
-            fp.push(u64::from(s.current[p].0));
-        }
-        fp.finish()
+    /// Whether `summary` differs from `held` — the summary the inner
+    /// coordinator holds for that node — in anything that can change
+    /// the schedule: idle flags, current frequencies (and with either,
+    /// the processor count), or a model leaving its bucket under the
+    /// inner cache's own tolerance, with the invalid→unmodelled
+    /// degradation `ingest` applies (`held` went through it when it was
+    /// stored). Send timestamp and telemetry power cannot, and are not
+    /// looked at. Two summaries that compare unchanged produce
+    /// identical `ProcKey`s downstream.
+    fn content_changed(&self, summary: &NodeSummary, held: Option<&NodeSummary>) -> bool {
+        let Some(held) = held else {
+            return true; // first report
+        };
+        let tol = self.inner.schedule_cache().tolerance();
+        held.idle != summary.idle
+            || held.current != summary.current
+            || !summary
+                .models
+                .iter()
+                .zip(&held.models)
+                .all(|(new, old)| same_model(new.filter(CpiModel::is_valid), *old, &tol))
     }
 
     /// Route a summary into the rack. Returns `true` when the inner
@@ -180,7 +205,7 @@ impl RackCoordinator {
             || summary.idle.len() != summary.models.len()
             || summary.current.len() != summary.models.len()
         {
-            // Out of this rack's range (or unhashable): hand it to the
+            // Out of this rack's range (or malformed): hand it to the
             // inner coordinator for uniform rejection accounting only
             // when it is at least addressable.
             if summary.node >= self.base && summary.node < self.base + self.len {
@@ -190,14 +215,13 @@ impl RackCoordinator {
             return false;
         }
         let local = summary.node - self.base;
-        let hash = self.content_hash(&summary);
-        let was_dead = self.inner.is_dead(local);
+        // An already-dirty rack has nothing left to learn from comparing.
+        let changed = self.dirty
+            || self.inner.is_dead(local)
+            || self.content_changed(&summary, self.inner.latest_summary(local));
         summary.node = local;
         let accepted = self.inner.ingest(summary);
-        if accepted && (hash != self.hashes[local] || was_dead) {
-            self.hashes[local] = hash;
-            self.dirty = true;
-        }
+        self.dirty |= accepted && changed;
         accepted
     }
 
@@ -206,6 +230,14 @@ impl RackCoordinator {
     /// passed, or the cache is cold. Returns `true` when the exported
     /// aggregate's fingerprint changed (the parent must re-merge).
     pub fn refresh(&mut self, now_s: f64) -> bool {
+        self.refresh_due(now_s) && self.recompute(now_s)
+    }
+
+    /// The cheap first half of [`refresh`](Self::refresh): forget last
+    /// round's outcome and decide whether this round must recompute,
+    /// counting the skip when it need not. The tree asks every rack
+    /// this on its own thread and fans out only over those that say yes.
+    pub(crate) fn refresh_due(&mut self, now_s: f64) -> bool {
         self.ran = false;
         self.fp_changed = false;
         if !self.online {
@@ -223,6 +255,12 @@ impl RackCoordinator {
             self.skips += 1;
             return false;
         }
+        true
+    }
+
+    /// The second half of [`refresh`](Self::refresh), for a rack whose
+    /// [`refresh_due`](Self::refresh_due) said yes.
+    pub(crate) fn recompute(&mut self, now_s: f64) -> bool {
         self.runs += 1;
         self.ran = true;
         self.dirty = false;
@@ -261,18 +299,15 @@ impl RackCoordinator {
     /// their last commanded frequencies, so silence is a no-op — and
     /// always when the rack is offline.
     pub fn finalize(&mut self, subbudget_w: f64, _now_s: f64) -> Vec<FrequencyCommand> {
-        if !self.online {
+        if !self.finalize_due(subbudget_w) {
             return Vec::new();
         }
-        let sub_changed = subbudget_w.to_bits() != self.subbudget_w.to_bits();
-        if sub_changed {
+        if subbudget_w.to_bits() != self.subbudget_w.to_bits() {
             self.subbudget_w = subbudget_w;
             self.inner.recompute_budget(subbudget_w);
             // The budget passes can move the predicted power but never
             // the desired/floor/ladder (those are pass-1 artefacts), so
             // the exported fingerprint is still valid.
-        } else if !self.ran {
-            return Vec::new();
         }
         let mut commands = self.inner.emit_commands();
         for cmd in &mut commands {
@@ -283,6 +318,13 @@ impl RackCoordinator {
         // from the fingerprint, so this never wakes the parent.
         self.agg.ceiling_w = self.inner.charge_ceiling_w();
         commands
+    }
+
+    /// Whether [`finalize`](Self::finalize) under `subbudget_w` would do
+    /// anything: the rack is online and either recomputed this round or
+    /// is being handed a different sub-budget.
+    pub(crate) fn finalize_due(&self, subbudget_w: f64) -> bool {
+        self.online && (self.ran || subbudget_w.to_bits() != self.subbudget_w.to_bits())
     }
 
     /// Conservative charge the parent holds when this rack's
@@ -399,6 +441,56 @@ mod tests {
         assert!(r.ingest(summary(4, 3.0, &[50.0e-9])));
         assert!(r.refresh(3.0));
         assert_eq!(r.runs(), 2);
+    }
+
+    /// What dirties a rack is what can change its schedule: a model
+    /// leaving its tolerance bucket, a first report, a changed
+    /// processor count, a recovery from dead — not a model wobbling
+    /// inside its bucket, and not a heartbeat.
+    #[test]
+    fn only_schedule_shaping_changes_dirty_the_rack() {
+        let mem = 10.0e-9;
+        let step = ModelTolerance::PHASE_DEFAULT.mem_step_s;
+        let mut r = RackCoordinator::new(FvsstAlgorithm::p630(), 4, 2).with_heartbeat_timeout(10.0);
+        let round = |r: &mut RackCoordinator, s: NodeSummary| {
+            let now = s.sent_at_s;
+            assert!(r.ingest(s));
+            r.refresh(now);
+            r.finalize(f64::INFINITY, now);
+            r.ran()
+        };
+        assert!(round(&mut r, summary(4, 1.0, &[mem])), "cold rack");
+        assert!(
+            !round(&mut r, summary(4, 2.0, &[mem + 0.2 * step])),
+            "inside the bucket"
+        );
+        assert!(
+            round(&mut r, summary(4, 3.0, &[mem + 2.0 * step])),
+            "across buckets"
+        );
+        assert!(round(&mut r, summary(5, 4.0, &[mem])), "first report");
+        assert!(!round(&mut r, summary(5, 5.0, &[mem])), "heartbeat");
+        assert!(
+            round(&mut r, summary(5, 6.0, &[mem, mem])),
+            "processor count"
+        );
+        // Node 4 was last heard at t = 3: by t = 14 it is past the 10 s
+        // timeout and the liveness deadline alone forces the run.
+        assert!(
+            round(&mut r, summary(5, 14.0, &[mem, mem])),
+            "liveness deadline"
+        );
+        assert_eq!(r.dead_nodes(), 1);
+        assert!(
+            !round(&mut r, summary(5, 15.0, &[mem, mem])),
+            "heartbeat beside a dead node"
+        );
+        // The content node 4 last sent, but from a node declared dead.
+        assert!(
+            round(&mut r, summary(4, 16.0, &[mem + 2.0 * step])),
+            "recovery"
+        );
+        assert_eq!(r.dead_nodes(), 0);
     }
 
     #[test]

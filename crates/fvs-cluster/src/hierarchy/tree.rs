@@ -2,10 +2,11 @@
 //!
 //! One [`DelegationTree::schedule`] round runs five phases:
 //!
-//! 1. **Rack refresh** (rayon-parallel at scale): each
-//!    [`RackCoordinator`] recomputes only if its contents drifted or a
-//!    liveness deadline passed, and reports whether its exported
-//!    aggregate fingerprint moved.
+//! 1. **Rack refresh**: each [`RackCoordinator`] recomputes only if
+//!    its contents drifted or a liveness deadline passed, and reports
+//!    whether its exported aggregate fingerprint moved. Which racks
+//!    must is decided on the calling thread; only those are visited,
+//!    rayon-parallel when there are enough of them.
 //! 2. **Row merge**: a row re-merges its racks' aggregates only when at
 //!    least one child fingerprint moved (or a rack's online state
 //!    flipped). Offline racks enter the merge as unsheddable
@@ -15,19 +16,24 @@
 //!    rows only when a row fingerprint or the budget itself changed.
 //! 4. **Row assignment**: every row that re-merged or received a new
 //!    sub-budget re-splits it across its racks.
-//! 5. **Rack finalize** (parallel): racks with a changed sub-budget
-//!    re-run the cheap budget passes; racks where nothing changed emit
-//!    nothing and their nodes hold the last commanded frequencies.
+//! 5. **Rack finalize** (same fan-out rule): racks that recomputed or
+//!    received a different sub-budget re-run the cheap budget passes;
+//!    racks where nothing changed are not visited, emit nothing, and
+//!    their nodes hold the last commanded frequencies.
 //!
-//! Steady state with `k` drifting subtrees therefore costs
-//! O(k + tiers), not O(n): the per-subtree fingerprints are the
-//! `ScheduleCache` `ProcKey` idea lifted one level per tier.
+//! With `n` nodes re-reporting and `k` drifting subtrees a round costs
+//! O(n) comparisons at [`ingest`](DelegationTree::ingest) — one per
+//! processor against the summary already held, no hashing — and
+//! O(k + tiers) in [`schedule`](DelegationTree::schedule), plus one
+//! flag test per rack: the per-subtree fingerprints are the
+//! `ScheduleCache` `ProcKey` idea lifted one level per tier. Nodes that
+//! do not re-report cost nothing at all.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use fvs_sched::FvsstAlgorithm;
-use fvs_telemetry::{Counter, Gauge, Histogram, SchedEvent, Telemetry, Tracer};
+use fvs_telemetry::{Counter, Gauge, Histogram, SchedEvent, SpanId, Telemetry, Tracer};
 use rayon::prelude::*;
 
 use super::aggregate::{assign_subbudgets, coalesce_rungs, ChildInput, SubtreeAggregate};
@@ -112,6 +118,8 @@ pub struct HierStats {
 #[derive(Debug)]
 struct RackCell {
     rack: RackCoordinator,
+    /// The phase about to run (refresh or finalize) has work here.
+    due: bool,
     /// Sub-budget currently delegated to this rack (W).
     sub_w: f64,
     /// This round's emitted commands (reused buffer).
@@ -206,6 +214,7 @@ impl DelegationTree {
                 // tier events carry the per-round story) so a 100k-node
                 // round does not emit thousands of lines.
                 rack: RackCoordinator::new(algorithm.clone(), base, len),
+                due: false,
                 sub_w: f64::INFINITY,
                 commands: Vec::new(),
             });
@@ -263,11 +272,7 @@ impl DelegationTree {
     /// Forwarded to every rack coordinator.
     pub fn with_heartbeat_timeout(mut self, timeout_s: f64) -> Self {
         for cell in &mut self.cells {
-            let rack = std::mem::replace(
-                &mut cell.rack,
-                RackCoordinator::new(FvsstAlgorithm::p630(), 0, 0),
-            );
-            cell.rack = rack.with_heartbeat_timeout(timeout_s);
+            cell.rack.set_heartbeat_timeout(timeout_s);
         }
         self
     }
@@ -275,16 +280,15 @@ impl DelegationTree {
     /// Forwarded to every rack coordinator.
     pub fn with_worst_case_node_w(mut self, watts: f64) -> Self {
         for cell in &mut self.cells {
-            let rack = std::mem::replace(
-                &mut cell.rack,
-                RackCoordinator::new(FvsstAlgorithm::p630(), 0, 0),
-            );
-            cell.rack = rack.with_worst_case_node_w(watts);
+            cell.rack.set_worst_case_node_w(watts);
         }
         self
     }
 
-    /// Below this rack count, tick phases run sequentially.
+    /// A rack phase goes through rayon only when at least this many
+    /// racks *have work* in it; fewer run on the calling thread. Work is
+    /// counted, not racks, because a fan-out costs more than a round in
+    /// which every rack skips (DESIGN.md §14).
     pub fn with_parallel_threshold(mut self, threshold: usize) -> Self {
         self.parallel_threshold = threshold.max(1);
         self
@@ -298,11 +302,7 @@ impl DelegationTree {
         // Racks share the tracer so their inner two-pass spans nest
         // under the per-rack phase spans (root → rack → passes).
         for cell in &mut self.cells {
-            let rack = std::mem::replace(
-                &mut cell.rack,
-                RackCoordinator::new(FvsstAlgorithm::p630(), 0, 0),
-            );
-            cell.rack = rack.with_tracer(tracer.clone());
+            cell.rack.set_tracer(tracer.clone());
         }
         self.tracer = tracer;
         self
@@ -330,22 +330,14 @@ impl DelegationTree {
         self.budget_bits = budget_w.to_bits();
 
         // Phase 1: rack refresh (each rack decides for itself whether
-        // its fingerprints force a recomputation). Per-rack spans are
-        // parented explicitly so the causal chain survives the rayon
-        // fan-out onto worker threads.
+        // its contents force a recomputation; only those are visited).
         let t_phase = Instant::now();
-        if self.cells.len() >= self.parallel_threshold {
-            let tracer = &self.tracer;
-            self.cells.par_iter_mut().for_each(|cell| {
-                let _s = tracer.span_under("hier.rack_refresh", round_id);
-                cell.rack.refresh(now_s);
-            });
-        } else {
-            for cell in &mut self.cells {
-                let _s = self.tracer.span_under("hier.rack_refresh", round_id);
-                cell.rack.refresh(now_s);
-            }
+        for cell in &mut self.cells {
+            cell.due = cell.rack.refresh_due(now_s);
         }
+        self.for_each_due("hier.rack_refresh", round_id, |cell| {
+            cell.rack.recompute(now_s);
+        });
         let mut rack_tier_s = t_phase.elapsed().as_secs_f64();
         let mut rack_ran = 0u32;
         let mut rack_skipped = 0u32;
@@ -431,16 +423,11 @@ impl DelegationTree {
         if root_ran {
             self.root_ran_once = true;
             self.stats.root_runs += 1;
-            let children: Vec<ChildInput> = self
-                .rows
-                .iter()
-                .map(|row| ChildInput {
-                    agg: &row.agg,
-                    offline_charge_w: None,
-                })
-                .collect();
-            self.root_feasible = assign_subbudgets(&children, budget_w, &mut self.sub_scratch);
-            drop(children);
+            let children = self.rows.iter().map(|row| ChildInput {
+                agg: &row.agg,
+                offline_charge_w: None,
+            });
+            self.root_feasible = assign_subbudgets(children, budget_w, &mut self.sub_scratch);
             for ri in 0..self.rows.len() {
                 let new_sub = self.sub_scratch[ri];
                 if new_sub.to_bits() != self.rows[ri].sub_w.to_bits() {
@@ -479,16 +466,12 @@ impl DelegationTree {
                 let row = &self.rows[ri];
                 (row.start, row.end, row.sub_w)
             };
-            let children: Vec<ChildInput> = self.cells[start..end]
-                .iter()
-                .map(|cell| ChildInput {
-                    agg: cell.rack.aggregate(),
-                    offline_charge_w: (!cell.rack.online()).then(|| cell.rack.charge_if_dead_w()),
-                })
-                .collect();
-            let feasible = assign_subbudgets(&children, sub_w, &mut self.sub_scratch);
-            drop(children);
-            self.rows[ri].assign_feasible = feasible;
+            let children = self.cells[start..end].iter().map(|cell| ChildInput {
+                agg: cell.rack.aggregate(),
+                offline_charge_w: (!cell.rack.online()).then(|| cell.rack.charge_if_dead_w()),
+            });
+            self.rows[ri].assign_feasible =
+                assign_subbudgets(children, sub_w, &mut self.sub_scratch);
             for (local, cell) in self.cells[start..end].iter_mut().enumerate() {
                 let new_sub = self.sub_scratch[local];
                 if new_sub.is_nan() {
@@ -517,18 +500,12 @@ impl DelegationTree {
         // if their sub-budget moved, and emit commands only if they
         // computed anything this round.
         let t_phase = Instant::now();
-        if self.cells.len() >= self.parallel_threshold {
-            let tracer = &self.tracer;
-            self.cells.par_iter_mut().for_each(|cell| {
-                let _s = tracer.span_under("hier.rack_finalize", round_id);
-                cell.commands = cell.rack.finalize(cell.sub_w, now_s);
-            });
-        } else {
-            for cell in &mut self.cells {
-                let _s = self.tracer.span_under("hier.rack_finalize", round_id);
-                cell.commands = cell.rack.finalize(cell.sub_w, now_s);
-            }
+        for cell in &mut self.cells {
+            cell.due = cell.rack.finalize_due(cell.sub_w);
         }
+        self.for_each_due("hier.rack_finalize", round_id, |cell| {
+            cell.commands = cell.rack.finalize(cell.sub_w, now_s);
+        });
         rack_tier_s += t_phase.elapsed().as_secs_f64();
         let mut commands = Vec::new();
         for cell in &mut self.cells {
@@ -583,6 +560,31 @@ impl DelegationTree {
             }
         }
         commands
+    }
+
+    /// Run `work` on every cell marked `due`, each under its own `span`
+    /// parented explicitly to the round (so the causal chain survives
+    /// the fan-out onto worker threads): through rayon when at least
+    /// `parallel_threshold` cells are due, on the calling thread — no
+    /// thread spawned — otherwise.
+    fn for_each_due(
+        &mut self,
+        span: &'static str,
+        round_id: SpanId,
+        work: impl Fn(&mut RackCell) + Sync,
+    ) {
+        let tracer = &self.tracer;
+        let visit = |cell: &mut RackCell| {
+            if cell.due {
+                let _s = tracer.span_under(span, round_id);
+                work(cell);
+            }
+        };
+        if self.cells.iter().filter(|c| c.due).count() >= self.parallel_threshold {
+            self.cells.par_iter_mut().for_each(visit);
+        } else {
+            self.cells.iter_mut().for_each(visit);
+        }
     }
 
     /// Take one rack's coordinator offline (or bring it back). The

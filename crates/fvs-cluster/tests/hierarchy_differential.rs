@@ -176,3 +176,49 @@ proptest! {
         prop_assert_eq!(tree.rounds(), ROUNDS as u64);
     }
 }
+
+/// The rack phases' parallel branch, which the cases above reach only
+/// when a draw has eight racks or more: ten racks, every one dirty every
+/// round and the default `parallel_threshold`, against the same tree
+/// held to the calling thread and against the flat coordinator.
+#[test]
+fn parallel_rack_phases_match_sequential_ones_and_flat() {
+    let alg = FvsstAlgorithm::p630();
+    let (nodes, seed) = (40, 0x5eed);
+    let topology = HierTopology::default()
+        .with_nodes_per_rack(4)
+        .with_racks_per_row(4);
+    let mut parallel = DelegationTree::new(alg.clone(), nodes, topology);
+    let mut sequential =
+        DelegationTree::new(alg.clone(), nodes, topology).with_parallel_threshold(usize::MAX);
+    let mut flat = GlobalCoordinator::new(alg, nodes);
+    assert_eq!(parallel.num_racks(), 10);
+    let total_procs: usize = (0..nodes).map(|n| procs_of(n, seed)).sum();
+    for round in 0..ROUNDS {
+        let now = T0_S + round as f64 * DT_S;
+        for node in 0..nodes {
+            // Every node a drifter: all ten racks recompute each round.
+            let mems: Vec<f64> = (0..procs_of(node, seed))
+                .map(|p| mem_of(node, p, round, seed, nodes))
+                .collect();
+            let s = summary(node, now, &mems);
+            flat.ingest(s.clone());
+            sequential.ingest(s.clone());
+            parallel.ingest(s);
+        }
+        // A drop halfway, so the finalize phase has ten racks of work too.
+        let budget_w = if round < 4 { 0.9 } else { 0.7 } * 140.0 * total_procs as f64;
+        flat.schedule(budget_w, now);
+        assert_eq!(
+            parallel.schedule(budget_w, now),
+            sequential.schedule(budget_w, now),
+            "round {round}"
+        );
+        assert_eq!(parallel.stats(), sequential.stats(), "round {round}");
+        assert_eq!(parallel.stats().rack_runs, 10 * (round as u64 + 1));
+        assert!(parallel.feasible());
+        let flat_total = flat.schedule_cache().decision().predicted_power_w + flat.reserved_w();
+        assert!(flat_total <= budget_w + 1e-6);
+        assert!(parallel.predicted_power_w() <= budget_w + 1e-6);
+    }
+}

@@ -1060,21 +1060,30 @@ fn event_loop(
         }
     };
 
+    let period = Duration::from_secs_f64(ctx.period_s);
+    // The poll batch being serviced and how far into it the loop is.
+    let mut events = Vec::new();
+    let mut next_event = 0;
+
     loop {
         let stopping = ctx.shared.stop.load(Ordering::SeqCst);
 
-        // Wait for readiness, but never past the scheduler slice: a
-        // budget change (an atomic poke from another thread) must be
-        // noticed within a few milliseconds, not a period.
-        let until_round =
-            Duration::from_secs_f64(ctx.period_s).saturating_sub(last_round.elapsed());
-        let timeout = until_round.min(Duration::from_millis(2));
-        if let Err(e) = reactor.poll(Some(timeout)) {
-            eprintln!("fvsst-coordinator: poll failed: {e}");
-            break;
+        if next_event == events.len() {
+            // Wait for readiness, but never past the scheduler slice: a
+            // budget change (an atomic poke from another thread) must be
+            // noticed within a few milliseconds, not a period.
+            let until_round = period.saturating_sub(last_round.elapsed());
+            let timeout = until_round.min(Duration::from_millis(2));
+            reactor.recycle_events(events);
+            if let Err(e) = reactor.poll(Some(timeout)) {
+                eprintln!("fvsst-coordinator: poll failed: {e}");
+                break;
+            }
+            events = reactor.drain_events();
+            next_event = 0;
         }
-        let events = reactor.drain_events();
-        for ev in &events {
+        while let Some(ev) = events.get(next_event) {
+            next_event += 1;
             if ev.token == LISTENER_TOKEN {
                 accept_ready(&listener, &mut reactor, &ctx, &mut accept_seq);
             } else {
@@ -1091,8 +1100,17 @@ fn event_loop(
                     my_epoch,
                 );
             }
+            // A round is owed: run it now and come back for the rest of
+            // the batch, so that however many peers are ready and
+            // however much each has written, scheduling waits for one
+            // connection's fill budget and not for all of them — and the
+            // connections late in a batch still get their turn.
+            if last_round.elapsed() >= period
+                || ctx.shared.budget_epoch.load(Ordering::SeqCst) != seen_epoch
+            {
+                break;
+            }
         }
-        reactor.recycle_events(events);
 
         // Read-deadline sweep: a link that produces no bytes for
         // `read_deadline` is declared dead instead of lingering.
@@ -1116,7 +1134,7 @@ fn event_loop(
 
         let epoch = ctx.shared.budget_epoch.load(Ordering::SeqCst);
         let budget_changed = epoch != seen_epoch;
-        let due = last_round.elapsed().as_secs_f64() >= ctx.period_s;
+        let due = last_round.elapsed() >= period;
         if budget_changed || due || stopping {
             let _round_span = ctx.tracer.span("net.round");
             let round_started = Instant::now();

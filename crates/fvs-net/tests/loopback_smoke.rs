@@ -135,53 +135,77 @@ fn agent_survives_a_coordinator_restart() {
     server.shutdown().unwrap();
 }
 
-/// Two peers that write summaries as fast as their sockets take them
-/// must not keep the event loop from scheduling or from stopping:
-/// `Transport::fill` hands control back after its byte budget.
+/// Peers that write summaries as fast as their sockets take them must
+/// not keep the event loop from scheduling or from stopping. Two of
+/// them test `Transport::fill`, which hands control back after its byte
+/// budget; 256 of them test the loop itself, which leaves a poll batch
+/// when a round is owed (one fill budget from each is two periods of
+/// parsing).
 #[test]
 fn flooding_peers_starve_neither_rounds_nor_shutdown() {
+    for conns in [2, 256] {
+        flood(conns);
+    }
+}
+
+fn flood(conns: usize) {
     const PERIOD_S: f64 = 0.05;
+    const WRITERS: usize = 2;
     let server = CoordinatorServer::bind(
         "127.0.0.1:0",
-        2,
+        conns,
         FvsstAlgorithm::p630(),
         CoordinatorConfig::default_lan().with_period_s(PERIOD_S),
     )
     .unwrap();
     let addr = server.local_addr();
     let stop = Arc::new(AtomicBool::new(false));
-    let flooding = Arc::new(Barrier::new(3));
-    let writers: Vec<_> = (0..2)
-        .map(|node| {
+    let flooding = Arc::new(Barrier::new(WRITERS + 1));
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
             let (stop, flooding) = (Arc::clone(&stop), Arc::clone(&flooding));
             std::thread::spawn(move || {
-                let mut socket = TcpStream::connect(addr).unwrap();
-                // A server that stops reading must end the writer, not
-                // park it in the kernel past the end of the test.
-                socket
-                    .set_write_timeout(Some(Duration::from_secs(2)))
-                    .unwrap();
-                let hello = WireMsg::Hello {
-                    node,
-                    procs: 4,
-                    version: SCHEMA_VERSION,
-                    last_epoch: 0,
-                    codecs: CODEC_ALL,
-                };
-                socket.write_all(&encode(&hello).unwrap()).unwrap();
-                let summary = WireMsg::Summary(NodeSummary {
-                    node,
-                    sent_at_s: 0.0,
-                    models: vec![Some(CpiModel::from_components(1.0, 2.0e-9)); 4],
-                    idle: vec![false; 4],
-                    current: vec![FreqMhz(1000); 4],
-                    power_w: 400.0,
-                });
-                let block = encode_binary(&summary).unwrap().repeat(64);
-                socket.write_all(&block).unwrap();
+                // Each writer owns every WRITERS-th node: a socket, the
+                // node's block of 64 summaries, and how much of the
+                // block the socket has taken.
+                let mut peers: Vec<(TcpStream, Vec<u8>, usize)> = (w..conns)
+                    .step_by(WRITERS)
+                    .map(|node| {
+                        let mut socket = TcpStream::connect(addr).unwrap();
+                        let hello = WireMsg::Hello {
+                            node,
+                            procs: 4,
+                            version: SCHEMA_VERSION,
+                            last_epoch: 0,
+                            codecs: CODEC_ALL,
+                        };
+                        socket.write_all(&encode(&hello).unwrap()).unwrap();
+                        let summary = WireMsg::Summary(NodeSummary {
+                            node,
+                            sent_at_s: 0.0,
+                            models: vec![Some(CpiModel::from_components(1.0, 2.0e-9)); 4],
+                            idle: vec![false; 4],
+                            current: vec![FreqMhz(1000); 4],
+                            power_w: 400.0,
+                        });
+                        let block = encode_binary(&summary).unwrap().repeat(64);
+                        socket.write_all(&block).unwrap();
+                        // Never parked in the kernel: a server that stops
+                        // reading must not hold a writer past the test.
+                        socket.set_nonblocking(true).unwrap();
+                        (socket, block, 0)
+                    })
+                    .collect();
                 flooding.wait();
-                // Ends when the server goes away or the test says so.
-                while !stop.load(Ordering::SeqCst) && socket.write_all(&block).is_ok() {}
+                // Ends when the test says so; a peer the server dropped
+                // just stops taking bytes.
+                while !stop.load(Ordering::SeqCst) {
+                    for (socket, block, sent) in &mut peers {
+                        if let Ok(n) = socket.write(&block[*sent..]) {
+                            *sent = (*sent + n) % block.len();
+                        }
+                    }
+                }
             })
         })
         .collect();
@@ -200,10 +224,14 @@ fn flooding_peers_starve_neither_rounds_nor_shutdown() {
     for w in writers {
         w.join().unwrap();
     }
+    let due = 1.0 / PERIOD_S;
     assert!(
-        ran >= 10,
-        "{ran} rounds in 1 s of flood, {} due",
-        1.0 / PERIOD_S
+        ran as f64 >= 0.75 * due,
+        "{conns} flooding peers: {ran} rounds in 1 s, {due} due"
     );
-    assert_eq!(stopped, Ok(true), "shutdown() must return under flood");
+    assert_eq!(
+        stopped,
+        Ok(true),
+        "shutdown() must return under a flood of {conns}"
+    );
 }

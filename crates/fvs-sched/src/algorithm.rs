@@ -414,6 +414,29 @@ impl ProcKey {
             (None, false) => ProcKey::Unmodelled(p.current),
         }
     }
+
+    /// Whether `p` is, bit for bit, the input this key was computed
+    /// from, `model` being the model it was computed from (the cache
+    /// keeps it for pass 3). Then [`ProcKey::of`] would return this key
+    /// again — a key is a pure function of its input — and the caller
+    /// can skip the quantizing divisions. Bits, not `==`: `0.0` and
+    /// `-0.0` have different keys under [`ModelTolerance::EXACT`].
+    fn was_computed_from(
+        &self,
+        p: &ProcInput,
+        model: &Option<CpiModel>,
+        idle_detection: bool,
+    ) -> bool {
+        let bits = |m: &CpiModel| (m.cpi0.to_bits(), m.mem_time_per_instr.to_bits());
+        let pinned = p.idle && idle_detection;
+        match (self, &p.model, model) {
+            (ProcKey::IdleModel { .. }, Some(m), Some(from)) => pinned && bits(m) == bits(from),
+            (ProcKey::Model { .. }, Some(m), Some(from)) => !pinned && bits(m) == bits(from),
+            (ProcKey::IdleUnmodelled, None, _) => pinned,
+            (ProcKey::Unmodelled(current), None, _) => !pinned && *current == p.current,
+            _ => false, // `Stale` included
+        }
+    }
 }
 
 /// Cache effectiveness counters (cumulative since construction).
@@ -883,6 +906,10 @@ impl FvsstAlgorithm {
         {
             let _pass1 = tracer.span("sched.pass1");
             for (i, p) in procs.iter().enumerate() {
+                if cache.keys[i].was_computed_from(p, &cache.models[i], self.idle_detection) {
+                    cache.stats.proc_hits += 1;
+                    continue;
+                }
                 let key = ProcKey::of(p, self.idle_detection, &cache.tolerance);
                 if cache.keys[i] == key {
                     cache.stats.proc_hits += 1;
@@ -1254,6 +1281,33 @@ mod tests {
         let d = alg.schedule(&[busy(10.0)], f64::INFINITY);
         assert!(d.freqs[0] <= FreqMhz(650), "got {}", d.freqs[0]);
         assert!(d.predicted_loss[0] < alg.epsilon);
+    }
+
+    /// Recognising last round's raw input is a shortcut to the same
+    /// key, never a second opinion: it must not survive a flush, and it
+    /// must tell apart the inputs whose keys differ only in their bits.
+    #[test]
+    fn raw_input_memo_counts_what_the_keys_would() {
+        let alg = FvsstAlgorithm::p630();
+        let mut procs = vec![busy(40.0), busy(100.0)];
+        procs[1].model = Some(CpiModel::from_components(1.0, 0.0));
+        let mut cache = ScheduleCache::new(); // EXACT: keys are bit patterns
+        alg.schedule_cached(&mut cache, &procs, f64::INFINITY);
+        alg.schedule_cached(&mut cache, &procs, f64::INFINITY);
+        let warm = cache.stats();
+        assert_eq!((warm.proc_hits, warm.proc_rebuilds), (2, 2));
+
+        // `0.0 == -0.0`, but under EXACT their keys differ.
+        procs[1].model = Some(CpiModel::from_components(1.0, -0.0));
+        alg.schedule_cached(&mut cache, &procs, f64::INFINITY);
+        let s = cache.stats();
+        assert_eq!((s.proc_hits, s.proc_rebuilds), (3, 3));
+
+        // After a flush the stale keys recognise nothing.
+        cache.invalidate();
+        alg.schedule_cached(&mut cache, &procs, f64::INFINITY);
+        let s = cache.stats();
+        assert_eq!((s.proc_hits, s.proc_rebuilds), (3, 5));
     }
 
     #[test]
