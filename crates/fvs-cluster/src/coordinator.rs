@@ -6,7 +6,7 @@ use fvs_telemetry::{Counter, Gauge, SchedEvent, Telemetry, Tracer};
 use serde::{Deserialize, Serialize};
 
 /// What a node ships to the coordinator each scheduling period.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct NodeSummary {
     /// Sending node.
     pub node: usize,
@@ -215,6 +215,16 @@ impl GlobalCoordinator {
     /// scheduled as unmodelled, holding its current frequency). Nothing
     /// a node ships can make the global computation produce a NaN.
     pub fn ingest(&mut self, mut summary: NodeSummary) -> bool {
+        self.ingest_swap(&mut summary)
+    }
+
+    /// [`ingest`](Self::ingest) for a caller that reuses its buffers:
+    /// an accepted summary is *swapped* with the one it displaces, so
+    /// on `true` the caller holds the node's previous summary (an empty
+    /// one on the node's first report) and can decode the next frame
+    /// into its vectors. On `false` — rejected, or lost to a newer one
+    /// already held — the caller's summary is left exactly as passed.
+    pub fn ingest_swap(&mut self, summary: &mut NodeSummary) -> bool {
         let n_procs = summary.models.len();
         // Even a summary rejected for corrupt content reveals the node's
         // processor count — enough to fail-safe it later.
@@ -243,8 +253,13 @@ impl GlobalCoordinator {
             }
             return false;
         }
-        for (p, slot) in summary.models.iter_mut().enumerate() {
-            if let Some(model) = slot {
+        let slot = &mut self.latest[summary.node];
+        let newer = slot
+            .as_ref()
+            .map(|old| summary.sent_at_s >= old.sent_at_s)
+            .unwrap_or(true);
+        for (p, entry) in summary.models.iter_mut().enumerate() {
+            if let Some(model) = entry {
                 if !model.is_valid() {
                     if self.telemetry.enabled() {
                         self.telemetry.emit(SchedEvent::SampleQuarantined {
@@ -253,15 +268,14 @@ impl GlobalCoordinator {
                             value: model.cpi0,
                         });
                     }
-                    *slot = None;
+                    // Only a summary about to be stored is degraded; a
+                    // stale one goes back to the caller as it came.
+                    if newer {
+                        *entry = None;
+                    }
                 }
             }
         }
-        let slot = &mut self.latest[summary.node];
-        let newer = slot
-            .as_ref()
-            .map(|old| summary.sent_at_s >= old.sent_at_s)
-            .unwrap_or(true);
         if let Some(m) = &self.metrics {
             if newer {
                 m.summaries_ingested.inc();
@@ -270,7 +284,10 @@ impl GlobalCoordinator {
             }
         }
         if newer {
-            *slot = Some(summary);
+            match slot {
+                Some(old) => std::mem::swap(old, summary),
+                None => *slot = Some(std::mem::take(summary)),
+            }
         }
         newer
     }

@@ -5,7 +5,47 @@ use fvs_cluster::{ClusterConfig, ClusterSim, DelayQueue, GlobalCoordinator, Node
 use fvs_model::{CpiModel, FreqMhz};
 use fvs_power::{BudgetSchedule, FreqPowerTable};
 use fvs_sched::FvsstAlgorithm;
+use fvs_telemetry::Telemetry;
 use proptest::prelude::*;
+
+/// One uplink summary of every class `ingest` tells apart, from a seed:
+/// well-formed, out-of-range node, mismatched vectors, non-finite or
+/// negative power, non-finite timestamp, and invalid models. Timestamps
+/// come from a small grid so a sequence has stale and equal-time ones.
+fn summary_of_class(class: u8, node: usize, t: u8, procs: usize, bad: usize) -> NodeSummary {
+    let mut s = NodeSummary {
+        node,
+        sent_at_s: f64::from(t),
+        models: (0..procs)
+            .map(|p| (p % 3 != 2).then(|| CpiModel::from_components(0.5 + p as f64, 1.0e-9)))
+            .collect(),
+        idle: (0..procs).map(|p| p % 2 == 1).collect(),
+        current: vec![FreqMhz(1000); procs],
+        power_w: 100.0 + f64::from(t),
+    };
+    match class {
+        0..=3 => {}
+        4 => s.node = 1000,
+        5 => s.idle.push(false),
+        6 => s.current.clear(),
+        7 => s.power_w = f64::NAN,
+        8 => s.power_w = -1.0,
+        9 => s.sent_at_s = f64::INFINITY,
+        10 => {
+            s.models[bad % procs] = Some(CpiModel {
+                cpi0: f64::NAN,
+                mem_time_per_instr: 0.0,
+            })
+        }
+        _ => {
+            s.models[bad % procs] = Some(CpiModel {
+                cpi0: 1.0,
+                mem_time_per_instr: -1.0,
+            })
+        }
+    }
+    s
+}
 
 proptest! {
     /// DelayQueue delivers every message exactly once, in delivery-time
@@ -92,6 +132,51 @@ proptest! {
                 .flat_map(|c| c.freqs.iter())
                 .all(|f| *f == set.min()));
         }
+    }
+}
+
+proptest! {
+    /// `ingest(s)` and `ingest_swap(&mut s)` are one implementation: the
+    /// same return value, held summaries, shapes, counters and journal
+    /// over accepted, stale, rejected-shape, non-finite and invalid-model
+    /// summaries. What `ingest_swap` leaves with the caller is the
+    /// summary it displaced when it accepted, and the caller's own,
+    /// untouched, when it did not.
+    #[test]
+    fn ingest_and_ingest_swap_leave_identical_state(
+        seq in prop::collection::vec(
+            (0u8..12, 0usize..4, 0u8..6, 1usize..5, 0usize..4),
+            1..40,
+        ),
+    ) {
+        const NODES: usize = 4;
+        let (ta, tb) = (Telemetry::memory(4096), Telemetry::memory(4096));
+        let mut by_value =
+            GlobalCoordinator::with_telemetry(FvsstAlgorithm::p630(), NODES, ta.clone());
+        let mut by_swap =
+            GlobalCoordinator::with_telemetry(FvsstAlgorithm::p630(), NODES, tb.clone());
+        for (class, node, t, procs, bad) in seq {
+            let sent = summary_of_class(class, node, t, procs, bad);
+            let displaced = by_swap.latest_summary(sent.node).cloned();
+            let mut handed = sent.clone();
+            let accepted = by_swap.ingest_swap(&mut handed);
+            prop_assert_eq!(by_value.ingest(sent.clone()), accepted);
+            if accepted {
+                prop_assert_eq!(&handed, &displaced.unwrap_or_default());
+            } else {
+                // NaN fields make `==` useless here; compare the rendering.
+                prop_assert_eq!(format!("{handed:?}"), format!("{sent:?}"));
+            }
+        }
+        for node in 0..NODES {
+            prop_assert_eq!(by_value.export_node(node), by_swap.export_node(node));
+        }
+        prop_assert_eq!(by_value.nodes_reporting(), by_swap.nodes_reporting());
+        for name in ["summaries_ingested", "summaries_stale", "summaries_rejected"] {
+            let read = |t: &Telemetry| t.registry().unwrap().scoped("cluster").counter(name).get();
+            prop_assert_eq!(read(&ta), read(&tb), "cluster.{}", name);
+        }
+        prop_assert_eq!(format!("{:?}", ta.events()), format!("{:?}", tb.events()));
     }
 }
 

@@ -620,8 +620,10 @@ fn agent_loop(
                 }
             }
 
-            // Drain whatever ceilings arrived; the 1 ms read timeout
-            // doubles as pacing slack.
+            // Take whatever ceilings arrived. With nothing to read,
+            // `fill` waits out the 1 ms read timeout (`Idle`) — the only
+            // pacing slack it gives; once data came it returns at once,
+            // and anything behind a short read is picked up next tick.
             let mut link_dead = false;
             match transport.fill() {
                 Ok(FillStatus::Eof) => link_dead = true, // coordinator went away

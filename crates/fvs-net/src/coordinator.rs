@@ -59,7 +59,7 @@ use std::io;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -316,7 +316,9 @@ struct NetMetrics {
     round_wall_s: Arc<Histogram>,
     /// Ceiling fan-out latency: time to write all commands downlink.
     fanout_wall_s: Arc<Histogram>,
-    /// Age of each summary when ingested (arrival-stamped clock).
+    /// How long a read batch's last summary waited between arriving
+    /// and being ingested, counted once per summary of the batch (an
+    /// upper bound for the earlier ones).
     summary_staleness_s: Arc<Histogram>,
 }
 
@@ -365,6 +367,17 @@ struct Shared {
     /// When the last round finished, as f64-bit seconds on the server's
     /// monotonic clock (`/healthz` serves the age).
     last_round_bits: AtomicU64,
+}
+
+impl Shared {
+    /// The status guard, whether or not a thread panicked while holding
+    /// it: the struct is plain data the event loop overwrites field by
+    /// field every round, so a poisoned lock holds nothing worse than
+    /// the previous round's numbers — and scheduling for the whole
+    /// cluster must not die with a scrape handler.
+    fn status(&self) -> MutexGuard<'_, CoordinatorStatus> {
+        self.status.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// The running coordinator server.
@@ -578,7 +591,7 @@ impl CoordinatorServer {
 
     /// A snapshot of the control plane right now.
     pub fn status(&self) -> CoordinatorStatus {
-        self.shared.status.lock().expect("status poisoned").clone()
+        self.shared.status().clone()
     }
 
     /// The health report — the single code path behind the `/healthz`
@@ -725,6 +738,7 @@ fn service_conn(
     if !readable {
         return;
     }
+    let arrival_s;
     {
         let Some((transport, conn)) = reactor.get_mut(token) else {
             return;
@@ -744,17 +758,21 @@ fn service_conn(
             }
             Ok(FillStatus::Idle) => {}
         }
+        // Every frame parsed below arrived with this call's read at the
+        // latest; summaries are re-stamped with that time.
+        arrival_s = conn
+            .last_rx
+            .saturating_duration_since(ctx.start)
+            .as_secs_f64();
     }
-    loop {
-        let Some((transport, conn)) = reactor.get_mut(token) else {
-            return;
-        };
+    // Counted here, added to the metrics once after the loop.
+    let mut frames = 0u64;
+    let mut summaries = 0u64;
+    while let Some((transport, conn)) = reactor.get_mut(token) {
         match transport.next_msg() {
-            Ok(None) => return,
+            Ok(None) => break,
             Ok(Some(msg)) => {
-                if let Some(m) = metrics {
-                    m.frames_rx.inc();
-                }
+                frames += 1;
                 match msg {
                     WireMsg::Hello {
                         node,
@@ -797,7 +815,7 @@ fn service_conn(
                                 m.version_rejects.inc();
                             }
                             close_conn(reactor, node_tokens, token, metrics);
-                            return;
+                            break;
                         }
                         if !epoch_ok {
                             if let Some(m) = metrics {
@@ -810,11 +828,11 @@ fn service_conn(
                                 local_epoch: my_epoch,
                             });
                             close_conn(reactor, node_tokens, token, metrics);
-                            return;
+                            break;
                         }
                         if !acked {
                             close_conn(reactor, node_tokens, token, metrics);
-                            return;
+                            break;
                         }
                         transport.set_codec(chosen);
                         transport.stream().set_node(node);
@@ -828,28 +846,22 @@ fn service_conn(
                         // Re-stamp with arrival time on the
                         // coordinator's clock: liveness is what *we*
                         // observed, not what the agent claims.
-                        let arrival_s = conn
-                            .last_rx
-                            .saturating_duration_since(ctx.start)
-                            .as_secs_f64();
                         summary.sent_at_s = arrival_s;
                         let node = summary.node;
                         if node < ctx.nodes {
                             last_power[node] = summary.power_w;
                             last_seen[node] = arrival_s;
                         }
-                        if let Some(m) = metrics {
-                            // Staleness at ingest: parse-to-ingest gap
-                            // on the arrival-stamped clock (there is no
-                            // reader-to-scheduler queue any more).
-                            m.summary_staleness_s
-                                .observe((ctx.start.elapsed().as_secs_f64() - arrival_s).max(0.0));
-                        }
-                        coordinator.ingest(summary);
+                        summaries += 1;
+                        // Accepted, `summary` now holds the one it
+                        // displaced; either way its vectors take the
+                        // connection's next decode.
+                        coordinator.ingest_swap(&mut summary);
+                        transport.recycle(summary);
                     }
                     WireMsg::Bye { .. } => {
                         close_conn(reactor, node_tokens, token, metrics);
-                        return;
+                        break;
                     }
                     // Agents never send these; ignore.
                     WireMsg::HelloAck { .. } | WireMsg::Ceiling(_) | WireMsg::Heartbeat { .. } => {}
@@ -885,8 +897,19 @@ fn service_conn(
                     codec: transport.last_fault_codec(),
                 });
                 close_conn(reactor, node_tokens, token, metrics);
-                return;
+                break;
             }
+        }
+    }
+    if let Some(m) = metrics {
+        m.frames_rx.add(frames);
+        if summaries > 0 {
+            // Staleness at ingest, once per batch: how long the batch's
+            // last summary waited between its bytes arriving and its
+            // ingest — an upper bound for the ones parsed before it
+            // (there is no reader-to-scheduler queue to wait in).
+            let waited_s = (ctx.start.elapsed().as_secs_f64() - arrival_s).max(0.0);
+            m.summary_staleness_s.observe_n(waited_s, summaries);
         }
     }
 }
@@ -899,11 +922,13 @@ fn service_conn(
 fn push_round(
     reactor: &mut Reactor<Conn>,
     node_tokens: &mut HashMap<usize, u64>,
-    commands: &[FrequencyCommand],
+    commands: Vec<FrequencyCommand>,
     epoch: u64,
     round: u64,
     metrics: Option<&NetMetrics>,
 ) {
+    // Connections this round has commanded and left alive.
+    let mut commanded = 0usize;
     for cmd in commands {
         let Some(&token) = node_tokens.get(&cmd.node) else {
             continue;
@@ -911,17 +936,23 @@ fn push_round(
         let Some((transport, conn)) = reactor.get_mut(token) else {
             continue;
         };
+        let first = conn.last_cmd_round != round;
         conn.last_cmd_round = round;
-        let ok =
-            transport.send(&WireMsg::Ceiling(cmd.clone())).is_ok() && transport.flush().is_ok();
+        let ok = transport.send(&WireMsg::Ceiling(cmd)).is_ok() && transport.flush().is_ok();
         if !ok {
             close_conn(reactor, node_tokens, token, metrics);
             continue;
         }
+        commanded += usize::from(first);
         let _ = reactor.update_interest(token);
         if let Some(m) = metrics {
             m.frames_tx.inc();
         }
+    }
+    // The steady case: every handshaken connection just got a ceiling,
+    // so nobody is owed a keep-alive.
+    if commanded == node_tokens.len() {
+        return;
     }
     let heartbeat = WireMsg::Heartbeat { epoch };
     let targets: Vec<u64> = node_tokens.values().copied().collect();
@@ -1014,7 +1045,7 @@ fn event_loop(
     let mut last_round = Instant::now();
     let mut seen_epoch = 0u64;
     let mut prev_budget = f64::from_bits(ctx.shared.budget_bits.load(Ordering::SeqCst));
-    let mut rounds = ctx.shared.status.lock().expect("status poisoned").rounds;
+    let mut rounds = ctx.shared.status().rounds;
     let my_epoch = ctx.shared.epoch.load(Ordering::SeqCst);
     let mut last_snapshot_s = 0.0f64;
     // Last power each node reported, and when (coordinator clock) — the
@@ -1205,7 +1236,7 @@ fn event_loop(
                 push_round(
                     &mut reactor,
                     &mut node_tokens,
-                    &commands,
+                    commands,
                     my_epoch,
                     rounds,
                     ctx.metrics.as_ref().as_ref(),
@@ -1216,7 +1247,7 @@ fn event_loop(
                 }
             }
 
-            let mut status = ctx.shared.status.lock().expect("status poisoned");
+            let mut status = ctx.shared.status();
             status.rounds = rounds;
             status.nodes_reporting = coordinator.nodes_reporting();
             status.dead_nodes = coordinator.dead_nodes();
@@ -1260,7 +1291,7 @@ fn event_loop(
 /// quantity the paper's ΔT argument bounds — and an infinite budget is
 /// trivially compliant.
 fn health_from(shared: &Shared, start: Instant) -> HealthReport {
-    let status = shared.status.lock().expect("status poisoned").clone();
+    let status = shared.status().clone();
     let now_s = start.elapsed().as_secs_f64();
     let last_round_s = f64::from_bits(shared.last_round_bits.load(Ordering::SeqCst));
     let budget_compliant =
@@ -1288,5 +1319,42 @@ fn health_from(shared: &Shared, start: Instant) -> HealthReport {
             f64::NAN
         },
         degraded: status.dead_nodes > 0 || !budget_compliant,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A thread that panics while holding the status lock (a scrape
+    /// handler, say) poisons it; the event loop takes that lock every
+    /// round. Rounds must keep advancing, and `status()` / `health()`
+    /// must keep answering.
+    #[test]
+    fn a_poisoned_status_lock_does_not_stop_scheduling() {
+        let config = CoordinatorConfig::default_lan().with_period_s(0.005);
+        let server =
+            CoordinatorServer::bind("127.0.0.1:0", 2, FvsstAlgorithm::p630(), config).unwrap();
+        let shared = Arc::clone(&server.shared);
+        let poisoner = std::thread::spawn(move || {
+            let _guard = shared.status.lock().unwrap();
+            panic!("poisoning the status lock on purpose");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(server.shared.status.is_poisoned());
+
+        let before = server.status().rounds;
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.status().rounds < before + 3 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(
+            server.status().rounds >= before + 3,
+            "rounds stopped at {} after the lock was poisoned",
+            server.status().rounds
+        );
+        assert!(server.health().rounds >= before + 3);
+        let last = server.shutdown().unwrap();
+        assert!(last.rounds >= before + 3);
     }
 }

@@ -25,12 +25,13 @@
 //! its tick loop.
 
 use std::collections::VecDeque;
-use std::io::{self, Read};
+use std::io;
 use std::time::Instant;
 
 use crate::chaos::{ChaosStream, WriteFault};
 use crate::error::FvsError;
 use crate::wire::{encode_with, FrameFault, FrameReader, WireCodec, WireMsg};
+use fvs_cluster::NodeSummary;
 
 /// Most bytes one [`Transport::fill`] call takes off its socket: well
 /// above what a node sends between two polls (a reconnect burst is
@@ -207,31 +208,36 @@ impl Transport {
         Ok(())
     }
 
-    /// Read what the socket has into the frame buffer, at most 64 KiB
-    /// (plus one read) a call. Loops until the socket runs dry
-    /// (`WouldBlock` or a read timeout), the budget is spent, the peer
-    /// closes, or an error surfaces.
+    /// Read what the socket has straight into the frame buffer, at most
+    /// [`FILL_BUDGET`] bytes a call. Returns after the first read that
+    /// left room (the socket had no more than that), when the budget is
+    /// spent, the socket has nothing (`WouldBlock` or a read timeout),
+    /// the peer closes, or an error surfaces.
     ///
     /// The budget is what keeps a peer that writes faster than this side
     /// reads from holding the caller here forever (no frame parsed, no
     /// round run, no stop flag seen, the buffer growing by whatever
-    /// arrives). The pollers are level-triggered, so what is left in the
-    /// socket is reported again on the next poll.
+    /// arrives). The pollers are level-triggered, so whatever is left in
+    /// the socket — more bytes, or the EOF behind them — is reported
+    /// again on the next poll; that is also why no call ends by asking
+    /// once more only to be told `WouldBlock`.
     pub fn fill(&mut self) -> io::Result<FillStatus> {
-        let mut buf = [0u8; 4096];
         let mut progressed = false;
         let spent_at = self.bytes_rx + FILL_BUDGET;
         while self.bytes_rx < spent_at {
-            match self.stream.read(&mut buf) {
+            let left = (spent_at - self.bytes_rx) as usize;
+            match self.reader.read_from(&mut self.stream, left) {
                 // EOF right after fresh bytes (peer wrote, then closed):
                 // report the progress first so the caller parses what
                 // arrived; the next call reports the EOF.
                 Ok(0) if progressed => return Ok(FillStatus::Progress),
                 Ok(0) => return Ok(FillStatus::Eof),
                 Ok(n) => {
-                    self.reader.feed(&buf[..n]);
                     self.bytes_rx += n as u64;
                     progressed = true;
+                    if self.reader.room() > 0 {
+                        return Ok(FillStatus::Progress);
+                    }
                 }
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
@@ -248,6 +254,13 @@ impl Transport {
             }
         }
         Ok(FillStatus::Progress)
+    }
+
+    /// Hand back a summary taken from [`Transport::next_msg`] (or the
+    /// one an ingest displaced): the next binary summary is decoded into
+    /// its vectors (see [`FrameReader::recycle`]).
+    pub fn recycle(&mut self, summary: NodeSummary) {
+        self.reader.recycle(summary);
     }
 
     /// Parse the next buffered frame; `Ok(None)` means more bytes are
@@ -412,13 +425,47 @@ mod tests {
         }
         writer.join().unwrap();
         assert_eq!(rx.bytes_rx(), 128 * 64 * 1024, "nothing may be lost");
-        // 4 KiB reads against 64 KiB writes: the socket never runs dry
-        // first, so the budget is what ended the longest call.
+        // 64 KiB writes against reads that never exceed what is left of
+        // the budget: the socket does not run dry first, so the budget is
+        // what ended the longest call — to the byte.
         assert!(largest >= FILL_BUDGET, "flood never outran fill: {largest}");
         assert!(
             largest < FILL_BUDGET + 4096,
             "one fill took {largest} bytes"
         );
+    }
+
+    /// A connection that reports one summary a period never has a read
+    /// fill its storage, so it holds the 1 KiB it started with.
+    #[test]
+    fn a_steady_connection_holds_one_kib_of_read_buffer() {
+        let (mut tx, mut rx) = transport_pair(&WireChaos::none());
+        rx.stream().set_nonblocking(true).unwrap();
+        let summary = WireMsg::Summary(NodeSummary {
+            node: 3,
+            sent_at_s: 0.5,
+            models: vec![None; 4],
+            idle: vec![false; 4],
+            current: vec![fvs_model::FreqMhz(1000); 4],
+            power_w: 512.0,
+        });
+        for round in 0..40 {
+            tx.set_codec(if round % 2 == 0 {
+                WireCodec::Json
+            } else {
+                WireCodec::Binary
+            });
+            tx.send(&summary).unwrap();
+            tx.flush().unwrap();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while rx.fill().unwrap() != FillStatus::Progress {
+                assert!(Instant::now() < deadline, "frame {round} never arrived");
+                std::thread::yield_now();
+            }
+            assert_eq!(rx.next_msg().unwrap().as_ref(), Some(&summary));
+            assert_eq!(rx.next_msg().unwrap(), None);
+            assert_eq!(rx.reader.capacity(), 1024);
+        }
     }
 
     /// A chaos-delayed frame must not block frames sent after it — the

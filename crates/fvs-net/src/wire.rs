@@ -40,6 +40,7 @@ use crate::error::FvsError;
 use fvs_cluster::{FrequencyCommand, NodeSummary};
 use fvs_model::{CpiModel, FreqMhz};
 use serde::{Serialize, Value};
+use std::io;
 
 /// Leading bytes of every JSON (`FVS1`) frame.
 pub const MAGIC: [u8; 4] = *b"FVS1";
@@ -486,6 +487,18 @@ impl<'a> Cursor<'a> {
 
 /// Decode one `FVS2` binary frame *payload*.
 pub fn decode_payload_binary(payload: &[u8]) -> Result<WireMsg, FvsError> {
+    decode_payload_binary_reusing(payload, &mut NodeSummary::default())
+}
+
+/// [`decode_payload_binary`] that decodes a summary into the vectors of
+/// `spare` and moves it into the returned message, leaving `spare`
+/// empty: a caller that puts a summary it is done with back into
+/// `spare` decodes the next one without touching the heap. Other kinds
+/// leave `spare` alone.
+fn decode_payload_binary_reusing(
+    payload: &[u8],
+    spare: &mut NodeSummary,
+) -> Result<WireMsg, FvsError> {
     let mut c = Cursor::new(payload);
     let kind = c.u8()?;
     let msg = match kind {
@@ -503,9 +516,9 @@ pub fn decode_payload_binary(payload: &[u8]) -> Result<WireMsg, FvsError> {
             codec: c.u8()?,
         },
         BK_SUMMARY => {
-            let node = c.index()?;
-            let sent_at_s = c.f64()?;
-            let power_w = c.f64()?;
+            spare.node = c.index()?;
+            spare.sent_at_s = c.f64()?;
+            spare.power_w = c.f64()?;
             let nproc = usize::from(c.u16()?);
             // Each processor is at least 5 bytes (flags + current), so a
             // fuzzed count larger than the payload is refused before any
@@ -516,12 +529,15 @@ pub fn decode_payload_binary(payload: &[u8]) -> Result<WireMsg, FvsError> {
                     c.remaining()
                 )));
             }
-            let mut models = Vec::with_capacity(nproc);
-            let mut idle = Vec::with_capacity(nproc);
-            let mut current = Vec::with_capacity(nproc);
+            spare.models.clear();
+            spare.idle.clear();
+            spare.current.clear();
+            spare.models.reserve(nproc);
+            spare.idle.reserve(nproc);
+            spare.current.reserve(nproc);
             for _ in 0..nproc {
                 let flags = c.u8()?;
-                models.push(if flags & FLAG_MODEL != 0 {
+                spare.models.push(if flags & FLAG_MODEL != 0 {
                     Some(CpiModel {
                         cpi0: c.f64()?,
                         mem_time_per_instr: c.f64()?,
@@ -529,17 +545,10 @@ pub fn decode_payload_binary(payload: &[u8]) -> Result<WireMsg, FvsError> {
                 } else {
                     None
                 });
-                idle.push(flags & FLAG_IDLE != 0);
-                current.push(FreqMhz(c.u32()?));
+                spare.idle.push(flags & FLAG_IDLE != 0);
+                spare.current.push(FreqMhz(c.u32()?));
             }
-            WireMsg::Summary(NodeSummary {
-                node,
-                sent_at_s,
-                models,
-                idle,
-                current,
-                power_w,
-            })
+            WireMsg::Summary(std::mem::take(spare))
         }
         BK_CEILING => {
             let node = c.index()?;
@@ -753,11 +762,23 @@ pub enum FrameFault {
 /// [`last_fault`]: FrameReader::last_fault
 #[derive(Debug, Default)]
 pub struct FrameReader {
+    /// Initialised storage; `buf[start..end]` is what has arrived and
+    /// not been parsed. Zeroed when grown, never per read.
     buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// Where the next binary summary is decoded (see
+    /// [`FrameReader::recycle`]).
+    spare: NodeSummary,
     last_fault: Option<FrameFault>,
     last_fault_len: u32,
     last_fault_codec: u8,
 }
+
+/// The storage a reader starts with on its first
+/// [`read_from`](FrameReader::read_from), and all a connection that
+/// reports one summary a period ever holds.
+const INITIAL_READ_ROOM: usize = 1024;
 
 impl FrameReader {
     /// An empty reader.
@@ -765,14 +786,66 @@ impl FrameReader {
         Self::default()
     }
 
+    /// Move the unread bytes to the front of the storage — nothing to
+    /// move when everything buffered was parsed, the common case.
+    fn compact(&mut self) {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+    }
+
     /// Append bytes read from the socket.
     pub fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        if self.buf.len() - self.end < bytes.len() {
+            self.compact();
+            let need = self.end + bytes.len();
+            if self.buf.len() < need {
+                self.buf.resize(need, 0);
+            }
+        }
+        self.buf[self.end..self.end + bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
+    }
+
+    /// One `read` of at most `limit` bytes from `src` straight into the
+    /// storage; returns what `read` returned. The room offered is all
+    /// the storage behind the unread bytes: [`INITIAL_READ_ROOM`] at
+    /// first, doubled whenever it is found full — that is, only after a
+    /// read filled it (or a frame larger than it is still arriving).
+    pub fn read_from<R: io::Read>(&mut self, src: &mut R, limit: usize) -> io::Result<usize> {
+        self.compact();
+        if self.end == self.buf.len() {
+            let grown = (self.buf.len() * 2).max(INITIAL_READ_ROOM);
+            self.buf.resize(grown, 0);
+        }
+        let room = (self.buf.len() - self.end).min(limit);
+        let n = src.read(&mut self.buf[self.end..self.end + room])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Storage left behind the unread bytes: zero after a read that
+    /// filled all of it.
+    pub(crate) fn room(&self) -> usize {
+        self.buf.len() - self.end
     }
 
     /// Bytes buffered but not yet consumed.
     pub fn pending(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// Bytes of storage held, parsed or not.
+    pub fn capacity(&self) -> usize {
         self.buf.len()
+    }
+
+    /// Hand back a summary the caller is done with: the next binary
+    /// summary frame is decoded into its vectors instead of fresh ones.
+    pub fn recycle(&mut self, summary: NodeSummary) {
+        self.spare = summary;
     }
 
     /// Classification of the most recent [`next_frame`] error, cleared
@@ -805,40 +878,42 @@ impl FrameReader {
     /// Try to extract the next complete message. `Ok(None)` means more
     /// bytes are needed.
     pub fn next_frame(&mut self) -> Result<Option<WireMsg>, FvsError> {
-        if self.buf.len() < HEADER_LEN {
+        let unread = &self.buf[self.start..self.end];
+        if unread.len() < HEADER_LEN {
             return Ok(None);
         }
-        let codec = if self.buf[..4] == MAGIC {
+        let codec = if unread[..4] == MAGIC {
             WireCodec::Json
-        } else if self.buf[..4] == MAGIC_V2 {
+        } else if unread[..4] == MAGIC_V2 {
             WireCodec::Binary
         } else {
             // The length bytes of a desynchronised stream are garbage;
             // report 0 rather than a misleading number.
-            self.fault(FrameFault::BadMagic, 0, 0);
-            return Err(FvsError::wire(format!(
+            let err = FvsError::wire(format!(
                 "bad magic {:02x?} (stream desynchronised or not an fvsst peer)",
-                &self.buf[..4]
-            )));
+                &unread[..4]
+            ));
+            self.fault(FrameFault::BadMagic, 0, 0);
+            return Err(err);
         };
-        let len = u32::from_be_bytes([self.buf[4], self.buf[5], self.buf[6], self.buf[7]]) as usize;
+        let len = u32::from_be_bytes([unread[4], unread[5], unread[6], unread[7]]) as usize;
         if len > MAX_FRAME_LEN {
             self.fault(FrameFault::Oversize, len as u32, codec.id());
             return Err(FvsError::wire(format!(
                 "frame length {len} exceeds MAX_FRAME_LEN {MAX_FRAME_LEN}"
             )));
         }
-        if self.buf.len() < HEADER_LEN + len {
+        if unread.len() < HEADER_LEN + len {
             return Ok(None);
         }
-        let payload = &self.buf[HEADER_LEN..HEADER_LEN + len];
+        let payload = &unread[HEADER_LEN..HEADER_LEN + len];
         let msg = match codec {
             WireCodec::Json => decode_payload(payload),
-            WireCodec::Binary => decode_payload_binary(payload),
+            WireCodec::Binary => decode_payload_binary_reusing(payload, &mut self.spare),
         };
         // Consume the frame whether or not the payload decoded: the
         // framing itself was sound, so the next frame may be fine.
-        self.buf.drain(..HEADER_LEN + len);
+        self.start += HEADER_LEN + len;
         match &msg {
             Ok(_) => {
                 self.last_fault = None;

@@ -1,15 +1,22 @@
 //! Property tests for the wire codec: arbitrary summaries and commands
-//! round-trip bit-identically, and no amount of truncation or byte
+//! round-trip bit-identically, no amount of truncation or byte
 //! corruption — including the structured corruption streams of
-//! fvs-faults — makes the decoder panic.
+//! fvs-faults — makes the decoder panic, and a stream of frames decodes
+//! the same however it is cut up and whichever way it reaches the
+//! reader.
 
 use fvs_cluster::{FrequencyCommand, NodeSummary};
 use fvs_faults::{apply_counter_fault, CounterFaultKind, FaultInjector, FaultPlan};
 use fvs_model::{CounterDelta, CpiModel, FreqMhz};
-use fvs_net::{encode, FrameReader, WireMsg, HEADER_LEN};
+use fvs_net::{
+    encode, encode_with, FrameFault, FrameReader, WireCodec, WireMsg, CODEC_ALL, HEADER_LEN, MAGIC,
+    MAGIC_V2, MAX_FRAME_LEN, SCHEMA_VERSION,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::io::{self, Read};
+use std::sync::OnceLock;
 
 fn arb_model() -> impl Strategy<Value = Option<CpiModel>> {
     (0.1f64..10.0, 0.0f64..50.0e-9, any::<bool>())
@@ -192,4 +199,339 @@ proptest! {
             Err(_) => {}        // oversized or garbled: rejected
         }
     }
+}
+
+// --- Reader equivalence ---------------------------------------------------
+//
+// The reference is the simplest reader there is: a fresh `FrameReader`
+// fed exactly one frame. A stream of those frames, cut at arbitrary
+// byte boundaries and delivered through `feed` or read in place through
+// `read_from`, must yield the same messages and errors in the same
+// order, the same fault classification after each, and a `pending()`
+// that accounts for every byte.
+
+type Faults = (Option<FrameFault>, u32, u8);
+
+fn faults(r: &FrameReader) -> Faults {
+    (r.last_fault(), r.last_fault_len(), r.last_fault_codec())
+}
+
+/// What a reader reports for one call of `next_frame`: the message or
+/// the error text, and the classification it left behind.
+type Outcome = (Result<WireMsg, String>, Faults);
+
+/// Decode `frame` on its own.
+fn alone(frame: &[u8]) -> Outcome {
+    let mut r = FrameReader::new();
+    r.feed(frame);
+    let result = match r.next_frame() {
+        Ok(Some(msg)) => Ok(msg),
+        Ok(None) => panic!("a whole frame is not a partial one"),
+        Err(e) => Err(e.to_string()),
+    };
+    (result, faults(&r))
+}
+
+/// Whether the reader consumed the frame it reported on: bad magic and
+/// an oversize length leave the stream where it was (and every later
+/// call repeats the error), everything else moves past the frame.
+fn consumed(outcome: &Outcome) -> bool {
+    !matches!(
+        outcome.1 .0,
+        Some(FrameFault::BadMagic | FrameFault::Oversize)
+    )
+}
+
+/// A `Read` that hands its bytes out in arbitrary short reads.
+struct ShortReads<'a> {
+    data: &'a [u8],
+    sizes: StdRng,
+}
+
+impl Read for ShortReads<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let most = buf.len().min(self.data.len());
+        // A read of zero bytes means EOF, so at least one while any are left.
+        let n = most.min(self.sizes.gen_range(1usize..=4096));
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        Ok(n)
+    }
+}
+
+/// Drain `r` against `expected[*next..]`, checking each outcome, the
+/// classification left after it, and that `pending()` is exactly what
+/// was delivered minus what was consumed.
+fn drain(
+    r: &mut FrameReader,
+    frames: &[Vec<u8>],
+    expected: &[Outcome],
+    next: &mut usize,
+    delivered: usize,
+    taken: &mut usize,
+) -> Result<(), TestCaseError> {
+    loop {
+        let before = faults(r);
+        let got = match r.next_frame() {
+            Ok(None) => {
+                prop_assert_eq!(faults(r), before, "waiting for bytes changed the fault");
+                prop_assert_eq!(r.pending(), delivered - *taken);
+                return Ok(());
+            }
+            Ok(Some(msg)) => Ok(msg),
+            Err(e) => Err(e.to_string()),
+        };
+        prop_assert!(*next < expected.len(), "a frame nobody sent: {:?}", got);
+        let want = &expected[*next];
+        prop_assert_eq!(&got, &want.0, "frame {}", *next);
+        prop_assert_eq!(faults(r), want.1, "fault after frame {}", *next);
+        if !consumed(want) {
+            // The stream is stuck on this frame, as it must be.
+            prop_assert_eq!(r.pending(), delivered - *taken);
+            return Ok(());
+        }
+        *taken += frames[*next].len();
+        *next += 1;
+        prop_assert_eq!(r.pending(), delivered - *taken);
+    }
+}
+
+/// Deliver `stream` both ways and hold each against `expected`.
+fn check_both_paths(
+    frames: &[Vec<u8>],
+    expected: &[Outcome],
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let stream: Vec<u8> = frames.concat();
+    // The last frame may be one the reader refuses without consuming.
+    let whole = expected.iter().take_while(|o| consumed(o)).count();
+    let mut cuts = StdRng::seed_from_u64(seed);
+
+    // Through `feed`, cut at arbitrary byte boundaries.
+    let mut r = FrameReader::new();
+    let (mut next, mut taken, mut delivered) = (0, 0, 0);
+    while delivered < stream.len() {
+        let n = cuts.gen_range(1..=(stream.len() - delivered).min(3000));
+        r.feed(&stream[delivered..delivered + n]);
+        delivered += n;
+        drain(&mut r, frames, expected, &mut next, delivered, &mut taken)?;
+    }
+    prop_assert_eq!(next, whole, "feed: frames left undecoded");
+
+    // Read in place from a source that returns arbitrary short reads,
+    // under arbitrary limits.
+    let mut r = FrameReader::new();
+    let mut src = ShortReads {
+        data: &stream,
+        sizes: StdRng::seed_from_u64(seed ^ 0x5eed),
+    };
+    let (mut next, mut taken, mut delivered) = (0, 0, 0);
+    loop {
+        let limit = cuts.gen_range(1usize..=70_000);
+        let n = r.read_from(&mut src, limit).unwrap();
+        prop_assert!(n <= limit);
+        if n == 0 {
+            break;
+        }
+        delivered += n;
+        drain(&mut r, frames, expected, &mut next, delivered, &mut taken)?;
+    }
+    prop_assert_eq!(delivered, stream.len(), "read_from: bytes lost");
+    prop_assert_eq!(next, whole, "read_from: frames left undecoded");
+    Ok(())
+}
+
+/// A valid JSON ceiling a few bytes short of `MAX_FRAME_LEN`, built once.
+fn near_max_frame() -> &'static Vec<u8> {
+    static FRAME: OnceLock<Vec<u8>> = OnceLock::new();
+    FRAME.get_or_init(|| {
+        // "1000," is five bytes a frequency; the envelope is under 100.
+        let freqs = vec![FreqMhz(1000); (MAX_FRAME_LEN - 100) / 5];
+        let frame = encode(&WireMsg::Ceiling(FrequencyCommand { node: 1, freqs })).unwrap();
+        assert!(frame.len() > MAX_FRAME_LEN - 200 && frame.len() <= HEADER_LEN + MAX_FRAME_LEN);
+        frame
+    })
+}
+
+fn arb_msg() -> impl Strategy<Value = WireMsg> {
+    (
+        0u8..6,
+        arb_summary(),
+        arb_command(),
+        any::<u64>(),
+        any::<bool>(),
+    )
+        .prop_map(|(kind, summary, command, n, flag)| match kind {
+            0 => WireMsg::Hello {
+                node: (n % 10_000) as usize,
+                procs: (n % 64) as usize,
+                version: SCHEMA_VERSION,
+                last_epoch: n >> 32,
+                codecs: CODEC_ALL,
+            },
+            1 => WireMsg::HelloAck {
+                accepted: flag,
+                version: SCHEMA_VERSION,
+                epoch: n >> 32,
+                codec: WireCodec::Binary.id(),
+            },
+            2 => WireMsg::Summary(summary),
+            3 => WireMsg::Ceiling(command),
+            4 => WireMsg::Bye {
+                node: (n % 10_000) as usize,
+            },
+            _ => WireMsg::Heartbeat { epoch: n },
+        })
+}
+
+/// How one frame of the stream is spoiled, if at all.
+fn spoil(frame: &mut Vec<u8>, how: u8, at: usize) {
+    let payload = frame.len() - HEADER_LEN;
+    match how {
+        // Sound framing, broken payload: an unknown kind byte or broken
+        // JSON. The reader reports it and carries on with the next frame.
+        0 => frame[HEADER_LEN] = 0xEE,
+        // A payload cut short, with the length prefix saying so.
+        1 => {
+            let keep = at % payload;
+            frame.truncate(HEADER_LEN + keep);
+            frame[4..HEADER_LEN].copy_from_slice(&(keep as u32).to_be_bytes());
+        }
+        // One flipped bit somewhere in the payload.
+        2 => frame[HEADER_LEN + at % payload] ^= 0x10,
+        _ => {}
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Random sequences of frames — both codecs, every kind, payload-
+    /// corrupt frames in between, now and then one near `MAX_FRAME_LEN`,
+    /// sometimes ending in a frame the reader must refuse — decode the
+    /// same through `feed`, through `read_from`, and one frame at a time.
+    #[test]
+    fn reader_paths_agree_with_frame_at_a_time_decoding(
+        specs in prop::collection::vec((arb_msg(), any::<bool>(), 0u8..8, any::<u16>()), 1..24),
+        big_at in 0usize..200,
+        ending in 0u8..6,
+        seed in any::<u64>(),
+    ) {
+        let mut frames: Vec<Vec<u8>> = specs
+            .iter()
+            .map(|(msg, binary, how, at)| {
+                let codec = if *binary { WireCodec::Binary } else { WireCodec::Json };
+                let mut frame = encode_with(msg, codec).unwrap();
+                spoil(&mut frame, *how, usize::from(*at));
+                frame
+            })
+            .collect();
+        if big_at < frames.len() {
+            frames.insert(big_at, near_max_frame().clone());
+        }
+        match ending {
+            0 => frames.push(b"FVS3\0\0\0\x04oops".to_vec()),
+            1 => {
+                let mut header = MAGIC_V2.to_vec();
+                header.extend_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_be_bytes());
+                frames.push(header);
+            }
+            _ => {}
+        }
+        let expected: Vec<Outcome> = frames.iter().map(|f| alone(f)).collect();
+        check_both_paths(&frames, &expected, seed)?;
+    }
+}
+
+/// Binary four-processor summary frames for nodes `0..n`, 119 bytes
+/// each: no two alike, so bytes left where they were by a compaction
+/// that should have moved them decode as the wrong node.
+fn summary_frames(n: usize) -> Vec<Vec<u8>> {
+    (0..n)
+        .map(|node| {
+            let s = NodeSummary {
+                node,
+                sent_at_s: node as f64,
+                models: vec![Some(CpiModel::from_components(1.5, 2.0e-9)); 4],
+                idle: vec![false; 4],
+                current: vec![FreqMhz(1000); 4],
+                power_w: 300.0 + node as f64,
+            };
+            let frame = encode_with(&WireMsg::Summary(s), WireCodec::Binary).unwrap();
+            assert_eq!(
+                frame.len(),
+                119,
+                "the tests' arithmetic assumes this layout"
+            );
+            frame
+        })
+        .collect()
+}
+
+/// Parse what `r` holds, checking each message against its frame alone.
+fn parse_in_order(r: &mut FrameReader, frames: &[Vec<u8>], next: &mut usize) {
+    while let Some(msg) = r.next_frame().unwrap() {
+        assert_eq!(Ok(msg), alone(&frames[*next]).0, "frame {next}");
+        *next += 1;
+    }
+}
+
+/// A frame cut in two by the end of the storage: the first read fills
+/// the reader's 1 KiB exactly, the frames in it are parsed, and the next
+/// read has to move the unfinished one to the front before completing
+/// it — without growing, since compaction made the room.
+#[test]
+fn a_partial_frame_straddling_a_compaction_decodes() {
+    let frames = summary_frames(20);
+    let stream = frames.concat();
+    let mut src: &[u8] = &stream;
+    let mut r = FrameReader::new();
+    let mut next = 0;
+
+    assert_eq!(r.read_from(&mut src, usize::MAX).unwrap(), 1024);
+    assert_eq!(r.capacity(), 1024);
+    parse_in_order(&mut r, &frames, &mut next);
+    assert_eq!(next, 1024 / 119);
+    assert_eq!(
+        r.pending(),
+        1024 % 119,
+        "the ninth frame is cut by the storage"
+    );
+
+    while r.read_from(&mut src, usize::MAX).unwrap() > 0 {
+        parse_in_order(&mut r, &frames, &mut next);
+    }
+    assert_eq!(next, 20);
+    assert_eq!(r.pending(), 0);
+    assert_eq!(
+        r.capacity(),
+        1024,
+        "a read that left room must not grow the storage"
+    );
+}
+
+/// The same cut, but what follows the straddling frame is not a frame:
+/// the error and its classification are those of the bad bytes alone.
+#[test]
+fn a_bad_magic_right_after_a_compaction_is_classified() {
+    let frames = summary_frames(9);
+    let bad = b"GET / HTTP/1.1\r\n".to_vec();
+    assert_ne!(&bad[..4], &MAGIC);
+    let stream = [frames.concat(), bad.clone()].concat();
+    let mut src: &[u8] = &stream;
+    let mut r = FrameReader::new();
+    let mut next = 0;
+
+    assert_eq!(r.read_from(&mut src, usize::MAX).unwrap(), 1024);
+    parse_in_order(&mut r, &frames, &mut next);
+    assert_eq!(next, 8);
+    assert!(r.read_from(&mut src, usize::MAX).unwrap() > 0);
+    let straddling = r.next_frame().unwrap().expect("the straddling frame");
+    assert_eq!(Ok(straddling), alone(&frames[8]).0);
+
+    let want = alone(&bad);
+    assert_eq!(Err(r.next_frame().unwrap_err().to_string()), want.0);
+    assert_eq!(faults(&r), (Some(FrameFault::BadMagic), 0, 0));
+    assert_eq!(faults(&r), want.1);
+    assert_eq!(r.pending(), bad.len(), "a refused frame is not consumed");
 }
