@@ -1,45 +1,36 @@
 //! The node agent: one machine's measurement daemon on a socket.
 //!
-//! A [`NodeAgent`] runs a [`ClusterNode`] (machine + local predictor —
-//! the same per-core sampling path the multi-threaded daemon's
-//! collectors feed) on its own thread: tick the machine, close the
-//! measurement window every `summary_every` ticks, ship the
-//! [`NodeSummary`] upstream, and apply whatever frequency ceilings come
-//! back. When the link drops the agent reconnects with the exponential
-//! backoff discipline of the degradation ladder — a seedable,
-//! equal-jitter [`ReconnectLadder`]: base, 2×, 4×, … up to a ceiling,
-//! each rung drawn uniformly from [rung/2, rung] so a herd of agents
-//! losing one coordinator does not reconnect in lockstep — while the
-//! machine keeps running at its last-commanded frequencies (exactly the
+//! An agent drives a [`ClusterNode`] (machine + local predictor — the
+//! same per-core sampling path the multi-threaded daemon's collectors
+//! feed): tick the machine, close the measurement window every
+//! `summary_every` ticks, ship the [`fvs_cluster::NodeSummary`]
+//! upstream, and apply whatever frequency ceilings come back. When the
+//! link drops it reconnects up a [`ReconnectLadder`] while the machine
+//! keeps running at its last-commanded frequencies — exactly the
 //! mute-but-running scenario the coordinator's conservative charging
-//! defends against).
+//! defends against. It remembers the highest coordinator epoch it has
+//! acknowledged and serves none below it: [`verdict`] is that rule, and
+//! every other rule about a received frame.
 //!
-//! Epoch fencing: the agent remembers the highest coordinator epoch it
-//! has ever acknowledged and refuses to serve a coordinator presenting
-//! a lower one — whether at handshake (a refused hello, or an ack
-//! carrying a stale epoch) or mid-connection (a stale heartbeat). A
-//! fenced coordinator is retried through the ladder, because the fence
-//! is about *which* coordinator is current, not a permanent protocol
-//! mismatch; only a schema-version refusal is terminal.
+//! The loop that does all this is [`crate::fleet`]'s, for one agent as
+//! for ten thousand; [`NodeAgent`] is that loop with one slot. This
+//! module holds what is the agent's own and needs no socket: tunables,
+//! counters, the ladder and the protocol rules.
 
-use crate::chaos::{ChaosSide, ChaosStream};
 use crate::error::FvsError;
-use crate::transport::{FillStatus, Transport};
+use crate::fleet::{self, FleetHandle, FleetStats, END_BYE, END_SILENT};
 use crate::wire::{WireCodec, WireMsg, CODEC_ALL, CODEC_JSON_BIT, SCHEMA_VERSION};
 use crate::WireChaos;
-use fvs_cluster::ClusterNode;
-use fvs_sim::Pacer;
+use fvs_cluster::{ClusterNode, FrequencyCommand};
 use fvs_telemetry::{Telemetry, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Seedable equal-jitter exponential backoff: rung `k` sleeps a
-/// uniform draw from `[base·2ᵏ/2, base·2ᵏ]`, capped at `max`. Pure
+/// uniform draw from `[base·2ᵏ/2, base·2ᵏ]`, capped at `max`, so a herd
+/// of agents losing one coordinator does not come back in lockstep. Pure
 /// state machine — the caller does the sleeping — so the jitter
 /// distribution is unit-testable without a clock.
 #[derive(Debug)]
@@ -88,12 +79,14 @@ pub struct AgentConfig {
     pub tick_s: f64,
     /// Ticks per summary (the paper's `n`: window per report).
     pub summary_every: u32,
-    /// Wall-clock pacing per tick (zero = free-running).
+    /// Wall time per tick of a [`NodeAgent`] that is not `timed` (zero
+    /// = free-running). An [`AgentFleet`](crate::AgentFleet) ignores it.
     pub pace: Duration,
-    /// Real-time mode: pace each tick to exactly `tick_s` of wall time
+    /// Real-time mode: each tick takes exactly `tick_s` of wall time
     /// (absolute deadlines, drift-free), so one simulated second takes
     /// one wall second — the honest way to soak a live coordinator on
-    /// the paper's real `t = 10 ms` sampling cadence. Overrides `pace`.
+    /// the paper's real `t = 10 ms` sampling cadence. Overrides `pace`;
+    /// an [`AgentFleet`](crate::AgentFleet) always runs this way.
     pub timed: bool,
     /// First reconnect delay of the backoff ladder.
     pub backoff_base: Duration,
@@ -102,8 +95,10 @@ pub struct AgentConfig {
     /// Seed for the ladder's jitter (mixed with the node id, so a
     /// fleet sharing one config still spreads out).
     pub jitter_seed: u64,
-    /// Declare the link dead when nothing — ceiling, heartbeat,
-    /// anything — arrives for this long, and reconnect. Heartbeats
+    /// Declare the link dead, and reconnect, when this long passes
+    /// without a frame that decodes — any frame: an ack, a heartbeat, a
+    /// ceiling, one addressed to another node. Bytes that do not parse
+    /// prove nothing about the coordinator and do not count. Heartbeats
     /// from the coordinator make this time-bounded even on rounds that
     /// command the node nothing.
     pub link_timeout: Duration,
@@ -221,7 +216,8 @@ impl AgentConfig {
         self
     }
 
-    fn validate(&self) -> Result<(), FvsError> {
+    /// Checked once, by [`fleet::spawn`], before any agent loop starts.
+    pub(crate) fn validate(&self) -> Result<(), FvsError> {
         if !(self.tick_s.is_finite() && self.tick_s > 0.0) {
             return Err(FvsError::config("tick_s must be finite and positive"));
         }
@@ -238,7 +234,7 @@ impl AgentConfig {
     }
 }
 
-/// What the agent thread hands back when it exits.
+/// What a stopped agent hands back.
 #[derive(Debug, Clone)]
 pub struct AgentReport {
     /// The node this agent drove.
@@ -258,155 +254,113 @@ pub struct AgentReport {
     pub final_power_w: f64,
 }
 
-/// Live counters of a running agent, updated in place by the agent
-/// thread and readable from any thread — the node binary's `/healthz`
-/// endpoint reads these without joining the thread.
-#[derive(Debug, Default)]
+/// Live counters of a running agent, readable from any thread — the
+/// node binary's `/healthz` endpoint reads these without joining the
+/// agent. A view of its one-slot fleet's [`FleetStats`].
+#[derive(Debug)]
 pub struct AgentStats {
-    connected: AtomicBool,
-    summaries_sent: AtomicU64,
-    ceilings_applied: AtomicU64,
-    reconnects: AtomicU64,
-    epochs_fenced: AtomicU64,
-    /// Latest node power as f64 bits.
-    power_bits: AtomicU64,
-    /// Codec id negotiated on the current connection (0 = none yet).
-    codec_id: AtomicU64,
+    fleet: Arc<FleetStats>,
 }
 
 impl AgentStats {
     /// Currently connected (past a successful handshake).
     pub fn connected(&self) -> bool {
-        self.connected.load(Ordering::SeqCst)
+        self.fleet.connected() > 0
     }
 
     /// Summaries shipped upstream so far.
     pub fn summaries_sent(&self) -> u64 {
-        self.summaries_sent.load(Ordering::SeqCst)
+        self.fleet.summaries_sent()
     }
 
     /// Ceiling commands applied to the machine so far.
     pub fn ceilings_applied(&self) -> u64 {
-        self.ceilings_applied.load(Ordering::SeqCst)
+        self.fleet.ceilings_applied()
     }
 
     /// Times the connection was re-established after the first.
     pub fn reconnects(&self) -> u64 {
-        self.reconnects.load(Ordering::SeqCst)
+        self.fleet.reconnects()
     }
 
     /// Stale coordinators fenced so far.
     pub fn epochs_fenced(&self) -> u64 {
-        self.epochs_fenced.load(Ordering::SeqCst)
+        self.fleet.epochs_fenced()
     }
 
     /// The node's power at the last summary window (W).
     pub fn power_w(&self) -> f64 {
-        f64::from_bits(self.power_bits.load(Ordering::SeqCst))
+        self.fleet.power_w()
     }
 
     /// The codec negotiated on the current connection, if any.
     pub fn negotiated_codec(&self) -> Option<WireCodec> {
-        match self.codec_id.load(Ordering::SeqCst) as u8 {
-            0 => None,
-            id => Some(WireCodec::from_id(id)),
-        }
+        self.connected().then(|| self.fleet.last_codec())
     }
 }
 
-struct Flags {
-    /// Orderly shutdown: send `Bye`, then exit.
-    stop: AtomicBool,
-    /// Crash simulation: drop everything on the floor and exit.
-    kill: AtomicBool,
-}
-
-/// Handle to a running agent thread.
+/// Handle to a running agent.
 pub struct NodeAgentHandle {
-    flags: Arc<Flags>,
-    stats: Arc<AgentStats>,
-    thread: JoinHandle<AgentReport>,
+    node: usize,
+    fleet: FleetHandle,
 }
 
 impl NodeAgentHandle {
-    /// Whether the agent thread has already exited on its own (version
+    /// Whether the agent has already exited on its own (version
     /// refusal is the one self-terminating path).
     pub fn is_finished(&self) -> bool {
-        self.thread.is_finished()
+        self.fleet.is_finished()
     }
 
     /// The agent's live counters (shareable; plain atomics).
     pub fn stats(&self) -> Arc<AgentStats> {
-        Arc::clone(&self.stats)
+        let fleet = self.fleet.stats();
+        Arc::new(AgentStats { fleet })
     }
 
     /// Orderly shutdown: the agent says `Bye` and returns its report.
     pub fn stop(self) -> AgentReport {
-        self.flags.stop.store(true, Ordering::SeqCst);
-        self.thread.join().expect("agent thread panicked")
+        self.end(END_BYE)
     }
 
     /// Crash the agent: the socket just goes dead, no goodbye — from
     /// the coordinator's side this is indistinguishable from a node
     /// failure, which is the point.
     pub fn kill(self) -> AgentReport {
-        self.flags.kill.store(true, Ordering::SeqCst);
-        self.thread.join().expect("agent thread panicked")
+        self.end(END_SILENT)
+    }
+
+    fn end(self, how: u8) -> AgentReport {
+        let stats = self.fleet.end(how);
+        AgentReport {
+            node: self.node,
+            summaries_sent: stats.summaries_sent(),
+            ceilings_applied: stats.ceilings_applied(),
+            reconnects: stats.reconnects(),
+            epochs_fenced: stats.epochs_fenced(),
+            version_rejected: stats.version_rejects() > 0,
+            final_power_w: stats.power_w(),
+        }
     }
 }
 
-/// Spawns and owns one node-agent thread.
+/// Spawns and owns one node agent: a fleet of one, on one thread.
 pub struct NodeAgent;
 
 impl NodeAgent {
     /// Start an agent driving `node` against the coordinator at `addr`.
+    /// A tick takes `tick_s` of wall time when the config is `timed`,
+    /// `pace` otherwise.
     pub fn spawn(
         node: ClusterNode,
         addr: impl Into<String>,
         config: AgentConfig,
     ) -> Result<NodeAgentHandle, FvsError> {
-        config.validate()?;
-        let addr = addr.into();
-        let flags = Arc::new(Flags {
-            stop: AtomicBool::new(false),
-            kill: AtomicBool::new(false),
-        });
-        let stats = Arc::new(AgentStats::default());
-        let thread_flags = Arc::clone(&flags);
-        let thread_stats = Arc::clone(&stats);
-        let thread =
-            std::thread::spawn(move || agent_loop(node, &addr, config, thread_flags, thread_stats));
-        Ok(NodeAgentHandle {
-            flags,
-            stats,
-            thread,
-        })
+        let id = node.id;
+        let timed = config.timed;
+        let fleet = fleet::spawn(vec![node], addr.into(), config, timed, Duration::ZERO)?;
+        Ok(NodeAgentHandle { node: id, fleet })
     }
-}
-
-/// Sleep `total` in small slices so stop/kill stay responsive.
-fn interruptible_sleep(total: Duration, flags: &Flags) {
-    let slice = Duration::from_millis(5);
-    let deadline = Instant::now() + total;
-    while Instant::now() < deadline {
-        if flags.stop.load(Ordering::SeqCst) || flags.kill.load(Ordering::SeqCst) {
-            return;
-        }
-        std::thread::sleep(slice.min(deadline.saturating_duration_since(Instant::now())));
-    }
-}
-
-pub(crate) enum Handshake {
-    /// Accepted; the coordinator's epoch (to remember as highest-seen)
-    /// and the codec it chose from our advertisement.
-    Accepted(u64, WireCodec),
-    /// Refused over schema version: permanent, stop retrying.
-    RefusedVersion,
-    /// Refused (or acked) by a coordinator whose epoch is below our
-    /// highest-seen: a stale survivor. Retry through the ladder — the
-    /// *current* coordinator may come back on this address.
-    Fenced,
-    Dead,
 }
 
 /// The codec advertisement bitmask for a preference: JSON is always on
@@ -418,275 +372,80 @@ pub(crate) fn advertised_codecs(prefer: WireCodec) -> u8 {
     }
 }
 
-/// Send `Hello`, wait briefly for the coordinator's verdict. On accept,
-/// the transport's write codec is switched to the negotiated one.
-pub(crate) fn handshake(
-    transport: &mut Transport,
-    node: usize,
-    procs: usize,
-    version: u32,
-    last_epoch: u64,
-    codecs: u8,
-) -> Handshake {
-    let hello = WireMsg::Hello {
-        node,
-        procs,
-        version,
-        last_epoch,
-        codecs,
-    };
-    if transport.send(&hello).is_err() || transport.flush().is_err() {
-        return Handshake::Dead;
-    }
-    let deadline = Instant::now() + Duration::from_secs(2);
-    while Instant::now() < deadline {
-        match transport.fill() {
-            Ok(FillStatus::Eof) | Err(_) => return Handshake::Dead,
-            Ok(_) => {}
-        }
-        loop {
-            match transport.next_msg() {
-                Ok(Some(WireMsg::HelloAck {
-                    accepted: true,
-                    epoch,
-                    codec,
-                    ..
-                })) => {
-                    if epoch < last_epoch {
-                        // An old-build coordinator (epoch 0) — or a
-                        // stale one that doesn't know to refuse us.
-                        // Either way, not the coordinator we last
-                        // obeyed: fence it ourselves.
-                        return Handshake::Fenced;
-                    }
-                    // An unknown codec id from a newer peer degrades to
-                    // JSON — the floor both sides always speak.
-                    let chosen = WireCodec::from_id(codec);
-                    transport.set_codec(chosen);
-                    return Handshake::Accepted(epoch, chosen);
-                }
-                Ok(Some(WireMsg::HelloAck {
-                    accepted: false,
-                    version: their_version,
-                    epoch,
-                    ..
-                })) => {
-                    if their_version == version && epoch < last_epoch {
-                        return Handshake::Fenced;
-                    }
-                    return Handshake::RefusedVersion;
-                }
-                Ok(Some(_)) => continue,
-                Ok(None) => break,
-                Err(_) => return Handshake::Dead,
-            }
-        }
-    }
-    Handshake::Dead
+/// Where an agent is in the life of its connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Phase {
+    /// No socket: waiting out the ramp stagger or a backoff rung.
+    Backoff,
+    /// Hello sent, ack awaited.
+    Handshaking,
+    /// Ticking and shipping summaries.
+    Running,
+    /// Version-refused: permanently out of the game.
+    Dead,
 }
 
-fn agent_loop(
-    mut node: ClusterNode,
-    addr: &str,
-    config: AgentConfig,
-    flags: Arc<Flags>,
-    stats: Arc<AgentStats>,
-) -> AgentReport {
-    let node_id = node.id;
-    let procs = node.machine().num_cores();
-    let mut report = AgentReport {
-        node: node_id,
-        summaries_sent: 0,
-        ceilings_applied: 0,
-        reconnects: 0,
-        epochs_fenced: 0,
-        version_rejected: false,
-        final_power_w: 0.0,
+/// What a received frame means to the agent that received it.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Verdict<'a> {
+    /// The hello was accepted: adopt the coordinator's epoch, write
+    /// under the codec it chose, start running.
+    Accept { epoch: u64, codec: WireCodec },
+    /// The current coordinator is alive: adopt its epoch.
+    Alive { epoch: u64 },
+    /// A ceiling for this node: apply it.
+    Apply(&'a FrequencyCommand),
+    /// The sender's epoch is below the highest this agent has
+    /// acknowledged — a stale survivor, or an old build that knows no
+    /// epochs. Drop the link and retry through the ladder: the current
+    /// coordinator may come back on this address.
+    Fence,
+    /// Refused over schema version. Retrying with the same schema can
+    /// never succeed, so stop for good instead of storming.
+    Refused,
+    /// Not for this agent, or not for this phase.
+    Ignore,
+}
+
+/// The agent's protocol rules: what `msg` means to node `node`,
+/// speaking schema `version`, in `phase`, having acknowledged epochs up
+/// to `last_epoch`. Acks and heartbeats carry their sender's epoch and
+/// count only if that is no lower than the fence.
+pub(crate) fn verdict(
+    phase: Phase,
+    msg: &WireMsg,
+    last_epoch: u64,
+    node: usize,
+    version: u32,
+) -> Verdict<'_> {
+    let (epoch, if_current) = match *msg {
+        WireMsg::HelloAck {
+            accepted,
+            version: theirs,
+            epoch,
+            codec,
+        } if phase == Phase::Handshaking => {
+            if !accepted && theirs != version {
+                // Another schema: its epoch says nothing about ours.
+                return Verdict::Refused;
+            }
+            // An unknown codec id from a newer peer degrades to JSON —
+            // the floor both sides always speak.
+            let codec = WireCodec::from_id(codec);
+            let accept = Verdict::Accept { epoch, codec };
+            (epoch, if accepted { accept } else { Verdict::Refused })
+        }
+        WireMsg::Heartbeat { epoch } => (epoch, Verdict::Alive { epoch }),
+        WireMsg::Ceiling(ref cmd) if phase == Phase::Running && cmd.node == node => {
+            return Verdict::Apply(cmd)
+        }
+        _ => return Verdict::Ignore,
     };
-    let mut ladder = ReconnectLadder::new(
-        config.backoff_base,
-        config.backoff_max,
-        config.jitter_seed ^ (node_id as u64).wrapping_mul(0x517C_C1B7_2722_0A95),
-    );
-    let mut ever_connected = false;
-    // Highest coordinator epoch ever acknowledged: the fence.
-    let mut last_epoch = 0u64;
-    let chaos_start = Instant::now();
-    let mut connect_seq = 0u64;
-    let fence = |report: &mut AgentReport| {
-        report.epochs_fenced += 1;
-        stats.epochs_fenced.fetch_add(1, Ordering::SeqCst);
-    };
-
-    'outer: loop {
-        if flags.stop.load(Ordering::SeqCst) || flags.kill.load(Ordering::SeqCst) {
-            break;
-        }
-        let raw = match TcpStream::connect(addr) {
-            Ok(s) => s,
-            Err(_) => {
-                // The reconnect ladder: jittered base, 2×, 4×, … cap.
-                interruptible_sleep(ladder.next_delay(), &flags);
-                continue;
-            }
-        };
-        connect_seq += 1;
-        let stream = ChaosStream::wrap(
-            raw,
-            &config.chaos,
-            ChaosSide::Agent,
-            connect_seq,
-            chaos_start,
-            config.telemetry.clone(),
-            None,
-        );
-        stream.set_node(node_id);
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(1)));
-        let mut transport = Transport::new(stream);
-        match handshake(
-            &mut transport,
-            node_id,
-            procs,
-            config.version,
-            last_epoch,
-            advertised_codecs(config.codec),
-        ) {
-            Handshake::Accepted(epoch, codec) => {
-                last_epoch = epoch;
-                stats.codec_id.store(codec.id() as u64, Ordering::SeqCst);
-            }
-            Handshake::RefusedVersion => {
-                // A version refusal is permanent: retrying with the
-                // same schema can never succeed, so don't storm.
-                report.version_rejected = true;
-                break 'outer;
-            }
-            Handshake::Fenced => {
-                fence(&mut report);
-                interruptible_sleep(ladder.next_delay(), &flags);
-                continue;
-            }
-            Handshake::Dead => {
-                interruptible_sleep(ladder.next_delay(), &flags);
-                continue;
-            }
-        }
-        if ever_connected {
-            report.reconnects += 1;
-            stats.reconnects.fetch_add(1, Ordering::SeqCst);
-        }
-        ever_connected = true;
-        stats.connected.store(true, Ordering::SeqCst);
-        ladder.reset();
-
-        let mut ticks = 0u32;
-        // Dead-link detection: any frame (ceiling or heartbeat) feeds
-        // this; silence past `link_timeout` forces a reconnect.
-        let mut last_rx = Instant::now();
-        // Real-time mode: anchor the pacer at connection time so every
-        // tick lands on an absolute deadline from here on out.
-        let mut pacer = config
-            .timed
-            .then(|| Pacer::new(Duration::from_secs_f64(config.tick_s)));
-        loop {
-            if flags.kill.load(Ordering::SeqCst) {
-                // Crash: no Bye, the socket just stops.
-                break 'outer;
-            }
-            if flags.stop.load(Ordering::SeqCst) {
-                transport.send_best_effort(&WireMsg::Bye { node: node_id });
-                break 'outer;
-            }
-
-            node.tick(config.tick_s);
-            ticks += 1;
-            if ticks.is_multiple_of(config.summary_every) {
-                let summary = node.summarize();
-                stats
-                    .power_bits
-                    .store(summary.power_w.to_bits(), Ordering::SeqCst);
-                if transport.send(&WireMsg::Summary(summary)).is_err() || transport.flush().is_err()
-                {
-                    // Link dropped mid-summary: climb the ladder.
-                    break;
-                }
-                report.summaries_sent += 1;
-                stats.summaries_sent.fetch_add(1, Ordering::SeqCst);
-            } else {
-                // Keep chaos-delayed frames moving between summaries.
-                if transport.flush().is_err() {
-                    break;
-                }
-            }
-
-            // Take whatever ceilings arrived. With nothing to read,
-            // `fill` waits out the 1 ms read timeout (`Idle`) — the only
-            // pacing slack it gives; once data came it returns at once,
-            // and anything behind a short read is picked up next tick.
-            let mut link_dead = false;
-            match transport.fill() {
-                Ok(FillStatus::Eof) => link_dead = true, // coordinator went away
-                Ok(FillStatus::Progress) => {
-                    last_rx = Instant::now();
-                    loop {
-                        match transport.next_msg() {
-                            Ok(Some(WireMsg::Ceiling(cmd))) => {
-                                if cmd.node == node_id {
-                                    let _apply = config.tracer.span("node.apply");
-                                    node.apply(&cmd.freqs);
-                                    report.ceilings_applied += 1;
-                                    stats.ceilings_applied.fetch_add(1, Ordering::SeqCst);
-                                }
-                            }
-                            Ok(Some(WireMsg::Heartbeat { epoch })) => {
-                                if epoch < last_epoch {
-                                    // A stale coordinator is feeding
-                                    // this link: fence mid-connection.
-                                    fence(&mut report);
-                                    link_dead = true;
-                                    break;
-                                }
-                                last_epoch = epoch;
-                            }
-                            Ok(Some(_)) => {}
-                            Ok(None) => break,
-                            Err(_) => {
-                                // Desynchronised downlink: reconnect.
-                                link_dead = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                Ok(FillStatus::Idle) => {}
-                Err(_) => link_dead = true,
-            }
-            if last_rx.elapsed() > config.link_timeout {
-                link_dead = true;
-            }
-            if link_dead {
-                break;
-            }
-
-            if let Some(pacer) = pacer.as_mut() {
-                pacer.pace();
-            } else if !config.pace.is_zero() {
-                std::thread::sleep(config.pace);
-            }
-        }
-        // Only reachable when the link dropped (exits via 'outer skip
-        // this): reflect the disconnect before climbing the ladder.
-        stats.connected.store(false, Ordering::SeqCst);
-        stats.codec_id.store(0, Ordering::SeqCst);
+    if epoch < last_epoch {
+        Verdict::Fence
+    } else {
+        if_current
     }
-
-    stats.connected.store(false, Ordering::SeqCst);
-    report.final_power_w = node.power_w();
-    stats
-        .power_bits
-        .store(report.final_power_w.to_bits(), Ordering::SeqCst);
-    report
 }
 
 #[cfg(test)]
@@ -746,5 +505,58 @@ mod tests {
             (0..6).map(|_| l.next_delay()).collect::<Vec<_>>()
         };
         assert_eq!(mk(), mk());
+    }
+
+    /// The protocol rules, no socket needed: node 3, speaking the
+    /// current schema, fenced at epoch 5.
+    #[test]
+    fn verdict_table() {
+        use Phase::{Handshaking, Running};
+        use Verdict::{Accept, Alive, Apply, Fence, Ignore, Refused};
+        const V: u32 = SCHEMA_VERSION;
+        fn at(phase: Phase, msg: &WireMsg) -> Verdict<'_> {
+            verdict(phase, msg, 5, 3, V)
+        }
+        let ack = |accepted, version, epoch, codec| WireMsg::HelloAck {
+            accepted,
+            version,
+            epoch,
+            codec,
+        };
+        let ceiling = |node| {
+            let freqs = vec![fvs_model::FreqMhz(600); 4];
+            WireMsg::Ceiling(FrequencyCommand { node, freqs })
+        };
+        let accept = |epoch, codec| Accept { epoch, codec };
+        let bin = WireCodec::Binary.id();
+
+        // Acks: the current coordinator, one naming a codec this build
+        // has never heard of, a stale one (or an old build at epoch 0).
+        let current = ack(true, V, 5, bin);
+        assert_eq!(at(Handshaking, &current), accept(5, WireCodec::Binary));
+        let newer = ack(true, V, 6, 99);
+        assert_eq!(at(Handshaking, &newer), accept(6, WireCodec::Json));
+        assert_eq!(at(Handshaking, &ack(true, V, 4, bin)), Fence);
+        // Refusals: a stale coordinator speaking our schema is fenced
+        // and retried; a current one, or any other schema, is final.
+        assert_eq!(at(Handshaking, &ack(false, V, 4, 1)), Fence);
+        assert_eq!(at(Handshaking, &ack(false, V, 5, 1)), Refused);
+        assert_eq!(at(Handshaking, &ack(false, V + 1, 0, 1)), Refused);
+        // Heartbeats fence mid-connection too.
+        let beat = |epoch| WireMsg::Heartbeat { epoch };
+        assert_eq!(at(Running, &beat(4)), Fence);
+        assert_eq!(at(Running, &beat(6)), Alive { epoch: 6 });
+        // Ceilings: ours while running, nobody else's, never before the ack.
+        let (mine, theirs) = (ceiling(3), ceiling(2));
+        let WireMsg::Ceiling(cmd) = &mine else {
+            unreachable!()
+        };
+        assert_eq!(at(Running, &mine), Apply(cmd));
+        assert_eq!(at(Running, &theirs), Ignore);
+        assert_eq!(at(Handshaking, &mine), Ignore);
+        // An ack while running is noise, even a stale one; so is a frame
+        // only a coordinator should ever see.
+        assert_eq!(at(Running, &ack(true, V, 4, bin)), Ignore);
+        assert_eq!(at(Running, &WireMsg::Bye { node: 3 }), Ignore);
     }
 }

@@ -1,27 +1,31 @@
 //! Wire-level chaos injection: [`ChaosStream`] wraps a `TcpStream` and
 //! enforces a [`WireFaultPlan`] on it.
 //!
-//! Faults are injected at *write* granularity — in this codebase every
-//! `write_all` call carries exactly one encoded frame, so per-frame
-//! drop / delay / duplication / corruption / reset rates apply cleanly.
-//! Each endpoint wraps its own socket, which covers both directions:
-//! the agent's writes are the uplink, the coordinator's writes are the
-//! downlink. Scripted partitions additionally blackhole the *read*
-//! path, so a one-way partition behaves like the real thing: an
-//! uplink-dead node keeps receiving commands it can never acknowledge,
-//! a downlink-dead node keeps reporting while ignoring every ceiling.
+//! Faults are decided per outgoing *frame*: [`Transport::send`] asks
+//! [`ChaosStream::decide_write_fault`] once for each encoded frame and
+//! applies the answer as it queues the bytes, so a partial write retried
+//! later never re-rolls the dice and a held frame never blocks the ones
+//! behind it. Each endpoint wraps its own socket, which covers both
+//! directions: the agent's writes are the uplink, the coordinator's
+//! writes are the downlink. Scripted partitions additionally blackhole
+//! the *read* path, so a one-way partition behaves like the real thing:
+//! an uplink-dead node keeps receiving commands it can never
+//! acknowledge, a downlink-dead node keeps reporting while ignoring
+//! every ceiling.
 //!
 //! Determinism: same plan + same seed + same frame sequence → the same
 //! fault decisions, exactly like [`fvs_faults::FaultInjector`]. A quiet
 //! plan builds no injection state at all — reads and writes forward
 //! straight to the inner stream, byte-identically (the differential
 //! test in this module proves it).
+//!
+//! [`Transport::send`]: crate::transport::Transport::send
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fvs_faults::WireFaultPlan;
@@ -83,10 +87,8 @@ struct ChaosCore {
     /// Node this connection belongs to (`NODE_UNKNOWN` pre-hello; the
     /// coordinator learns it from the hello and calls `set_node`).
     node: AtomicUsize,
-    rng: Mutex<StdRng>,
-    /// Frames held back by delay faults, with their due times.
-    pending: Mutex<Vec<(Instant, Vec<u8>)>>,
-    injected: AtomicU64,
+    rng: StdRng,
+    injected: u64,
     telemetry: Telemetry,
     counter: Option<Arc<Counter>>,
 }
@@ -106,8 +108,8 @@ impl ChaosCore {
     /// corruption the frame decoder reports). `frame_len`/`codec` are
     /// the size and sniffed codec of the frame the fault hit (0 when
     /// no frame was in hand, e.g. a blackholed read).
-    fn note(&self, kind: WireFaultKind, frame_len: u32, codec: u8) {
-        self.injected.fetch_add(1, Ordering::Relaxed);
+    fn note(&mut self, kind: WireFaultKind, frame_len: u32, codec: u8) {
+        self.injected += 1;
         if let Some(c) = &self.counter {
             c.inc();
         }
@@ -128,8 +130,8 @@ impl ChaosCore {
         }
     }
 
-    fn fires(&self, rng: &mut StdRng, rate: f64) -> bool {
-        rate > 0.0 && rng.gen::<f64>() < rate
+    fn fires(&mut self, rate: f64) -> bool {
+        rate > 0.0 && self.rng.gen::<f64>() < rate
     }
 
     /// Whether a scripted partition blackholes this stream's writes
@@ -171,27 +173,6 @@ impl ChaosCore {
         }
         None
     }
-
-    /// Deliver delayed frames whose hold has expired. Called
-    /// opportunistically from both paths, so a busy stream drains its
-    /// queue promptly.
-    fn flush_due(&self, inner: &mut TcpStream) -> io::Result<()> {
-        let mut pending = self.pending.lock().unwrap();
-        if pending.is_empty() {
-            return Ok(());
-        }
-        let now = Instant::now();
-        let mut i = 0;
-        while i < pending.len() {
-            if pending[i].0 <= now {
-                let (_, frame) = pending.remove(i);
-                inner.write_all(&frame)?;
-            } else {
-                i += 1;
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Identify a written frame for fault telemetry: its total size and the
@@ -212,12 +193,8 @@ fn sniff_frame(buf: &[u8]) -> (u32, u8) {
 }
 
 /// The fault a [`ChaosStream`] decided to apply to one outgoing frame.
-///
-/// The blocking [`Write`] impl applies these internally; the
-/// nonblocking `Transport` asks for the decision up front (via
-/// [`ChaosStream::decide_write_fault`]) and applies it at enqueue time,
-/// because a partial write under `WouldBlock` cannot be retried through
-/// a wrapper that re-rolls fault dice per call.
+/// `Transport` asks for the decision up front (via
+/// [`ChaosStream::decide_write_fault`]) and applies it at enqueue time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WriteFault {
     /// Write the frame as-is.
@@ -240,13 +217,11 @@ pub enum WriteFault {
 ///
 /// Built from a quiet plan it holds no injection state: every read and
 /// write forwards directly to the inner stream (byte-identical — the
-/// acceptance differential test). Clones share the fault state, so the
-/// coordinator's reader and writer halves of one connection see one
-/// coherent fault stream.
+/// acceptance differential test).
 #[derive(Debug)]
 pub struct ChaosStream {
     inner: TcpStream,
-    core: Option<Arc<ChaosCore>>,
+    core: Option<Box<ChaosCore>>,
 }
 
 impl ChaosStream {
@@ -276,14 +251,13 @@ impl ChaosStream {
         let seed = chaos.seed ^ SEED_MIX ^ stream_id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         ChaosStream {
             inner,
-            core: Some(Arc::new(ChaosCore {
+            core: Some(Box::new(ChaosCore {
                 plan: chaos.plan.clone(),
                 side,
                 start,
                 node: AtomicUsize::new(NODE_UNKNOWN),
-                rng: Mutex::new(StdRng::seed_from_u64(seed)),
-                pending: Mutex::new(Vec::new()),
-                injected: AtomicU64::new(0),
+                rng: StdRng::seed_from_u64(seed),
+                injected: 0,
                 telemetry,
                 counter,
             })),
@@ -298,20 +272,9 @@ impl ChaosStream {
         }
     }
 
-    /// Injected faults so far on this stream (shared across clones).
+    /// Injected faults so far on this stream.
     pub fn injected(&self) -> u64 {
-        self.core
-            .as_ref()
-            .map(|c| c.injected.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// Clone sharing both the socket and the fault state.
-    pub fn try_clone(&self) -> io::Result<ChaosStream> {
-        Ok(ChaosStream {
-            inner: self.inner.try_clone()?,
-            core: self.core.clone(),
-        })
+        self.core.as_ref().map_or(0, |c| c.injected)
     }
 
     /// Passthrough to [`TcpStream::set_read_timeout`].
@@ -324,74 +287,57 @@ impl ChaosStream {
         self.inner.set_nonblocking(on)
     }
 
-    /// Decide what fault (if any) hits one outgoing frame, drawing the
-    /// same RNG sequence the blocking [`Write`] path would — plan +
-    /// seed + frame sequence determinism holds across both paths. The
-    /// fault is journaled here; the caller applies the decision. On
-    /// [`WriteFault::Reset`] the socket has already been shut down.
+    /// Decide what fault (if any) hits one outgoing frame: at most one
+    /// class per frame, checked in severity order — partition, reset,
+    /// drop, corrupt, duplicate, delay. The fault is journaled here; the
+    /// caller applies the decision. On [`WriteFault::Reset`] the socket
+    /// has already been shut down.
     pub fn decide_write_fault(&mut self, frame: &[u8]) -> WriteFault {
-        let Some(core) = self.core.clone() else {
+        let Some(core) = self.core.as_deref_mut() else {
             return WriteFault::Deliver;
         };
         let (len, codec) = sniff_frame(frame);
-        if let Some(kind) = core.write_partition(core.now_s()) {
-            core.note(kind, len, codec);
-            return WriteFault::Drop;
-        }
-        let decision = {
-            let mut rng = core.rng.lock().unwrap();
-            if core.fires(&mut rng, core.plan.reset_rate) {
-                Some(WireFaultKind::Reset)
-            } else if core.fires(&mut rng, core.plan.drop_rate) {
-                Some(WireFaultKind::Drop)
-            } else if core.fires(&mut rng, core.plan.corrupt_rate) {
-                Some(WireFaultKind::Corrupt)
-            } else if core.fires(&mut rng, core.plan.duplicate_rate) {
-                Some(WireFaultKind::Duplicate)
-            } else if core.fires(&mut rng, core.plan.delay_rate) {
-                Some(WireFaultKind::Delay)
-            } else {
-                None
-            }
+        let plan_rates = [
+            (core.plan.reset_rate, WireFaultKind::Reset),
+            (core.plan.drop_rate, WireFaultKind::Drop),
+            (core.plan.corrupt_rate, WireFaultKind::Corrupt),
+            (core.plan.duplicate_rate, WireFaultKind::Duplicate),
+            (core.plan.delay_rate, WireFaultKind::Delay),
+        ];
+        let kind = match core.write_partition(core.now_s()) {
+            Some(kind) => kind,
+            None => match plan_rates.iter().find(|(rate, _)| core.fires(*rate)) {
+                Some(&(_, kind)) => kind,
+                None => return WriteFault::Deliver,
+            },
         };
-        match decision {
-            Some(WireFaultKind::Reset) => {
-                core.note(WireFaultKind::Reset, len, codec);
+        core.note(kind, len, codec);
+        match kind {
+            WireFaultKind::Reset => {
                 let _ = self.inner.shutdown(Shutdown::Both);
                 WriteFault::Reset
             }
-            Some(WireFaultKind::Drop) => {
-                core.note(WireFaultKind::Drop, len, codec);
-                WriteFault::Drop
+            WireFaultKind::Corrupt => {
+                let mut bytes = frame.to_vec();
+                if core.rng.gen::<f64>() < 0.5 && bytes.len() > 1 {
+                    // Truncate: the tail never arrives.
+                    let keep = core.rng.gen_range(1..bytes.len());
+                    bytes.truncate(keep);
+                } else if !bytes.is_empty() {
+                    // Flip one bit somewhere in the frame.
+                    let at = core.rng.gen_range(0..bytes.len());
+                    let bit = core.rng.gen_range(0u32..8);
+                    bytes[at] ^= 1 << bit;
+                }
+                WriteFault::Corrupt(bytes)
             }
-            Some(WireFaultKind::Corrupt) => {
-                core.note(WireFaultKind::Corrupt, len, codec);
-                let corrupted = {
-                    let mut rng = core.rng.lock().unwrap();
-                    let mut bytes = frame.to_vec();
-                    if rng.gen::<f64>() < 0.5 && bytes.len() > 1 {
-                        // Truncate: the tail never arrives.
-                        let keep = rng.gen_range(1..bytes.len());
-                        bytes.truncate(keep);
-                    } else if !bytes.is_empty() {
-                        // Flip one bit somewhere in the frame.
-                        let at = rng.gen_range(0..bytes.len());
-                        let bit = rng.gen_range(0u32..8);
-                        bytes[at] ^= 1 << bit;
-                    }
-                    bytes
-                };
-                WriteFault::Corrupt(corrupted)
-            }
-            Some(WireFaultKind::Duplicate) => {
-                core.note(WireFaultKind::Duplicate, len, codec);
-                WriteFault::Duplicate
-            }
-            Some(WireFaultKind::Delay) => {
-                core.note(WireFaultKind::Delay, len, codec);
+            WireFaultKind::Duplicate => WriteFault::Duplicate,
+            WireFaultKind::Delay => {
                 WriteFault::Delay(Duration::from_secs_f64(core.plan.delay_s.max(0.0)))
             }
-            _ => WriteFault::Deliver,
+            // A drop, or a partition window: the caller cannot tell
+            // them apart, as intended.
+            _ => WriteFault::Drop,
         }
     }
 
@@ -420,14 +366,8 @@ impl ChaosStream {
 
 impl Read for ChaosStream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let Some(core) = self.core.clone() else {
-            return self.inner.read(buf);
-        };
-        // Opportunistically deliver delayed frames (best effort — a
-        // closed peer surfaces on the next real write).
-        let _ = core.flush_due(&mut self.inner);
         let n = self.inner.read(buf)?;
-        if n > 0 {
+        if let Some(core) = self.core.as_deref_mut().filter(|_| n > 0) {
             if let Some(kind) = core.read_partition(core.now_s()) {
                 // Drain-and-discard: the bytes vanish as if the link
                 // were down, and the caller sees its usual timeout.
@@ -442,50 +382,6 @@ impl Read for ChaosStream {
     }
 }
 
-impl Write for ChaosStream {
-    /// One call = one frame. Always consumes the whole buffer (so the
-    /// caller's `write_all` issues exactly one call per frame) and
-    /// applies at most one fault class per frame, checked in severity
-    /// order: partition, reset, drop, corrupt, duplicate, delay. The
-    /// decision comes from [`ChaosStream::decide_write_fault`], so the
-    /// blocking and nonblocking paths share one fault stream.
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let Some(core) = self.core.clone() else {
-            return self.inner.write(buf);
-        };
-        core.flush_due(&mut self.inner)?;
-        match self.decide_write_fault(buf) {
-            WriteFault::Deliver => {
-                self.inner.write_all(buf)?;
-                Ok(buf.len())
-            }
-            WriteFault::Drop => Ok(buf.len()), // blackholed or dropped
-            WriteFault::Corrupt(bytes) => {
-                self.inner.write_all(&bytes)?;
-                Ok(buf.len())
-            }
-            WriteFault::Duplicate => {
-                self.inner.write_all(buf)?;
-                self.inner.write_all(buf)?;
-                Ok(buf.len())
-            }
-            WriteFault::Delay(hold) => {
-                let due = Instant::now() + hold;
-                core.pending.lock().unwrap().push((due, buf.to_vec()));
-                Ok(buf.len())
-            }
-            WriteFault::Reset => Err(io::Error::new(
-                io::ErrorKind::ConnectionReset,
-                "chaos reset the connection",
-            )),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 impl AsRawFd for ChaosStream {
     fn as_raw_fd(&self) -> RawFd {
         self.inner.as_raw_fd()
@@ -495,58 +391,32 @@ impl AsRawFd for ChaosStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use crate::transport::tests::{
+        read_to_end, recv_one, transport_pair, transport_pair_journaled,
+    };
+    use crate::wire::{encode_with, WireCodec, WireMsg};
 
-    fn pair() -> (TcpStream, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (server, _) = listener.accept().unwrap();
-        (client, server)
+    fn beat(epoch: u64) -> WireMsg {
+        WireMsg::Heartbeat { epoch }
     }
 
-    fn read_exact_with_timeout(stream: &mut TcpStream, n: usize) -> Vec<u8> {
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        let mut out = vec![0u8; n];
-        stream.read_exact(&mut out).unwrap();
-        out
-    }
-
-    /// The acceptance differential: a `none`-plan `ChaosStream` is
-    /// byte-identical to the bare stream, frame for frame.
+    /// The acceptance differential: what a `none`-plan transport puts on
+    /// the wire is the encoded frames end to end and nothing else — byte
+    /// for byte what a bare socket would carry — in both codecs.
     #[test]
     fn quiet_chaos_stream_is_byte_identical_to_bare() {
-        let frames: Vec<Vec<u8>> = (0u8..50)
-            .map(|i| (0..=i).map(|b| b.wrapping_mul(7) ^ i).collect())
-            .collect();
-        let total: usize = frames.iter().map(|f| f.len()).sum();
-
-        let (bare_tx, mut bare_rx) = pair();
-        let mut bare_tx = bare_tx;
-        for f in &frames {
-            bare_tx.write_all(f).unwrap();
+        let (mut tx, rx) = transport_pair(&WireChaos::none());
+        let mut bare = Vec::new();
+        for i in 0..50 {
+            let codec = [WireCodec::Json, WireCodec::Binary][i % 2];
+            bare.extend(encode_with(&beat(i as u64), codec).unwrap());
+            tx.set_codec(codec);
+            tx.send(&beat(i as u64)).unwrap();
+            tx.flush().unwrap();
         }
-        let bare_bytes = read_exact_with_timeout(&mut bare_rx, total);
-
-        let (chaos_tx, mut chaos_rx) = pair();
-        let mut chaos_tx = ChaosStream::wrap(
-            chaos_tx,
-            &WireChaos::none(),
-            ChaosSide::Agent,
-            0,
-            Instant::now(),
-            Telemetry::disabled(),
-            None,
-        );
-        for f in &frames {
-            chaos_tx.write_all(f).unwrap();
-        }
-        let chaos_bytes = read_exact_with_timeout(&mut chaos_rx, total);
-
-        assert_eq!(bare_bytes, chaos_bytes);
-        assert_eq!(chaos_tx.injected(), 0);
+        assert_eq!(tx.stream().injected(), 0);
+        drop(tx);
+        assert_eq!(read_to_end(rx), bare);
     }
 
     /// Same plan + same seed + same frames → the same surviving byte
@@ -560,25 +430,14 @@ mod tests {
             ..WireFaultPlan::none()
         };
         let run = |seed: u64| -> (Vec<u8>, u64) {
-            let (tx, mut rx) = pair();
-            let mut tx = ChaosStream::wrap(
-                tx,
-                &WireChaos::new(plan.clone(), seed),
-                ChaosSide::Agent,
-                7,
-                Instant::now(),
-                Telemetry::disabled(),
-                None,
-            );
-            for i in 0u8..100 {
-                tx.write_all(&[i; 8]).unwrap();
+            let (mut tx, rx) = transport_pair(&WireChaos::new(plan.clone(), seed));
+            for i in 0..100 {
+                tx.send(&beat(i)).unwrap();
+                tx.flush().unwrap();
             }
-            let injected = tx.injected();
+            let injected = tx.stream().injected();
             drop(tx);
-            rx.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            let mut bytes = Vec::new();
-            let _ = rx.read_to_end(&mut bytes);
-            (bytes, injected)
+            (read_to_end(rx), injected)
         };
         let (a_bytes, a_injected) = run(42);
         let (b_bytes, b_injected) = run(42);
@@ -594,27 +453,16 @@ mod tests {
     #[test]
     fn uplink_partition_blackholes_agent_writes_then_heals() {
         let plan = WireFaultPlan::parse("partition_up=3@0:0.2").unwrap();
-        let start = Instant::now();
-        let (tx, mut rx) = pair();
-        let tx_raw = tx;
-        let mut tx = ChaosStream::wrap(
-            tx_raw,
-            &WireChaos::new(plan, 1),
-            ChaosSide::Agent,
-            0,
-            start,
-            Telemetry::disabled(),
-            None,
-        );
-        tx.set_node(3);
-        tx.write_all(b"gone").unwrap(); // inside the window: blackholed
-        assert!(tx.injected() >= 1);
-        while start.elapsed() < Duration::from_millis(250) {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        tx.write_all(b"back").unwrap(); // healed
-        let bytes = read_exact_with_timeout(&mut rx, 4);
-        assert_eq!(&bytes, b"back");
+        let (mut tx, mut rx) = transport_pair(&WireChaos::new(plan, 1));
+        let healed = Instant::now() + Duration::from_millis(250);
+        tx.stream().set_node(3);
+        tx.send(&beat(1)).unwrap(); // inside the window: blackholed
+        tx.flush().unwrap();
+        assert_eq!(tx.stream().injected(), 1);
+        std::thread::sleep(healed.saturating_duration_since(Instant::now()));
+        tx.send(&beat(2)).unwrap();
+        tx.flush().unwrap();
+        assert_eq!(recv_one(&mut rx), beat(2));
     }
 
     /// A delayed frame is held and delivered late, not lost.
@@ -625,24 +473,16 @@ mod tests {
             delay_s: 0.05,
             ..WireFaultPlan::none()
         };
-        let (tx, mut rx) = pair();
-        let mut tx = ChaosStream::wrap(
-            tx,
-            &WireChaos::new(plan, 5),
-            ChaosSide::Agent,
-            0,
-            Instant::now(),
-            Telemetry::disabled(),
-            None,
-        );
-        tx.write_all(b"held").unwrap();
+        let (mut tx, mut rx) = transport_pair(&WireChaos::new(plan, 5));
+        tx.send(&beat(1)).unwrap();
+        tx.flush().unwrap();
         std::thread::sleep(Duration::from_millis(80));
-        // The next write flushes the due queue first (and is itself
-        // delayed in turn by the rate-1.0 plan).
-        tx.write_all(b"next").unwrap();
-        let bytes = read_exact_with_timeout(&mut rx, 4);
-        assert_eq!(&bytes, b"held");
-        assert_eq!(tx.injected(), 2, "both writes hit the delay fault");
+        // The second frame is delayed in turn by the rate-1.0 plan; the
+        // flush behind it finds the first one due.
+        tx.send(&beat(2)).unwrap();
+        tx.flush().unwrap();
+        assert_eq!(recv_one(&mut rx), beat(1));
+        assert_eq!(tx.stream().injected(), 2, "both sends hit the delay fault");
     }
 
     /// Injected faults are journaled as `wire_fault` events flagged
@@ -654,20 +494,10 @@ mod tests {
             drop_rate: 1.0,
             ..WireFaultPlan::none()
         };
-        let (tx, _rx) = pair();
-        let mut tx = ChaosStream::wrap(
-            tx,
-            &WireChaos::new(plan, 9),
-            ChaosSide::Coordinator,
-            0,
-            Instant::now(),
-            telemetry.clone(),
-            None,
-        );
-        tx.set_node(2);
-        tx.write_all(b"x").unwrap();
-        let events = telemetry.events();
-        assert!(events.iter().any(|e| matches!(
+        let (mut tx, _rx) = transport_pair_journaled(&WireChaos::new(plan, 9), telemetry.clone());
+        tx.stream().set_node(2);
+        tx.send(&beat(1)).unwrap();
+        assert!(telemetry.events().iter().any(|e| matches!(
             e,
             SchedEvent::WireFault {
                 node: 2,

@@ -186,14 +186,6 @@ impl CoordinatorConfig {
         self
     }
 
-    /// The thread-per-connection server called this knob the "conn
-    /// deadline"; the reactor server has exactly one deadline per
-    /// connection — read silence — so the name says so.
-    #[deprecated(note = "renamed to `with_read_deadline_s`")]
-    pub fn with_conn_deadline_s(self, deadline_s: f64) -> Self {
-        self.with_read_deadline_s(deadline_s)
-    }
-
     /// Cap the codec this server negotiates (see
     /// [`CoordinatorConfig::preferred_codec`]).
     pub fn with_codec(mut self, codec: WireCodec) -> Self {

@@ -1,18 +1,14 @@
-//! The agent fleet: thousands of node agents on one thread.
+//! The agent loop: any number of node agents on one thread.
 //!
-//! [`NodeAgent`](crate::agent::NodeAgent) spends a thread per node —
-//! honest for a handful of machines, hopeless for a 10k-connection
-//! soak on one box. [`AgentFleet`] runs every agent as a small state
-//! machine (connect-backoff → handshaking → running) multiplexed onto
-//! one [`Reactor`], with a timer heap driving wall-clock ticks: each
-//! running agent ticks its [`ClusterNode`] every `tick_s` of wall time
-//! (the fleet is always in real-time mode — that is what makes a soak
-//! against a live coordinator honest) and ships a summary every
-//! `summary_every` ticks over its [`Transport`]. Codec negotiation,
-//! epoch fencing, reconnect-ladder backoff and link timeouts behave
-//! exactly as in the threaded agent — same handshake code, same
-//! fencing rule — so the coordinator cannot tell a fleet member from a
-//! standalone agent.
+//! Every agent is a small state machine (connect-backoff → handshaking
+//! → running, see [`Phase`]) multiplexed onto one [`Reactor`], with a
+//! timer heap driving wall-clock ticks: each running agent ticks its
+//! [`ClusterNode`] once per tick of wall time and ships a summary every
+//! `summary_every` ticks over its [`Transport`]; what a frame coming
+//! back means is [`verdict`]'s to say. This is the only agent there is:
+//! [`AgentFleet`] runs thousands of slots in real time (`tick_s` of
+//! wall time a tick — what makes a soak against a live coordinator
+//! honest), [`NodeAgent`](crate::agent::NodeAgent) runs one.
 //!
 //! Connects are staggered across a ramp window so 10k simultaneous SYNs
 //! don't blow the accept backlog, and the ramp doubles as tick phase
@@ -23,23 +19,20 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fvs_cluster::ClusterNode;
 
-use crate::agent::{advertised_codecs, AgentConfig, ReconnectLadder};
+use crate::agent::{advertised_codecs, verdict, AgentConfig, Phase, ReconnectLadder, Verdict};
 use crate::chaos::{ChaosSide, ChaosStream};
 use crate::error::FvsError;
 use crate::reactor::Reactor;
 use crate::transport::{FillStatus, Transport};
 use crate::wire::{WireCodec, WireMsg};
 
-/// How long a hello may wait for its ack before the connection is
-/// abandoned (matches the threaded agent's handshake deadline).
-const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(2);
 /// Per-attempt connect timeout: a coordinator that can't even complete
 /// the TCP handshake within this is treated as down.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
@@ -64,6 +57,11 @@ pub struct FleetStats {
     connect_failures: AtomicU64,
     binary_conns: AtomicU64,
     json_conns: AtomicU64,
+    /// Fleet power as f64 bits: each node at its latest summary while
+    /// the loop runs, at its last tick once it has ended.
+    power_bits: AtomicU64,
+    /// Codec id of the latest accepted handshake.
+    last_codec: AtomicU8,
 }
 
 impl FleetStats {
@@ -111,11 +109,25 @@ impl FleetStats {
     pub fn json_conns(&self) -> u64 {
         self.json_conns.load(Ordering::SeqCst)
     }
+
+    pub(crate) fn power_w(&self) -> f64 {
+        f64::from_bits(self.power_bits.load(Ordering::SeqCst))
+    }
+
+    pub(crate) fn last_codec(&self) -> WireCodec {
+        WireCodec::from_id(self.last_codec.load(Ordering::SeqCst))
+    }
 }
+
+/// A loop runs while the byte it shares with its handle is 0. This value
+/// ends it in order: connected agents say `Bye`.
+pub(crate) const END_BYE: u8 = 1;
+/// This one ends it as a crash would: the sockets just close.
+pub(crate) const END_SILENT: u8 = 2;
 
 /// Handle to a running fleet thread.
 pub struct FleetHandle {
-    stop: Arc<AtomicBool>,
+    shutdown: Arc<AtomicU8>,
     stats: Arc<FleetStats>,
     thread: JoinHandle<()>,
 }
@@ -129,21 +141,20 @@ impl FleetHandle {
     /// Orderly shutdown: connected agents say `Bye`, the thread joins,
     /// and the final counters are returned.
     pub fn stop(self) -> Arc<FleetStats> {
-        self.stop.store(true, Ordering::SeqCst);
+        self.end(END_BYE)
+    }
+
+    pub(crate) fn end(self, how: u8) -> Arc<FleetStats> {
+        self.shutdown.store(how, Ordering::SeqCst);
         self.thread.join().expect("fleet thread panicked");
         self.stats
     }
-}
 
-enum Phase {
-    /// Waiting for the connect timer (ramp stagger or backoff rung).
-    Backoff,
-    /// Hello sent; the timer is the handshake deadline.
-    Handshaking,
-    /// Ticking and shipping summaries; the timer is the next tick.
-    Running,
-    /// Version-refused: permanently out of the game.
-    Dead,
+    /// Whether the loop has ended on its own: every agent was refused
+    /// over its schema version.
+    pub(crate) fn is_finished(&self) -> bool {
+        self.thread.is_finished()
+    }
 }
 
 struct Slot {
@@ -153,11 +164,15 @@ struct Slot {
     gen: u64,
     token: Option<u64>,
     ladder: ReconnectLadder,
+    /// Highest coordinator epoch ever acknowledged: the fence.
     last_epoch: u64,
     ticks: u32,
+    /// When a frame last decoded (see [`AgentConfig::link_timeout`]).
     last_rx: Instant,
     ever_connected: bool,
     connect_seq: u64,
+    /// Node power in the latest summary (W).
+    power_w: f64,
 }
 
 /// Spawns and owns the one fleet thread. See the module docs.
@@ -165,52 +180,49 @@ pub struct AgentFleet;
 
 impl AgentFleet {
     /// Launch agents for `nodes` against the coordinator at `addr`,
-    /// staggering first connects across `ramp`.
+    /// staggering first connects across `ramp`. Always real time: a
+    /// tick takes `tick_s` of wall time.
     pub fn launch(
         nodes: Vec<ClusterNode>,
         addr: impl ToSocketAddrs,
         config: AgentConfig,
         ramp: Duration,
     ) -> Result<FleetHandle, FvsError> {
-        if nodes.is_empty() {
-            return Err(FvsError::config("a fleet needs at least one node"));
-        }
-        let addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| FvsError::config("fleet address resolved to nothing"))?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(FleetStats::default());
-        let thread_stop = Arc::clone(&stop);
-        let thread_stats = Arc::clone(&stats);
-        let thread = std::thread::Builder::new()
-            .name("fvs-fleet".into())
-            .spawn(move || {
-                if let Err(e) = fleet_loop(nodes, addr, config, ramp, thread_stop, thread_stats) {
-                    eprintln!("fvs-fleet: reactor failed: {e}");
-                }
-            })
-            .map_err(FvsError::Io)?;
-        Ok(FleetHandle {
-            stop,
-            stats,
-            thread,
-        })
+        spawn(nodes, addr, config, true, ramp)
     }
 }
 
-fn fleet_loop(
+/// The one way an agent loop starts: check the config, resolve the
+/// address, build the slots, then spawn the thread — nothing is spawned
+/// for a config or an address that cannot work. A tick takes `tick_s`
+/// of wall time when `timed`, `config.pace` otherwise.
+pub(crate) fn spawn(
     nodes: Vec<ClusterNode>,
-    addr: SocketAddr,
+    addr: impl ToSocketAddrs,
     config: AgentConfig,
+    timed: bool,
     ramp: Duration,
-    stop: Arc<AtomicBool>,
-    stats: Arc<FleetStats>,
-) -> io::Result<()> {
+) -> Result<FleetHandle, FvsError> {
+    config.validate()?;
+    if nodes.is_empty() {
+        return Err(FvsError::config("a fleet needs at least one node"));
+    }
+    let addr = addr
+        .to_socket_addrs()?
+        .next()
+        .ok_or_else(|| FvsError::config("fleet address resolved to nothing"))?;
+    let tick_wall = if timed {
+        Duration::from_secs_f64(config.tick_s)
+    } else {
+        config.pace
+    };
     let n = nodes.len();
-    let chaos_start = Instant::now();
-    let mut reactor: Reactor<usize> = Reactor::new()?;
-    let mut slots: Vec<Slot> = nodes
+    let start = Instant::now();
+    // First connects, staggered across the ramp.
+    let timers = (0..n)
+        .map(|i| Reverse((start + ramp.mul_f64(i as f64 / n as f64), i, 0)))
+        .collect();
+    let slots = nodes
         .into_iter()
         .map(|node| {
             let id = node.id as u64;
@@ -226,380 +238,330 @@ fn fleet_loop(
                 ),
                 last_epoch: 0,
                 ticks: 0,
-                last_rx: chaos_start,
+                last_rx: start,
                 ever_connected: false,
                 connect_seq: 0,
+                power_w: 0.0,
             }
         })
         .collect();
+    let shutdown = Arc::new(AtomicU8::new(0));
+    let stats = Arc::new(FleetStats::default());
+    let mut fleet = Fleet {
+        slots,
+        reactor: Reactor::new()?,
+        timers,
+        addr,
+        config,
+        tick_wall,
+        start,
+        stats: Arc::clone(&stats),
+        power_w: 0.0,
+    };
+    let thread_shutdown = Arc::clone(&shutdown);
+    let thread = std::thread::Builder::new()
+        .name("fvs-fleet".into())
+        .spawn(move || {
+            if let Err(e) = fleet.run(&thread_shutdown) {
+                eprintln!("fvs-fleet: reactor failed: {e}");
+            }
+            fleet.finish(&thread_shutdown);
+        })
+        .map_err(FvsError::Io)?;
+    Ok(FleetHandle {
+        shutdown,
+        stats,
+        thread,
+    })
+}
 
-    // (due, slot index, generation) — min-heap via Reverse.
-    let mut timers: BinaryHeap<Reverse<(Instant, usize, u64)>> = BinaryHeap::with_capacity(n);
-    let start = Instant::now();
-    for (i, slot) in slots.iter().enumerate() {
-        let at = start + ramp.mul_f64(i as f64 / n as f64);
-        timers.push(Reverse((at, i, slot.gen)));
-    }
-    let tick_wall = Duration::from_secs_f64(config.tick_s);
-    let codecs = advertised_codecs(config.codec);
+/// (due, slot index, generation) — a min-heap via `Reverse`.
+type Timers = BinaryHeap<Reverse<(Instant, usize, u64)>>;
 
-    while !stop.load(Ordering::SeqCst) {
-        // Fire due timers (bounded per iteration; see the const).
-        let mut fired = 0usize;
-        let now = Instant::now();
-        while fired < MAX_TIMERS_PER_ITER {
-            let Some(&Reverse((when, idx, gen))) = timers.peek() else {
-                break;
-            };
-            if when > now {
-                break;
-            }
-            timers.pop();
-            if slots[idx].gen != gen {
-                continue; // the slot changed phase since this was armed
-            }
-            fired += 1;
-            match slots[idx].phase {
-                Phase::Backoff => {
-                    connect_slot(
-                        idx,
-                        &mut slots[idx],
-                        addr,
-                        &config,
-                        codecs,
-                        chaos_start,
-                        &stats,
-                        &mut reactor,
-                        &mut timers,
-                    );
-                }
-                Phase::Handshaking => {
-                    // Hello went unanswered: give up on this socket.
-                    disconnect(idx, &mut slots[idx], &stats, &mut reactor, &mut timers);
-                }
-                Phase::Running => {
-                    run_tick(
-                        idx,
-                        &mut slots[idx],
-                        &config,
-                        tick_wall,
-                        when,
-                        &stats,
-                        &mut reactor,
-                        &mut timers,
-                    );
-                }
-                Phase::Dead => {}
-            }
-        }
-
-        // Sleep until the next timer (or briefly, if timers are
-        // backlogged) while watching for socket readiness.
-        let timeout = if fired >= MAX_TIMERS_PER_ITER {
-            Duration::ZERO
-        } else {
-            timers
-                .peek()
-                .map(|Reverse((when, _, _))| when.saturating_duration_since(Instant::now()))
-                .unwrap_or(Duration::from_millis(50))
-                .min(Duration::from_millis(50))
-        };
-        reactor.poll(Some(timeout))?;
-        let events = reactor.drain_events();
-        for ev in &events {
-            let Some((_, &mut idx)) = reactor.get_mut(ev.token) else {
-                continue; // removed earlier this batch
-            };
-            if ev.readable || ev.hangup {
-                handle_readable(
-                    idx,
-                    &mut slots[idx],
-                    &config,
-                    tick_wall,
-                    &stats,
-                    &mut reactor,
-                    &mut timers,
-                );
-            }
-            if ev.writable {
-                if let Some((transport, _)) = reactor.get_mut(ev.token) {
-                    if transport.flush().is_err() {
-                        disconnect(idx, &mut slots[idx], &stats, &mut reactor, &mut timers);
-                    } else {
-                        let _ = reactor.update_interest(ev.token);
-                    }
-                }
-            }
-        }
-        reactor.recycle_events(events);
-    }
-
-    // Orderly exit: running agents say goodbye.
-    for slot in &slots {
-        if !matches!(slot.phase, Phase::Running) {
-            continue;
-        }
-        let Some(token) = slot.token else { continue };
-        if let Some((transport, _)) = reactor.get_mut(token) {
-            transport.stream().set_nonblocking(false).ok();
-            transport.send_best_effort(&WireMsg::Bye { node: slot.node.id });
-        }
-    }
-    Ok(())
+/// Everything the loop owns.
+struct Fleet {
+    slots: Vec<Slot>,
+    reactor: Reactor<usize>,
+    timers: Timers,
+    addr: SocketAddr,
+    config: AgentConfig,
+    tick_wall: Duration,
+    /// Anchors the chaos plan's partition windows.
+    start: Instant,
+    stats: Arc<FleetStats>,
+    /// Sum of the slots' `power_w`.
+    power_w: f64,
 }
 
 /// Arm a slot's next timer under a fresh generation.
-fn arm(
-    timers: &mut BinaryHeap<Reverse<(Instant, usize, u64)>>,
-    slot: &mut Slot,
-    idx: usize,
-    at: Instant,
-) {
+fn arm(timers: &mut Timers, slot: &mut Slot, idx: usize, at: Instant) {
     slot.gen += 1;
     timers.push(Reverse((at, idx, slot.gen)));
 }
 
-#[allow(clippy::too_many_arguments)]
-fn connect_slot(
-    idx: usize,
-    slot: &mut Slot,
-    addr: SocketAddr,
-    config: &AgentConfig,
-    codecs: u8,
-    chaos_start: Instant,
-    stats: &FleetStats,
-    reactor: &mut Reactor<usize>,
-    timers: &mut BinaryHeap<Reverse<(Instant, usize, u64)>>,
-) {
-    let raw = match TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT) {
-        Ok(s) => s,
-        Err(_) => {
-            stats.connect_failures.fetch_add(1, Ordering::SeqCst);
-            let delay = slot.ladder.next_delay();
-            arm(timers, slot, idx, Instant::now() + delay);
-            return;
-        }
-    };
-    slot.connect_seq += 1;
-    let stream = ChaosStream::wrap(
-        raw,
-        &config.chaos,
-        ChaosSide::Agent,
-        slot.connect_seq,
-        chaos_start,
-        config.telemetry.clone(),
-        None,
-    );
-    stream.set_node(slot.node.id);
-    let _ = stream.set_nodelay(true);
-    let mut transport = Transport::new(stream);
-    let hello = WireMsg::Hello {
-        node: slot.node.id,
-        procs: slot.node.machine().num_cores(),
-        version: config.version,
-        last_epoch: slot.last_epoch,
-        codecs,
-    };
-    // Socket is still blocking here, so hello + flush go out whole;
-    // `Reactor::insert` flips it nonblocking.
-    if transport.send(&hello).is_err() || transport.flush().is_err() {
-        stats.connect_failures.fetch_add(1, Ordering::SeqCst);
-        let delay = slot.ladder.next_delay();
-        arm(timers, slot, idx, Instant::now() + delay);
-        return;
-    }
-    match reactor.insert(transport, idx) {
-        Ok(token) => {
-            slot.token = Some(token);
-            slot.phase = Phase::Handshaking;
-            arm(timers, slot, idx, Instant::now() + HANDSHAKE_DEADLINE);
-        }
-        Err(_) => {
-            stats.connect_failures.fetch_add(1, Ordering::SeqCst);
-            let delay = slot.ladder.next_delay();
-            arm(timers, slot, idx, Instant::now() + delay);
-        }
-    }
-}
-
-/// Tear a slot's connection down and climb the backoff ladder.
-fn disconnect(
-    idx: usize,
-    slot: &mut Slot,
-    stats: &FleetStats,
-    reactor: &mut Reactor<usize>,
-    timers: &mut BinaryHeap<Reverse<(Instant, usize, u64)>>,
-) {
-    if let Some(token) = slot.token.take() {
-        reactor.remove(token);
-    }
-    if matches!(slot.phase, Phase::Running) {
-        stats.connected.fetch_sub(1, Ordering::SeqCst);
-    }
-    slot.phase = Phase::Backoff;
-    let delay = slot.ladder.next_delay();
-    arm(timers, slot, idx, Instant::now() + delay);
-}
-
-/// Park a version-refused slot permanently.
-fn park_dead(slot: &mut Slot, stats: &FleetStats, reactor: &mut Reactor<usize>) {
-    if let Some(token) = slot.token.take() {
-        reactor.remove(token);
-    }
-    if matches!(slot.phase, Phase::Running) {
-        stats.connected.fetch_sub(1, Ordering::SeqCst);
-    }
-    slot.phase = Phase::Dead;
-    slot.gen += 1; // orphan any armed timer
-    stats.version_rejects.fetch_add(1, Ordering::SeqCst);
-}
-
-/// One wall-clock tick of a running agent: advance the machine, ship a
-/// summary when the window closes, enforce backpressure and the link
-/// timeout, re-arm the next tick.
-#[allow(clippy::too_many_arguments)]
-fn run_tick(
-    idx: usize,
-    slot: &mut Slot,
-    config: &AgentConfig,
-    tick_wall: Duration,
-    when: Instant,
-    stats: &FleetStats,
-    reactor: &mut Reactor<usize>,
-    timers: &mut BinaryHeap<Reverse<(Instant, usize, u64)>>,
-) {
-    let Some(token) = slot.token else {
-        disconnect(idx, slot, stats, reactor, timers);
-        return;
-    };
-    slot.node.tick(config.tick_s);
-    slot.ticks += 1;
-    let mut dead = slot.last_rx.elapsed() > config.link_timeout;
-    if !dead {
-        if let Some((transport, _)) = reactor.get_mut(token) {
-            if slot.ticks.is_multiple_of(config.summary_every) {
-                let summary = slot.node.summarize();
-                if transport.send(&WireMsg::Summary(summary)).is_err() {
-                    dead = true;
-                } else {
-                    stats.summaries_sent.fetch_add(1, Ordering::SeqCst);
+impl Fleet {
+    fn run(&mut self, shutdown: &AtomicU8) -> io::Result<()> {
+        // Until told to stop, or until every slot is [`Phase::Dead`].
+        let n = self.slots.len() as u64;
+        while shutdown.load(Ordering::SeqCst) == 0 && self.stats.version_rejects() < n {
+            // Fire due timers (bounded per iteration; see the const).
+            let mut fired = 0usize;
+            let now = Instant::now();
+            while fired < MAX_TIMERS_PER_ITER {
+                let Some(&Reverse((when, idx, gen))) = self.timers.peek() else {
+                    break;
+                };
+                if when > now {
+                    break;
+                }
+                self.timers.pop();
+                if self.slots[idx].gen != gen {
+                    continue; // the slot changed phase since this was armed
+                }
+                fired += 1;
+                match self.slots[idx].phase {
+                    Phase::Backoff => self.connect(idx),
+                    Phase::Handshaking | Phase::Running => self.tick(idx, when),
+                    Phase::Dead => {}
                 }
             }
-            if !dead {
-                dead = transport.flush().is_err() || transport.queued_bytes() > MAX_QUEUED_BYTES;
-            }
-            if !dead {
-                let _ = reactor.update_interest(token);
-            }
-        } else {
-            dead = true;
-        }
-    }
-    if dead {
-        disconnect(idx, slot, stats, reactor, timers);
-    } else {
-        // Drift-free cadence: schedule off the previous deadline, but
-        // never pile further into the past than "now".
-        let next = (when + tick_wall).max(Instant::now());
-        arm(timers, slot, idx, next);
-    }
-}
 
-/// Drain everything readable on a slot's socket and dispatch by phase.
-#[allow(clippy::too_many_arguments)]
-fn handle_readable(
-    idx: usize,
-    slot: &mut Slot,
-    config: &AgentConfig,
-    tick_wall: Duration,
-    stats: &FleetStats,
-    reactor: &mut Reactor<usize>,
-    timers: &mut BinaryHeap<Reverse<(Instant, usize, u64)>>,
-) {
-    let Some(token) = slot.token else {
-        return;
-    };
-    let Some((transport, _)) = reactor.get_mut(token) else {
-        return;
-    };
-    match transport.fill() {
-        Ok(FillStatus::Eof) | Err(_) => {
-            disconnect(idx, slot, stats, reactor, timers);
-            return;
+            // Sleep until the next timer (or briefly, if timers are
+            // backlogged) while watching for socket readiness.
+            let timeout = if fired >= MAX_TIMERS_PER_ITER {
+                Duration::ZERO
+            } else {
+                self.timers
+                    .peek()
+                    .map(|Reverse((when, _, _))| when.saturating_duration_since(Instant::now()))
+                    .unwrap_or(Duration::from_millis(50))
+                    .min(Duration::from_millis(50))
+            };
+            self.reactor.poll(Some(timeout))?;
+            let events = self.reactor.drain_events();
+            for ev in &events {
+                let Some((_, &mut idx)) = self.reactor.get_mut(ev.token) else {
+                    continue; // removed earlier this batch
+                };
+                if ev.readable || ev.hangup {
+                    self.readable(idx);
+                }
+                // (`readable` may just have dropped the socket.)
+                let open = self.slots[idx].token == Some(ev.token);
+                if ev.writable && open && !self.ship(idx, false) {
+                    self.disconnect(idx);
+                }
+            }
+            self.reactor.recycle_events(events);
         }
-        Ok(_) => {}
+        Ok(())
     }
-    loop {
-        let Some((transport, _)) = reactor.get_mut(token) else {
+
+    /// The loop has ended: running agents say goodbye if that was asked
+    /// for, and the counters take each machine's power as it stands.
+    fn finish(&mut self, shutdown: &AtomicU8) {
+        if shutdown.load(Ordering::SeqCst) == END_BYE {
+            for slot in &self.slots {
+                let Some(token) = slot.token else { continue };
+                if let (Phase::Running, Some((transport, _))) =
+                    (slot.phase, self.reactor.get_mut(token))
+                {
+                    transport.stream().set_nonblocking(false).ok();
+                    transport.send_best_effort(&WireMsg::Bye { node: slot.node.id });
+                }
+            }
+        }
+        // The sockets close with the reactor, when the thread returns.
+        self.stats.connected.store(0, Ordering::SeqCst);
+        let power_w: f64 = self.slots.iter().map(|s| s.node.power_w()).sum();
+        self.stats
+            .power_bits
+            .store(power_w.to_bits(), Ordering::SeqCst);
+    }
+
+    /// A backoff timer came due: connect and send the hello, or climb
+    /// the ladder.
+    fn connect(&mut self, idx: usize) {
+        if self.try_connect(idx).is_err() {
+            self.stats.connect_failures.fetch_add(1, Ordering::SeqCst);
+            self.backoff(idx);
+        }
+    }
+
+    /// Try again one rung up the ladder.
+    fn backoff(&mut self, idx: usize) {
+        let slot = &mut self.slots[idx];
+        let delay = slot.ladder.next_delay();
+        arm(&mut self.timers, slot, idx, Instant::now() + delay);
+    }
+
+    fn try_connect(&mut self, idx: usize) -> Result<(), FvsError> {
+        let slot = &mut self.slots[idx];
+        let raw = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT)?;
+        slot.connect_seq += 1;
+        let stream = ChaosStream::wrap(
+            raw,
+            &self.config.chaos,
+            ChaosSide::Agent,
+            slot.connect_seq,
+            self.start,
+            self.config.telemetry.clone(),
+            None,
+        );
+        stream.set_node(slot.node.id);
+        let _ = stream.set_nodelay(true);
+        let mut transport = Transport::new(stream);
+        // Socket is still blocking here, so hello + flush go out whole;
+        // `Reactor::insert` flips it nonblocking.
+        transport.send(&WireMsg::Hello {
+            node: slot.node.id,
+            procs: slot.node.machine().num_cores(),
+            version: self.config.version,
+            last_epoch: slot.last_epoch,
+            codecs: advertised_codecs(self.config.codec),
+        })?;
+        transport.flush()?;
+        slot.token = Some(self.reactor.insert(transport, idx)?);
+        slot.phase = Phase::Handshaking;
+        // The silence that `link_timeout` bounds starts at the hello.
+        slot.last_rx = Instant::now();
+        arm(&mut self.timers, slot, idx, slot.last_rx + self.tick_wall);
+        Ok(())
+    }
+
+    /// Drop a slot's socket, no goodbye, and move it from whatever phase
+    /// it was in to `next`.
+    fn hang_up(&mut self, idx: usize, next: Phase) {
+        let slot = &mut self.slots[idx];
+        if let Some(token) = slot.token.take() {
+            self.reactor.remove(token);
+        }
+        if slot.phase == Phase::Running {
+            self.stats.connected.fetch_sub(1, Ordering::SeqCst);
+        }
+        slot.phase = next;
+        slot.gen += 1; // orphan any armed timer
+    }
+
+    /// Tear a slot's connection down and climb the backoff ladder.
+    fn disconnect(&mut self, idx: usize) {
+        self.hang_up(idx, Phase::Backoff);
+        self.backoff(idx);
+    }
+
+    /// One wall-clock tick of a connected agent. A running one advances
+    /// its machine and owes a summary when the window closes; every one
+    /// flushes (a chaos-delayed frame, the hello included, moves on the
+    /// flush that finds it due) and reconnects if the link has been
+    /// silent for `link_timeout`, has failed, or has backed up past
+    /// [`MAX_QUEUED_BYTES`].
+    fn tick(&mut self, idx: usize, when: Instant) {
+        let slot = &mut self.slots[idx];
+        let summarize = slot.phase == Phase::Running && {
+            slot.node.tick(self.config.tick_s);
+            slot.ticks += 1;
+            slot.ticks.is_multiple_of(self.config.summary_every)
+        };
+        if self.ship(idx, summarize) {
+            // Drift-free cadence: schedule off the previous deadline, but
+            // never pile further into the past than "now".
+            let next = (when + self.tick_wall).max(Instant::now());
+            arm(&mut self.timers, &mut self.slots[idx], idx, next);
+        } else {
+            self.disconnect(idx);
+        }
+    }
+
+    /// Send what is due on a slot's link — a summary if asked, whatever is
+    /// queued always; false when the link is no good.
+    fn ship(&mut self, idx: usize, summarize: bool) -> bool {
+        let slot = &mut self.slots[idx];
+        if slot.last_rx.elapsed() > self.config.link_timeout {
+            return false;
+        }
+        let Some(token) = slot.token else {
+            return false;
+        };
+        let Some((transport, _)) = self.reactor.get_mut(token) else {
+            return false;
+        };
+        if summarize {
+            let summary = slot.node.summarize();
+            self.power_w += summary.power_w - slot.power_w;
+            slot.power_w = summary.power_w;
+            self.stats
+                .power_bits
+                .store(self.power_w.to_bits(), Ordering::SeqCst);
+            if transport.send(&WireMsg::Summary(summary)).is_err() {
+                return false;
+            }
+            self.stats.summaries_sent.fetch_add(1, Ordering::SeqCst);
+        }
+        if transport.flush().is_err() || transport.queued_bytes() > MAX_QUEUED_BYTES {
+            return false;
+        }
+        let _ = self.reactor.update_interest(token);
+        true
+    }
+
+    /// Drain everything readable on a slot's socket and act on each
+    /// frame's [`verdict`].
+    fn readable(&mut self, idx: usize) {
+        let Some(token) = self.slots[idx].token else {
             return;
         };
-        match transport.next_msg() {
-            Ok(Some(WireMsg::HelloAck {
-                accepted,
-                version,
-                epoch,
-                codec,
-            })) => {
-                if !matches!(slot.phase, Phase::Handshaking) {
-                    continue;
-                }
-                if accepted {
-                    if epoch < slot.last_epoch {
-                        stats.epochs_fenced.fetch_add(1, Ordering::SeqCst);
-                        disconnect(idx, slot, stats, reactor, timers);
-                        return;
-                    }
+        let Some((transport, _)) = self.reactor.get_mut(token) else {
+            return;
+        };
+        if matches!(transport.fill(), Ok(FillStatus::Eof) | Err(_)) {
+            return self.disconnect(idx);
+        }
+        let now = Instant::now();
+        while let Some((transport, _)) = self.reactor.get_mut(token) {
+            let msg = match transport.next_msg() {
+                Ok(Some(msg)) => msg,
+                Ok(None) => return,
+                // Desynchronised downlink: reconnect.
+                Err(_) => return self.disconnect(idx),
+            };
+            let slot = &mut self.slots[idx];
+            slot.last_rx = now;
+            let version = self.config.version;
+            match verdict(slot.phase, &msg, slot.last_epoch, slot.node.id, version) {
+                Verdict::Accept { epoch, codec } => {
                     slot.last_epoch = epoch;
-                    slot.last_rx = Instant::now();
-                    let chosen = WireCodec::from_id(codec);
-                    transport.set_codec(chosen);
-                    match chosen {
-                        WireCodec::Binary => stats.binary_conns.fetch_add(1, Ordering::SeqCst),
-                        WireCodec::Json => stats.json_conns.fetch_add(1, Ordering::SeqCst),
-                    };
+                    transport.set_codec(codec);
+                    match codec {
+                        WireCodec::Binary => &self.stats.binary_conns,
+                        WireCodec::Json => &self.stats.json_conns,
+                    }
+                    .fetch_add(1, Ordering::SeqCst);
+                    self.stats.last_codec.store(codec.id(), Ordering::SeqCst);
                     if slot.ever_connected {
-                        stats.reconnects.fetch_add(1, Ordering::SeqCst);
+                        self.stats.reconnects.fetch_add(1, Ordering::SeqCst);
                     }
                     slot.ever_connected = true;
                     slot.ladder.reset();
                     slot.phase = Phase::Running;
                     slot.ticks = 0;
-                    stats.connected.fetch_add(1, Ordering::SeqCst);
-                    arm(timers, slot, idx, Instant::now() + tick_wall);
-                } else if version == config.version && epoch < slot.last_epoch {
-                    // Refused by a *stale* survivor speaking our schema:
-                    // fence it and retry — the current coordinator may
-                    // come back on this address.
-                    stats.epochs_fenced.fetch_add(1, Ordering::SeqCst);
-                    disconnect(idx, slot, stats, reactor, timers);
-                    return;
-                } else {
-                    // A schema-version refusal is permanent.
-                    park_dead(slot, stats, reactor);
-                    return;
+                    self.stats.connected.fetch_add(1, Ordering::SeqCst);
                 }
-            }
-            Ok(Some(WireMsg::Ceiling(cmd))) => {
-                if matches!(slot.phase, Phase::Running) && cmd.node == slot.node.id {
-                    slot.last_rx = Instant::now();
+                Verdict::Alive { epoch } => slot.last_epoch = epoch,
+                Verdict::Apply(cmd) => {
+                    let _apply = self.config.tracer.span("node.apply");
                     slot.node.apply(&cmd.freqs);
-                    stats.ceilings_applied.fetch_add(1, Ordering::SeqCst);
+                    self.stats.ceilings_applied.fetch_add(1, Ordering::SeqCst);
                 }
-            }
-            Ok(Some(WireMsg::Heartbeat { epoch })) => {
-                if epoch < slot.last_epoch {
-                    stats.epochs_fenced.fetch_add(1, Ordering::SeqCst);
-                    disconnect(idx, slot, stats, reactor, timers);
+                Verdict::Fence => {
+                    self.stats.epochs_fenced.fetch_add(1, Ordering::SeqCst);
+                    return self.disconnect(idx);
+                }
+                Verdict::Refused => {
+                    self.hang_up(idx, Phase::Dead);
+                    self.stats.version_rejects.fetch_add(1, Ordering::SeqCst);
                     return;
                 }
-                slot.last_epoch = epoch;
-                slot.last_rx = Instant::now();
-            }
-            Ok(Some(_)) => {}
-            Ok(None) => return,
-            Err(_) => {
-                disconnect(idx, slot, stats, reactor, timers);
-                return;
+                Verdict::Ignore => {}
             }
         }
     }

@@ -7,15 +7,18 @@
 //! length-prefixed, versioned wire protocol ([`wire`], JSON `FVS1` with
 //! a negotiated binary `FVS2` fast path) between a TCP
 //! [`coordinator::CoordinatorServer`] wrapping the real
-//! [`fvs_cluster::GlobalCoordinator`] and per-node
-//! [`agent::NodeAgent`]s, so heartbeat timeouts, silent-node charging
-//! and blind f_min commands run against genuine socket liveness. The
-//! coordinator serves every connection from one readiness-driven
+//! [`fvs_cluster::GlobalCoordinator`] and node agents, so heartbeat
+//! timeouts, silent-node charging and blind f_min commands run against
+//! genuine socket liveness. Each role is one readiness-driven
 //! [`reactor`] thread (epoll via the vendored `netpoll` crate — thread
-//! count is O(1) in connection count); each connection's codec, chaos
-//! and queueing state lives in a [`transport::Transport`]. Built
-//! entirely on `std::net` TCP — the vendored, offline dependency set
-//! has no async runtime, and needs none.
+//! count is O(1) in connection count): the coordinator's loop serves
+//! every connection, the agent's ([`fleet`]) runs every agent, whether
+//! the thousands of an [`AgentFleet`] or the one of a [`NodeAgent`];
+//! the agent's protocol rules, with no socket in them, are [`agent`]'s.
+//! Each connection's codec, chaos and queueing state lives in a
+//! [`transport::Transport`], and no other code writes a control-plane
+//! socket. Built entirely on `std::net` TCP — the vendored, offline
+//! dependency set has no async runtime, and needs none.
 //!
 //! The crate also hosts [`FvsError`], the unified error type of the
 //! public API surface (wire / I/O / config / validation), and

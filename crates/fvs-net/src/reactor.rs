@@ -3,7 +3,7 @@
 //! A [`Reactor`] owns a `netpoll` poller plus a slab of
 //! [`Transport`]s, each paired with caller-supplied per-connection
 //! state (the coordinator hangs handshake/deadline bookkeeping here;
-//! the soak fleet hangs whole agent state machines). Tokens are slab
+//! the agent loop hangs the index of the agent's slot). Tokens are slab
 //! indices, so event dispatch is an array lookup — no hashing on the
 //! hot path — and a freed slot's storage is reused by the next accept.
 //!
@@ -185,16 +185,8 @@ impl<T> Reactor<T> {
 mod tests {
     use super::*;
     use crate::chaos::ChaosStream;
+    use crate::transport::tests::pair;
     use crate::wire::WireMsg;
-    use std::net::{TcpListener, TcpStream};
-
-    fn pair() -> (TcpStream, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (server, _) = listener.accept().unwrap();
-        (client, server)
-    }
 
     #[test]
     fn slab_reuses_slots_and_tracks_count() {

@@ -1,10 +1,5 @@
-//! The unified transport: one connection's codec, chaos, framing and
-//! queueing state behind a single API.
-//!
-//! Historically the coordinator and agent each hand-rolled their frame
-//! plumbing — a `ChaosStream` here, a `FrameReader` there, `write_all`
-//! calls sprinkled through both loops. [`Transport`] owns all of it for
-//! one connection:
+//! The transport: one connection's codec, chaos, framing and queueing
+//! state behind a single API, the same type at both ends.
 //!
 //! * **Codec seam** — frames go out under the negotiated [`WireCodec`]
 //!   (handshake frames always JSON, see [`encode_with`]); incoming
@@ -16,13 +11,13 @@
 //!   chaos-delayed frame must not block frames behind it.
 //! * **Queueing** — writes never block. Bytes that don't fit the socket
 //!   buffer wait in an outbound queue with a partial-write offset;
-//!   [`Transport::flush`] drains what the socket will take. On a
-//!   blocking socket (the standalone agent) the drain is total, so the
-//!   old semantics hold unchanged.
+//!   [`Transport::flush`] drains what the socket will take.
 //!
-//! The same type serves both ends: the coordinator's reactor drives
-//! thousands of these off readiness events; each agent drives one off
-//! its tick loop.
+//! Every transport in production sits on a nonblocking socket in a
+//! [`Reactor`](crate::reactor::Reactor), driven off readiness events:
+//! thousands of them in the coordinator's, one per agent in an agent
+//! loop's. The one blocking moment is an agent's hello, sent before the
+//! socket is handed to the reactor.
 
 use std::collections::VecDeque;
 use std::io;
@@ -168,9 +163,8 @@ impl Transport {
     }
 
     /// Promote due delayed frames, then write as much of the queue as
-    /// the socket accepts. On a nonblocking socket this returns at
-    /// `WouldBlock` with the remainder queued; on a blocking socket it
-    /// drains everything promoted. Errors mean the connection is dead.
+    /// the socket accepts, returning at `WouldBlock` with the remainder
+    /// queued. Errors mean the connection is dead.
     pub fn flush(&mut self) -> io::Result<()> {
         if !self.delayed.is_empty() {
             let now = Instant::now();
@@ -296,7 +290,7 @@ impl Transport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::chaos::{ChaosSide, WireChaos};
     use crate::wire::SCHEMA_VERSION;
@@ -305,7 +299,8 @@ mod tests {
     use std::net::{TcpListener, TcpStream};
     use std::time::Duration;
 
-    fn pair() -> (TcpStream, TcpStream) {
+    /// A connected loopback socket pair.
+    pub(crate) fn pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let client = TcpStream::connect(addr).unwrap();
@@ -313,7 +308,16 @@ mod tests {
         (client, server)
     }
 
-    fn transport_pair(chaos: &WireChaos) -> (Transport, Transport) {
+    /// A loopback pair: the sending end an agent's socket under `chaos`,
+    /// the receiving end bare.
+    pub(crate) fn transport_pair(chaos: &WireChaos) -> (Transport, Transport) {
+        transport_pair_journaled(chaos, Telemetry::disabled())
+    }
+
+    pub(crate) fn transport_pair_journaled(
+        chaos: &WireChaos,
+        journal: Telemetry,
+    ) -> (Transport, Transport) {
         let (a, b) = pair();
         let tx = Transport::new(ChaosStream::wrap(
             a,
@@ -321,14 +325,25 @@ mod tests {
             ChaosSide::Agent,
             0,
             Instant::now(),
-            Telemetry::disabled(),
+            journal,
             None,
         ));
         let rx = Transport::new(ChaosStream::passthrough(b));
         (tx, rx)
     }
 
-    fn recv_one(rx: &mut Transport) -> WireMsg {
+    /// Every byte that reaches `rx` before its peer closes, unparsed.
+    pub(crate) fn read_to_end(mut rx: Transport) -> Vec<u8> {
+        use std::io::Read;
+        rx.stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut bytes = Vec::new();
+        rx.stream.read_to_end(&mut bytes).unwrap();
+        bytes
+    }
+
+    pub(crate) fn recv_one(rx: &mut Transport) -> WireMsg {
         let deadline = Instant::now() + Duration::from_secs(5);
         rx.stream()
             .set_read_timeout(Some(Duration::from_millis(10)))
@@ -505,74 +520,5 @@ mod tests {
         let (mut tx, _rx) = transport_pair(&chaos);
         let err = tx.send(&WireMsg::Heartbeat { epoch: 1 }).unwrap_err();
         assert!(matches!(err, FvsError::Io(_)), "{err}");
-    }
-
-    /// Same plan + seed ⇒ the enqueue-time fault decisions match the
-    /// blocking `Write` path's, frame for frame (shared RNG draws).
-    #[test]
-    fn fault_decisions_match_blocking_path() {
-        let plan = WireFaultPlan {
-            drop_rate: 0.3,
-            duplicate_rate: 0.2,
-            corrupt_rate: 0.1,
-            ..WireFaultPlan::none()
-        };
-        let run_transport = |seed: u64| -> Vec<u8> {
-            let chaos = WireChaos::new(plan.clone(), seed);
-            let (mut tx, rx) = transport_pair(&chaos);
-            for i in 0..60u64 {
-                let _ = tx.send(&WireMsg::Heartbeat { epoch: i });
-                tx.flush().unwrap();
-            }
-            drop(tx);
-            let mut bytes = Vec::new();
-            rx.stream()
-                .set_read_timeout(Some(Duration::from_secs(2)))
-                .unwrap();
-            let mut buf = [0u8; 4096];
-            use std::io::Read;
-            let mut raw = rx;
-            loop {
-                match raw.stream.read(&mut buf) {
-                    Ok(0) => break,
-                    Ok(n) => bytes.extend_from_slice(&buf[..n]),
-                    Err(_) => break,
-                }
-            }
-            bytes
-        };
-        let run_blocking = |seed: u64| -> Vec<u8> {
-            let chaos = WireChaos::new(plan.clone(), seed);
-            let (a, b) = pair();
-            let mut tx = ChaosStream::wrap(
-                a,
-                &chaos,
-                ChaosSide::Agent,
-                0,
-                Instant::now(),
-                Telemetry::disabled(),
-                None,
-            );
-            use std::io::Write;
-            for i in 0..60u64 {
-                let frame = encode_with(&WireMsg::Heartbeat { epoch: i }, WireCodec::Json).unwrap();
-                let _ = tx.write_all(&frame);
-            }
-            drop(tx);
-            let mut rx = b;
-            rx.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-            let mut bytes = Vec::new();
-            use std::io::Read;
-            let mut buf = [0u8; 4096];
-            loop {
-                match rx.read(&mut buf) {
-                    Ok(0) => break,
-                    Ok(n) => bytes.extend_from_slice(&buf[..n]),
-                    Err(_) => break,
-                }
-            }
-            bytes
-        };
-        assert_eq!(run_transport(99), run_blocking(99));
     }
 }
