@@ -85,6 +85,10 @@ pub struct GlobalCoordinator {
     dead: Vec<bool>,
     /// Power reserved for silent nodes in the last round (W).
     reserved_w: f64,
+    /// What the nodes the last sweep found live last reported drawing,
+    /// summed (W), and how many they were.
+    live_power_w: f64,
+    live_nodes: usize,
     /// Per-node ceiling of the frequencies last *commanded* (W). A node
     /// can die after commands were issued but before any summary
     /// reflects them, so its last report may understate what it is now
@@ -152,6 +156,8 @@ impl GlobalCoordinator {
             worst_case_node_w: DEFAULT_WORST_CASE_NODE_W,
             dead: vec![false; nodes],
             reserved_w: 0.0,
+            live_power_w: 0.0,
+            live_nodes: 0,
             commanded_w: vec![0.0; nodes],
             shape: vec![None; nodes],
             blind: Vec::new(),
@@ -310,6 +316,21 @@ impl GlobalCoordinator {
         self.reserved_w
     }
 
+    /// Summed last-reported power of the nodes the last round's liveness
+    /// sweep found live (W). With [`reserved_w`](Self::reserved_w) this
+    /// is the conservative cluster power the ΔT argument bounds: the
+    /// sweep puts every node in exactly one of the two.
+    pub fn live_power_w(&self) -> f64 {
+        self.live_power_w
+    }
+
+    /// How many nodes the last round's liveness sweep found live: heard
+    /// from within the heartbeat timeout. The one place that rule is
+    /// written is the sweep itself.
+    pub fn live_nodes(&self) -> usize {
+        self.live_nodes
+    }
+
     /// Nodes currently presumed dead (silent past the heartbeat
     /// timeout, or never heard from once the timeout has elapsed).
     pub fn dead_nodes(&self) -> usize {
@@ -376,10 +397,14 @@ impl GlobalCoordinator {
         self.procs.clear();
         self.blind.clear();
         let mut reserved_w = 0.0;
+        let mut live_power_w = 0.0;
+        let mut live_nodes = 0;
         for (node_idx, slot) in self.latest.iter().enumerate() {
             match slot {
                 Some(s) if now_s - s.sent_at_s <= self.heartbeat_timeout_s => {
                     self.dead[node_idx] = false;
+                    live_power_w += s.power_w;
+                    live_nodes += 1;
                     for p in 0..s.models.len() {
                         self.coords.push((node_idx, p));
                         self.procs.push(ProcInput {
@@ -431,6 +456,8 @@ impl GlobalCoordinator {
         }
         drop(sweep_span);
         self.reserved_w = reserved_w;
+        self.live_power_w = live_power_w;
+        self.live_nodes = live_nodes;
         let effective_budget_w = (budget_w - reserved_w).max(0.0);
         self.algorithm.schedule_cached_traced(
             &mut self.cache,

@@ -1,61 +1,41 @@
 //! The coordinator's TCP front end.
 //!
-//! A [`CoordinatorServer`] owns the real [`GlobalCoordinator`] and
-//! exposes it over sockets — from **one thread**. A readiness-driven
+//! A [`CoordinatorServer`] runs a [`CoordinatorCore`] — every
+//! scheduling and protocol rule the coordinator has, and all the state
+//! they need — behind sockets, from **one thread**. A readiness-driven
 //! event loop (a [`Reactor`] over the vendored `netpoll` epoll wrapper)
 //! accepts agents, decodes uplink frames through per-connection
-//! [`Transport`] state machines, runs the global scheduling round on a
-//! wall-clock period, and pushes [`FrequencyCommand`]s down whichever
-//! connections are still alive. Thread count is O(1) in connection
+//! [`Transport`] state machines and hands each to the core; when the
+//! core says a round is owed it runs one and writes what comes out —
+//! ceilings, keep-alives, snapshots — wherever the core points. The
+//! loop owns the listener, the reactor and its transports, the
+//! read-deadline sweep and the metric and span timers, and decides
+//! nothing: no function here both touches a socket and mutates
+//! scheduling or protocol state. Thread count is O(1) in connection
 //! count: 10k agents cost file descriptors and slab slots, not stacks.
-//! Heartbeat tracking, silent-node charging and blind f_min commands
-//! all operate on *genuine* socket liveness: a node is whatever its
-//! last frame says it is, and a dead socket simply stops producing
-//! frames.
 //!
-//! Codec negotiation happens per connection at hello time: an agent
-//! advertising the binary `FVS2` codec gets it iff this server's
-//! `preferred_codec` is binary too; everything else stays on JSON
-//! `FVS1`, so a mixed fleet (old agents, new agents, tests speaking
-//! JSON on purpose) connects to one listener. Reads never care — the
-//! frame magic picks the decoder per frame.
-//!
-//! Timestamps are coordinator-local. Incoming summaries are re-stamped
-//! with their *arrival* time on the server's monotonic clock, so agent
-//! clock skew cannot fake liveness (an agent cannot claim "I reported
-//! in your future") and the heartbeat timeout measures exactly what the
-//! paper's ΔT argument needs: how long since the coordinator last heard
-//! from the node. With ingest on the event loop itself there is no
-//! reader-to-scheduler queue left to hide latency in — a summary is in
-//! the [`GlobalCoordinator`] the same iteration its bytes arrive.
-//!
-//! Crash recovery: with snapshots configured the loop persists a
-//! checksummed [`Snapshot`] on a cadence *and* write-ahead on every
-//! budget change, so `--resume` restores the fencing epoch (+1), the
-//! enforced budget (the stricter of snapshot and configured), every
-//! node's last-charged ceiling and any open ΔT episode. Restored
-//! summaries are re-stamped stale on purpose: until a node reports
-//! fresh, the coordinator charges its last-commanded ceiling (or worst
-//! case) — a crash can therefore never *un-enforce* a budget drop. The
-//! resync grace window is visible on `/healthz` as a distinct
-//! `resyncing` 503 until the `resync_complete` event fires.
+//! Liveness is *genuine* socket liveness: a node is whatever its last
+//! frame says it is, a dead socket simply stops producing frames, and
+//! with ingest on the event loop itself there is no reader-to-scheduler
+//! queue to hide latency in. Handshake and codec negotiation, arrival
+//! re-stamping, write-ahead snapshots and the resume rules are the
+//! core's: see [`crate::coordinator_core`].
 
 use crate::chaos::{ChaosSide, ChaosStream};
+pub use crate::coordinator_core::CoordinatorStatus;
+use crate::coordinator_core::{CoordinatorCore, Refusal, RoundSink};
 use crate::error::FvsError;
 use crate::obs::{HealthReport, ObsHandles, ObsServer};
 use crate::reactor::{Reactor, LISTENER_TOKEN};
-use crate::snapshot::{Snapshot, SnapshotEpisode, SnapshotNode, SnapshotStore};
+use crate::snapshot::{Snapshot, SnapshotStore};
 use crate::transport::{FillStatus, Transport};
-use crate::wire::{FrameFault, WireCodec, WireMsg, CODEC_BINARY_BIT, SCHEMA_VERSION};
+use crate::wire::{FrameFault, WireCodec, WireMsg};
 use crate::WireChaos;
-use fvs_cluster::{FrequencyCommand, GlobalCoordinator, NodeRestore};
 use fvs_sched::FvsstAlgorithm;
 use fvs_telemetry::{
-    BudgetDeadlineTracker, ComplianceRecord, Counter, Gauge, Histogram, SchedEvent, Telemetry,
-    Tracer, WireFaultKind,
+    Counter, Gauge, Histogram, MetricsRegistry, SchedEvent, Telemetry, Tracer, WireFaultKind,
 };
-use std::collections::HashMap;
-use std::io;
+use netpoll::PollEvent;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -218,31 +198,19 @@ impl CoordinatorConfig {
     }
 
     fn validate(&self) -> Result<(), FvsError> {
-        if !(self.period_s.is_finite() && self.period_s > 0.0) {
-            return Err(FvsError::config("period_s must be finite and positive"));
-        }
-        if !(self.heartbeat_timeout_s.is_finite() && self.heartbeat_timeout_s > 0.0) {
-            return Err(FvsError::config(
-                "heartbeat_timeout_s must be finite and positive",
-            ));
-        }
-        if !(self.deadline_s.is_finite() && self.deadline_s > 0.0) {
-            return Err(FvsError::config("deadline_s must be finite and positive"));
-        }
-        if !(self.snapshot_every_s.is_finite() && self.snapshot_every_s > 0.0) {
-            return Err(FvsError::config(
-                "snapshot_every_s must be finite and positive",
-            ));
-        }
-        if !(self.resync_grace_s.is_finite() && self.resync_grace_s > 0.0) {
-            return Err(FvsError::config(
-                "resync_grace_s must be finite and positive",
-            ));
-        }
-        if !(self.read_deadline_s.is_finite() && self.read_deadline_s > 0.0) {
-            return Err(FvsError::config(
-                "read_deadline_s must be finite and positive",
-            ));
+        for (name, value) in [
+            ("period_s", self.period_s),
+            ("heartbeat_timeout_s", self.heartbeat_timeout_s),
+            ("deadline_s", self.deadline_s),
+            ("snapshot_every_s", self.snapshot_every_s),
+            ("resync_grace_s", self.resync_grace_s),
+            ("read_deadline_s", self.read_deadline_s),
+        ] {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(FvsError::config(format!(
+                    "{name} must be finite and positive"
+                )));
+            }
         }
         if self.max_conns == 0 {
             return Err(FvsError::config("max_conns must be at least 1"));
@@ -252,35 +220,6 @@ impl CoordinatorConfig {
         }
         Ok(())
     }
-}
-
-/// A point-in-time view of the control plane, for operators and tests.
-#[derive(Debug, Clone, Default)]
-pub struct CoordinatorStatus {
-    /// Global scheduling rounds run.
-    pub rounds: u64,
-    /// Nodes that have reported at least once.
-    pub nodes_reporting: usize,
-    /// Nodes currently presumed dead.
-    pub dead_nodes: usize,
-    /// Power reserved for silent nodes last round (W).
-    pub reserved_w: f64,
-    /// Conservative cluster power: live reports + reserved (W).
-    pub conservative_power_w: f64,
-    /// Budget in force (W).
-    pub budget_w: f64,
-    /// Sockets currently past a completed handshake.
-    pub connections: usize,
-    /// Compliance episodes closed so far.
-    pub compliances: u64,
-    /// Deadline violations so far.
-    pub violations: u64,
-    /// The fencing epoch this coordinator serves.
-    pub epoch: u64,
-    /// Inside the post-resume resync grace window.
-    pub resyncing: bool,
-    /// The most recently closed compliance episode.
-    pub last_compliance: Option<ComplianceRecord>,
 }
 
 struct NetMetrics {
@@ -294,7 +233,7 @@ struct NetMetrics {
     /// Stale-epoch hellos refused (split-brain fences).
     epoch_rejects: Arc<Counter>,
     /// Wire faults observed: injected (chaos) and organic (frame
-    /// decode failures) alike.
+    /// decode failures, protocol errors) alike.
     wire_faults: Arc<Counter>,
     /// Frames refused for an oversize length prefix specifically.
     oversize_frames: Arc<Counter>,
@@ -315,58 +254,55 @@ struct NetMetrics {
 }
 
 impl NetMetrics {
-    fn from(telemetry: &Telemetry) -> Option<Self> {
-        telemetry.registry().map(|r| {
-            let scope = r.scoped("net");
-            NetMetrics {
-                frames_rx: scope.counter("frames_rx"),
-                frames_tx: scope.counter("frames_tx"),
-                bytes_rx: scope.counter("bytes_rx"),
-                decode_errors: scope.counter("decode_errors"),
-                connects: scope.counter("connects"),
-                disconnects: scope.counter("disconnects"),
-                version_rejects: scope.counter("version_rejects"),
-                epoch_rejects: scope.counter("epoch_rejects"),
-                wire_faults: scope.counter("wire_faults"),
-                oversize_frames: scope.counter("oversize_frames"),
-                snapshots_written: scope.counter("snapshots_written"),
-                heartbeats_tx: scope.counter("heartbeats_tx"),
-                connections: scope.gauge("connections"),
-                round_wall_s: scope.histogram("round_wall_s", &Histogram::latency_bounds()),
-                fanout_wall_s: scope.histogram("fanout_wall_s", &Histogram::latency_bounds()),
-                summary_staleness_s: scope
-                    .histogram("summary_staleness_s", &Histogram::latency_bounds()),
-            }
-        })
+    /// The `net.*` handles of `telemetry`'s registry — or, when it has
+    /// none, of one nobody reads, so the loop counts without asking.
+    fn from(telemetry: &Telemetry) -> Self {
+        let detached = MetricsRegistry::new();
+        let scope = telemetry.registry().unwrap_or(&detached).scoped("net");
+        let latency = Histogram::latency_bounds();
+        NetMetrics {
+            frames_rx: scope.counter("frames_rx"),
+            frames_tx: scope.counter("frames_tx"),
+            bytes_rx: scope.counter("bytes_rx"),
+            decode_errors: scope.counter("decode_errors"),
+            connects: scope.counter("connects"),
+            disconnects: scope.counter("disconnects"),
+            version_rejects: scope.counter("version_rejects"),
+            epoch_rejects: scope.counter("epoch_rejects"),
+            wire_faults: scope.counter("wire_faults"),
+            oversize_frames: scope.counter("oversize_frames"),
+            snapshots_written: scope.counter("snapshots_written"),
+            heartbeats_tx: scope.counter("heartbeats_tx"),
+            connections: scope.gauge("connections"),
+            round_wall_s: scope.histogram("round_wall_s", &latency),
+            fanout_wall_s: scope.histogram("fanout_wall_s", &latency),
+            summary_staleness_s: scope.histogram("summary_staleness_s", &latency),
+        }
     }
 }
 
+/// [`Shared::budget`] when no change is waiting: the bits of a NaN no
+/// caller's budget has.
+const NO_BUDGET: u64 = u64::MAX;
+
+/// What the event loop shares with the threads that hold the server.
 struct Shared {
     stop: AtomicBool,
-    /// Budget as f64 bits, plus a change epoch so the event loop
-    /// reacts on its next slice instead of waiting out the period.
-    budget_bits: AtomicU64,
-    budget_epoch: AtomicU64,
-    /// The fencing epoch this coordinator serves (monotonic across
-    /// resumes: cold start = 1, resume = snapshot + 1).
-    epoch: AtomicU64,
-    /// Post-resume resync deadline in coordinator seconds, as f64
-    /// bits; NaN = not resyncing. Cleared by the event loop when
-    /// it emits `resync_complete`, so `/healthz` flips strictly after
-    /// the event.
-    resync_deadline_bits: AtomicU64,
+    /// One-slot budget mailbox: the f64 bits of the budget last asked
+    /// for, [`NO_BUDGET`] once the event loop has taken it. The loop
+    /// looks after every event and every poll slice, so a change is
+    /// acted on within milliseconds instead of waiting out the period.
+    budget: AtomicU64,
+    /// What the last round published — everything `/healthz` serves.
     status: Mutex<CoordinatorStatus>,
-    /// When the last round finished, as f64-bit seconds on the server's
-    /// monotonic clock (`/healthz` serves the age).
-    last_round_bits: AtomicU64,
 }
 
 impl Shared {
     /// The status guard, whether or not a thread panicked while holding
-    /// it: the struct is plain data the event loop overwrites field by
-    /// field every round, so a poisoned lock holds nothing worse than
-    /// the previous round's numbers — and scheduling for the whole
-    /// cluster must not die with a scrape handler.
+    /// it: the struct is plain data the event loop replaces whole every
+    /// round, so a poisoned lock holds nothing worse than the previous
+    /// round's numbers — and scheduling for the whole cluster must not
+    /// die with a scrape handler.
     fn status(&self) -> MutexGuard<'_, CoordinatorStatus> {
         self.status.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -383,37 +319,34 @@ pub struct CoordinatorServer {
 }
 
 /// Per-connection bookkeeping hung on the reactor next to the
-/// [`Transport`].
+/// [`Transport`]. Which node a connection speaks for is the core's to
+/// know.
 struct Conn {
-    /// The node this socket handshook as (`None` until an accepted
-    /// hello names it).
-    node: Option<usize>,
-    /// Last time a frame (or any bytes) arrived — the read deadline's
-    /// clock.
-    last_rx: Instant,
+    /// When a frame (or any bytes) last arrived, in [`Driver::now_s`]
+    /// seconds: the read deadline's clock, and the arrival time of the
+    /// summaries that read carried.
+    last_rx_s: f64,
     /// [`Transport::bytes_rx`] at the last metrics sample.
     bytes_seen: u64,
-    /// Round id of the last ceiling pushed to this connection, so the
-    /// heartbeat pass skips freshly-commanded nodes in O(1).
-    last_cmd_round: u64,
 }
 
-/// The event loop's share of the config, bundled once.
-struct LoopCtx {
+/// The event loop's state: the sockets, and what they are serviced
+/// with. It owns the listener, the reactor and its transports, the
+/// read-deadline sweep and the metric and span timers; every rule is
+/// the [`CoordinatorCore`]'s, which it is handed and does not hold.
+struct Driver {
+    listener: TcpListener,
+    reactor: Reactor<Conn>,
     shared: Arc<Shared>,
-    metrics: Arc<Option<NetMetrics>>,
-    telemetry: Telemetry,
-    tracer: Tracer,
-    period_s: f64,
-    heartbeat_timeout_s: f64,
-    nodes: usize,
+    config: CoordinatorConfig,
+    metrics: NetMetrics,
+    /// Zero of the clock every `now_s` handed to the core is read on.
     start: Instant,
     store: Option<SnapshotStore>,
-    snapshot_every_s: f64,
-    read_deadline: Duration,
-    chaos: WireChaos,
-    preferred_codec: WireCodec,
-    max_conns: usize,
+    accept_seq: u64,
+    /// When this round's first downlink write began; `net.fanout_wall_s`
+    /// is from then until the round returns, just past its last write.
+    fanout_started: Option<Instant>,
 }
 
 impl CoordinatorServer {
@@ -433,123 +366,43 @@ impl CoordinatorServer {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
-        let telemetry = config.telemetry.clone();
-        let metrics = Arc::new(NetMetrics::from(&telemetry));
+        // Resume path: a damaged or missing snapshot is a cold start —
+        // worst-case charging is always safe.
         let store = config.snapshot_path.as_ref().map(SnapshotStore::new);
-
-        // Resume path: load the snapshot (a damaged or missing file is
-        // a cold start — worst-case charging is always safe), bump the
-        // epoch past the crashed incarnation, and keep the *stricter*
-        // of the persisted and configured budgets so a pre-crash
-        // budget drop stays enforced.
-        let mut epoch = 1u64;
-        let mut initial_budget = config.initial_budget_w;
-        let mut restored: Option<Snapshot> = None;
-        if config.resume {
-            if let Some(store) = &store {
-                match store.load() {
-                    Ok(snap) => {
-                        epoch = snap.epoch.saturating_add(1);
-                        if snap.budget_w < initial_budget {
-                            initial_budget = snap.budget_w;
-                        }
-                        restored = Some(snap);
-                    }
-                    Err(e) => {
-                        eprintln!("fvsst-coordinator: snapshot unusable ({e}); cold start");
-                    }
-                }
-            }
-        }
-
-        let mut coordinator =
-            GlobalCoordinator::with_telemetry(algorithm, nodes, telemetry.clone())
-                .with_heartbeat_timeout(config.heartbeat_timeout_s)
-                .with_worst_case_node_w(config.worst_case_node_w)
-                .with_tracer(config.tracer.clone());
-        let mut tracker = BudgetDeadlineTracker::new(config.deadline_s);
-        let mut initial_rounds = 0u64;
-        if let Some(snap) = &restored {
-            for (i, n) in snap.nodes.iter().enumerate().take(nodes) {
-                let mut r = n.to_restore();
-                if let Some(s) = &mut r.summary {
-                    // Re-stamp the restored summary *stale by
-                    // construction*: the first liveness sweep charges
-                    // max(reported, commanded) — the last-charged
-                    // ceiling — until a genuinely fresh summary lands.
-                    // (Not `clamp`: a NaN age must sanitize to 0, and
-                    // clamp would pass the NaN through.)
-                    let age_s = if n.age_s.is_finite() {
-                        n.age_s.clamp(0.0, 1e9)
-                    } else {
-                        0.0
-                    };
-                    s.sent_at_s = -(age_s + config.heartbeat_timeout_s + 1.0);
-                }
-                coordinator.restore_node(i, r);
-            }
-            if let Some(ep) = &snap.episode {
-                // Rebase the open ΔT episode onto this process's clock
-                // (which starts near zero): time already burned before
-                // the crash stays burned.
-                tracker.restore_episode(ep.to_open(0.0));
-            }
-            initial_rounds = snap.rounds;
-        }
+        let restored = match &store {
+            Some(store) if config.resume => store
+                .load()
+                .inspect_err(|e| {
+                    eprintln!("fvsst-coordinator: snapshot unusable ({e}); cold start")
+                })
+                .ok(),
+            _ => None,
+        };
+        let core = CoordinatorCore::new(nodes, algorithm, &config, restored.as_ref());
+        let reactor = Reactor::new()?;
+        reactor.register_listener(&listener)?;
+        let start = Instant::now();
 
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
-            budget_bits: AtomicU64::new(initial_budget.to_bits()),
-            budget_epoch: AtomicU64::new(0),
-            epoch: AtomicU64::new(epoch),
-            resync_deadline_bits: AtomicU64::new(if restored.is_some() {
-                config.resync_grace_s.to_bits()
-            } else {
-                f64::NAN.to_bits()
-            }),
-            status: Mutex::new(CoordinatorStatus {
-                budget_w: initial_budget,
-                rounds: initial_rounds,
-                epoch,
-                resyncing: restored.is_some(),
-                ..CoordinatorStatus::default()
-            }),
-            last_round_bits: AtomicU64::new(0f64.to_bits()),
+            budget: AtomicU64::new(NO_BUDGET),
+            status: Mutex::new(core.status().clone()),
         });
-        let start = Instant::now();
-
-        if let Some(snap) = &restored {
-            telemetry.emit(SchedEvent::CoordinatorResumed {
-                t_s: 0.0,
-                epoch,
-                budget_w: initial_budget,
-                restored_nodes: snap.nodes.len().min(nodes) as u32,
-                grace_s: config.resync_grace_s,
-            });
-        }
-
-        let tracer = config.tracer.clone();
-        let ctx = LoopCtx {
+        let (telemetry, tracer) = (config.telemetry.clone(), config.tracer.clone());
+        let driver = Driver {
+            listener,
+            reactor,
             shared: Arc::clone(&shared),
-            metrics,
-            telemetry: telemetry.clone(),
-            tracer: tracer.clone(),
-            period_s: config.period_s,
-            heartbeat_timeout_s: config.heartbeat_timeout_s,
-            nodes,
+            metrics: NetMetrics::from(&telemetry),
+            config,
             start,
             store,
-            snapshot_every_s: config.snapshot_every_s,
-            read_deadline: Duration::from_secs_f64(config.read_deadline_s),
-            chaos: config.chaos.clone(),
-            preferred_codec: config.preferred_codec,
-            max_conns: config.max_conns,
+            accept_seq: 0,
+            fanout_started: None,
         };
         let thread = std::thread::Builder::new()
             .name("fvs-coordinator".into())
-            .spawn(move || {
-                event_loop(listener, coordinator, tracker, ctx);
-            })
+            .spawn(move || driver.run(core))
             .map_err(FvsError::Io)?;
 
         Ok(CoordinatorServer {
@@ -567,18 +420,15 @@ impl CoordinatorServer {
         self.local_addr
     }
 
-    /// The fencing epoch this coordinator serves.
+    /// The fencing epoch this coordinator serves (constant for its life).
     pub fn epoch(&self) -> u64 {
-        self.shared.epoch.load(Ordering::SeqCst)
+        self.shared.status().epoch
     }
 
     /// Change the global budget; the event loop reacts on its next
     /// slice (a few milliseconds), not its next period.
     pub fn set_budget(&self, watts: f64) {
-        self.shared
-            .budget_bits
-            .store(watts.to_bits(), Ordering::SeqCst);
-        self.shared.budget_epoch.fetch_add(1, Ordering::SeqCst);
+        self.shared.budget.store(watts.to_bits(), Ordering::SeqCst);
     }
 
     /// A snapshot of the control plane right now.
@@ -633,667 +483,341 @@ impl Drop for CoordinatorServer {
     }
 }
 
-/// Tear a connection down: deregister, unmap its node (if this socket
-/// is still the node's current one), count the disconnect. Dropping
-/// the transport closes the socket.
-fn close_conn(
-    reactor: &mut Reactor<Conn>,
-    node_tokens: &mut HashMap<usize, u64>,
-    token: u64,
-    metrics: Option<&NetMetrics>,
-) {
-    let Some((_, conn)) = reactor.remove(token) else {
-        return;
-    };
-    if let Some(node) = conn.node {
-        if node_tokens.get(&node) == Some(&token) {
-            node_tokens.remove(&node);
+impl Driver {
+    fn now_s(&self) -> f64 {
+        self.start.elapsed().as_secs_f64()
+    }
+
+    /// Take a connection off the reactor and count the disconnect;
+    /// dropping the transport closes the socket. The core is told by
+    /// the caller.
+    fn close_conn(&mut self, token: u64) {
+        if self.reactor.remove(token).is_some() {
+            self.metrics.disconnects.inc();
         }
     }
-    if let Some(m) = metrics {
-        m.disconnects.inc();
-    }
-}
 
-/// Accept everything pending on the listener (level-triggered: drain
-/// until `WouldBlock`).
-fn accept_ready(listener: &TcpListener, reactor: &mut Reactor<Conn>, ctx: &LoopCtx, seq: &mut u64) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let metrics = ctx.metrics.as_ref().as_ref();
-                if reactor.len() >= ctx.max_conns {
-                    // Admission control: over the cap the kindest
-                    // signal is an immediate close, which the agent's
-                    // backoff ladder turns into a retry.
-                    drop(stream);
-                    continue;
-                }
-                *seq += 1;
-                let chaos_counter = metrics.map(|m| Arc::clone(&m.wire_faults));
-                let stream = ChaosStream::wrap(
-                    stream,
-                    &ctx.chaos,
-                    ChaosSide::Coordinator,
-                    *seq,
-                    ctx.start,
-                    ctx.telemetry.clone(),
-                    chaos_counter,
-                );
-                let _ = stream.set_nodelay(true);
-                let conn = Conn {
-                    node: None,
-                    last_rx: Instant::now(),
-                    bytes_seen: 0,
-                    last_cmd_round: 0,
-                };
-                if reactor.insert(Transport::new(stream), conn).is_ok() {
-                    if let Some(m) = metrics {
-                        m.connects.inc();
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(_) => break,
-        }
-    }
-}
-
-/// Service one connection's readiness: flush if writable, then read,
-/// parse and dispatch every complete frame. Summaries are re-stamped
-/// with arrival time and ingested into the [`GlobalCoordinator`] right
-/// here — same thread, same iteration.
-#[allow(clippy::too_many_arguments)]
-fn service_conn(
-    readable: bool,
-    writable: bool,
-    token: u64,
-    reactor: &mut Reactor<Conn>,
-    node_tokens: &mut HashMap<usize, u64>,
-    ctx: &LoopCtx,
-    coordinator: &mut GlobalCoordinator,
-    last_power: &mut [f64],
-    last_seen: &mut [f64],
-    my_epoch: u64,
-) {
-    let metrics = ctx.metrics.as_ref().as_ref();
-    if writable {
-        let Some((transport, _)) = reactor.get_mut(token) else {
-            return;
+    /// The one downlink write path: queue `msg` (none for a bare
+    /// writable event), write what the socket takes, point the poller's
+    /// write interest at what is left, count the frame. `false` means
+    /// the connection failed, or was already gone, and is closed; the
+    /// caller tells the core.
+    fn write_conn(&mut self, token: u64, msg: Option<&WireMsg>) -> bool {
+        let Some((transport, _)) = self.reactor.get_mut(token) else {
+            return false;
         };
-        if transport.flush().is_err() {
-            close_conn(reactor, node_tokens, token, metrics);
-            return;
+        let queued = msg.is_none_or(|msg| transport.send(msg).is_ok());
+        if !(queued && transport.flush().is_ok()) {
+            self.close_conn(token);
+            return false;
         }
-        let _ = reactor.update_interest(token);
+        let _ = self.reactor.update_interest(token);
+        if let Some(msg) = msg {
+            self.metrics.frames_tx.inc();
+            if matches!(msg, WireMsg::Heartbeat { .. }) {
+                self.metrics.heartbeats_tx.inc();
+            }
+        }
+        true
     }
-    if !readable {
-        return;
+
+    /// Accept everything pending on the listener (level-triggered: drain
+    /// until `WouldBlock`, which ends the loop like any other error —
+    /// the next readiness report retries either way).
+    fn accept_ready(&mut self) {
+        while let Ok((stream, _peer)) = self.listener.accept() {
+            if self.reactor.len() >= self.config.max_conns {
+                // Admission control: over the cap the kindest signal is
+                // an immediate close, which the agent's backoff ladder
+                // turns into a retry.
+                continue;
+            }
+            self.accept_seq += 1;
+            let stream = ChaosStream::wrap(
+                stream,
+                &self.config.chaos,
+                ChaosSide::Coordinator,
+                self.accept_seq,
+                self.start,
+                self.config.telemetry.clone(),
+                Some(Arc::clone(&self.metrics.wire_faults)),
+            );
+            let _ = stream.set_nodelay(true);
+            let conn = Conn {
+                last_rx_s: self.now_s(),
+                bytes_seen: 0,
+            };
+            if self.reactor.insert(Transport::new(stream), conn).is_ok() {
+                self.metrics.connects.inc();
+            }
+        }
     }
-    let arrival_s;
-    {
-        let Some((transport, conn)) = reactor.get_mut(token) else {
-            return;
+
+    /// Service one connection's readiness: flush if writable, then read,
+    /// parse and hand the core every complete frame — a summary is in
+    /// the scheduler the same iteration its bytes arrive. `false` when
+    /// the connection is to be closed (or already is): the caller's to
+    /// do.
+    fn service_conn(&mut self, ev: &PollEvent, core: &mut CoordinatorCore) -> bool {
+        let token = ev.token;
+        if ev.writable && !self.write_conn(token, None) {
+            return false;
+        }
+        if !(ev.readable || ev.hangup) {
+            return true;
+        }
+        let now_s = self.now_s();
+        let Some((transport, conn)) = self.reactor.get_mut(token) else {
+            return false;
         };
         match transport.fill() {
-            Ok(FillStatus::Eof) | Err(_) => {
-                close_conn(reactor, node_tokens, token, metrics);
-                return;
-            }
+            Ok(FillStatus::Eof) | Err(_) => return false,
             Ok(FillStatus::Progress) => {
-                conn.last_rx = Instant::now();
+                conn.last_rx_s = now_s;
                 let total = transport.bytes_rx();
-                if let Some(m) = metrics {
-                    m.bytes_rx.add(total - conn.bytes_seen);
-                }
+                self.metrics.bytes_rx.add(total - conn.bytes_seen);
                 conn.bytes_seen = total;
             }
             Ok(FillStatus::Idle) => {}
         }
         // Every frame parsed below arrived with this call's read at the
         // latest; summaries are re-stamped with that time.
-        arrival_s = conn
-            .last_rx
-            .saturating_duration_since(ctx.start)
-            .as_secs_f64();
-    }
-    // Counted here, added to the metrics once after the loop.
-    let mut frames = 0u64;
-    let mut summaries = 0u64;
-    while let Some((transport, conn)) = reactor.get_mut(token) {
-        match transport.next_msg() {
-            Ok(None) => break,
-            Ok(Some(msg)) => {
-                frames += 1;
-                match msg {
-                    WireMsg::Hello {
-                        node,
-                        version,
-                        last_epoch,
-                        codecs,
-                        ..
-                    } => {
-                        let version_ok = version == SCHEMA_VERSION;
-                        // An agent that has acknowledged a *newer*
-                        // epoch than ours means we are the stale
-                        // survivor: refuse, so the split-brain resolves
-                        // in favour of the current incumbent.
-                        let epoch_ok = last_epoch <= my_epoch;
-                        let accepted = version_ok && epoch_ok;
-                        // Codec negotiation: binary iff both sides want
-                        // it; the ack itself is always JSON.
-                        let chosen = if accepted
-                            && ctx.preferred_codec == WireCodec::Binary
-                            && codecs & CODEC_BINARY_BIT != 0
-                        {
-                            WireCodec::Binary
-                        } else {
-                            WireCodec::Json
-                        };
-                        let ack = WireMsg::HelloAck {
-                            accepted,
-                            version: SCHEMA_VERSION,
-                            epoch: my_epoch,
-                            codec: chosen.id(),
-                        };
-                        let acked = transport.send(&ack).is_ok() && transport.flush().is_ok();
-                        if acked {
-                            if let Some(m) = metrics {
-                                m.frames_tx.inc();
-                            }
+        let arrival_s = conn.last_rx_s;
+        // Counted here, added to the metrics once after the loop.
+        let mut frames = 0u64;
+        let mut summaries = 0u64;
+        let mut open = true;
+        while open {
+            let Some((transport, _)) = self.reactor.get_mut(token) else {
+                return false;
+            };
+            let msg = match transport.next_msg() {
+                Ok(None) => break,
+                Ok(Some(msg)) => msg,
+                Err(_) => {
+                    // A desynchronised stream cannot be trusted;
+                    // classify the organic fault for the journal and
+                    // metrics *before* dropping it (oversize / bad magic
+                    // / decode are distinguishable from injected chaos
+                    // via `injected:false`, and the event carries the
+                    // observed frame length and codec).
+                    let kind = match transport.last_fault() {
+                        Some(FrameFault::Oversize) => {
+                            self.metrics.oversize_frames.inc();
+                            WireFaultKind::Oversize
                         }
-                        if !version_ok {
-                            if let Some(m) = metrics {
-                                m.version_rejects.inc();
-                            }
-                            close_conn(reactor, node_tokens, token, metrics);
-                            break;
-                        }
-                        if !epoch_ok {
-                            if let Some(m) = metrics {
-                                m.epoch_rejects.inc();
-                            }
-                            ctx.telemetry.emit(SchedEvent::EpochFenced {
-                                t_s: ctx.start.elapsed().as_secs_f64(),
-                                node: node as u32,
-                                peer_epoch: last_epoch,
-                                local_epoch: my_epoch,
-                            });
-                            close_conn(reactor, node_tokens, token, metrics);
-                            break;
-                        }
-                        if !acked {
-                            close_conn(reactor, node_tokens, token, metrics);
-                            break;
-                        }
-                        transport.set_codec(chosen);
-                        transport.stream().set_node(node);
-                        conn.node = Some(node);
-                        // A reconnecting node replaces its old socket as
-                        // the push target; the old one dies by deadline.
-                        node_tokens.insert(node, token);
-                        let _ = reactor.update_interest(token);
-                    }
-                    WireMsg::Summary(mut summary) => {
-                        // Re-stamp with arrival time on the
-                        // coordinator's clock: liveness is what *we*
-                        // observed, not what the agent claims.
-                        summary.sent_at_s = arrival_s;
-                        let node = summary.node;
-                        if node < ctx.nodes {
-                            last_power[node] = summary.power_w;
-                            last_seen[node] = arrival_s;
-                        }
-                        summaries += 1;
-                        // Accepted, `summary` now holds the one it
-                        // displaced; either way its vectors take the
-                        // connection's next decode.
-                        coordinator.ingest_swap(&mut summary);
-                        transport.recycle(summary);
-                    }
-                    WireMsg::Bye { .. } => {
-                        close_conn(reactor, node_tokens, token, metrics);
-                        break;
-                    }
-                    // Agents never send these; ignore.
-                    WireMsg::HelloAck { .. } | WireMsg::Ceiling(_) | WireMsg::Heartbeat { .. } => {}
+                        Some(FrameFault::BadMagic) => WireFaultKind::BadMagic,
+                        _ => WireFaultKind::Decode,
+                    };
+                    self.metrics.decode_errors.inc();
+                    self.metrics.wire_faults.inc();
+                    self.config.telemetry.emit(SchedEvent::WireFault {
+                        t_s: self.start.elapsed().as_secs_f64(),
+                        node: core.node_of(token).map_or(u32::MAX, |n| n as u32),
+                        kind,
+                        injected: false,
+                        frame_len: transport.last_fault_len(),
+                        codec: transport.last_fault_codec(),
+                    });
+                    open = false;
+                    break;
                 }
-            }
-            Err(_) => {
-                // A desynchronised stream cannot be trusted; classify
-                // the organic fault for the journal and metrics
-                // *before* dropping it (oversize / bad magic / decode
-                // are distinguishable from injected chaos via
-                // `injected:false`, and the event carries the observed
-                // frame length and codec).
-                let kind = match transport.last_fault() {
-                    Some(FrameFault::Oversize) => {
-                        if let Some(m) = metrics {
-                            m.oversize_frames.inc();
-                        }
-                        WireFaultKind::Oversize
-                    }
-                    Some(FrameFault::BadMagic) => WireFaultKind::BadMagic,
-                    _ => WireFaultKind::Decode,
-                };
-                if let Some(m) = metrics {
-                    m.decode_errors.inc();
-                    m.wire_faults.inc();
+            };
+            frames += 1;
+            match msg {
+                WireMsg::Summary(mut summary) => {
+                    summaries += 1;
+                    // Accepted, `summary` now holds the one it
+                    // displaced; either way its vectors take the
+                    // connection's next decode.
+                    core.ingest(&mut summary, arrival_s);
+                    transport.recycle(summary);
                 }
-                ctx.telemetry.emit(SchedEvent::WireFault {
-                    t_s: ctx.start.elapsed().as_secs_f64(),
-                    node: conn.node.map(|n| n as u32).unwrap_or(u32::MAX),
-                    kind,
-                    injected: false,
-                    frame_len: transport.last_fault_len(),
-                    codec: transport.last_fault_codec(),
-                });
-                close_conn(reactor, node_tokens, token, metrics);
-                break;
+                WireMsg::Hello {
+                    node,
+                    version,
+                    last_epoch,
+                    codecs,
+                    ..
+                } => {
+                    let (ack, verdict) =
+                        core.hello(token, node, version, last_epoch, codecs, arrival_s);
+                    open = self.write_conn(token, Some(&ack)) && verdict.is_ok();
+                    match verdict {
+                        Ok(codec) => {
+                            if let Some((transport, _)) = self.reactor.get_mut(token) {
+                                transport.set_codec(codec);
+                                transport.stream().set_node(node);
+                            }
+                        }
+                        Err(Refusal::Version) => self.metrics.version_rejects.inc(),
+                        Err(Refusal::StaleEpoch) => self.metrics.epoch_rejects.inc(),
+                        Err(Refusal::Repeated) => self.metrics.wire_faults.inc(),
+                    }
+                }
+                WireMsg::Bye { .. } => open = false,
+                // Agents never send these; ignore.
+                WireMsg::HelloAck { .. } | WireMsg::Ceiling(_) | WireMsg::Heartbeat { .. } => {}
             }
         }
-    }
-    if let Some(m) = metrics {
-        m.frames_rx.add(frames);
+        self.metrics.frames_rx.add(frames);
         if summaries > 0 {
             // Staleness at ingest, once per batch: how long the batch's
             // last summary waited between its bytes arriving and its
             // ingest — an upper bound for the ones parsed before it
             // (there is no reader-to-scheduler queue to wait in).
-            let waited_s = (ctx.start.elapsed().as_secs_f64() - arrival_s).max(0.0);
-            m.summary_staleness_s.observe_n(waited_s, summaries);
+            let waited_s = (self.now_s() - arrival_s).max(0.0);
+            self.metrics
+                .summary_staleness_s
+                .observe_n(waited_s, summaries);
         }
-    }
-}
-
-/// Push this round's ceilings, then a keep-alive [`WireMsg::Heartbeat`]
-/// to every handshaken connection the round did not command — so
-/// agents can bound dead-link detection in time, and a stale
-/// coordinator gets fenced mid-connection by the epoch the heartbeat
-/// carries.
-fn push_round(
-    reactor: &mut Reactor<Conn>,
-    node_tokens: &mut HashMap<usize, u64>,
-    commands: Vec<FrequencyCommand>,
-    epoch: u64,
-    round: u64,
-    metrics: Option<&NetMetrics>,
-) {
-    // Connections this round has commanded and left alive.
-    let mut commanded = 0usize;
-    for cmd in commands {
-        let Some(&token) = node_tokens.get(&cmd.node) else {
-            continue;
-        };
-        let Some((transport, conn)) = reactor.get_mut(token) else {
-            continue;
-        };
-        let first = conn.last_cmd_round != round;
-        conn.last_cmd_round = round;
-        let ok = transport.send(&WireMsg::Ceiling(cmd)).is_ok() && transport.flush().is_ok();
-        if !ok {
-            close_conn(reactor, node_tokens, token, metrics);
-            continue;
-        }
-        commanded += usize::from(first);
-        let _ = reactor.update_interest(token);
-        if let Some(m) = metrics {
-            m.frames_tx.inc();
-        }
-    }
-    // The steady case: every handshaken connection just got a ceiling,
-    // so nobody is owed a keep-alive.
-    if commanded == node_tokens.len() {
-        return;
-    }
-    let heartbeat = WireMsg::Heartbeat { epoch };
-    let targets: Vec<u64> = node_tokens.values().copied().collect();
-    for token in targets {
-        let Some((transport, conn)) = reactor.get_mut(token) else {
-            continue;
-        };
-        if conn.last_cmd_round == round {
-            continue;
-        }
-        let ok = transport.send(&heartbeat).is_ok() && transport.flush().is_ok();
-        if !ok {
-            close_conn(reactor, node_tokens, token, metrics);
-            continue;
-        }
-        let _ = reactor.update_interest(token);
-        if let Some(m) = metrics {
-            m.frames_tx.inc();
-            m.heartbeats_tx.inc();
-        }
-    }
-}
-
-/// Capture the coordinator's recoverable state as a [`Snapshot`].
-fn take_snapshot(
-    coordinator: &GlobalCoordinator,
-    tracker: &BudgetDeadlineTracker,
-    nodes: usize,
-    epoch: u64,
-    budget_w: f64,
-    now_s: f64,
-    rounds: u64,
-) -> Snapshot {
-    let nodes = (0..nodes)
-        .map(|i| {
-            let r = coordinator.export_node(i).unwrap_or(NodeRestore {
-                summary: None,
-                commanded_w: 0.0,
-                dead: false,
-                shape: None,
-            });
-            let age_s = r
-                .summary
-                .as_ref()
-                .map(|s| (now_s - s.sent_at_s).max(0.0))
-                .unwrap_or(f64::INFINITY);
-            SnapshotNode {
-                summary: r.summary,
-                age_s,
-                commanded_w: r.commanded_w,
-                dead: r.dead,
-                shape: r.shape,
-            }
-        })
-        .collect();
-    Snapshot {
-        epoch,
-        budget_w,
-        taken_at_s: now_s,
-        rounds,
-        nodes,
-        episode: tracker
-            .export_episode()
-            .map(|ep| SnapshotEpisode::from_open(&ep, now_s)),
-    }
-}
-
-/// The whole server, one thread: accept, read, schedule, push.
-fn event_loop(
-    listener: TcpListener,
-    mut coordinator: GlobalCoordinator,
-    mut tracker: BudgetDeadlineTracker,
-    ctx: LoopCtx,
-) {
-    let mut reactor: Reactor<Conn> = match Reactor::new() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fvsst-coordinator: reactor init failed: {e}");
-            return;
-        }
-    };
-    if let Err(e) = reactor.register_listener(&listener) {
-        eprintln!("fvsst-coordinator: listener registration failed: {e}");
-        return;
+        open
     }
 
-    // Map a node id to its current downlink token.
-    let mut node_tokens: HashMap<usize, u64> = HashMap::new();
-    let mut accept_seq = 0u64;
-    let mut last_round = Instant::now();
-    let mut seen_epoch = 0u64;
-    let mut prev_budget = f64::from_bits(ctx.shared.budget_bits.load(Ordering::SeqCst));
-    let mut rounds = ctx.shared.status().rounds;
-    let my_epoch = ctx.shared.epoch.load(Ordering::SeqCst);
-    let mut last_snapshot_s = 0.0f64;
-    // Last power each node reported, and when (coordinator clock) — the
-    // live half of the conservative power sum. Restored nodes start
-    // with `last_seen = -inf` on purpose: they are *charged* (inside
-    // `reserved_w`) until they report on this incarnation's socket.
-    let mut last_power = vec![0.0f64; ctx.nodes];
-    let mut last_seen = vec![f64::NEG_INFINITY; ctx.nodes];
-    // Read-deadline sweeps walk every connection, so amortize them.
-    let sweep_every = (ctx.read_deadline / 4).min(Duration::from_millis(500));
-    let mut last_sweep = Instant::now();
+    /// Move a waiting budget change from the mailbox into the core.
+    fn take_budget(&self, core: &mut CoordinatorCore) {
+        if self.shared.budget.load(Ordering::SeqCst) != NO_BUDGET {
+            let bits = self.shared.budget.swap(NO_BUDGET, Ordering::SeqCst);
+            core.set_budget(f64::from_bits(bits));
+        }
+    }
 
-    let write_snapshot = |coordinator: &GlobalCoordinator,
-                          tracker: &BudgetDeadlineTracker,
-                          budget: f64,
-                          now_s: f64,
-                          rounds: u64| {
-        let Some(store) = &ctx.store else { return };
-        let snap = take_snapshot(
-            coordinator,
-            tracker,
-            ctx.nodes,
-            my_epoch,
-            budget,
-            now_s,
-            rounds,
-        );
-        match store.save(&snap) {
-            Ok(()) => {
-                if let Some(m) = ctx.metrics.as_ref() {
-                    m.snapshots_written.inc();
+    /// The whole server, one thread: accept, read, and on the core's
+    /// say-so run a round.
+    fn run(mut self, mut core: CoordinatorCore) {
+        // Read-deadline sweeps walk every connection, so amortize them.
+        let read_deadline_s = self.config.read_deadline_s;
+        let sweep_every_s = (read_deadline_s / 4.0).min(0.5);
+        let mut last_sweep_s = self.now_s();
+        // The poll batch being serviced and how far into it the loop is.
+        let mut events = Vec::new();
+        let mut next_event = 0;
+
+        loop {
+            let stopping = self.shared.stop.load(Ordering::SeqCst);
+
+            if next_event == events.len() {
+                // Wait for readiness, but never past the scheduler
+                // slice: a budget change (an atomic poke from another
+                // thread) must be noticed within a few milliseconds,
+                // not a period.
+                let until_round = Duration::from_secs_f64(core.until_round_s(self.now_s()));
+                let timeout = until_round.min(Duration::from_millis(2));
+                self.reactor.recycle_events(events);
+                if let Err(e) = self.reactor.poll(Some(timeout)) {
+                    eprintln!("fvsst-coordinator: poll failed: {e}");
+                    break;
                 }
-                ctx.telemetry.emit(SchedEvent::SnapshotWritten {
-                    t_s: now_s,
-                    epoch: my_epoch,
-                    budget_w: budget,
-                    nodes: ctx.nodes as u32,
+                events = self.reactor.drain_events();
+                next_event = 0;
+            }
+            while let Some(ev) = events.get(next_event) {
+                next_event += 1;
+                if ev.token == LISTENER_TOKEN {
+                    self.accept_ready();
+                } else if !self.service_conn(ev, &mut core) {
+                    self.close_conn(ev.token);
+                    core.closed(ev.token);
+                }
+                // A round is owed: run it now and come back for the rest
+                // of the batch, so that however many peers are ready and
+                // however much each has written, scheduling waits for
+                // one connection's fill budget and not for all of them —
+                // and the connections late in a batch still get their
+                // turn.
+                self.take_budget(&mut core);
+                if core.until_round_s(self.now_s()) <= 0.0 {
+                    break;
+                }
+            }
+
+            // Read-deadline sweep: a link that produces no bytes for
+            // `read_deadline_s` is declared dead instead of lingering.
+            let now_s = self.now_s();
+            if now_s - last_sweep_s >= sweep_every_s {
+                last_sweep_s = now_s;
+                for token in self.reactor.tokens() {
+                    let expired = self
+                        .reactor
+                        .get_mut(token)
+                        .is_some_and(|(_, c)| now_s - c.last_rx_s > read_deadline_s);
+                    if expired {
+                        self.close_conn(token);
+                        core.closed(token);
+                    }
+                }
+            }
+
+            self.take_budget(&mut core);
+            let now_s = self.now_s();
+            if stopping || core.until_round_s(now_s) <= 0.0 {
+                let _round_span = self.config.tracer.span("net.round");
+                let round_started = Instant::now();
+                let snapshot = core.run_round(now_s, &mut self);
+                let fanout = self.fanout_started.take();
+                self.metrics
+                    .fanout_wall_s
+                    .observe(fanout.map_or(0.0, |t| t.elapsed().as_secs_f64()));
+                self.metrics
+                    .connections
+                    .set(core.status().connections as f64);
+                self.metrics
+                    .round_wall_s
+                    .observe(round_started.elapsed().as_secs_f64());
+                // The status is what `/healthz` reads: whatever the round
+                // journaled (`resync_complete`, say) precedes the flip.
+                self.shared.status().clone_from(core.status());
+                if let Some(snapshot) = &snapshot {
+                    self.persist(snapshot);
+                }
+            }
+            if stopping {
+                break;
+            }
+        }
+        // Dropping the reactor closes every socket, unblocking any agent
+        // mid-read.
+    }
+}
+
+/// A round's way out of the core: frames onto sockets through
+/// [`Driver::write_conn`], snapshots onto disk.
+impl RoundSink for Driver {
+    fn persist(&mut self, snapshot: &Snapshot) {
+        let Some(store) = &self.store else { return };
+        match store.save(snapshot) {
+            Ok(()) => {
+                self.metrics.snapshots_written.inc();
+                self.config.telemetry.emit(SchedEvent::SnapshotWritten {
+                    t_s: snapshot.taken_at_s,
+                    epoch: snapshot.epoch,
+                    budget_w: snapshot.budget_w,
+                    nodes: snapshot.nodes.len() as u32,
                 });
             }
-            Err(e) => {
-                eprintln!("fvsst-coordinator: snapshot write failed: {e}");
-            }
-        }
-    };
-
-    let period = Duration::from_secs_f64(ctx.period_s);
-    // The poll batch being serviced and how far into it the loop is.
-    let mut events = Vec::new();
-    let mut next_event = 0;
-
-    loop {
-        let stopping = ctx.shared.stop.load(Ordering::SeqCst);
-
-        if next_event == events.len() {
-            // Wait for readiness, but never past the scheduler slice: a
-            // budget change (an atomic poke from another thread) must be
-            // noticed within a few milliseconds, not a period.
-            let until_round = period.saturating_sub(last_round.elapsed());
-            let timeout = until_round.min(Duration::from_millis(2));
-            reactor.recycle_events(events);
-            if let Err(e) = reactor.poll(Some(timeout)) {
-                eprintln!("fvsst-coordinator: poll failed: {e}");
-                break;
-            }
-            events = reactor.drain_events();
-            next_event = 0;
-        }
-        while let Some(ev) = events.get(next_event) {
-            next_event += 1;
-            if ev.token == LISTENER_TOKEN {
-                accept_ready(&listener, &mut reactor, &ctx, &mut accept_seq);
-            } else {
-                service_conn(
-                    ev.readable || ev.hangup,
-                    ev.writable,
-                    ev.token,
-                    &mut reactor,
-                    &mut node_tokens,
-                    &ctx,
-                    &mut coordinator,
-                    &mut last_power,
-                    &mut last_seen,
-                    my_epoch,
-                );
-            }
-            // A round is owed: run it now and come back for the rest of
-            // the batch, so that however many peers are ready and
-            // however much each has written, scheduling waits for one
-            // connection's fill budget and not for all of them — and the
-            // connections late in a batch still get their turn.
-            if last_round.elapsed() >= period
-                || ctx.shared.budget_epoch.load(Ordering::SeqCst) != seen_epoch
-            {
-                break;
-            }
-        }
-
-        // Read-deadline sweep: a link that produces no bytes for
-        // `read_deadline` is declared dead instead of lingering.
-        if last_sweep.elapsed() >= sweep_every {
-            last_sweep = Instant::now();
-            for token in reactor.tokens() {
-                let expired = reactor
-                    .get_mut(token)
-                    .map(|(_, c)| c.last_rx.elapsed() > ctx.read_deadline)
-                    .unwrap_or(false);
-                if expired {
-                    close_conn(
-                        &mut reactor,
-                        &mut node_tokens,
-                        token,
-                        ctx.metrics.as_ref().as_ref(),
-                    );
-                }
-            }
-        }
-
-        let epoch = ctx.shared.budget_epoch.load(Ordering::SeqCst);
-        let budget_changed = epoch != seen_epoch;
-        let due = last_round.elapsed() >= period;
-        if budget_changed || due || stopping {
-            let _round_span = ctx.tracer.span("net.round");
-            let round_started = Instant::now();
-            seen_epoch = epoch;
-            last_round = Instant::now();
-            let now_s = ctx.start.elapsed().as_secs_f64();
-            let budget = f64::from_bits(ctx.shared.budget_bits.load(Ordering::SeqCst));
-            if budget != prev_budget {
-                // Write-ahead: persist the new budget *before* acting
-                // on it, so a crash between here and the push can
-                // never resurrect the old, laxer budget.
-                write_snapshot(&coordinator, &tracker, budget, now_s, rounds);
-                last_snapshot_s = now_s;
-                if let Some(ev) = tracker.on_budget_change(now_s, prev_budget, budget) {
-                    ctx.telemetry.emit(ev);
-                }
-                prev_budget = budget;
-            }
-
-            let commands = coordinator.schedule(budget, now_s);
-            tracker.on_round();
-
-            // Conservative power: what the live nodes last reported plus
-            // what the coordinator reserved for the silent — the same
-            // sum the ΔT argument is made against. Liveness here is the
-            // exact rule `schedule()` used, so no node is both counted
-            // live and charged as reserved.
-            let reserved_w = coordinator.reserved_w();
-            let live_w: f64 = (0..ctx.nodes)
-                .filter(|&i| now_s - last_seen[i] <= ctx.heartbeat_timeout_s)
-                .map(|i| last_power[i])
-                .sum();
-            let conservative_w = live_w + reserved_w;
-            if let Some(ev) = tracker.on_power_sample(now_s, conservative_w) {
-                ctx.telemetry.emit(ev);
-            }
-
-            // Resync bookkeeping: the grace window ends when every node
-            // has reported fresh on this incarnation, or the deadline
-            // lapses — whichever comes first. Clearing the bits here
-            // (and only here) is what flips `/healthz` to 200, so the
-            // `resync_complete` event strictly precedes the flip.
-            let resync_deadline =
-                f64::from_bits(ctx.shared.resync_deadline_bits.load(Ordering::SeqCst));
-            let mut resyncing = !resync_deadline.is_nan();
-            if resyncing {
-                let fresh = (0..ctx.nodes)
-                    .filter(|&i| now_s - last_seen[i] <= ctx.heartbeat_timeout_s)
-                    .count();
-                if fresh == ctx.nodes || now_s >= resync_deadline {
-                    ctx.telemetry.emit(SchedEvent::ResyncComplete {
-                        t_s: now_s,
-                        wall_s: now_s,
-                        fresh_nodes: fresh as u32,
-                        charged_nodes: (ctx.nodes - fresh) as u32,
-                    });
-                    ctx.shared
-                        .resync_deadline_bits
-                        .store(f64::NAN.to_bits(), Ordering::SeqCst);
-                    resyncing = false;
-                }
-            }
-
-            rounds += 1;
-            {
-                let _push_span = ctx.tracer.span("net.push");
-                let push_started = Instant::now();
-                push_round(
-                    &mut reactor,
-                    &mut node_tokens,
-                    commands,
-                    my_epoch,
-                    rounds,
-                    ctx.metrics.as_ref().as_ref(),
-                );
-                if let Some(m) = ctx.metrics.as_ref() {
-                    m.fanout_wall_s
-                        .observe(push_started.elapsed().as_secs_f64());
-                }
-            }
-
-            let mut status = ctx.shared.status();
-            status.rounds = rounds;
-            status.nodes_reporting = coordinator.nodes_reporting();
-            status.dead_nodes = coordinator.dead_nodes();
-            status.reserved_w = reserved_w;
-            status.conservative_power_w = conservative_w;
-            status.budget_w = budget;
-            status.connections = node_tokens.len();
-            status.compliances = tracker.compliances();
-            status.violations = tracker.violations();
-            status.epoch = my_epoch;
-            status.resyncing = resyncing;
-            status.last_compliance = tracker.last_compliance();
-            if let Some(m) = ctx.metrics.as_ref() {
-                m.connections.set(status.connections as f64);
-                m.round_wall_s
-                    .observe(round_started.elapsed().as_secs_f64());
-            }
-            drop(status);
-            ctx.shared.last_round_bits.store(
-                ctx.start.elapsed().as_secs_f64().to_bits(),
-                Ordering::SeqCst,
-            );
-
-            // Cadence snapshot (budget changes already snapshotted
-            // above, write-ahead).
-            if now_s - last_snapshot_s >= ctx.snapshot_every_s {
-                write_snapshot(&coordinator, &tracker, budget, now_s, rounds);
-                last_snapshot_s = now_s;
-            }
-        }
-        if stopping {
-            break;
+            Err(e) => eprintln!("fvsst-coordinator: snapshot write failed: {e}"),
         }
     }
-    // Dropping the reactor closes every socket, unblocking any agent
-    // mid-read.
+
+    fn send(&mut self, conn: u64, msg: &WireMsg) -> bool {
+        self.fanout_started.get_or_insert_with(Instant::now);
+        self.write_conn(conn, Some(msg))
+    }
 }
 
-/// Build a [`HealthReport`] from the shared control-plane state. Budget
+/// Build a [`HealthReport`] from the last published status. Budget
 /// compliance is against the *conservative* power sum — the same
 /// quantity the paper's ΔT argument bounds — and an infinite budget is
 /// trivially compliant.
 fn health_from(shared: &Shared, start: Instant) -> HealthReport {
     let status = shared.status().clone();
     let now_s = start.elapsed().as_secs_f64();
-    let last_round_s = f64::from_bits(shared.last_round_bits.load(Ordering::SeqCst));
     let budget_compliant =
         !status.budget_w.is_finite() || status.conservative_power_w <= status.budget_w;
-    let resync_deadline = f64::from_bits(shared.resync_deadline_bits.load(Ordering::SeqCst));
-    let resyncing = !resync_deadline.is_nan();
     HealthReport {
         uptime_s: now_s,
         rounds: status.rounds,
-        last_round_age_s: (now_s - last_round_s).max(0.0),
+        last_round_age_s: (now_s - status.last_round_s).max(0.0),
         nodes_reporting: status.nodes_reporting,
         dead_nodes: status.dead_nodes,
         connections: status.connections,
@@ -1304,12 +828,10 @@ fn health_from(shared: &Shared, start: Instant) -> HealthReport {
         compliances: status.compliances,
         violations: status.violations,
         epoch: status.epoch,
-        resyncing,
-        resync_deadline_s: if resyncing {
-            (resync_deadline - now_s).max(0.0)
-        } else {
-            f64::NAN
-        },
+        resyncing: status.resyncing,
+        resync_deadline_s: status
+            .resync_deadline_s
+            .map_or(f64::NAN, |deadline_s| (deadline_s - now_s).max(0.0)),
         degraded: status.dead_nodes > 0 || !budget_compliant,
     }
 }

@@ -13,8 +13,12 @@
 //! [`reactor`] thread (epoll via the vendored `netpoll` crate — thread
 //! count is O(1) in connection count): the coordinator's loop serves
 //! every connection, the agent's ([`fleet`]) runs every agent, whether
-//! the thousands of an [`AgentFleet`] or the one of a [`NodeAgent`];
-//! the agent's protocol rules, with no socket in them, are [`agent`]'s.
+//! the thousands of an [`AgentFleet`] or the one of a [`NodeAgent`].
+//! Each role's rules are kept apart from its loop, with no socket and
+//! no clock in them: the agent's are [`agent`]'s, the coordinator's —
+//! and all its scheduling and protocol state — are
+//! [`coordinator_core`]'s [`CoordinatorCore`], which the loop drives
+//! and a test or a replay can drive as well.
 //! Each connection's codec, chaos and queueing state lives in a
 //! [`transport::Transport`], and no other code writes a control-plane
 //! socket. Built entirely on `std::net` TCP — the vendored, offline
@@ -31,6 +35,7 @@ pub mod agent;
 pub mod args;
 pub mod chaos;
 pub mod coordinator;
+pub mod coordinator_core;
 pub mod error;
 pub mod fleet;
 pub mod obs;
@@ -45,6 +50,7 @@ pub use agent::{
 pub use args::NetArgs;
 pub use chaos::{ChaosSide, ChaosStream, WireChaos, WriteFault};
 pub use coordinator::{CoordinatorConfig, CoordinatorServer, CoordinatorStatus};
+pub use coordinator_core::{CoordinatorCore, Refusal, RoundSink};
 pub use error::FvsError;
 pub use fleet::{AgentFleet, FleetHandle, FleetStats};
 pub use obs::{http_get, HealthReport, ObsHandles, ObsServer};

@@ -6,7 +6,10 @@
 
 use fvs_cluster::NodeSummary;
 use fvs_model::{CpiModel, FreqMhz};
-use fvs_net::{Snapshot, SnapshotEpisode, SnapshotNode};
+use fvs_net::{
+    CoordinatorConfig, CoordinatorCore, RoundSink, Snapshot, SnapshotEpisode, SnapshotNode, WireMsg,
+};
+use fvs_sched::FvsstAlgorithm;
 use proptest::prelude::*;
 
 /// Any f64, with the non-finite specials drawn often enough to matter.
@@ -155,8 +158,83 @@ fn assert_summary_matches(sent: &Option<NodeSummary>, back: &Option<NodeSummary>
     }
 }
 
+/// A sink for a round nobody is connected to.
+struct NoSink;
+
+impl RoundSink for NoSink {
+    fn persist(&mut self, _: &Snapshot) {}
+    fn send(&mut self, _: u64, _: &WireMsg) -> bool {
+        true
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A coordinator resumed from *any* snapshot is never less
+    /// conservative than it: on its first round every node is charged
+    /// at least `max(restored power, last commanded)` — the worst case
+    /// where the snapshot held nothing usable for it — and the budget in
+    /// force is at most the stricter of the snapshot's and the
+    /// configured one.
+    #[test]
+    fn a_resumed_core_is_never_less_conservative(
+        mut snap in arb_snapshot(),
+        plausible in any::<bool>(),
+        nodes in 1usize..8,
+    ) {
+        if plausible {
+            // `arb_snapshot` rarely draws a summary a restore would
+            // keep; make every one name its own node and draw a real
+            // power, so the restored-charge path is exercised as well.
+            for (i, n) in snap.nodes.iter_mut().enumerate() {
+                if let Some(s) = &mut n.summary {
+                    s.node = i;
+                    s.power_w = if s.power_w.is_finite() { s.power_w.abs() } else { 1.0 };
+                }
+            }
+        }
+        const WORST_W: f64 = 560.0;
+        const CONFIGURED_W: f64 = 5.0e5;
+        let config = CoordinatorConfig::default_lan()
+            .with_worst_case_node_w(WORST_W)
+            .with_initial_budget_w(CONFIGURED_W);
+        let mut core = CoordinatorCore::new(nodes, FvsstAlgorithm::p630(), &config, Some(&snap));
+        prop_assert_eq!(core.status().epoch, snap.epoch.saturating_add(1));
+        prop_assert!(core.status().resyncing);
+        core.run_round(config.period_s, &mut NoSink);
+
+        let floor_w: f64 = (0..nodes)
+            .map(|i| {
+                let Some(n) = snap.nodes.get(i) else { return WORST_W };
+                // What a restore keeps of a summary: one that names its
+                // own node, well-shaped, drawing a real power.
+                let usable = n.summary.as_ref().filter(|s| {
+                    s.node == i
+                        && s.idle.len() == s.models.len()
+                        && s.current.len() == s.models.len()
+                        && s.power_w.is_finite()
+                        && s.power_w >= 0.0
+                });
+                match usable {
+                    Some(s) if n.commanded_w.is_finite() => s.power_w.max(n.commanded_w),
+                    Some(s) => s.power_w,
+                    None => WORST_W,
+                }
+            })
+            .sum();
+        let status = core.status();
+        prop_assert!(
+            status.conservative_power_w >= floor_w * (1.0 - 1e-12),
+            "charged {} W, the snapshot implies at least {} W",
+            status.conservative_power_w,
+            floor_w
+        );
+        prop_assert!(status.budget_w <= CONFIGURED_W);
+        if !snap.budget_w.is_nan() {
+            prop_assert!(status.budget_w <= snap.budget_w);
+        }
+    }
 
     /// encode → decode is the identity on snapshots, with the two-tier
     /// float contract: top-level floats keep their non-finite class

@@ -4,15 +4,15 @@
 //! implemented as a single-threaded program" that periodically collects
 //! counter data and, on a timer or an external signal, recomputes and
 //! applies frequencies. This module hosts the [`FvsstScheduler`] on its
-//! own thread behind crossbeam channels: the measurement path sends tick
+//! own thread behind `std::sync::mpsc` channels: the measurement path sends tick
 //! observations, the daemon replies with decisions, and a separate signal
 //! channel delivers budget changes out of band (the prototype's "signal
 //! with a new frequency limit").
 
 use crate::policy::{Decision, PlatformView, Policy, TickContext};
 use crate::scheduler::{FvsstScheduler, SchedulerConfig, Trigger};
-use crossbeam::channel::{bounded, Receiver, Sender};
 use fvs_model::{CounterDelta, CpiModel, FreqMhz};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 
 /// One tick's observations, owned so they can cross the channel.
@@ -56,7 +56,7 @@ pub struct DaemonSummary {
 /// Handle to a running scheduler daemon thread.
 #[derive(Debug)]
 pub struct SchedulerDaemon {
-    tx: Sender<Request>,
+    tx: SyncSender<Request>,
     rx: Receiver<Option<Decision>>,
     join: Option<JoinHandle<DaemonSummary>>,
 }
@@ -64,8 +64,8 @@ pub struct SchedulerDaemon {
 impl SchedulerDaemon {
     /// Spawn the daemon for `n_cores` cores on `platform`.
     pub fn spawn(n_cores: usize, config: SchedulerConfig, platform: PlatformView) -> Self {
-        let (req_tx, req_rx) = bounded::<Request>(1);
-        let (resp_tx, resp_rx) = bounded::<Option<Decision>>(1);
+        let (req_tx, req_rx) = sync_channel::<Request>(1);
+        let (resp_tx, resp_rx) = sync_channel::<Option<Decision>>(1);
         let join = std::thread::Builder::new()
             .name("fvsst-daemon".to_string())
             .spawn(move || {

@@ -6,7 +6,8 @@
 //! from the counters at user level while the other one controls the
 //! throttling or frequency and voltage scaling for it."
 //!
-//! This module implements that architecture with crossbeam channels:
+//! This module implements that architecture with `std::sync::mpsc`
+//! channels:
 //!
 //! - one **collector** thread per processor accumulates that processor's
 //!   dispatch-tick samples into a scheduling window and fits the CPI
@@ -24,9 +25,9 @@
 //! whenever convenient.
 
 use crate::algorithm::{FvsstAlgorithm, ModelTolerance, ProcInput, ScheduleCache};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use fvs_model::{CounterDelta, CounterWindow, CpiModel, Estimator, FreqMhz, MemoryLatencies};
 use fvs_telemetry::{Histogram, RoundTimer, SchedEvent, Telemetry};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
 /// One dispatch-tick observation for one processor.
@@ -60,7 +61,10 @@ struct ProcUpdate {
     current: FreqMhz,
 }
 
-enum Control {
+/// Everything the scheduler thread is told, on one channel, so it
+/// blocks in `recv` and wakes for whichever comes first.
+enum SchedulerMsg {
+    Update(ProcUpdate),
     Budget(f64),
     Shutdown,
 }
@@ -79,7 +83,7 @@ pub struct MtSummary {
 pub struct MtDaemon {
     sample_txs: Vec<Sender<CoreSample>>,
     cmd_rx: Receiver<CoreCommand>,
-    control_tx: Sender<Control>,
+    scheduler_tx: Sender<SchedulerMsg>,
     collector_handles: Vec<JoinHandle<u64>>,
     scheduler_handle: Option<JoinHandle<u64>>,
 }
@@ -104,17 +108,16 @@ impl MtDaemon {
         telemetry: Telemetry,
     ) -> Self {
         let latencies = MemoryLatencies::P630;
-        let (update_tx, update_rx) = unbounded::<ProcUpdate>();
-        let (cmd_tx, cmd_rx) = unbounded::<CoreCommand>();
-        let (control_tx, control_rx) = unbounded::<Control>();
+        let (scheduler_tx, scheduler_rx) = channel::<SchedulerMsg>();
+        let (cmd_tx, cmd_rx) = channel::<CoreCommand>();
 
         // Collectors: window + local model fit, per core.
         let mut sample_txs = Vec::with_capacity(n_cores);
         let mut collector_handles = Vec::with_capacity(n_cores);
         for core in 0..n_cores {
-            let (tx, rx) = unbounded::<CoreSample>();
+            let (tx, rx) = channel::<CoreSample>();
             sample_txs.push(tx);
-            let update_tx = update_tx.clone();
+            let update_tx = scheduler_tx.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("fvsst-collector-{core}"))
                 .spawn(move || {
@@ -130,12 +133,12 @@ impl MtDaemon {
                             if let Ok(m) = estimator.estimate(&total, sample.freq) {
                                 model = Some(m);
                             }
-                            let _ = update_tx.send(ProcUpdate {
+                            let _ = update_tx.send(SchedulerMsg::Update(ProcUpdate {
                                 core,
                                 model,
                                 idle: sample.idle,
                                 current: sample.freq,
-                            });
+                            }));
                         }
                     }
                     processed
@@ -143,8 +146,6 @@ impl MtDaemon {
                 .expect("spawn collector");
             collector_handles.push(handle);
         }
-        drop(update_tx);
-
         // Central scheduler: merge updates, schedule on a full round or
         // a budget signal.
         let scheduler_handle = std::thread::Builder::new()
@@ -206,33 +207,30 @@ impl MtDaemon {
                             }
                         }
                     };
-                loop {
-                    crossbeam::select! {
-                        recv(update_rx) -> msg => match msg {
-                            Ok(update) => {
-                                fresh += 1;
-                                latest[update.core] = Some(update);
-                                // A full round of updates → timer tick.
-                                if fresh >= n_cores {
-                                    fresh = 0;
+                // Ends on `Shutdown`, or when the handle and every
+                // collector are gone.
+                while let Ok(msg) = scheduler_rx.recv() {
+                    match msg {
+                        SchedulerMsg::Update(update) => {
+                            fresh += 1;
+                            latest[update.core] = Some(update);
+                            // A full round of updates → timer tick.
+                            if fresh >= n_cores {
+                                fresh = 0;
+                                run(&latest, budget_w, &mut schedules);
+                            }
+                        }
+                        SchedulerMsg::Budget(w) => {
+                            if (w - budget_w).abs() > 1e-9 {
+                                budget_w = w;
+                                // Budget signal: immediate round with
+                                // whatever data is on hand.
+                                if latest.iter().any(Option::is_some) {
                                     run(&latest, budget_w, &mut schedules);
                                 }
                             }
-                            Err(_) => break,
-                        },
-                        recv(control_rx) -> msg => match msg {
-                            Ok(Control::Budget(w)) => {
-                                if (w - budget_w).abs() > 1e-9 {
-                                    budget_w = w;
-                                    // Budget signal: immediate round with
-                                    // whatever data is on hand.
-                                    if latest.iter().any(Option::is_some) {
-                                        run(&latest, budget_w, &mut schedules);
-                                    }
-                                }
-                            }
-                            Ok(Control::Shutdown) | Err(_) => break,
-                        },
+                        }
+                        SchedulerMsg::Shutdown => break,
                     }
                 }
                 schedules
@@ -242,7 +240,7 @@ impl MtDaemon {
         MtDaemon {
             sample_txs,
             cmd_rx,
-            control_tx,
+            scheduler_tx,
             collector_handles,
             scheduler_handle: Some(scheduler_handle),
         }
@@ -256,7 +254,7 @@ impl MtDaemon {
     /// Signal a new global budget (non-blocking; triggers an immediate
     /// scheduling round, like the prototype's frequency-limit signal).
     pub fn set_budget(&self, budget_w: f64) {
-        let _ = self.control_tx.send(Control::Budget(budget_w));
+        let _ = self.scheduler_tx.send(SchedulerMsg::Budget(budget_w));
     }
 
     /// Drain any commands produced so far (non-blocking).
@@ -271,9 +269,8 @@ impl MtDaemon {
 
     /// Stop all threads and collect the summary.
     pub fn shutdown(mut self) -> MtSummary {
-        let _ = self.control_tx.send(Control::Shutdown);
-        // Closing the sample channels terminates the collectors, which
-        // in turn closes the update channel.
+        let _ = self.scheduler_tx.send(SchedulerMsg::Shutdown);
+        // Closing the sample channels terminates the collectors.
         let txs = std::mem::take(&mut self.sample_txs);
         drop(txs);
         let samples_per_core = self
@@ -296,7 +293,7 @@ impl MtDaemon {
 
 impl Drop for MtDaemon {
     fn drop(&mut self) {
-        let _ = self.control_tx.send(Control::Shutdown);
+        let _ = self.scheduler_tx.send(SchedulerMsg::Shutdown);
         self.sample_txs.clear();
         for h in self.collector_handles.drain(..) {
             let _ = h.join();
