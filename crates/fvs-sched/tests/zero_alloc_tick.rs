@@ -125,18 +125,8 @@ fn prove(label: &str, telemetry: Telemetry, tracer: Tracer) {
 /// looping workloads (every loop wrap goes through the compacted
 /// boundary-crosser list, so the slow path is continuously exercised)
 /// must tick and sample without touching the allocator once warm.
-///
-/// With `chunked` the parallel threshold is forced below the core count
-/// so the pass goes through the rayon split tree; the thread cap is
-/// pinned to 1 in `main`, which makes the stand-in `join` run inline —
-/// the chunking control flow is measured without nondeterministic
-/// thread-spawn allocations.
-fn prove_batched(label: &str, chunked: bool) {
-    let threshold = if chunked { 64 } else { usize::MAX };
-    let mut b = MachineBuilder::p630()
-        .cores(256)
-        .noise(NoiseModel::NONE)
-        .parallel_threshold(threshold);
+fn prove_batched() {
+    let mut b = MachineBuilder::p630().cores(256).noise(NoiseModel::NONE);
     for i in 0..256 {
         b = b.workload(
             i,
@@ -161,7 +151,7 @@ fn prove_batched(label: &str, chunked: bool) {
         machine.sample_all_into(&mut samples);
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
-    assert_eq!(after - before, 0, "batched tick allocated ({label})");
+    assert_eq!(after - before, 0, "batched tick allocated");
 
     // The run was genuinely crossing phase boundaries, not idling on
     // the fast path the whole time: the measured window retired more
@@ -175,12 +165,6 @@ fn prove_batched(label: &str, chunked: bool) {
 }
 
 fn main() {
-    // Cap the stand-in rayon pool at one worker so the chunked proof's
-    // joins run inline (single-threaded process, exact counters).
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build_global()
-        .expect("first and only pool build");
     prove(
         "telemetry disabled",
         Telemetry::disabled(),
@@ -200,7 +184,6 @@ fn main() {
         Telemetry::memory(4096),
         Tracer::ring(256),
     );
-    prove_batched("serial pass", false);
-    prove_batched("chunked pass", true);
+    prove_batched();
     println!("zero_alloc_tick: ok");
 }

@@ -41,8 +41,8 @@ pub trait Actuator: std::fmt::Debug + Send {
     /// function: the effective frequency is `target` from `settle_at_s`
     /// onward and `current` before. Every actuator in this crate is
     /// exactly such a step (throttling settles instantly), which is what
-    /// lets the batched [`crate::CoreBank`] cache effective frequencies
-    /// in flat arrays instead of making a virtual call per core per tick.
+    /// lets the batched tick cache effective frequencies in flat arrays
+    /// instead of making a virtual call per core per tick.
     fn linearize(&self) -> (FreqMhz, FreqMhz, f64);
 }
 

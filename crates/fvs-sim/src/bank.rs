@@ -1,16 +1,16 @@
-//! Struct-of-arrays core bank: the batched simulator hot path.
+//! Struct-of-arrays core bank: the one place a simulated core is stepped.
 //!
-//! [`crate::Machine`] historically stepped a `Vec<Core>` of
-//! struct-of-everything cores — per core per tick it made two virtual
-//! actuator calls, rebuilt a `CpiModel` from the phase profile, and
-//! walked a phase list. At the ROADMAP's scales (tens of thousands of
-//! cores, millions of ticks) that scalar loop dominates everything the
-//! scheduler itself costs. `CoreBank` keeps the same ground-truth model
-//! but lays every per-core field out as its own contiguous array so one
-//! [`CoreBank::tick_batch`] pass advances all cores with streaming,
+//! [`CoreBank::step_row_core`] is the scalar definition of a core's tick:
+//! consume stolen daemon time, then retire instructions at the effective
+//! frequency across phase boundaries, body loops, drift and completion.
+//! A machine built with [`crate::MachineBuilder::reference_stepping`]
+//! runs nothing else, which makes it the differential oracle. Every other
+//! machine goes through [`CoreBank::tick_batch`], which keeps the same
+//! ground-truth model but lays every per-core field out as its own
+//! contiguous array so one pass advances all cores with streaming,
 //! branch-light, SIMD-friendly arithmetic.
 //!
-//! Four ideas make the fast path cheap while preserving the reference
+//! Four ideas make the fast path cheap while preserving the scalar
 //! semantics — bit-identical under every-tick observation, and within a
 //! few ulp (≤1e-12 relative) for accumulators left unobserved across
 //! multi-tick windows (see the differential proptests in
@@ -29,41 +29,34 @@
 //! 3. **Boundary-crossers compaction.** Cores that would cross a phase
 //!    boundary this tick (or owe stolen daemon time) are *rare*; their
 //!    indices are compacted into a small per-block list and replayed
-//!    through [`TickChunk::step_row_scalar`] — a faithful port of
-//!    `Core::step` — while the common case stays branch-free.
+//!    through `step_row_core` while the common case stays branch-free.
 //! 4. **Deferred uniform windows.** A 128-core block that provably stays
 //!    on the fast path for the next `t` ticks (`block_safe_ticks`: no
 //!    phase boundary within a 4-tick margin, no steal, no actuation)
 //!    advances by a counter bump alone; the pending window of `k` ticks
-//!    commits in closed form (`x += k·d`) at the next observation or
-//!    perturbation. A `k = 1` window commits with exactly the per-tick
-//!    arithmetic, so every-tick sampling is bitwise unchanged.
+//!    commits in closed form (`x += k·d`, [`CoreBank::materialize_block`])
+//!    at the next observation or perturbation. A `k = 1` window commits
+//!    with exactly the per-tick arithmetic, so every-tick sampling is
+//!    bitwise unchanged.
 //!
-//! Above [`CoreBank::par_threshold`] cores the tick splits the arrays
-//! recursively with `split_at_mut` + [`rayon::join`] so chunks advance on
-//! separate threads; each serial chunk still allocates nothing (the
-//! crossers list is a fixed stack array per 128-core block), which keeps
-//! the zero-alloc-per-tick proofs true for the batched path.
+//! A tick allocates nothing (the crossers list is a fixed stack array
+//! per 128-core block), which is what the zero-alloc-per-tick proofs in
+//! `fvs-sched` measure.
 
 use crate::actuator::Actuator;
 use crate::core::{CoreStats, PhaseCursor};
 use fvs_model::{CounterDelta, ExecutionProfile, FreqMhz, MemoryLatencies};
 use fvs_workloads::{PhaseKind, WorkloadSpec};
 
-/// Golden-angle drift constant — must match `Core::drift_factor`.
+/// The golden angle (rad): successive multiples never repeat, so loop
+/// drift is deterministic, aperiodic and has mean ≈ 1.
 const GOLDEN_ANGLE: f64 = 2.399_963_229_728_653;
 
 /// Cores per serial sub-block; bounds the stack-allocated crossers list.
 const BLOCK: usize = 128;
 
-/// Default core count above which `tick_batch` splits across threads.
-/// The vendored rayon stand-in spawns scoped threads per call (no pool),
-/// so parallelism only pays off for large banks; machines below this run
-/// the serial path, which is also what the allocation proofs measure.
-pub const DEFAULT_PAR_THRESHOLD: usize = 4096;
-
-/// The drift factor for loop iteration `k`: `1 + amp·sin(k·φ)`.
-/// Identical arithmetic to `Core::drift_factor`.
+/// The factor applied to a body phase's off-core rates in loop
+/// iteration `k`: `1 + amp·sin(k·φ)`.
 #[inline]
 fn drift_factor(amp: f64, loop_count: u64) -> f64 {
     1.0 + amp * (loop_count as f64 * GOLDEN_ANGLE).sin()
@@ -87,8 +80,8 @@ struct PhaseCache {
     busy: f64,
 }
 
-/// Compute the phase cache for one core. Mirrors the per-tick profile
-/// selection at the top of `Core::step` (including drift scaling), so
+/// Compute the phase cache for one core. Mirrors the per-iteration
+/// profile selection in `step_row_core` (including drift scaling), so
 /// cached values equal what the scalar path would recompute.
 fn phase_cache(
     workload: &WorkloadSpec,
@@ -142,7 +135,7 @@ fn phase_cache(
 /// boxed actuators, energy meters) and exposes the familiar per-core
 /// view API on top.
 #[derive(Debug)]
-pub struct CoreBank {
+pub(crate) struct CoreBank {
     n: usize,
     // --- cumulative ground-truth counters (one array per PMC) ---
     pub(crate) instructions: Vec<f64>,
@@ -195,17 +188,17 @@ pub struct CoreBank {
     cur_in_wl: Vec<f64>,
     cur_in_body: Vec<f64>,
     cur_busy: Vec<f64>,
-    /// Cached `cpi0 + m·hz` at the current effective frequency. The
-    /// scalar loop recomputes this every tick from the same operands, so
-    /// caching it at refresh points is bit-identical.
+    /// Cached `cpi0 + m·hz` at the current effective frequency.
+    /// `step_row_core` recomputes this every tick from the same operands,
+    /// so caching it at refresh points is bit-identical.
     cur_cpi: Vec<f64>,
     /// Cached `hz / cur_cpi` — the instruction retire rate. Same
     /// bit-identity argument; removes both divisions from the fast path.
     cur_rate: Vec<f64>,
     /// Per-128-row-block count of ticks the whole block is *provably*
     /// uniform-fast for (every row powered, no pending steal, far from
-    /// any phase boundary). While positive, the tick runs a completely
-    /// branch-free fused pass over the block — no per-row checks at all.
+    /// any phase boundary). While positive, a tick only extends the
+    /// block's deferred window (`pending_ticks`) — no per-row work.
     /// Zeroed by any event that could perturb a row (frequency change,
     /// steal, power toggle, phase refresh, dt change).
     block_fast_ticks: Vec<u32>,
@@ -225,15 +218,13 @@ pub struct CoreBank {
     fast_dt: f64,
     /// The platform idle-loop profile shared by all finished cores.
     pub(crate) idle_profile: ExecutionProfile,
-    /// Core count above which `tick_batch` splits across threads.
-    pub(crate) par_threshold: usize,
 }
 
 impl CoreBank {
     /// A zeroed bank for `n` cores. Rows still need their actuator
     /// linearization, idle flags and phase caches initialised (the
     /// machine builder does this).
-    pub(crate) fn new(n: usize, par_threshold: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         CoreBank {
             n,
             instructions: vec![0.0; n],
@@ -280,18 +271,12 @@ impl CoreBank {
             pending_ticks: vec![0; n.div_ceil(BLOCK)],
             fast_dt: 0.0,
             idle_profile: WorkloadSpec::hot_idle().phases[0].profile,
-            par_threshold,
         }
     }
 
     /// Number of cores in the bank.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.n
-    }
-
-    /// Whether the bank has no cores.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
     }
 
     /// Sync a row's linearized actuator state from its actuator.
@@ -438,7 +423,7 @@ impl CoreBank {
         }
     }
 
-    /// Statistics snapshot of row `i` (same shape `Core::stats` returns).
+    /// Statistics snapshot of row `i`, deferred window included.
     pub(crate) fn stats(&self, i: usize) -> CoreStats {
         let (kf, s) = self.pending_row(i);
         CoreStats {
@@ -480,9 +465,9 @@ impl CoreBank {
         d
     }
 
-    /// Advance every core by `dt` seconds starting at `now_s`: the
-    /// batched equivalent of calling `Core::step` on each row —
-    /// bit-identical under every-tick observation, ≤1e-12 relative for
+    /// Advance every core by `dt` seconds starting at `now_s`: every
+    /// powered row ends where [`CoreBank::step_row_core`] would leave it
+    /// — bit-identical under every-tick observation, ≤1e-12 relative for
     /// accumulators committed as deferred multi-tick windows, with all
     /// discrete state (phase boundaries, finishes) exactly preserved.
     pub(crate) fn tick_batch(
@@ -492,70 +477,26 @@ impl CoreBank {
         lat: &MemoryLatencies,
         workloads: &[WorkloadSpec],
     ) {
-        // A dt at or below the scalar loop's epsilon would retire nothing
-        // in `Core::step`; route everything through the faithful port.
+        // A dt at or below the scalar loop's epsilon retires nothing in
+        // `step_row_core`; route every row through it.
         let force_slow = dt <= 1e-15;
-        let threshold = self.par_threshold.max(1);
-        // The block-uniform counters are only maintained on the
-        // single-serial-chunk path (block indices line up with the bank);
-        // a changed dt or a split/forced-slow tick invalidates them all.
-        let use_counters = !force_slow && self.n <= threshold;
-        if dt != self.fast_dt {
-            // Windows deferred at the old dt must be committed with it.
+        if dt != self.fast_dt || force_slow {
+            // Windows deferred at the old dt must be committed with it,
+            // and the block counters are only trusted for the dt they
+            // were computed for.
             self.materialize_all();
             self.fast_dt = dt;
-            self.block_fast_ticks.iter_mut().for_each(|c| *c = 0);
+            self.block_fast_ticks.fill(0);
         }
-        if !use_counters {
-            self.materialize_all();
-            self.block_fast_ticks.iter_mut().for_each(|c| *c = 0);
-        }
-        let chunk = TickChunk {
-            instructions: &mut self.instructions,
-            cycles: &mut self.cycles,
-            l2_accesses: &mut self.l2_accesses,
-            l3_accesses: &mut self.l3_accesses,
-            mem_accesses: &mut self.mem_accesses,
-            phase_idx: &mut self.phase_idx,
-            done_in_phase: &mut self.done_in_phase,
-            loop_count: &mut self.loop_count,
-            finished: &mut self.finished,
-            body_instructions: &mut self.body_instructions,
-            busy_s: &mut self.busy_s,
-            completed_at_s: &mut self.completed_at_s,
-            pending_steal_s: &mut self.pending_steal_s,
-            powered: &self.powered,
-            eff_hz: &self.eff_hz,
-            cur_cpi0: &mut self.cur_cpi0,
-            cur_m: &mut self.cur_m,
-            cur_l2r: &mut self.cur_l2r,
-            cur_l3r: &mut self.cur_l3r,
-            cur_memr: &mut self.cur_memr,
-            cur_phase_instr: &mut self.cur_phase_instr,
-            cur_in_wl: &mut self.cur_in_wl,
-            cur_in_body: &mut self.cur_in_body,
-            cur_busy: &mut self.cur_busy,
-            cur_cpi: &mut self.cur_cpi,
-            cur_rate: &mut self.cur_rate,
-            fast: if use_counters {
-                Some(FastBlocks {
-                    ticks: &mut self.block_fast_ticks,
-                    pending: &mut self.pending_ticks,
-                })
-            } else {
-                None
-            },
-            workloads,
-            idle_profile: &self.idle_profile,
-        };
-        tick_split(chunk, threshold, now_s, dt, lat, force_slow);
+        self.tick_serial(now_s, dt, lat, workloads, force_slow);
     }
 
-    /// Advance every core through the original scalar per-row loop —
-    /// no fast path, no phase-cache reliance, no chunk splitting. This
-    /// is the cost structure (and bit-exact behaviour) of the
-    /// pre-vectorization `Machine::step` core loop, kept as the
-    /// benchmark denominator and differential-test target.
+    /// Advance every powered row through [`CoreBank::step_row_core`]
+    /// alone — no fast path, no phase cache, no deferred windows: the
+    /// differential oracle and the benchmark denominator. A machine is
+    /// stepped this way or batched for its whole life
+    /// ([`crate::MachineBuilder::reference_stepping`]), so no window is
+    /// ever open here and the phase cache is never read afterwards.
     pub(crate) fn step_rows_reference(
         &mut self,
         now_s: f64,
@@ -563,266 +504,46 @@ impl CoreBank {
         lat: &MemoryLatencies,
         workloads: &[WorkloadSpec],
     ) {
-        // Reference stepping advances rows without maintaining the
-        // uniform-block counters; commit any deferred windows and drop
-        // the counts so a later batched tick cannot trust them.
-        self.materialize_all();
-        self.block_fast_ticks.iter_mut().for_each(|c| *c = 0);
-        let mut chunk = TickChunk {
-            instructions: &mut self.instructions,
-            cycles: &mut self.cycles,
-            l2_accesses: &mut self.l2_accesses,
-            l3_accesses: &mut self.l3_accesses,
-            mem_accesses: &mut self.mem_accesses,
-            phase_idx: &mut self.phase_idx,
-            done_in_phase: &mut self.done_in_phase,
-            loop_count: &mut self.loop_count,
-            finished: &mut self.finished,
-            body_instructions: &mut self.body_instructions,
-            busy_s: &mut self.busy_s,
-            completed_at_s: &mut self.completed_at_s,
-            pending_steal_s: &mut self.pending_steal_s,
-            powered: &self.powered,
-            eff_hz: &self.eff_hz,
-            cur_cpi0: &mut self.cur_cpi0,
-            cur_m: &mut self.cur_m,
-            cur_l2r: &mut self.cur_l2r,
-            cur_l3r: &mut self.cur_l3r,
-            cur_memr: &mut self.cur_memr,
-            cur_phase_instr: &mut self.cur_phase_instr,
-            cur_in_wl: &mut self.cur_in_wl,
-            cur_in_body: &mut self.cur_in_body,
-            cur_busy: &mut self.cur_busy,
-            cur_cpi: &mut self.cur_cpi,
-            cur_rate: &mut self.cur_rate,
-            fast: None,
-            workloads,
-            idle_profile: &self.idle_profile,
-        };
-        for i in 0..chunk.len() {
-            if chunk.powered[i] {
-                chunk.step_row_core(i, now_s, dt, lat);
+        for i in 0..self.n {
+            if self.powered[i] {
+                self.step_row_core(i, now_s, dt, lat, workloads);
             }
         }
     }
-}
 
-/// Recursively halve the chunk until it fits the threshold, running the
-/// halves through [`rayon::join`]. With a single configured worker the
-/// joins run inline, so the chunked code path is exercised (and provably
-/// allocation-free) even in serial test runs.
-fn tick_split(
-    chunk: TickChunk<'_>,
-    threshold: usize,
-    now_s: f64,
-    dt: f64,
-    lat: &MemoryLatencies,
-    force_slow: bool,
-) {
-    if chunk.len() <= threshold {
-        let mut chunk = chunk;
-        chunk.tick_serial(now_s, dt, lat, force_slow);
-        return;
-    }
-    let mid = chunk.len() / 2;
-    let (lo, hi) = chunk.split_at(mid);
-    rayon::join(
-        || tick_split(lo, threshold, now_s, dt, lat, force_slow),
-        || tick_split(hi, threshold, now_s, dt, lat, force_slow),
-    );
-}
-
-/// Mutable views of the bank's per-block uniform-tick bookkeeping,
-/// lent to the single serial chunk that covers the whole bank.
-struct FastBlocks<'a> {
-    ticks: &'a mut [u32],
-    pending: &'a mut [u32],
-}
-
-/// A borrowed window over the bank's hot arrays, splittable for
-/// parallel ticking.
-struct TickChunk<'a> {
-    instructions: &'a mut [f64],
-    cycles: &'a mut [f64],
-    l2_accesses: &'a mut [f64],
-    l3_accesses: &'a mut [f64],
-    mem_accesses: &'a mut [f64],
-    phase_idx: &'a mut [u32],
-    done_in_phase: &'a mut [f64],
-    loop_count: &'a mut [u64],
-    finished: &'a mut [bool],
-    body_instructions: &'a mut [f64],
-    busy_s: &'a mut [f64],
-    completed_at_s: &'a mut [f64],
-    pending_steal_s: &'a mut [f64],
-    powered: &'a [bool],
-    eff_hz: &'a [f64],
-    cur_cpi0: &'a mut [f64],
-    cur_m: &'a mut [f64],
-    cur_l2r: &'a mut [f64],
-    cur_l3r: &'a mut [f64],
-    cur_memr: &'a mut [f64],
-    cur_phase_instr: &'a mut [f64],
-    cur_in_wl: &'a mut [f64],
-    cur_in_body: &'a mut [f64],
-    cur_busy: &'a mut [f64],
-    cur_cpi: &'a mut [f64],
-    cur_rate: &'a mut [f64],
-    /// Block-uniform fast-tick + pending-window counters; `Some` only
-    /// when this chunk is the whole bank (block indices line up), `None`
-    /// on split chunks.
-    fast: Option<FastBlocks<'a>>,
-    workloads: &'a [WorkloadSpec],
-    idle_profile: &'a ExecutionProfile,
-}
-
-impl<'a> TickChunk<'a> {
-    fn len(&self) -> usize {
-        self.instructions.len()
-    }
-
-    /// Split the chunk into disjoint `[0, mid)` and `[mid, len)` halves.
-    fn split_at(self, mid: usize) -> (TickChunk<'a>, TickChunk<'a>) {
-        let (i0, i1) = self.instructions.split_at_mut(mid);
-        let (c0, c1) = self.cycles.split_at_mut(mid);
-        let (l2a, l2b) = self.l2_accesses.split_at_mut(mid);
-        let (l3a, l3b) = self.l3_accesses.split_at_mut(mid);
-        let (ma, mb) = self.mem_accesses.split_at_mut(mid);
-        let (pi0, pi1) = self.phase_idx.split_at_mut(mid);
-        let (d0, d1) = self.done_in_phase.split_at_mut(mid);
-        let (lc0, lc1) = self.loop_count.split_at_mut(mid);
-        let (f0, f1) = self.finished.split_at_mut(mid);
-        let (b0, b1) = self.body_instructions.split_at_mut(mid);
-        let (bs0, bs1) = self.busy_s.split_at_mut(mid);
-        let (ca0, ca1) = self.completed_at_s.split_at_mut(mid);
-        let (st0, st1) = self.pending_steal_s.split_at_mut(mid);
-        let (pw0, pw1) = self.powered.split_at(mid);
-        let (eh0, eh1) = self.eff_hz.split_at(mid);
-        let (cc0, cc1) = self.cur_cpi0.split_at_mut(mid);
-        let (cm0, cm1) = self.cur_m.split_at_mut(mid);
-        let (c2a, c2b) = self.cur_l2r.split_at_mut(mid);
-        let (c3a, c3b) = self.cur_l3r.split_at_mut(mid);
-        let (cma, cmb) = self.cur_memr.split_at_mut(mid);
-        let (cp0, cp1) = self.cur_phase_instr.split_at_mut(mid);
-        let (cw0, cw1) = self.cur_in_wl.split_at_mut(mid);
-        let (cb0, cb1) = self.cur_in_body.split_at_mut(mid);
-        let (cu0, cu1) = self.cur_busy.split_at_mut(mid);
-        let (cpi_a, cpi_b) = self.cur_cpi.split_at_mut(mid);
-        let (cr0, cr1) = self.cur_rate.split_at_mut(mid);
-        let (w0, w1) = self.workloads.split_at(mid);
-        (
-            TickChunk {
-                instructions: i0,
-                cycles: c0,
-                l2_accesses: l2a,
-                l3_accesses: l3a,
-                mem_accesses: ma,
-                phase_idx: pi0,
-                done_in_phase: d0,
-                loop_count: lc0,
-                finished: f0,
-                body_instructions: b0,
-                busy_s: bs0,
-                completed_at_s: ca0,
-                pending_steal_s: st0,
-                powered: pw0,
-                eff_hz: eh0,
-                cur_cpi0: cc0,
-                cur_m: cm0,
-                cur_l2r: c2a,
-                cur_l3r: c3a,
-                cur_memr: cma,
-                cur_phase_instr: cp0,
-                cur_in_wl: cw0,
-                cur_in_body: cb0,
-                cur_busy: cu0,
-                cur_cpi: cpi_a,
-                cur_rate: cr0,
-                fast: None,
-                workloads: w0,
-                idle_profile: self.idle_profile,
-            },
-            TickChunk {
-                instructions: i1,
-                cycles: c1,
-                l2_accesses: l2b,
-                l3_accesses: l3b,
-                mem_accesses: mb,
-                phase_idx: pi1,
-                done_in_phase: d1,
-                loop_count: lc1,
-                finished: f1,
-                body_instructions: b1,
-                busy_s: bs1,
-                completed_at_s: ca1,
-                pending_steal_s: st1,
-                powered: pw1,
-                eff_hz: eh1,
-                cur_cpi0: cc1,
-                cur_m: cm1,
-                cur_l2r: c2b,
-                cur_l3r: c3b,
-                cur_memr: cmb,
-                cur_phase_instr: cp1,
-                cur_in_wl: cw1,
-                cur_in_body: cb1,
-                cur_busy: cu1,
-                cur_cpi: cpi_b,
-                cur_rate: cr1,
-                fast: None,
-                workloads: w1,
-                idle_profile: self.idle_profile,
-            },
-        )
-    }
-
-    /// Advance the whole chunk serially: streaming fast path over
-    /// 128-core blocks, crossers compacted into a stack list and
-    /// replayed through the scalar port.
-    fn tick_serial(&mut self, now_s: f64, dt: f64, lat: &MemoryLatencies, force_slow: bool) {
-        let n = self.len();
+    /// One batched tick: streaming fast path over 128-core blocks,
+    /// crossers compacted into a stack list and replayed through
+    /// [`CoreBank::step_row_core`].
+    fn tick_serial(
+        &mut self,
+        now_s: f64,
+        dt: f64,
+        lat: &MemoryLatencies,
+        workloads: &[WorkloadSpec],
+        force_slow: bool,
+    ) {
         // Division-free boundary guard: `remaining_instr > 2·dt·rate`
         // guarantees `time_to_boundary > dt` with ulp margin to spare,
         // so the row provably stays inside its phase for this tick. Rows
         // within two ticks of a boundary (or with a pending steal) take
         // the exact scalar path, which is bit-identical by construction.
         let guard_dt = 2.0 * dt;
-        let mut start = 0;
-        let mut blk = 0usize;
-        while start < n {
-            let end = (start + BLOCK).min(n);
-            // Uniform-fast block: a positive counter proves every row in
-            // the block takes the fast path for at least this many more
-            // ticks, so skip the per-row checks entirely and run the
-            // fused branch-free pass (identical arithmetic to the
-            // per-row fast path below, hence identical bits).
+        for blk in 0..self.pending_ticks.len() {
             // Uniform-fast block: a positive counter proves every row
             // takes the fast path this tick, so just extend the block's
             // deferred window — the tick costs one increment. The window
             // is committed in closed form at the next observation,
             // perturbation or checked pass.
-            let deferred = match self.fast.as_mut() {
-                Some(f) if f.ticks[blk] > 0 => {
-                    f.ticks[blk] -= 1;
-                    f.pending[blk] += 1;
-                    true
-                }
-                _ => false,
-            };
-            if deferred {
-                start = end;
-                blk += 1;
+            if self.block_fast_ticks[blk] > 0 {
+                self.block_fast_ticks[blk] -= 1;
+                self.pending_ticks[blk] += 1;
                 continue;
             }
             // Checked pass: first commit the block's deferred window so
             // the per-row state is current.
-            let pend = match self.fast.as_mut() {
-                Some(f) => std::mem::replace(&mut f.pending[blk], 0),
-                None => 0,
-            };
-            if pend > 0 {
-                self.commit_block(start, end, dt, pend);
-            }
+            self.materialize_block(blk);
+            let start = blk * BLOCK;
+            let end = (start + BLOCK).min(self.n);
             let mut crossers = [0u32; BLOCK];
             let mut n_cross = 0usize;
             {
@@ -860,10 +581,10 @@ impl<'a> TickChunk<'a> {
                         continue;
                     }
                     // Common case: the whole tick stays inside one phase.
-                    // Exactly the arithmetic of `Core::step`'s single
+                    // Exactly the arithmetic of `step_row_core`'s single
                     // loop iteration with run == dt (the cached rate and
-                    // CPI are the same operands the scalar loop
-                    // recomputes), so results are bit-identical.
+                    // CPI are the same operands it recomputes), so
+                    // results are bit-identical.
                     let instr = rate * dt;
                     busy_s[j] += dt * cur_busy[j];
                     instructions[j] += instr;
@@ -876,57 +597,19 @@ impl<'a> TickChunk<'a> {
                 }
             }
             for &i in &crossers[..n_cross] {
-                self.step_row_scalar(i as usize, now_s, dt, lat);
+                // The scalar definition, then the phase cache so later
+                // fast-path ticks see the phase the row landed in.
+                let i = i as usize;
+                self.step_row_core(i, now_s, dt, lat, workloads);
+                self.refresh_row(i, &workloads[i], lat);
             }
             // With the block freshly advanced (and crossers refreshed),
             // re-establish how many future ticks it is provably uniform
             // for. Skipped on forced-slow ticks: their fast arithmetic
             // would diverge from the scalar epsilon cutoff.
-            if !force_slow && self.fast.is_some() {
-                let t = self.block_safe_ticks(start, end, dt);
-                if let Some(f) = self.fast.as_mut() {
-                    f.ticks[blk] = t;
-                }
+            if !force_slow {
+                self.block_fast_ticks[blk] = self.block_safe_ticks(start, end, dt);
             }
-            start = end;
-            blk += 1;
-        }
-    }
-
-    /// Commit a deferred window of `k` uniform ticks over rows
-    /// `[start, end)` in closed form — the chunk-local mirror of
-    /// `CoreBank::materialize_block`. A `k = 1` window is bit-identical
-    /// to the per-row guarded fast path.
-    fn commit_block(&mut self, start: usize, end: usize, dt: f64, k: u32) {
-        let kf = k as f64;
-        let len = end - start;
-        let cur_rate = &self.cur_rate[start..end];
-        let cur_cpi = &self.cur_cpi[start..end];
-        let cur_l2r = &self.cur_l2r[start..end];
-        let cur_l3r = &self.cur_l3r[start..end];
-        let cur_memr = &self.cur_memr[start..end];
-        let cur_in_wl = &self.cur_in_wl[start..end];
-        let cur_in_body = &self.cur_in_body[start..end];
-        let cur_busy = &self.cur_busy[start..end];
-        let done_in_phase = &mut self.done_in_phase[start..end];
-        let busy_s = &mut self.busy_s[start..end];
-        let instructions = &mut self.instructions[start..end];
-        let cycles = &mut self.cycles[start..end];
-        let l2 = &mut self.l2_accesses[start..end];
-        let l3 = &mut self.l3_accesses[start..end];
-        let mem = &mut self.mem_accesses[start..end];
-        let body = &mut self.body_instructions[start..end];
-        for j in 0..len {
-            let instr = cur_rate[j] * dt;
-            let s = instr * kf;
-            busy_s[j] += (dt * cur_busy[j]) * kf;
-            instructions[j] += s;
-            cycles[j] += cur_cpi[j] * s;
-            l2[j] += cur_l2r[j] * s;
-            l3[j] += cur_l3r[j] * s;
-            mem[j] += cur_memr[j] * s;
-            done_in_phase[j] += s * cur_in_wl[j];
-            body[j] += s * cur_in_body[j];
         }
     }
 
@@ -963,22 +646,23 @@ impl<'a> TickChunk<'a> {
         min_ticks.clamp(0.0, CAP) as u32
     }
 
-    /// One crosser row: run the faithful scalar port, then refresh the
-    /// phase cache so subsequent fast-path ticks see the new phase.
-    fn step_row_scalar(&mut self, i: usize, now_s: f64, dt: f64, lat: &MemoryLatencies) {
-        self.step_row_core(i, now_s, dt, lat);
-        self.refresh_row(i, lat);
-    }
-
-    /// Faithful port of `Core::step` for one bank row: consumes stolen
-    /// daemon time, walks phase boundaries, handles body looping,
-    /// completion and drift. Does *not* touch the phase cache — the
-    /// reference stepper calls this directly so its per-tick cost
-    /// matches the original scalar loop.
-    fn step_row_core(&mut self, i: usize, now_s: f64, dt: f64, lat: &MemoryLatencies) {
+    /// The scalar definition of one core's tick — what every other path
+    /// in this file must agree with: consumes stolen daemon time, walks
+    /// phase boundaries, handles body looping, completion and drift,
+    /// rebuilding the CPI model from the phase profile as it goes. Does
+    /// *not* touch the phase cache, so the reference stepper's per-tick
+    /// cost is that of a plain scalar loop.
+    fn step_row_core(
+        &mut self,
+        i: usize,
+        now_s: f64,
+        dt: f64,
+        lat: &MemoryLatencies,
+        workloads: &[WorkloadSpec],
+    ) {
         debug_assert!(self.powered[i]);
         let hz = self.eff_hz[i];
-        let workload = &self.workloads[i];
+        let workload = &workloads[i];
         let mut remaining = dt;
         if !(self.finished[i] || workload.is_idle_loop) {
             self.busy_s[i] += dt;
@@ -1011,7 +695,7 @@ impl<'a> TickChunk<'a> {
         // Execute across phase boundaries until the tick is used up.
         while remaining > 1e-15 {
             let (mut profile, budget_left, in_workload) = if self.finished[i] {
-                (*self.idle_profile, f64::INFINITY, false)
+                (self.idle_profile, f64::INFINITY, false)
             } else {
                 let phase = &workload.phases[self.phase_idx[i] as usize];
                 (
@@ -1020,6 +704,8 @@ impl<'a> TickChunk<'a> {
                     true,
                 )
             };
+            // Iteration drift: scale the off-core behaviour of body
+            // phases by this loop's factor.
             if in_workload
                 && workload.loop_drift_amplitude > 0.0
                 && workload.phases[self.phase_idx[i] as usize].kind == PhaseKind::Body
@@ -1047,16 +733,20 @@ impl<'a> TickChunk<'a> {
                     self.body_instructions[i] += instr;
                 }
                 if time_to_boundary <= remaining {
-                    self.advance_phase_row(i, now_s + (dt - remaining) + time_to_boundary);
+                    self.advance_phase_row(
+                        i,
+                        workload,
+                        now_s + (dt - remaining) + time_to_boundary,
+                    );
                 }
             }
             remaining -= run;
         }
     }
 
-    /// Port of `Core::advance_phase` for one bank row.
-    fn advance_phase_row(&mut self, i: usize, at_s: f64) {
-        let workload = &self.workloads[i];
+    /// Move row `i` past the end of its current phase at time `at_s`:
+    /// next phase, next body-loop iteration, or completion.
+    fn advance_phase_row(&mut self, i: usize, workload: &WorkloadSpec, at_s: f64) {
         self.done_in_phase[i] = 0.0;
         let next = self.phase_idx[i] as usize + 1;
         if next < workload.phases.len() {
@@ -1078,30 +768,5 @@ impl<'a> TickChunk<'a> {
                 self.completed_at_s[i] = at_s;
             }
         }
-    }
-
-    /// Chunk-local mirror of [`CoreBank::refresh_row`].
-    fn refresh_row(&mut self, i: usize, lat: &MemoryLatencies) {
-        let c = phase_cache(
-            &self.workloads[i],
-            self.idle_profile,
-            self.finished[i],
-            self.phase_idx[i] as usize,
-            self.loop_count[i],
-            lat,
-        );
-        self.cur_cpi0[i] = c.cpi0;
-        self.cur_m[i] = c.mem_s_per_instr;
-        self.cur_l2r[i] = c.l2_per_instr;
-        self.cur_l3r[i] = c.l3_per_instr;
-        self.cur_memr[i] = c.mem_per_instr;
-        self.cur_phase_instr[i] = c.phase_instr;
-        self.cur_in_wl[i] = c.in_workload;
-        self.cur_in_body[i] = c.in_body;
-        self.cur_busy[i] = c.busy;
-        let hz = self.eff_hz[i];
-        let cpi = c.cpi0 + c.mem_s_per_instr * hz;
-        self.cur_cpi[i] = cpi;
-        self.cur_rate[i] = hz / cpi;
     }
 }

@@ -23,16 +23,15 @@
 #![forbid(unsafe_code)]
 
 pub mod actuator;
-pub mod bank;
+mod bank;
 pub mod core;
 pub mod machine;
 pub mod noise;
 pub mod pacing;
 pub mod trace;
 
-pub use crate::core::{Core, CoreStats, PhaseCursor};
+pub use crate::core::{CoreStats, PhaseCursor};
 pub use actuator::{Actuator, DvfsActuator, ThrottleActuator, ThrottlePowerModel};
-pub use bank::CoreBank;
 pub use machine::{CoreView, CoreViewMut, Machine, MachineBuilder, MachineConfig};
 pub use noise::NoiseModel;
 pub use pacing::{PaceReport, Pacer};

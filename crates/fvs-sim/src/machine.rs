@@ -1,26 +1,24 @@
 //! The simulated machine: cores + platform + bookkeeping.
 //!
-//! Since the batch-vectorization pass, per-core state lives in a
-//! [`CoreBank`] (struct-of-arrays, see `bank.rs`) instead of a
-//! `Vec<Core>`; [`Machine::core`]/[`Machine::core_mut`] hand out
-//! lightweight views with the same method surface the old `&Core`
-//! accessors had, so scheduler and cluster code is unchanged. The
-//! original struct-of-everything scalar stepper survives behind
-//! [`MachineBuilder::reference_stepping`] / [`Machine::step_reference`]
-//! as the differential-testing and benchmarking baseline.
+//! Per-core state lives in a `CoreBank` (struct-of-arrays, see
+//! `bank.rs`), the one place a core is stepped;
+//! [`Machine::core`]/[`Machine::core_mut`] hand out lightweight per-core
+//! views over it. A machine is stepped one of two ways for its whole
+//! life, chosen at [`MachineBuilder::build`]: the batched pass, or —
+//! with [`MachineBuilder::reference_stepping`] — the scalar per-core
+//! loop that serves as the differential-testing oracle and the
+//! benchmark denominator.
 
 use crate::actuator::{Actuator, DvfsActuator, ThrottleActuator, ThrottlePowerModel};
-use crate::bank::{CoreBank, DEFAULT_PAR_THRESHOLD};
+use crate::bank::CoreBank;
 use crate::core::{CoreStats, PhaseCursor};
 use crate::noise::NoiseModel;
-use crate::pacing::{PaceReport, Pacer};
 use crate::trace::ResidencyHistogram;
 use fvs_model::{CounterDelta, ExecutionProfile, FreqMhz, FrequencySet, MemoryLatencies};
 use fvs_power::{EnergyMeter, FreqPowerTable, VoltageTable};
 use fvs_workloads::{PhaseKind, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Duration;
 
 /// Platform-level configuration shared by all cores.
 #[derive(Debug, Clone)]
@@ -65,7 +63,6 @@ pub struct MachineBuilder {
     seed: u64,
     initial_freq: FreqMhz,
     reference_stepping: bool,
-    par_threshold: usize,
 }
 
 impl MachineBuilder {
@@ -80,7 +77,6 @@ impl MachineBuilder {
             seed: 0xF0_55_7E,
             initial_freq: FreqMhz(1000),
             reference_stepping: false,
-            par_threshold: DEFAULT_PAR_THRESHOLD,
         }
     }
 
@@ -136,19 +132,12 @@ impl MachineBuilder {
         self
     }
 
-    /// Step cores with the original scalar per-core loop instead of the
-    /// batched SoA pass — the baseline side of the differential proptests
-    /// and the denominator of the `sim_core_ticks_per_sec` benchmark.
+    /// Step cores with the scalar per-core loop instead of the batched
+    /// SoA pass, for the machine's whole life — the oracle side of the
+    /// differential proptests and the denominator of the
+    /// `sim_core_ticks_per_sec` benchmark.
     pub fn reference_stepping(mut self) -> Self {
         self.reference_stepping = true;
-        self
-    }
-
-    /// Core count above which a batched tick splits across threads
-    /// (default [`DEFAULT_PAR_THRESHOLD`]). Also the maximum cores per
-    /// serial chunk when splitting.
-    pub fn parallel_threshold(mut self, n: usize) -> Self {
-        self.par_threshold = n.max(1);
         self
     }
 
@@ -175,7 +164,7 @@ impl MachineBuilder {
                 }
             })
             .collect();
-        let mut bank = CoreBank::new(n, self.par_threshold);
+        let mut bank = CoreBank::new(n);
         for (i, w) in workloads.iter().enumerate() {
             debug_assert!(w.is_valid(), "invalid workload for core {i}");
             bank.idle_loop_flag[i] = w.is_idle_loop;
@@ -240,8 +229,7 @@ pub struct Machine {
 }
 
 /// Read-only view of one core's state, assembled from the bank row and
-/// the core's cold data. Carries the method surface `&Core` used to
-/// offer, so call sites read exactly as before the SoA refactor.
+/// the core's cold data (workload spec, actuator).
 #[derive(Clone, Copy)]
 pub struct CoreView<'a> {
     bank: &'a CoreBank,
@@ -339,7 +327,10 @@ pub struct CoreViewMut<'a> {
 
 impl CoreViewMut<'_> {
     /// Charge `dt` seconds of management-software CPU time to this
-    /// core (see `Core::steal`).
+    /// core. The stolen time is consumed at the start of subsequent
+    /// steps, executing a daemon-like profile instead of the workload —
+    /// this is how the fvsst prototype's own overhead (paper Figure 4)
+    /// shows up in workload throughput.
     pub fn steal(&mut self, dt: f64) {
         debug_assert!(dt >= 0.0);
         self.machine.bank.perturb_row(self.i);
@@ -361,7 +352,8 @@ impl CoreViewMut<'_> {
         m.bank.refresh_row(i, &m.workloads[i], &m.config.latencies);
     }
 
-    /// Power the core on or off (see `Core::set_powered`).
+    /// Power the core on or off. A powered-off core retires nothing and
+    /// draws nothing; its workload resumes where it stopped on power-up.
     pub fn set_powered(&mut self, on: bool) {
         let i = self.i;
         self.machine.set_powered(i, on);
@@ -442,10 +434,13 @@ impl Machine {
         self.bank.power_w[i] = self.live_power(i, self.now_s);
     }
 
-    /// Swap the work executing on cores `i` and `j`, charging each
-    /// `penalty_s` of migration cost: the job carries its cursor;
-    /// counters, stats, loop drift and the actuator stay with the core
-    /// (see the original `Core::swap_work_with`).
+    /// Swap the work executing on cores `i` and `j` — the primitive a
+    /// *work-scheduling* policy uses instead of frequency scaling. The
+    /// job carries its cursor; counters, stats, loop drift and the
+    /// actuator stay with the core. `penalty_s` of cold-start time (cache
+    /// refill, migration bookkeeping) is charged to **both** cores — the
+    /// "overhead of moving work from one processor to another" the
+    /// paper's introduction cites against this approach.
     pub fn swap_workloads(&mut self, i: usize, j: usize, penalty_s: f64) {
         assert_ne!(i, j, "cannot swap a core with itself");
         self.bank.perturb_row(i);
@@ -629,18 +624,16 @@ impl Machine {
         self.now_s += dt;
     }
 
-    /// Advance by `dt` seconds through the original scalar per-core
-    /// loop: per core per tick, live virtual actuator calls, a per-tick
-    /// histogram insert, and a CPI-model rebuild from the phase profile.
-    /// Agrees with [`Machine::step`] bit-for-bit when every tick is
-    /// observed and to ≤1e-12 relative otherwise (deferred windows);
-    /// kept as the differential-testing target and benchmark baseline.
-    pub fn step_reference(&mut self, dt: f64) {
+    /// [`Machine::step`] of a [`MachineBuilder::reference_stepping`]
+    /// machine: per core per tick, live virtual actuator calls, a
+    /// per-tick histogram insert, and a CPI-model rebuild from the phase
+    /// profile. Agrees with the batched step bit-for-bit when every tick
+    /// is observed and to ≤1e-12 relative otherwise (deferred windows).
+    /// Never mixed with it on one machine: this loop opens no deferred
+    /// window and leaves the bank's phase cache stale.
+    fn step_reference(&mut self, dt: f64) {
         debug_assert!(dt > 0.0);
         let now = self.now_s;
-        // A machine stepped both ways must not leave deferred windows
-        // behind before the per-tick reference loop writes the meters.
-        self.flush_accrual_all();
         self.settle_pending(now);
         for i in 0..self.bank.len() {
             let p = self.live_power(i, now);
@@ -664,21 +657,6 @@ impl Machine {
         for _ in 0..steps {
             self.step(tick);
         }
-    }
-
-    /// Run unmanaged in *wall-clock* real time: each `tick_s` of
-    /// simulation is paced to `tick_s` of wall time (work first, then
-    /// sleep out the remainder of the period), so a simulated node can
-    /// stand in for a live machine on a real `t = 10 ms` sampling
-    /// cadence. Returns the achieved cadence.
-    pub fn run_timed(&mut self, duration_s: f64, tick_s: f64) -> PaceReport {
-        let steps = (duration_s / tick_s).round().max(1.0) as u64;
-        let mut pacer = Pacer::new(Duration::from_secs_f64(tick_s));
-        for _ in 0..steps {
-            self.step(tick_s);
-            pacer.pace();
-        }
-        pacer.report()
     }
 
     /// Sample core `i`'s counters since the last sample, with platform
@@ -941,35 +919,6 @@ mod tests {
                 batched.energy(i).peak_watts(),
                 reference.energy(i).peak_watts()
             );
-        }
-    }
-
-    #[test]
-    fn chunked_tick_matches_serial() {
-        // Force the parallel split (threshold 8 on a 37-core machine,
-        // odd on purpose) and compare against the default serial pass.
-        let build = |threshold: usize| {
-            let mut b = MachineBuilder::p630().cores(37).noise(NoiseModel::NONE);
-            for i in 0..37 {
-                b = b.workload(
-                    i,
-                    SyntheticConfig::single((i % 5) as f64 * 25.0, 2.0e6)
-                        .body_only()
-                        .looping()
-                        .build(),
-                );
-            }
-            b.parallel_threshold(threshold).build()
-        };
-        let mut chunked = build(8);
-        let mut serial = build(usize::MAX);
-        for _ in 0..300 {
-            chunked.step(0.01);
-            serial.step(0.01);
-        }
-        for i in 0..37 {
-            assert_eq!(chunked.core(i).counters(), serial.core(i).counters());
-            assert_eq!(chunked.core(i).stats(), serial.core(i).stats());
         }
     }
 }

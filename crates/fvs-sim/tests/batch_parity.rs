@@ -1,32 +1,37 @@
 //! Differential proptest: the batched SoA tick path (`Machine::step`)
 //! must agree with the scalar reference stepper
 //! (`MachineBuilder::reference_stepping`) — across random workloads,
-//! frequencies, tick sizes, actuator settling, steals, swaps and power
-//! gating.
+//! frequencies, tick sizes (changed mid-run too), actuator settling,
+//! steals, swaps and power gating, on machines from one core to several
+//! 128-row blocks with a ragged last one, read and sampled mid-run.
 //!
 //! The agreement contract: everything a scheduler observes every tick
 //! (samples, effective frequencies, power, decisions) is bit-identical,
 //! because a deferred window of one tick commits with exactly the
-//! per-tick arithmetic. End-of-run accumulators may instead have been
-//! committed as closed-form multi-tick windows (`x += k·d` in place of
+//! per-tick arithmetic. Accumulators read across a longer window may
+//! instead have been committed in closed form (`x += k·d` in place of
 //! `k` separate adds), which agrees with the per-tick reference to a
 //! few ulp — asserted here at ≤1e-12 relative. Discrete state (phase
 //! indices, completion times, finished flags, frequencies, peak power)
 //! stays exactly equal: safety margins in the window sizing keep ulp
 //! noise away from every phase boundary.
 //!
-//! The reference path drives each core through the original per-core
-//! scalar `Core::step` (`step_reference`), so any divergence here means
-//! the vectorized pass changed semantics, not just speed.
+//! The reference machine runs every row through the scalar definition
+//! of a core's tick (`CoreBank::step_row_core`) and nothing else — no
+//! phase cache, no fast path, no deferred window — so any divergence
+//! here means the batched pass changed semantics, not just speed.
 
 use fvs_model::{CounterDelta, FreqMhz};
-use fvs_sim::CoreStats;
-use fvs_sim::{MachineBuilder, NoiseModel};
+use fvs_sim::{CoreStats, Machine, MachineBuilder, NoiseModel};
 use fvs_workloads::{SyntheticConfig, WorkloadSpec};
 use proptest::prelude::*;
 
-/// One randomly-placed control-plane action, applied identically to
-/// both machines at the same tick index.
+/// One randomly-placed action, applied at the same tick index to both
+/// machines. The first five change machine state. `SetDt` changes the
+/// tick length from there on (every window still open at the old length
+/// has to be committed with it); `Read` compares one core *through* its
+/// block's open window, without committing it; `Sample` samples one
+/// core, which commits its block while the neighbours stay deferred.
 #[derive(Debug, Clone)]
 enum Action {
     SetFreq { core: usize, mhz: u32 },
@@ -34,7 +39,14 @@ enum Action {
     Steal { core: usize, ms: u32 },
     Swap { a: usize, b: usize },
     Power { core: usize, on: bool },
+    SetDt { tick_us: u32 },
+    Read { core: usize },
+    Sample { core: usize },
 }
+
+/// Most cores any case builds; action targets are drawn below it and
+/// reduced modulo the case's core count.
+const MAX_CORES: usize = 300;
 
 #[derive(Debug, Clone)]
 struct CorePlan {
@@ -61,14 +73,22 @@ fn core_plan() -> impl Strategy<Value = CorePlan> {
         })
 }
 
-fn action(cores: usize) -> impl Strategy<Value = Action> {
+fn tick_us() -> impl Strategy<Value = u32> {
+    prop::sample::select(vec![500u32, 1_000, 5_000, 10_000, 13_000])
+}
+
+fn action() -> impl Strategy<Value = Action> {
     let mhz = || prop::sample::select(vec![250u32, 450, 650, 850, 1000]);
+    let core = || 0..MAX_CORES;
     prop_oneof![
-        (0..cores, mhz()).prop_map(|(core, mhz)| Action::SetFreq { core, mhz }),
+        (core(), mhz()).prop_map(|(core, mhz)| Action::SetFreq { core, mhz }),
         mhz().prop_map(|mhz| Action::SetAll { mhz }),
-        (0..cores, 1u32..8).prop_map(|(core, ms)| Action::Steal { core, ms }),
-        (0..cores, 0..cores).prop_map(|(a, b)| Action::Swap { a, b }),
-        (0..cores, any::<bool>()).prop_map(|(core, on)| Action::Power { core, on }),
+        (core(), 1u32..8).prop_map(|(core, ms)| Action::Steal { core, ms }),
+        (core(), core()).prop_map(|(a, b)| Action::Swap { a, b }),
+        (core(), any::<bool>()).prop_map(|(core, on)| Action::Power { core, on }),
+        tick_us().prop_map(|tick_us| Action::SetDt { tick_us }),
+        core().prop_map(|core| Action::Read { core }),
+        core().prop_map(|core| Action::Sample { core }),
     ]
 }
 
@@ -86,6 +106,18 @@ fn counters_agree(a: &CounterDelta, b: &CounterDelta) -> bool {
         && rel_eq(a.mem_accesses, b.mem_accesses)
 }
 
+/// A sample is the difference of two accumulator readings, so it
+/// carries their absolute error: agreement is judged at the scale of
+/// the running totals, not of the (possibly one-tick) delta.
+fn samples_agree(a: &CounterDelta, b: &CounterDelta, totals: &CounterDelta) -> bool {
+    let close = |x: f64, y: f64, scale: f64| (x - y).abs() <= 1.0e-12 * scale.max(1.0);
+    close(a.instructions, b.instructions, totals.instructions)
+        && close(a.cycles, b.cycles, totals.cycles)
+        && close(a.l2_accesses, b.l2_accesses, totals.l2_accesses)
+        && close(a.l3_accesses, b.l3_accesses, totals.l3_accesses)
+        && close(a.mem_accesses, b.mem_accesses, totals.mem_accesses)
+}
+
 fn stats_agree(a: &CoreStats, b: &CoreStats) -> bool {
     rel_eq(a.total_instructions, b.total_instructions)
         && rel_eq(a.body_instructions, b.body_instructions)
@@ -101,7 +133,7 @@ fn stats_agree(a: &CoreStats, b: &CoreStats) -> bool {
         }
 }
 
-fn build_pair(plans: &[CorePlan], settle_s: f64) -> (fvs_sim::Machine, fvs_sim::Machine) {
+fn build_pair(plans: &[CorePlan], settle_s: f64) -> (Machine, Machine) {
     let build = |reference: bool| {
         let mut b = MachineBuilder::p630()
             .cores(plans.len())
@@ -135,68 +167,118 @@ fn build_pair(plans: &[CorePlan], settle_s: f64) -> (fvs_sim::Machine, fvs_sim::
     (build(false), build(true))
 }
 
+/// Run `f` on both machines.
+fn both(batched: &mut Machine, reference: &mut Machine, f: impl Fn(&mut Machine)) {
+    f(batched);
+    f(reference);
+}
+
+/// Everything observable about core `i` agrees between the two
+/// machines right now. Takes `&Machine`: on the batched side every
+/// accessor reads through the block's open window without closing it.
+fn core_agrees(batched: &Machine, reference: &Machine, i: usize) -> Result<(), TestCaseError> {
+    let (ca, cb) = (batched.core(i).counters(), reference.core(i).counters());
+    prop_assert!(
+        counters_agree(&ca, &cb),
+        "core {} counters: {:?} vs {:?}",
+        i,
+        ca,
+        cb
+    );
+    let (sa, sb) = (batched.core(i).stats(), reference.core(i).stats());
+    prop_assert!(
+        stats_agree(&sa, &sb),
+        "core {} stats: {:?} vs {:?}",
+        i,
+        sa,
+        sb
+    );
+    let (pa, pb) = (batched.core(i).cursor(), reference.core(i).cursor());
+    prop_assert_eq!(pa.phase, pb.phase, "core {} phase index diverged", i);
+    prop_assert!(rel_eq(pa.done_in_phase, pb.done_in_phase));
+    prop_assert_eq!(
+        batched.core(i).is_finished(),
+        reference.core(i).is_finished()
+    );
+    prop_assert_eq!(
+        batched.effective_frequency(i),
+        reference.effective_frequency(i)
+    );
+    prop_assert!(rel_eq(
+        batched.energy(i).joules(),
+        reference.energy(i).joules()
+    ));
+    prop_assert_eq!(
+        batched.energy(i).peak_watts(),
+        reference.energy(i).peak_watts()
+    );
+    let (ra, rb) = (batched.residency(i), reference.residency(i));
+    prop_assert!((ra.total() - rb.total()).abs() < 1e-9);
+    prop_assert!((ra.mean_mhz() - rb.mean_mhz()).abs() < 1e-9);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The headline differential: random plan in, agreement out —
-    /// exact for discrete state, ≤1e-12 relative for accumulators.
+    /// exact for discrete state, ≤1e-12 relative for accumulators, at
+    /// every mid-run read and at the end.
     #[test]
     fn batched_matches_reference(
-        plans in prop::collection::vec(core_plan(), 1..6),
+        palette in prop::collection::vec(core_plan(), 1..6),
+        // 0: one core per plan (1–5 cores, every row its own plan).
+        // Otherwise the plans are laid out in runs of 64 rows, so the
+        // 128-row blocks hold different mixes, reach their boundaries at
+        // different ticks, and the ragged last block is a third state.
+        cores in prop::sample::select(vec![0usize, 1, 127, 128, 129, 200, 256, 257, MAX_CORES]),
         settle_s in prop::sample::select(vec![0.0f64, 0.003]),
-        tick_us in prop::sample::select(vec![500u32, 1_000, 5_000, 10_000, 13_000]),
+        tick_us in tick_us(),
         ticks in 40usize..160,
-        actions in prop::collection::vec((0usize..160, action(6)), 0..8),
+        actions in prop::collection::vec((0usize..160, action()), 0..12),
     ) {
+        let plans: Vec<CorePlan> = match cores {
+            0 => palette,
+            n => (0..n).map(|i| palette[(i / 64) % palette.len()].clone()).collect(),
+        };
         let n = plans.len();
         let (mut batched, mut reference) = build_pair(&plans, settle_s);
-        let dt = f64::from(tick_us) * 1e-6;
-        for m in [&mut batched, &mut reference] {
-            for k in 0..ticks {
-                for (at, a) in &actions {
-                    if *at != k {
-                        continue;
+        let mut dt = f64::from(tick_us) * 1e-6;
+        for k in 0..ticks {
+            for (_, a) in actions.iter().filter(|(at, _)| *at == k) {
+                let (b, r) = (&mut batched, &mut reference);
+                match *a {
+                    Action::SetFreq { core, mhz } => {
+                        both(b, r, |m| m.set_frequency(core % n, FreqMhz(mhz)))
                     }
-                    match a {
-                        Action::SetFreq { core, mhz } => {
-                            m.set_frequency(core % n, FreqMhz(*mhz))
+                    Action::SetAll { mhz } => both(b, r, |m| m.set_all_frequencies(FreqMhz(mhz))),
+                    Action::Steal { core, ms } => {
+                        both(b, r, |m| m.core_mut(core % n).steal(f64::from(ms) * 1e-3))
+                    }
+                    Action::Swap { a, b: other } => {
+                        if a % n != other % n {
+                            both(b, r, |m| m.swap_workloads(a % n, other % n, 1e-4));
                         }
-                        Action::SetAll { mhz } => m.set_all_frequencies(FreqMhz(*mhz)),
-                        Action::Steal { core, ms } => {
-                            m.core_mut(core % n).steal(f64::from(*ms) * 1e-3)
-                        }
-                        Action::Swap { a, b } => {
-                            if a % n != b % n {
-                                m.swap_workloads(a % n, b % n, 1e-4);
-                            }
-                        }
-                        Action::Power { core, on } => m.set_powered(core % n, *on),
+                    }
+                    Action::Power { core, on } => both(b, r, |m| m.set_powered(core % n, on)),
+                    Action::SetDt { tick_us } => dt = f64::from(tick_us) * 1e-6,
+                    Action::Read { core } => core_agrees(b, r, core % n)?,
+                    Action::Sample { core } => {
+                        let i = core % n;
+                        let (da, db) = (b.sample(i), r.sample(i));
+                        let totals = r.core(i).counters();
+                        prop_assert!(
+                            samples_agree(&da, &db, &totals),
+                            "tick {} core {} sample: {:?} vs {:?}", k, i, da, db
+                        );
                     }
                 }
-                m.step(dt);
             }
+            batched.step(dt);
+            reference.step(dt);
         }
         for i in 0..n {
-            let (ca, cb) = (batched.core(i).counters(), reference.core(i).counters());
-            prop_assert!(counters_agree(&ca, &cb), "core {} counters: {:?} vs {:?}", i, ca, cb);
-            let (sa, sb) = (batched.core(i).stats(), reference.core(i).stats());
-            prop_assert!(stats_agree(&sa, &sb), "core {} stats: {:?} vs {:?}", i, sa, sb);
-            let (pa, pb) = (batched.core(i).cursor(), reference.core(i).cursor());
-            prop_assert_eq!(pa.phase, pb.phase, "core {} phase index diverged", i);
-            prop_assert!(rel_eq(pa.done_in_phase, pb.done_in_phase));
-            prop_assert_eq!(batched.core(i).is_finished(), reference.core(i).is_finished());
-            prop_assert_eq!(
-                batched.effective_frequency(i),
-                reference.effective_frequency(i)
-            );
-            prop_assert!(rel_eq(batched.energy(i).joules(), reference.energy(i).joules()));
-            prop_assert_eq!(
-                batched.energy(i).peak_watts(),
-                reference.energy(i).peak_watts()
-            );
-            let (ra, rb) = (batched.residency(i), reference.residency(i));
-            prop_assert!((ra.total() - rb.total()).abs() < 1e-9);
-            prop_assert!((ra.mean_mhz() - rb.mean_mhz()).abs() < 1e-9);
+            core_agrees(&batched, &reference, i)?;
         }
         prop_assert_eq!(batched.total_power_w(), reference.total_power_w());
     }
@@ -214,45 +296,6 @@ proptest! {
             batched.step(dt);
             reference.step(dt);
             prop_assert_eq!(batched.sample_all(), reference.sample_all());
-        }
-    }
-
-    /// The rayon-chunked path agrees with the serial batched pass:
-    /// threshold low enough to force splits vs. `MAX`. (The split path
-    /// materialises deferred windows every tick, so this also checks
-    /// deferral against eager per-tick commits.)
-    #[test]
-    fn chunked_matches_serial_batched(
-        cores in 9usize..48,
-        seed_mix in 0u32..5,
-        ticks in 20usize..120,
-    ) {
-        let build = |threshold: usize| {
-            let mut b = MachineBuilder::p630().cores(cores).noise(NoiseModel::NONE);
-            for i in 0..cores {
-                b = b.workload(
-                    i,
-                    SyntheticConfig::single(
-                        ((i as u32 + seed_mix) % 5) as f64 * 25.0,
-                        3.0e6,
-                    )
-                    .looping()
-                    .build(),
-                );
-            }
-            b.parallel_threshold(threshold).build()
-        };
-        let mut chunked = build(4);
-        let mut serial = build(usize::MAX);
-        for _ in 0..ticks {
-            chunked.step(0.01);
-            serial.step(0.01);
-        }
-        for i in 0..cores {
-            let (ca, cb) = (chunked.core(i).counters(), serial.core(i).counters());
-            prop_assert!(counters_agree(&ca, &cb), "core {}: {:?} vs {:?}", i, ca, cb);
-            let (sa, sb) = (chunked.core(i).stats(), serial.core(i).stats());
-            prop_assert!(stats_agree(&sa, &sb), "core {}: {:?} vs {:?}", i, sa, sb);
         }
     }
 }
