@@ -17,28 +17,39 @@
 //!
 //! Three batched flavours are reported: the bare tick (uniform blocks
 //! advance by a counter bump and commit their windows in closed form),
-//! and the every-tick-sampled loop (`step` + `sample_all_into`, the
-//! scheduler's actual usage, which forces k = 1 windows and a full
-//! materialisation pass per tick).
+//! the every-tick-sampled loop (`step` + `sample_all_into`, which forces
+//! k = 1 windows and a full materialisation pass per tick), and the
+//! scheduled tick (`ScheduledSimulation::step_tick` under the paper's
+//! configuration, sampling noise on, the budget cycling every 2.5
+//! simulated seconds) — the whole of what a scheduled experiment, and
+//! the repo benchmark's `sim_core_ticks_per_s`, pays per tick.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use fvs_power::{BudgetEvent, BudgetSchedule};
+use fvs_sched::{ScheduledSimulation, SchedulerConfig};
 use fvs_sim::{Machine, MachineBuilder, NoiseModel};
 use fvs_workloads::WorkloadSpec;
 
 const CORE_COUNTS: [usize; 4] = [4, 64, 256, 1024];
 
-fn build_machine(cores: usize, reference: bool) -> Machine {
-    let mut b = MachineBuilder::p630().cores(cores).noise(NoiseModel::NONE);
+fn builder(cores: usize) -> MachineBuilder {
+    let mut b = MachineBuilder::p630().cores(cores);
     for i in 0..cores {
         b = b.workload(
             i,
             WorkloadSpec::synthetic((i % 5) as f64 * 25.0, 1.0e15).looping(),
         );
     }
+    b
+}
+
+fn build_machine(cores: usize, reference: bool) -> Machine {
+    let b = builder(cores).noise(NoiseModel::NONE);
     if reference {
-        b = b.reference_stepping();
+        b.reference_stepping().build()
+    } else {
+        b.build()
     }
-    b.build()
 }
 
 fn bench_sim_tick_batched(c: &mut Criterion) {
@@ -67,6 +78,29 @@ fn bench_sim_tick_batched_sampled(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_sim_tick_scheduled(c: &mut Criterion) {
+    let mut g = c.benchmark_group("sim_tick_scheduled");
+    for cores in CORE_COUNTS {
+        // 100 % -> 25 % -> 35 % of full power, for longer than the
+        // bench runs at any size.
+        let full_w = cores as f64 * 140.0;
+        let events = (1..=20_000)
+            .map(|k| BudgetEvent {
+                at_s: 2.5 * k as f64,
+                budget_w: full_w * [0.25, 0.35, 1.0][(k - 1) % 3],
+            })
+            .collect();
+        let config = SchedulerConfig::p630()
+            .with_budget(BudgetSchedule::with_events(full_w, events))
+            .without_trigger_log();
+        let mut sim = ScheduledSimulation::new(builder(cores).build(), config).without_trace();
+        g.bench_with_input(BenchmarkId::from_parameter(cores), &(), |b, _| {
+            b.iter(|| sim.step_tick())
+        });
+    }
+    g.finish();
+}
+
 fn bench_sim_tick_scalar(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_tick_scalar");
     // The reference stepper at 1024 cores is the slow side by design;
@@ -85,6 +119,7 @@ criterion_group!(
     sim_tick,
     bench_sim_tick_batched,
     bench_sim_tick_batched_sampled,
+    bench_sim_tick_scheduled,
     bench_sim_tick_scalar
 );
 criterion_main!(sim_tick);

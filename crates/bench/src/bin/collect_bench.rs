@@ -10,15 +10,16 @@
 //!
 //! Reads `target/criterion/<group>/<id>/estimates.json` for the
 //! `schedule_two_pass`, `schedule_cached_steady` and
-//! `schedule_reference` groups plus `cluster_tick` and the
-//! `sim_tick_batched`/`sim_tick_scalar` pair, times the harness
-//! fast suite (every experiment, run in parallel), and writes a flat
-//! summary (median ns/iter, the naive/production speedup, the cache-hit
-//! speedup per size, and core-tick throughput of the batched SoA
-//! simulator pass vs the scalar reference) to `BENCH_scheduler.json`
-//! in the workspace root, stamped with the commit and the core count it
-//! was recorded on. The production column keeps its historical name,
-//! `heap_median_ns`; the file's `scenario` string says what it times.
+//! `schedule_reference` groups plus `cluster_tick` and the four
+//! `sim_tick_*` groups, times the harness fast suite (every experiment,
+//! run in parallel), and writes a flat summary (median ns/iter, the
+//! naive/production speedup, the cache-hit speedup per size, and
+//! core-tick throughput of the batched SoA simulator pass vs the scalar
+//! reference, with the sampled and the scheduled tick beside it) to
+//! `BENCH_scheduler.json` in the workspace root, stamped with the commit
+//! and the core count it was recorded on. The production column keeps
+//! its historical name, `heap_median_ns`; the file's `scenario` string
+//! says what it times.
 //!
 //! `collect_bench --check` instead validates an existing
 //! `BENCH_scheduler.json`: it must parse as JSON and carry the expected
@@ -75,8 +76,12 @@ struct SimEntry {
     /// Core-ticks per wall second through the batched pass.
     throughput: f64,
     /// The every-tick-sampled loop (`step` + `sample_all_into`) — the
-    /// scheduler's actual per-round cost, with no window deferral.
+    /// simulator's share of a scheduled tick, with no window deferral.
     sampled: Option<f64>,
+    /// The whole scheduled tick (`ScheduledSimulation::step_tick`, noise
+    /// on, cycling budget): what the repo benchmark's
+    /// `sim_core_ticks_per_s` times.
+    scheduled: Option<f64>,
     scalar: Option<f64>,
     speedup: Option<f64>,
 }
@@ -275,6 +280,7 @@ fn main() {
         let id = cores.to_string();
         let batched = median_ns(&criterion_dir, "sim_tick_batched", &id);
         let sampled = median_ns(&criterion_dir, "sim_tick_batched_sampled", &id);
+        let scheduled = median_ns(&criterion_dir, "sim_tick_scheduled", &id);
         let scalar = median_ns(&criterion_dir, "sim_tick_scalar", &id);
         match batched {
             Some(b) => sim.push(SimEntry {
@@ -282,6 +288,7 @@ fn main() {
                 batched: b,
                 throughput: cores as f64 / (b * 1e-9),
                 sampled,
+                scheduled,
                 scalar,
                 speedup: scalar.map(|s| s / b),
             }),
@@ -388,6 +395,9 @@ fn main() {
         if let Some(s) = e.sampled {
             out.push_str(&format!(", \"sampled_median_ns\": {s:.1}"));
         }
+        if let Some(s) = e.scheduled {
+            out.push_str(&format!(", \"scheduled_median_ns\": {s:.1}"));
+        }
         if let Some(s) = e.scalar {
             out.push_str(&format!(", \"scalar_median_ns\": {s:.1}"));
         }
@@ -445,6 +455,9 @@ fn main() {
         );
         if let Some(s) = e.sampled {
             line.push_str(&format!("  sampled {s:>10.1} ns"));
+        }
+        if let Some(s) = e.scheduled {
+            line.push_str(&format!("  scheduled {s:>10.1} ns"));
         }
         if let (Some(s), Some(x)) = (e.scalar, e.speedup) {
             line.push_str(&format!("  scalar {s:>14.1} ns  speedup {x:.2}x"));

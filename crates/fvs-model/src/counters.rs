@@ -32,6 +32,7 @@ pub struct CounterDelta {
 impl CounterDelta {
     /// Element-wise accumulation (for aggregating dispatch intervals `t`
     /// into a scheduling interval `T`).
+    #[inline]
     pub fn accumulate(&mut self, other: &CounterDelta) {
         self.instructions += other.instructions;
         self.cycles += other.cycles;
@@ -41,6 +42,7 @@ impl CounterDelta {
     }
 
     /// Observed instructions per cycle over the interval.
+    #[inline]
     pub fn observed_ipc(&self) -> f64 {
         if self.cycles <= 0.0 {
             0.0
@@ -50,6 +52,7 @@ impl CounterDelta {
     }
 
     /// True when the interval retired enough work to estimate from.
+    #[inline]
     pub fn is_informative(&self, min_instructions: f64) -> bool {
         self.instructions >= min_instructions && self.cycles > 0.0
     }
@@ -58,6 +61,7 @@ impl CounterDelta {
     /// reads can be corrupted (wraparound, racy multi-register reads);
     /// the estimator refuses such windows rather than scheduling on
     /// them.
+    #[inline]
     pub fn is_sane(&self) -> bool {
         [
             self.instructions,
@@ -87,6 +91,7 @@ impl CounterWindow {
     }
 
     /// Add one dispatch-interval delta.
+    #[inline]
     pub fn push(&mut self, delta: &CounterDelta) {
         self.sum.accumulate(delta);
         self.samples += 1;
@@ -98,11 +103,13 @@ impl CounterWindow {
     }
 
     /// The aggregate delta so far.
+    #[inline]
     pub fn total(&self) -> &CounterDelta {
         &self.sum
     }
 
     /// Take the aggregate and reset the window for the next period.
+    #[inline]
     pub fn drain(&mut self) -> CounterDelta {
         let out = self.sum;
         *self = Self::default();
@@ -174,6 +181,7 @@ impl Estimator {
     }
 
     /// Fit a model from `delta` observed while the core ran at `freq`.
+    #[inline]
     pub fn estimate(&self, delta: &CounterDelta, freq: FreqMhz) -> Result<CpiModel, EstimateError> {
         if !delta.is_sane() {
             return Err(EstimateError::CorruptCounters);

@@ -1,5 +1,10 @@
 //! Per-core counter windows, model fitting, and prediction-error
 //! tracking (the machinery behind the paper's Table 2).
+//!
+//! A sample is checked once on its way into a window: by
+//! [`Predictor::push`] for callers that hand it raw counters, or by the
+//! scheduler's `SampleValidator`, which checks that and more and then
+//! uses the unchecked entry.
 
 use fvs_model::{CounterDelta, CounterWindow, CpiModel, Estimator, FreqMhz, MemoryLatencies};
 use serde::{Deserialize, Serialize};
@@ -11,8 +16,6 @@ pub struct Predictor {
     windows: Vec<CounterWindow>,
     /// Last successfully fitted model per core.
     models: Vec<Option<CpiModel>>,
-    /// Observed IPC over the most recent dispatch interval per core.
-    last_ipc: Vec<f64>,
 }
 
 impl Predictor {
@@ -22,7 +25,6 @@ impl Predictor {
             estimator: Estimator::new(latencies),
             windows: vec![CounterWindow::new(); n],
             models: vec![None; n],
-            last_ipc: vec![0.0; n],
         }
     }
 
@@ -30,16 +32,17 @@ impl Predictor {
     /// (non-finite or negative counters — racy or wrapped reads on real
     /// hardware) are dropped rather than poisoning the window.
     pub fn push(&mut self, i: usize, delta: &CounterDelta) {
-        if !delta.is_sane() {
-            return;
+        if delta.is_sane() {
+            self.push_sane(i, delta);
         }
-        self.last_ipc[i] = delta.observed_ipc();
-        self.windows[i].push(delta);
     }
 
-    /// Observed IPC of core `i` over its latest dispatch interval.
-    pub fn last_ipc(&self, i: usize) -> f64 {
-        self.last_ipc[i]
+    /// [`Predictor::push`] for a sample the caller has already found
+    /// [`CounterDelta::is_sane`] (the scheduler's validator checks that
+    /// and more).
+    #[inline]
+    pub(crate) fn push_sane(&mut self, i: usize, delta: &CounterDelta) {
+        self.windows[i].push(delta);
     }
 
     /// Close the scheduling window for core `i`: drain the accumulated

@@ -268,6 +268,9 @@ pub struct FvsstScheduler {
     metrics: Option<SchedMetrics>,
     validator: SampleValidator,
     failsafe: Vec<FailsafeState>,
+    /// No processor is pinned or mid-retry (every [`FailsafeState`] has
+    /// zero `retries` and no pin), as the last verify walk left it.
+    failsafe_quiet: bool,
     actuation_retries: u64,
 }
 
@@ -294,6 +297,7 @@ impl FvsstScheduler {
             metrics,
             validator: SampleValidator::new(n_cores),
             failsafe: vec![FailsafeState::default(); n_cores],
+            failsafe_quiet: true,
             actuation_retries: 0,
         }
     }
@@ -371,6 +375,7 @@ impl FvsstScheduler {
         for f in &mut self.failsafe {
             *f = FailsafeState::default();
         }
+        self.failsafe_quiet = true;
     }
 
     /// Verify the decision in force actually took effect on the
@@ -378,15 +383,22 @@ impl FvsstScheduler {
     /// configured retries pin the offender at the fail-safe minimum
     /// (degradation-ladder rungs 2 and 3). Returns `true` when `out`
     /// carries a re-issued assignment the host must apply. With healthy
-    /// actuation every comparison matches and this is branch-only.
+    /// actuation this is one slice comparison.
     fn verify_actuation(&mut self, ctx: &TickContext<'_>, out: &mut Decision) -> bool {
         let Some(last) = &self.last_decision else {
             return false;
         };
+        // Every command landed and nothing is pinned or mid-retry: the
+        // walk would reset retry counts that are already zero.
+        if self.failsafe_quiet && ctx.current == last.freqs {
+            return false;
+        }
         let f_min = self.config.algorithm.freq_set.min();
         let mut reissue = false;
+        let mut quiet = true;
         for i in 0..ctx.current.len() {
             let fs = &mut self.failsafe[i];
+            quiet &= !fs.pinned;
             let target = if fs.pinned { f_min } else { last.freqs[i] };
             if ctx.current[i] == target {
                 if !fs.pinned {
@@ -394,6 +406,7 @@ impl FvsstScheduler {
                 }
                 continue;
             }
+            quiet = false;
             if fs.pinned {
                 // Already at the bottom of the ladder: keep nudging the
                 // pin until it lands, without further retry accounting.
@@ -434,6 +447,7 @@ impl FvsstScheduler {
                 reissue = true;
             }
         }
+        self.failsafe_quiet = quiet;
         if !reissue {
             return false;
         }
@@ -616,7 +630,7 @@ impl Policy for FvsstScheduler {
         // quarantined before they can reach the model-fitting window.
         for (i, s) in ctx.samples.iter().enumerate() {
             match self.validator.validate(i, s) {
-                SampleVerdict::Trusted => self.predictor.push(i, s),
+                SampleVerdict::Trusted => self.predictor.push_sane(i, s),
                 SampleVerdict::Quarantined => {
                     self.config.telemetry.emit(SchedEvent::SampleQuarantined {
                         t_s: ctx.now_s,
@@ -920,6 +934,184 @@ mod tests {
             d.freqs[0]
         );
         assert_eq!(d.desired[0], d.freqs[0], "no budget pressure");
+    }
+
+    /// The verify walk, tick by tick, on two processors with the timer
+    /// out of the way: what it re-issues, counts, pins and journals, and
+    /// when it is skipped. Processor 0's commands always land; whether
+    /// processor 1's do is the table's input.
+    #[test]
+    fn verify_walk_table() {
+        let platform = PlatformView::p630();
+        let telemetry = Telemetry::memory(64);
+        let cfg = SchedulerConfig::p630()
+            .with_n(1_000)
+            .with_telemetry(telemetry.clone());
+        let mut s = FvsstScheduler::new(2, cfg);
+        let f_min = s.config.algorithm.freq_set.min();
+        let compute = CpiModel::from_components(1.0, 0.0);
+        let membound = CpiModel::from_components(1.0, 10.0e-9);
+        let mut current = [FreqMhz(1000); 2];
+        let mut tick = 0u64;
+        // One tick: decide, then apply what was commanded — processor 1
+        // only when `lands`. Returns whether anything was commanded.
+        let mut step = |s: &mut FvsstScheduler, current: &mut [FreqMhz; 2], lands: bool| {
+            let samples = [
+                sample_for(&compute, 0.0, current[0], 0.01),
+                sample_for(&membound, 10.0e-9 / 393.0e-9, current[1], 0.01),
+            ];
+            let c = ctx(
+                (tick + 1) as f64 * 0.01,
+                tick,
+                f64::INFINITY,
+                &samples,
+                &[false, false],
+                &current[..],
+                &platform,
+            );
+            tick += 1;
+            let commanded = s.on_tick(&c);
+            if let Some(d) = &commanded {
+                current[0] = d.freqs[0];
+                if lands {
+                    current[1] = d.freqs[1];
+                }
+            }
+            commanded
+        };
+        // The ladder's events so far: (kind, processor, attempt / retries).
+        let ladder_events = |telemetry: &Telemetry| -> Vec<(&str, u32, u32)> {
+            (telemetry.events().iter())
+                .filter_map(|e| match *e {
+                    SchedEvent::ActuationRetry { proc, attempt, .. } => {
+                        Some(("retry", proc, attempt))
+                    }
+                    SchedEvent::FailsafePin { proc, retries, .. } => Some(("pin", proc, retries)),
+                    _ => None,
+                })
+                .collect()
+        };
+        let retry = |attempt| ("retry", 1, attempt);
+
+        // Tick 0, the bootstrap round: the memory-bound processor is
+        // sent below f_max, and the command lands.
+        let d0 = step(&mut s, &mut current, true).expect("bootstrap round");
+        assert!(d0.freqs[1] < FreqMhz(1000) && d0.freqs[1] > f_min);
+        // Command landed: nothing happens and nothing is stored.
+        for _ in 1..4 {
+            assert!(step(&mut s, &mut current, true).is_none());
+            assert!(s.failsafe_quiet && s.failsafe.iter().all(|f| f.retries == 0));
+        }
+        assert_eq!((s.actuation_retries(), s.failsafe_pins()), (0, 0));
+        assert_eq!(ladder_events(&telemetry), []);
+
+        // Tick 4: processor 1 falls back to f_max on its own. The walk
+        // re-issues at once, then two and four ticks later (ticks 4, 6
+        // and 10); the third re-issue lands.
+        current[1] = FreqMhz(1000);
+        let reissued: Vec<bool> = (4..12)
+            .map(|t| step(&mut s, &mut current, t == 10).is_some_and(|d| d.freqs == d0.freqs))
+            .collect();
+        assert_eq!(
+            reissued,
+            [true, false, true, false, false, false, true, false]
+        );
+        assert_eq!(current[1], d0.freqs[1]);
+        assert_eq!(ladder_events(&telemetry), [retry(1), retry(2), retry(3)]);
+        assert_eq!((s.actuation_retries(), s.failsafe_pins()), (3, 0));
+        // Landed: the count is back at zero (tick 11 found the match),
+        // so the next walk is skipped and a later fault starts over.
+        assert!(s.failsafe_quiet && s.failsafe[1].retries == 0);
+        assert!(step(&mut s, &mut current, true).is_none());
+
+        // Tick 13 on: the same fault, and now nothing lands. The backoff
+        // deadline the last re-issue set (tick 18) still stands, so
+        // attempts 1-3 come at ticks 18, 20 and 24; the pin on the tick
+        // after the third, and from then on the pin is re-issued every
+        // tick while processor 0 matches throughout.
+        current[1] = FreqMhz(1000);
+        let commanded: Vec<Option<FreqMhz>> = (13..29)
+            .map(|_| step(&mut s, &mut current, false).map(|d| d.freqs[1]))
+            .collect();
+        let (reissue, pin) = (Some(d0.freqs[1]), Some(f_min));
+        let mut expected = [None; 16];
+        (expected[5], expected[7], expected[11]) = (reissue, reissue, reissue);
+        expected[12..].fill(pin);
+        assert_eq!(commanded, expected);
+        assert_eq!(
+            ladder_events(&telemetry)[3..],
+            [retry(1), retry(2), retry(3), ("pin", 1, 3)]
+        );
+        assert_eq!((s.actuation_retries(), s.failsafe_pins()), (6, 1));
+        assert!(s.failsafe_pinned(1) && !s.failsafe_pinned(0));
+        // The pin lands: nothing more is commanded, but a pinned
+        // processor keeps the walk on.
+        assert_eq!(
+            step(&mut s, &mut current, true).map(|d| d.freqs[1]),
+            Some(f_min)
+        );
+        assert!(step(&mut s, &mut current, true).is_none());
+        assert!(!s.failsafe_quiet);
+        // Released: quiet again, with the pinned frequency still the
+        // command in force.
+        s.clear_failsafe_pins();
+        assert!(s.failsafe_quiet && s.failsafe_pins() == 0);
+        assert!(step(&mut s, &mut current, true).is_none());
+        assert_eq!(current[1], f_min);
+        assert_eq!(ladder_events(&telemetry).len(), 7);
+        assert_eq!(s.actuation_retries(), 6);
+    }
+
+    /// A sample can pass `is_sane` and still be impossible. The
+    /// validator's is the only check between a sample and the fitting
+    /// window, so such a sample must stop there: quarantined, counted
+    /// once, the window as it was.
+    #[test]
+    fn sane_but_implausible_samples_stay_out_of_the_window() {
+        let platform = PlatformView::p630();
+        let mut s = FvsstScheduler::new(1, SchedulerConfig::p630().with_n(1_000));
+        let model = CpiModel::from_components(1.0, 4.0e-9);
+        let good = sample_for(&model, 4.0e-9 / 393.0e-9, FreqMhz(1000), 0.01);
+        let too_fast = fvs_model::CounterDelta {
+            instructions: good.cycles * 8.5,
+            ..good
+        };
+        let no_cycles = fvs_model::CounterDelta {
+            cycles: 0.0,
+            ..good
+        };
+        assert!(too_fast.is_sane() && no_cycles.is_sane());
+        let mut current = [FreqMhz(1000)];
+        let mut window_ipc = None;
+        for (tick, sample) in [good, good, too_fast, no_cycles, good]
+            .into_iter()
+            .enumerate()
+        {
+            let samples = [sample];
+            let c = ctx(
+                (tick + 1) as f64 * 0.01,
+                tick as u64,
+                f64::INFINITY,
+                &samples,
+                &[false],
+                &current,
+                &platform,
+            );
+            if let Some(d) = s.on_tick(&c) {
+                current = [d.freqs[0]];
+            }
+            match tick {
+                // Tick 0's bootstrap round drained the window.
+                1 => window_ipc = s.predictor.window_ipc(0),
+                2 | 3 => {
+                    assert_eq!(s.quarantined_samples(), tick as u64 - 1);
+                    assert_eq!(s.predictor.window_ipc(0), window_ipc);
+                }
+                _ => {}
+            }
+        }
+        assert!(window_ipc.is_some());
+        assert_eq!(s.quarantined_samples(), 2);
     }
 
     /// Quarantine recovery must invalidate the schedule cache: while

@@ -1,5 +1,13 @@
 //! Drives a [`fvs_sim::Machine`] under a [`Policy`] and reports what the
 //! paper's evaluation measures.
+//!
+//! [`ScheduledSimulation::step_tick`] is the loop every scheduled
+//! experiment spends its time in, so it does each per-core job once per
+//! tick and over the machine's columns ([`Machine::transitional_flags`],
+//! [`Machine::finished_flags`], [`Machine::requested_mhz`], one
+//! `sample_all_into`), not through a view per core. The per-core API
+//! says the same things — a test below drives the same tick through it
+//! and compares bits — and is what the trace path and the report use.
 
 use crate::policy::{Decision, PlatformView, Policy, TickContext};
 use crate::scheduler::{FvsstScheduler, SchedulerConfig};
@@ -8,7 +16,6 @@ use fvs_model::{CounterDelta, CpiModel, FreqMhz};
 use fvs_power::{BudgetEvent, BudgetSchedule, EnergyMeter, SupplyBank};
 use fvs_sim::{Machine, ResidencyHistogram, TraceRecorder, TraceSample};
 use fvs_telemetry::{FaultDomain, SchedEvent, Telemetry};
-use fvs_workloads::PhaseKind;
 use serde::{Deserialize, Serialize};
 
 /// Where the global power budget comes from.
@@ -96,7 +103,6 @@ pub struct ScheduledSimulation<P: Policy = FvsstScheduler> {
     decisions: u64,
     frequency_switches: u64,
     last_desired: Vec<FreqMhz>,
-    last_ipc: Vec<f64>,
     /// Per-core "this scheduling window overlapped an init/exit phase or
     /// a workload completion" flags, OR-accumulated across ticks and
     /// reset whenever the policy takes a decision (= closes its window).
@@ -157,7 +163,6 @@ impl<P: Policy> ScheduledSimulation<P> {
             decisions: 0,
             frequency_switches: 0,
             last_desired: vec![f_max; n],
-            last_ipc: vec![0.0; n],
             window_transitional: vec![false; n],
             was_finished: vec![false; n],
             wants_ground_truth,
@@ -259,7 +264,7 @@ impl<P: Policy> ScheduledSimulation<P> {
                 if let Some((at, f)) = fb.delayed[i] {
                     if self.tick >= at {
                         fb.delayed[i] = None;
-                        if self.machine.core(i).requested_frequency() != f {
+                        if self.machine.requested_mhz()[i] != f.0 {
                             self.frequency_switches += 1;
                         }
                         self.machine.set_frequency(i, f);
@@ -270,13 +275,12 @@ impl<P: Policy> ScheduledSimulation<P> {
 
         // Capture ground-truth transitional flags *before* stepping so a
         // window that started in init/exit is flagged.
-        for i in 0..n {
-            if matches!(
-                self.machine.core(i).current_phase_kind(),
-                PhaseKind::Init | PhaseKind::Exit
-            ) {
-                self.window_transitional[i] = true;
-            }
+        for (window, now) in self
+            .window_transitional
+            .iter_mut()
+            .zip(self.machine.transitional_flags())
+        {
+            *window |= *now;
         }
 
         self.machine.step(t_s);
@@ -301,24 +305,28 @@ impl<P: Policy> ScheduledSimulation<P> {
         // the workload ran to completion (the exit→idle hand-off can
         // happen entirely inside one tick, so completion is tracked
         // explicitly).
+        let finished = self.machine.finished_flags();
+        let transitional = self.machine.transitional_flags();
         for i in 0..n {
-            let finished = self.machine.core(i).is_finished();
-            if matches!(
-                self.machine.core(i).current_phase_kind(),
-                PhaseKind::Init | PhaseKind::Exit
-            ) || (finished && !self.was_finished[i])
-            {
-                self.window_transitional[i] = true;
-            }
-            self.was_finished[i] = finished;
+            self.window_transitional[i] |=
+                transitional[i] || (finished[i] && !self.was_finished[i]);
         }
+        self.was_finished.copy_from_slice(finished);
         // The window flags accumulate until a decision closes the window,
         // which happens while the context still borrows them — so the
         // policy sees a snapshot (buffer reused across ticks).
         self.transitional_buf.clone_from(&self.window_transitional);
 
         // Observe (into reusable buffers: the steady-state tick allocates
-        // nothing).
+        // nothing): idle signals, requested frequencies, counters.
+        self.idle_buf.clear();
+        self.idle_buf.extend(
+            (finished.iter().zip(self.machine.idle_loop_flags()))
+                .map(|(done, idle)| *done || *idle),
+        );
+        self.current_buf.clear();
+        self.current_buf
+            .extend(self.machine.requested_mhz().iter().map(|f| FreqMhz(*f)));
         self.machine.sample_all_into(&mut self.samples_buf);
         // Corrupt counter samples per the fault plan, keeping the raw
         // deltas so next tick's `Stale` fault has a true reading to
@@ -338,16 +346,6 @@ impl<P: Policy> ScheduledSimulation<P> {
                 }
                 std::mem::swap(&mut fb.prev_samples, &mut fb.raw_scratch);
             }
-        }
-        self.idle_buf.clear();
-        self.current_buf.clear();
-        for i in 0..n {
-            self.idle_buf.push(self.machine.idle_signal(i));
-            self.current_buf
-                .push(self.machine.core(i).requested_frequency());
-        }
-        for (i, s) in self.samples_buf.iter().enumerate() {
-            self.last_ipc[i] = s.observed_ipc();
         }
 
         // Ground-truth models of the currently-executing phases — real
@@ -391,7 +389,7 @@ impl<P: Policy> ScheduledSimulation<P> {
             self.decisions += 1;
             for (i, f) in self.decision_buf.freqs.iter().enumerate() {
                 let target = *f;
-                let current = self.machine.core(i).requested_frequency();
+                let current = FreqMhz(self.machine.requested_mhz()[i]);
                 let mut apply = Some(target);
                 if let Some(fb) = &mut self.faults {
                     // Only a real transition can misbehave — re-issuing
@@ -427,7 +425,7 @@ impl<P: Policy> ScheduledSimulation<P> {
                     }
                 }
                 if let Some(f) = apply {
-                    if self.machine.core(i).requested_frequency() != f {
+                    if f != current {
                         self.frequency_switches += 1;
                     }
                     self.machine.set_frequency(i, f);
@@ -453,7 +451,7 @@ impl<P: Policy> ScheduledSimulation<P> {
                     effective_mhz: self.machine.effective_frequency(i).0,
                     requested_mhz: self.machine.core(i).requested_frequency().0,
                     desired_mhz: self.last_desired[i].0,
-                    observed_ipc: self.last_ipc[i],
+                    observed_ipc: self.samples_buf[i].observed_ipc(),
                     power_w: self.machine.core_power_w(i),
                     phase: self.machine.core(i).current_phase_name().to_string(),
                 });
@@ -477,9 +475,7 @@ impl<P: Policy> ScheduledSimulation<P> {
     pub fn run_to_completion(&mut self, max_s: f64) -> RunReport {
         let max_ticks = (max_s / self.t_s).round() as u64;
         for _ in 0..max_ticks {
-            if (0..self.machine.num_cores()).all(|i| {
-                self.machine.core(i).is_finished() || self.machine.core(i).workload().is_idle_loop
-            }) {
+            if (0..self.machine.num_cores()).all(|i| self.machine.idle_signal(i)) {
                 break;
             }
             self.step_tick();
@@ -676,6 +672,180 @@ mod tests {
         assert!(report.energy_j.is_finite());
         for d in &report.completed_at_s {
             assert!(d.is_none_or(f64::is_finite));
+        }
+    }
+
+    /// A policy that keeps what it was shown each tick.
+    struct Recording {
+        inner: FvsstScheduler,
+        seen: Vec<(Vec<bool>, Vec<bool>, Vec<FreqMhz>)>,
+    }
+
+    impl Policy for Recording {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn decide(&mut self, ctx: &TickContext<'_>, out: &mut Decision) -> bool {
+            self.seen.push((
+                ctx.transitional.to_vec(),
+                ctx.idle.to_vec(),
+                ctx.current.to_vec(),
+            ));
+            self.inner.decide(ctx, out)
+        }
+
+        fn overhead(&self) -> crate::policy::OverheadModel {
+            self.inner.overhead()
+        }
+    }
+
+    /// `step_tick` reads the machine's columns; the per-core view API is
+    /// what everyone else (the repo benchmark's traced loop among them)
+    /// drives the same tick with. Both must show the policy the same
+    /// things and leave the machine on the same bits.
+    #[test]
+    fn step_tick_equals_a_loop_over_the_per_core_api() {
+        use fvs_workloads::{PhaseKind, SyntheticConfig};
+        const TICKS: usize = 2_000;
+        let t_s = 0.010;
+        let machine = |reference: bool| {
+            let mut b = MachineBuilder::p630().cores(9).seed(19);
+            // Init and exit phases all round; cores 0-2 complete mid-run,
+            // core 6 loops its body, core 8 is the hot-idle loop.
+            for (i, (c, instructions)) in [
+                (100.0, 2.0e9),
+                (60.0, 1.5e9),
+                (15.0, 2.0e8),
+                (85.0, 1.0e12),
+                (40.0, 1.0e12),
+                (5.0, 1.0e12),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                b = b.workload(i, SyntheticConfig::single(c, instructions).build());
+            }
+            b = b.workload(6, SyntheticConfig::single(70.0, 5.0e8).looping().build());
+            // Core 7's exit phase is shorter than a tick: it goes from
+            // its body to finished inside one.
+            let mut brief = SyntheticConfig::single(90.0, 1.0e9);
+            brief.exit_instructions = 1.0e5;
+            b = b.workload(7, brief.build());
+            if reference {
+                b = b.reference_stepping();
+            }
+            b.build()
+        };
+        let budget = BudgetSchedule::with_events(
+            9.0 * 140.0,
+            vec![
+                BudgetEvent {
+                    at_s: 6.0,
+                    budget_w: 9.0 * 140.0 * 0.3,
+                },
+                BudgetEvent {
+                    at_s: 13.0,
+                    budget_w: 9.0 * 140.0 * 0.6,
+                },
+            ],
+        );
+        let policy = || Recording {
+            inner: FvsstScheduler::new(9, SchedulerConfig::p630()),
+            seen: Vec::with_capacity(TICKS),
+        };
+        for reference in [false, true] {
+            let mut sim =
+                ScheduledSimulation::with_policy(machine(reference), policy(), budget.clone(), t_s)
+                    .without_trace();
+            for _ in 0..TICKS {
+                sim.step_tick();
+            }
+            let report = sim.report();
+
+            // The same tick by hand, one core at a time.
+            let mut m = machine(reference);
+            let mut own = policy();
+            let platform = PlatformView::p630();
+            let in_transition = |m: &Machine, i: usize| {
+                matches!(
+                    m.core(i).current_phase_kind(),
+                    PhaseKind::Init | PhaseKind::Exit
+                )
+            };
+            let mut window = [false; 9];
+            let mut was_finished = [false; 9];
+            let mut decision = Decision::default();
+            let (mut violation_s, mut decisions, mut switches) = (0.0, 0u64, 0u64);
+            for tick in 0..TICKS {
+                for (i, w) in window.iter_mut().enumerate() {
+                    *w |= in_transition(&m, i);
+                }
+                m.step(t_s);
+                let total_power = m.total_power_w();
+                let budget_w = budget.budget_at(m.now_s());
+                if total_power > budget_w {
+                    violation_s += t_s;
+                }
+                for i in 0..9 {
+                    let finished = m.core(i).is_finished();
+                    window[i] |= in_transition(&m, i) || (finished && !was_finished[i]);
+                    was_finished[i] = finished;
+                }
+                let samples = m.sample_all();
+                let idle: Vec<bool> = (0..9).map(|i| m.idle_signal(i)).collect();
+                let current: Vec<FreqMhz> =
+                    (0..9).map(|i| m.core(i).requested_frequency()).collect();
+                let ctx = TickContext {
+                    now_s: m.now_s(),
+                    tick: tick as u64,
+                    budget_w,
+                    measured_power_w: total_power,
+                    samples: &samples,
+                    idle: &idle,
+                    transitional: &window,
+                    current: &current,
+                    ground_truth: &[],
+                    platform: &platform,
+                };
+                let overhead = own.overhead();
+                m.core_mut(overhead.host_core)
+                    .steal(overhead.per_sample_s * 9.0);
+                if own.decide(&ctx, &mut decision) {
+                    window = [false; 9];
+                    decisions += 1;
+                    for (i, f) in decision.freqs.iter().enumerate() {
+                        if m.core(i).requested_frequency() != *f {
+                            switches += 1;
+                        }
+                        m.set_frequency(i, *f);
+                    }
+                    for (i, on) in decision.powered_on.iter().enumerate() {
+                        m.set_powered(i, *on);
+                    }
+                    m.core_mut(overhead.host_core)
+                        .steal(overhead.per_schedule_s);
+                }
+            }
+
+            assert_eq!(report.energy_j, m.total_energy_j());
+            let body: Vec<f64> = (0..9)
+                .map(|i| m.core(i).stats().body_instructions)
+                .collect();
+            assert_eq!(report.body_instructions, body);
+            assert_eq!(report.violation_s, violation_s);
+            assert_eq!(
+                (report.decisions, report.frequency_switches),
+                (decisions, switches)
+            );
+            assert!(sim.policy().seen == own.seen, "the policy saw another run");
+            // The run had what it was built for: budget rounds on top of
+            // the timer's, completions, and core 7 flagged on the tick
+            // it went from body to finished.
+            assert!(report.decisions > 200 && report.violation_s > 0.0);
+            assert!(report.completed_at_s[..3].iter().all(Option::is_some));
+            let done = (report.completed_at_s[7].expect("core 7 completes") / t_s) as usize;
+            assert!(own.seen[done].0[7] && !own.seen[done - 1].0[7]);
         }
     }
 

@@ -37,7 +37,13 @@
 //!    commits in closed form (`x += k·d`, [`CoreBank::materialize_block`])
 //!    at the next observation or perturbation. A `k = 1` window commits
 //!    with exactly the per-tick arithmetic, so every-tick sampling is
-//!    bitwise unchanged.
+//!    bitwise unchanged. The count is taken at the start of the tick
+//!    after a checked pass, and only for a block nothing touched since.
+//!
+//! A scheduled tick reads whole columns, not per-core views: `finished`,
+//! `idle_loop_flag`, `transitional` and `req_mhz` are each kept where
+//! their inputs change, and [`CoreBank::sample_all_into`] samples every
+//! row in one pass.
 //!
 //! A tick allocates nothing (the crossers list is a fixed stack array
 //! per 128-core block), which is what the zero-alloc-per-tick proofs in
@@ -45,8 +51,10 @@
 
 use crate::actuator::Actuator;
 use crate::core::{CoreStats, PhaseCursor};
+use crate::noise::NoiseModel;
 use fvs_model::{CounterDelta, ExecutionProfile, FreqMhz, MemoryLatencies};
 use fvs_workloads::{PhaseKind, WorkloadSpec};
+use rand::Rng;
 
 /// The golden angle (rad): successive multiples never repeat, so loop
 /// drift is deterministic, aperiodic and has mean ≈ 1.
@@ -54,6 +62,10 @@ const GOLDEN_ANGLE: f64 = 2.399_963_229_728_653;
 
 /// Cores per serial sub-block; bounds the stack-allocated crossers list.
 const BLOCK: usize = 128;
+
+/// `block_fast_ticks` of a block untouched since its checked pass ended:
+/// the count is owed, not yet computed (real counts stop at 1e9).
+const COUNT_OWED: u32 = u32::MAX;
 
 /// The factor applied to a body phase's off-core rates in loop
 /// iteration `k`: `1 + amp·sin(k·φ)`.
@@ -154,6 +166,9 @@ pub(crate) struct CoreBank {
     pub(crate) done_in_phase: Vec<f64>,
     pub(crate) loop_count: Vec<u64>,
     pub(crate) finished: Vec<bool>,
+    /// Whether the row is in an init or exit phase of its workload
+    /// ([`CoreBank::sync_transitional`], wherever a cursor moves).
+    pub(crate) transitional: Vec<bool>,
     pub(crate) body_instructions: Vec<f64>,
     pub(crate) busy_s: Vec<f64>,
     /// Completion time of a non-looping workload; NaN while running.
@@ -162,6 +177,9 @@ pub(crate) struct CoreBank {
     pub(crate) powered: Vec<bool>,
     pub(crate) idle_loop_flag: Vec<bool>,
     // --- linearized actuator state + effective-frequency cache ---
+    /// The most recently requested frequency (MHz), synced with the
+    /// linearization.
+    pub(crate) req_mhz: Vec<u32>,
     pub(crate) lin_cur_mhz: Vec<u32>,
     pub(crate) lin_tgt_mhz: Vec<u32>,
     pub(crate) lin_settle_at_s: Vec<f64>,
@@ -200,7 +218,10 @@ pub(crate) struct CoreBank {
     /// any phase boundary). While positive, a tick only extends the
     /// block's deferred window (`pending_ticks`) — no per-row work.
     /// Zeroed by any event that could perturb a row (frequency change,
-    /// steal, power toggle, phase refresh, dt change).
+    /// steal, power toggle, phase refresh, dt change). A checked pass
+    /// leaves [`COUNT_OWED`]: the count is taken at the start of the next
+    /// tick, if nothing zeroed the entry first — a scheduled run steals
+    /// on its host core every tick and never needs block 0's.
     block_fast_ticks: Vec<u32>,
     /// Per-block count of uniform ticks accrued but not yet applied to
     /// the accumulator arrays. While a block is provably uniform, a tick
@@ -212,7 +233,7 @@ pub(crate) struct CoreBank {
     /// unobserved windows agree with the reference to ~`k·2⁻⁵²` relative
     /// (well inside the 1e-12 differential-test envelope) and are
     /// strictly *more* accurate.
-    pending_ticks: Vec<u32>,
+    pub(crate) pending_ticks: Vec<u32>,
     /// The dt the block counters were computed for; counters are only
     /// trusted while dt is unchanged.
     fast_dt: f64,
@@ -241,12 +262,14 @@ impl CoreBank {
             done_in_phase: vec![0.0; n],
             loop_count: vec![0; n],
             finished: vec![false; n],
+            transitional: vec![false; n],
             body_instructions: vec![0.0; n],
             busy_s: vec![0.0; n],
             completed_at_s: vec![f64::NAN; n],
             pending_steal_s: vec![0.0; n],
             powered: vec![true; n],
             idle_loop_flag: vec![false; n],
+            req_mhz: vec![0; n],
             lin_cur_mhz: vec![0; n],
             lin_tgt_mhz: vec![0; n],
             lin_settle_at_s: vec![0.0; n],
@@ -279,9 +302,10 @@ impl CoreBank {
         self.n
     }
 
-    /// Sync a row's linearized actuator state from its actuator.
+    /// Sync a row's requested and linearized actuator state.
     pub(crate) fn sync_linearization(&mut self, i: usize, actuator: &dyn Actuator) {
         let (cur, tgt, settle_at) = actuator.linearize();
+        self.req_mhz[i] = actuator.requested().0;
         self.lin_cur_mhz[i] = cur.0;
         self.lin_tgt_mhz[i] = tgt.0;
         self.lin_settle_at_s[i] = settle_at;
@@ -295,6 +319,25 @@ impl CoreBank {
         } else {
             FreqMhz(self.lin_cur_mhz[i])
         }
+    }
+
+    /// Kind of the phase row `i` is executing (idle counts as `Body` of
+    /// the idle loop).
+    pub(crate) fn phase_kind(&self, i: usize, workload: &WorkloadSpec) -> PhaseKind {
+        if self.finished[i] {
+            PhaseKind::Body
+        } else {
+            workload.phases[self.phase_idx[i] as usize].kind
+        }
+    }
+
+    /// Re-evaluate row `i`'s `transitional` flag: the one init/exit test,
+    /// owed after every move of its cursor.
+    pub(crate) fn sync_transitional(&mut self, i: usize, workload: &WorkloadSpec) {
+        self.transitional[i] = matches!(
+            self.phase_kind(i, workload),
+            PhaseKind::Init | PhaseKind::Exit
+        );
     }
 
     /// Recompute the cached phase coefficients of row `i`.
@@ -450,19 +493,33 @@ impl CoreBank {
     /// Counter delta of row `i` since its previous sample.
     pub(crate) fn sample_raw_row(&mut self, i: usize) -> CounterDelta {
         self.materialize_block(i / BLOCK);
-        let d = CounterDelta {
-            instructions: self.instructions[i] - self.ls_instructions[i],
-            cycles: self.cycles[i] - self.ls_cycles[i],
-            l2_accesses: self.l2_accesses[i] - self.ls_l2[i],
-            l3_accesses: self.l3_accesses[i] - self.ls_l3[i],
-            mem_accesses: self.mem_accesses[i] - self.ls_mem[i],
-        };
-        self.ls_instructions[i] = self.instructions[i];
-        self.ls_cycles[i] = self.cycles[i];
-        self.ls_l2[i] = self.l2_accesses[i];
-        self.ls_l3[i] = self.l3_accesses[i];
-        self.ls_mem[i] = self.mem_accesses[i];
-        d
+        self.take_delta_row(i)
+    }
+
+    /// [`CoreBank::sample_raw_row`] of a row whose block holds no window.
+    #[inline]
+    fn take_delta_row(&mut self, i: usize) -> CounterDelta {
+        let take = |now: f64, last: &mut f64| now - std::mem::replace(last, now);
+        CounterDelta {
+            instructions: take(self.instructions[i], &mut self.ls_instructions[i]),
+            cycles: take(self.cycles[i], &mut self.ls_cycles[i]),
+            l2_accesses: take(self.l2_accesses[i], &mut self.ls_l2[i]),
+            l3_accesses: take(self.l3_accesses[i], &mut self.ls_l3[i]),
+            mem_accesses: take(self.mem_accesses[i], &mut self.ls_mem[i]),
+        }
+    }
+
+    /// Sample every row into `out` in one pass: the values and the RNG
+    /// draws of a `sample_raw_row` + [`NoiseModel::perturb`] loop.
+    pub(crate) fn sample_all_into<R: Rng + ?Sized>(
+        &mut self,
+        noise: &NoiseModel,
+        rng: &mut R,
+        out: &mut Vec<CounterDelta>,
+    ) {
+        self.materialize_all();
+        out.clear();
+        out.extend((0..self.n).map(|i| noise.perturb(&self.take_delta_row(i), rng)));
     }
 
     /// Advance every core by `dt` seconds starting at `now_s`: every
@@ -529,6 +586,14 @@ impl CoreBank {
         // the exact scalar path, which is bit-identical by construction.
         let guard_dt = 2.0 * dt;
         for blk in 0..self.pending_ticks.len() {
+            let start = blk * BLOCK;
+            let end = (start + BLOCK).min(self.n);
+            // Nothing touched the block since its checked pass ended, so
+            // this is the count that pass would have taken: same rows,
+            // same `dt` (a dt change zeroes every entry first).
+            if self.block_fast_ticks[blk] == COUNT_OWED {
+                self.block_fast_ticks[blk] = self.block_safe_ticks(start, end, dt);
+            }
             // Uniform-fast block: a positive counter proves every row
             // takes the fast path this tick, so just extend the block's
             // deferred window — the tick costs one increment. The window
@@ -542,8 +607,6 @@ impl CoreBank {
             // Checked pass: first commit the block's deferred window so
             // the per-row state is current.
             self.materialize_block(blk);
-            let start = blk * BLOCK;
-            let end = (start + BLOCK).min(self.n);
             let mut crossers = [0u32; BLOCK];
             let mut n_cross = 0usize;
             {
@@ -604,11 +667,12 @@ impl CoreBank {
                 self.refresh_row(i, &workloads[i], lat);
             }
             // With the block freshly advanced (and crossers refreshed),
-            // re-establish how many future ticks it is provably uniform
-            // for. Skipped on forced-slow ticks: their fast arithmetic
-            // would diverge from the scalar epsilon cutoff.
+            // how many future ticks it is provably uniform for can be
+            // re-established: next tick, if the block is still untouched.
+            // Skipped on forced-slow ticks: their fast arithmetic would
+            // diverge from the scalar epsilon cutoff.
             if !force_slow {
-                self.block_fast_ticks[blk] = self.block_safe_ticks(start, end, dt);
+                self.block_fast_ticks[blk] = COUNT_OWED;
             }
         }
     }
@@ -751,9 +815,7 @@ impl CoreBank {
         let next = self.phase_idx[i] as usize + 1;
         if next < workload.phases.len() {
             self.phase_idx[i] = next as u32;
-            return;
-        }
-        if workload.loop_body {
+        } else if workload.loop_body {
             // Restart at the first body phase; init runs once.
             let first_body = workload
                 .phases
@@ -768,5 +830,6 @@ impl CoreBank {
                 self.completed_at_s[i] = at_s;
             }
         }
+        self.sync_transitional(i, workload);
     }
 }

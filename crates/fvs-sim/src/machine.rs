@@ -3,7 +3,9 @@
 //! Per-core state lives in a `CoreBank` (struct-of-arrays, see
 //! `bank.rs`), the one place a core is stepped;
 //! [`Machine::core`]/[`Machine::core_mut`] hand out lightweight per-core
-//! views over it. A machine is stepped one of two ways for its whole
+//! views over it, and the columns a scheduler reads every tick are also
+//! there as slices ([`Machine::transitional_flags`] and its neighbours),
+//! saying what the views say. A machine is stepped one of two ways for its whole
 //! life, chosen at [`MachineBuilder::build`]: the batched pass, or —
 //! with [`MachineBuilder::reference_stepping`] — the scalar per-core
 //! loop that serves as the differential-testing oracle and the
@@ -177,6 +179,7 @@ impl MachineBuilder {
                 bank.settling_flag[i] = true;
                 bank.settling.push(i as u32);
             }
+            bank.sync_transitional(i, w);
             bank.refresh_row(i, w, &self.config.latencies);
         }
         Machine {
@@ -229,12 +232,11 @@ pub struct Machine {
 }
 
 /// Read-only view of one core's state, assembled from the bank row and
-/// the core's cold data (workload spec, actuator).
+/// the core's workload spec.
 #[derive(Clone, Copy)]
 pub struct CoreView<'a> {
     bank: &'a CoreBank,
     workload: &'a WorkloadSpec,
-    actuator: &'a dyn Actuator,
     i: usize,
 }
 
@@ -288,11 +290,7 @@ impl<'a> CoreView<'a> {
     /// Kind of the current phase (idle counts as `Body` of the idle
     /// loop).
     pub fn current_phase_kind(&self) -> PhaseKind {
-        if self.bank.finished[self.i] {
-            PhaseKind::Body
-        } else {
-            self.workload.phases[self.bank.phase_idx[self.i] as usize].kind
-        }
+        self.bank.phase_kind(self.i, self.workload)
     }
 
     /// Statistics snapshot.
@@ -313,7 +311,7 @@ impl<'a> CoreView<'a> {
 
     /// The most recently requested frequency.
     pub fn requested_frequency(&self) -> FreqMhz {
-        self.actuator.requested()
+        FreqMhz(self.bank.req_mhz[self.i])
     }
 }
 
@@ -349,6 +347,7 @@ impl CoreViewMut<'_> {
         m.bank.phase_idx[i] = 0;
         m.bank.done_in_phase[i] = 0.0;
         m.bank.finished[i] = false;
+        m.bank.sync_transitional(i, &m.workloads[i]);
         m.bank.refresh_row(i, &m.workloads[i], &m.config.latencies);
     }
 
@@ -386,7 +385,6 @@ impl Machine {
         CoreView {
             bank: &self.bank,
             workload: &self.workloads[i],
-            actuator: self.actuators[i].as_ref(),
             i,
         }
     }
@@ -404,6 +402,11 @@ impl Machine {
 
     /// Request frequency `f` on core `i`, effective per its actuator.
     pub fn set_frequency(&mut self, i: usize, f: FreqMhz) {
+        // A repeated request changes nothing in either actuator; with no
+        // transition in flight there is nothing settled to commit either.
+        if f.0 == self.bank.req_mhz[i] && !self.bank.settling_flag[i] {
+            return;
+        }
         let now = self.now_s;
         self.actuators[i].request(f, now);
         self.bank.sync_linearization(i, self.actuators[i].as_ref());
@@ -428,10 +431,14 @@ impl Machine {
 
     /// Power core `i` up or down (the node power-down baseline).
     pub fn set_powered(&mut self, i: usize, on: bool) {
+        // Owed even when `on` is the state the core is in: where an
+        // accrual window is split decides how `energy_j` rounds.
         self.flush_accrual_row(i);
         self.bank.perturb_row(i);
-        self.bank.powered[i] = on;
-        self.bank.power_w[i] = self.live_power(i, self.now_s);
+        if on != self.bank.powered[i] {
+            self.bank.powered[i] = on;
+            self.bank.power_w[i] = self.live_power(i, self.now_s);
+        }
     }
 
     /// Swap the work executing on cores `i` and `j` — the primitive a
@@ -449,6 +456,7 @@ impl Machine {
         self.bank.phase_idx.swap(i, j);
         self.bank.done_in_phase.swap(i, j);
         self.bank.finished.swap(i, j);
+        self.bank.transitional.swap(i, j);
         self.bank.idle_loop_flag.swap(i, j);
         self.bank.pending_steal_s[i] += penalty_s;
         self.bank.pending_steal_s[j] += penalty_s;
@@ -471,13 +479,40 @@ impl Machine {
 
     /// Instantaneous aggregate processor power (W).
     pub fn total_power_w(&self) -> f64 {
-        (0..self.bank.len()).map(|i| self.core_power_w(i)).sum()
+        if self.bank.settling.is_empty() {
+            // Every cache entry is live: the same terms in the same order.
+            self.bank.power_w.iter().sum()
+        } else {
+            (0..self.bank.len()).map(|i| self.core_power_w(i)).sum()
+        }
     }
 
     /// The idle signal for core `i` — what the paper's firmware/OS idle
     /// indicator would deliver to the scheduler.
     pub fn idle_signal(&self, i: usize) -> bool {
         self.bank.finished[i] || self.bank.idle_loop_flag[i]
+    }
+
+    /// Per core: [`CoreView::is_finished`].
+    pub fn finished_flags(&self) -> &[bool] {
+        &self.bank.finished
+    }
+
+    /// Per core: whether its assigned workload is the idle loop; with
+    /// [`Machine::finished_flags`], the two terms of
+    /// [`Machine::idle_signal`].
+    pub fn idle_loop_flags(&self) -> &[bool] {
+        &self.bank.idle_loop_flag
+    }
+
+    /// Per core: whether [`CoreView::current_phase_kind`] is init or exit.
+    pub fn transitional_flags(&self) -> &[bool] {
+        &self.bank.transitional
+    }
+
+    /// Per core: [`CoreView::requested_frequency`], in MHz.
+    pub fn requested_mhz(&self) -> &[u32] {
+        &self.bank.req_mhz
     }
 
     /// Per-core accumulated energy, materialised from the flat
@@ -676,11 +711,8 @@ impl Machine {
     /// Sample every core into a caller-provided buffer (cleared first),
     /// so a steady-state sampling loop allocates nothing.
     pub fn sample_all_into(&mut self, out: &mut Vec<CounterDelta>) {
-        out.clear();
-        for i in 0..self.bank.len() {
-            let s = self.sample(i);
-            out.push(s);
-        }
+        self.bank
+            .sample_all_into(&self.config.noise, &mut self.rng, out);
     }
 }
 
@@ -770,6 +802,33 @@ mod tests {
             m.sample(0)
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn a_touched_block_is_checked_once_before_it_defers_again() {
+        // Which ticks join a deferred window decides how an unobserved
+        // accumulator rounds, so the schedule is pinned: the tick after
+        // anything touches a block (or the tick length changes) is a
+        // checked pass, deferral resumes on the one after — and a block
+        // touched every tick (a scheduled run steals on its host core
+        // each tick) never defers.
+        let mut m = MachineBuilder::p630()
+            .noise(NoiseModel::NONE)
+            .workload(0, WorkloadSpec::synthetic(50.0, 1.0e15))
+            .build();
+        let mut pending = Vec::new();
+        for tick in 0..15 {
+            match tick {
+                4 => m.set_frequency(1, FreqMhz(600)),
+                // Consumed within tick 7, which is the checked pass.
+                7 => m.core_mut(2).steal(1.0e-4),
+                10 | 11 => m.set_powered(3, true),
+                _ => {}
+            }
+            m.step(if tick < 12 { 0.01 } else { 0.005 });
+            pending.push(m.bank.pending_ticks[0]);
+        }
+        assert_eq!(pending, [0, 1, 2, 3, 0, 1, 2, 0, 1, 2, 0, 0, 0, 1, 2]);
     }
 
     #[test]

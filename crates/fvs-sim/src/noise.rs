@@ -41,7 +41,9 @@ impl NoiseModel {
         NoiseModel { relative_amplitude }
     }
 
-    /// Apply noise to a delta using `rng`.
+    /// Apply noise to a delta using `rng`: one draw per non-zero counter,
+    /// in field order. A zero counter stays zero and draws nothing.
+    #[inline]
     pub fn perturb<R: Rng + ?Sized>(&self, delta: &CounterDelta, rng: &mut R) -> CounterDelta {
         if self.relative_amplitude == 0.0 {
             return *delta;

@@ -5,6 +5,11 @@
 //! steals, swaps and power gating, on machines from one core to several
 //! 128-row blocks with a ragged last one, read and sampled mid-run.
 //!
+//! A third machine rides along: `twin`, batched like the first, same
+//! seed, same actions, noise on. It differs only in *how it is sampled*
+//! — one core at a time where `batched` is sampled in one pass — so the
+//! two must agree with `==`, values and RNG stream alike.
+//!
 //! The agreement contract: everything a scheduler observes every tick
 //! (samples, effective frequencies, power, decisions) is bit-identical,
 //! because a deferred window of one tick commits with exactly the
@@ -22,8 +27,8 @@
 //! here means the batched pass changed semantics, not just speed.
 
 use fvs_model::{CounterDelta, FreqMhz};
-use fvs_sim::{CoreStats, Machine, MachineBuilder, NoiseModel};
-use fvs_workloads::{SyntheticConfig, WorkloadSpec};
+use fvs_sim::{CoreStats, Machine, MachineBuilder, ThrottlePowerModel};
+use fvs_workloads::{PhaseKind, SyntheticConfig};
 use proptest::prelude::*;
 
 /// One randomly-placed action, applied at the same tick index to both
@@ -31,7 +36,11 @@ use proptest::prelude::*;
 /// tick length from there on (every window still open at the old length
 /// has to be committed with it); `Read` compares one core *through* its
 /// block's open window, without committing it; `Sample` samples one
-/// core, which commits its block while the neighbours stay deferred.
+/// core, which commits its block while the neighbours stay deferred;
+/// `SampleAll` samples every core — `sample_all_into` on `batched`, a
+/// `sample(i)` loop on `twin` — and `Reissue` commands, on the batched
+/// machines only, the frequency every core already has requested and the
+/// power state it is already in: a no-op the reference never sees.
 #[derive(Debug, Clone)]
 enum Action {
     SetFreq { core: usize, mhz: u32 },
@@ -42,6 +51,16 @@ enum Action {
     SetDt { tick_us: u32 },
     Read { core: usize },
     Sample { core: usize },
+    SampleAll,
+    Reissue,
+}
+
+/// Which actuator every core of a case gets.
+#[derive(Debug, Clone, Copy)]
+enum Actuation {
+    Instant,
+    Settling(f64),
+    Throttle(ThrottlePowerModel),
 }
 
 /// Most cores any case builds; action targets are drawn below it and
@@ -56,6 +75,10 @@ struct CorePlan {
     budget: f64,
     looping: bool,
     drift: f64,
+    /// An init phase the run gets through in a few ticks (so the core
+    /// reaches its body, and with a small budget its exit and the idle
+    /// loop) or one it spends the whole run in.
+    init: f64,
 }
 
 fn core_plan() -> impl Strategy<Value = CorePlan> {
@@ -64,12 +87,14 @@ fn core_plan() -> impl Strategy<Value = CorePlan> {
         prop::sample::select(vec![2.0e6, 5.0e7, 1.0e15]),
         any::<bool>(),
         prop::sample::select(vec![0.0f64, 0.02]),
+        prop::sample::select(vec![3.0e6, 3.0e6, 1.0e10]),
     )
-        .prop_map(|(intensity, budget, looping, drift)| CorePlan {
+        .prop_map(|(intensity, budget, looping, drift, init)| CorePlan {
             intensity,
             budget,
             looping,
             drift,
+            init,
         })
 }
 
@@ -89,6 +114,8 @@ fn action() -> impl Strategy<Value = Action> {
         tick_us().prop_map(|tick_us| Action::SetDt { tick_us }),
         core().prop_map(|core| Action::Read { core }),
         core().prop_map(|core| Action::Sample { core }),
+        Just(Action::SampleAll),
+        Just(Action::Reissue),
     ]
 }
 
@@ -133,23 +160,22 @@ fn stats_agree(a: &CoreStats, b: &CoreStats) -> bool {
         }
 }
 
-fn build_pair(plans: &[CorePlan], settle_s: f64) -> (Machine, Machine) {
+/// The batched machine, its reference-stepped oracle, and the batched
+/// twin: same plans, same actuators, same seed, default sampling noise.
+fn build_trio(plans: &[CorePlan], actuation: Actuation) -> [Machine; 3] {
     let build = |reference: bool| {
-        let mut b = MachineBuilder::p630()
-            .cores(plans.len())
-            .noise(NoiseModel::NONE)
-            .seed(7);
-        if settle_s > 0.0 {
-            b = b.dvfs_settling(settle_s);
-        }
+        let mut b = MachineBuilder::p630().cores(plans.len()).seed(7);
+        b = match actuation {
+            Actuation::Instant => b,
+            Actuation::Settling(settle_s) => b.dvfs_settling(settle_s),
+            Actuation::Throttle(power_model) => b.throttling(power_model),
+        };
         for (i, p) in plans.iter().enumerate() {
             let mut cfg = SyntheticConfig::single(p.intensity, p.budget);
-            if p.budget < 1.0e9 {
-                // Small budgets must actually reach (and cross) the body
-                // phase within the run; the 2e8-instruction init phase of
-                // the full synthetic benchmark would swallow them.
-                cfg = cfg.body_only();
-            }
+            // The full synthetic benchmark's 1e8-instruction exit would
+            // keep a core that reaches it there for the rest of the run.
+            cfg.init_instructions = p.init;
+            cfg.exit_instructions = 1.0e6;
             if p.looping {
                 cfg = cfg.looping();
             }
@@ -164,13 +190,28 @@ fn build_pair(plans: &[CorePlan], settle_s: f64) -> (Machine, Machine) {
         }
         b.build()
     };
-    (build(false), build(true))
+    [build(false), build(true), build(false)]
 }
 
-/// Run `f` on both machines.
-fn both(batched: &mut Machine, reference: &mut Machine, f: impl Fn(&mut Machine)) {
-    f(batched);
-    f(reference);
+/// Run `f` on every machine given.
+fn each<const N: usize>(machines: [&mut Machine; N], f: impl Fn(&mut Machine)) {
+    for m in machines {
+        f(m);
+    }
+}
+
+/// Sample every core of `batched` in one pass and of `twin` one core at
+/// a time: the same values from the same RNG stream, so `==` — a
+/// powered-off core's five skipped draws included. Returns the samples.
+fn sample_all_agrees(
+    batched: &mut Machine,
+    twin: &mut Machine,
+) -> Result<Vec<CounterDelta>, TestCaseError> {
+    let mut one_pass = Vec::new();
+    batched.sample_all_into(&mut one_pass);
+    let per_core: Vec<CounterDelta> = (0..twin.num_cores()).map(|i| twin.sample(i)).collect();
+    prop_assert_eq!(&one_pass, &per_core);
+    Ok(one_pass)
 }
 
 /// Everything observable about core `i` agrees between the two
@@ -215,6 +256,25 @@ fn core_agrees(batched: &Machine, reference: &Machine, i: usize) -> Result<(), T
     let (ra, rb) = (batched.residency(i), reference.residency(i));
     prop_assert!((ra.total() - rb.total()).abs() < 1e-9);
     prop_assert!((ra.mean_mhz() - rb.mean_mhz()).abs() < 1e-9);
+    // The columns a scheduled tick reads say what the per-core view
+    // says, under both steppers.
+    for m in [batched, reference] {
+        prop_assert_eq!(
+            m.transitional_flags()[i],
+            matches!(
+                m.core(i).current_phase_kind(),
+                PhaseKind::Init | PhaseKind::Exit
+            ),
+            "core {} transitional flag",
+            i
+        );
+        prop_assert_eq!(m.requested_mhz()[i], m.core(i).requested_frequency().0);
+        prop_assert_eq!(m.finished_flags()[i], m.core(i).is_finished());
+        prop_assert_eq!(
+            m.finished_flags()[i] || m.idle_loop_flags()[i],
+            m.idle_signal(i)
+        );
+    }
     Ok(())
 }
 
@@ -232,7 +292,12 @@ proptest! {
         // 128-row blocks hold different mixes, reach their boundaries at
         // different ticks, and the ragged last block is a third state.
         cores in prop::sample::select(vec![0usize, 1, 127, 128, 129, 200, 256, 257, MAX_CORES]),
-        settle_s in prop::sample::select(vec![0.0f64, 0.003]),
+        actuation in prop::sample::select(vec![
+            Actuation::Instant,
+            Actuation::Settling(0.003),
+            Actuation::Throttle(ThrottlePowerModel::AsDvfs),
+            Actuation::Throttle(ThrottlePowerModel::DynamicOnly),
+        ]),
         tick_us in tick_us(),
         ticks in 40usize..160,
         actions in prop::collection::vec((0usize..160, action()), 0..12),
@@ -242,27 +307,40 @@ proptest! {
             n => (0..n).map(|i| palette[(i / 64) % palette.len()].clone()).collect(),
         };
         let n = plans.len();
-        let (mut batched, mut reference) = build_pair(&plans, settle_s);
+        let [mut batched, mut reference, mut twin] = build_trio(&plans, actuation);
         let mut dt = f64::from(tick_us) * 1e-6;
         for k in 0..ticks {
             for (_, a) in actions.iter().filter(|(at, _)| *at == k) {
-                let (b, r) = (&mut batched, &mut reference);
+                let (b, r, t) = (&mut batched, &mut reference, &mut twin);
+                // The cores the action names; they are compared once it
+                // has been applied.
+                let touched: Vec<usize> = match *a {
+                    Action::SetFreq { core, .. }
+                    | Action::Steal { core, .. }
+                    | Action::Power { core, .. }
+                    | Action::Read { core } => vec![core % n],
+                    Action::Swap { a, b } => vec![a % n, b % n],
+                    Action::SetAll { .. } | Action::Reissue => (0..n).collect(),
+                    Action::SetDt { .. } | Action::Sample { .. } | Action::SampleAll => vec![],
+                };
                 match *a {
                     Action::SetFreq { core, mhz } => {
-                        both(b, r, |m| m.set_frequency(core % n, FreqMhz(mhz)))
+                        each([b, r, t], |m| m.set_frequency(core % n, FreqMhz(mhz)))
                     }
-                    Action::SetAll { mhz } => both(b, r, |m| m.set_all_frequencies(FreqMhz(mhz))),
+                    Action::SetAll { mhz } => {
+                        each([b, r, t], |m| m.set_all_frequencies(FreqMhz(mhz)))
+                    }
                     Action::Steal { core, ms } => {
-                        both(b, r, |m| m.core_mut(core % n).steal(f64::from(ms) * 1e-3))
+                        each([b, r, t], |m| m.core_mut(core % n).steal(f64::from(ms) * 1e-3))
                     }
                     Action::Swap { a, b: other } => {
                         if a % n != other % n {
-                            both(b, r, |m| m.swap_workloads(a % n, other % n, 1e-4));
+                            each([b, r, t], |m| m.swap_workloads(a % n, other % n, 1e-4));
                         }
                     }
-                    Action::Power { core, on } => both(b, r, |m| m.set_powered(core % n, on)),
+                    Action::Power { core, on } => each([b, r, t], |m| m.set_powered(core % n, on)),
                     Action::SetDt { tick_us } => dt = f64::from(tick_us) * 1e-6,
-                    Action::Read { core } => core_agrees(b, r, core % n)?,
+                    Action::Read { .. } => {}
                     Action::Sample { core } => {
                         let i = core % n;
                         let (da, db) = (b.sample(i), r.sample(i));
@@ -271,26 +349,49 @@ proptest! {
                             samples_agree(&da, &db, &totals),
                             "tick {} core {} sample: {:?} vs {:?}", k, i, da, db
                         );
+                        prop_assert_eq!(da, t.sample(i));
+                    }
+                    Action::SampleAll => {
+                        let one_pass = sample_all_agrees(b, t)?;
+                        for (i, da) in one_pass.iter().enumerate() {
+                            let db = r.sample(i);
+                            prop_assert!(
+                                samples_agree(da, &db, &r.core(i).counters()),
+                                "tick {} core {} sample: {:?} vs {:?}", k, i, da, db
+                            );
+                        }
+                    }
+                    Action::Reissue => {
+                        each([b, t], |m| {
+                            for i in 0..n {
+                                m.set_frequency(i, m.core(i).requested_frequency());
+                                m.set_powered(i, m.core(i).is_powered());
+                            }
+                        });
                     }
                 }
+                for i in touched {
+                    core_agrees(&batched, &reference, i)?;
+                }
             }
-            batched.step(dt);
-            reference.step(dt);
+            each([&mut batched, &mut reference, &mut twin], |m| m.step(dt));
         }
         for i in 0..n {
             core_agrees(&batched, &reference, i)?;
         }
         prop_assert_eq!(batched.total_power_w(), reference.total_power_w());
+        sample_all_agrees(&mut batched, &mut twin)?;
     }
 
-    /// Noiseless sampling parity: with identical seeds and call order,
-    /// even the perturbed sample stream is identical.
+    /// Sampling parity under every-tick observation: with identical
+    /// seeds and call order, even the perturbed sample stream is
+    /// identical.
     #[test]
     fn sampling_stream_matches_reference(
         plans in prop::collection::vec(core_plan(), 1..4),
         tick_us in prop::sample::select(vec![1_000u32, 10_000]),
     ) {
-        let (mut batched, mut reference) = build_pair(&plans, 0.0);
+        let [mut batched, mut reference, _] = build_trio(&plans, Actuation::Instant);
         let dt = f64::from(tick_us) * 1e-6;
         for _ in 0..30 {
             batched.step(dt);
@@ -310,15 +411,17 @@ fn finish_boundary_parity() {
             budget: 1.0e6,
             looping: false,
             drift: 0.0,
+            init: 3.0e6,
         },
         CorePlan {
             intensity: 20.0,
             budget: 2.0e6,
             looping: false,
             drift: 0.02,
+            init: 3.0e6,
         },
     ];
-    let (mut batched, mut reference) = build_pair(&plans, 0.003);
+    let [mut batched, mut reference, _] = build_trio(&plans, Actuation::Settling(0.003));
     for m in [&mut batched, &mut reference] {
         // Coarse ticks guarantee the finish lands mid-tick.
         m.run_for(0.2, 0.013);
@@ -330,12 +433,16 @@ fn finish_boundary_parity() {
         let (ca, cb) = (batched.core(i).counters(), reference.core(i).counters());
         assert!(counters_agree(&ca, &cb), "core {i}: {ca:?} vs {cb:?}");
     }
-    let spec = WorkloadSpec::synthetic(60.0, 1.0e15);
+    let spec = SyntheticConfig::single(60.0, 1.0e15).build();
     batched.core_mut(0).assign(spec.clone());
     reference.core_mut(0).assign(spec);
+    // The new job starts in its init phase, and the column says so.
+    assert!(batched.transitional_flags()[0]);
+    core_agrees(&batched, &reference, 0).unwrap();
     for m in [&mut batched, &mut reference] {
         m.run_for(0.1, 0.01);
     }
+    core_agrees(&batched, &reference, 0).unwrap();
     let (ca, cb) = (batched.core(0).counters(), reference.core(0).counters());
     assert!(counters_agree(&ca, &cb), "{ca:?} vs {cb:?}");
 }

@@ -1,10 +1,12 @@
 //! Property-based tests of the simulation substrate's conservation and
 //! consistency invariants.
 
-use fvs_model::{CpiModel, FreqMhz, MemoryLatencies};
+use fvs_model::{CounterDelta, CpiModel, FreqMhz, MemoryLatencies};
 use fvs_sim::{MachineBuilder, NoiseModel};
 use fvs_workloads::{intensity_profile, SyntheticConfig, WorkloadSpec};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -138,4 +140,77 @@ proptest! {
         let (truth_b, _) = mk(seed_b);
         prop_assert_eq!(truth_a, truth_b);
     }
+}
+
+/// The sampled stream is a contract, not only its distribution: one draw
+/// per non-zero counter, core by core, field by field, from
+/// `StdRng::seed_from_u64(seed)`. A counter that reads zero (all five of
+/// a powered-off core) draws nothing.
+#[test]
+fn zero_counters_draw_nothing_from_the_sample_stream() {
+    let machine = |noise| {
+        let mut m = MachineBuilder::p630()
+            .workload(1, WorkloadSpec::synthetic(100.0, 1.0e12))
+            .workload(2, WorkloadSpec::synthetic(30.0, 1.0e12))
+            .noise(noise)
+            .seed(41)
+            .build();
+        m.set_powered(0, false);
+        m.run_for(0.05, 0.01);
+        m.sample_all()
+    };
+    let a = NoiseModel::DEFAULT.relative_amplitude;
+    let mut rng = StdRng::seed_from_u64(41);
+    let mut draw = |x: f64| {
+        if x == 0.0 {
+            0.0
+        } else {
+            x * rng.gen_range(1.0 - a..=1.0 + a)
+        }
+    };
+    let truth = machine(NoiseModel::NONE);
+    assert_eq!(truth[0], CounterDelta::default());
+    assert!(truth[1].instructions > 0.0);
+    let by_hand: Vec<CounterDelta> = (truth.iter())
+        .map(|d| CounterDelta {
+            instructions: draw(d.instructions),
+            cycles: draw(d.cycles),
+            l2_accesses: draw(d.l2_accesses),
+            l3_accesses: draw(d.l3_accesses),
+            mem_accesses: draw(d.mem_accesses),
+        })
+        .collect();
+    assert_eq!(machine(NoiseModel::DEFAULT), by_hand);
+}
+
+/// `set_powered` with the state a core is already in changes nothing but
+/// where its accrual window closes — and that is visible: three windows
+/// of ten ticks do not round like one of thirty.
+#[test]
+fn reissued_power_state_still_closes_the_accrual_window() {
+    let mut m = MachineBuilder::p630()
+        .noise(NoiseModel::NONE)
+        .initial_frequency(FreqMhz(400))
+        .build();
+    for _ in 0..3 {
+        m.run_for(0.1, 0.01);
+        m.set_powered(0, true);
+    }
+    let ten_ticks = (22.0 * 0.01) * 10.0;
+    assert_eq!(m.energy(0).joules(), ten_ticks + ten_ticks + ten_ticks);
+    assert_eq!(m.energy(1).joules(), (22.0 * 0.01) * 30.0);
+    assert_ne!(m.energy(0).joules(), m.energy(1).joules());
+}
+
+#[test]
+fn settled_transition_shows_in_total_power_before_the_next_step() {
+    let mut m = MachineBuilder::p630().dvfs_settling(0.003).build();
+    m.set_all_frequencies(FreqMhz(600));
+    assert_eq!(m.total_power_w(), 560.0, "still settling");
+    // The transitions settled inside this tick; the next step is what
+    // retires them, and until then the power cache still holds 140 W.
+    m.step(0.01);
+    assert_eq!(m.total_power_w(), 4.0 * 48.0);
+    m.step(0.01);
+    assert_eq!(m.total_power_w(), 4.0 * 48.0);
 }
