@@ -16,7 +16,7 @@ use fvs_model::{
     PerfLossTable,
 };
 use fvs_power::BudgetSchedule;
-use fvs_sched::{FvsstAlgorithm, ProcInput, ScheduleCache, ScheduleScratch};
+use fvs_sched::{FvsstAlgorithm, ModelTolerance, ProcInput, ScheduleCache, ScheduleScratch};
 use fvs_sim::MachineBuilder;
 use fvs_workloads::WorkloadSpec;
 use std::hint::black_box;
@@ -101,6 +101,45 @@ fn bench_schedule_cached(c: &mut Criterion) {
     g.finish();
 }
 
+/// The other state of the cache, and the one the repo's own nodes put a
+/// coordinator in (`fvs-cluster`'s
+/// `simulated_nodes_move_every_model_every_round`): every processor's
+/// model changes class on every call — rounds 0 and 1 of the repo
+/// benchmark's `coord_churn` generator, alternating — so pass 1 rebuilds
+/// every row and no call is a hit of any kind. `loose` (110 W/processor)
+/// leaves pass 2 nothing to demote; `binding` (60) is demotion-heavy.
+fn bench_schedule_cached_moved(c: &mut Criterion) {
+    let alg = FvsstAlgorithm::p630();
+    let mut g = c.benchmark_group("schedule_cached_moved");
+    for n_procs in [256usize, 1024, 20_000] {
+        let rounds = [0, 1].map(|round| -> Vec<ProcInput> {
+            (0..n_procs)
+                .map(|i| {
+                    let class = (i / 4 * 7 + i % 4 * 3 + round * 11) % 9;
+                    ProcInput {
+                        model: Some(CpiModel::from_components(1.0, class as f64 * 2.5e-9)),
+                        idle: false,
+                        current: FreqMhz(1000),
+                    }
+                })
+                .collect()
+        });
+        for (name, watts) in [("loose", 110.0), ("binding", 60.0)] {
+            let budget = n_procs as f64 * watts;
+            let mut cache = ScheduleCache::with_tolerance(ModelTolerance::PHASE_DEFAULT);
+            let mut round = 0;
+            g.bench_with_input(BenchmarkId::new(name, n_procs), &rounds, |b, rounds| {
+                b.iter(|| {
+                    round ^= 1;
+                    let d = alg.schedule_cached(&mut cache, black_box(&rounds[round]), budget);
+                    black_box(d.demotions)
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
 fn bench_schedule_reference(c: &mut Criterion) {
     let alg = FvsstAlgorithm::p630();
     let mut g = c.benchmark_group("schedule_reference");
@@ -154,6 +193,7 @@ criterion_group!(
     bench_perf_loss_table,
     bench_schedule_scaling,
     bench_schedule_cached,
+    bench_schedule_cached_moved,
     bench_schedule_reference,
     bench_machine_tick,
     bench_cluster_tick

@@ -1,4 +1,12 @@
 //! The global coordinator: Figure 3 across all nodes.
+//!
+//! A round is a liveness sweep that flattens the live nodes' processors
+//! into one `ProcInput` list (remembering where each node's begin), the
+//! cached two-pass computation over that list, and a regroup of the
+//! decision into one command per node. The sweep and the regroup do one
+//! thing per node, not per processor: a command is a slice of the
+//! decision, and its power ceiling a sum of table entries the cache
+//! already resolved ([`ScheduleCache::decided_power_w`]).
 
 use fvs_model::{CpiModel, FreqMhz};
 use fvs_sched::{CacheStats, FvsstAlgorithm, ModelTolerance, ProcInput, ScheduleCache};
@@ -71,7 +79,9 @@ pub struct GlobalCoordinator {
     // not allocate; nodes with phase-stable models hit the fingerprint
     // cache and skip their per-processor rebuild entirely.
     cache: ScheduleCache,
-    coords: Vec<(usize, usize)>,
+    /// `(node, index of its first processor in procs)` for every node
+    /// the last sweep found live, in node order.
+    live: Vec<(usize, usize)>,
     procs: Vec<ProcInput>,
     rounds: u64,
     telemetry: Telemetry,
@@ -86,9 +96,8 @@ pub struct GlobalCoordinator {
     /// Power reserved for silent nodes in the last round (W).
     reserved_w: f64,
     /// What the nodes the last sweep found live last reported drawing,
-    /// summed (W), and how many they were.
+    /// summed (W).
     live_power_w: f64,
-    live_nodes: usize,
     /// Per-node ceiling of the frequencies last *commanded* (W). A node
     /// can die after commands were issued but before any summary
     /// reflects them, so its last report may understate what it is now
@@ -146,7 +155,7 @@ impl GlobalCoordinator {
             algorithm,
             latest: vec![None; nodes],
             cache: ScheduleCache::with_tolerance(ModelTolerance::PHASE_DEFAULT),
-            coords: Vec::new(),
+            live: Vec::new(),
             procs: Vec::new(),
             rounds: 0,
             telemetry,
@@ -157,7 +166,6 @@ impl GlobalCoordinator {
             dead: vec![false; nodes],
             reserved_w: 0.0,
             live_power_w: 0.0,
-            live_nodes: 0,
             commanded_w: vec![0.0; nodes],
             shape: vec![None; nodes],
             blind: Vec::new(),
@@ -328,7 +336,7 @@ impl GlobalCoordinator {
     /// from within the heartbeat timeout. The one place that rule is
     /// written is the sweep itself.
     pub fn live_nodes(&self) -> usize {
-        self.live_nodes
+        self.live.len()
     }
 
     /// Nodes currently presumed dead (silent past the heartbeat
@@ -393,26 +401,24 @@ impl GlobalCoordinator {
     /// [`emit_commands`]: Self::emit_commands
     pub(crate) fn compute(&mut self, budget_w: f64, now_s: f64) {
         let sweep_span = self.tracer.span("cluster.liveness_sweep");
-        self.coords.clear();
+        self.live.clear();
         self.procs.clear();
         self.blind.clear();
         let mut reserved_w = 0.0;
         let mut live_power_w = 0.0;
-        let mut live_nodes = 0;
         for (node_idx, slot) in self.latest.iter().enumerate() {
             match slot {
                 Some(s) if now_s - s.sent_at_s <= self.heartbeat_timeout_s => {
                     self.dead[node_idx] = false;
                     live_power_w += s.power_w;
-                    live_nodes += 1;
-                    for p in 0..s.models.len() {
-                        self.coords.push((node_idx, p));
-                        self.procs.push(ProcInput {
-                            model: s.models[p],
-                            idle: s.idle[p],
-                            current: s.current[p],
-                        });
-                    }
+                    self.live.push((node_idx, self.procs.len()));
+                    let inputs = s.models.iter().zip(&s.idle).zip(&s.current);
+                    self.procs
+                        .extend(inputs.map(|((&model, &idle), &current)| ProcInput {
+                            model,
+                            idle,
+                            current,
+                        }));
                 }
                 Some(s) => {
                     // Silent past the timeout: hold the larger of what it
@@ -457,7 +463,6 @@ impl GlobalCoordinator {
         drop(sweep_span);
         self.reserved_w = reserved_w;
         self.live_power_w = live_power_w;
-        self.live_nodes = live_nodes;
         let effective_budget_w = (budget_w - reserved_w).max(0.0);
         self.algorithm.schedule_cached_traced(
             &mut self.cache,
@@ -482,31 +487,24 @@ impl GlobalCoordinator {
     /// the commanded power ceilings, and append blind fail-safe commands
     /// for charged nodes.
     pub(crate) fn emit_commands(&mut self) -> Vec<FrequencyCommand> {
-        let d = self.cache.decision();
+        let freqs = &self.cache.decision().freqs;
         // Regroup per node (the command vectors are shipped, so they are
-        // allocated fresh).
-        let mut commands: Vec<FrequencyCommand> = Vec::new();
-        for ((node, _p), f) in self.coords.iter().zip(&d.freqs) {
-            match commands.last_mut() {
-                Some(cmd) if cmd.node == *node => cmd.freqs.push(*f),
-                _ => {
-                    // `compute` built `coords` from this summary, so its
-                    // length is the command's: one allocation, no regrowth.
-                    let n_procs = self.latest[*node].as_ref().map_or(1, |s| s.models.len());
-                    let mut freqs = Vec::with_capacity(n_procs);
-                    freqs.push(*f);
-                    commands.push(FrequencyCommand { node: *node, freqs });
-                }
+        // allocated fresh). A live node without processors gets no
+        // command and keeps its ceiling.
+        let mut commands = Vec::with_capacity(self.live.len() + self.blind.len());
+        let ends = self.live.iter().skip(1).map(|&(_, start)| start);
+        for (&(node, start), end) in self.live.iter().zip(ends.chain([freqs.len()])) {
+            if start == end {
+                continue;
             }
-        }
-        // Remember each commanded node's power ceiling for conservative
-        // charging should it go silent before reporting again.
-        for cmd in &commands {
-            self.commanded_w[cmd.node] = cmd
-                .freqs
-                .iter()
-                .map(|f| self.algorithm.power_table.power_interpolated(*f))
-                .sum();
+            // Remember the node's power ceiling for conservative charging
+            // should it go silent before reporting again: the table power
+            // of what it is sent, which the cache holds by slot.
+            self.commanded_w[node] = self.cache.decided_power_w(start..end);
+            commands.push(FrequencyCommand {
+                node,
+                freqs: freqs[start..end].to_vec(),
+            });
         }
         // Blind fail-safe: a charged node may be mute-but-running (its
         // uplink corrupted while its downlink still works), in which

@@ -1,7 +1,10 @@
 //! Property-based tests of the cluster layer's messaging and
 //! coordination invariants.
 
-use fvs_cluster::{ClusterConfig, ClusterSim, DelayQueue, GlobalCoordinator, NodeSummary};
+use fvs_cluster::{
+    ClusterConfig, ClusterSim, DelayQueue, FrequencyCommand, GlobalCoordinator, NodeSummary,
+    RackCoordinator,
+};
 use fvs_model::{CpiModel, FreqMhz};
 use fvs_power::{BudgetSchedule, FreqPowerTable};
 use fvs_sched::FvsstAlgorithm;
@@ -77,61 +80,120 @@ proptest! {
         prop_assert_eq!(q.in_flight(), 0);
     }
 
-    /// The coordinator's commands always cover exactly the reporting
-    /// nodes, with one frequency per reported processor, all within the
-    /// schedulable set and the budget.
+    /// The coordinator's commands always cover exactly the live nodes
+    /// that have processors, with one frequency per reported processor,
+    /// all within the schedulable set and the budget left after the
+    /// reserve — and they are the decision, regrouped: node by node in
+    /// processor order, blind `f_min` commands for the silent after
+    /// them, each node's recorded ceiling the table power of what it was
+    /// sent, to the bit. Held across a round in which every model is
+    /// new, a full-hit round, and a rack's `finalize` under a changed
+    /// sub-budget, for nodes of 0, 1, 4 and 7 processors, an unmodelled
+    /// processor at an off-grid frequency, nodes silent past the timeout
+    /// and nodes never heard from.
     #[test]
     fn coordinator_commands_are_complete_and_compliant(
-        node_sizes in prop::collection::vec(1usize..6, 1..6),
-        reporting in prop::collection::vec(any::<bool>(), 6),
-        budget in 50.0f64..3000.0,
+        mut node_sizes in prop::collection::vec(1usize..6, 1..6),
+        kinds in prop::collection::vec(0u8..6, 9),
+        budget in 50.0f64..5000.0,
     ) {
+        const NEVER: u8 = 0; // no report at all
+        const SILENT: u8 = 1; // last report past the heartbeat timeout
+        const OFF_GRID: u8 = 2; // live, processor 0 unmodelled at 675 MHz
+        node_sizes.extend([0, 1, 4, 7]);
         let n_nodes = node_sizes.len();
         let alg = FvsstAlgorithm::p630();
         let set = alg.freq_set.clone();
-        let mut coord = GlobalCoordinator::new(alg, n_nodes);
-        let mut expected_nodes = Vec::new();
-        for (i, &size) in node_sizes.iter().enumerate() {
-            if reporting[i] {
-                expected_nodes.push(i);
-                coord.ingest(NodeSummary {
-                    node: i,
-                    sent_at_s: 1.0,
-                    models: (0..size)
-                        .map(|p| Some(CpiModel::from_components(
-                            0.5 + p as f64 * 0.3,
-                            (p as f64) * 2.0e-9,
-                        )))
-                        .collect(),
-                    idle: vec![false; size],
-                    current: vec![FreqMhz(1000); size],
-                    power_w: 140.0 * size as f64,
-                });
-            }
-        }
-        // Schedule at the send timestamp: every reporting node is live,
-        // and silent nodes only tighten the effective budget (which can
-        // only push frequencies down, never above the budget).
-        let cmds = coord.schedule(budget, 1.0);
-        let covered: Vec<usize> = cmds.iter().map(|c| c.node).collect();
-        prop_assert_eq!(&covered, &expected_nodes);
         let table = FreqPowerTable::p630_table1();
-        let mut total = 0.0;
-        for cmd in &cmds {
-            let size = node_sizes[cmd.node];
-            prop_assert_eq!(cmd.freqs.len(), size);
-            for f in &cmd.freqs {
-                prop_assert!(set.contains(*f));
-                total += table.power_interpolated(*f);
+        let mut coord = GlobalCoordinator::new(alg.clone(), n_nodes);
+        let mut rack = RackCoordinator::new(alg, 0, n_nodes);
+        for (i, &size) in node_sizes.iter().enumerate() {
+            if kinds[i] == NEVER {
+                continue;
             }
+            let mut s = NodeSummary {
+                node: i,
+                sent_at_s: if kinds[i] == SILENT { 0.0 } else { 1.0 },
+                models: (0..size)
+                    .map(|p| Some(CpiModel::from_components(
+                        0.5 + p as f64 * 0.3,
+                        (p as f64) * 2.0e-9,
+                    )))
+                    .collect(),
+                idle: vec![false; size],
+                current: vec![FreqMhz(1000); size],
+                power_w: 140.0 * size as f64,
+            };
+            if kinds[i] == OFF_GRID && size > 0 {
+                s.models[0] = None;
+                s.current[0] = FreqMhz(675);
+            }
+            prop_assert!(coord.ingest(s.clone()));
+            prop_assert!(rack.ingest(s));
         }
-        // Either compliant or floored at f_min everywhere.
-        if total > budget {
-            prop_assert!(cmds
-                .iter()
-                .flat_map(|c| c.freqs.iter())
-                .all(|f| *f == set.min()));
-        }
+        let live = |i: usize| kinds[i] > SILENT;
+
+        // Schedule at the live nodes' send timestamp. `sent_w[n]` is the
+        // table power of the last command node `n` got as a live node.
+        let mut sent_w = vec![0.0f64; n_nodes];
+        let mut check = |coord: &GlobalCoordinator, cmds: &[FrequencyCommand], budget: f64| {
+            let freqs = &coord.schedule_cache().decision().freqs;
+            let mut regrouped = Vec::new();
+            let mut at = 0;
+            for (node, &size) in node_sizes.iter().enumerate() {
+                if live(node) && size > 0 {
+                    let freqs = freqs[at..at + size].to_vec();
+                    sent_w[node] = freqs.iter().map(|f| table.power_interpolated(*f)).sum();
+                    regrouped.push(FrequencyCommand { node, freqs });
+                    at += size;
+                }
+            }
+            prop_assert_eq!(at, freqs.len());
+            for (node, &size) in node_sizes.iter().enumerate() {
+                if kinds[node] == SILENT {
+                    regrouped.push(FrequencyCommand { node, freqs: vec![set.min(); size] });
+                }
+            }
+            prop_assert_eq!(cmds, &regrouped[..]);
+            for (node, w) in sent_w.iter().enumerate() {
+                let held = coord.export_node(node).unwrap().commanded_w;
+                prop_assert_eq!(held.to_bits(), w.to_bits(), "node {}", node);
+            }
+            let mut total = 0.0;
+            let mut floored = true;
+            for cmd in cmds.iter().filter(|c| live(c.node)) {
+                for (p, f) in cmd.freqs.iter().enumerate() {
+                    let off_grid = kinds[cmd.node] == OFF_GRID && p == 0;
+                    prop_assert!(if off_grid { *f == FreqMhz(675) } else { set.contains(*f) });
+                    floored &= off_grid || *f == set.min();
+                    total += table.power_interpolated(*f);
+                }
+            }
+            // Either compliant or floored at f_min everywhere.
+            prop_assert!(total <= (budget - coord.reserved_w()).max(0.0) || floored);
+            Ok(())
+        };
+        let cmds = coord.schedule(budget, 1.0);
+        check(&coord, &cmds, budget)?;
+        let moved = coord.cache_stats();
+        prop_assert_eq!((moved.proc_hits, moved.full_hits), (0, 0));
+        let again = coord.schedule(budget, 1.0);
+        prop_assert_eq!(&again, &cmds);
+        check(&coord, &again, budget)?;
+        let feasible = coord.schedule_cache().decision().feasible;
+        prop_assert_eq!(coord.cache_stats().full_hits, u64::from(feasible));
+
+        // The rack computes before it knows its sub-budget, then runs
+        // the budget passes alone; a second sub-budget finds it clean.
+        rack.refresh(1.0);
+        prop_assert_eq!(&rack.finalize(budget, 1.0), &cmds);
+        prop_assert!(!rack.refresh(1.0) && !rack.ran());
+        let tighter = budget * 0.6;
+        let cmds = coord.schedule(tighter, 1.0);
+        check(&coord, &cmds, tighter)?;
+        prop_assert_eq!(&rack.finalize(tighter, 1.0), &cmds);
+        let ceiling_w = rack.aggregate().ceiling_w;
+        prop_assert_eq!(ceiling_w.to_bits(), coord.charge_ceiling_w().to_bits());
     }
 }
 
@@ -202,4 +264,29 @@ proptest! {
             report.final_power_w
         );
     }
+}
+
+/// Which round is the ordinary one, measured on the repo's own nodes:
+/// under default sampling noise a refitted model leaves its
+/// `PHASE_DEFAULT` bucket almost every period, so the coordinator
+/// rebuilds nearly every processor every round and never takes a full
+/// hit (25 597 rebuilds of 25 600 chances and 0 full hits over 20 s of
+/// this cluster). The flat round is tuned for that; a change to the
+/// predictor, the noise model or the tolerance that makes steady state
+/// the common case should fail here, by name, and re-open that choice.
+#[test]
+fn simulated_nodes_move_every_model_every_round() {
+    let mut sim = ClusterSim::three_tier(32, 3845, ClusterConfig::rack());
+    sim.run_for(2.0);
+    let warm = sim.coordinator().cache_stats();
+    sim.run_for(5.0);
+    let s = sim.coordinator().cache_stats();
+    let rebuilds = s.proc_rebuilds - warm.proc_rebuilds;
+    let hits = s.proc_hits - warm.proc_hits;
+    assert!(s.rounds - warm.rounds >= 40, "{s:?}");
+    assert!(
+        rebuilds as f64 >= 0.9 * (hits + rebuilds) as f64,
+        "{rebuilds} rebuilds against {hits} hits"
+    );
+    assert_eq!(s.full_hits, warm.full_hits);
 }

@@ -103,6 +103,43 @@ mod tests {
         }
     }
 
+    /// What lets a caller read a decided slot's power from the index
+    /// where it used to interpolate the decided frequency: the entry
+    /// *is* `power_interpolated(set.at(k))`, to the bit — also for a set
+    /// whose settings fall between the power table's.
+    #[test]
+    fn indexed_power_is_the_interpolated_power_bit_for_bit() {
+        let voltage = VoltageTable::p630();
+        let mut x = 3845u64;
+        let mut draw = |below: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % below
+        };
+        let mut entries = vec![(FreqMhz(200), 3.0)];
+        for _ in 0..23 {
+            let (f, p) = entries[entries.len() - 1];
+            let step = (
+                FreqMhz(f.0 + 1 + draw(90) as u32),
+                p + 0.1 + draw(1000) as f64 / 7.0,
+            );
+            entries.push(step);
+        }
+        let random = FreqPowerTable::new(entries).unwrap();
+        let between: Vec<FreqMhz> = (0..40).map(|_| FreqMhz(150 + draw(2200) as u32)).collect();
+        let between = FrequencySet::new(between).unwrap();
+        for power in [FreqPowerTable::p630_table1(), random] {
+            for set in [power.frequency_set(), between.clone()] {
+                let idx = PowerVoltageIndex::build(&power, &voltage, &set);
+                for k in 0..set.len() {
+                    let direct = power.power_interpolated(set.at(k));
+                    assert_eq!(idx.power_w(k).to_bits(), direct.to_bits(), "{}", set.at(k));
+                }
+            }
+        }
+    }
+
     #[test]
     fn rebuild_reuses_storage_and_tracks_set_changes() {
         let power = FreqPowerTable::p630_table1();

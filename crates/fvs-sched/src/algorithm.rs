@@ -4,13 +4,16 @@
 //!
 //! - [`FvsstAlgorithm::schedule`] / [`FvsstAlgorithm::schedule_with_scratch`]
 //!   — the production path. Pass 1 writes one flat row of `|F|` losses
-//!   per processor; pass 2 keeps the running total power updated by
-//!   per-step deltas from a per-index power table and draws each demotion
-//!   victim from a [`DemotionQueue`]: candidates bucketed by a monotone
-//!   function of their next-step predicted loss, each bucket sorted only
-//!   when the cursor reaches it. For `d` demotions over `n` processors
-//!   this is `O(n + d)` plus the in-bucket sorts, instead of the naive
-//!   `O(d·n)` (which also re-summed power, `O(d·n)` again on top).
+//!   per processor and copies the two entries every round reads into
+//!   dense columns ([`slot_losses`]): pass 2 takes its first candidates
+//!   from one, pass 3 the loss of every processor pass 2 left alone from
+//!   the other, and the matrix is read again only where a demotion lands.
+//!   Pass 2 keeps the running total power updated by per-step deltas from
+//!   a per-index power table and, only when the desired power exceeds the
+//!   budget, draws each victim from a [`DemotionQueue`]: candidates
+//!   bucketed by a monotone function of their next-step predicted loss,
+//!   each bucket sorted only when the cursor reaches it; `O(n + d)` plus
+//!   the in-bucket sorts for `d` demotions, against the naive `O(d·n)`.
 //! - [`FvsstAlgorithm::schedule_reference`] — the naive loop, kept as the
 //!   executable specification. Both implementations share the exact same
 //!   power accounting (initial sum in processor order plus per-step
@@ -288,6 +291,9 @@ pub struct ScheduleScratch {
     /// `n × |F|` predicted losses, one row per processor (see
     /// [`fill_loss_row`]).
     losses: Vec<f64>,
+    /// The two [`slot_losses`] columns, written by pass 1.
+    step_loss: Vec<f64>,
+    desired_loss: Vec<f64>,
     models: Vec<Option<CpiModel>>,
     idx: Vec<usize>,
     queue: DemotionQueue,
@@ -476,8 +482,12 @@ pub struct ScheduleCache {
     losses: Vec<f64>,
     /// The model each row was last filled from.
     models: Vec<Option<CpiModel>>,
+    /// Pass 1's slot per processor; its frequency is `decision.desired`.
     desired_idx: Vec<usize>,
-    desired_freq: Vec<FreqMhz>,
+    /// The two [`slot_losses`] columns, rewritten whenever the row is.
+    step_loss: Vec<f64>,
+    desired_loss: Vec<f64>,
+    /// The slots pass 2 left: the current decision in index space.
     work_idx: Vec<usize>,
     queue: DemotionQueue,
     decision: ScheduleDecision,
@@ -525,6 +535,14 @@ impl ScheduleCache {
         &self.demotion_log
     }
 
+    /// Σ table power (W) of processors `span` under [`decision`](Self::decision):
+    /// each `power_interpolated(decision().freqs[i])` to the bit, read by slot.
+    pub fn decided_power_w(&self, span: std::ops::Range<usize>) -> f64 {
+        let alg = self.alg.as_ref().expect("a decision has an algorithm");
+        span.map(|i| alg.slot_power(&self.index, self.work_idx[i], self.decision.freqs[i]))
+            .sum()
+    }
+
     /// Drop all cached state; the next round recomputes everything.
     pub fn invalidate(&mut self) {
         self.valid = false;
@@ -543,21 +561,7 @@ impl ScheduleCache {
     /// Off-grid processors are fixed loads at their current frequency.
     /// Returns `0.0` on a cold cache.
     pub fn desired_power_w(&self) -> f64 {
-        if !self.valid {
-            return 0.0;
-        }
-        let Some(alg) = self.alg.as_ref() else {
-            return 0.0;
-        };
-        let mut total = 0.0;
-        for i in 0..self.keys.len() {
-            total += if self.desired_idx[i] == OFFGRID {
-                alg.power_table.power_interpolated(self.desired_freq[i])
-            } else {
-                self.index.power_w(self.desired_idx[i])
-            };
-        }
-        total
+        self.power_at_slots(|k| k)
     }
 
     /// Σ table power with every demotable processor at `f_min` — the
@@ -565,19 +569,18 @@ impl ScheduleCache {
     /// processor set. Off-grid processors cannot be demoted and keep
     /// their current power. Returns `0.0` on a cold cache.
     pub fn floor_power_w(&self) -> f64 {
-        if !self.valid {
-            return 0.0;
-        }
-        let Some(alg) = self.alg.as_ref() else {
+        self.power_at_slots(|_| 0)
+    }
+
+    /// Σ table power with each on-grid processor at `slot(desired index)`.
+    fn power_at_slots(&self, slot: impl Fn(usize) -> usize) -> f64 {
+        let Some(alg) = self.alg.as_ref().filter(|_| self.valid) else {
             return 0.0;
         };
         let mut total = 0.0;
-        for i in 0..self.keys.len() {
-            total += if self.desired_idx[i] == OFFGRID {
-                alg.power_table.power_interpolated(self.desired_freq[i])
-            } else {
-                self.index.power_w(0)
-            };
+        for (&k, &f) in self.desired_idx.iter().zip(&self.decision.desired) {
+            let k = if k == OFFGRID { k } else { slot(k) };
+            total += alg.slot_power(&self.index, k, f);
         }
         total
     }
@@ -634,6 +637,19 @@ fn fill_loss_row(row: &mut [f64], model: Option<&CpiModel>, set: &FrequencySet) 
     let p_ref = model.perf_at(set.max());
     for (loss, f) in row.iter_mut().zip(set.iter()) {
         *loss = (p_ref - model.perf_at(f)) / p_ref;
+    }
+}
+
+/// The two entries of a processor's `row` every round reads, which pass
+/// 1 keeps in dense columns (8 B a processor against the matrix's 128):
+/// the loss one step below the desired slot `k` — pass 2's first
+/// candidate, 0 where there is no step down — and the loss at `k`, which
+/// pass 3 reports unless pass 2 moved the processor (0 off the grid).
+fn slot_losses(row: &[f64], k: usize) -> (f64, f64) {
+    match k {
+        OFFGRID => (0.0, 0.0),
+        0 => (0.0, row[0]),
+        _ => (row[k - 1], row[k]),
     }
 }
 
@@ -796,14 +812,18 @@ impl FvsstAlgorithm {
             .index
             .rebuild(&self.power_table, &self.voltage_table, set);
         scratch.losses.resize(n * w, 0.0);
+        scratch.step_loss.resize(n, 0.0);
+        scratch.desired_loss.resize(n, 0.0);
         scratch.models.clear();
         scratch.idx.clear();
         scratch.decision.desired.clear();
 
         // ---- Pass 1: per-processor ε-constrained frequencies. ----
-        for (p, row) in procs.iter().zip(scratch.losses.chunks_exact_mut(w)) {
+        let rows = scratch.losses.chunks_exact_mut(w);
+        for (i, (p, row)) in procs.iter().zip(rows).enumerate() {
             fill_loss_row(row, p.model.as_ref(), set);
             let (k, f) = self.desired_slot_by(p, || row.iter().copied());
+            (scratch.step_loss[i], scratch.desired_loss[i]) = slot_losses(row, k);
             scratch.models.push(p.model);
             scratch.idx.push(k);
             scratch.decision.desired.push(f);
@@ -812,6 +832,7 @@ impl FvsstAlgorithm {
         let (demotions, feasible) = self.budget_pass(
             &scratch.index,
             &scratch.losses,
+            &scratch.step_loss,
             &mut scratch.idx,
             &mut scratch.queue,
             &mut scratch.demotion_log,
@@ -821,6 +842,7 @@ impl FvsstAlgorithm {
         self.finish_pass(
             &scratch.index,
             &scratch.losses,
+            &scratch.desired_loss,
             &scratch.models,
             &scratch.idx,
             procs,
@@ -891,7 +913,9 @@ impl FvsstAlgorithm {
             cache.keys.resize(n, ProcKey::Stale);
             cache.models.resize(n, None);
             cache.desired_idx.resize(n, 0);
-            cache.desired_freq.resize(n, FreqMhz(0));
+            cache.decision.desired.resize(n, FreqMhz(0));
+            cache.step_loss.resize(n, 0.0);
+            cache.desired_loss.resize(n, 0.0);
             cache.valid = false;
         } else if !cache.valid {
             for k in &mut cache.keys {
@@ -921,9 +945,10 @@ impl FvsstAlgorithm {
                 let row = &mut cache.losses[i * w..(i + 1) * w];
                 fill_loss_row(row, p.model.as_ref(), set);
                 let (k, f) = self.desired_slot_by(p, || row.iter().copied());
+                (cache.step_loss[i], cache.desired_loss[i]) = slot_losses(row, k);
                 cache.models[i] = p.model;
                 cache.desired_idx[i] = k;
-                cache.desired_freq[i] = f;
+                cache.decision.desired[i] = f;
             }
         }
 
@@ -946,27 +971,22 @@ impl FvsstAlgorithm {
         let _pass2 = tracer.span("sched.pass2");
 
         // ---- Passes 2 + 3 from the cached desired state. ----
-        // Pass 2 demotes in place, so the cached desired indices are
-        // copied to a working vector first.
-        cache.work_idx.clear();
-        cache.work_idx.extend_from_slice(&cache.desired_idx[..n]);
+        // Pass 2 demotes in place, so it works on a copy of the slots.
+        cache.work_idx.clone_from(&cache.desired_idx);
         let (demotions, feasible) = self.budget_pass(
             &cache.index,
             &cache.losses,
+            &cache.step_loss,
             &mut cache.work_idx,
             &mut cache.queue,
             &mut cache.demotion_log,
             procs,
             budget_w,
         );
-        cache.decision.desired.clear();
-        cache
-            .decision
-            .desired
-            .extend_from_slice(&cache.desired_freq[..n]);
         self.finish_pass(
             &cache.index,
             &cache.losses,
+            &cache.desired_loss,
             &cache.models,
             &cache.work_idx,
             procs,
@@ -989,6 +1009,7 @@ impl FvsstAlgorithm {
         &self,
         index: &PowerVoltageIndex,
         losses: &[f64],
+        step_loss: &[f64],
         idx: &mut [usize],
         queue: &mut DemotionQueue,
         log: &mut Vec<DemotionRecord>,
@@ -1010,11 +1031,14 @@ impl FvsstAlgorithm {
         if n > 0 {
             match self.demotion_order {
                 DemotionOrder::LeastPredictedLoss => {
+                    // Sized on every round (a loose warm-up must leave a
+                    // binding round allocation-free), filled only to pop.
                     queue.reset(n);
-                    for i in 0..n {
-                        let k = idx[i];
-                        if k != OFFGRID && k > 0 {
-                            queue.push(i, losses[i * w + k - 1]);
+                    if power > budget_w {
+                        for (i, (&k, &loss)) in idx.iter().zip(step_loss).enumerate() {
+                            if k != OFFGRID && k > 0 {
+                                queue.push(i, loss);
+                            }
                         }
                     }
                     while power > budget_w {
@@ -1084,6 +1108,7 @@ impl FvsstAlgorithm {
         &self,
         index: &PowerVoltageIndex,
         losses: &[f64],
+        desired_loss: &[f64],
         models: &[Option<CpiModel>],
         idx: &[usize],
         procs: &[ProcInput],
@@ -1096,6 +1121,7 @@ impl FvsstAlgorithm {
         decision.voltages.clear();
         decision.predicted_ipc.clear();
         decision.predicted_loss.clear();
+        let mut predicted_power_w = 0.0;
         for (i, p) in procs.iter().enumerate() {
             let k = idx[i];
             let (f, v) = if k == OFFGRID {
@@ -1103,18 +1129,17 @@ impl FvsstAlgorithm {
             } else {
                 (set.at(k), index.voltage_v(k))
             };
+            // The matrix is read only where pass 2 moved the processor —
+            // never one off the grid; an unmodelled row is all zeros.
+            let loss = if f == decision.desired[i] {
+                desired_loss[i]
+            } else {
+                losses[i * set.len() + k]
+            };
             decision.freqs.push(f);
             decision.voltages.push(v);
-            // Only an unmodelled processor can be off the grid.
-            let (ipc, loss) = match models[i] {
-                Some(m) => (Some(m.ipc_at(f)), losses[i * set.len() + k]),
-                None => (None, 0.0),
-            };
-            decision.predicted_ipc.push(ipc);
+            decision.predicted_ipc.push(models[i].map(|m| m.ipc_at(f)));
             decision.predicted_loss.push(loss);
-        }
-        let mut predicted_power_w = 0.0;
-        for (&k, p) in idx.iter().zip(procs) {
             predicted_power_w += self.slot_power(index, k, p.current);
         }
         decision.predicted_power_w = predicted_power_w;
@@ -1308,6 +1333,45 @@ mod tests {
         alg.schedule_cached(&mut cache, &procs, f64::INFINITY);
         let s = cache.stats();
         assert_eq!((s.proc_hits, s.proc_rebuilds), (3, 5));
+    }
+
+    /// The columns stay copies of the matrix however a row came to be
+    /// rewritten; a loose round queues nothing, the next is the reference's.
+    #[test]
+    fn slot_columns_mirror_the_matrix_and_loose_rounds_queue_nothing() {
+        type Action = fn(&mut Vec<ProcInput>, &mut FvsstAlgorithm, &mut ScheduleCache);
+        let actions: [Action; 8] = [
+            |_, _, _| {},
+            |p, _, _| p[3].model = Some(model_for_intensity(61.0)), // drift
+            |p, _, _| p[4].idle = true,
+            |p, _, _| p[5].model = None,
+            |p, _, _| p[5].current = FreqMhz(675), // off the grid
+            |_, _, c| c.invalidate(),
+            |p, _, _| p.truncate(9),
+            |_, a, _| a.epsilon = 0.2,
+        ];
+        let mut alg = FvsstAlgorithm::p630();
+        let mut procs: Vec<ProcInput> = (0..12).map(|i| busy(8.0 * i as f64)).collect();
+        let mut cache = ScheduleCache::new(); // EXACT: every round is the reference's
+        for act in actions {
+            act(&mut procs, &mut alg, &mut cache);
+            let top = alg.schedule(&procs, f64::INFINITY).predicted_power_w;
+            // Exactly the desired power is still loose: `>` and not `>=`.
+            for budget in [top, 0.7 * top, f64::NAN, 0.4 * top] {
+                let d = format!("{:?}", alg.schedule_cached(&mut cache, &procs, budget));
+                let binding = budget < top;
+                assert_eq!(cache.demotion_log().is_empty(), !binding);
+                assert_eq!(cache.queue.head.iter().all(|&h| h == NIL), !binding);
+                assert_eq!(d, format!("{:?}", alg.schedule_reference(&procs, budget)));
+                for (i, row) in cache.losses.chunks(alg.freq_set.len()).enumerate() {
+                    let want = match cache.desired_idx[i] {
+                        OFFGRID => (0.0, 0.0),
+                        k => (if k > 0 { row[k - 1] } else { 0.0 }, row[k]),
+                    };
+                    assert_eq!((cache.step_loss[i], cache.desired_loss[i]), want, "at {i}");
+                }
+            }
+        }
     }
 
     #[test]
