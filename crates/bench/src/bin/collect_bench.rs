@@ -18,9 +18,8 @@
 //! core-tick throughput of the batched SoA simulator pass vs the scalar
 //! reference, with the sampled and the scheduled tick beside it) to
 //! `BENCH_scheduler.json` in the workspace root, stamped with the commit
-//! and the core count it was recorded on. The production column keeps
-//! its historical name, `heap_median_ns`; the file's `scenario` string
-//! says what it times.
+//! and the core count it was recorded on. The production column,
+//! `scratch_median_ns`, times `schedule_with_scratch`.
 //!
 //! `collect_bench --section <name>` re-records one section — `sizes`,
 //! `schedule_cached_moved`, `cluster_tick`, `sim_core_ticks_per_sec`,
@@ -72,7 +71,7 @@ fn median_ns(criterion_dir: &Path, group: &str, id: &str) -> Option<f64> {
 /// One row of the per-size table.
 struct SizeEntry {
     n: usize,
-    heap: f64,
+    scratch: f64,
     naive: Option<f64>,
     speedup: Option<f64>,
     cached: Option<f64>,
@@ -170,7 +169,7 @@ fn check(root: &Path) -> i32 {
         errors.push("missing integer field 'nproc'".to_string());
     }
     let sections: [(&str, &str, &[&str]); 4] = [
-        ("sizes", "n_procs", &["heap_median_ns"]),
+        ("sizes", "n_procs", &["scratch_median_ns"]),
         (
             "schedule_cached_moved",
             "n_procs",
@@ -269,7 +268,7 @@ fn size_entries(dir: &Path, missing: &mut Vec<String>) -> Vec<SizeEntry> {
         match median_ns(dir, "schedule_two_pass", &id) {
             Some(h) => entries.push(SizeEntry {
                 n,
-                heap: h,
+                scratch: h,
                 naive,
                 speedup: naive.map(|r| r / h),
                 cached,
@@ -332,7 +331,10 @@ fn hier_entries(dir: &Path, missing: &mut Vec<String>) -> Vec<HierEntry> {
 fn size_rows(entries: &[SizeEntry]) -> Vec<String> {
     let mut rows = Vec::new();
     for e in entries {
-        let mut row = format!("{{\"n_procs\": {}, \"heap_median_ns\": {:.1}", e.n, e.heap);
+        let mut row = format!(
+            "{{\"n_procs\": {}, \"scratch_median_ns\": {:.1}",
+            e.n, e.scratch
+        );
         if let Some(r) = e.naive {
             row.push_str(&format!(", \"naive_median_ns\": {r:.1}"));
         }
@@ -543,9 +545,9 @@ fn main() {
     let mut out = String::from("{\n  \"benchmark\": \"schedule_two_pass\",\n");
     out.push_str("  \"units\": \"ns/iter (median)\",\n");
     out.push_str(
-        "  \"scenario\": \"demotion-heavy budget drop (10 W/processor); heap_median_ns times \
-         schedule_with_scratch: flat loss rows and the bucketed demotion queue (the column \
-         keeps the name it had when pass 2 drew victims from a binary heap)\",\n",
+        "  \"scenario\": \"demotion-heavy budget drop (10 W/processor); scratch_median_ns times \
+         schedule_with_scratch: every processor rebuilt through schedule_cached's pass 1, \
+         flat loss rows and the bucketed demotion queue\",\n",
     );
     out.push_str(&format!("  \"commit\": \"{}\",\n", recorded_commit(&root)));
     let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
@@ -573,7 +575,7 @@ fn main() {
     std::fs::write(&out_path, &out).expect("write BENCH_scheduler.json");
     println!("wrote {}", out_path.display());
     for e in &entries {
-        let mut line = format!("n={:<5} heap {:>12.1} ns", e.n, e.heap);
+        let mut line = format!("n={:<5} scratch {:>9.1} ns", e.n, e.scratch);
         if let (Some(r), Some(s)) = (e.naive, e.speedup) {
             line.push_str(&format!("  naive {r:>14.1} ns  speedup {s:.2}x"));
         }

@@ -29,16 +29,16 @@
 //! - [`sim_loop`] — [`ScheduledSimulation`]: drives a
 //!   [`fvs_sim::Machine`] under any policy and produces a [`RunReport`]
 //!   (energy, budget compliance, completion times, full trace).
-//! - [`daemon`] — a thread-hosted wrapper mirroring the prototype's
-//!   privileged user-level daemon process, communicating over channels.
+//!
+//! The crate spawns no thread: a host that wants the scheduler behind a
+//! channel wraps [`FvsstScheduler`] itself, as
+//! `examples/multithreaded_daemon.rs` does.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod algorithm;
-pub mod daemon;
 pub mod feedback;
-pub mod mt_daemon;
 pub mod policy;
 pub mod predictor;
 pub mod scheduler;
@@ -49,7 +49,6 @@ pub use algorithm::{
     ScheduleCache, ScheduleDecision, ScheduleScratch, SchedulingMode,
 };
 pub use feedback::{FeedbackConfig, FeedbackGuard};
-pub use mt_daemon::{CoreCommand, CoreSample, MtDaemon, MtSummary};
 pub use policy::{Decision, OverheadModel, PlatformView, Policy, TickContext};
 pub use predictor::{ErrorStats, PredictionTracker, Predictor};
 pub use scheduler::{FvsstScheduler, SchedulerConfig};

@@ -37,6 +37,12 @@ impl Trigger {
     }
 }
 
+/// Minimum dispatch ticks between idle-edge-triggered computations. A
+/// core whose work arrives in sub-tick bursts flaps its idle signal;
+/// without a floor, every flap would pay the full scheduling overhead.
+/// Budget changes are never rate-limited — ΔT is a hard deadline.
+const IDLE_EDGE_MIN_SPACING: u32 = 2;
+
 /// Configuration of the fvsst daemon.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
@@ -50,24 +56,12 @@ pub struct SchedulerConfig {
     pub n: u32,
     /// Global power budget over time.
     pub budget: BudgetSchedule,
-    /// Daemon overhead model.
-    pub overhead: OverheadModel,
     /// React to idle edges immediately (in addition to pinning idle
     /// processors at scheduling time).
     pub idle_edge_trigger: bool,
-    /// Minimum dispatch ticks between idle-edge-triggered computations.
-    /// A core whose work arrives in sub-tick bursts flaps its idle
-    /// signal; without a floor, every flap would pay the full scheduling
-    /// overhead. Budget changes are never rate-limited — ΔT is a hard
-    /// deadline.
-    pub idle_edge_min_spacing: u32,
     /// Memory-latency constants the predictor inverts the CPI equation
     /// with (measured once per platform, paper §7.1).
     pub latencies: fvs_model::MemoryLatencies,
-    /// Fingerprint tolerance of the incremental scheduling cache: a
-    /// processor's performance tables and desired slot are rebuilt only
-    /// when the freshly fitted model moves beyond this quantization.
-    pub model_tolerance: ModelTolerance,
     /// Record `(time, trigger)` entries for every scheduling computation.
     /// The log grows for the lifetime of the daemon; long-running
     /// allocation-sensitive hosts can switch it off.
@@ -102,11 +96,8 @@ impl SchedulerConfig {
             t_s: 0.010,
             n: 10,
             budget: BudgetSchedule::constant(f64::INFINITY),
-            overhead: OverheadModel::PROTOTYPE,
             idle_edge_trigger: true,
-            idle_edge_min_spacing: 2,
             latencies: fvs_model::MemoryLatencies::P630,
-            model_tolerance: ModelTolerance::PHASE_DEFAULT,
             log_triggers: true,
             telemetry: Telemetry::disabled(),
             tracer: Tracer::disabled(),
@@ -168,19 +159,6 @@ impl SchedulerConfig {
     pub fn with_idle_detection(mut self, enabled: bool) -> Self {
         self.algorithm.idle_detection = enabled;
         self.idle_edge_trigger = enabled;
-        self
-    }
-
-    /// Replace the overhead model.
-    pub fn with_overhead(mut self, overhead: OverheadModel) -> Self {
-        self.overhead = overhead;
-        self
-    }
-
-    /// Replace the incremental-cache fingerprint tolerance
-    /// ([`ModelTolerance::EXACT`] disables within-tolerance reuse).
-    pub fn with_model_tolerance(mut self, tolerance: ModelTolerance) -> Self {
-        self.model_tolerance = tolerance;
         self
     }
 
@@ -277,7 +255,7 @@ pub struct FvsstScheduler {
 impl FvsstScheduler {
     /// Daemon for `n_cores` cores.
     pub fn new(n_cores: usize, config: SchedulerConfig) -> Self {
-        let cache = ScheduleCache::with_tolerance(config.model_tolerance);
+        let cache = ScheduleCache::with_tolerance(ModelTolerance::PHASE_DEFAULT);
         let budget_tracker = BudgetDeadlineTracker::new(config.deadline_s);
         let metrics = SchedMetrics::from_telemetry(&config.telemetry);
         FvsstScheduler {
@@ -699,8 +677,7 @@ impl Policy for FvsstScheduler {
             self.run_schedule(ctx, Trigger::BudgetChange, out);
             return true;
         }
-        if self.pending_idle_edge && self.ticks_since_schedule >= self.config.idle_edge_min_spacing
-        {
+        if self.pending_idle_edge && self.ticks_since_schedule >= IDLE_EDGE_MIN_SPACING {
             self.pending_idle_edge = false;
             self.run_schedule(ctx, Trigger::IdleEdge, out);
             return true;
@@ -724,7 +701,7 @@ impl Policy for FvsstScheduler {
     }
 
     fn overhead(&self) -> OverheadModel {
-        self.config.overhead
+        OverheadModel::PROTOTYPE
     }
 }
 
@@ -813,10 +790,11 @@ mod tests {
         let c0 = ctx(0.01, 0, 560.0, &samples, &idle, &current, &platform);
         assert!(s.on_tick(&c0).is_some(), "bootstrap decision");
         let samples = [sample_for(&model, 0.0, FreqMhz(1000), 0.01)];
-        let c1 = ctx(0.02, 1, 294.0, &samples, &idle, &current, &platform);
+        let c1 = ctx(0.02, 1, 75.0, &samples, &idle, &current, &platform);
         let d = s.on_tick(&c1).expect("budget change must trigger");
         assert_eq!(s.trigger_log()[1].1, Trigger::BudgetChange);
-        // One core, 294 W: unconstrained for a single processor.
+        // 75 W cap on one CPU-bound core: 750 MHz.
+        assert_eq!(d.freqs[0], FreqMhz(750));
         assert!(d.feasible);
     }
 

@@ -92,6 +92,25 @@ fn main() {
             "steady-state schedule_with_scratch allocated ({order:?})"
         );
 
+        // A change of `n` costs one warm-up round and no more: the cache
+        // behind the scratch re-sizes its columns once, and is then
+        // allocation-free at the new count and back at the old one.
+        let grown = mixed_procs(96);
+        alg.schedule_with_scratch(&mut scratch, &grown, 96.0 * 10.0);
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        for _ in 0..20 {
+            let d = alg.schedule_with_scratch(&mut scratch, &grown, 96.0 * 10.0);
+            assert!(d.demotions > 0);
+            let d = alg.schedule_with_scratch(&mut scratch, &procs, budget);
+            assert!(d.demotions > 0);
+        }
+        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        assert_eq!(
+            after - before,
+            0,
+            "schedule_with_scratch allocated after a change of n ({order:?})"
+        );
+
         // The cached path must also be allocation-free once warm — on
         // full hits (nothing at all runs), on budget changes (pass 2/3
         // rerun on cached loss rows), and on model changes (per-processor

@@ -221,15 +221,6 @@ pub enum SchedEvent {
         /// Whether the global budget could be met.
         feasible: bool,
     },
-    /// One multi-threaded-daemon scheduler-thread round.
-    DaemonRound {
-        /// Round sequence number.
-        round: u64,
-        /// Processors commanded.
-        procs: u32,
-        /// Wall time of the round (ns).
-        wall_ns: u64,
-    },
     /// The fault injector fired.
     FaultInjected {
         /// When the fault fired (s).
@@ -418,7 +409,6 @@ impl SchedEvent {
             SchedEvent::BudgetViolation { .. } => "budget_violation",
             SchedEvent::FeedbackClamp { .. } => "feedback_clamp",
             SchedEvent::ClusterRound { .. } => "cluster_round",
-            SchedEvent::DaemonRound { .. } => "daemon_round",
             SchedEvent::FaultInjected { .. } => "fault_injected",
             SchedEvent::SampleQuarantined { .. } => "sample_quarantined",
             SchedEvent::ActuationRetry { .. } => "actuation_retry",
@@ -569,16 +559,6 @@ impl SchedEvent {
                 buf.push_str(",\"predicted_power_w\":");
                 jnum(buf, predicted_power_w);
                 let _ = write!(buf, ",\"feasible\":{feasible}");
-            }
-            SchedEvent::DaemonRound {
-                round,
-                procs,
-                wall_ns,
-            } => {
-                let _ = write!(
-                    buf,
-                    ",\"round\":{round},\"procs\":{procs},\"wall_ns\":{wall_ns}"
-                );
             }
             SchedEvent::FaultInjected {
                 t_s,
@@ -806,11 +786,6 @@ mod tests {
                 budget_w: 1000.0,
                 predicted_power_w: 950.0,
                 feasible: true,
-            },
-            SchedEvent::DaemonRound {
-                round: 7,
-                procs: 4,
-                wall_ns: 999,
             },
             SchedEvent::FaultInjected {
                 t_s: 1.1,

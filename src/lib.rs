@@ -91,9 +91,7 @@ pub mod prelude {
         BudgetEvent, BudgetSchedule, EnergyMeter, FreqPowerTable, PowerSupply, SupplyBank,
         VoltageTable,
     };
-    pub use fvs_sched::{
-        CoreSample, FvsstAlgorithm, FvsstScheduler, MtDaemon, ScheduledSimulation, SchedulerConfig,
-    };
+    pub use fvs_sched::{FvsstAlgorithm, FvsstScheduler, ScheduledSimulation, SchedulerConfig};
     pub use fvs_sim::{Machine, MachineBuilder, PaceReport, Pacer};
     pub use fvs_telemetry::{
         BudgetDeadlineTracker, MetricsRegistry, SchedEvent, Telemetry, Tracer,

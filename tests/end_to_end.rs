@@ -193,40 +193,43 @@ fn trace_supports_figure_queries() {
     assert!(residency.mean_mhz() < 500.0);
 }
 
+/// The scheduler hosted by hand — no `ScheduledSimulation` — the way a
+/// §6 daemon loop would: sample, `on_tick`, apply.
 #[test]
 fn scheduler_daemon_thread_integrates_with_machine() {
-    use fvsst::model::CounterDelta;
-    use fvsst::sched::daemon::{SchedulerDaemon, TickData};
-    use fvsst::sched::PlatformView;
+    use fvsst::sched::{PlatformView, Policy, TickContext};
 
     let mut machine = diverse_machine();
-    let daemon = SchedulerDaemon::spawn(4, SchedulerConfig::p630(), PlatformView::p630());
+    let platform = PlatformView::p630();
+    let mut scheduler = FvsstScheduler::new(4, SchedulerConfig::p630());
     let mut applied = 0;
     for tick in 0..50u64 {
         machine.step(0.01);
-        let samples: Vec<CounterDelta> = machine.sample_all();
-        let data = TickData {
+        let samples = machine.sample_all();
+        let idle: Vec<bool> = (0..4).map(|i| machine.idle_signal(i)).collect();
+        let current: Vec<_> = (0..4)
+            .map(|i| machine.core(i).requested_frequency())
+            .collect();
+        let ctx = TickContext {
             now_s: machine.now_s(),
             tick,
             budget_w: 294.0,
             measured_power_w: machine.total_power_w(),
-            idle: (0..4).map(|i| machine.idle_signal(i)).collect(),
-            transitional: vec![false; 4],
-            current: (0..4)
-                .map(|i| machine.core(i).requested_frequency())
-                .collect(),
-            ground_truth: vec![],
-            samples,
+            samples: &samples,
+            idle: &idle,
+            transitional: &[false; 4],
+            current: &current,
+            ground_truth: &[],
+            platform: &platform,
         };
-        if let Some(decision) = daemon.tick(data) {
+        if let Some(decision) = scheduler.on_tick(&ctx) {
             for (i, f) in decision.freqs.iter().enumerate() {
                 machine.set_frequency(i, *f);
             }
             applied += 1;
         }
     }
-    let summary = daemon.shutdown();
     assert!(applied >= 5);
-    assert_eq!(summary.schedules_run, applied);
+    assert_eq!(scheduler.schedules_run(), applied);
     assert!(machine.total_power_w() <= 294.0);
 }

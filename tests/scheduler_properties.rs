@@ -229,20 +229,37 @@ proptest! {
         prop_assert!(cache.stats().full_hits >= u64::from(feasible_repeats));
     }
 
-    /// A reused scratch gives the same decisions as fresh one-shot calls,
-    /// for any interleaving of processor counts and budgets.
+    /// A reused scratch gives the reference's decision, demotion log
+    /// included, for any interleaving of processor counts, budgets, ε,
+    /// demotion orders and frequency sets: what the scratch keeps from
+    /// one round (it is a cache that forgets) never reaches the next.
     #[test]
     fn scratch_reuse_matches_one_shot(
         rounds in prop::collection::vec(
-            (prop::collection::vec(arb_proc_offgrid(), 0..12), 5.0f64..2000.0),
+            (
+                prop::collection::vec(arb_proc_offgrid(), 0..12),
+                5.0f64..2000.0,
+                0.01f64..0.3,   // ε
+                any::<bool>(),  // round-robin demotion
+                any::<bool>(),  // the 5-setting section-5 table
+            ),
             1..6,
         ),
     ) {
-        let alg = FvsstAlgorithm::p630();
         let mut scratch = ScheduleScratch::new();
-        for (procs, budget) in &rounds {
+        for (procs, budget, epsilon, round_robin, small_set) in &rounds {
+            let mut alg = FvsstAlgorithm::p630();
+            alg.epsilon = *epsilon;
+            if *round_robin {
+                alg.demotion_order = DemotionOrder::RoundRobin;
+            }
+            if *small_set {
+                alg.power_table = FreqPowerTable::section5_example();
+                alg.freq_set = alg.power_table.frequency_set();
+            }
             let reused = alg.schedule_with_scratch(&mut scratch, procs, *budget).clone();
-            prop_assert_eq!(reused, alg.schedule_reference(procs, *budget));
+            prop_assert_eq!(&reused, &alg.schedule_reference(procs, *budget));
+            demotion_queue::assert_log_replays(&alg, procs, &reused, scratch.demotion_log());
         }
     }
 }
@@ -285,7 +302,7 @@ mod demotion_queue {
     /// the victim the paper's rule names — smallest loss after the step
     /// by `total_cmp`, then lowest index, found by a full scan — one
     /// rung down, and the steps must end at the decision's frequencies.
-    fn assert_log_replays(
+    pub(super) fn assert_log_replays(
         alg: &FvsstAlgorithm,
         procs: &[ProcInput],
         d: &ScheduleDecision,
