@@ -14,10 +14,9 @@ use fvs_workloads::{MixConfig, WorkloadGenerator};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// Default node count below which the cluster tick runs sequentially:
-/// each node's tick is microseconds of work, and fork/join overhead
-/// would dominate. Overridable per config via
-/// [`ClusterConfig::with_parallel_threshold`].
+/// Node count below which the cluster tick runs sequentially: each
+/// node's tick is microseconds of work, and fork/join overhead would
+/// dominate.
 const PARALLEL_TICK_THRESHOLD: usize = 8;
 
 /// Cluster-wide configuration.
@@ -35,8 +34,6 @@ pub struct ClusterConfig {
     pub budget: BudgetSchedule,
     /// Telemetry handle passed to the coordinator (disabled by default).
     pub telemetry: Telemetry,
-    /// Below this node/rack count, parallel phases run sequentially.
-    pub parallel_threshold: usize,
     /// `Some(topology)` replaces the flat global coordinator with a
     /// node → rack → row → root budget-delegation tree.
     pub hierarchy: Option<HierTopology>,
@@ -54,7 +51,6 @@ impl ClusterConfig {
             algorithm: FvsstAlgorithm::p630(),
             budget: BudgetSchedule::constant(f64::INFINITY),
             telemetry: Telemetry::disabled(),
-            parallel_threshold: PARALLEL_TICK_THRESHOLD,
             hierarchy: None,
         }
     }
@@ -94,14 +90,6 @@ impl ClusterConfig {
     /// `cluster.*` metrics).
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Override the node/rack count below which parallel phases (node
-    /// ticks, hierarchy rack refresh/finalize) run sequentially.
-    /// Default 8; clamped to at least 1.
-    pub fn with_parallel_threshold(mut self, threshold: usize) -> Self {
-        self.parallel_threshold = threshold.max(1);
         self
     }
 
@@ -216,15 +204,12 @@ impl ClusterSim {
     /// Build from explicit nodes.
     pub fn new(nodes: Vec<ClusterNode>, config: ClusterConfig) -> Self {
         let coordinator = match config.hierarchy {
-            Some(topology) => Coordination::Hier(Box::new(
-                DelegationTree::with_telemetry(
-                    config.algorithm.clone(),
-                    nodes.len(),
-                    topology,
-                    config.telemetry.clone(),
-                )
-                .with_parallel_threshold(config.parallel_threshold),
-            )),
+            Some(topology) => Coordination::Hier(Box::new(DelegationTree::with_telemetry(
+                config.algorithm.clone(),
+                nodes.len(),
+                topology,
+                config.telemetry.clone(),
+            ))),
             None => Coordination::Flat(Box::new(GlobalCoordinator::with_telemetry(
                 config.algorithm.clone(),
                 nodes.len(),
@@ -443,7 +428,7 @@ impl ClusterSim {
         // nothing). Nodes are independent within a tick — they interact
         // only through the coordinator messages handled below — so large
         // clusters fan the per-node work out across threads.
-        if self.nodes.len() >= self.config.parallel_threshold {
+        if self.nodes.len() >= PARALLEL_TICK_THRESHOLD {
             self.nodes.par_iter_mut().for_each(|node| node.tick(t_s));
         } else {
             for node in &mut self.nodes {
@@ -614,23 +599,13 @@ mod tests {
             .with_latency_s(0.05)
             .with_budget(BudgetSchedule::constant(800.0))
             .with_telemetry(Telemetry::memory(4))
-            .with_parallel_threshold(16)
             .with_hierarchy(HierTopology::default().with_nodes_per_rack(8));
         assert_eq!(config.t_s, 0.005);
         assert_eq!(config.n, 20);
         assert_eq!(config.latency_s, 0.05);
         assert_eq!(config.budget.initial_w(), 800.0);
         assert!(config.telemetry.enabled());
-        assert_eq!(config.parallel_threshold, 16);
         assert_eq!(config.hierarchy.unwrap().nodes_per_rack, 8);
-        // The default stays at 8 and the threshold never hits zero.
-        assert_eq!(ClusterConfig::rack().parallel_threshold, 8);
-        assert_eq!(
-            ClusterConfig::rack()
-                .with_parallel_threshold(0)
-                .parallel_threshold,
-            1
-        );
     }
 
     #[test]

@@ -36,47 +36,21 @@ pub mod table1;
 pub mod table2;
 pub mod table3;
 
+use crate::export::{run_exported, EXPERIMENTS};
 use crate::runs::RunSettings;
 
 /// Experiment ids accepted by the `fvsst-exp` binary, in paper order.
-pub const ALL_EXPERIMENTS: [&str; 16] = [
-    "table1",
-    "fig1",
-    "table2",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "table3",
-    "fig8",
-    "fig9",
-    "example5",
-    "ablation",
-    "predictors",
-    "migration",
-    "cluster",
-    "chaos",
-];
+pub const ALL_EXPERIMENTS: [&str; EXPERIMENTS.len()] = {
+    let mut ids = [""; EXPERIMENTS.len()];
+    let mut i = 0;
+    while i < ids.len() {
+        ids[i] = EXPERIMENTS[i].0;
+        i += 1;
+    }
+    ids
+};
 
 /// Run one experiment by id and return its rendered report.
 pub fn run_by_name(name: &str, settings: &RunSettings) -> Option<String> {
-    Some(match name {
-        "table1" => table1::run().render(),
-        "fig1" => fig1::run(settings).render(),
-        "table2" => table2::run(settings).render(),
-        "fig4" => fig4::run(settings).render(),
-        "fig5" => fig5::run(settings).render(),
-        "fig6" => fig6::run(settings).render(),
-        "fig7" => fig7::run(settings).render(),
-        "table3" => table3::run(settings).render(),
-        "fig8" => fig8::run(settings).render(),
-        "fig9" => fig9::run(settings).render(),
-        "example5" => example5::run().render(),
-        "ablation" => ablations::run(settings).render(),
-        "predictors" => predictors::run(settings).render(),
-        "migration" => migration::run(settings).render(),
-        "cluster" => cluster_scale::run(settings).render(),
-        "chaos" => chaos::run(settings).render(),
-        _ => return None,
-    })
+    run_exported(name, settings).ok().map(|r| r.rendered)
 }

@@ -35,77 +35,49 @@ fn pack<T: Serialize>(rendered: String, value: &T) -> Result<ExportedResult, Fvs
     })
 }
 
+/// Runs one experiment and packs both renderings.
+type Runner = fn(&RunSettings) -> Result<ExportedResult, FvsError>;
+
+macro_rules! experiments {
+    ($($id:literal => |$settings:pat_param| $run:expr),* $(,)?) => {
+        [$(($id, (|$settings| {
+            let r = $run;
+            pack(r.render(), &r)
+        }) as Runner)),*]
+    };
+}
+
+/// Every experiment the harness can run, in paper order: the one list
+/// [`ALL_EXPERIMENTS`](crate::experiments::ALL_EXPERIMENTS),
+/// [`run_by_name`](crate::experiments::run_by_name) and [`run_exported`]
+/// read, so an id cannot be listed and not runnable.
+pub(crate) const EXPERIMENTS: &[(&str, Runner)] = &experiments! {
+    "table1" => |_| table1::run(),
+    "fig1" => |s| fig1::run(s),
+    "table2" => |s| table2::run(s),
+    "fig4" => |s| fig4::run(s),
+    "fig5" => |s| fig5::run(s),
+    "fig6" => |s| fig6::run(s),
+    "fig7" => |s| fig7::run(s),
+    "table3" => |s| table3::run(s),
+    "fig8" => |s| fig8::run(s),
+    "fig9" => |s| fig9::run(s),
+    "example5" => |_| example5::run(),
+    "ablation" => |s| ablations::run(s),
+    "predictors" => |s| predictors::run(s),
+    "migration" => |s| migration::run(s),
+    "cluster" => |s| cluster_scale::run(s),
+    "chaos" => |s| chaos::run(s),
+};
+
 /// Run one experiment by id, returning both renderings.
 ///
 /// An unknown id is a [`FvsError::Validation`]; a serialization failure
 /// surfaces as [`FvsError::Wire`].
 pub fn run_exported(name: &str, settings: &RunSettings) -> Result<ExportedResult, FvsError> {
-    match name {
-        "table1" => {
-            let r = table1::run();
-            pack(r.render(), &r)
-        }
-        "fig1" => {
-            let r = fig1::run(settings);
-            pack(r.render(), &r)
-        }
-        "table2" => {
-            let r = table2::run(settings);
-            pack(r.render(), &r)
-        }
-        "fig4" => {
-            let r = fig4::run(settings);
-            pack(r.render(), &r)
-        }
-        "fig5" => {
-            let r = fig5::run(settings);
-            pack(r.render(), &r)
-        }
-        "fig6" => {
-            let r = fig6::run(settings);
-            pack(r.render(), &r)
-        }
-        "fig7" => {
-            let r = fig7::run(settings);
-            pack(r.render(), &r)
-        }
-        "table3" => {
-            let r = table3::run(settings);
-            pack(r.render(), &r)
-        }
-        "fig8" => {
-            let r = fig8::run(settings);
-            pack(r.render(), &r)
-        }
-        "fig9" => {
-            let r = fig9::run(settings);
-            pack(r.render(), &r)
-        }
-        "example5" => {
-            let r = example5::run();
-            pack(r.render(), &r)
-        }
-        "ablation" => {
-            let r = ablations::run(settings);
-            pack(r.render(), &r)
-        }
-        "predictors" => {
-            let r = predictors::run(settings);
-            pack(r.render(), &r)
-        }
-        "migration" => {
-            let r = migration::run(settings);
-            pack(r.render(), &r)
-        }
-        "cluster" => {
-            let r = cluster_scale::run(settings);
-            pack(r.render(), &r)
-        }
-        "chaos" => {
-            let r = chaos::run(settings);
-            pack(r.render(), &r)
-        }
-        _ => Err(FvsError::validation(format!("unknown experiment '{name}'"))),
+    match EXPERIMENTS.iter().find(|(id, _)| *id == name) {
+        Some((_, run)) => run(settings),
+        None => Err(FvsError::validation(format!("unknown experiment '{name}'"))),
     }
 }
 

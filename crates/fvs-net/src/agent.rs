@@ -1,31 +1,26 @@
 //! The node agent: one machine's measurement daemon on a socket.
 //!
-//! An agent drives a [`ClusterNode`] (machine + local predictor — the
-//! same per-core sampling path the multi-threaded daemon's collectors
-//! feed): tick the machine, close the measurement window every
-//! `summary_every` ticks, ship the [`fvs_cluster::NodeSummary`]
-//! upstream, and apply whatever frequency ceilings come back. When the
+//! An agent drives a [`ClusterNode`](fvs_cluster::ClusterNode), a
+//! machine and its local predictor: tick the machine, close the
+//! measurement window every `summary_every` ticks, ship the
+//! [`fvs_cluster::NodeSummary`] upstream, and apply whatever frequency
+//! ceilings come back. When the
 //! link drops it reconnects up a [`ReconnectLadder`] while the machine
 //! keeps running at its last-commanded frequencies — exactly the
 //! mute-but-running scenario the coordinator's conservative charging
-//! defends against. It remembers the highest coordinator epoch it has
-//! acknowledged and serves none below it: [`verdict`] is that rule, and
-//! every other rule about a received frame.
+//! defends against.
 //!
-//! The loop that does all this is [`crate::fleet`]'s, for one agent as
-//! for ten thousand; [`NodeAgent`] is that loop with one slot. This
-//! module holds what is the agent's own and needs no socket: tunables,
-//! counters, the ladder and the protocol rules.
+//! Those rules are [`AgentCore`](crate::AgentCore)'s, which needs no
+//! socket; the loop that gives it one is [`crate::fleet`]'s, for one
+//! agent as for ten thousand. This module holds what both read: the
+//! tunables and the ladder.
 
 use crate::error::FvsError;
-use crate::fleet::{self, FleetHandle, FleetStats, END_BYE, END_SILENT};
-use crate::wire::{WireCodec, WireMsg, CODEC_ALL, CODEC_JSON_BIT, SCHEMA_VERSION};
+use crate::wire::{WireCodec, SCHEMA_VERSION};
 use crate::WireChaos;
-use fvs_cluster::{ClusterNode, FrequencyCommand};
 use fvs_telemetry::{Telemetry, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Seedable equal-jitter exponential backoff: rung `k` sleeps a
@@ -79,15 +74,11 @@ pub struct AgentConfig {
     pub tick_s: f64,
     /// Ticks per summary (the paper's `n`: window per report).
     pub summary_every: u32,
-    /// Wall time per tick of a [`NodeAgent`] that is not `timed` (zero
-    /// = free-running). An [`AgentFleet`](crate::AgentFleet) ignores it.
+    /// Wall time per tick (zero = free-running). A caller that means
+    /// real time sets it to `tick_s`, so one simulated second takes one
+    /// wall second — the honest way to soak a live coordinator on the
+    /// paper's real `t = 10 ms` sampling cadence.
     pub pace: Duration,
-    /// Real-time mode: each tick takes exactly `tick_s` of wall time
-    /// (absolute deadlines, drift-free), so one simulated second takes
-    /// one wall second — the honest way to soak a live coordinator on
-    /// the paper's real `t = 10 ms` sampling cadence. Overrides `pace`;
-    /// an [`AgentFleet`](crate::AgentFleet) always runs this way.
-    pub timed: bool,
     /// First reconnect delay of the backoff ladder.
     pub backoff_base: Duration,
     /// Ceiling of the backoff ladder.
@@ -133,20 +124,12 @@ impl AgentConfig {
             backoff_max: Duration::from_millis(800),
             jitter_seed: 0,
             link_timeout: Duration::from_secs(3),
-            timed: false,
             version: SCHEMA_VERSION,
             codec: WireCodec::Binary,
             chaos: WireChaos::none(),
             tracer: Tracer::disabled(),
             telemetry: Telemetry::disabled(),
         }
-    }
-
-    /// Enable or disable wall-clock real-time pacing (see
-    /// [`AgentConfig::timed`]).
-    pub fn with_timed(mut self, timed: bool) -> Self {
-        self.timed = timed;
-        self
     }
 
     /// Override the simulated tick length.
@@ -216,7 +199,8 @@ impl AgentConfig {
         self
     }
 
-    /// Checked once, by [`fleet::spawn`], before any agent loop starts.
+    /// Checked once, by [`AgentFleet::launch`](crate::AgentFleet::launch),
+    /// before any agent loop starts.
     pub(crate) fn validate(&self) -> Result<(), FvsError> {
         if !(self.tick_s.is_finite() && self.tick_s > 0.0) {
             return Err(FvsError::config("tick_s must be finite and positive"));
@@ -231,220 +215,6 @@ impl AgentConfig {
             return Err(FvsError::config("link_timeout must be positive"));
         }
         Ok(())
-    }
-}
-
-/// What a stopped agent hands back.
-#[derive(Debug, Clone)]
-pub struct AgentReport {
-    /// The node this agent drove.
-    pub node: usize,
-    /// Summaries shipped upstream.
-    pub summaries_sent: u64,
-    /// Ceiling commands applied to the machine.
-    pub ceilings_applied: u64,
-    /// Times the connection was (re-)established after the first.
-    pub reconnects: u64,
-    /// Stale coordinators refused (handshake or heartbeat epoch below
-    /// the highest this agent has acknowledged).
-    pub epochs_fenced: u64,
-    /// The coordinator refused our schema version.
-    pub version_rejected: bool,
-    /// Node power when the agent stopped (W).
-    pub final_power_w: f64,
-}
-
-/// Live counters of a running agent, readable from any thread — the
-/// node binary's `/healthz` endpoint reads these without joining the
-/// agent. A view of its one-slot fleet's [`FleetStats`].
-#[derive(Debug)]
-pub struct AgentStats {
-    fleet: Arc<FleetStats>,
-}
-
-impl AgentStats {
-    /// Currently connected (past a successful handshake).
-    pub fn connected(&self) -> bool {
-        self.fleet.connected() > 0
-    }
-
-    /// Summaries shipped upstream so far.
-    pub fn summaries_sent(&self) -> u64 {
-        self.fleet.summaries_sent()
-    }
-
-    /// Ceiling commands applied to the machine so far.
-    pub fn ceilings_applied(&self) -> u64 {
-        self.fleet.ceilings_applied()
-    }
-
-    /// Times the connection was re-established after the first.
-    pub fn reconnects(&self) -> u64 {
-        self.fleet.reconnects()
-    }
-
-    /// Stale coordinators fenced so far.
-    pub fn epochs_fenced(&self) -> u64 {
-        self.fleet.epochs_fenced()
-    }
-
-    /// The node's power at the last summary window (W).
-    pub fn power_w(&self) -> f64 {
-        self.fleet.power_w()
-    }
-
-    /// The codec negotiated on the current connection, if any.
-    pub fn negotiated_codec(&self) -> Option<WireCodec> {
-        self.connected().then(|| self.fleet.last_codec())
-    }
-}
-
-/// Handle to a running agent.
-pub struct NodeAgentHandle {
-    node: usize,
-    fleet: FleetHandle,
-}
-
-impl NodeAgentHandle {
-    /// Whether the agent has already exited on its own (version
-    /// refusal is the one self-terminating path).
-    pub fn is_finished(&self) -> bool {
-        self.fleet.is_finished()
-    }
-
-    /// The agent's live counters (shareable; plain atomics).
-    pub fn stats(&self) -> Arc<AgentStats> {
-        let fleet = self.fleet.stats();
-        Arc::new(AgentStats { fleet })
-    }
-
-    /// Orderly shutdown: the agent says `Bye` and returns its report.
-    pub fn stop(self) -> AgentReport {
-        self.end(END_BYE)
-    }
-
-    /// Crash the agent: the socket just goes dead, no goodbye — from
-    /// the coordinator's side this is indistinguishable from a node
-    /// failure, which is the point.
-    pub fn kill(self) -> AgentReport {
-        self.end(END_SILENT)
-    }
-
-    fn end(self, how: u8) -> AgentReport {
-        let stats = self.fleet.end(how);
-        AgentReport {
-            node: self.node,
-            summaries_sent: stats.summaries_sent(),
-            ceilings_applied: stats.ceilings_applied(),
-            reconnects: stats.reconnects(),
-            epochs_fenced: stats.epochs_fenced(),
-            version_rejected: stats.version_rejects() > 0,
-            final_power_w: stats.power_w(),
-        }
-    }
-}
-
-/// Spawns and owns one node agent: a fleet of one, on one thread.
-pub struct NodeAgent;
-
-impl NodeAgent {
-    /// Start an agent driving `node` against the coordinator at `addr`.
-    /// A tick takes `tick_s` of wall time when the config is `timed`,
-    /// `pace` otherwise.
-    pub fn spawn(
-        node: ClusterNode,
-        addr: impl Into<String>,
-        config: AgentConfig,
-    ) -> Result<NodeAgentHandle, FvsError> {
-        let id = node.id;
-        let timed = config.timed;
-        let fleet = fleet::spawn(vec![node], addr.into(), config, timed, Duration::ZERO)?;
-        Ok(NodeAgentHandle { node: id, fleet })
-    }
-}
-
-/// The codec advertisement bitmask for a preference: JSON is always on
-/// the table; preferring binary adds the `FVS2` bit.
-pub(crate) fn advertised_codecs(prefer: WireCodec) -> u8 {
-    match prefer {
-        WireCodec::Json => CODEC_JSON_BIT,
-        WireCodec::Binary => CODEC_ALL,
-    }
-}
-
-/// Where an agent is in the life of its connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Phase {
-    /// No socket: waiting out the ramp stagger or a backoff rung.
-    Backoff,
-    /// Hello sent, ack awaited.
-    Handshaking,
-    /// Ticking and shipping summaries.
-    Running,
-    /// Version-refused: permanently out of the game.
-    Dead,
-}
-
-/// What a received frame means to the agent that received it.
-#[derive(Debug, PartialEq)]
-pub(crate) enum Verdict<'a> {
-    /// The hello was accepted: adopt the coordinator's epoch, write
-    /// under the codec it chose, start running.
-    Accept { epoch: u64, codec: WireCodec },
-    /// The current coordinator is alive: adopt its epoch.
-    Alive { epoch: u64 },
-    /// A ceiling for this node: apply it.
-    Apply(&'a FrequencyCommand),
-    /// The sender's epoch is below the highest this agent has
-    /// acknowledged — a stale survivor, or an old build that knows no
-    /// epochs. Drop the link and retry through the ladder: the current
-    /// coordinator may come back on this address.
-    Fence,
-    /// Refused over schema version. Retrying with the same schema can
-    /// never succeed, so stop for good instead of storming.
-    Refused,
-    /// Not for this agent, or not for this phase.
-    Ignore,
-}
-
-/// The agent's protocol rules: what `msg` means to node `node`,
-/// speaking schema `version`, in `phase`, having acknowledged epochs up
-/// to `last_epoch`. Acks and heartbeats carry their sender's epoch and
-/// count only if that is no lower than the fence.
-pub(crate) fn verdict(
-    phase: Phase,
-    msg: &WireMsg,
-    last_epoch: u64,
-    node: usize,
-    version: u32,
-) -> Verdict<'_> {
-    let (epoch, if_current) = match *msg {
-        WireMsg::HelloAck {
-            accepted,
-            version: theirs,
-            epoch,
-            codec,
-        } if phase == Phase::Handshaking => {
-            if !accepted && theirs != version {
-                // Another schema: its epoch says nothing about ours.
-                return Verdict::Refused;
-            }
-            // An unknown codec id from a newer peer degrades to JSON —
-            // the floor both sides always speak.
-            let codec = WireCodec::from_id(codec);
-            let accept = Verdict::Accept { epoch, codec };
-            (epoch, if accepted { accept } else { Verdict::Refused })
-        }
-        WireMsg::Heartbeat { epoch } => (epoch, Verdict::Alive { epoch }),
-        WireMsg::Ceiling(ref cmd) if phase == Phase::Running && cmd.node == node => {
-            return Verdict::Apply(cmd)
-        }
-        _ => return Verdict::Ignore,
-    };
-    if epoch < last_epoch {
-        Verdict::Fence
-    } else {
-        if_current
     }
 }
 
@@ -505,58 +275,5 @@ mod tests {
             (0..6).map(|_| l.next_delay()).collect::<Vec<_>>()
         };
         assert_eq!(mk(), mk());
-    }
-
-    /// The protocol rules, no socket needed: node 3, speaking the
-    /// current schema, fenced at epoch 5.
-    #[test]
-    fn verdict_table() {
-        use Phase::{Handshaking, Running};
-        use Verdict::{Accept, Alive, Apply, Fence, Ignore, Refused};
-        const V: u32 = SCHEMA_VERSION;
-        fn at(phase: Phase, msg: &WireMsg) -> Verdict<'_> {
-            verdict(phase, msg, 5, 3, V)
-        }
-        let ack = |accepted, version, epoch, codec| WireMsg::HelloAck {
-            accepted,
-            version,
-            epoch,
-            codec,
-        };
-        let ceiling = |node| {
-            let freqs = vec![fvs_model::FreqMhz(600); 4];
-            WireMsg::Ceiling(FrequencyCommand { node, freqs })
-        };
-        let accept = |epoch, codec| Accept { epoch, codec };
-        let bin = WireCodec::Binary.id();
-
-        // Acks: the current coordinator, one naming a codec this build
-        // has never heard of, a stale one (or an old build at epoch 0).
-        let current = ack(true, V, 5, bin);
-        assert_eq!(at(Handshaking, &current), accept(5, WireCodec::Binary));
-        let newer = ack(true, V, 6, 99);
-        assert_eq!(at(Handshaking, &newer), accept(6, WireCodec::Json));
-        assert_eq!(at(Handshaking, &ack(true, V, 4, bin)), Fence);
-        // Refusals: a stale coordinator speaking our schema is fenced
-        // and retried; a current one, or any other schema, is final.
-        assert_eq!(at(Handshaking, &ack(false, V, 4, 1)), Fence);
-        assert_eq!(at(Handshaking, &ack(false, V, 5, 1)), Refused);
-        assert_eq!(at(Handshaking, &ack(false, V + 1, 0, 1)), Refused);
-        // Heartbeats fence mid-connection too.
-        let beat = |epoch| WireMsg::Heartbeat { epoch };
-        assert_eq!(at(Running, &beat(4)), Fence);
-        assert_eq!(at(Running, &beat(6)), Alive { epoch: 6 });
-        // Ceilings: ours while running, nobody else's, never before the ack.
-        let (mine, theirs) = (ceiling(3), ceiling(2));
-        let WireMsg::Ceiling(cmd) = &mine else {
-            unreachable!()
-        };
-        assert_eq!(at(Running, &mine), Apply(cmd));
-        assert_eq!(at(Running, &theirs), Ignore);
-        assert_eq!(at(Handshaking, &mine), Ignore);
-        // An ack while running is noise, even a stale one; so is a frame
-        // only a coordinator should ever see.
-        assert_eq!(at(Running, &ack(true, V, 4, bin)), Ignore);
-        assert_eq!(at(Running, &WireMsg::Bye { node: 3 }), Ignore);
     }
 }

@@ -1,0 +1,251 @@
+//! The node role's rules, without its sockets.
+//!
+//! [`AgentCore`] is one agent as a state machine: its [`ClusterNode`],
+//! where it is in the life of its connection ([`Phase`]), its
+//! [`ReconnectLadder`], the fence (the highest coordinator epoch it has
+//! acknowledged, and it serves none below it), when a frame last
+//! decoded, how many ticks the open measurement window holds, and the
+//! protocol fields of its [`AgentConfig`]. It is driven by plain calls
+//! that carry the time as `now_s`, seconds on whatever clock the caller
+//! keeps: [`connected`](AgentCore::connected) when a socket has opened,
+//! [`tick`](AgentCore::tick) once per dispatch period,
+//! [`frame`](AgentCore::frame) for every frame that decodes and
+//! [`lost`](AgentCore::lost) when the link is gone.
+//!
+//! It opens no socket, reads no clock and never sleeps, so the node
+//! side of the paper's ΔT can be asked as a table of calls
+//! (`tests/agent_core.rs`) and a virtual-time replay can pass frames
+//! between it and a [`CoordinatorCore`](crate::CoordinatorCore)
+//! (`tests/sans_io_loop.rs`). The loop in [`crate::fleet`] is the one
+//! production caller: it owns the sockets, the poller and the timers,
+//! and turns readiness and due timers into these calls.
+
+use crate::agent::{AgentConfig, ReconnectLadder};
+use crate::wire::{WireCodec, WireMsg, CODEC_ALL, CODEC_JSON_BIT};
+use fvs_cluster::{ClusterNode, NodeSummary};
+use fvs_telemetry::Tracer;
+use std::time::Duration;
+
+/// Where an agent is in the life of its connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// No socket: waiting out the ramp stagger or a backoff rung.
+    Backoff,
+    /// Hello sent, ack awaited.
+    Handshaking,
+    /// Ticking and shipping summaries.
+    Running,
+    /// Version-refused: permanently out of the game.
+    Dead,
+}
+
+/// What one dispatch period asks of the link.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Tick {
+    /// Nothing new to say: flush what is queued.
+    Flush,
+    /// The measurement window closed: send this, then flush.
+    Summary(NodeSummary),
+    /// No frame has decoded for `link_timeout`: drop the link.
+    Silent,
+}
+
+/// What a decoded frame meant to the agent that received it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Heard {
+    /// Not for this agent or not for this phase, or a sign of life from
+    /// the current coordinator and no more.
+    Nothing,
+    /// The hello was accepted: write under `codec` from here on.
+    /// `reconnect` is false for this agent's first accepted handshake
+    /// and true for every later one.
+    Accepted {
+        /// The codec the coordinator chose.
+        codec: WireCodec,
+        /// This agent had been accepted before.
+        reconnect: bool,
+    },
+    /// A ceiling for this node, now applied to its machine.
+    Applied,
+    /// The sender's epoch is below the fence — a stale survivor, or an
+    /// old build that knows no epochs. Drop the link and retry through
+    /// the ladder: the current coordinator may come back on this
+    /// address.
+    Fenced,
+    /// Refused over schema version. Retrying with the same schema can
+    /// never succeed, so the agent is [`Phase::Dead`] for good instead
+    /// of storming. Drop the link.
+    Refused,
+}
+
+/// One agent as a state machine. See the module docs.
+#[derive(Debug)]
+pub struct AgentCore {
+    node: ClusterNode,
+    phase: Phase,
+    ladder: ReconnectLadder,
+    /// Highest coordinator epoch ever acknowledged: the fence.
+    last_epoch: u64,
+    /// When a frame last decoded, or the hello left
+    /// (see [`AgentConfig::link_timeout`]).
+    last_rx_s: f64,
+    /// Ticks in the open measurement window.
+    ticks: u32,
+    ever_accepted: bool,
+    tick_s: f64,
+    summary_every: u32,
+    link_timeout_s: f64,
+    version: u32,
+    codec: WireCodec,
+    tracer: Tracer,
+}
+
+impl AgentCore {
+    /// An agent for `node`, not yet connected. The ladder's jitter is
+    /// seeded from the config's seed mixed with the node id, so agents
+    /// sharing one config still spread out.
+    pub fn new(node: ClusterNode, config: &AgentConfig) -> Self {
+        let id = node.id as u64;
+        AgentCore {
+            node,
+            phase: Phase::Backoff,
+            ladder: ReconnectLadder::new(
+                config.backoff_base,
+                config.backoff_max,
+                config.jitter_seed ^ id.wrapping_mul(0x517C_C1B7_2722_0A95),
+            ),
+            last_epoch: 0,
+            last_rx_s: 0.0,
+            ticks: 0,
+            ever_accepted: false,
+            tick_s: config.tick_s,
+            summary_every: config.summary_every,
+            link_timeout_s: config.link_timeout.as_secs_f64(),
+            version: config.version,
+            codec: config.codec,
+            tracer: config.tracer.clone(),
+        }
+    }
+
+    /// The node this agent drives.
+    pub fn node(&self) -> &ClusterNode {
+        &self.node
+    }
+
+    /// Where the agent is in the life of its connection.
+    pub fn phase(&self) -> Phase {
+        self.phase
+    }
+
+    /// A socket opened at `now_s`. Returns the hello to send on it; the
+    /// silence that `link_timeout` bounds starts here.
+    ///
+    /// JSON is always advertised (it is the handshake encoding and the
+    /// floor every peer speaks); preferring binary adds the `FVS2` bit.
+    pub fn connected(&mut self, now_s: f64) -> WireMsg {
+        self.phase = Phase::Handshaking;
+        self.last_rx_s = now_s;
+        WireMsg::Hello {
+            node: self.node.id,
+            procs: self.node.machine().num_cores(),
+            version: self.version,
+            last_epoch: self.last_epoch,
+            codecs: match self.codec {
+                WireCodec::Json => CODEC_JSON_BIT,
+                WireCodec::Binary => CODEC_ALL,
+            },
+        }
+    }
+
+    /// One dispatch period has passed on an open link. A running agent
+    /// advances its machine — also on the tick that finds the link
+    /// silent — and owes a summary every `summary_every`-th tick; one
+    /// still awaiting its ack only flushes (a delayed hello moves on the
+    /// flush that finds it due).
+    pub fn tick(&mut self, now_s: f64) -> Tick {
+        let window_closed = self.phase == Phase::Running && {
+            self.node.tick(self.tick_s);
+            self.ticks += 1;
+            self.ticks.is_multiple_of(self.summary_every)
+        };
+        if now_s - self.last_rx_s > self.link_timeout_s {
+            Tick::Silent
+        } else if window_closed {
+            Tick::Summary(self.node.summarize())
+        } else {
+            Tick::Flush
+        }
+    }
+
+    /// A frame decoded at `now_s`. Any frame refreshes the link — an
+    /// ack, a heartbeat, a ceiling, one addressed to another node; bytes
+    /// that do not parse never get here. Acks and heartbeats carry their
+    /// sender's epoch and count only if that is no lower than the fence.
+    pub fn frame(&mut self, msg: &WireMsg, now_s: f64) -> Heard {
+        self.last_rx_s = now_s;
+        let (epoch, accepted) = match *msg {
+            WireMsg::HelloAck {
+                accepted,
+                version,
+                epoch,
+                codec,
+            } if self.phase == Phase::Handshaking => {
+                if !accepted && version != self.version {
+                    // Another schema: its epoch says nothing about ours.
+                    return self.refused();
+                }
+                // An unknown codec id from a newer peer degrades to JSON
+                // — the floor both sides always speak.
+                (epoch, Some((accepted, WireCodec::from_id(codec))))
+            }
+            WireMsg::Heartbeat { epoch } => (epoch, None),
+            WireMsg::Ceiling(ref cmd)
+                if self.phase == Phase::Running && cmd.node == self.node.id =>
+            {
+                let _apply = self.tracer.span("node.apply");
+                self.node.apply(&cmd.freqs);
+                return Heard::Applied;
+            }
+            _ => return Heard::Nothing,
+        };
+        if epoch < self.last_epoch {
+            return Heard::Fenced;
+        }
+        match accepted {
+            // A heartbeat: the current coordinator is alive.
+            None => {
+                self.last_epoch = epoch;
+                Heard::Nothing
+            }
+            Some((false, _)) => self.refused(),
+            Some((true, codec)) => {
+                self.last_epoch = epoch;
+                self.ladder.reset();
+                self.phase = Phase::Running;
+                self.ticks = 0;
+                let reconnect = std::mem::replace(&mut self.ever_accepted, true);
+                Heard::Accepted { codec, reconnect }
+            }
+        }
+    }
+
+    fn refused(&mut self) -> Heard {
+        self.phase = Phase::Dead;
+        Heard::Refused
+    }
+
+    /// The link is gone (it failed, it never opened, or [`tick`] or
+    /// [`frame`] said to drop it). Returns how long to wait before
+    /// connecting again, one rung further up the ladder; `None` for an
+    /// agent that was refused for good.
+    ///
+    /// [`tick`]: AgentCore::tick
+    /// [`frame`]: AgentCore::frame
+    pub fn lost(&mut self) -> Option<Duration> {
+        if self.phase == Phase::Dead {
+            return None;
+        }
+        self.phase = Phase::Backoff;
+        Some(self.ladder.next_delay())
+    }
+}

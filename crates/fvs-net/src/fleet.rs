@@ -1,14 +1,15 @@
 //! The agent loop: any number of node agents on one thread.
 //!
-//! Every agent is a small state machine (connect-backoff → handshaking
-//! → running, see [`Phase`]) multiplexed onto one [`Reactor`], with a
-//! timer heap driving wall-clock ticks: each running agent ticks its
-//! [`ClusterNode`] once per tick of wall time and ships a summary every
-//! `summary_every` ticks over its [`Transport`]; what a frame coming
-//! back means is [`verdict`]'s to say. This is the only agent there is:
-//! [`AgentFleet`] runs thousands of slots in real time (`tick_s` of
-//! wall time a tick — what makes a soak against a live coordinator
-//! honest), [`NodeAgent`](crate::agent::NodeAgent) runs one.
+//! Every agent is an [`AgentCore`] — the state machine that holds the
+//! node role's rules — given a socket: the slots are multiplexed onto
+//! one [`Reactor`], with a timer heap driving wall-clock ticks. A due
+//! timer on a slot without a socket connects it; on one with a socket
+//! it is one tick of the core, whose answer (flush, this summary, the
+//! link is silent) goes over the slot's [`Transport`]; every frame that
+//! decodes goes to the core, and what it says happened is counted. The
+//! loop decides nothing. This is the only way an agent runs:
+//! [`AgentFleet::launch`] for the thousands of a soak as for the one of
+//! `fvsst-node`, a tick taking [`AgentConfig::pace`] of wall time.
 //!
 //! Connects are staggered across a ramp window so 10k simultaneous SYNs
 //! don't blow the accept backlog, and the ramp doubles as tick phase
@@ -24,9 +25,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use fvs_cluster::ClusterNode;
+use fvs_cluster::{ClusterNode, NodeSummary};
 
-use crate::agent::{advertised_codecs, verdict, AgentConfig, Phase, ReconnectLadder, Verdict};
+use crate::agent::AgentConfig;
+use crate::agent_core::{AgentCore, Heard, Phase, Tick};
 use crate::chaos::{ChaosSide, ChaosStream};
 use crate::error::FvsError;
 use crate::reactor::Reactor;
@@ -45,7 +47,8 @@ const MAX_QUEUED_BYTES: usize = 1 << 20;
 const MAX_TIMERS_PER_ITER: usize = 1024;
 
 /// Live counters of a running fleet, updated by the fleet thread and
-/// readable from anywhere.
+/// readable from anywhere — `fvsst-node`'s `/healthz` reads them
+/// without joining the loop.
 #[derive(Debug, Default)]
 pub struct FleetStats {
     connected: AtomicU64,
@@ -110,20 +113,24 @@ impl FleetStats {
         self.json_conns.load(Ordering::SeqCst)
     }
 
-    pub(crate) fn power_w(&self) -> f64 {
+    /// Fleet power (W): each node at its latest summary while the loop
+    /// runs, at its last tick once it has ended.
+    pub fn power_w(&self) -> f64 {
         f64::from_bits(self.power_bits.load(Ordering::SeqCst))
     }
 
-    pub(crate) fn last_codec(&self) -> WireCodec {
-        WireCodec::from_id(self.last_codec.load(Ordering::SeqCst))
+    /// The codec of the latest accepted handshake, while any agent is
+    /// connected.
+    pub fn negotiated_codec(&self) -> Option<WireCodec> {
+        (self.connected() > 0).then(|| WireCodec::from_id(self.last_codec.load(Ordering::SeqCst)))
     }
 }
 
 /// A loop runs while the byte it shares with its handle is 0. This value
 /// ends it in order: connected agents say `Bye`.
-pub(crate) const END_BYE: u8 = 1;
+const END_BYE: u8 = 1;
 /// This one ends it as a crash would: the sockets just close.
-pub(crate) const END_SILENT: u8 = 2;
+const END_SILENT: u8 = 2;
 
 /// Handle to a running fleet thread.
 pub struct FleetHandle {
@@ -144,7 +151,14 @@ impl FleetHandle {
         self.end(END_BYE)
     }
 
-    pub(crate) fn end(self, how: u8) -> Arc<FleetStats> {
+    /// Crash the fleet: the sockets just go dead, no goodbye — from the
+    /// coordinator's side this is indistinguishable from node failure,
+    /// which is the point.
+    pub fn kill(self) -> Arc<FleetStats> {
+        self.end(END_SILENT)
+    }
+
+    fn end(self, how: u8) -> Arc<FleetStats> {
         self.shutdown.store(how, Ordering::SeqCst);
         self.thread.join().expect("fleet thread panicked");
         self.stats
@@ -152,24 +166,18 @@ impl FleetHandle {
 
     /// Whether the loop has ended on its own: every agent was refused
     /// over its schema version.
-    pub(crate) fn is_finished(&self) -> bool {
+    pub fn is_finished(&self) -> bool {
         self.thread.is_finished()
     }
 }
 
+/// What the loop keeps for an agent beside its rules.
 struct Slot {
-    node: ClusterNode,
-    phase: Phase,
-    /// Bumped on every phase change; stale heap entries are skipped.
+    core: AgentCore,
+    /// Bumped when a timer is armed and when the socket goes; heap
+    /// entries of an older generation are skipped.
     gen: u64,
     token: Option<u64>,
-    ladder: ReconnectLadder,
-    /// Highest coordinator epoch ever acknowledged: the fence.
-    last_epoch: u64,
-    ticks: u32,
-    /// When a frame last decoded (see [`AgentConfig::link_timeout`]).
-    last_rx: Instant,
-    ever_connected: bool,
     connect_seq: u64,
     /// Node power in the latest summary (W).
     power_w: f64,
@@ -180,99 +188,68 @@ pub struct AgentFleet;
 
 impl AgentFleet {
     /// Launch agents for `nodes` against the coordinator at `addr`,
-    /// staggering first connects across `ramp`. Always real time: a
-    /// tick takes `tick_s` of wall time.
+    /// staggering first connects across `ramp`. The one way an agent
+    /// loop starts: check the config, resolve the address, build the
+    /// slots, then spawn the thread — nothing is spawned for a config or
+    /// an address that cannot work.
     pub fn launch(
         nodes: Vec<ClusterNode>,
         addr: impl ToSocketAddrs,
         config: AgentConfig,
         ramp: Duration,
     ) -> Result<FleetHandle, FvsError> {
-        spawn(nodes, addr, config, true, ramp)
-    }
-}
-
-/// The one way an agent loop starts: check the config, resolve the
-/// address, build the slots, then spawn the thread — nothing is spawned
-/// for a config or an address that cannot work. A tick takes `tick_s`
-/// of wall time when `timed`, `config.pace` otherwise.
-pub(crate) fn spawn(
-    nodes: Vec<ClusterNode>,
-    addr: impl ToSocketAddrs,
-    config: AgentConfig,
-    timed: bool,
-    ramp: Duration,
-) -> Result<FleetHandle, FvsError> {
-    config.validate()?;
-    if nodes.is_empty() {
-        return Err(FvsError::config("a fleet needs at least one node"));
-    }
-    let addr = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| FvsError::config("fleet address resolved to nothing"))?;
-    let tick_wall = if timed {
-        Duration::from_secs_f64(config.tick_s)
-    } else {
-        config.pace
-    };
-    let n = nodes.len();
-    let start = Instant::now();
-    // First connects, staggered across the ramp.
-    let timers = (0..n)
-        .map(|i| Reverse((start + ramp.mul_f64(i as f64 / n as f64), i, 0)))
-        .collect();
-    let slots = nodes
-        .into_iter()
-        .map(|node| {
-            let id = node.id as u64;
-            Slot {
-                node,
-                phase: Phase::Backoff,
+        config.validate()?;
+        if nodes.is_empty() {
+            return Err(FvsError::config("a fleet needs at least one node"));
+        }
+        let addr = addr
+            .to_socket_addrs()?
+            .next()
+            .ok_or_else(|| FvsError::config("fleet address resolved to nothing"))?;
+        let n = nodes.len();
+        let start = Instant::now();
+        // First connects, staggered across the ramp.
+        let timers = (0..n)
+            .map(|i| Reverse((start + ramp.mul_f64(i as f64 / n as f64), i, 0)))
+            .collect();
+        let slots = nodes
+            .into_iter()
+            .map(|node| Slot {
+                core: AgentCore::new(node, &config),
                 gen: 0,
                 token: None,
-                ladder: ReconnectLadder::new(
-                    config.backoff_base,
-                    config.backoff_max,
-                    config.jitter_seed ^ id.wrapping_mul(0x517C_C1B7_2722_0A95),
-                ),
-                last_epoch: 0,
-                ticks: 0,
-                last_rx: start,
-                ever_connected: false,
                 connect_seq: 0,
                 power_w: 0.0,
-            }
+            })
+            .collect();
+        let shutdown = Arc::new(AtomicU8::new(0));
+        let stats = Arc::new(FleetStats::default());
+        let mut fleet = Fleet {
+            slots,
+            reactor: Reactor::new()?,
+            timers,
+            addr,
+            config,
+            start,
+            stats: Arc::clone(&stats),
+            power_w: 0.0,
+        };
+        let thread_shutdown = Arc::clone(&shutdown);
+        let thread = std::thread::Builder::new()
+            .name("fvs-fleet".into())
+            .spawn(move || {
+                if let Err(e) = fleet.run(&thread_shutdown) {
+                    eprintln!("fvs-fleet: reactor failed: {e}");
+                }
+                fleet.finish(&thread_shutdown);
+            })
+            .map_err(FvsError::Io)?;
+        Ok(FleetHandle {
+            shutdown,
+            stats,
+            thread,
         })
-        .collect();
-    let shutdown = Arc::new(AtomicU8::new(0));
-    let stats = Arc::new(FleetStats::default());
-    let mut fleet = Fleet {
-        slots,
-        reactor: Reactor::new()?,
-        timers,
-        addr,
-        config,
-        tick_wall,
-        start,
-        stats: Arc::clone(&stats),
-        power_w: 0.0,
-    };
-    let thread_shutdown = Arc::clone(&shutdown);
-    let thread = std::thread::Builder::new()
-        .name("fvs-fleet".into())
-        .spawn(move || {
-            if let Err(e) = fleet.run(&thread_shutdown) {
-                eprintln!("fvs-fleet: reactor failed: {e}");
-            }
-            fleet.finish(&thread_shutdown);
-        })
-        .map_err(FvsError::Io)?;
-    Ok(FleetHandle {
-        shutdown,
-        stats,
-        thread,
-    })
+    }
 }
 
 /// (due, slot index, generation) — a min-heap via `Reverse`.
@@ -284,9 +261,11 @@ struct Fleet {
     reactor: Reactor<usize>,
     timers: Timers,
     addr: SocketAddr,
+    /// Read for its pace and what a socket is wrapped in; the protocol
+    /// fields are the cores'.
     config: AgentConfig,
-    tick_wall: Duration,
-    /// Anchors the chaos plan's partition windows.
+    /// Zero of the cores' clock, and the anchor of the chaos plan's
+    /// partition windows.
     start: Instant,
     stats: Arc<FleetStats>,
     /// Sum of the slots' `power_w`.
@@ -300,8 +279,13 @@ fn arm(timers: &mut Timers, slot: &mut Slot, idx: usize, at: Instant) {
 }
 
 impl Fleet {
+    /// `at` on the clock the cores are told: seconds since launch.
+    fn secs(&self, at: Instant) -> f64 {
+        at.duration_since(self.start).as_secs_f64()
+    }
+
     fn run(&mut self, shutdown: &AtomicU8) -> io::Result<()> {
-        // Until told to stop, or until every slot is [`Phase::Dead`].
+        // Until told to stop, or until every agent is refused for good.
         let n = self.slots.len() as u64;
         while shutdown.load(Ordering::SeqCst) == 0 && self.stats.version_rejects() < n {
             // Fire due timers (bounded per iteration; see the const).
@@ -316,13 +300,13 @@ impl Fleet {
                 }
                 self.timers.pop();
                 if self.slots[idx].gen != gen {
-                    continue; // the slot changed phase since this was armed
+                    continue; // re-armed or hung up since this was armed
                 }
                 fired += 1;
-                match self.slots[idx].phase {
-                    Phase::Backoff => self.connect(idx),
-                    Phase::Handshaking | Phase::Running => self.tick(idx, when),
-                    Phase::Dead => {}
+                if self.slots[idx].token.is_some() {
+                    self.tick(idx, when, now);
+                } else {
+                    self.connect(idx);
                 }
             }
 
@@ -339,17 +323,18 @@ impl Fleet {
             };
             self.reactor.poll(Some(timeout))?;
             let events = self.reactor.drain_events();
+            let now = Instant::now();
             for ev in &events {
                 let Some((_, &mut idx)) = self.reactor.get_mut(ev.token) else {
                     continue; // removed earlier this batch
                 };
                 if ev.readable || ev.hangup {
-                    self.readable(idx);
+                    self.readable(idx, now);
                 }
                 // (`readable` may just have dropped the socket.)
                 let open = self.slots[idx].token == Some(ev.token);
-                if ev.writable && open && !self.ship(idx, false) {
-                    self.disconnect(idx);
+                if ev.writable && open && !self.ship(idx, None) {
+                    self.disconnect(idx, now);
                 }
             }
             self.reactor.recycle_events(events);
@@ -364,40 +349,41 @@ impl Fleet {
             for slot in &self.slots {
                 let Some(token) = slot.token else { continue };
                 if let (Phase::Running, Some((transport, _))) =
-                    (slot.phase, self.reactor.get_mut(token))
+                    (slot.core.phase(), self.reactor.get_mut(token))
                 {
                     transport.stream().set_nonblocking(false).ok();
-                    transport.send_best_effort(&WireMsg::Bye { node: slot.node.id });
+                    let node = slot.core.node().id;
+                    transport.send_best_effort(&WireMsg::Bye { node });
                 }
             }
         }
         // The sockets close with the reactor, when the thread returns.
         self.stats.connected.store(0, Ordering::SeqCst);
-        let power_w: f64 = self.slots.iter().map(|s| s.node.power_w()).sum();
+        let power_w: f64 = self.slots.iter().map(|s| s.core.node().power_w()).sum();
         self.stats
             .power_bits
             .store(power_w.to_bits(), Ordering::SeqCst);
     }
 
-    /// A backoff timer came due: connect and send the hello, or climb
-    /// the ladder.
+    /// A timer came due on a slot without a socket: open one and send
+    /// the core's hello, or wait out the next rung.
     fn connect(&mut self, idx: usize) {
-        if self.try_connect(idx).is_err() {
+        let raw = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT);
+        // The connect blocks for up to `CONNECT_TIMEOUT`: the hello is
+        // stamped, and a failure waits, from when it returned.
+        let now = Instant::now();
+        let greeted = raw
+            .map_err(FvsError::from)
+            .and_then(|raw| self.greet(idx, raw, now));
+        if greeted.is_err() {
             self.stats.connect_failures.fetch_add(1, Ordering::SeqCst);
-            self.backoff(idx);
+            self.disconnect(idx, now);
         }
     }
 
-    /// Try again one rung up the ladder.
-    fn backoff(&mut self, idx: usize) {
+    fn greet(&mut self, idx: usize, raw: TcpStream, now: Instant) -> Result<(), FvsError> {
+        let now_s = self.secs(now);
         let slot = &mut self.slots[idx];
-        let delay = slot.ladder.next_delay();
-        arm(&mut self.timers, slot, idx, Instant::now() + delay);
-    }
-
-    fn try_connect(&mut self, idx: usize) -> Result<(), FvsError> {
-        let slot = &mut self.slots[idx];
-        let raw = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT)?;
         slot.connect_seq += 1;
         let stream = ChaosStream::wrap(
             raw,
@@ -408,85 +394,71 @@ impl Fleet {
             self.config.telemetry.clone(),
             None,
         );
-        stream.set_node(slot.node.id);
+        stream.set_node(slot.core.node().id);
         let _ = stream.set_nodelay(true);
         let mut transport = Transport::new(stream);
         // Socket is still blocking here, so hello + flush go out whole;
         // `Reactor::insert` flips it nonblocking.
-        transport.send(&WireMsg::Hello {
-            node: slot.node.id,
-            procs: slot.node.machine().num_cores(),
-            version: self.config.version,
-            last_epoch: slot.last_epoch,
-            codecs: advertised_codecs(self.config.codec),
-        })?;
+        transport.send(&slot.core.connected(now_s))?;
         transport.flush()?;
         slot.token = Some(self.reactor.insert(transport, idx)?);
-        slot.phase = Phase::Handshaking;
-        // The silence that `link_timeout` bounds starts at the hello.
-        slot.last_rx = Instant::now();
-        arm(&mut self.timers, slot, idx, slot.last_rx + self.tick_wall);
+        arm(&mut self.timers, slot, idx, now + self.config.pace);
         Ok(())
     }
 
-    /// Drop a slot's socket, no goodbye, and move it from whatever phase
-    /// it was in to `next`.
-    fn hang_up(&mut self, idx: usize, next: Phase) {
+    /// A slot's link is gone or no good: drop its socket if it has one,
+    /// no goodbye, and connect again when the core says — never, if it
+    /// was refused for good.
+    fn disconnect(&mut self, idx: usize, now: Instant) {
         let slot = &mut self.slots[idx];
         if let Some(token) = slot.token.take() {
             self.reactor.remove(token);
         }
-        if slot.phase == Phase::Running {
+        // Read before the core hears of the loss, which ends the phase.
+        if slot.core.phase() == Phase::Running {
             self.stats.connected.fetch_sub(1, Ordering::SeqCst);
         }
-        slot.phase = next;
         slot.gen += 1; // orphan any armed timer
+        if let Some(delay) = slot.core.lost() {
+            arm(&mut self.timers, slot, idx, now + delay);
+        }
     }
 
-    /// Tear a slot's connection down and climb the backoff ladder.
-    fn disconnect(&mut self, idx: usize) {
-        self.hang_up(idx, Phase::Backoff);
-        self.backoff(idx);
-    }
-
-    /// One wall-clock tick of a connected agent. A running one advances
-    /// its machine and owes a summary when the window closes; every one
-    /// flushes (a chaos-delayed frame, the hello included, moves on the
-    /// flush that finds it due) and reconnects if the link has been
-    /// silent for `link_timeout`, has failed, or has backed up past
-    /// [`MAX_QUEUED_BYTES`].
-    fn tick(&mut self, idx: usize, when: Instant) {
-        let slot = &mut self.slots[idx];
-        let summarize = slot.phase == Phase::Running && {
-            slot.node.tick(self.config.tick_s);
-            slot.ticks += 1;
-            slot.ticks.is_multiple_of(self.config.summary_every)
+    /// One wall-clock tick of a connected agent, due at `when` and
+    /// fired at `now`: ship what the core owes — every tick flushes, so
+    /// a chaos-delayed frame, the hello included, moves on the flush
+    /// that finds it due — and reconnect if the core calls the link
+    /// silent or the shipping found it no good.
+    fn tick(&mut self, idx: usize, when: Instant, now: Instant) {
+        let now_s = self.secs(now);
+        let shipped = match self.slots[idx].core.tick(now_s) {
+            Tick::Silent => false,
+            Tick::Flush => self.ship(idx, None),
+            Tick::Summary(summary) => self.ship(idx, Some(summary)),
         };
-        if self.ship(idx, summarize) {
+        let now = Instant::now();
+        if shipped {
             // Drift-free cadence: schedule off the previous deadline, but
             // never pile further into the past than "now".
-            let next = (when + self.tick_wall).max(Instant::now());
+            let next = (when + self.config.pace).max(now);
             arm(&mut self.timers, &mut self.slots[idx], idx, next);
         } else {
-            self.disconnect(idx);
+            self.disconnect(idx, now);
         }
     }
 
-    /// Send what is due on a slot's link — a summary if asked, whatever is
-    /// queued always; false when the link is no good.
-    fn ship(&mut self, idx: usize, summarize: bool) -> bool {
+    /// Send what is due on a slot's link — a summary if there is one,
+    /// whatever is queued always; false when the link has failed or has
+    /// backed up past [`MAX_QUEUED_BYTES`].
+    fn ship(&mut self, idx: usize, summary: Option<NodeSummary>) -> bool {
         let slot = &mut self.slots[idx];
-        if slot.last_rx.elapsed() > self.config.link_timeout {
-            return false;
-        }
         let Some(token) = slot.token else {
             return false;
         };
         let Some((transport, _)) = self.reactor.get_mut(token) else {
             return false;
         };
-        if summarize {
-            let summary = slot.node.summarize();
+        if let Some(summary) = summary {
             self.power_w += summary.power_w - slot.power_w;
             slot.power_w = summary.power_w;
             self.stats
@@ -504,9 +476,10 @@ impl Fleet {
         true
     }
 
-    /// Drain everything readable on a slot's socket and act on each
-    /// frame's [`verdict`].
-    fn readable(&mut self, idx: usize) {
+    /// Drain everything readable on a slot's socket, hand each frame to
+    /// the core and count what it says happened.
+    fn readable(&mut self, idx: usize, now: Instant) {
+        let now_s = self.secs(now);
         let Some(token) = self.slots[idx].token else {
             return;
         };
@@ -514,22 +487,18 @@ impl Fleet {
             return;
         };
         if matches!(transport.fill(), Ok(FillStatus::Eof) | Err(_)) {
-            return self.disconnect(idx);
+            return self.disconnect(idx, now);
         }
-        let now = Instant::now();
         while let Some((transport, _)) = self.reactor.get_mut(token) {
             let msg = match transport.next_msg() {
                 Ok(Some(msg)) => msg,
                 Ok(None) => return,
                 // Desynchronised downlink: reconnect.
-                Err(_) => return self.disconnect(idx),
+                Err(_) => return self.disconnect(idx, now),
             };
-            let slot = &mut self.slots[idx];
-            slot.last_rx = now;
-            let version = self.config.version;
-            match verdict(slot.phase, &msg, slot.last_epoch, slot.node.id, version) {
-                Verdict::Accept { epoch, codec } => {
-                    slot.last_epoch = epoch;
+            match self.slots[idx].core.frame(&msg, now_s) {
+                Heard::Nothing => {}
+                Heard::Accepted { codec, reconnect } => {
                     transport.set_codec(codec);
                     match codec {
                         WireCodec::Binary => &self.stats.binary_conns,
@@ -537,31 +506,22 @@ impl Fleet {
                     }
                     .fetch_add(1, Ordering::SeqCst);
                     self.stats.last_codec.store(codec.id(), Ordering::SeqCst);
-                    if slot.ever_connected {
+                    if reconnect {
                         self.stats.reconnects.fetch_add(1, Ordering::SeqCst);
                     }
-                    slot.ever_connected = true;
-                    slot.ladder.reset();
-                    slot.phase = Phase::Running;
-                    slot.ticks = 0;
                     self.stats.connected.fetch_add(1, Ordering::SeqCst);
                 }
-                Verdict::Alive { epoch } => slot.last_epoch = epoch,
-                Verdict::Apply(cmd) => {
-                    let _apply = self.config.tracer.span("node.apply");
-                    slot.node.apply(&cmd.freqs);
+                Heard::Applied => {
                     self.stats.ceilings_applied.fetch_add(1, Ordering::SeqCst);
                 }
-                Verdict::Fence => {
+                Heard::Fenced => {
                     self.stats.epochs_fenced.fetch_add(1, Ordering::SeqCst);
-                    return self.disconnect(idx);
+                    return self.disconnect(idx, now);
                 }
-                Verdict::Refused => {
-                    self.hang_up(idx, Phase::Dead);
+                Heard::Refused => {
                     self.stats.version_rejects.fetch_add(1, Ordering::SeqCst);
-                    return;
+                    return self.disconnect(idx, now);
                 }
-                Verdict::Ignore => {}
             }
         }
     }
@@ -627,6 +587,7 @@ mod tests {
         );
         // Default preferences on both sides negotiate the binary path.
         assert_eq!(stats.binary_conns() + stats.json_conns(), n as u64);
+        assert_eq!(stats.negotiated_codec(), Some(WireCodec::Binary));
         let final_stats = fleet.stop();
         let status = server.shutdown().unwrap();
         assert!(status.nodes_reporting > 0);

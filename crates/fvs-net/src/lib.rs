@@ -12,13 +12,15 @@
 //! genuine socket liveness. Each role is one readiness-driven
 //! [`reactor`] thread (epoll via the vendored `netpoll` crate — thread
 //! count is O(1) in connection count): the coordinator's loop serves
-//! every connection, the agent's ([`fleet`]) runs every agent, whether
-//! the thousands of an [`AgentFleet`] or the one of a [`NodeAgent`].
+//! every connection, the agent's ([`fleet`]) runs every agent —
+//! [`AgentFleet::launch`] is the one way an agent runs, for thousands as
+//! for one, a tick taking [`AgentConfig::pace`] of wall time.
 //! Each role's rules are kept apart from its loop, with no socket and
-//! no clock in them: the agent's are [`agent`]'s, the coordinator's —
-//! and all its scheduling and protocol state — are
-//! [`coordinator_core`]'s [`CoordinatorCore`], which the loop drives
-//! and a test or a replay can drive as well.
+//! no clock in them, as a state machine driven by plain calls carrying
+//! `now_s`: the node's are [`agent_core`]'s [`AgentCore`], the
+//! coordinator's — and all its scheduling and protocol state — are
+//! [`coordinator_core`]'s [`CoordinatorCore`]. The loops drive them,
+//! and a test or a replay can drive them as well.
 //! Each connection's codec, chaos and queueing state lives in a
 //! [`transport::Transport`], and no other code writes a control-plane
 //! socket. Built entirely on `std::net` TCP — the vendored, offline
@@ -32,6 +34,7 @@
 #![forbid(unsafe_code)]
 
 pub mod agent;
+pub mod agent_core;
 pub mod args;
 pub mod chaos;
 pub mod coordinator;
@@ -44,9 +47,8 @@ pub mod snapshot;
 pub mod transport;
 pub mod wire;
 
-pub use agent::{
-    AgentConfig, AgentReport, AgentStats, NodeAgent, NodeAgentHandle, ReconnectLadder,
-};
+pub use agent::{AgentConfig, ReconnectLadder};
+pub use agent_core::{AgentCore, Heard, Phase, Tick};
 pub use args::NetArgs;
 pub use chaos::{ChaosSide, ChaosStream, WireChaos, WriteFault};
 pub use coordinator::{CoordinatorConfig, CoordinatorServer, CoordinatorStatus};

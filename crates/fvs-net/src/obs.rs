@@ -26,7 +26,12 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long a client has to send its request head, however it spaces
+/// the bytes. The listener is one thread: a client it waits on keeps
+/// every other scrape waiting.
+const REQUEST_DEADLINE: Duration = Duration::from_millis(300);
 
 /// A point-in-time health summary, served by `/healthz` and rendered as
 /// the coordinator's status line.
@@ -256,14 +261,19 @@ fn serve_loop(listener: TcpListener, handles: ObsHandles, stop: Arc<AtomicBool>)
 }
 
 fn handle_connection(mut stream: TcpStream, handles: &ObsHandles) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
     let _ = stream.set_nodelay(true);
-    // Read until the end of the request head (or the buffer fills —
-    // GETs with no body fit comfortably).
+    // Read until the end of the request head, the buffer fills (GETs
+    // with no body fit comfortably) or the deadline passes, then answer
+    // what has arrived if it holds a request line.
+    let deadline = Instant::now() + REQUEST_DEADLINE;
     let mut head = Vec::with_capacity(1024);
     let mut buf = [0u8; 1024];
     while head.len() < 8192 {
         if head.windows(4).any(|w| w == b"\r\n\r\n") || head.windows(2).any(|w| w == b"\n\n") {
+            break;
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
             break;
         }
         match stream.read(&mut buf) {
@@ -512,6 +522,42 @@ mod tests {
         };
         assert!(done.healthy());
         assert!(done.to_json().contains("\"resync_deadline_s\":null"));
+    }
+
+    /// Bugfix: the read timeout bounded each `read`, not the request,
+    /// so a client sending a byte every 200 ms held the one listener
+    /// thread — and every other scrape — for as long as it liked.
+    #[test]
+    fn a_trickling_client_does_not_hold_the_listener() {
+        let (handles, _, _) = handles();
+        let server = ObsServer::bind("127.0.0.1:0", handles).unwrap();
+        let addr = server.local_addr();
+        let stop = Arc::new(AtomicBool::new(false));
+        let (trickling, started) = std::sync::mpsc::channel();
+        let trickler = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                for byte in b"GET /healthz HTTP/1.0 and it never ends ".iter().cycle() {
+                    // The server dropping us is the fix at work.
+                    if stop.load(Ordering::SeqCst) || stream.write_all(&[*byte]).is_err() {
+                        break;
+                    }
+                    let _ = trickling.send(());
+                    std::thread::sleep(Duration::from_millis(200));
+                }
+            })
+        };
+        // The trickler is connected, so it is accepted first.
+        started.recv().unwrap();
+        let asked = Instant::now();
+        let answer = http_get(addr, "/healthz");
+        let waited = asked.elapsed();
+        stop.store(true, Ordering::SeqCst);
+        trickler.join().unwrap();
+        let (code, _) = answer.expect("a scrape behind a slow client is still answered");
+        assert_eq!(code, 200);
+        assert!(waited < Duration::from_secs(1), "waited {waited:?}");
     }
 
     #[test]

@@ -1,0 +1,292 @@
+//! The node role's rules as tables of calls: no socket, no thread, no
+//! sleep. Every test builds an [`AgentCore`], says what time it is, and
+//! reads what came back.
+
+use fvs_cluster::{ClusterNode, FrequencyCommand};
+use fvs_model::FreqMhz;
+use fvs_net::{
+    AgentConfig, AgentCore, Heard, Phase, Tick, WireCodec, WireMsg, CODEC_ALL, CODEC_JSON_BIT,
+    SCHEMA_VERSION,
+};
+use fvs_sim::MachineBuilder;
+use fvs_workloads::WorkloadSpec;
+use std::time::Duration;
+
+const NODE: usize = 3;
+const FENCE: u64 = 5;
+const V: u32 = SCHEMA_VERSION;
+const LINK_TIMEOUT_S: f64 = 1.0;
+const BACKOFF_BASE: Duration = Duration::from_millis(20);
+
+fn config() -> AgentConfig {
+    AgentConfig::default_lan()
+        .with_summary_every(3)
+        .with_link_timeout(Duration::from_secs_f64(LINK_TIMEOUT_S))
+        .with_backoff(BACKOFF_BASE, Duration::from_millis(640))
+}
+
+fn fresh() -> AgentCore {
+    let mut b = MachineBuilder::p630();
+    for core in 0..4 {
+        b = b.workload(core, WorkloadSpec::synthetic(100.0, 1.0e18));
+    }
+    AgentCore::new(ClusterNode::new(NODE, b.build(), None), &config())
+}
+
+fn ack(accepted: bool, version: u32, epoch: u64, codec: u8) -> WireMsg {
+    WireMsg::HelloAck {
+        accepted,
+        version,
+        epoch,
+        codec,
+    }
+}
+
+fn current_ack() -> WireMsg {
+    ack(true, V, FENCE, WireCodec::Binary.id())
+}
+
+fn ceiling(node: usize) -> WireMsg {
+    let freqs = vec![FreqMhz(600); 4];
+    WireMsg::Ceiling(FrequencyCommand { node, freqs })
+}
+
+fn accepted(codec: WireCodec, reconnect: bool) -> Heard {
+    Heard::Accepted { codec, reconnect }
+}
+
+/// Node 3, speaking the current schema, in `phase` on a link opened at
+/// t = 0, fenced at epoch 5.
+fn at(phase: Phase) -> AgentCore {
+    let mut core = fresh();
+    core.connected(0.0);
+    assert_eq!(
+        core.frame(&current_ack(), 0.0),
+        accepted(WireCodec::Binary, false)
+    );
+    if phase == Phase::Handshaking {
+        core.lost();
+        core.connected(0.0);
+    }
+    assert_eq!(core.phase(), phase);
+    core
+}
+
+/// The fence, as the agent's next hello would state it.
+fn fence(core: &mut AgentCore) -> u64 {
+    match core.connected(0.0) {
+        WireMsg::Hello { last_epoch, .. } => last_epoch,
+        other => panic!("connected() returns a hello, not {other:?}"),
+    }
+}
+
+fn requested(core: &AgentCore) -> Vec<FreqMhz> {
+    let machine = core.node().machine();
+    (0..machine.num_cores())
+        .map(|i| machine.core(i).requested_frequency())
+        .collect()
+}
+
+#[test]
+fn what_a_frame_means() {
+    use Heard::{Applied, Fenced, Nothing, Refused};
+    use Phase::{Handshaking, Running};
+    let bin = WireCodec::Binary.id();
+    let beat = |epoch| WireMsg::Heartbeat { epoch };
+    let rows = [
+        // Acks: the current coordinator, one naming a codec this build
+        // has never heard of, a stale one (or an old build at epoch 0).
+        (
+            Handshaking,
+            current_ack(),
+            accepted(WireCodec::Binary, true),
+        ),
+        (
+            Handshaking,
+            ack(true, V, 6, 99),
+            accepted(WireCodec::Json, true),
+        ),
+        (Handshaking, ack(true, V, 4, bin), Fenced),
+        // Refusals: a stale coordinator speaking our schema is fenced
+        // and retried; a current one, or any other schema, is final.
+        (Handshaking, ack(false, V, 4, 1), Fenced),
+        (Handshaking, ack(false, V, 5, 1), Refused),
+        (Handshaking, ack(false, V + 1, 0, 1), Refused),
+        // Heartbeats fence mid-connection too.
+        (Running, beat(4), Fenced),
+        (Running, beat(6), Nothing),
+        // Ceilings: ours while running, nobody else's, never before the ack.
+        (Running, ceiling(NODE), Applied),
+        (Running, ceiling(2), Nothing),
+        (Handshaking, ceiling(NODE), Nothing),
+        // An ack while running is noise, even a stale one; so is a frame
+        // only a coordinator should ever see.
+        (Running, ack(true, V, 4, bin), Nothing),
+        (Running, WireMsg::Bye { node: NODE }, Nothing),
+    ];
+    for (phase, msg, heard) in rows {
+        let mut core = at(phase);
+        let before = requested(&core);
+        assert_eq!(core.frame(&msg, 0.0), heard, "{phase:?} hears {msg:?}");
+        // What it did beside answering: only an accepted ack starts the
+        // agent running, only a refusal kills it, only its own ceiling
+        // reaches the machine.
+        let phase_after = match heard {
+            Heard::Accepted { .. } => Running,
+            Refused => Phase::Dead,
+            _ => phase,
+        };
+        assert_eq!(core.phase(), phase_after, "{phase:?} after {msg:?}");
+        let after = match heard {
+            Applied => vec![FreqMhz(600); 4],
+            _ => before,
+        };
+        assert_eq!(requested(&core), after, "{phase:?} after {msg:?}");
+    }
+}
+
+#[test]
+fn the_fence_follows_the_newest_epoch_acknowledged() {
+    assert_eq!(fence(&mut fresh()), 0);
+    assert_eq!(fence(&mut at(Phase::Running)), FENCE);
+    // An accepted ack and a heartbeat move it up; nothing moves it down.
+    let mut core = at(Phase::Handshaking);
+    core.frame(&ack(true, V, 6, 0), 0.0);
+    assert_eq!(fence(&mut core), 6);
+    let mut core = at(Phase::Running);
+    assert_eq!(
+        core.frame(&WireMsg::Heartbeat { epoch: 7 }, 0.0),
+        Heard::Nothing
+    );
+    assert_eq!(
+        core.frame(&WireMsg::Heartbeat { epoch: 6 }, 0.0),
+        Heard::Fenced
+    );
+    assert_eq!(fence(&mut core), 7);
+    // A fenced or refusing sender teaches the agent nothing.
+    let mut core = at(Phase::Handshaking);
+    core.frame(&ack(false, V + 1, 9, 0), 0.0);
+    assert_eq!(fence(&mut core), FENCE);
+}
+
+#[test]
+fn the_hello_states_the_node_the_schema_the_fence_and_the_codecs() {
+    for (prefer, codecs) in [
+        (WireCodec::Json, CODEC_JSON_BIT),
+        (WireCodec::Binary, CODEC_ALL),
+    ] {
+        let machine = MachineBuilder::p630().build();
+        let config = config().with_codec(prefer).with_version(V + 2);
+        let mut core = AgentCore::new(ClusterNode::new(NODE, machine, None), &config);
+        assert_eq!(core.phase(), Phase::Backoff);
+        let hello = WireMsg::Hello {
+            node: NODE,
+            procs: 4,
+            version: V + 2,
+            last_epoch: 0,
+            codecs,
+        };
+        assert_eq!(core.connected(0.0), hello);
+        assert_eq!(core.phase(), Phase::Handshaking);
+    }
+}
+
+#[test]
+fn a_hello_waits_for_its_ack_no_longer_than_link_timeout() {
+    let mut core = fresh();
+    core.connected(10.0);
+    assert_eq!(core.tick(10.5), Tick::Flush);
+    assert_eq!(core.tick(10.0 + LINK_TIMEOUT_S), Tick::Flush);
+    assert_eq!(core.tick(10.0 + LINK_TIMEOUT_S + 0.001), Tick::Silent);
+    // The caller drops the link, and the core names the wait.
+    assert_eq!(core.phase(), Phase::Handshaking);
+    let delay = core.lost().expect("silence is not a refusal");
+    assert!(delay >= BACKOFF_BASE / 2 && delay <= BACKOFF_BASE);
+    assert_eq!(core.phase(), Phase::Backoff);
+}
+
+#[test]
+fn any_decoded_frame_refreshes_the_link_and_silence_does_not() {
+    let mut core = at(Phase::Running);
+    assert_ne!(core.tick(0.9), Tick::Silent);
+    // A ceiling for somebody else still proves the coordinator is there.
+    assert_eq!(core.frame(&ceiling(2), 0.9), Heard::Nothing);
+    assert_ne!(core.tick(1.8), Tick::Silent);
+    // Ticking proves nothing. The machine advances on the tick that
+    // finds the link silent all the same: it is mute, not stopped.
+    let before_s = core.node().machine().now_s();
+    assert_eq!(core.tick(1.95), Tick::Silent);
+    assert!(core.node().machine().now_s() > before_s);
+}
+
+#[test]
+fn a_summary_every_nth_running_tick_and_none_while_handshaking() {
+    let mut core = fresh();
+    core.connected(0.0);
+    for tick in 1..=6 {
+        assert_eq!(core.tick(tick as f64 * 0.01), Tick::Flush);
+    }
+    assert_eq!(core.node().machine().now_s(), 0.0, "no ack, no measurement");
+
+    core.frame(&current_ack(), 0.06);
+    let mut closed = Vec::new();
+    for tick in 1..=7 {
+        match core.tick(0.06 + tick as f64 * 0.01) {
+            Tick::Summary(summary) => {
+                assert_eq!(summary.node, NODE);
+                assert_eq!(summary.sent_at_s, core.node().machine().now_s());
+                closed.push(tick);
+            }
+            other => assert_eq!(other, Tick::Flush),
+        }
+    }
+    assert_eq!(closed, [3, 6], "summary_every = 3");
+
+    // A new connection opens a new window: the seventh tick above is
+    // not carried over.
+    core.lost();
+    core.connected(0.2);
+    core.frame(&current_ack(), 0.2);
+    assert_eq!(core.tick(0.21), Tick::Flush);
+    assert_eq!(core.tick(0.22), Tick::Flush);
+    assert!(matches!(core.tick(0.23), Tick::Summary(_)));
+}
+
+#[test]
+fn reconnect_is_false_on_the_first_accepted_handshake_and_true_after() {
+    let mut core = fresh();
+    // A handshake that was never accepted is not a first connection.
+    core.connected(0.0);
+    core.lost();
+    core.connected(0.0);
+    assert_eq!(
+        core.frame(&ack(true, V, 0, 0), 0.0),
+        accepted(WireCodec::Json, false)
+    );
+    // The ladder climbs while connects fail ...
+    let delays: Vec<Duration> = (0..4).map(|_| core.lost().unwrap()).collect();
+    assert!(delays[3] >= BACKOFF_BASE * 4, "{delays:?}");
+    // ... and an accepted handshake takes it back to the bottom rung.
+    core.connected(1.0);
+    assert_eq!(
+        core.frame(&ack(true, V, 0, 0), 1.0),
+        accepted(WireCodec::Json, true)
+    );
+    assert!(core.lost().unwrap() <= BACKOFF_BASE);
+    core.connected(2.0);
+    assert_eq!(
+        core.frame(&current_ack(), 2.0),
+        accepted(WireCodec::Binary, true)
+    );
+}
+
+#[test]
+fn a_refused_agent_stays_dead_through_lost() {
+    let mut core = at(Phase::Handshaking);
+    assert_eq!(core.frame(&ack(false, V + 1, 0, 0), 0.0), Heard::Refused);
+    assert_eq!(core.phase(), Phase::Dead);
+    // The caller drops the link; there is no rung to wait out.
+    assert_eq!(core.lost(), None);
+    assert_eq!(core.lost(), None);
+    assert_eq!(core.phase(), Phase::Dead);
+}

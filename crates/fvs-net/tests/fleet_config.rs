@@ -1,9 +1,9 @@
-//! A config no agent loop can run on is refused by both entry points,
-//! `AgentFleet::launch` and `NodeAgent::spawn`, before anything is
-//! spawned. One test in a process of its own, so that "no fleet thread
-//! exists" can be read off `/proc` without other tests' fleets in view.
+//! A config no agent loop can run on is refused by the one entry point,
+//! `AgentFleet::launch`, before anything is spawned. One test in a
+//! process of its own, so that "no fleet thread exists" can be read off
+//! `/proc` without other tests' fleets in view.
 
-use fvs_net::{AgentConfig, AgentFleet, FvsError, NodeAgent};
+use fvs_net::{AgentConfig, AgentFleet, FvsError};
 use fvs_sim::MachineBuilder;
 use std::time::Duration;
 
@@ -39,17 +39,11 @@ fn a_bad_config_is_a_config_error_and_spawns_nothing() {
         ),
     ];
     for (what, config) in bad {
-        let launched = AgentFleet::launch(vec![node(0)], addr, config.clone(), Duration::ZERO);
+        let launched = AgentFleet::launch(vec![node(0)], addr, config, Duration::ZERO);
         assert!(
             matches!(launched.as_ref().err(), Some(FvsError::Config(_))),
             "launch with {what}: {:?}",
             launched.err()
-        );
-        let spawned = NodeAgent::spawn(node(0), addr, config);
-        assert!(
-            matches!(spawned.as_ref().err(), Some(FvsError::Config(_))),
-            "spawn with {what}: {:?}",
-            spawned.err()
         );
     }
     assert_eq!(fleet_threads(), 0, "a refused config left a loop running");

@@ -7,7 +7,7 @@ use fvs_cluster::NodeSummary;
 use fvs_model::{CpiModel, FreqMhz};
 use fvs_net::wire::{encode, encode_binary};
 use fvs_net::{
-    AgentConfig, CoordinatorConfig, CoordinatorServer, NodeAgent, WireMsg, CODEC_ALL,
+    AgentConfig, AgentFleet, CoordinatorConfig, CoordinatorServer, FleetHandle, WireMsg, CODEC_ALL,
     SCHEMA_VERSION,
 };
 use fvs_sched::FvsstAlgorithm;
@@ -25,6 +25,11 @@ fn cpu_bound_node(id: usize) -> fvs_cluster::ClusterNode {
         b = b.workload(core, WorkloadSpec::synthetic(0.0, 1.0e18));
     }
     fvs_cluster::ClusterNode::new(id, b.build(), None)
+}
+
+/// A fleet of one: node 0 against `addr`.
+fn launch(addr: &str, config: AgentConfig) -> FleetHandle {
+    AgentFleet::launch(vec![cpu_bound_node(0)], addr, config, Duration::ZERO).unwrap()
 }
 
 fn fast_agent() -> AgentConfig {
@@ -48,7 +53,7 @@ fn agent_reports_and_receives_ceilings() {
     )
     .unwrap();
     let addr = server.local_addr().to_string();
-    let agent = NodeAgent::spawn(cpu_bound_node(0), addr, fast_agent()).unwrap();
+    let agent = launch(&addr, fast_agent());
 
     let deadline = Instant::now() + Duration::from_secs(5);
     while Instant::now() < deadline {
@@ -62,13 +67,13 @@ fn agent_reports_and_receives_ceilings() {
     assert_eq!(st.nodes_reporting, 1, "agent never reported: {st:?}");
     assert_eq!(st.dead_nodes, 0);
 
-    let report = agent.stop();
-    assert!(report.summaries_sent > 0);
+    let stats = agent.stop();
+    assert!(stats.summaries_sent() > 0);
     assert!(
-        report.ceilings_applied > 0,
-        "no ceiling ever arrived: {report:?}"
+        stats.ceilings_applied() > 0,
+        "no ceiling ever arrived: {stats:?}"
     );
-    assert!(!report.version_rejected);
+    assert_eq!(stats.version_rejects(), 0);
     server.shutdown().unwrap();
 }
 
@@ -82,21 +87,16 @@ fn wrong_schema_version_is_refused_not_retried() {
     )
     .unwrap();
     let addr = server.local_addr().to_string();
-    let agent = NodeAgent::spawn(
-        cpu_bound_node(0),
-        addr,
-        fast_agent().with_version(SCHEMA_VERSION + 1),
-    )
-    .unwrap();
+    let agent = launch(&addr, fast_agent().with_version(SCHEMA_VERSION + 1));
     // The refusal is permanent, so the agent exits on its own.
     let deadline = Instant::now() + Duration::from_secs(5);
     while !agent.is_finished() && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert!(agent.is_finished(), "refused agent should self-terminate");
-    let report = agent.stop();
-    assert!(report.version_rejected);
-    assert_eq!(report.summaries_sent, 0);
+    let stats = agent.stop();
+    assert_eq!(stats.version_rejects(), 1);
+    assert_eq!(stats.summaries_sent(), 0);
     let st = server.shutdown().unwrap();
     assert_eq!(st.nodes_reporting, 0);
 }
@@ -109,7 +109,7 @@ fn agent_survives_a_coordinator_restart() {
     let server =
         CoordinatorServer::bind("127.0.0.1:0", 1, FvsstAlgorithm::p630(), config.clone()).unwrap();
     let addr = server.local_addr().to_string();
-    let agent = NodeAgent::spawn(cpu_bound_node(0), addr.clone(), fast_agent()).unwrap();
+    let agent = launch(&addr, fast_agent());
 
     let deadline = Instant::now() + Duration::from_secs(5);
     while server.status().nodes_reporting < 1 && Instant::now() < deadline {
@@ -130,8 +130,8 @@ fn agent_survives_a_coordinator_restart() {
         1,
         "agent never reconnected"
     );
-    let report = agent.stop();
-    assert!(report.reconnects >= 1, "ladder never climbed: {report:?}");
+    let stats = agent.stop();
+    assert!(stats.reconnects() >= 1, "ladder never climbed: {stats:?}");
     server.shutdown().unwrap();
 }
 

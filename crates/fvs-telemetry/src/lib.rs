@@ -8,15 +8,14 @@
 //! - [`metrics`] — a lock-light registry of named counters, gauges and
 //!   fixed-bucket histograms. Updates are plain atomics (no locks, no
 //!   allocation); registration and snapshotting take a mutex on the
-//!   cold path only. A process-wide handle lives at
-//!   [`MetricsRegistry::global`], and per-scheduler scoped views come
-//!   from [`MetricsRegistry::scoped`].
+//!   cold path only. Per-scheduler scoped views come from
+//!   [`MetricsRegistry::scoped`].
 //! - [`event`] + [`sink`] — the structured [`SchedEvent`] journal: every
 //!   scheduling round records its trigger, pass-1 ε choices, each pass-2
 //!   demotion (processor, frequency step, predicted loss, power delta),
 //!   the cache outcome, budget headroom and wall time, through a
-//!   [`Telemetry`] handle feeding one of three sinks (preallocated
-//!   in-memory ring, JSONL file, human-readable summary). The disabled
+//!   [`Telemetry`] handle feeding one of two sinks (preallocated
+//!   in-memory ring, JSONL file) or a fan-out over several. The disabled
 //!   handle costs one branch per emit and allocates nothing — the
 //!   counting-allocator proofs in `fvs-sched` run against both the
 //!   disabled handle and an enabled preallocated ring.

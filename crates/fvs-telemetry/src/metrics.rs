@@ -7,7 +7,7 @@
 //! and updates lock-free.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -289,12 +289,6 @@ impl MetricsRegistry {
     /// A fresh, empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The process-wide registry.
-    pub fn global() -> &'static MetricsRegistry {
-        static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(MetricsRegistry::new)
     }
 
     /// A view that prefixes every registered name with `prefix.`.

@@ -10,8 +10,8 @@
 //!   overwritten (and counted as dropped).
 //! - **Jsonl**: buffered line-per-event JSON to a file, formatting into
 //!   a reused `String`.
-//! - **Summary**: per-kind counts and round aggregates, rendered as a
-//!   short human-readable report.
+//!
+//! A **fanout** handle tees every event to several such handles.
 
 use crate::event::SchedEvent;
 use crate::metrics::MetricsRegistry;
@@ -59,99 +59,6 @@ impl Ring {
     }
 }
 
-/// Running aggregates of the summary sink.
-#[derive(Debug, Default, Clone)]
-struct SummaryState {
-    rounds: u64,
-    demotions: u64,
-    full_hits: u64,
-    budget_drops: u64,
-    compliances: u64,
-    violations: u64,
-    clamps: u64,
-    max_wall_ns: u64,
-    total_wall_ns: u64,
-    last_headroom_w: f64,
-    infeasible_rounds: u64,
-    faults_injected: u64,
-    quarantined: u64,
-    actuation_retries: u64,
-    nodes_declared_dead: u64,
-    failsafe_pins: u64,
-}
-
-impl SummaryState {
-    fn record(&mut self, ev: &SchedEvent) {
-        match *ev {
-            SchedEvent::RoundEnd {
-                feasible,
-                demotions,
-                headroom_w,
-                wall_ns,
-                ..
-            } => {
-                self.rounds += 1;
-                self.demotions += u64::from(demotions);
-                self.max_wall_ns = self.max_wall_ns.max(wall_ns);
-                self.total_wall_ns += wall_ns;
-                self.last_headroom_w = headroom_w;
-                if !feasible {
-                    self.infeasible_rounds += 1;
-                }
-            }
-            SchedEvent::CacheOutcome { full_hit: true, .. } => self.full_hits += 1,
-            SchedEvent::BudgetDrop { .. } => self.budget_drops += 1,
-            SchedEvent::BudgetCompliance { .. } => self.compliances += 1,
-            SchedEvent::BudgetViolation { .. } => self.violations += 1,
-            SchedEvent::FeedbackClamp { .. } => self.clamps += 1,
-            SchedEvent::FaultInjected { .. } => self.faults_injected += 1,
-            SchedEvent::SampleQuarantined { .. } => self.quarantined += 1,
-            SchedEvent::ActuationRetry { .. } => self.actuation_retries += 1,
-            SchedEvent::NodeDeclaredDead { .. } => self.nodes_declared_dead += 1,
-            SchedEvent::FailsafePin { .. } => self.failsafe_pins += 1,
-            _ => {}
-        }
-    }
-
-    fn render(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = writeln!(s, "telemetry summary:");
-        let _ = writeln!(
-            s,
-            "  rounds: {} ({} full cache hits, {} infeasible)",
-            self.rounds, self.full_hits, self.infeasible_rounds
-        );
-        let _ = writeln!(s, "  demotions: {}", self.demotions);
-        let avg_ns = self.total_wall_ns.checked_div(self.rounds).unwrap_or(0);
-        let _ = writeln!(
-            s,
-            "  round wall time: avg {avg_ns} ns, max {} ns",
-            self.max_wall_ns
-        );
-        let _ = writeln!(
-            s,
-            "  budget: {} drops, {} compliances, {} violations, last headroom {:.1} W",
-            self.budget_drops, self.compliances, self.violations, self.last_headroom_w
-        );
-        let _ = writeln!(s, "  feedback clamps: {}", self.clamps);
-        if self.faults_injected + self.quarantined + self.actuation_retries + self.failsafe_pins > 0
-            || self.nodes_declared_dead > 0
-        {
-            let _ = writeln!(
-                s,
-                "  faults: {} injected, {} quarantined, {} retries, {} failsafe pins, {} dead nodes",
-                self.faults_injected,
-                self.quarantined,
-                self.actuation_retries,
-                self.failsafe_pins,
-                self.nodes_declared_dead
-            );
-        }
-        s
-    }
-}
-
 #[derive(Debug)]
 enum Sink {
     Memory(Ring),
@@ -159,7 +66,6 @@ enum Sink {
         out: BufWriter<File>,
         line: String,
     },
-    Summary(SummaryState),
     /// Tee: forward every event to each child handle (events are
     /// `Copy`). Lets one pipeline feed e.g. a JSONL file for offline
     /// analysis *and* a memory ring the `/journal` endpoint tails.
@@ -221,17 +127,10 @@ impl Telemetry {
         }))
     }
 
-    /// Human-readable aggregate summary (render with
-    /// [`summary_text`](Telemetry::summary_text)).
-    pub fn summary() -> Self {
-        Self::with_sink(Sink::Summary(SummaryState::default()))
-    }
-
     /// Tee every event to each of `children` (disabled children are
     /// skipped for free; events are `Copy`). The fanout handle carries
-    /// its own metrics registry; [`events`](Telemetry::events) and
-    /// [`summary_text`](Telemetry::summary_text) delegate to the first
-    /// child that can answer.
+    /// its own metrics registry; [`events`](Telemetry::events)
+    /// delegates to the first child that can answer.
     pub fn fanout(children: Vec<Telemetry>) -> Self {
         Self::with_sink(Sink::Fanout(children))
     }
@@ -267,7 +166,6 @@ impl Telemetry {
                     inner.dropped.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            Sink::Summary(state) => state.record(&ev),
             Sink::Fanout(children) => {
                 for child in children.iter() {
                     child.emit(ev);
@@ -306,18 +204,6 @@ impl Telemetry {
                 _ => Vec::new(),
             },
             None => Vec::new(),
-        }
-    }
-
-    /// The rendered summary (summary sink only).
-    pub fn summary_text(&self) -> Option<String> {
-        match &self.inner {
-            Some(inner) => match &*inner.sink.lock().expect("telemetry sink poisoned") {
-                Sink::Summary(state) => Some(state.render()),
-                Sink::Fanout(children) => children.iter().find_map(|c| c.summary_text()),
-                _ => None,
-            },
-            None => None,
         }
     }
 
@@ -409,31 +295,16 @@ mod tests {
     }
 
     #[test]
-    fn summary_sink_aggregates() {
-        let t = Telemetry::summary();
-        t.emit(round_end(0));
-        t.emit(round_end(1));
-        t.emit(SchedEvent::BudgetViolation {
-            t_s: 1.0,
-            deadline_s: 0.5,
-        });
-        let text = t.summary_text().unwrap();
-        assert!(text.contains("rounds: 2"), "{text}");
-        assert!(text.contains("1 violations"), "{text}");
-    }
-
-    #[test]
     fn fanout_tees_to_every_child() {
         let ring = Telemetry::memory(8);
-        let summary = Telemetry::summary();
-        let t = Telemetry::fanout(vec![ring.clone(), summary.clone(), Telemetry::disabled()]);
+        let small = Telemetry::memory(1);
+        let t = Telemetry::fanout(vec![Telemetry::disabled(), ring.clone(), small.clone()]);
         t.emit(round_end(0));
         t.emit(round_end(1));
         assert_eq!(ring.events().len(), 2);
-        assert!(summary.summary_text().unwrap().contains("rounds: 2"));
+        assert_eq!((small.events().len(), small.events_dropped()), (1, 1));
         // The fanout handle answers through its children.
         assert_eq!(t.events().len(), 2);
-        assert!(t.summary_text().unwrap().contains("rounds: 2"));
         t.flush().unwrap();
     }
 

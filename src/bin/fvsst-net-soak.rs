@@ -235,6 +235,8 @@ fn run_fleet_child(args: Args) -> Result<(), FvsError> {
         connect.as_str(),
         AgentConfig::default_lan()
             .with_tick_s(args.tick_s)
+            // Real time: a tick takes as long on the wall as it simulates.
+            .with_pace(Duration::from_secs_f64(args.tick_s))
             .with_summary_every(args.summary_every)
             .with_jitter_seed(args.seed)
             .with_codec(args.net.codec)

@@ -221,19 +221,23 @@ fn run(args: Args) -> Result<(), FvsError> {
     let chaos = args
         .net
         .wire_chaos((args.node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))?;
-    let config = AgentConfig::default_lan()
+    let mut config = AgentConfig::default_lan()
         .with_tick_s(args.tick_s)
         .with_summary_every(args.summary_every)
-        .with_timed(args.timed)
         .with_jitter_seed(args.net.chaos_seed)
         .with_codec(args.net.codec)
         .with_chaos(chaos)
         .with_tracer(tracer.clone());
+    if args.timed {
+        // Real time: a tick takes as long on the wall as it simulates.
+        config.pace = Duration::from_secs_f64(args.tick_s);
+    }
     println!(
         "fvsst-node {} ({} workload) -> {}",
         args.node, args.workload, args.connect
     );
-    let agent = NodeAgent::spawn(node, args.connect.clone(), config)?;
+    // A fleet of one.
+    let agent = AgentFleet::launch(vec![node], args.connect.as_str(), config, Duration::ZERO)?;
 
     let start = Instant::now();
     let obs = match &args.net.obs_addr {
@@ -249,7 +253,7 @@ fn run(args: Args) -> Result<(), FvsError> {
                     journal: Telemetry::disabled(),
                     tracer,
                     health: Some(std::sync::Arc::new(move || {
-                        let connected = stats.connected();
+                        let connected = stats.connected() > 0;
                         HealthReport {
                             uptime_s: start.elapsed().as_secs_f64(),
                             rounds: stats.summaries_sent(),
@@ -284,18 +288,18 @@ fn run(args: Args) -> Result<(), FvsError> {
         std::thread::sleep(Duration::from_millis(20));
     }
     drop(obs);
-    let report = agent.stop();
+    let stats = agent.stop();
     println!(
         "node {}: {} summaries, {} ceilings applied, {} reconnects, {} epoch fences, \
          final power {:.1} W",
-        report.node,
-        report.summaries_sent,
-        report.ceilings_applied,
-        report.reconnects,
-        report.epochs_fenced,
-        report.final_power_w
+        args.node,
+        stats.summaries_sent(),
+        stats.ceilings_applied(),
+        stats.reconnects(),
+        stats.epochs_fenced(),
+        stats.power_w()
     );
-    if report.version_rejected {
+    if stats.version_rejects() > 0 {
         return Err(FvsError::wire(
             "coordinator refused our schema version".to_string(),
         ));

@@ -81,11 +81,10 @@ pub mod prelude {
     };
     pub use fvs_net::netpoll::{raise_nofile_limit, Poller};
     pub use fvs_net::{
-        http_get, AgentConfig, AgentFleet, AgentStats, ChaosStream, CoordinatorConfig,
-        CoordinatorServer, CoordinatorStatus, FillStatus, FleetHandle, FleetStats, FvsError,
-        HealthReport, NetArgs, NodeAgent, NodeAgentHandle, ObsHandles, ObsServer, Reactor,
-        ReconnectLadder, Snapshot, SnapshotStore, Transport, WireChaos, WireCodec, WireMsg,
-        LISTENER_TOKEN, SCHEMA_VERSION,
+        http_get, AgentConfig, AgentFleet, ChaosStream, CoordinatorConfig, CoordinatorServer,
+        CoordinatorStatus, FillStatus, FleetHandle, FleetStats, FvsError, HealthReport, NetArgs,
+        ObsHandles, ObsServer, Reactor, ReconnectLadder, Snapshot, SnapshotStore, Transport,
+        WireChaos, WireCodec, WireMsg, LISTENER_TOKEN, SCHEMA_VERSION,
     };
     pub use fvs_power::{
         BudgetEvent, BudgetSchedule, EnergyMeter, FreqPowerTable, PowerSupply, SupplyBank,

@@ -117,9 +117,12 @@ fn coordinator_crash_resume_and_epoch_fencing_under_wire_chaos() {
     assert_eq!(server_a.epoch(), 1, "cold start serves epoch 1");
     let addr = server_a.local_addr().to_string();
 
-    let agents: Vec<NodeAgentHandle> = (0..NODES)
+    // Fleets of one: each agent has its own chaos plan and counters.
+    let agents: Vec<FleetHandle> = (0..NODES)
         .map(|id| {
-            NodeAgent::spawn(cpu_bound_node(id), addr.clone(), chaotic_agent(id)).expect("spawn")
+            let node = vec![cpu_bound_node(id)];
+            AgentFleet::launch(node, addr.as_str(), chaotic_agent(id), Duration::ZERO)
+                .expect("launch")
         })
         .collect();
 
@@ -273,14 +276,18 @@ fn coordinator_crash_resume_and_epoch_fencing_under_wire_chaos() {
     );
 
     for agent in agents {
-        let report = agent.stop();
-        assert!(report.summaries_sent > 0);
+        let stats = agent.stop();
+        assert!(stats.summaries_sent() > 0);
         assert!(
-            report.reconnects > 0,
+            stats.reconnects() > 0,
             "agent rode out two coordinator deaths"
         );
-        assert!(report.epochs_fenced > 0, "agent must have refused epoch 1");
-        assert!(!report.version_rejected, "fencing is not a version refusal");
+        assert!(stats.epochs_fenced() > 0, "agent must have refused epoch 1");
+        assert_eq!(
+            stats.version_rejects(),
+            0,
+            "fencing is not a version refusal"
+        );
     }
     let _ = server_c.shutdown().expect("shutdown c");
 
