@@ -5,9 +5,8 @@
 //! pass 2 (flat loss rows, bucketed demotion queue, `O(n + d)` plus the
 //! in-bucket sorts) against the naive full-rescan loop (`O(d·n)`),
 //! under a demotion-heavy
-//! budget drop where pass 2 dominates. Run
-//! `cargo run -p fvs-bench --bin collect_bench` afterwards to gather the
-//! medians into `BENCH_scheduler.json`.
+//! budget drop where pass 2 dominates: read the two groups' medians at
+//! the same size side by side in criterion's output.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fvs_cluster::{ClusterConfig, ClusterSim};
@@ -81,7 +80,7 @@ fn bench_schedule_cached(c: &mut Criterion) {
     // budget every round, so after warm-up each call is a full hit that
     // returns the previous decision without rebuilding anything. Uses
     // the same mix and budget as `schedule_two_pass`, so the ratio of
-    // the two medians is the cache-hit speedup collect_bench reports.
+    // the two medians at one size is the cache-hit speedup.
     let alg = FvsstAlgorithm::p630();
     let mut g = c.benchmark_group("schedule_cached_steady");
     for n_procs in [4usize, 16, 64, 256, 1024] {

@@ -3,11 +3,9 @@
 //! (`MachineBuilder::reference_stepping`), at machine sizes from one
 //! p630 to a 1024-core rack aggregate.
 //!
-//! This is the tentpole measurement for `sim_core_ticks_per_sec` in
-//! `BENCH_scheduler.json`: the batched pass must clear >=10x the
-//! reference throughput at 1024 cores. Run
-//! `cargo run -p fvs-bench --bin collect_bench` afterwards to harvest
-//! the medians.
+//! Read `sim_tick_batched/<cores>` against `sim_tick_scalar/<cores>`
+//! in criterion's output: the batched pass should clear 10x the
+//! scalar stepper's core-ticks per second at 1024 cores.
 //!
 //! Both sides run the identical workload mix (looping synthetic bodies
 //! across five intensities, huge budgets so nothing finishes) and the

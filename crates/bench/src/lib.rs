@@ -1,14 +1,7 @@
-//! Shared helpers for the Criterion benchmark suite.
-//!
-//! The benches wrap the `fvs-harness` experiments (one bench group per
-//! paper table/figure — run them to regenerate every result) plus
-//! micro-benchmarks of the scheduler hot path. All experiment benches
-//! run in the harness's fast mode so `cargo bench` completes in minutes;
-//! use `fvsst-exp <id>` for full-fidelity numbers.
-
-use fvs_harness::runs::RunSettings;
-
-/// The settings every experiment bench uses.
-pub fn bench_settings() -> RunSettings {
-    RunSettings::fast()
-}
+//! The package's library target is empty: `fvs-bench` is its four
+//! Criterion benches (`benches/`), the micro-benchmarks a developer
+//! iterates on — `scheduler_micro`, `sim_tick`, `hierarchy` and
+//! `net_read_path`. Each prints its medians and leaves them under
+//! `target/criterion/<group>/<id>/estimates.json`. Numbers of record
+//! come from the repo benchmark (`BENCHMARK.json`); a paper table is
+//! regenerated with `fvsst-exp <id>`.

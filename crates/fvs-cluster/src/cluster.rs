@@ -74,12 +74,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Swap in a different scheduling algorithm.
-    pub fn with_algorithm(mut self, algorithm: FvsstAlgorithm) -> Self {
-        self.algorithm = algorithm;
-        self
-    }
-
     /// Set the global budget schedule.
     pub fn with_budget(mut self, budget: BudgetSchedule) -> Self {
         self.budget = budget;

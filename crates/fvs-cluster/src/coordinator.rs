@@ -593,28 +593,21 @@ impl GlobalCoordinator {
         if node >= self.latest.len() {
             return;
         }
-        if let Some(s) = &r.summary {
+        // A corrupt summary is dropped and the flags and ceiling kept: the
+        // node degrades to worst-case charging. `-∞` is a legal timestamp
+        // (what an infinite heartbeat timeout rebases to); NaN or `+∞`
+        // would outrank every later summary and pin the node for good.
+        let corrupt = r.summary.as_ref().is_some_and(|s| {
             let n_procs = s.models.len();
-            if s.node != node
+            s.node != node
                 || s.idle.len() != n_procs
                 || s.current.len() != n_procs
                 || !s.power_w.is_finite()
                 || s.power_w < 0.0
-            {
-                // Keep the flags/ceiling but drop the corrupt summary:
-                // the node degrades to worst-case charging.
-                self.commanded_w[node] = if r.commanded_w.is_finite() && r.commanded_w >= 0.0 {
-                    r.commanded_w
-                } else {
-                    0.0
-                };
-                self.dead[node] = r.dead;
-                self.shape[node] = r.shape;
-                self.latest[node] = None;
-                return;
-            }
-        }
-        self.latest[node] = r.summary;
+                || s.sent_at_s.is_nan()
+                || s.sent_at_s == f64::INFINITY
+        });
+        self.latest[node] = if corrupt { None } else { r.summary };
         self.commanded_w[node] = if r.commanded_w.is_finite() && r.commanded_w >= 0.0 {
             r.commanded_w
         } else {
@@ -816,19 +809,26 @@ mod tests {
                 shape: None,
             },
         );
-        let mut bad = summary(0, 0.0, &[0.0]);
-        bad.power_w = f64::NAN;
-        b.restore_node(
-            0,
-            NodeRestore {
-                summary: Some(bad),
-                commanded_w: f64::NAN,
-                dead: true,
-                shape: Some(1),
-            },
-        );
-        assert!(b.latest_summary(0).is_none(), "corrupt summary dropped");
-        assert_eq!(b.export_node(0).unwrap().commanded_w, 0.0);
+        let mut bad_power = summary(0, 0.0, &[0.0]);
+        bad_power.power_w = f64::NAN;
+        // A NaN timestamp, once stored, would lose to no later summary
+        // and pass no liveness check: the node would stay dead for good.
+        for bad in [bad_power, summary(0, f64::NAN, &[0.0])] {
+            b.restore_node(
+                0,
+                NodeRestore {
+                    summary: Some(bad),
+                    commanded_w: f64::NAN,
+                    dead: true,
+                    shape: Some(1),
+                },
+            );
+            assert!(b.latest_summary(0).is_none(), "corrupt summary dropped");
+            assert_eq!(b.export_node(0).unwrap().commanded_w, 0.0);
+        }
+        assert!(b.ingest(summary(0, 0.3, &[0.0])), "a fresh summary wins");
+        b.schedule(300.0, 0.35);
+        assert_eq!(b.dead_nodes(), 0);
     }
 
     #[test]

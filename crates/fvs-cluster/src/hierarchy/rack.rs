@@ -298,7 +298,7 @@ impl RackCoordinator {
     /// Returns an empty vector when nothing changed — the nodes hold
     /// their last commanded frequencies, so silence is a no-op — and
     /// always when the rack is offline.
-    pub fn finalize(&mut self, subbudget_w: f64, _now_s: f64) -> Vec<FrequencyCommand> {
+    pub fn finalize(&mut self, subbudget_w: f64) -> Vec<FrequencyCommand> {
         if !self.finalize_due(subbudget_w) {
             return Vec::new();
         }
@@ -430,7 +430,7 @@ mod tests {
         assert!(r.ingest(summary(4, 1.0, &[0.0])));
         assert!(r.ingest(summary(5, 1.0, &[10.0e-9])));
         assert!(r.refresh(1.0)); // first run: fingerprint 0 → real
-        r.finalize(f64::INFINITY, 1.0);
+        r.finalize(f64::INFINITY);
         // Identical re-sends (newer timestamps, same content): no run.
         assert!(r.ingest(summary(4, 2.0, &[0.0])));
         assert!(r.ingest(summary(5, 2.0, &[10.0e-9])));
@@ -456,7 +456,7 @@ mod tests {
             let now = s.sent_at_s;
             assert!(r.ingest(s));
             r.refresh(now);
-            r.finalize(f64::INFINITY, now);
+            r.finalize(f64::INFINITY);
             r.ran()
         };
         assert!(round(&mut r, summary(4, 1.0, &[mem])), "cold rack");
@@ -507,16 +507,16 @@ mod tests {
         r.ingest(summary(4, 1.0, &[0.0]));
         r.ingest(summary(5, 1.0, &[0.0]));
         r.refresh(1.0);
-        let cmds = r.finalize(1000.0, 1.0);
+        let cmds = r.finalize(1000.0);
         assert_eq!(cmds.len(), 2);
         assert_eq!(cmds[0].node, 4); // global numbering restored
         let p_unconstrained = r.predicted_power_w();
         // Same sub-budget, nothing dirty: silence.
         assert!(!r.refresh(2.0));
-        assert!(r.finalize(1000.0, 2.0).is_empty());
+        assert!(r.finalize(1000.0).is_empty());
         // Tighter sub-budget: budget passes rerun, power drops.
         assert!(!r.refresh(3.0));
-        let cmds = r.finalize(150.0, 3.0);
+        let cmds = r.finalize(150.0);
         assert_eq!(cmds.len(), 2);
         assert!(r.predicted_power_w() <= 150.0);
         assert!(r.predicted_power_w() < p_unconstrained);
@@ -527,11 +527,11 @@ mod tests {
         let mut r = rack();
         r.ingest(summary(4, 1.0, &[0.0]));
         r.refresh(1.0);
-        r.finalize(f64::INFINITY, 1.0);
+        r.finalize(f64::INFINITY);
         r.set_online(false);
         assert!(!r.ingest(summary(5, 2.0, &[0.0])));
         assert!(!r.refresh(2.0));
-        assert!(r.finalize(f64::INFINITY, 2.0).is_empty());
+        assert!(r.finalize(f64::INFINITY).is_empty());
         // The death charge covers at least the known command ceiling
         // and at most every node flat out.
         let charge = r.charge_if_dead_w();

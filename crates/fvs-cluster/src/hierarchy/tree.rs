@@ -504,7 +504,7 @@ impl DelegationTree {
             cell.due = cell.rack.finalize_due(cell.sub_w);
         }
         self.for_each_due("hier.rack_finalize", round_id, |cell| {
-            cell.commands = cell.rack.finalize(cell.sub_w, now_s);
+            cell.commands = cell.rack.finalize(cell.sub_w);
         });
         rack_tier_s += t_phase.elapsed().as_secs_f64();
         let mut commands = Vec::new();

@@ -283,7 +283,7 @@ proptest! {
             let would_change = flat.cache_stats().proc_rebuilds > stats_before.proc_rebuilds
                 || dead(&flat) != dead_before;
             rack.refresh(now);
-            rack.finalize(300.0, now);
+            rack.finalize(300.0);
             if would_change {
                 prop_assert!(rack.ran(), "round {round}: the cache rebuilt, the rack skipped");
             } else if one_report_per_round && !current_moved {

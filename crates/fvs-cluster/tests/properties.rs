@@ -186,12 +186,12 @@ proptest! {
         // The rack computes before it knows its sub-budget, then runs
         // the budget passes alone; a second sub-budget finds it clean.
         rack.refresh(1.0);
-        prop_assert_eq!(&rack.finalize(budget, 1.0), &cmds);
+        prop_assert_eq!(&rack.finalize(budget), &cmds);
         prop_assert!(!rack.refresh(1.0) && !rack.ran());
         let tighter = budget * 0.6;
         let cmds = coord.schedule(tighter, 1.0);
         check(&coord, &cmds, tighter)?;
-        prop_assert_eq!(&rack.finalize(tighter, 1.0), &cmds);
+        prop_assert_eq!(&rack.finalize(tighter), &cmds);
         let ceiling_w = rack.aggregate().ceiling_w;
         prop_assert_eq!(ceiling_w.to_bits(), coord.charge_ceiling_w().to_bits());
     }

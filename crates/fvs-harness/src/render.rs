@@ -92,37 +92,6 @@ impl TableBuilder {
         }
         out
     }
-
-    /// Render as CSV (no title).
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        if !self.header.is_empty() {
-            let _ = writeln!(
-                out,
-                "{}",
-                self.header
-                    .iter()
-                    .map(|c| esc(c))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            );
-        }
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{}",
-                row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(",")
-            );
-        }
-        out
-    }
 }
 
 /// A named (x, y) series — one line of a figure.
@@ -201,15 +170,6 @@ mod tests {
         // Columns align: "value" starts at the same offset in all rows.
         let off = lines[1].find("value").unwrap();
         assert_eq!(lines[3].find('1'), Some(off));
-    }
-
-    #[test]
-    fn csv_escapes() {
-        let mut t = TableBuilder::new("x").header(["a", "b"]);
-        t.row(["has,comma", "has\"quote"]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"has,comma\""));
-        assert!(csv.contains("\"has\"\"quote\""));
     }
 
     #[test]

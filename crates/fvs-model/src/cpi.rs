@@ -72,19 +72,6 @@ impl CpiModel {
         f_hz / self.cpi_at_hz(f_hz)
     }
 
-    /// Seconds of wall-clock time to retire `instructions` at frequency
-    /// `f`.
-    #[inline]
-    pub fn time_for_instructions(&self, instructions: f64, f: FreqMhz) -> f64 {
-        instructions / self.perf_at(f)
-    }
-
-    /// Instructions retired in `dt` seconds at frequency `f`.
-    #[inline]
-    pub fn instructions_in(&self, dt: f64, f: FreqMhz) -> f64 {
-        self.perf_at(f) * dt
-    }
-
     /// The throughput asymptote `1/M` that memory-bound work approaches as
     /// `f → ∞`; `f64::INFINITY` for purely CPU-bound work.
     #[inline]
@@ -200,15 +187,6 @@ mod tests {
         assert!(lo < hi);
         assert!(hi < 1.0);
         assert!(lo > 0.0);
-    }
-
-    #[test]
-    fn instructions_and_time_roundtrip() {
-        let m = mem_bound();
-        let f = FreqMhz(650);
-        let t = m.time_for_instructions(1.0e9, f);
-        let n = m.instructions_in(t, f);
-        assert!((n - 1.0e9).abs() < 1.0);
     }
 
     #[test]

@@ -122,15 +122,6 @@ impl PerfLossTable {
         let next = self.entry(lower)?.loss_vs_ref;
         Some((lower, next - cur))
     }
-
-    /// *Absolute* predicted loss vs `f_max` the processor would have
-    /// after one step down — the paper's pass-2 selection key: "select
-    /// n, p with smallest PerfLoss(f_max, f_less)" (Figure 3, step 2).
-    /// Returns `(next_freq, loss_vs_ref_at_next)`.
-    pub fn demotion_loss(&self, set: &FrequencySet, from: FreqMhz) -> Option<(FreqMhz, f64)> {
-        let lower = set.step_down(from)?;
-        Some((lower, self.entry(lower)?.loss_vs_ref))
-    }
 }
 
 #[cfg(test)]

@@ -63,12 +63,6 @@ impl BudgetSchedule {
         self
     }
 
-    /// The paper's section-8.3 sweep levels for a single CPU: 140 W
-    /// (unconstrained), 75 W, 35 W.
-    pub fn paper_levels() -> [f64; 3] {
-        [140.0, 75.0, 35.0]
-    }
-
     /// The budget before any event or margin applies — the reference
     /// point for fault plans that drop to a *fraction* of it.
     pub fn initial_w(&self) -> f64 {
@@ -95,12 +89,6 @@ impl BudgetSchedule {
             n => self.events[n - 1].budget_w,
         };
         (raw - self.margin_w).max(0.0)
-    }
-
-    /// Times at which the budget changes — the scheduler treats each as an
-    /// immediate re-scheduling trigger (paper section 5, first trigger).
-    pub fn change_times(&self) -> impl Iterator<Item = f64> + '_ {
-        self.events.iter().map(|e| e.at_s)
     }
 
     /// Next change strictly after `t_s`, if any.

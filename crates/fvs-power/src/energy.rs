@@ -53,15 +53,6 @@ impl EnergyMeter {
         self.seconds
     }
 
-    /// Time-averaged power (W); 0 for an empty meter.
-    pub fn average_watts(&self) -> f64 {
-        if self.seconds > 0.0 {
-            self.joules / self.seconds
-        } else {
-            0.0
-        }
-    }
-
     /// Highest instantaneous power seen (W).
     pub fn peak_watts(&self) -> f64 {
         self.peak_watts
@@ -101,7 +92,6 @@ mod tests {
         m.record(50.0, 2.0);
         assert!((m.joules() - 300.0).abs() < 1e-12);
         assert!((m.seconds() - 4.0).abs() < 1e-12);
-        assert!((m.average_watts() - 75.0).abs() < 1e-12);
         assert_eq!(m.peak_watts(), 100.0);
     }
 

@@ -1,6 +1,6 @@
 //! Minimum-voltage tables: `MinVoltage(f)` of Figure 3 step 3.
 
-use fvs_model::{FreqMhz, FrequencySet};
+use fvs_model::FreqMhz;
 use serde::{Deserialize, Serialize};
 
 /// The minimum voltage that reliably drives each available frequency.
@@ -54,12 +54,6 @@ impl VoltageTable {
         let w = ((f.0.saturating_sub(self.f_min.0)) as f64 / span_f).clamp(0.0, 1.0);
         (self.v_min + (self.v_max - self.v_min) * w) * self.variation
     }
-
-    /// The `(f, V)` pairs for every frequency in `set` — the precomputed
-    /// per-processor voltage table of Figure 3.
-    pub fn table_for(&self, set: &FrequencySet) -> Vec<(FreqMhz, f64)> {
-        set.iter().map(|f| (f, self.min_voltage(f))).collect()
-    }
 }
 
 impl Default for VoltageTable {
@@ -71,6 +65,7 @@ impl Default for VoltageTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fvs_model::FrequencySet;
 
     #[test]
     fn endpoints_match_calibration() {
@@ -83,9 +78,9 @@ mod tests {
     fn monotone_in_frequency() {
         let v = VoltageTable::p630();
         let set = FrequencySet::p630();
-        let table = v.table_for(&set);
-        for w in table.windows(2) {
-            assert!(w[1].1 > w[0].1);
+        let volts: Vec<f64> = set.iter().map(|f| v.min_voltage(f)).collect();
+        for w in volts.windows(2) {
+            assert!(w[1] > w[0]);
         }
     }
 

@@ -697,21 +697,6 @@ impl FvsstAlgorithm {
         }
     }
 
-    /// Pass 1 for one processor: the ε-constrained frequency.
-    ///
-    /// One-shot convenience over [`desired_slot`] — the single pass-1
-    /// implementation every scheduling path shares (idle pinning, the ε
-    /// boundary scan, the continuous `f_ideal` snap, and the unmodelled
-    /// fallback all live there).
-    ///
-    /// [`desired_slot`]: Self::desired_slot
-    pub fn epsilon_frequency(&self, input: &ProcInput) -> FreqMhz {
-        let table = input
-            .model
-            .map(|model| PerfLossTable::build(&model, &self.freq_set));
-        self.desired_slot(input, table.as_ref()).1
-    }
-
     /// Pass 1 in index space: the desired set index (or [`OFFGRID`]) and
     /// frequency for one processor. `table` must be the processor's
     /// evaluated [`PerfLossTable`] whenever it has a model.

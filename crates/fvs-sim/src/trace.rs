@@ -70,14 +70,6 @@ impl TraceRecorder {
             .collect()
     }
 
-    /// `(t, ipc, effective_mhz, power)` series for a core — the Figure 5
-    /// data (IPC, frequency and power tracking a phase change).
-    pub fn phase_series(&self, core: usize) -> Vec<(f64, f64, u32, f64)> {
-        self.for_core(core)
-            .map(|s| (s.t_s, s.observed_ipc, s.effective_mhz, s.power_w))
-            .collect()
-    }
-
     /// Residency histogram of a core's *requested* frequencies weighted
     /// by sample spacing (assumes uniform sampling, which the scheduling
     /// loop guarantees).

@@ -26,10 +26,7 @@
 //! Prints one JSON object (`"schema": "fvsst-net-soak/1"`) for CI to
 //! `jq`, and exits non-zero if the fleet never fully connects, the
 //! budget drop misses its deadline, or either process needed more than
-//! O(1) threads. Alongside the soak it microbenchmarks both wire codecs
-//! on a representative summary frame, so the JSON also records the
-//! serialized sizes and encode/decode costs of `FVS1` (JSON) vs `FVS2`
-//! (binary).
+//! O(1) threads.
 
 use fvsst::net::args::{parse_f64, parse_usize};
 use fvsst::prelude::*;
@@ -160,35 +157,6 @@ fn thread_count(pid: Option<u32>) -> u64 {
         .unwrap_or(0)
 }
 
-/// A representative summary frame for the codec microbench: the same
-/// shape every agent ships upstream (4 populated per-processor models).
-fn bench_summary(node: usize) -> WireMsg {
-    let mut b = MachineBuilder::p630();
-    for core in 0..4 {
-        b = b.workload(core, WorkloadSpec::synthetic(50.0, 1.0e18));
-    }
-    let mut n = ClusterNode::new(node, b.build(), None);
-    n.tick(0.1);
-    WireMsg::Summary(n.summarize())
-}
-
-/// ns/op to encode + re-decode `msg` under `codec`, and the frame size.
-fn bench_codec(codec: WireCodec, msg: &WireMsg, iters: u32) -> (f64, usize) {
-    let frame = fvsst::net::encode_with(msg, codec).expect("bench frame encodes");
-    let start = Instant::now();
-    for _ in 0..iters {
-        let f = fvsst::net::encode_with(msg, codec).expect("encode");
-        let payload = &f[fvsst::net::HEADER_LEN..];
-        let decoded = match codec {
-            WireCodec::Binary => fvsst::net::decode_payload_binary(payload),
-            WireCodec::Json => fvsst::net::decode_payload(payload),
-        };
-        std::hint::black_box(decoded.expect("decode"));
-    }
-    let ns = start.elapsed().as_nanos() as f64 / iters as f64;
-    (ns, frame.len())
-}
-
 fn build_fleet(agents: usize, seed: u64) -> Vec<ClusterNode> {
     (0..agents)
         .map(|id| {
@@ -274,6 +242,74 @@ fn json_u64(line: &str, key: &str) -> u64 {
                 .and_then(|n| n.parse().ok())
         })
         .unwrap_or(0)
+}
+
+/// What one soak measured: the fields of the line CI reads with `jq`.
+struct Report<'a> {
+    codec: &'a str,
+    agents: usize,
+    run_s: f64,
+    connected: usize,
+    connected_end: usize,
+    /// The fleet child's own stats line; its counters are copied over.
+    fleet_line: &'a str,
+    ingest_per_s: f64,
+    fanout_p50_ms: f64,
+    fanout_p99_ms: f64,
+    round_p99_ms: f64,
+    staleness_p50_ms: f64,
+    budget_full_w: f64,
+    budget_drop_w: f64,
+    drop_complied: bool,
+    compliance_wall_s: f64,
+    compliances: u64,
+    violations: u64,
+    final_power_w: f64,
+    threads_coordinator: u64,
+    threads_fleet: u64,
+    ok: bool,
+}
+
+impl Report<'_> {
+    /// The one JSON object the soak prints.
+    fn line(&self) -> String {
+        format!(
+            "{{\"schema\": \"fvsst-net-soak/1\", \"codec\": \"{}\", \"agents\": {}, \
+             \"run_s\": {:.1}, \"connected\": {}, \"connected_end\": {}, \
+             \"binary_conns\": {}, \"json_conns\": {}, \"summaries_sent\": {}, \
+             \"ceilings_applied\": {}, \"reconnects\": {}, \"ingest_per_s\": {:.1}, \
+             \"fanout_p50_ms\": {:.3}, \"fanout_p99_ms\": {:.3}, \"round_p99_ms\": {:.3}, \
+             \"staleness_p50_ms\": {:.3}, \"budget_full_w\": {:.0}, \"budget_drop_w\": {:.0}, \
+             \"drop_complied\": {}, \"compliance_wall_s\": {:.3}, \"compliances\": {}, \
+             \"violations\": {}, \"final_power_w\": {:.0}, \"threads_coordinator\": {}, \
+             \"threads_fleet\": {}, \"ok\": {}}}",
+            self.codec,
+            self.agents,
+            self.run_s,
+            self.connected,
+            self.connected_end,
+            json_u64(self.fleet_line, "binary_conns"),
+            json_u64(self.fleet_line, "json_conns"),
+            json_u64(self.fleet_line, "summaries_sent"),
+            json_u64(self.fleet_line, "ceilings_applied"),
+            json_u64(self.fleet_line, "reconnects"),
+            self.ingest_per_s,
+            self.fanout_p50_ms,
+            self.fanout_p99_ms,
+            self.round_p99_ms,
+            self.staleness_p50_ms,
+            self.budget_full_w,
+            self.budget_drop_w,
+            self.drop_complied,
+            self.compliance_wall_s,
+            self.compliances,
+            self.violations,
+            self.final_power_w,
+            self.threads_coordinator,
+            self.threads_fleet,
+            self.ok
+        )
+    }
 }
 
 fn run(args: Args) -> Result<bool, FvsError> {
@@ -394,54 +430,32 @@ fn run(args: Args) -> Result<bool, FvsError> {
         && status.violations == 0;
     let ok = all_connected && drop_complied && threads_ok;
 
-    // Codec microbench on a representative frame, both codecs, so one
-    // run documents the serialization win of the negotiated binary path.
-    let bench_msg = bench_summary(0);
-    let (json_ns, json_bytes) = bench_codec(WireCodec::Json, &bench_msg, 20_000);
-    let (bin_ns, bin_bytes) = bench_codec(WireCodec::Binary, &bench_msg, 20_000);
-
-    let compliance_wall_s = status.last_compliance.map(|c| c.wall_s).unwrap_or(f64::NAN);
     println!(
-        "{{\"schema\": \"fvsst-net-soak/1\", \"codec\": \"{}\", \"agents\": {}, \
-         \"run_s\": {:.1}, \"connected\": {}, \"connected_end\": {}, \
-         \"binary_conns\": {}, \"json_conns\": {}, \"summaries_sent\": {}, \
-         \"ceilings_applied\": {}, \"reconnects\": {}, \"ingest_per_s\": {:.1}, \
-         \"fanout_p50_ms\": {:.3}, \"fanout_p99_ms\": {:.3}, \"round_p99_ms\": {:.3}, \
-         \"staleness_p50_ms\": {:.3}, \"budget_full_w\": {:.0}, \"budget_drop_w\": {:.0}, \
-         \"drop_complied\": {}, \"compliance_wall_s\": {:.3}, \"compliances\": {}, \
-         \"violations\": {}, \"final_power_w\": {:.0}, \"threads_coordinator\": {}, \
-         \"threads_fleet\": {}, \
-         \"encode_decode_ns\": {{\"json\": {:.0}, \"binary\": {:.0}}}, \
-         \"frame_bytes\": {{\"json\": {}, \"binary\": {}}}, \"ok\": {}}}",
-        args.net.codec.name(),
-        args.agents,
-        args.run_s,
-        connected_peak,
-        connected_end,
-        json_u64(&fleet_line, "binary_conns"),
-        json_u64(&fleet_line, "json_conns"),
-        json_u64(&fleet_line, "summaries_sent"),
-        json_u64(&fleet_line, "ceilings_applied"),
-        json_u64(&fleet_line, "reconnects"),
-        ingest_per_s,
-        fanout.quantile(0.5) * 1e3,
-        fanout.quantile(0.99) * 1e3,
-        round.quantile(0.99) * 1e3,
-        staleness.quantile(0.5) * 1e3,
-        budget_full_w,
-        budget_drop_w,
-        drop_complied,
-        compliance_wall_s,
-        status.compliances,
-        status.violations,
-        status.conservative_power_w,
-        threads_coord,
-        threads_fleet,
-        json_ns,
-        bin_ns,
-        json_bytes,
-        bin_bytes,
-        ok
+        "{}",
+        Report {
+            codec: args.net.codec.name(),
+            agents: args.agents,
+            run_s: args.run_s,
+            connected: connected_peak,
+            connected_end,
+            fleet_line: &fleet_line,
+            ingest_per_s,
+            fanout_p50_ms: fanout.quantile(0.5) * 1e3,
+            fanout_p99_ms: fanout.quantile(0.99) * 1e3,
+            round_p99_ms: round.quantile(0.99) * 1e3,
+            staleness_p50_ms: staleness.quantile(0.5) * 1e3,
+            budget_full_w,
+            budget_drop_w,
+            drop_complied,
+            compliance_wall_s: status.last_compliance.map(|c| c.wall_s).unwrap_or(f64::NAN),
+            compliances: status.compliances,
+            violations: status.violations,
+            final_power_w: status.conservative_power_w,
+            threads_coordinator: threads_coord,
+            threads_fleet,
+            ok,
+        }
+        .line()
     );
     if !ok {
         eprintln!(
@@ -476,6 +490,58 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("fvsst-net-soak: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every key Net soak smoke's two `jq` filters read is in the line,
+    /// with the type the filter compares it as.
+    #[test]
+    fn report_line_carries_every_key_ci_reads() {
+        let line = Report {
+            codec: "binary",
+            agents: 512,
+            run_s: 10.0,
+            connected: 512,
+            connected_end: 512,
+            fleet_line: "{\"connected\": 512, \"binary_conns\": 512, \"json_conns\": 0}",
+            ingest_per_s: 511.9,
+            fanout_p50_ms: 3.2,
+            fanout_p99_ms: 5.6,
+            round_p99_ms: 10.0,
+            staleness_p50_ms: 1.0,
+            budget_full_w: 286_720.0,
+            budget_drop_w: 153_600.0,
+            drop_complied: true,
+            compliance_wall_s: 0.5,
+            compliances: 1,
+            violations: 0,
+            final_power_w: 150_000.0,
+            threads_coordinator: 2,
+            threads_fleet: 2,
+            ok: true,
+        }
+        .line();
+        let json = serde_json::from_str(&line).expect("the report line is one JSON object");
+        for key in ["ok", "drop_complied"] {
+            assert_eq!(json[key].as_bool(), Some(true), "{key} in {line}");
+        }
+        for (key, want) in [
+            ("connected", 512),
+            ("binary_conns", 512),
+            ("json_conns", 0),
+            ("violations", 0),
+            ("threads_coordinator", 2),
+            ("threads_fleet", 2),
+        ] {
+            assert_eq!(json[key].as_u64(), Some(want), "{key} in {line}");
+        }
+        for key in ["ingest_per_s", "fanout_p99_ms"] {
+            assert!(json[key].as_f64().is_some(), "{key} in {line}");
         }
     }
 }
