@@ -1,18 +1,12 @@
-//! Hierarchy benchmarks: full-cluster dispatch ticks at 10k–100k nodes
-//! coordinated through the budget-delegation tree, and the steady-state
-//! incremental win of per-subtree fingerprint skipping over the flat
-//! coordinator.
-//!
-//! `cluster_tick/{10000,100000}` extends the flat `cluster_tick` table
-//! (8–1024 nodes, `scheduler_micro.rs`) to datacenter scale — at these
-//! sizes the config switches to the delegation tree, which is the whole
-//! point of the tier.
+//! Hierarchy benchmarks: the steady-state incremental win of
+//! per-subtree fingerprint skipping over the flat coordinator, at 10k
+//! and 100k nodes.
 //!
 //! `hier_steady_state/{flat,hier}/{10000,100000}` is coordinator-only,
 //! on synthetic input: pre-built summaries, warm caches, and four nodes
 //! whose raw counters jitter every round without changing any decision
 //! (the repo's own simulated nodes move every model every round —
-//! `fvs-cluster` test `simulated_nodes_move_every_model_every_round`).
+//! `fvs-net` test `simulated_nodes_move_every_model_every_round`).
 //! The flat coordinator pays its O(all processors) fingerprint sweep
 //! every round; the tree re-runs only the drifters' racks and skips
 //! every clean subtree. Read the `flat/<nodes>` median against
@@ -30,11 +24,8 @@
 //! `flat_round_p50_ms`, and the pipeline gates both.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fvs_cluster::{
-    ClusterConfig, ClusterSim, DelegationTree, GlobalCoordinator, HierTopology, NodeSummary,
-};
+use fvs_cluster::{DelegationTree, GlobalCoordinator, HierTopology, NodeSummary};
 use fvs_model::{CpiModel, FreqMhz};
-use fvs_power::BudgetSchedule;
 use fvs_sched::FvsstAlgorithm;
 use std::hint::black_box;
 
@@ -70,23 +61,6 @@ fn summary(node: usize, at: f64, jitter: bool) -> NodeSummary {
         current: vec![FreqMhz(1000); PROCS_PER_NODE],
         power_w: 140.0 * PROCS_PER_NODE as f64,
     }
-}
-
-fn bench_cluster_tick_hier(c: &mut Criterion) {
-    let mut g = c.benchmark_group("cluster_tick");
-    g.sample_size(10);
-    for &nodes in &[10_000usize, 100_000] {
-        // Budget forces real scheduling work every round (~70 W/core of
-        // a 140 W/core unconstrained draw), as in the flat rows.
-        let config = ClusterConfig::rack()
-            .with_hierarchy(HierTopology::default())
-            .with_budget(BudgetSchedule::constant(nodes as f64 * 4.0 * 70.0));
-        let mut sim = ClusterSim::three_tier(nodes, 42, config);
-        g.bench_with_input(BenchmarkId::from_parameter(nodes), &(), |b, _| {
-            b.iter(|| sim.step_tick())
-        });
-    }
-    g.finish();
 }
 
 /// What the steady-state rounds need of either coordinator.
@@ -171,5 +145,5 @@ fn bench_hier_steady_state(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(hier, bench_cluster_tick_hier, bench_hier_steady_state);
+criterion_group!(hier, bench_hier_steady_state);
 criterion_main!(hier);

@@ -9,11 +9,11 @@
 //! the same size side by side in criterion's output.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fvs_cluster::{ClusterConfig, ClusterSim};
 use fvs_model::{
     counters::synthesize_delta, CpiModel, Estimator, FreqMhz, FrequencySet, MemoryLatencies,
     PerfLossTable,
 };
+use fvs_net::{ClusterConfig, ClusterSim};
 use fvs_power::BudgetSchedule;
 use fvs_sched::{FvsstAlgorithm, ModelTolerance, ProcInput, ScheduleCache, ScheduleScratch};
 use fvs_sim::MachineBuilder;

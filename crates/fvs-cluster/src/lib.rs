@@ -10,31 +10,30 @@
 //!   scheduling over work scheduling),
 //! - tiered placement (web / app / db) creates *stable* workload
 //!   diversity across nodes (§4.2),
-//! - the coordinator and nodes exchange messages with latency, so the
-//!   scheduling period `T` must amortise "the inter-processor
-//!   communication required" (§5).
+//! - the coordinator knows only what the nodes' summaries tell it, so
+//!   it must charge the silent conservatively.
 //!
 //! Structure: each [`node::ClusterNode`] owns a machine and a local
 //! measurement agent that ships per-processor model summaries to the
 //! [`coordinator::GlobalCoordinator`] every scheduling period; the
 //! coordinator runs the same two-pass algorithm over *all* processors of
 //! *all* nodes against the global budget and ships frequency vectors
-//! back. Both directions ride a [`message::DelayQueue`].
+//! back. How they travel — the protocol, its latency and its faults —
+//! is fvs-net's: its `ClusterSim` runs these nodes and this coordinator
+//! over a simulated wire, and its sockets over a real one. The
+//! [`hierarchy`] budget-delegation tree is a library beside the flat
+//! coordinator, compared against it by `hierarchy_differential`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cluster;
 pub mod coordinator;
 pub mod hierarchy;
-pub mod message;
 pub mod node;
 
-pub use cluster::{ClusterConfig, ClusterReport, ClusterSim, NodeEvent};
 pub use coordinator::{
     FrequencyCommand, GlobalCoordinator, NodeRestore, NodeSummary, DEFAULT_HEARTBEAT_TIMEOUT_S,
     DEFAULT_WORST_CASE_NODE_W,
 };
 pub use hierarchy::{DelegationTree, HierStats, HierTopology, RackCoordinator, SubtreeAggregate};
-pub use message::DelayQueue;
 pub use node::ClusterNode;

@@ -80,9 +80,14 @@ impl ClusterNode {
         }
     }
 
-    /// Apply a frequency vector from the coordinator.
+    /// Apply a frequency vector from the coordinator. A window measures
+    /// one frequency: a core that changes closes its window at the old.
     pub fn apply(&mut self, freqs: &[FreqMhz]) {
         for (i, f) in freqs.iter().enumerate().take(self.machine.num_cores()) {
+            let current = self.machine.core(i).requested_frequency();
+            if current != *f {
+                self.predictor.refit(i, current);
+            }
             self.machine.set_frequency(i, *f);
         }
     }

@@ -1,134 +1,11 @@
-//! End-to-end hierarchy drills over the full cluster simulation: a root
-//! budget drop must propagate down through all three tiers within ΔT,
-//! and a dead rack coordinator must degrade gracefully and recover.
-
-use fvs_cluster::{ClusterConfig, ClusterSim, HierTopology};
-use fvs_power::{BudgetEvent, BudgetSchedule};
-
-#[test]
-fn root_budget_drop_complies_within_delta_t_through_three_tiers() {
-    // 24 nodes → 6 racks of 4 → 2 rows of 3 → root: a genuine
-    // three-tier tree. Unlimited budget until t = 1 s, then a hard cap
-    // well below the unconstrained draw.
-    let config = ClusterConfig::rack()
-        .with_hierarchy(
-            HierTopology::default()
-                .with_nodes_per_rack(4)
-                .with_racks_per_row(3),
-        )
-        .with_budget(BudgetSchedule::with_events(
-            f64::INFINITY,
-            vec![BudgetEvent {
-                at_s: 1.0,
-                budget_w: 6000.0,
-            }],
-        ));
-    let mut sim = ClusterSim::three_tier(24, 11, config);
-    let report = sim.run_for(2.5);
-    assert!(
-        report.final_power_w <= 6000.0,
-        "final {}",
-        report.final_power_w
-    );
-    // ΔT end to end: summary uplink (2 ms) + root → row → rack
-    // delegation (in-process) + command downlink (2 ms) on a 100 ms
-    // timer — and the budget change forces an immediate round, so
-    // compliance lands well inside half a second.
-    let response = report.response_s.expect("compliance reached");
-    assert!(response < 0.5, "response {response}s");
-    let tree = sim.hierarchy().expect("hier mode");
-    assert_eq!(tree.num_racks(), 6);
-    assert_eq!(tree.num_rows(), 2);
-    assert_eq!(tree.rounds(), report.rounds);
-    assert!(tree.feasible());
-}
-
-#[test]
-fn dead_rack_coordinator_degrades_and_recovers() {
-    // 8 nodes → 4 racks of 2 → 2 rows, constant tight budget.
-    let config = ClusterConfig::rack()
-        .with_hierarchy(
-            HierTopology::default()
-                .with_nodes_per_rack(2)
-                .with_racks_per_row(2),
-        )
-        .with_budget(BudgetSchedule::constant(2400.0));
-    let mut sim = ClusterSim::three_tier(8, 5, config);
-    sim.run_for(1.0);
-    let rounds_before = sim.hierarchy().unwrap().rounds();
-    sim.hierarchy_mut().unwrap().set_rack_online(0, false);
-    sim.run_for(1.0);
-    {
-        let tree = sim.hierarchy().unwrap();
-        assert!(!tree.rack_online(0));
-        // The dead rack is charged conservatively against the budget…
-        assert!(tree.reserved_w() > 0.0, "dead rack must be charged");
-        // …and the rest of the tree kept scheduling without a stall.
-        assert!(tree.rounds() > rounds_before, "tree stalled");
-        assert!(tree.feasible());
-    }
-    assert!(
-        sim.total_power_w() <= 2400.0,
-        "power {} during rack outage",
-        sim.total_power_w()
-    );
-    // Recovery: the rack rejoins and the cluster stays compliant.
-    sim.hierarchy_mut().unwrap().set_rack_online(0, true);
-    let report = sim.run_for(1.0);
-    assert!(sim.hierarchy().unwrap().rack_online(0));
-    assert!(
-        report.final_power_w <= 2400.0,
-        "final {}",
-        report.final_power_w
-    );
-    // Any violation time is from cluster startup (before the first
-    // scheduling round), never from the rack outage or the rejoin.
-    assert!(
-        report.violation_s < 0.35,
-        "violation {}s",
-        report.violation_s
-    );
-}
-
-#[test]
-fn hier_and_flat_clusters_both_hold_the_same_drill() {
-    let budget = BudgetSchedule::with_events(
-        f64::INFINITY,
-        vec![BudgetEvent {
-            at_s: 1.0,
-            budget_w: 1800.0,
-        }],
-    );
-    let flat_cfg = ClusterConfig::rack().with_budget(budget.clone());
-    let hier_cfg = ClusterConfig::rack()
-        .with_hierarchy(
-            HierTopology::default()
-                .with_nodes_per_rack(2)
-                .with_racks_per_row(2),
-        )
-        .with_budget(budget);
-    let r_flat = ClusterSim::three_tier(6, 7, flat_cfg).run_for(3.0);
-    let r_hier = ClusterSim::three_tier(6, 7, hier_cfg).run_for(3.0);
-    // Same workloads, same budget: the tree's decomposition may cost a
-    // little performance but never compliance or responsiveness class.
-    assert!(
-        r_flat.final_power_w <= 1800.0,
-        "flat {}",
-        r_flat.final_power_w
-    );
-    assert!(
-        r_hier.final_power_w <= 1800.0,
-        "hier {}",
-        r_hier.final_power_w
-    );
-    assert!(r_flat.response_s.expect("flat complied") < 0.5);
-    assert!(r_hier.response_s.expect("hier complied") < 0.5);
-}
-
-// ---- Change detection and fan-out, from the public surface ----
+//! The delegation tree from its public surface: the rack's change
+//! detector against the flat schedule cache, and which rack phases
+//! leave the calling thread. The tree's decisions against the flat
+//! coordinator's are `hierarchy_differential`'s; the 10 000-node
+//! budget-drop and dead-rack drill is `fvsst-hier-drill`.
 
 use fvs_cluster::hierarchy::RackCoordinator;
-use fvs_cluster::{DelegationTree, GlobalCoordinator, NodeSummary};
+use fvs_cluster::{DelegationTree, GlobalCoordinator, HierTopology, NodeSummary};
 use fvs_model::{CpiModel, FreqMhz};
 use fvs_sched::{FvsstAlgorithm, ModelTolerance};
 use fvs_telemetry::{SpanRecord, Tracer};

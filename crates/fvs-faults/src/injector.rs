@@ -36,21 +36,11 @@ pub enum ActuationFaultKind {
     Delay,
 }
 
-/// How a cluster summary misbehaves on the uplink.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SummaryFaultKind {
-    /// The summary is lost (heartbeat loss).
-    Loss,
-    /// The summary arrives twice.
-    Duplicate,
-    /// The summary arrives late by the plan's extra delay.
-    Late,
-}
-
 /// Deterministic, seedable source of fault decisions for one run.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: FaultPlan,
+    seed: u64,
     rng: StdRng,
     quiet: bool,
     injected: u64,
@@ -62,10 +52,17 @@ impl FaultInjector {
         let quiet = plan.is_quiet();
         FaultInjector {
             plan,
+            seed,
             rng: StdRng::seed_from_u64(seed ^ 0xFA01_75EED),
             quiet,
             injected: 0,
         }
+    }
+
+    /// The seed this injector was built with: where a run's other fault
+    /// streams (one per simulated connection) derive theirs.
+    pub fn seed(&self) -> u64 {
+        self.seed
     }
 
     /// The quiet injector: never fires, one branch per query.
@@ -127,26 +124,6 @@ impl FaultInjector {
             _ => ActuationFaultKind::Delay,
         })
     }
-
-    /// Should this uplink summary misbehave, and how? (At most one
-    /// summary fault per summary; loss shadows duplication shadows
-    /// lateness.)
-    #[inline]
-    pub fn summary_fault(&mut self) -> Option<SummaryFaultKind> {
-        if self.quiet {
-            return None;
-        }
-        if self.fires(self.plan.summary_loss_rate) {
-            return Some(SummaryFaultKind::Loss);
-        }
-        if self.fires(self.plan.summary_duplicate_rate) {
-            return Some(SummaryFaultKind::Duplicate);
-        }
-        if self.fires(self.plan.summary_late_rate) {
-            return Some(SummaryFaultKind::Late);
-        }
-        None
-    }
 }
 
 /// Apply a counter fault to `delta` in place; `prev` is the previous
@@ -176,10 +153,6 @@ mod tests {
         FaultPlan {
             counter_rate: 0.5,
             actuation_rate: 0.5,
-            summary_loss_rate: 0.2,
-            summary_duplicate_rate: 0.2,
-            summary_late_rate: 0.2,
-            summary_late_s: 0.3,
             ..FaultPlan::none()
         }
     }
@@ -190,7 +163,6 @@ mod tests {
         for _ in 0..1000 {
             assert_eq!(inj.counter_fault(), None);
             assert_eq!(inj.actuation_fault(), None);
-            assert_eq!(inj.summary_fault(), None);
         }
         assert_eq!(inj.injected(), 0);
         assert!(inj.is_quiet());
@@ -203,7 +175,6 @@ mod tests {
         for _ in 0..500 {
             assert_eq!(a.counter_fault(), b.counter_fault());
             assert_eq!(a.actuation_fault(), b.actuation_fault());
-            assert_eq!(a.summary_fault(), b.summary_fault());
         }
         assert_eq!(a.injected(), b.injected());
         assert!(a.injected() > 0);

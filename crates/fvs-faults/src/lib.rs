@@ -9,10 +9,11 @@
 //!   events) driven by a deterministic, seedable [`FaultInjector`].
 //!   Counter corruption ([`CounterFaultKind`]: NaN / spike / stuck /
 //!   stale), actuation faults ([`ActuationFaultKind`]: dropped /
-//!   partial / delayed commands), cluster faults ([`SummaryFaultKind`]:
-//!   lost / duplicate / late summaries, plus scripted node outages) and
-//!   supply faults (scripted budget drops). Same plan + same seed →
-//!   byte-identical fault stream.
+//!   partial / delayed commands), scripted node outages and supply
+//!   faults (scripted budget drops), and message faults: one model,
+//!   [`WireFaultPlan::frame_fault`], for every frame between a node and
+//!   its coordinator, on a socket or on a simulated wire. Same plan +
+//!   same seed → byte-identical fault stream.
 //! - **Degradation**: the [`SampleValidator`], first rung of the
 //!   degradation ladder (quarantine → retry → fail-safe pin →
 //!   conservative charging; see DESIGN.md §11), which refuses
@@ -32,9 +33,7 @@ mod plan;
 mod validator;
 mod wire_plan;
 
-pub use injector::{
-    apply_counter_fault, ActuationFaultKind, CounterFaultKind, FaultInjector, SummaryFaultKind,
-};
+pub use injector::{apply_counter_fault, ActuationFaultKind, CounterFaultKind, FaultInjector};
 pub use plan::{BudgetDropSpec, FaultPlan, NodeOutageSpec, PlanParseError};
 pub use validator::{SampleValidator, SampleVerdict};
-pub use wire_plan::{PartitionDirection, PartitionSpec, WireFaultPlan};
+pub use wire_plan::{PartitionDirection, PartitionSpec, WireFaultPlan, WriteFault};

@@ -47,24 +47,13 @@ pub struct FaultPlan {
     /// Per-command probability a frequency actuation misbehaves
     /// (dropped / partially applied / delayed, chosen uniformly).
     pub actuation_rate: f64,
-    /// Per-summary probability a cluster node's summary is lost in
-    /// flight (heartbeat loss).
-    pub summary_loss_rate: f64,
-    /// Per-summary probability the summary arrives twice.
-    pub summary_duplicate_rate: f64,
-    /// Per-summary probability the summary is delayed by
-    /// [`summary_late_s`](FaultPlan::summary_late_s) extra seconds.
-    pub summary_late_rate: f64,
-    /// Extra uplink delay applied to late summaries (s).
-    pub summary_late_s: f64,
     /// Scripted supply faults (budget drops), as fractions of the
     /// initial budget.
     pub budget_drops: Vec<BudgetDropSpec>,
     /// Scripted node outages.
     pub node_outages: Vec<NodeOutageSpec>,
-    /// Wire-level faults (frame drop/delay/dup/corrupt, resets,
-    /// one-way partitions). Host-level consumers (the simulators)
-    /// ignore this; fvs-net's `ChaosStream` enforces it.
+    /// Message faults ([`WireFaultPlan::frame_fault`]) on the frames
+    /// between nodes and their coordinator, on a socket or simulated.
     pub wire: WireFaultPlan,
 }
 
@@ -79,9 +68,6 @@ impl FaultPlan {
     pub fn is_quiet(&self) -> bool {
         self.counter_rate <= 0.0
             && self.actuation_rate <= 0.0
-            && self.summary_loss_rate <= 0.0
-            && self.summary_duplicate_rate <= 0.0
-            && self.summary_late_rate <= 0.0
             && self.budget_drops.is_empty()
             && self.node_outages.is_empty()
             && self.wire.is_quiet()
@@ -89,15 +75,12 @@ impl FaultPlan {
 
     /// The default chaos mix used by the `chaos` experiment: moderate
     /// rates in every fault class, a supply failure at t = 1 s cutting
-    /// the budget roughly in half, and one node outage with recovery.
+    /// the budget roughly in half, one node outage with recovery, and
+    /// the [`WireFaultPlan::chaos`] message faults.
     pub fn chaos() -> Self {
         FaultPlan {
             counter_rate: 0.05,
             actuation_rate: 0.20,
-            summary_loss_rate: 0.10,
-            summary_duplicate_rate: 0.05,
-            summary_late_rate: 0.05,
-            summary_late_s: 0.3,
             budget_drops: vec![BudgetDropSpec {
                 at_s: 1.0,
                 factor: 0.55,
@@ -119,21 +102,17 @@ impl FaultPlan {
     /// - `chaos` — the [`chaos`](FaultPlan::chaos) preset
     /// - `counters=R` — counter-corruption rate (0–1)
     /// - `actuation=R` — actuation-fault rate (0–1)
-    /// - `loss=R` — summary-loss rate (0–1)
-    /// - `dup=R` — summary-duplication rate (0–1)
-    /// - `late=R:EXTRA_S` — summary-delay rate and the extra delay (s)
     /// - `drop=F@T` — budget drops to fraction `F` at `T` s (repeatable)
     /// - `node=I@DOWN:UP` — node `I` offline during `[DOWN, UP)` s; omit
     ///   `:UP` for a permanent outage (repeatable)
     ///
-    /// Wire-level clauses (enforced by fvs-net's `ChaosStream`; see
+    /// Message clauses, one model for every frame in flight (see
     /// [`WireFaultPlan`]):
     ///
     /// - `wire=R` — per-frame drop rate (0–1)
     /// - `delay=R[:HOLD_S]` — per-frame delay rate and hold time (s,
     ///   default 0.05)
-    /// - `wdup=R` — per-frame duplication rate (`dup=` is the summary
-    ///   clause above)
+    /// - `wdup=R` — per-frame duplication rate
     /// - `corrupt=R` — per-frame truncation/bit-flip rate
     /// - `reset=R` — per-frame connection-reset rate
     /// - `partition=I@T[:T2]` — node `I`'s connection blackholed both
@@ -160,15 +139,6 @@ impl FaultPlan {
             match key {
                 "counters" => plan.counter_rate = parse_rate(clause, value)?,
                 "actuation" => plan.actuation_rate = parse_rate(clause, value)?,
-                "loss" => plan.summary_loss_rate = parse_rate(clause, value)?,
-                "dup" => plan.summary_duplicate_rate = parse_rate(clause, value)?,
-                "late" => {
-                    let (rate, extra) = value
-                        .split_once(':')
-                        .ok_or_else(|| PlanParseError::bad(clause, "expected late=R:EXTRA_S"))?;
-                    plan.summary_late_rate = parse_rate(clause, rate)?;
-                    plan.summary_late_s = parse_nonneg(clause, extra)?;
-                }
                 "drop" => {
                     let (factor, at) = value
                         .split_once('@')
@@ -298,16 +268,12 @@ mod tests {
     #[test]
     fn full_grammar_round_trips() {
         let p = FaultPlan::parse(
-            "counters=0.1, actuation=0.25, loss=0.05, dup=0.02, late=0.03:0.4, \
+            "counters=0.1, actuation=0.25, \
              drop=0.5@1.0, drop=0.35@2.5, node=1@0.8:1.6, node=2@3.0",
         )
         .unwrap();
         assert_eq!(p.counter_rate, 0.1);
         assert_eq!(p.actuation_rate, 0.25);
-        assert_eq!(p.summary_loss_rate, 0.05);
-        assert_eq!(p.summary_duplicate_rate, 0.02);
-        assert_eq!(p.summary_late_rate, 0.03);
-        assert_eq!(p.summary_late_s, 0.4);
         assert_eq!(p.budget_drops.len(), 2);
         assert_eq!(p.budget_drops[1].factor, 0.35);
         assert_eq!(p.node_outages.len(), 2);
@@ -317,18 +283,23 @@ mod tests {
 
     #[test]
     fn wire_clauses_ride_along_with_host_clauses() {
-        let p = FaultPlan::parse("loss=0.1, wire=0.05, partition=2@5:9, reset=0.01").unwrap();
-        assert_eq!(p.summary_loss_rate, 0.1);
+        let p = FaultPlan::parse("counters=0.1, wire=0.05, partition=2@5:9, reset=0.01").unwrap();
+        assert_eq!(p.counter_rate, 0.1);
         assert_eq!(p.wire.drop_rate, 0.05);
         assert_eq!(p.wire.reset_rate, 0.01);
         assert_eq!(p.wire.partitions.len(), 1);
         assert!(!p.is_quiet());
         // A wire-only plan is not quiet either.
         assert!(!FaultPlan::parse("wire=0.05").unwrap().is_quiet());
-        // `dup=` stays the summary clause; `wdup=` is the frame clause.
-        let p = FaultPlan::parse("dup=0.2, wdup=0.3").unwrap();
-        assert_eq!(p.summary_duplicate_rate, 0.2);
-        assert_eq!(p.wire.duplicate_rate, 0.3);
+        // Messages have one fault grammar: the summary-only clauses are
+        // gone, and `wdup=` is how a frame arrives twice.
+        for spec in ["loss=0.1", "dup=0.2", "late=0.1:0.3"] {
+            assert!(FaultPlan::parse(spec).is_err(), "{spec}");
+        }
+        assert_eq!(
+            FaultPlan::parse("wdup=0.3").unwrap().wire.duplicate_rate,
+            0.3
+        );
     }
 
     #[test]

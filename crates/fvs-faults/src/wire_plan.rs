@@ -1,11 +1,10 @@
-//! Declarative wire-level fault plans.
+//! The message-fault model: what can happen to a frame in flight.
 //!
 //! [`WireFaultPlan`] extends the host-level [`FaultPlan`] grammar down
 //! to the socket: per-frame drop / delay / duplication / corruption
-//! rates, connection resets, and scripted one-way partitions. The plan
-//! is pure description — fvs-net's `ChaosStream` turns it into a
-//! deterministic fault stream from a seed, exactly as
-//! [`FaultInjector`](crate::FaultInjector) does for host faults.
+//! rates, connection resets, and scripted one-way partitions.
+//! [`WireFaultPlan::frame_fault`] is the one decision a frame takes, on
+//! fvs-net's `ChaosStream` and on `ClusterSim`'s simulated wire alike.
 //!
 //! One-way partitions are first-class because the paper's conservative
 //! charging discipline treats them differently: an *uplink*-dead node
@@ -14,6 +13,27 @@
 //! frequency — the coordinator's charge must cover both.
 
 use crate::plan::{parse_nonneg, parse_rate, PlanParseError};
+use fvs_telemetry::WireFaultKind;
+use rand::rngs::StdRng;
+use rand::Rng;
+use std::time::Duration;
+
+/// What one frame in flight suffers ([`WireFaultPlan::frame_fault`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WriteFault {
+    /// The frame arrives as sent.
+    Deliver,
+    /// The frame is lost: a drop, or a partition window.
+    Drop,
+    /// These bytes arrive instead (truncated or bit-flipped).
+    Corrupt(Vec<u8>),
+    /// The frame arrives twice.
+    Duplicate,
+    /// The frame arrives this much later than it would have.
+    Delay(Duration),
+    /// The connection closes at once; the frame goes nowhere.
+    Reset,
+}
 
 /// Which direction of a connection a scripted partition blackholes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,8 +64,9 @@ impl PartitionDirection {
 }
 
 /// A scripted partition: `node`'s traffic is blackholed (in the given
-/// direction) during `[from_s, until_s)`, measured on the wall clock of
-/// whoever holds the chaos stream.
+/// direction) during `[from_s, until_s)`, measured on the clock of
+/// whoever carries the frames: a socket's wall clock since launch, or
+/// `ClusterSim`'s virtual time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionSpec {
     /// The node whose connection is partitioned.
@@ -136,6 +157,57 @@ impl WireFaultPlan {
         crate::FaultPlan::parse(spec).map(|p| p.wire)
     }
 
+    /// The partition window, if any, blackholing `node`'s traffic in one
+    /// direction (`uplink`: toward the coordinator) at `now_s`.
+    pub fn partitioned(&self, node: usize, uplink: bool, now_s: f64) -> Option<WireFaultKind> {
+        // A one-way partition the other way spares this traffic.
+        let (spared, kind) = if uplink {
+            (PartitionDirection::Downlink, WireFaultKind::PartitionUp)
+        } else {
+            (PartitionDirection::Uplink, WireFaultKind::PartitionDown)
+        };
+        let mut active = self.partitions.iter().filter(|p| p.active(node, now_s));
+        active.any(|p| p.direction != spared).then_some(kind)
+    }
+
+    /// The fault `frame`, on `node`'s connection toward the coordinator
+    /// (`uplink`) or away from it at `now_s`, takes, and its kind for the
+    /// journal; `None` when it arrives as sent. A partition window first,
+    /// then reset, drop, corrupt, duplicate, delay: each rate that is
+    /// positive draws from `rng`, so a run replays from the seed.
+    pub fn frame_fault(
+        &self,
+        frame: &[u8],
+        node: usize,
+        uplink: bool,
+        now_s: f64,
+        rng: &mut StdRng,
+    ) -> Option<(WireFaultKind, WriteFault)> {
+        let rates = [
+            (self.reset_rate, WireFaultKind::Reset),
+            (self.drop_rate, WireFaultKind::Drop),
+            (self.corrupt_rate, WireFaultKind::Corrupt),
+            (self.duplicate_rate, WireFaultKind::Duplicate),
+            (self.delay_rate, WireFaultKind::Delay),
+        ];
+        let mut fires = rates
+            .into_iter()
+            .filter(|&(rate, _)| rate > 0.0 && rng.gen::<f64>() < rate);
+        let kind = self
+            .partitioned(node, uplink, now_s)
+            .or_else(|| Some(fires.next()?.1))?;
+        let fault = match kind {
+            WireFaultKind::Reset => WriteFault::Reset,
+            WireFaultKind::Corrupt => WriteFault::Corrupt(mangle(frame, rng)),
+            WireFaultKind::Duplicate => WriteFault::Duplicate,
+            WireFaultKind::Delay => {
+                WriteFault::Delay(Duration::from_secs_f64(self.delay_s.max(0.0)))
+            }
+            _ => WriteFault::Drop,
+        };
+        Some((kind, fault))
+    }
+
     pub(crate) fn parse_clause(
         &mut self,
         key: &str,
@@ -174,6 +246,21 @@ impl WireFaultPlan {
         }
         Ok(true)
     }
+}
+
+/// A corrupted copy of `frame`: half the time the tail never arrives,
+/// otherwise one bit somewhere in it is flipped.
+fn mangle(frame: &[u8], rng: &mut StdRng) -> Vec<u8> {
+    let mut bytes = frame.to_vec();
+    if rng.gen::<f64>() < 0.5 && bytes.len() > 1 {
+        let keep = rng.gen_range(1..bytes.len());
+        bytes.truncate(keep);
+    } else if !bytes.is_empty() {
+        let at = rng.gen_range(0..bytes.len());
+        let bit = rng.gen_range(0u32..8);
+        bytes[at] ^= 1 << bit;
+    }
+    bytes
 }
 
 fn parse_partition(

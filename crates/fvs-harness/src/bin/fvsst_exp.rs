@@ -15,7 +15,7 @@
 //! `--telemetry DIR` writes `<DIR>/<experiment>.telemetry.jsonl`
 //! scheduling traces for the instrumented experiments (fig9, cluster,
 //! chaos). `--faults PLAN` sets the fault plan for the chaos experiment
-//! (`none`, `chaos`, or `counters=R,actuation=R,loss=R,dup=R,late=R:S,`
+//! (`none`, `chaos`, or `counters=R,actuation=R,wire=R,wdup=R,delay=R:S,`
 //! `drop=F@T,node=I@DOWN:UP`); injectors are seeded from `--seed`, so a
 //! chaos run replays from its command line. Every artifact written is
 //! listed on stdout when the run succeeds.

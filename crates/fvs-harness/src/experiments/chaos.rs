@@ -8,10 +8,12 @@
 //!   samples, flaky actuation, and the plan's scripted budget drop. The
 //!   degradation ladder (quarantine → verify-retry → fail-safe pin)
 //!   must keep the schedule NaN-free and end compliant.
-//! - **cluster** — a 4-node rack with lost/duplicated/late/corrupted
-//!   uplink summaries, a node outage, and the same budget drop. The
-//!   coordinator's heartbeat tracking must charge the silent node
-//!   conservatively so the global cap holds on the survivors.
+//! - **cluster** — a 4-node rack under the plan's message faults (the
+//!   wire model: frames lost, doubled, delayed, corrupted or reset, a
+//!   partition window) and corrupted counters, a node outage, and the
+//!   same budget drop. The coordinator's heartbeat tracking must charge
+//!   the silent node conservatively so the global cap holds on the
+//!   survivors.
 //!
 //! The plan comes from `--faults` (the [`FaultPlan::parse`] grammar) and
 //! the injectors are seeded from `--seed`, so a chaos run replays
@@ -19,8 +21,8 @@
 
 use crate::render::TableBuilder;
 use crate::runs::RunSettings;
-use fvs_cluster::{ClusterConfig, ClusterSim};
 use fvs_faults::{FaultInjector, FaultPlan};
+use fvs_net::{ClusterConfig, ClusterSim};
 use fvs_power::BudgetSchedule;
 use fvs_sched::{ScheduledSimulation, SchedulerConfig};
 use fvs_sim::MachineBuilder;
@@ -244,8 +246,8 @@ mod tests {
                 events.len()
             );
         }
-        // And the journal's fault domains span counters, actuation and
-        // the cluster uplink.
+        // And the journal's fault domains span counters and actuation,
+        // and the cluster's frames took the wire model's faults.
         let domains: Vec<&str> = events
             .iter()
             .filter_map(|e| match e {
@@ -253,8 +255,14 @@ mod tests {
                 _ => None,
             })
             .collect();
-        for d in ["counter", "actuation", "cluster"] {
+        for d in ["counter", "actuation"] {
             assert!(domains.contains(&d), "no {d}-domain fault fired");
         }
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e, SchedEvent::WireFault { injected: true, .. })),
+            "no injected wire fault in the cluster cell"
+        );
     }
 }

@@ -18,7 +18,7 @@
 
 use crate::render::TableBuilder;
 use crate::runs::RunSettings;
-use fvs_cluster::{ClusterConfig, ClusterSim};
+use fvs_net::{ClusterConfig, ClusterSim};
 use fvs_power::{BudgetEvent, BudgetSchedule};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};

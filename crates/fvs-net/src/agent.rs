@@ -4,16 +4,17 @@
 //! machine and its local predictor: tick the machine, close the
 //! measurement window every `summary_every` ticks, ship the
 //! [`fvs_cluster::NodeSummary`] upstream, and apply whatever frequency
-//! ceilings come back. When the
-//! link drops it reconnects up a [`ReconnectLadder`] while the machine
-//! keeps running at its last-commanded frequencies — exactly the
-//! mute-but-running scenario the coordinator's conservative charging
-//! defends against.
+//! ceilings come back. When the link drops it reconnects up a
+//! [`ReconnectLadder`], and the machine holds its last-commanded
+//! frequencies — exactly the mute-but-running scenario the
+//! coordinator's conservative charging defends against.
 //!
 //! Those rules are [`AgentCore`](crate::AgentCore)'s, which needs no
-//! socket; the loop that gives it one is [`crate::fleet`]'s, for one
-//! agent as for ten thousand. This module holds what both read: the
-//! tunables and the ladder.
+//! socket. The loop that gives it one, [`crate::fleet`]'s, ticks only
+//! agents with an open socket: while one reconnects, its machine's clock
+//! stands still. [`ClusterSim`](crate::ClusterSim) ticks every agent
+//! every tick. This module holds what both read: the tunables and the
+//! ladder.
 
 use crate::error::FvsError;
 use crate::wire::{WireCodec, SCHEMA_VERSION};
@@ -87,11 +88,11 @@ pub struct AgentConfig {
     /// fleet sharing one config still spreads out).
     pub jitter_seed: u64,
     /// Declare the link dead, and reconnect, when this long passes
-    /// without a frame that decodes — any frame: an ack, a heartbeat, a
-    /// ceiling, one addressed to another node. Bytes that do not parse
-    /// prove nothing about the coordinator and do not count. Heartbeats
-    /// from the coordinator make this time-bounded even on rounds that
-    /// command the node nothing.
+    /// without a frame that decodes — any frame once running, only the
+    /// ack before. Bytes that do not parse prove nothing about the
+    /// coordinator and do not count. Heartbeats from the coordinator
+    /// make this time-bounded even on rounds that command the node
+    /// nothing.
     pub link_timeout: Duration,
     /// Schema version to announce (tests speak wrong versions on
     /// purpose; everything real uses [`SCHEMA_VERSION`]).
@@ -199,8 +200,8 @@ impl AgentConfig {
         self
     }
 
-    /// Checked once, by [`AgentFleet::launch`](crate::AgentFleet::launch),
-    /// before any agent loop starts.
+    /// Checked before any agent runs, by
+    /// [`AgentFleet::launch`](crate::AgentFleet::launch) and `ClusterSim`.
     pub(crate) fn validate(&self) -> Result<(), FvsError> {
         if !(self.tick_s.is_finite() && self.tick_s > 0.0) {
             return Err(FvsError::config("tick_s must be finite and positive"));

@@ -132,6 +132,11 @@ impl AgentCore {
         &self.node
     }
 
+    /// The node, for a simulator to power its machine down and up.
+    pub fn node_mut(&mut self) -> &mut ClusterNode {
+        &mut self.node
+    }
+
     /// Where the agent is in the life of its connection.
     pub fn phase(&self) -> Phase {
         self.phase
@@ -157,18 +162,21 @@ impl AgentCore {
         }
     }
 
-    /// One dispatch period has passed on an open link. A running agent
-    /// advances its machine — also on the tick that finds the link
-    /// silent — and owes a summary every `summary_every`-th tick; one
-    /// still awaiting its ack only flushes (a delayed hello moves on the
-    /// flush that finds it due).
+    /// One dispatch period has passed. A machine does not stop because
+    /// its link did: it advances in every phase but [`Phase::Dead`]. A
+    /// running agent owes a summary every `summary_every`-th tick; any
+    /// other only flushes (a delayed hello moves on the flush that finds
+    /// it due). Only an open link can be silent.
     pub fn tick(&mut self, now_s: f64) -> Tick {
+        if self.phase == Phase::Dead {
+            return Tick::Flush;
+        }
+        self.node.tick(self.tick_s);
         let window_closed = self.phase == Phase::Running && {
-            self.node.tick(self.tick_s);
             self.ticks += 1;
             self.ticks.is_multiple_of(self.summary_every)
         };
-        if now_s - self.last_rx_s > self.link_timeout_s {
+        if self.phase != Phase::Backoff && now_s - self.last_rx_s > self.link_timeout_s {
             Tick::Silent
         } else if window_closed {
             Tick::Summary(self.node.summarize())
@@ -177,12 +185,15 @@ impl AgentCore {
         }
     }
 
-    /// A frame decoded at `now_s`. Any frame refreshes the link — an
-    /// ack, a heartbeat, a ceiling, one addressed to another node; bytes
-    /// that do not parse never get here. Acks and heartbeats carry their
-    /// sender's epoch and count only if that is no lower than the fence.
+    /// A frame decoded at `now_s`. Any frame refreshes a running link —
+    /// an ack, a heartbeat, a ceiling, one addressed to another node;
+    /// bytes that do not parse never get here. A hello waits for its ack
+    /// alone. Acks and heartbeats carry their sender's epoch and count
+    /// only if that is no lower than the fence.
     pub fn frame(&mut self, msg: &WireMsg, now_s: f64) -> Heard {
-        self.last_rx_s = now_s;
+        if self.phase != Phase::Handshaking || matches!(msg, WireMsg::HelloAck { .. }) {
+            self.last_rx_s = now_s;
+        }
         let (epoch, accepted) = match *msg {
             WireMsg::HelloAck {
                 accepted,

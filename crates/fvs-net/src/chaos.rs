@@ -5,13 +5,14 @@
 //! [`ChaosStream::decide_write_fault`] once for each encoded frame and
 //! applies the answer as it queues the bytes, so a partial write retried
 //! later never re-rolls the dice and a held frame never blocks the ones
-//! behind it. Each endpoint wraps its own socket, which covers both
-//! directions: the agent's writes are the uplink, the coordinator's
-//! writes are the downlink. Scripted partitions additionally blackhole
-//! the *read* path, so a one-way partition behaves like the real thing:
-//! an uplink-dead node keeps receiving commands it can never
-//! acknowledge, a downlink-dead node keeps reporting while ignoring
-//! every ceiling.
+//! behind it. The decision is [`WireFaultPlan::frame_fault`], as on
+//! `ClusterSim`'s simulated wire; this stream adapts it to a socket.
+//! Each endpoint wraps its own socket, which covers both directions:
+//! the agent's writes are the uplink, the coordinator's writes are the
+//! downlink. Scripted partitions additionally blackhole the *read*
+//! path, so a one-way partition behaves like the real thing: an
+//! uplink-dead node keeps receiving commands it can never acknowledge,
+//! a downlink-dead node keeps reporting while ignoring every ceiling.
 //!
 //! Determinism: same plan + same seed + same frame sequence → the same
 //! fault decisions, exactly like [`fvs_faults::FaultInjector`]. A quiet
@@ -29,9 +30,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fvs_faults::WireFaultPlan;
+pub use fvs_faults::WriteFault;
 use fvs_telemetry::{Counter, SchedEvent, Telemetry, WireFaultKind};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Which endpoint of the connection this stream belongs to — decides
 /// which partition direction applies to its reads and writes.
@@ -69,6 +71,13 @@ impl WireChaos {
     pub fn is_quiet(&self) -> bool {
         self.plan.is_quiet()
     }
+
+    /// The fault stream of connection `stream_id`: the base seed mixed
+    /// with the id, so each connection (reconnect attempts, accept
+    /// sequence) gets its own reproducible stream.
+    pub(crate) fn rng(&self, stream_id: u64) -> StdRng {
+        StdRng::seed_from_u64(self.seed ^ SEED_MIX ^ stream_id.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    }
 }
 
 /// The node index before a hello names it.
@@ -78,10 +87,32 @@ const NODE_UNKNOWN: usize = usize::MAX;
 /// still a real stream).
 const SEED_MIX: u64 = 0xC4A0_5BAD_F00D_5EED;
 
+/// The journal entry of one injected fault on `node`'s connection, for
+/// both transports: a `wire_fault` flagged `injected` (organic decode
+/// faults are not), with the size and codec of the frame it hit (0 for
+/// a blackholed read).
+pub(crate) fn injected_fault(
+    t_s: f64,
+    node: usize,
+    kind: WireFaultKind,
+    frame: &[u8],
+) -> SchedEvent {
+    let (frame_len, codec) = sniff_frame(frame);
+    SchedEvent::WireFault {
+        t_s,
+        node: u32::try_from(node).unwrap_or(u32::MAX),
+        kind,
+        injected: true,
+        frame_len,
+        codec,
+    }
+}
+
 #[derive(Debug)]
 struct ChaosCore {
     plan: WireFaultPlan,
-    side: ChaosSide,
+    /// This end writes toward the coordinator (it is the agent's).
+    uplink: bool,
     /// Partition windows are measured from here.
     start: Instant,
     /// Node this connection belongs to (`NODE_UNKNOWN` pre-hello; the
@@ -103,75 +134,16 @@ impl ChaosCore {
     }
 
     /// Record one injected fault: the atomic count, the optional
-    /// `net.wire_faults_injected` counter, and a `wire_fault` journal
-    /// event flagged `injected` (distinguishing it from organic
-    /// corruption the frame decoder reports). `frame_len`/`codec` are
-    /// the size and sniffed codec of the frame the fault hit (0 when
-    /// no frame was in hand, e.g. a blackholed read).
-    fn note(&mut self, kind: WireFaultKind, frame_len: u32, codec: u8) {
+    /// `net.wire_faults_injected` counter, and the journal entry.
+    fn note(&mut self, kind: WireFaultKind, frame: &[u8]) {
         self.injected += 1;
         if let Some(c) = &self.counter {
             c.inc();
         }
         if self.telemetry.enabled() {
-            let node = self.node();
-            self.telemetry.emit(SchedEvent::WireFault {
-                t_s: self.now_s(),
-                node: if node == NODE_UNKNOWN {
-                    u32::MAX
-                } else {
-                    node as u32
-                },
-                kind,
-                injected: true,
-                frame_len,
-                codec,
-            });
+            let event = injected_fault(self.now_s(), self.node(), kind, frame);
+            self.telemetry.emit(event);
         }
-    }
-
-    fn fires(&mut self, rate: f64) -> bool {
-        rate > 0.0 && self.rng.gen::<f64>() < rate
-    }
-
-    /// Whether a scripted partition blackholes this stream's writes
-    /// right now, and the event kind to report if so.
-    fn write_partition(&self, now_s: f64) -> Option<WireFaultKind> {
-        let node = self.node();
-        for p in &self.plan.partitions {
-            if !p.active(node, now_s) {
-                continue;
-            }
-            let (blocked, kind) = match self.side {
-                ChaosSide::Agent => (p.direction.blocks_uplink(), WireFaultKind::PartitionUp),
-                ChaosSide::Coordinator => {
-                    (p.direction.blocks_downlink(), WireFaultKind::PartitionDown)
-                }
-            };
-            if blocked {
-                return Some(kind);
-            }
-        }
-        None
-    }
-
-    /// Whether a scripted partition blackholes this stream's reads
-    /// right now, and the event kind to report if so.
-    fn read_partition(&self, now_s: f64) -> Option<WireFaultKind> {
-        let node = self.node();
-        for p in &self.plan.partitions {
-            if !p.active(node, now_s) {
-                continue;
-            }
-            let (blocked, kind) = match self.side {
-                ChaosSide::Agent => (p.direction.blocks_downlink(), WireFaultKind::PartitionDown),
-                ChaosSide::Coordinator => (p.direction.blocks_uplink(), WireFaultKind::PartitionUp),
-            };
-            if blocked {
-                return Some(kind);
-            }
-        }
-        None
     }
 }
 
@@ -190,27 +162,6 @@ fn sniff_frame(buf: &[u8]) -> (u32, u8) {
         0
     };
     (len, codec)
-}
-
-/// The fault a [`ChaosStream`] decided to apply to one outgoing frame.
-/// `Transport` asks for the decision up front (via
-/// [`ChaosStream::decide_write_fault`]) and applies it at enqueue time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WriteFault {
-    /// Write the frame as-is.
-    Deliver,
-    /// Pretend success, send nothing (drop faults and active partition
-    /// windows — the caller cannot tell the difference, as intended).
-    Drop,
-    /// Write these bytes instead (truncated or bit-flipped).
-    Corrupt(Vec<u8>),
-    /// Write the frame twice.
-    Duplicate,
-    /// Hold the frame back this long, then deliver it.
-    Delay(Duration),
-    /// The connection was reset (the socket is already shut down);
-    /// surface `ConnectionReset` to the caller.
-    Reset,
 }
 
 /// A `TcpStream` wrapper that injects [`WireFaultPlan`] faults.
@@ -248,15 +199,14 @@ impl ChaosStream {
         if chaos.is_quiet() {
             return ChaosStream::passthrough(inner);
         }
-        let seed = chaos.seed ^ SEED_MIX ^ stream_id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         ChaosStream {
             inner,
             core: Some(Box::new(ChaosCore {
                 plan: chaos.plan.clone(),
-                side,
+                uplink: side == ChaosSide::Agent,
                 start,
                 node: AtomicUsize::new(NODE_UNKNOWN),
-                rng: StdRng::seed_from_u64(seed),
+                rng: chaos.rng(stream_id),
                 injected: 0,
                 telemetry,
                 counter,
@@ -287,58 +237,26 @@ impl ChaosStream {
         self.inner.set_nonblocking(on)
     }
 
-    /// Decide what fault (if any) hits one outgoing frame: at most one
-    /// class per frame, checked in severity order — partition, reset,
-    /// drop, corrupt, duplicate, delay. The fault is journaled here; the
-    /// caller applies the decision. On [`WriteFault::Reset`] the socket
-    /// has already been shut down.
+    /// The fault one outgoing frame takes
+    /// ([`WireFaultPlan::frame_fault`]), journaled here for the caller
+    /// to apply. On [`WriteFault::Reset`] the socket has already been
+    /// shut down; surface `ConnectionReset`.
     pub fn decide_write_fault(&mut self, frame: &[u8]) -> WriteFault {
         let Some(core) = self.core.as_deref_mut() else {
             return WriteFault::Deliver;
         };
-        let (len, codec) = sniff_frame(frame);
-        let plan_rates = [
-            (core.plan.reset_rate, WireFaultKind::Reset),
-            (core.plan.drop_rate, WireFaultKind::Drop),
-            (core.plan.corrupt_rate, WireFaultKind::Corrupt),
-            (core.plan.duplicate_rate, WireFaultKind::Duplicate),
-            (core.plan.delay_rate, WireFaultKind::Delay),
-        ];
-        let kind = match core.write_partition(core.now_s()) {
-            Some(kind) => kind,
-            None => match plan_rates.iter().find(|(rate, _)| core.fires(*rate)) {
-                Some(&(_, kind)) => kind,
-                None => return WriteFault::Deliver,
-            },
+        let (node, uplink, now_s) = (core.node(), core.uplink, core.now_s());
+        let Some((kind, fault)) = core
+            .plan
+            .frame_fault(frame, node, uplink, now_s, &mut core.rng)
+        else {
+            return WriteFault::Deliver;
         };
-        core.note(kind, len, codec);
-        match kind {
-            WireFaultKind::Reset => {
-                let _ = self.inner.shutdown(Shutdown::Both);
-                WriteFault::Reset
-            }
-            WireFaultKind::Corrupt => {
-                let mut bytes = frame.to_vec();
-                if core.rng.gen::<f64>() < 0.5 && bytes.len() > 1 {
-                    // Truncate: the tail never arrives.
-                    let keep = core.rng.gen_range(1..bytes.len());
-                    bytes.truncate(keep);
-                } else if !bytes.is_empty() {
-                    // Flip one bit somewhere in the frame.
-                    let at = core.rng.gen_range(0..bytes.len());
-                    let bit = core.rng.gen_range(0u32..8);
-                    bytes[at] ^= 1 << bit;
-                }
-                WriteFault::Corrupt(bytes)
-            }
-            WireFaultKind::Duplicate => WriteFault::Duplicate,
-            WireFaultKind::Delay => {
-                WriteFault::Delay(Duration::from_secs_f64(core.plan.delay_s.max(0.0)))
-            }
-            // A drop, or a partition window: the caller cannot tell
-            // them apart, as intended.
-            _ => WriteFault::Drop,
+        core.note(kind, frame);
+        if fault == WriteFault::Reset {
+            let _ = self.inner.shutdown(Shutdown::Both);
         }
+        fault
     }
 
     /// One raw `write` on the inner socket — no fault logic, no
@@ -368,10 +286,12 @@ impl Read for ChaosStream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         let n = self.inner.read(buf)?;
         if let Some(core) = self.core.as_deref_mut().filter(|_| n > 0) {
-            if let Some(kind) = core.read_partition(core.now_s()) {
+            // Reads travel the other way from writes.
+            let uplink = !core.uplink;
+            if let Some(kind) = core.plan.partitioned(core.node(), uplink, core.now_s()) {
                 // Drain-and-discard: the bytes vanish as if the link
                 // were down, and the caller sees its usual timeout.
-                core.note(kind, 0, 0);
+                core.note(kind, &[]);
                 return Err(io::Error::new(
                     io::ErrorKind::WouldBlock,
                     "chaos partition blackholed the read",

@@ -197,7 +197,8 @@ impl CoordinatorConfig {
         self
     }
 
-    fn validate(&self) -> Result<(), FvsError> {
+    /// Checked by [`CoordinatorServer::bind`] and `ClusterSim`.
+    pub(crate) fn validate(&self) -> Result<(), FvsError> {
         for (name, value) in [
             ("period_s", self.period_s),
             ("heartbeat_timeout_s", self.heartbeat_timeout_s),

@@ -230,6 +230,11 @@ impl CoordinatorCore {
         &self.status
     }
 
+    /// The scheduler behind the rounds (reserve, dead nodes, cache).
+    pub fn coordinator(&self) -> &GlobalCoordinator {
+        &self.coordinator
+    }
+
     /// Judge the hello `conn` sent: `node` speaking schema `version`,
     /// having acknowledged epochs up to `last_epoch`, able to read the
     /// codecs in the `codecs` bitmask. Returns the ack to write back and

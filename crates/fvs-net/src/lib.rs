@@ -1,11 +1,9 @@
 //! The networked control plane: the paper's node/coordinator split over
-//! real sockets.
+//! real sockets, and over a simulated wire.
 //!
-//! Everything before this crate exchanged [`fvs_cluster::NodeSummary`]
-//! and [`fvs_cluster::FrequencyCommand`] through the in-process
-//! [`fvs_cluster::ClusterSim`] delay queue. Here the same types travel a
-//! length-prefixed, versioned wire protocol ([`wire`], JSON `FVS1` with
-//! a negotiated binary `FVS2` fast path) between a TCP
+//! [`fvs_cluster::NodeSummary`] and [`fvs_cluster::FrequencyCommand`]
+//! travel a length-prefixed, versioned wire protocol ([`wire`], JSON
+//! `FVS1` with a negotiated binary `FVS2` fast path) between a TCP
 //! [`coordinator::CoordinatorServer`] wrapping the real
 //! [`fvs_cluster::GlobalCoordinator`] and node agents, so heartbeat
 //! timeouts, silent-node charging and blind f_min commands run against
@@ -20,7 +18,7 @@
 //! `now_s`: the node's are [`agent_core`]'s [`AgentCore`], the
 //! coordinator's — and all its scheduling and protocol state — are
 //! [`coordinator_core`]'s [`CoordinatorCore`]. The loops drive them,
-//! and a test or a replay can drive them as well.
+//! and so does [`sim`]'s [`ClusterSim`], over a virtual-time wire.
 //! Each connection's codec, chaos and queueing state lives in a
 //! [`transport::Transport`], and no other code writes a control-plane
 //! socket. Built entirely on `std::net` TCP — the vendored, offline
@@ -43,6 +41,7 @@ pub mod error;
 pub mod fleet;
 pub mod obs;
 pub mod reactor;
+pub mod sim;
 pub mod snapshot;
 pub mod transport;
 pub mod wire;
@@ -57,6 +56,7 @@ pub use error::FvsError;
 pub use fleet::{AgentFleet, FleetHandle, FleetStats};
 pub use obs::{http_get, HealthReport, ObsHandles, ObsServer};
 pub use reactor::{Reactor, LISTENER_TOKEN};
+pub use sim::{ClusterConfig, ClusterReport, ClusterSim, DelayQueue, NodeEvent};
 pub use snapshot::{Snapshot, SnapshotEpisode, SnapshotNode, SnapshotStore, SNAPSHOT_VERSION};
 pub use transport::{FillStatus, Transport};
 pub use wire::{

@@ -1,0 +1,961 @@
+//! The cluster simulation: machines and a coordinator on virtual time,
+//! speaking the product's protocol over a simulated wire.
+//!
+//! [`ClusterSim`] drives the two protocol cores as the socket loops do:
+//! each node an [`AgentCore`], the coordinator a [`CoordinatorCore`],
+//! every hello, ack, summary, ceiling and heartbeat an encoded frame
+//! that crosses a [`DelayQueue`] (`latency_s` each way) into a
+//! [`FrameReader`]. The cores say when a round is owed, what a frame
+//! means and when to reconnect; this adds the world: one clock for every
+//! machine, scripted outages and budget changes, the fault plan, and
+//! the measured truth of a [`ClusterReport`]. It reads no clock.
+//!
+//! The message faults are the agents', as if each agent's socket ran a
+//! [`ChaosStream`](crate::ChaosStream) under the plan, seeded the same
+//! way: what an agent writes takes
+//! [`WireFaultPlan::frame_fault`](fvs_faults::WireFaultPlan::frame_fault),
+//! what it reads is lost in a downlink partition. A frame that does not
+//! decode closes its connection at both ends.
+
+use crate::agent::AgentConfig;
+use crate::agent_core::{AgentCore, Heard, Tick};
+use crate::chaos::{injected_fault, WireChaos};
+use crate::coordinator::CoordinatorConfig;
+use crate::coordinator_core::{CoordinatorCore, RoundSink};
+use crate::error::FvsError;
+use crate::snapshot::Snapshot;
+use crate::wire::{encode_with, FrameReader, WireCodec, WireMsg};
+use fvs_cluster::{ClusterNode, GlobalCoordinator, NodeSummary};
+use fvs_faults::{CounterFaultKind, FaultInjector, WriteFault};
+use fvs_model::CpiModel;
+use fvs_power::{BudgetEvent, BudgetSchedule};
+use fvs_sched::FvsstAlgorithm;
+use fvs_sim::MachineBuilder;
+use fvs_telemetry::{FaultDomain, SchedEvent, Telemetry};
+use fvs_workloads::{MixConfig, WorkloadGenerator, WorkloadSpec};
+use rand::rngs::StdRng;
+use rayon::prelude::*;
+use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
+
+/// Node count below which the cluster tick runs sequentially: each
+/// node's tick is microseconds of work, and fork/join overhead would
+/// dominate.
+const PARALLEL_TICK_THRESHOLD: usize = 8;
+
+/// Cluster-wide configuration. Each field is one the cores already
+/// have: `t_s` is the agents' `tick_s`, `n` their `summary_every`,
+/// `n·t_s` the coordinator's `period_s`, and `telemetry` the
+/// coordinator's; `latency_s` is the wire's.
+#[derive(Debug, Clone)]
+pub struct ClusterConfig {
+    /// Dispatch period per node (s).
+    pub t_s: f64,
+    /// Scheduling period multiplier (summaries every `n` ticks).
+    pub n: u32,
+    /// One-way message latency node↔coordinator (s).
+    pub latency_s: f64,
+    /// The scheduling algorithm.
+    pub algorithm: FvsstAlgorithm,
+    /// Global budget over time.
+    pub budget: BudgetSchedule,
+    /// Telemetry handle passed to the coordinator (disabled by default).
+    pub telemetry: Telemetry,
+}
+
+impl ClusterConfig {
+    /// Paper-style defaults: t = 10 ms, T = 100 ms, 2 ms one-way latency
+    /// (same-rack TCP), unlimited budget. The canonical starting point —
+    /// refine with the `with_*` builders.
+    pub fn rack() -> Self {
+        ClusterConfig {
+            t_s: 0.010,
+            n: 10,
+            latency_s: 0.002,
+            algorithm: FvsstAlgorithm::p630(),
+            budget: BudgetSchedule::constant(f64::INFINITY),
+            telemetry: Telemetry::disabled(),
+        }
+    }
+
+    /// Override the per-node dispatch period `t` (s).
+    pub fn with_t_s(mut self, t_s: f64) -> Self {
+        self.t_s = t_s;
+        self
+    }
+
+    /// Override the scheduling-period multiplier `n` (summaries every
+    /// `n` ticks, so `T = n·t`).
+    pub fn with_n(mut self, n: u32) -> Self {
+        self.n = n;
+        self
+    }
+
+    /// Override the one-way node↔coordinator message latency (s).
+    pub fn with_latency_s(mut self, latency_s: f64) -> Self {
+        self.latency_s = latency_s;
+        self
+    }
+
+    /// Set the global budget schedule.
+    pub fn with_budget(mut self, budget: BudgetSchedule) -> Self {
+        self.budget = budget;
+        self
+    }
+
+    /// Attach a telemetry handle (journals coordinator rounds and
+    /// injected faults, and keeps `cluster.*` metrics).
+    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+        self.telemetry = telemetry;
+        self
+    }
+}
+
+/// Summary of a cluster run.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ClusterReport {
+    /// Simulated seconds.
+    pub duration_s: f64,
+    /// Final aggregate processor power across all nodes (W).
+    pub final_power_w: f64,
+    /// Peak aggregate power (W).
+    pub peak_power_w: f64,
+    /// Seconds over budget.
+    pub violation_s: f64,
+    /// Time from the most recent budget *decrease* until compliance (s);
+    /// None when no decrease occurred or compliance was never reached.
+    pub response_s: Option<f64>,
+    /// Per-node final power (W).
+    pub node_power_w: Vec<f64>,
+    /// Per-node mean effective frequency of core 0 over the run (MHz) —
+    /// a cheap diversity fingerprint.
+    pub node_mean_mhz: Vec<f64>,
+    /// Global scheduling rounds executed.
+    pub rounds: u64,
+    /// Faults injected over the run, counter and frame faults (0
+    /// without an injector).
+    pub faults_injected: u64,
+    /// Power the coordinator held in reserve for silent nodes at the end
+    /// of the run (W).
+    pub reserved_w: f64,
+}
+
+/// A scripted node availability change: machines crash, get drained for
+/// maintenance, and come back — the coordinator must keep the rest of
+/// the cluster compliant throughout.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct NodeEvent {
+    /// When the change takes effect (s).
+    pub at_s: f64,
+    /// Affected node.
+    pub node: usize,
+    /// `true` = the node (re)joins; `false` = it goes offline (cores
+    /// powered down, its connection gone).
+    pub online: bool,
+}
+
+/// A queue that delivers messages after a simulated network delay,
+/// preserving send order among messages with equal delivery times.
+#[derive(Debug, Default)]
+pub struct DelayQueue<T> {
+    /// In delivery order, equal times in send order.
+    pending: VecDeque<(f64, T)>,
+}
+
+impl<T> DelayQueue<T> {
+    /// Enqueue `msg` for delivery at `deliver_at_s`.
+    pub fn send(&mut self, deliver_at_s: f64, msg: T) {
+        let at = self
+            .pending
+            .partition_point(|(t, _)| t.total_cmp(&deliver_at_s).is_le());
+        self.pending.insert(at, (deliver_at_s, msg));
+    }
+
+    /// Pop every message whose delivery time has arrived.
+    pub fn recv_ready(&mut self, now_s: f64) -> Vec<T> {
+        let due = self.pending.partition_point(|(t, _)| *t <= now_s);
+        self.pending.drain(..due).map(|(_, msg)| msg).collect()
+    }
+
+    /// Messages still in flight.
+    pub fn in_flight(&self) -> usize {
+        self.pending.len()
+    }
+}
+
+/// One connection: each end's reader, and its fault stream (none under
+/// a quiet plan).
+struct Link {
+    conn: u64,
+    /// `[agent's end, coordinator's end]`: index with `uplink`.
+    readers: [FrameReader; 2],
+    rng: Option<StdRng>,
+}
+
+/// One agent and its end of the wire.
+struct Slot {
+    core: AgentCore,
+    /// What the agent's last tick asked of its link.
+    due: Tick,
+    link: Option<Link>,
+    online: bool,
+    /// When the agent connects next (virtual s), while it has no link.
+    connect_at_s: f64,
+}
+
+/// A frame in flight: the slot at its agent end, its connection, its
+/// bytes.
+type Frame = (usize, u64, Vec<u8>);
+
+/// Where a round's output waits to be framed.
+#[derive(Default)]
+struct Outbox(Vec<(u64, WireMsg)>);
+
+impl RoundSink for Outbox {
+    fn persist(&mut self, _snapshot: &Snapshot) {}
+
+    fn send(&mut self, conn: u64, msg: &WireMsg) -> bool {
+        self.0.push((conn, msg.clone()));
+        true
+    }
+}
+
+/// A cluster of machines under one global budget. See the module docs.
+pub struct ClusterSim {
+    slots: Vec<Slot>,
+    coordinator: CoordinatorCore,
+    config: ClusterConfig,
+    uplink: DelayQueue<Frame>,
+    downlink: DelayQueue<Frame>,
+    /// The slot at the agent end of every connection ever opened:
+    /// connection `c` at `c - 1`.
+    conn_slot: Vec<usize>,
+    outbox: Outbox,
+    last_budget_w: f64,
+    violation_s: f64,
+    peak_power_w: f64,
+    budget_drop_at: Option<f64>,
+    compliance_at: Option<f64>,
+    /// Availability changes not yet applied, in time order.
+    node_events: Vec<NodeEvent>,
+    faults: FaultInjector,
+    chaos: WireChaos,
+    wire_faults: u64,
+}
+
+impl ClusterSim {
+    /// Build from explicit nodes (node `i` at index `i`). Each boots at
+    /// `f_min` and waits for its first ceiling, as a rejoining node does.
+    ///
+    /// # Panics
+    ///
+    /// When `config` cannot run: `t_s` not finite and positive, `n` of
+    /// zero, or `latency_s` not finite and non-negative.
+    pub fn new(nodes: Vec<ClusterNode>, config: ClusterConfig) -> Self {
+        let agent = AgentConfig {
+            tick_s: config.t_s,
+            summary_every: config.n,
+            ..AgentConfig::default_lan()
+        };
+        let coordinator = CoordinatorConfig {
+            period_s: f64::from(config.n) * config.t_s,
+            initial_budget_w: config.budget.initial_w(),
+            telemetry: config.telemetry.clone(),
+            ..CoordinatorConfig::default_lan()
+        };
+        let latency = (config.latency_s.is_finite() && config.latency_s >= 0.0)
+            .then_some(())
+            .ok_or_else(|| FvsError::config("latency_s must be finite and non-negative"));
+        if let Err(e) = agent.validate().and(coordinator.validate()).and(latency) {
+            panic!("ClusterConfig: {e}");
+        }
+        let f_min = config.algorithm.freq_set.min();
+        let slots: Vec<Slot> = nodes
+            .into_iter()
+            .map(|mut node| {
+                node.machine_mut().set_all_frequencies(f_min);
+                Slot {
+                    core: AgentCore::new(node, &agent),
+                    due: Tick::Flush,
+                    link: None,
+                    online: true,
+                    connect_at_s: 0.0,
+                }
+            })
+            .collect();
+        let core = CoordinatorCore::new(slots.len(), config.algorithm.clone(), &coordinator, None);
+        ClusterSim {
+            coordinator: core,
+            slots,
+            last_budget_w: config.budget.initial_w(),
+            config,
+            uplink: DelayQueue::default(),
+            downlink: DelayQueue::default(),
+            conn_slot: Vec::new(),
+            outbox: Outbox::default(),
+            violation_s: 0.0,
+            peak_power_w: 0.0,
+            budget_drop_at: None,
+            compliance_at: None,
+            node_events: Vec::new(),
+            faults: FaultInjector::disabled(),
+            chaos: WireChaos::none(),
+            wire_faults: 0,
+        }
+    }
+
+    /// Script node availability changes; they merge with any scheduled
+    /// already (a fault plan's outages, say), in time order.
+    pub fn with_node_events(mut self, events: Vec<NodeEvent>) -> Self {
+        self.node_events.extend(events);
+        self.node_events.sort_by(|a, b| a.at_s.total_cmp(&b.at_s));
+        self
+    }
+
+    /// Attach a fault injector: its outages join the availability events,
+    /// its budget drops (fractions of the initial budget) the schedule;
+    /// counter faults corrupt summaries before they are encoded, and
+    /// message faults take the frames, seeded from the injector's seed.
+    pub fn with_faults(mut self, injector: FaultInjector) -> Self {
+        let plan = injector.plan();
+        let initial = self.config.budget.initial_w();
+        for drop in &plan.budget_drops {
+            self.config.budget.push_event(BudgetEvent {
+                at_s: drop.at_s,
+                budget_w: initial * drop.factor,
+            });
+        }
+        let events = plan.node_outages.iter().flat_map(|o| {
+            let event = |at_s, online| NodeEvent {
+                at_s,
+                node: o.node,
+                online,
+            };
+            let back = o.up_s.is_finite().then(|| event(o.up_s, true));
+            std::iter::once(event(o.down_s, false)).chain(back)
+        });
+        let events = events.collect();
+        self.chaos = WireChaos::new(plan.wire.clone(), injector.seed());
+        self.faults = injector;
+        self.with_node_events(events)
+    }
+
+    /// The coordinator's scheduler (degradation state: reserve, dead
+    /// nodes), read through its core.
+    pub fn coordinator(&self) -> &GlobalCoordinator {
+        self.coordinator.coordinator()
+    }
+
+    /// Whether node `i` is currently online.
+    pub fn is_online(&self, i: usize) -> bool {
+        self.slots[i].online
+    }
+
+    /// A three-tier cluster of `nodes` single-socket 4-core machines
+    /// with seeded synthetic workloads (web/app/db bands).
+    pub fn three_tier(nodes: usize, seed: u64, config: ClusterConfig) -> Self {
+        let mut gen = WorkloadGenerator::new(seed, MixConfig::default());
+        let (tiers, specs): (Vec<_>, Vec<_>) = gen.three_tier_placement(nodes).into_iter().unzip();
+        // One looping tier workload per core.
+        let workloads = tiers.iter().zip(specs).map(|(&tier, spec)| {
+            let rest = (1..4).map(|_| gen.for_tier(tier));
+            std::iter::once(spec).chain(rest).collect()
+        });
+        let mut sim = Self::heterogeneous(workloads.collect(), seed, config);
+        for (slot, tier) in sim.slots.iter_mut().zip(tiers) {
+            slot.core.node_mut().tier = Some(tier);
+        }
+        sim
+    }
+
+    /// A heterogeneous cluster: one entry per node giving its workloads
+    /// (one per core; the node's core count is the vector's length).
+    pub fn heterogeneous(
+        node_workloads: Vec<Vec<WorkloadSpec>>,
+        seed: u64,
+        config: ClusterConfig,
+    ) -> Self {
+        let built = node_workloads
+            .into_iter()
+            .enumerate()
+            .map(|(id, workloads)| {
+                assert!(!workloads.is_empty(), "node {id} needs at least one core");
+                let mut b = MachineBuilder::p630()
+                    .cores(workloads.len())
+                    .seed(seed ^ ((id as u64) << 8));
+                for (core, w) in workloads.into_iter().enumerate() {
+                    b = b.workload(core, w);
+                }
+                ClusterNode::new(id, b.build(), None)
+            })
+            .collect();
+        ClusterSim::new(built, config)
+    }
+
+    /// Number of nodes.
+    pub fn num_nodes(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Node access.
+    pub fn node(&self, i: usize) -> &ClusterNode {
+        self.slots[i].core.node()
+    }
+
+    /// Current cluster time (all nodes advance in lockstep).
+    pub fn now_s(&self) -> f64 {
+        self.slots
+            .first()
+            .map_or(0.0, |s| s.core.node().machine().now_s())
+    }
+
+    /// Aggregate processor power right now.
+    pub fn total_power_w(&self) -> f64 {
+        self.slots.iter().map(|s| s.core.node().power_w()).sum()
+    }
+
+    /// Advance the whole cluster one dispatch tick.
+    pub fn step_tick(&mut self) {
+        let t_s = self.config.t_s;
+        // Apply any availability events due by the end of this tick.
+        let end = self.now_s() + t_s;
+        let due = self.node_events.partition_point(|e| e.at_s <= end);
+        for ev in self.node_events.drain(..due).collect::<Vec<_>>() {
+            if ev.node < self.slots.len() {
+                self.set_online(ev.node, ev.online);
+            }
+        }
+        // Every agent ticks, linked or not (offline cores execute and
+        // draw nothing); large clusters fan that work out across threads.
+        if self.slots.len() >= PARALLEL_TICK_THRESHOLD {
+            self.slots
+                .par_iter_mut()
+                .for_each(|s| s.due = s.core.tick(end));
+        } else {
+            self.slots.iter_mut().for_each(|s| s.due = s.core.tick(end));
+        }
+        let now = self.now_s();
+        let budget_w = self.config.budget.budget_at(now);
+        if (budget_w - self.last_budget_w).abs() > 1e-9 {
+            // Track budget decreases for response-time measurement.
+            if budget_w < self.last_budget_w {
+                self.budget_drop_at = Some(now);
+                self.compliance_at = None;
+            }
+            self.coordinator.set_budget(budget_w);
+            self.last_budget_w = budget_w;
+        }
+
+        // Compliance accounting, on what the machines really draw.
+        let power = self.total_power_w();
+        self.peak_power_w = self.peak_power_w.max(power);
+        if power > budget_w {
+            self.violation_s += t_s;
+        } else if self.budget_drop_at.is_some() && self.compliance_at.is_none() {
+            self.compliance_at = Some(now);
+        }
+
+        // What each agent's tick owes its link, and a hello from each
+        // one whose wait is over.
+        for i in 0..self.slots.len() {
+            match std::mem::replace(&mut self.slots[i].due, Tick::Flush) {
+                Tick::Flush => {}
+                Tick::Silent => self.close(i, now),
+                Tick::Summary(mut summary) => {
+                    if let Some(kind) = self.faults.counter_fault() {
+                        self.config.telemetry.emit(SchedEvent::FaultInjected {
+                            t_s: now,
+                            domain: FaultDomain::Counter,
+                            target: i as u32,
+                        });
+                        corrupt_summary(kind, &mut summary);
+                    }
+                    self.send(i, true, &WireMsg::Summary(summary), now);
+                }
+            }
+            let slot = &self.slots[i];
+            if slot.link.is_none() && slot.online && now >= slot.connect_at_s {
+                self.connect(i, now);
+            }
+        }
+
+        // The coordinator reads what has arrived, and runs a round when
+        // its core owes one by the middle of this tick.
+        for (i, conn, bytes) in self.uplink.recv_ready(now) {
+            self.arrive(i, conn, true, &bytes, now);
+        }
+        if self.coordinator.until_round_s(now) <= 0.5 * t_s {
+            self.coordinator.run_round(now, &mut self.outbox);
+            for (conn, msg) in std::mem::take(&mut self.outbox.0) {
+                let i = self.conn_slot[conn as usize - 1];
+                if self.link(i, conn).is_some() {
+                    self.send(i, false, &msg, now);
+                }
+            }
+        }
+
+        // Agents read what has arrived.
+        for (i, conn, bytes) in self.downlink.recv_ready(now) {
+            self.arrive(i, conn, false, &bytes, now);
+        }
+    }
+
+    /// Node `i` goes offline (its cores power down, its connection is
+    /// gone) or comes back (at `f_min`, connecting on this tick).
+    fn set_online(&mut self, i: usize, online: bool) {
+        let now = self.now_s();
+        if !online {
+            self.close(i, now);
+        }
+        let f_min = self.config.algorithm.freq_set.min();
+        let slot = &mut self.slots[i];
+        slot.online = online;
+        slot.connect_at_s = if online { now } else { f64::INFINITY };
+        let machine = slot.core.node_mut().machine_mut();
+        (0..machine.num_cores()).for_each(|core| machine.set_powered(core, online));
+        if online {
+            // The cluster has long since redistributed this node's
+            // budget: rejoin at f_min, as at boot.
+            machine.set_all_frequencies(f_min);
+        }
+    }
+
+    /// Open a connection for slot `i` and send its agent's hello.
+    fn connect(&mut self, i: usize, now: f64) {
+        self.conn_slot.push(i);
+        let conn = self.conn_slot.len() as u64;
+        let slot = &mut self.slots[i];
+        slot.link = Some(Link {
+            conn,
+            readers: Default::default(),
+            rng: (!self.chaos.is_quiet()).then(|| self.chaos.rng(conn)),
+        });
+        let hello = slot.core.connected(now);
+        self.send(i, true, &hello, now);
+    }
+
+    /// Slot `i`'s connection is gone, at both ends at once: what is in
+    /// flight on it is lost, the coordinator's core forgets it, and the
+    /// agent waits out its next rung (forever, if refused for good).
+    fn close(&mut self, i: usize, now: f64) {
+        let slot = &mut self.slots[i];
+        let Some(link) = slot.link.take() else { return };
+        self.coordinator.closed(link.conn);
+        let wait = slot.core.lost().map_or(f64::INFINITY, |d| d.as_secs_f64());
+        slot.connect_at_s = now + wait;
+    }
+
+    /// Write `msg` on slot `i`'s link, toward the coordinator when
+    /// `uplink`, due `latency_s` later. Both cores prefer FVS2, so they
+    /// negotiate what `encode_with` does under it: the handshake JSON.
+    fn send(&mut self, i: usize, uplink: bool, msg: &WireMsg, now: f64) {
+        let Some(link) = self.slots[i].link.as_mut() else {
+            return;
+        };
+        let conn = link.conn;
+        let Ok(mut frame) = encode_with(msg, WireCodec::Binary) else {
+            return self.close(i, now);
+        };
+        let mut at_s = now + self.config.latency_s;
+        let mut copies = 1;
+        let plan = &self.chaos.plan;
+        let fault = link.rng.as_mut().and_then(|rng| {
+            if uplink {
+                plan.frame_fault(&frame, i, true, now, rng)
+            } else {
+                plan.partitioned(i, false, now)
+                    .map(|kind| (kind, WriteFault::Drop))
+            }
+        });
+        if let Some((kind, fault)) = fault {
+            self.wire_faults += 1;
+            let event = injected_fault(now, i, kind, &frame);
+            self.config.telemetry.emit(event);
+            match fault {
+                WriteFault::Deliver => {}
+                WriteFault::Drop => return,
+                WriteFault::Corrupt(bytes) => frame = bytes,
+                WriteFault::Duplicate => copies = 2,
+                WriteFault::Delay(hold) => at_s += hold.as_secs_f64(),
+                WriteFault::Reset => return self.close(i, now),
+            }
+        }
+        let queue = if uplink {
+            &mut self.uplink
+        } else {
+            &mut self.downlink
+        };
+        for _ in 0..copies {
+            queue.send(at_s, (i, conn, frame.clone()));
+        }
+    }
+
+    /// Bytes reaching one end of slot `i`'s connection `conn` (the
+    /// coordinator's when `uplink`), read and handed to that end's core;
+    /// a frame that does not decode, or a core that refuses, closes it.
+    fn arrive(&mut self, i: usize, conn: u64, uplink: bool, bytes: &[u8], now: f64) {
+        let Some(link) = self.link(i, conn) else {
+            return; // closed while the frame was in flight
+        };
+        link.readers[usize::from(uplink)].feed(bytes);
+        while let Some(link) = self.link(i, conn) {
+            let open = match link.readers[usize::from(uplink)].next_frame() {
+                Ok(None) => return,
+                Err(_) => false,
+                Ok(Some(msg)) if !uplink => {
+                    let heard = self.slots[i].core.frame(&msg, now);
+                    !matches!(heard, Heard::Fenced | Heard::Refused)
+                }
+                Ok(Some(WireMsg::Hello {
+                    node,
+                    version,
+                    last_epoch,
+                    codecs,
+                    ..
+                })) => {
+                    let core = &mut self.coordinator;
+                    let (ack, verdict) = core.hello(conn, node, version, last_epoch, codecs, now);
+                    self.send(i, false, &ack, now);
+                    verdict.is_ok()
+                }
+                Ok(Some(WireMsg::Summary(mut summary))) => {
+                    let from = self.coordinator.node_of(conn);
+                    self.coordinator.ingest(from, &mut summary, now);
+                    true
+                }
+                // An agent sends nothing else.
+                Ok(Some(_)) => true,
+            };
+            if !open {
+                return self.close(i, now);
+            }
+        }
+    }
+
+    /// Slot `i`'s link, if it still is connection `conn`.
+    fn link(&mut self, i: usize, conn: u64) -> Option<&mut Link> {
+        self.slots[i].link.as_mut().filter(|l| l.conn == conn)
+    }
+
+    /// Run for `duration` seconds and return the cumulative report.
+    pub fn run_for(&mut self, duration: f64) -> ClusterReport {
+        let ticks = (duration / self.config.t_s).round().max(1.0) as u64;
+        for _ in 0..ticks {
+            self.step_tick();
+        }
+        self.report()
+    }
+
+    /// Snapshot the report.
+    pub fn report(&self) -> ClusterReport {
+        ClusterReport {
+            duration_s: self.now_s(),
+            final_power_w: self.total_power_w(),
+            peak_power_w: self.peak_power_w,
+            violation_s: self.violation_s,
+            response_s: match (self.budget_drop_at, self.compliance_at) {
+                (Some(drop), Some(ok)) => Some(ok - drop),
+                _ => None,
+            },
+            node_power_w: self.slots.iter().map(|s| s.core.node().power_w()).collect(),
+            node_mean_mhz: self
+                .slots
+                .iter()
+                .map(|s| s.core.node().machine().residency(0).mean_mhz())
+                .collect(),
+            rounds: self.coordinator.status().rounds,
+            faults_injected: self.faults.injected() + self.wire_faults,
+            reserved_w: self.coordinator().reserved_w(),
+        }
+    }
+}
+
+/// Corrupt an uplink summary payload the way a broken measurement agent
+/// would; the coordinator's ingest validation must contain every shape.
+fn corrupt_summary(kind: CounterFaultKind, s: &mut NodeSummary) {
+    match kind {
+        // Racy read: non-finite power — the whole summary is garbage.
+        CounterFaultKind::Nan => s.power_w = f64::NAN,
+        // One model solved to nonsense.
+        CounterFaultKind::Spike => {
+            if let Some(slot) = s.models.first_mut() {
+                *slot = Some(CpiModel::from_components(f64::INFINITY, 0.0));
+            }
+        }
+        // The agent's windows went uninformative.
+        CounterFaultKind::Stuck => s.models.iter_mut().for_each(|m| *m = None),
+        // A wildly old timestamp: the coordinator stamps arrival time
+        // over it, so it must change nothing.
+        CounterFaultKind::Stale => s.sent_at_s -= 1.0e3,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fvs_faults::FaultPlan;
+    use fvs_workloads::Tier;
+
+    /// Unlimited, then `budget_w` from `at_s` on.
+    fn cut(at_s: f64, budget_w: f64) -> BudgetSchedule {
+        BudgetSchedule::with_events(f64::INFINITY, vec![BudgetEvent { at_s, budget_w }])
+    }
+
+    fn event(at_s: f64, node: usize, online: bool) -> NodeEvent {
+        NodeEvent { at_s, node, online }
+    }
+
+    #[test]
+    fn delivers_in_time_order() {
+        let mut q = DelayQueue::default();
+        q.send(0.3, "c");
+        q.send(0.1, "a");
+        q.send(0.2, "b");
+        assert_eq!(q.recv_ready(0.05), Vec::<&str>::new());
+        assert_eq!(q.recv_ready(0.15), vec!["a"]);
+        assert_eq!(q.recv_ready(0.35), vec!["b", "c"]);
+        assert_eq!(q.in_flight(), 0);
+    }
+
+    #[test]
+    fn equal_times_preserve_send_order() {
+        let mut q = DelayQueue::default();
+        q.send(1.0, 1);
+        q.send(1.0, 2);
+        q.send(1.0, 3);
+        assert_eq!(q.recv_ready(1.0), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn builder_chain_sets_every_field() {
+        let config = ClusterConfig::rack()
+            .with_t_s(0.005)
+            .with_n(20)
+            .with_latency_s(0.05)
+            .with_budget(BudgetSchedule::constant(800.0))
+            .with_telemetry(Telemetry::memory(4));
+        assert_eq!(config.t_s, 0.005);
+        assert_eq!(config.n, 20);
+        assert_eq!(config.latency_s, 0.05);
+        assert_eq!(config.budget.initial_w(), 800.0);
+        assert!(config.telemetry.enabled());
+    }
+
+    /// A sim that cannot run is refused where it is built: a zero tick
+    /// would loop `u64::MAX` times per `run_for`, and `n = 0` would
+    /// never summarize nor schedule.
+    #[test]
+    #[should_panic(expected = "tick_s must be finite and positive")]
+    fn a_zero_dispatch_period_is_refused() {
+        ClusterSim::three_tier(2, 1, ClusterConfig::rack().with_t_s(0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "summary_every must be at least 1")]
+    fn a_zero_scheduling_multiplier_is_refused() {
+        ClusterSim::three_tier(2, 1, ClusterConfig::rack().with_n(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "latency_s must be finite and non-negative")]
+    fn a_negative_latency_is_refused() {
+        ClusterSim::three_tier(2, 1, ClusterConfig::rack().with_latency_s(-0.001));
+    }
+
+    /// Node events scripted after a fault plan join its outages instead
+    /// of replacing them.
+    #[test]
+    fn scripted_events_merge_with_the_plans_outages() {
+        let plan = FaultPlan::parse("node=1@0.5").unwrap();
+        let mut sim = ClusterSim::three_tier(3, 3, ClusterConfig::rack())
+            .with_faults(FaultInjector::new(plan, 1))
+            .with_node_events(vec![event(0.3, 2, false)]);
+        sim.run_for(1.0);
+        assert!(sim.is_online(0));
+        assert!(!sim.is_online(1), "the plan's outage was dropped");
+        assert!(!sim.is_online(2));
+    }
+
+    #[test]
+    fn three_tier_cluster_develops_frequency_diversity() {
+        let mut sim = ClusterSim::three_tier(6, 42, ClusterConfig::rack());
+        sim.run_for(2.0);
+        let report = sim.report();
+        // Db nodes (memory-bound) should sit at lower frequencies than
+        // app nodes (CPU-bound).
+        let mean_mhz = |tier: Tier| {
+            let nodes = (0..sim.num_nodes()).filter(|&i| sim.node(i).tier == Some(tier));
+            let mhz: Vec<f64> = nodes
+                .map(|i| sim.node(i).machine().effective_frequency(0).0 as f64)
+                .collect();
+            mhz.iter().sum::<f64>() / mhz.len() as f64
+        };
+        let (app_mean, db_mean) = (mean_mhz(Tier::App), mean_mhz(Tier::Db));
+        assert!(
+            app_mean > db_mean + 100.0,
+            "app {app_mean} MHz vs db {db_mean} MHz"
+        );
+        assert!(report.rounds > 0);
+    }
+
+    #[test]
+    fn cluster_meets_global_budget_after_drop() {
+        // 6 nodes × 4 cores × 140 W = 3360 W unconstrained.
+        let config = ClusterConfig::rack().with_budget(cut(1.0, 1800.0));
+        let mut sim = ClusterSim::three_tier(6, 7, config);
+        let report = sim.run_for(3.0);
+        assert!(
+            report.final_power_w <= 1800.0,
+            "final {}",
+            report.final_power_w
+        );
+        let response = report.response_s.expect("compliance reached");
+        // Summaries and commands each ride a 2 ms link and the timer is
+        // 100 ms: response should be well under a second.
+        assert!(response < 0.5, "response {response}s");
+    }
+
+    #[test]
+    fn node_failure_and_rejoin_keep_cluster_compliant() {
+        // 4 nodes × 4 cores; budget forces scheduling throughout.
+        let config = ClusterConfig::rack().with_budget(BudgetSchedule::constant(1200.0));
+        let mut sim = ClusterSim::three_tier(4, 21, config)
+            .with_node_events(vec![event(1.0, 0, false), event(2.0, 0, true)]);
+        // Before the failure.
+        sim.run_for(0.9);
+        assert!(sim.is_online(0));
+        let with_all = sim.total_power_w();
+        assert!(with_all > 0.0);
+        // During the outage the node draws nothing.
+        sim.run_for(0.9); // now ≈ 1.8 s
+        assert!(!sim.is_online(0));
+        assert_eq!(sim.node(0).power_w(), 0.0);
+        let violation_before_rejoin = sim.report().violation_s;
+        // After rejoin it draws power again and the cluster still
+        // complies — the node comes back at f_min, so the rejoin itself
+        // adds no violation.
+        let report = sim.run_for(1.5); // past 2.0 s
+        assert!(sim.is_online(0));
+        assert!(sim.node(0).power_w() > 0.0);
+        assert!(report.final_power_w <= 1200.0);
+        assert!(
+            report.violation_s - violation_before_rejoin < 0.02,
+            "rejoin added violation: {} → {}",
+            violation_before_rejoin,
+            report.violation_s
+        );
+    }
+
+    #[test]
+    fn offline_node_does_not_execute_work() {
+        let mut sim = ClusterSim::three_tier(2, 3, ClusterConfig::rack())
+            .with_node_events(vec![event(0.5, 1, false)]);
+        sim.run_for(0.5);
+        let before = sim.node(1).machine().core(0).stats().body_instructions;
+        sim.run_for(1.0);
+        let after = sim.node(1).machine().core(0).stats().body_instructions;
+        assert_eq!(before, after, "offline node must not retire work");
+    }
+
+    #[test]
+    fn heterogeneous_node_sizes_schedule_under_one_budget() {
+        let nodes = vec![
+            // 2-core node, CPU-bound.
+            vec![
+                WorkloadSpec::synthetic(100.0, 1.0e13).looping(),
+                WorkloadSpec::synthetic(100.0, 1.0e13).looping(),
+            ],
+            // 8-core node, memory-bound.
+            (0..8)
+                .map(|_| WorkloadSpec::synthetic(10.0, 1.0e13).looping())
+                .collect(),
+            // 1-core node.
+            vec![WorkloadSpec::synthetic(50.0, 1.0e13).looping()],
+        ];
+        // 11 cores; give them 500 W total — requires real trade-offs.
+        let config = ClusterConfig::rack().with_budget(BudgetSchedule::constant(500.0));
+        let mut sim = ClusterSim::heterogeneous(nodes, 5, config);
+        let report = sim.run_for(2.0);
+        assert!(
+            report.final_power_w <= 500.0,
+            "power {}",
+            report.final_power_w
+        );
+        assert_eq!(report.node_power_w.len(), 3);
+        // The CPU-bound 2-core node keeps higher clocks than the
+        // memory-bound 8-core node's cores.
+        let f_cpu = sim.node(0).machine().effective_frequency(0);
+        let f_mem = sim.node(1).machine().effective_frequency(0);
+        assert!(f_cpu > f_mem, "{f_cpu} vs {f_mem}");
+    }
+
+    #[test]
+    fn chaos_cluster_holds_the_dropped_budget() {
+        // 4 nodes × 4 cores; finite budget so the drop fraction bites.
+        let config = ClusterConfig::rack().with_budget(BudgetSchedule::constant(1600.0));
+        let plan = FaultPlan::parse(
+            "wire=0.1, wdup=0.05, delay=0.05:0.05, corrupt=0.01, reset=0.01, \
+             drop=0.6@1.0, node=0@1.2:2.4",
+        )
+        .unwrap();
+        let mut sim =
+            ClusterSim::three_tier(4, 21, config).with_faults(FaultInjector::new(plan, 42));
+        let report = sim.run_for(4.0);
+        assert!(report.faults_injected > 0, "plan must actually fire");
+        // The scripted supply fault cut the budget to 960 W at t = 1 s;
+        // lost, doubled, late, corrupted and reset frames plus a node
+        // outage must not break compliance once the response window has
+        // passed.
+        assert!(
+            report.final_power_w <= 1600.0 * 0.6 + 1e-9,
+            "final {}",
+            report.final_power_w
+        );
+        assert!(report.final_power_w.is_finite());
+        // The outage ended at 2.4 s. A rejoin whose hello or ack is lost
+        // waits out the agent's link timeout (3 s) before it tries
+        // again, so the node is back once a handshake gets through —
+        // and from then on nothing is charged to the reserve.
+        while sim.report().reserved_w > 0.0 {
+            assert!(sim.now_s() < 20.0, "node 0 never re-reported");
+            sim.step_tick();
+        }
+    }
+
+    #[test]
+    fn corrupted_uplink_summaries_never_stall_the_coordinator() {
+        let config = ClusterConfig::rack().with_budget(BudgetSchedule::constant(1200.0));
+        let plan = FaultPlan::parse("counters=0.3").unwrap();
+        let mut sim = ClusterSim::three_tier(4, 3, config).with_faults(FaultInjector::new(plan, 7));
+        let report = sim.run_for(3.0);
+        assert!(report.faults_injected > 0);
+        assert!(report.rounds > 0, "coordinator kept scheduling");
+        assert!(report.final_power_w.is_finite());
+        assert!(
+            report.final_power_w <= 1200.0,
+            "final {}",
+            report.final_power_w
+        );
+    }
+
+    #[test]
+    fn message_latency_delays_commands() {
+        // Deep cut well below the unconstrained steady-state draw so both
+        // clusters must actually demote (response > 0); pathological WAN
+        // latency on the slow cluster, whose nodes need four one-way
+        // trips (hello, ack, summary, ceiling) before they leave f_min,
+        // so the cut comes once both have settled.
+        let slow = ClusterConfig::rack()
+            .with_latency_s(0.2)
+            .with_budget(cut(2.0, 700.0));
+        let fast = ClusterConfig::rack().with_budget(cut(2.0, 700.0));
+        let r_slow = ClusterSim::three_tier(6, 7, slow).run_for(4.0);
+        let r_fast = ClusterSim::three_tier(6, 7, fast).run_for(4.0);
+        assert!(
+            r_slow.response_s.unwrap() > r_fast.response_s.unwrap(),
+            "slow {:?} fast {:?}",
+            r_slow.response_s,
+            r_fast.response_s
+        );
+    }
+}

@@ -196,6 +196,13 @@ fn a_hello_waits_for_its_ack_no_longer_than_link_timeout() {
     let mut core = fresh();
     core.connected(10.0);
     assert_eq!(core.tick(10.5), Tick::Flush);
+    // The ack was lost, and the coordinator's keep-alives and ceilings
+    // keep coming: none of them is the ack, and none extends the wait.
+    assert_eq!(
+        core.frame(&WireMsg::Heartbeat { epoch: FENCE }, 10.6),
+        Heard::Nothing
+    );
+    assert_eq!(core.frame(&ceiling(NODE), 10.7), Heard::Nothing);
     assert_eq!(core.tick(10.0 + LINK_TIMEOUT_S), Tick::Flush);
     assert_eq!(core.tick(10.0 + LINK_TIMEOUT_S + 0.001), Tick::Silent);
     // The caller drops the link, and the core names the wait.
@@ -226,7 +233,8 @@ fn a_summary_every_nth_running_tick_and_none_while_handshaking() {
     for tick in 1..=6 {
         assert_eq!(core.tick(tick as f64 * 0.01), Tick::Flush);
     }
-    assert_eq!(core.node().machine().now_s(), 0.0, "no ack, no measurement");
+    // The machine ran those six ticks; no ack, no window to close.
+    assert!((core.node().machine().now_s() - 0.06).abs() < 1e-12);
 
     core.frame(&current_ack(), 0.06);
     let mut closed = Vec::new();
@@ -250,6 +258,30 @@ fn a_summary_every_nth_running_tick_and_none_while_handshaking() {
     assert_eq!(core.tick(0.21), Tick::Flush);
     assert_eq!(core.tick(0.22), Tick::Flush);
     assert!(matches!(core.tick(0.23), Tick::Summary(_)));
+}
+
+/// A machine does not stop because its link did: it advances in every
+/// phase but `Dead`, and with no link open there is nothing to call
+/// silent.
+#[test]
+fn the_machine_runs_on_in_backoff_and_backoff_is_never_silent() {
+    let mut core = at(Phase::Running);
+    core.lost();
+    assert_eq!(core.phase(), Phase::Backoff);
+    let before = core.node().machine().core(0).stats().body_instructions;
+    for tick in 1..=10 {
+        // Long past link_timeout since the last frame at t = 0.
+        let now_s = 10.0 * LINK_TIMEOUT_S + tick as f64 * 0.01;
+        assert_eq!(core.tick(now_s), Tick::Flush, "tick {tick}");
+    }
+    assert!((core.node().machine().now_s() - 0.1).abs() < 1e-12);
+    let after = core.node().machine().core(0).stats().body_instructions;
+    assert!(after > before, "the machine kept working");
+    // Refused for good, it stops.
+    let mut core = at(Phase::Handshaking);
+    core.frame(&ack(false, V + 1, 0, 0), 0.0);
+    assert_eq!(core.tick(0.01), Tick::Flush);
+    assert_eq!(core.node().machine().now_s(), 0.0);
 }
 
 #[test]

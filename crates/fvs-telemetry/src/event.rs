@@ -38,10 +38,6 @@ pub enum FaultDomain {
     Counter,
     /// A frequency command was dropped, truncated or delayed.
     Actuation,
-    /// A cluster message or node misbehaved.
-    Cluster,
-    /// The power supply failed (budget drop).
-    Supply,
 }
 
 impl FaultDomain {
@@ -50,8 +46,6 @@ impl FaultDomain {
         match self {
             FaultDomain::Counter => "counter",
             FaultDomain::Actuation => "actuation",
-            FaultDomain::Cluster => "cluster",
-            FaultDomain::Supply => "supply",
         }
     }
 }

@@ -18,14 +18,15 @@
 //!   triggers, idle handling and the daemon loop.
 //! - [`baselines`] — comparator policies (no-DVFS, uniform scaling, node
 //!   power-down, utilization-driven, oracle).
-//! - [`cluster`] — multi-node coordination under a global budget with
-//!   message latency.
+//! - [`cluster`] — multi-node coordination under a global budget: the
+//!   flat coordinator and the budget-delegation tree.
 //! - [`telemetry`] — metrics registry, event journal and budget-deadline
 //!   accounting.
 //! - [`faults`] — fault plans and injectors (corrupt counters, failed
 //!   actuations, node outages) with graceful degradation.
 //! - [`net`] — the wire protocol and TCP coordinator/agent endpoints
-//!   (`fvsst-coordinator`, `fvsst-node`).
+//!   (`fvsst-coordinator`, `fvsst-node`), and `ClusterSim`, which runs
+//!   the same protocol over a simulated wire.
 //! - [`harness`] — the experiment harness that regenerates every table
 //!   and figure of the paper.
 //!
@@ -71,8 +72,8 @@ pub use fvs_workloads as workloads;
 pub mod prelude {
     pub use fvs_baselines::NoDvfs;
     pub use fvs_cluster::{
-        ClusterConfig, ClusterNode, ClusterReport, ClusterSim, DelegationTree, FrequencyCommand,
-        GlobalCoordinator, HierStats, HierTopology, NodeSummary, RackCoordinator,
+        ClusterNode, DelegationTree, FrequencyCommand, GlobalCoordinator, HierStats, HierTopology,
+        NodeSummary, RackCoordinator,
     };
     pub use fvs_faults::{FaultInjector, FaultPlan, WireFaultPlan};
     pub use fvs_harness::{run_capped_app, RunSettings};
@@ -81,10 +82,11 @@ pub mod prelude {
     };
     pub use fvs_net::netpoll::{raise_nofile_limit, Poller};
     pub use fvs_net::{
-        http_get, AgentConfig, AgentFleet, ChaosStream, CoordinatorConfig, CoordinatorServer,
-        CoordinatorStatus, FillStatus, FleetHandle, FleetStats, FvsError, HealthReport, NetArgs,
-        ObsHandles, ObsServer, Reactor, ReconnectLadder, Snapshot, SnapshotStore, Transport,
-        WireChaos, WireCodec, WireMsg, LISTENER_TOKEN, SCHEMA_VERSION,
+        http_get, AgentConfig, AgentFleet, ChaosStream, ClusterConfig, ClusterReport, ClusterSim,
+        CoordinatorConfig, CoordinatorServer, CoordinatorStatus, FillStatus, FleetHandle,
+        FleetStats, FvsError, HealthReport, NetArgs, ObsHandles, ObsServer, Reactor,
+        ReconnectLadder, Snapshot, SnapshotStore, Transport, WireChaos, WireCodec, WireMsg,
+        LISTENER_TOKEN, SCHEMA_VERSION,
     };
     pub use fvs_power::{
         BudgetEvent, BudgetSchedule, EnergyMeter, FreqPowerTable, PowerSupply, SupplyBank,

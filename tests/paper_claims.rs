@@ -144,7 +144,7 @@ fn hot_idle_pathology_and_cure() {
 /// §4.2: cluster tiers yield stable cross-node frequency diversity.
 #[test]
 fn cluster_tiers_develop_stable_diversity() {
-    use fvsst::cluster::{ClusterConfig, ClusterSim};
+    use fvsst::net::{ClusterConfig, ClusterSim};
     let mut sim = ClusterSim::three_tier(9, 11, ClusterConfig::rack());
     sim.run_for(3.0);
     let mhz_of = |i: usize| sim.node(i).machine().effective_frequency(0).0;
