@@ -101,7 +101,7 @@ fn bench_schedule_cached(c: &mut Criterion) {
 }
 
 /// The other state of the cache, and the one the repo's own nodes put a
-/// coordinator in (`fvs-cluster`'s
+/// coordinator in (`fvs-net`'s
 /// `simulated_nodes_move_every_model_every_round`): every processor's
 /// model changes class on every call — rounds 0 and 1 of the repo
 /// benchmark's `coord_churn` generator, alternating — so pass 1 rebuilds

@@ -8,8 +8,8 @@
 //!
 //! - **Content dirty-tracking.** Every ingested summary is compared
 //!   with the one the inner coordinator already holds for that node,
-//!   under the same [`ModelTolerance`] quantization the `ScheduleCache`
-//!   `ProcKey` uses (timestamp and telemetry power excluded); the rack
+//!   under the [`ModelTolerance::same_bucket`] rule the `ScheduleCache`
+//!   keys on (timestamp and telemetry power excluded); the rack
 //!   only recomputes when a summary moved, a dead node recovered, or a
 //!   liveness deadline passed. A heartbeat alone never forces a round.
 //! - **Budget split.** [`refresh`](RackCoordinator::refresh) runs the
@@ -57,14 +57,11 @@ pub struct RackCoordinator {
 }
 
 /// Whether two (already validity-filtered) models land in the same
-/// [`ModelTolerance`] buckets. Raw bits are tested first — an unchanged
-/// refit is the common case — and only a coefficient that moved pays
-/// for the quantizing division.
+/// [`ModelTolerance`] buckets, by the predicate the `ScheduleCache` keys
+/// on: an unchanged refit answers on its bits, and a coefficient that
+/// moved more than 1.5 steps answers without dividing.
 fn same_model(new: Option<CpiModel>, held: Option<CpiModel>, tol: &ModelTolerance) -> bool {
-    let same_bucket = |a: f64, b: f64, step: f64| {
-        a.to_bits() == b.to_bits()
-            || ModelTolerance::quantize(a, step) == ModelTolerance::quantize(b, step)
-    };
+    let same_bucket = ModelTolerance::same_bucket;
     match (new, held) {
         (Some(a), Some(b)) => {
             same_bucket(a.cpi0, b.cpi0, tol.cpi0_step)

@@ -65,10 +65,11 @@ proptest! {
 /// under default sampling noise a refitted model leaves its
 /// `PHASE_DEFAULT` bucket almost every period, so the coordinator
 /// rebuilds nearly every processor every round and never takes a full
-/// hit (25 597 rebuilds of 25 600 chances and 0 full hits over 20 s of
-/// this cluster). The flat round is tuned for that; a change to the
-/// predictor, the noise model or the tolerance that makes steady state
-/// the common case should fail here, by name, and re-open that choice.
+/// hit (25 599 rebuilds of 25 600 chances and 0 full hits over 20 s of
+/// this cluster; DESIGN §8). The flat round is tuned for that; a
+/// change to the predictor, the noise model or the tolerance that makes
+/// steady state the common case should fail here, by name, and re-open
+/// that choice.
 #[test]
 fn simulated_nodes_move_every_model_every_round() {
     let mut sim = ClusterSim::three_tier(32, 3845, ClusterConfig::rack());

@@ -22,8 +22,8 @@
 //!   are bit-identical; `tests/scheduler_properties.rs` asserts this
 //!   differentially.
 //!
-//! Pass 1 is *incremental*: the cache is keyed on quantized
-//! per-processor model fingerprints. A processor's loss row and
+//! Pass 1 is *incremental*: the cache keeps, per processor, the model
+//! its row was built from. A processor's loss row and
 //! desired slot are recomputed only when its fitted model moves beyond
 //! the cache's [`ModelTolerance`], and when no processor, nor the budget,
 //! changed at all — and the previous decision was feasible — the cached
@@ -320,9 +320,9 @@ impl ScheduleScratch {
 /// long as both fitted coefficients stay inside their quantization
 /// bucket; a move beyond half a step across a bucket boundary triggers a
 /// rebuild. Steps of `0.0` mean bit-exact comparison (every coefficient
-/// change invalidates). Non-finite coefficients always compare by bit
-/// pattern, so a model degenerating to NaN/∞ is never confused with a
-/// nearby finite one.
+/// change invalidates). Non-finite coefficients compare by bit pattern
+/// ([`same_bucket`](Self::same_bucket)), so a model degenerating to
+/// NaN/∞ is never confused with a finite one.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ModelTolerance {
     /// Bucket width for the base CPI coefficient (cycles/instruction).
@@ -346,18 +346,21 @@ impl ModelTolerance {
     /// 1 GHz — far below the ε = 4.8 % decision granularity, and also far
     /// below the ±1.5 % sampling noise of the simulated counters, so it
     /// absorbs bit-level refit jitter only. On the repo's own nodes a
-    /// refitted model leaves its bucket almost every period: 25 597
-    /// rebuilds of 25 600 chances and no full hit over 20 s of 32 nodes
-    /// (`fvs-cluster/tests/properties.rs::simulated_nodes_move_every_model_every_round`).
+    /// refitted model leaves its bucket almost every period (DESIGN §8
+    /// has the counts of
+    /// `fvs-net/tests/properties.rs::simulated_nodes_move_every_model_every_round`).
     pub const PHASE_DEFAULT: ModelTolerance = ModelTolerance {
         cpi0_step: 1.0e-4,
         mem_step_s: 1.0e-13,
     };
 
-    /// Quantize one coefficient to its bucket index (the fingerprint
-    /// primitive). Public so higher layers — e.g. the cluster
-    /// hierarchy's per-subtree fingerprints — bucket summary contents
-    /// with exactly the same rule the per-processor cache uses.
+    /// Quantize one coefficient to its bucket index. A finite `x` less
+    /// than 9·10¹⁵ steps from zero maps to `round(x / step)` as an
+    /// integer, anything else to its bit pattern — and the two ranges
+    /// overlap: `q = −2⁵²` is the pattern of −∞, every negative NaN is
+    /// some negative `q`, and so is every finite `x ≤ −2¹⁰²³`. Compare
+    /// coefficients with [`same_bucket`](Self::same_bucket), which
+    /// keeps non-finite values apart, not by equal indices.
     pub fn quantize(x: f64, step: f64) -> u64 {
         if step > 0.0 && x.is_finite() {
             let q = (x / step).round();
@@ -369,6 +372,33 @@ impl ModelTolerance {
         }
         x.to_bits()
     }
+
+    /// Whether `a` and `b` share a bucket of width `step`: equal bits do,
+    /// a non-finite value shares one only with its own bits, and two
+    /// finite values do when their [`quantize`](Self::quantize) indices
+    /// agree.
+    ///
+    /// The common miss is decided without dividing. When `step > 0`,
+    /// `|a|, |b| < 2⁵⁰·step` and `|a − b| > 1.5·step`, the answer is
+    /// `false`: below 2⁵⁰ each computed quotient `x / step` is within
+    /// 2⁵⁰·2⁻⁵³ = ⅛ of the real one, so the two quotients lie more than
+    /// 1.5 − ¼ > 1 apart (the rounding of `1.5·step` and of `a − b`
+    /// costs a relative 2⁻⁵² at most), and two reals ≥ 1 apart never
+    /// round to one integer. `2⁵⁰·step` is exact, and the quotients stay
+    /// far inside `quantize`'s integer range.
+    pub fn same_bucket(a: f64, b: f64, step: f64) -> bool {
+        if a.to_bits() == b.to_bits() {
+            return true;
+        }
+        if !a.is_finite() || !b.is_finite() {
+            return false;
+        }
+        let within = step * (1u64 << 50) as f64;
+        if a.abs() < within && b.abs() < within && (a - b).abs() > 1.5 * step {
+            return false;
+        }
+        Self::quantize(a, step) == Self::quantize(b, step)
+    }
 }
 
 impl Default for ModelTolerance {
@@ -377,7 +407,9 @@ impl Default for ModelTolerance {
     }
 }
 
-/// One processor's cache fingerprint: everything pass 1 depends on.
+/// One processor's cache fingerprint: everything pass 1 depends on but
+/// the model, whose bucket is the model the row was built from
+/// (`ScheduleCache::models`).
 ///
 /// `current` participates only for non-idle unmodelled processors — the
 /// only case where the current frequency influences the decision (it is
@@ -389,51 +421,41 @@ enum ProcKey {
     /// Idle-pinned (idle signal set and idle detection on), no model.
     IdleUnmodelled,
     /// Idle-pinned with a model (the loss row still feeds pass 3).
-    IdleModel { cpi0: u64, mem: u64 },
+    IdleModel,
     /// No model: the processor keeps `current` through pass 1.
     Unmodelled(FreqMhz),
-    /// Quantized fitted model.
-    Model { cpi0: u64, mem: u64 },
+    /// Fitted model.
+    Model,
 }
 
 impl ProcKey {
-    fn of(p: &ProcInput, idle_detection: bool, tol: &ModelTolerance) -> Self {
+    /// `None` while `p` still falls under this key — `from` being the
+    /// model the key was computed from, each coefficient in its
+    /// [`ModelTolerance::same_bucket`] — else the key `p` has now.
+    fn moved(
+        self,
+        p: &ProcInput,
+        from: &Option<CpiModel>,
+        idle_detection: bool,
+        tol: &ModelTolerance,
+    ) -> Option<ProcKey> {
         let pinned = p.idle && idle_detection;
-        match (p.model, pinned) {
-            (Some(m), true) => ProcKey::IdleModel {
-                cpi0: ModelTolerance::quantize(m.cpi0, tol.cpi0_step),
-                mem: ModelTolerance::quantize(m.mem_time_per_instr, tol.mem_step_s),
-            },
-            (Some(m), false) => ProcKey::Model {
-                cpi0: ModelTolerance::quantize(m.cpi0, tol.cpi0_step),
-                mem: ModelTolerance::quantize(m.mem_time_per_instr, tol.mem_step_s),
-            },
+        let key = match (&p.model, pinned) {
+            (Some(_), true) => ProcKey::IdleModel,
+            (Some(_), false) => ProcKey::Model,
             (None, true) => ProcKey::IdleUnmodelled,
             (None, false) => ProcKey::Unmodelled(p.current),
-        }
-    }
-
-    /// Whether `p` is, bit for bit, the input this key was computed
-    /// from, `model` being the model it was computed from (the cache
-    /// keeps it for pass 3). Then [`ProcKey::of`] would return this key
-    /// again — a key is a pure function of its input — and the caller
-    /// can skip the quantizing divisions. Bits, not `==`: `0.0` and
-    /// `-0.0` have different keys under [`ModelTolerance::EXACT`].
-    fn was_computed_from(
-        &self,
-        p: &ProcInput,
-        model: &Option<CpiModel>,
-        idle_detection: bool,
-    ) -> bool {
-        let bits = |m: &CpiModel| (m.cpi0.to_bits(), m.mem_time_per_instr.to_bits());
-        let pinned = p.idle && idle_detection;
-        match (self, &p.model, model) {
-            (ProcKey::IdleModel { .. }, Some(m), Some(from)) => pinned && bits(m) == bits(from),
-            (ProcKey::Model { .. }, Some(m), Some(from)) => !pinned && bits(m) == bits(from),
-            (ProcKey::IdleUnmodelled, None, _) => pinned,
-            (ProcKey::Unmodelled(current), None, _) => !pinned && *current == p.current,
-            _ => false, // `Stale` included
-        }
+        };
+        let same = ModelTolerance::same_bucket;
+        let kept = key == self
+            && match (&p.model, from) {
+                (Some(m), Some(b)) => {
+                    same(m.cpi0, b.cpi0, tol.cpi0_step)
+                        && same(m.mem_time_per_instr, b.mem_time_per_instr, tol.mem_step_s)
+                }
+                _ => true,
+            };
+        (!kept).then_some(key)
     }
 }
 
@@ -789,7 +811,7 @@ impl FvsstAlgorithm {
     /// incremental cache.
     ///
     /// Pass 1 is evaluated only for processors whose fingerprint (model
-    /// quantized by the cache's [`ModelTolerance`], idle pinning, and —
+    /// bucket under the cache's [`ModelTolerance`], idle pinning, and —
     /// for unmodelled processors — the current frequency) changed since
     /// the previous round; unchanged processors keep their cached
     /// loss row and desired slot, so a within-tolerance model
@@ -862,15 +884,12 @@ impl FvsstAlgorithm {
         {
             let _pass1 = tracer.span("sched.pass1");
             for (i, p) in procs.iter().enumerate() {
-                if cache.keys[i].was_computed_from(p, &cache.models[i], self.idle_detection) {
+                let moved =
+                    cache.keys[i].moved(p, &cache.models[i], self.idle_detection, &cache.tolerance);
+                let Some(key) = moved else {
                     cache.stats.proc_hits += 1;
                     continue;
-                }
-                let key = ProcKey::of(p, self.idle_detection, &cache.tolerance);
-                if cache.keys[i] == key {
-                    cache.stats.proc_hits += 1;
-                    continue;
-                }
+                };
                 changed = true;
                 cache.stats.proc_rebuilds += 1;
                 cache.keys[i] = key;

@@ -3,7 +3,9 @@
 
 use fvsst::model::{CpiModel, FreqMhz};
 use fvsst::power::{FreqPowerTable, VoltageTable};
-use fvsst::sched::{DemotionOrder, FvsstAlgorithm, ProcInput, ScheduleCache, ScheduleScratch};
+use fvsst::sched::{
+    DemotionOrder, FvsstAlgorithm, ModelTolerance, ProcInput, ScheduleCache, ScheduleScratch,
+};
 use proptest::prelude::*;
 
 fn arb_proc() -> impl Strategy<Value = ProcInput> {
@@ -227,6 +229,101 @@ proptest! {
         // circuit, not silently rebuilt (infeasible decisions are never
         // served from cache, so those rounds don't count).
         prop_assert!(cache.stats().full_hits >= u64::from(feasible_repeats));
+    }
+
+    /// The same, under `PHASE_DEFAULT`, where a model may move without
+    /// its row being rebuilt. Coefficients move by fractions and
+    /// multiples of a quantum, so some moves stay in their bucket (and
+    /// accumulate) and some leave it. A shadow keys each processor the
+    /// slow way — variant and `quantize`d coefficients — and keeps the
+    /// model its row was built from; every round the cache must count
+    /// the shadow's hits and rebuilds and decide what the reference
+    /// decides over the shadow's models.
+    #[test]
+    fn cached_schedule_within_tolerance_matches_shadow(
+        procs in prop::collection::vec(arb_proc_offgrid(), 1..12),
+        rounds in prop::collection::vec(
+            (
+                prop::collection::vec(
+                    (
+                        any::<usize>(), // which processor to move
+                        prop_oneof![
+                            prop::sample::select(vec![0.3, 0.49, 0.51, 0.9, 1.0, 1.6, 2.5]),
+                            -3.0f64..3.0,
+                        ],              // the move, in quanta
+                        any::<bool>(),  // cpi0 (else M)
+                    ),
+                    0..6,
+                ),
+                any::<bool>(),  // flip one processor's idle bit
+                any::<usize>(), // which processor to flip
+                prop::sample::select(vec![100.0, 400.0, 2000.0]),
+                0u8..8,         // invalidate the cache first (when 0)
+            ),
+            1..12,
+        ),
+    ) {
+        let tol = ModelTolerance::PHASE_DEFAULT;
+        let alg = FvsstAlgorithm::p630();
+        let shadow_key = |p: &ProcInput| {
+            let q = |m: &CpiModel| {
+                (
+                    ModelTolerance::quantize(m.cpi0, tol.cpi0_step),
+                    ModelTolerance::quantize(m.mem_time_per_instr, tol.mem_step_s),
+                )
+            };
+            let pinned = p.idle && alg.idle_detection;
+            (pinned, p.model.as_ref().map(q), (p.model.is_none() && !pinned).then_some(p.current))
+        };
+        let mut cache = ScheduleCache::with_tolerance(tol);
+        let mut procs = procs;
+        let mut shadow: Vec<Option<_>> = vec![None; procs.len()];
+        let mut built_from = vec![None; procs.len()];
+        for (moves, flip, which, budget, invalidate) in rounds {
+            for (i, quanta, cpi0) in moves {
+                let i = i % procs.len();
+                procs[i].model = procs[i].model.map(|m| {
+                    if cpi0 {
+                        CpiModel::from_components(m.cpi0 + quanta * tol.cpi0_step, m.mem_time_per_instr)
+                    } else {
+                        let mem = (m.mem_time_per_instr + quanta * tol.mem_step_s).max(0.0);
+                        CpiModel::from_components(m.cpi0, mem)
+                    }
+                });
+            }
+            if flip {
+                let i = which % procs.len();
+                procs[i].idle = !procs[i].idle;
+            }
+            if invalidate == 0 {
+                cache.invalidate();
+                shadow.fill(None);
+            }
+            let (mut hits, mut rebuilds) = (0, 0);
+            for (i, p) in procs.iter().enumerate() {
+                let key = shadow_key(p);
+                if shadow[i] == Some(key) {
+                    hits += 1;
+                } else {
+                    rebuilds += 1;
+                    shadow[i] = Some(key);
+                    built_from[i] = p.model;
+                }
+            }
+            let effective: Vec<ProcInput> = procs
+                .iter()
+                .zip(&built_from)
+                .map(|(p, m)| ProcInput { model: *m, ..*p })
+                .collect();
+            let before = cache.stats();
+            let cached = alg.schedule_cached(&mut cache, &procs, budget).clone();
+            let after = cache.stats();
+            prop_assert_eq!(
+                (after.proc_hits - before.proc_hits, after.proc_rebuilds - before.proc_rebuilds),
+                (hits, rebuilds)
+            );
+            prop_assert_eq!(cached, alg.schedule_reference(&effective, budget));
+        }
     }
 
     /// A reused scratch gives the reference's decision, demotion log
