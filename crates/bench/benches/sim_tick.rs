@@ -88,9 +88,8 @@ fn bench_sim_tick_scheduled(c: &mut Criterion) {
                 budget_w: full_w * [0.25, 0.35, 1.0][(k - 1) % 3],
             })
             .collect();
-        let config = SchedulerConfig::p630()
-            .with_budget(BudgetSchedule::with_events(full_w, events))
-            .without_trigger_log();
+        let config =
+            SchedulerConfig::p630().with_budget(BudgetSchedule::with_events(full_w, events));
         let mut sim = ScheduledSimulation::new(builder(cores).build(), config).without_trace();
         g.bench_with_input(BenchmarkId::from_parameter(cores), &(), |b, _| {
             b.iter(|| sim.step_tick())

@@ -25,9 +25,9 @@
 
 use fvs_harness::experiments::{run_by_name, ALL_EXPERIMENTS};
 use fvs_harness::runs::RunSettings;
-use fvs_telemetry::RoundTimer;
 use rayon::prelude::*;
 use std::process::ExitCode;
+use std::time::Instant;
 
 enum Outcome {
     /// Rendered report + wall seconds.
@@ -141,13 +141,13 @@ fn main() -> ExitCode {
         }
     }
 
-    let total_timer = RoundTimer::start();
+    let total_timer = Instant::now();
     // One rayon task per experiment; collect preserves request order, so
     // the rendered output is deterministic however the tasks interleave.
     let outcomes: Vec<Outcome> = targets
         .par_iter()
         .map(|t| {
-            let timer = RoundTimer::start();
+            let timer = Instant::now();
             let outcome = match &json_dir {
                 Some(dir) => match fvs_harness::export::run_and_write_json(t, &settings, dir) {
                     Ok(rendered) => Some(rendered),
@@ -160,12 +160,12 @@ fn main() -> ExitCode {
             };
             match outcome {
                 Some(report) if report.trim().is_empty() => Outcome::Empty,
-                Some(report) => Outcome::Report(report, timer.elapsed_s()),
+                Some(report) => Outcome::Report(report, timer.elapsed().as_secs_f64()),
                 None => Outcome::Unknown,
             }
         })
         .collect();
-    let total_s = total_timer.elapsed_s();
+    let total_s = total_timer.elapsed().as_secs_f64();
 
     let mut failed = false;
     for (t, outcome) in targets.iter().zip(&outcomes) {

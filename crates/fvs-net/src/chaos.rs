@@ -94,14 +94,14 @@ const SEED_MIX: u64 = 0xC4A0_5BAD_F00D_5EED;
 pub(crate) fn injected_fault(
     t_s: f64,
     node: usize,
-    kind: WireFaultKind,
+    fault: WireFaultKind,
     frame: &[u8],
 ) -> SchedEvent {
     let (frame_len, codec) = sniff_frame(frame);
     SchedEvent::WireFault {
         t_s,
         node: u32::try_from(node).unwrap_or(u32::MAX),
-        kind,
+        fault,
         injected: true,
         frame_len,
         codec,
@@ -421,7 +421,7 @@ mod tests {
             e,
             SchedEvent::WireFault {
                 node: 2,
-                kind: WireFaultKind::Drop,
+                fault: WireFaultKind::Drop,
                 injected: true,
                 ..
             }

@@ -29,7 +29,7 @@ use crate::obs::{HealthReport, ObsHandles, ObsServer};
 use crate::reactor::{Reactor, LISTENER_TOKEN};
 use crate::snapshot::{Snapshot, SnapshotStore};
 use crate::transport::{FillStatus, Transport};
-use crate::wire::{FrameFault, WireCodec, WireMsg};
+use crate::wire::{WireCodec, WireMsg};
 use crate::WireChaos;
 use fvs_sched::FvsstAlgorithm;
 use fvs_telemetry::{
@@ -606,20 +606,16 @@ impl Driver {
                     // / decode are distinguishable from injected chaos
                     // via `injected:false`, and the event carries the
                     // observed frame length and codec).
-                    let kind = match transport.last_fault() {
-                        Some(FrameFault::Oversize) => {
-                            self.metrics.oversize_frames.inc();
-                            WireFaultKind::Oversize
-                        }
-                        Some(FrameFault::BadMagic) => WireFaultKind::BadMagic,
-                        _ => WireFaultKind::Decode,
-                    };
+                    let fault = transport.last_fault().unwrap_or(WireFaultKind::Decode);
+                    if fault == WireFaultKind::Oversize {
+                        self.metrics.oversize_frames.inc();
+                    }
                     self.metrics.decode_errors.inc();
                     self.metrics.wire_faults.inc();
                     self.config.telemetry.emit(SchedEvent::WireFault {
                         t_s: self.start.elapsed().as_secs_f64(),
                         node: core.node_of(token).map_or(u32::MAX, |n| n as u32),
-                        kind,
+                        fault,
                         injected: false,
                         frame_len: transport.last_fault_len(),
                         codec: transport.last_fault_codec(),

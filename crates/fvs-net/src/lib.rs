@@ -60,9 +60,9 @@ pub use sim::{ClusterConfig, ClusterReport, ClusterSim, DelayQueue, NodeEvent};
 pub use snapshot::{Snapshot, SnapshotEpisode, SnapshotNode, SnapshotStore, SNAPSHOT_VERSION};
 pub use transport::{FillStatus, Transport};
 pub use wire::{
-    decode_payload, decode_payload_binary, encode, encode_binary, encode_with, FrameFault,
-    FrameReader, WireCodec, WireMsg, CODEC_ALL, CODEC_BINARY_BIT, CODEC_JSON_BIT, HEADER_LEN,
-    MAGIC, MAGIC_V2, MAX_FRAME_LEN, SCHEMA_VERSION,
+    decode_payload, decode_payload_binary, encode, encode_binary, encode_with, FrameReader,
+    WireCodec, WireMsg, CODEC_ALL, CODEC_BINARY_BIT, CODEC_JSON_BIT, HEADER_LEN, MAGIC, MAGIC_V2,
+    MAX_FRAME_LEN, SCHEMA_VERSION,
 };
 
 // The vendored readiness-polling layer, re-exported whole so embedders

@@ -25,8 +25,9 @@ use std::time::Instant;
 
 use crate::chaos::{ChaosStream, WriteFault};
 use crate::error::FvsError;
-use crate::wire::{encode_with, FrameFault, FrameReader, WireCodec, WireMsg};
+use crate::wire::{encode_with, FrameReader, WireCodec, WireMsg};
 use fvs_cluster::NodeSummary;
+use fvs_telemetry::WireFaultKind;
 
 /// Most bytes one [`Transport::fill`] call takes off its socket: well
 /// above what a node sends between two polls (a reconnect burst is
@@ -265,7 +266,7 @@ impl Transport {
     }
 
     /// Classification of the most recent [`Transport::next_msg`] error.
-    pub fn last_fault(&self) -> Option<FrameFault> {
+    pub fn last_fault(&self) -> Option<WireFaultKind> {
         self.reader.last_fault()
     }
 

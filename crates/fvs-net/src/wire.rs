@@ -40,6 +40,7 @@
 use crate::error::FvsError;
 use fvs_cluster::{FrequencyCommand, NodeSummary};
 use fvs_model::{CpiModel, FreqMhz};
+use fvs_telemetry::WireFaultKind;
 use serde::{Serialize, Value};
 use std::io;
 
@@ -759,20 +760,6 @@ pub fn decode_payload(payload: &[u8]) -> Result<WireMsg, FvsError> {
     }
 }
 
-/// How a frame failed to parse — telemetry needs the class, not just
-/// the error string, so chaos runs can tell an injected bit-flip from
-/// an organic one and count oversized length prefixes separately.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameFault {
-    /// The 4-byte magic was wrong: stream desynchronised or a foreign
-    /// peer.
-    BadMagic,
-    /// The length prefix exceeded [`MAX_FRAME_LEN`].
-    Oversize,
-    /// The framing was sound but the payload did not decode.
-    Payload,
-}
-
 /// Incremental frame parser over a byte stream.
 ///
 /// Feed it whatever the socket produced; it buffers partial frames and
@@ -795,7 +782,7 @@ pub struct FrameReader {
     /// Where the next binary summary is decoded (see
     /// [`FrameReader::recycle`]).
     spare: NodeSummary,
-    last_fault: Option<FrameFault>,
+    last_fault: Option<WireFaultKind>,
     last_fault_len: u32,
     last_fault_codec: u8,
 }
@@ -874,10 +861,15 @@ impl FrameReader {
     }
 
     /// Classification of the most recent [`next_frame`] error, cleared
-    /// by any successful parse.
+    /// by any successful parse: [`WireFaultKind::BadMagic`] (stream
+    /// desynchronised or a foreign peer), [`WireFaultKind::Oversize`]
+    /// (length prefix over [`MAX_FRAME_LEN`]) or [`WireFaultKind::Decode`]
+    /// (sound framing, a payload that did not decode). It is what the
+    /// `wire_fault` event the reader's owner journals carries, so chaos
+    /// runs can tell an organic fault from an injected one.
     ///
     /// [`next_frame`]: FrameReader::next_frame
-    pub fn last_fault(&self) -> Option<FrameFault> {
+    pub fn last_fault(&self) -> Option<WireFaultKind> {
         self.last_fault
     }
 
@@ -894,7 +886,7 @@ impl FrameReader {
         self.last_fault_codec
     }
 
-    fn fault(&mut self, kind: FrameFault, len: u32, codec: u8) {
+    fn fault(&mut self, kind: WireFaultKind, len: u32, codec: u8) {
         self.last_fault = Some(kind);
         self.last_fault_len = len;
         self.last_fault_codec = codec;
@@ -918,12 +910,12 @@ impl FrameReader {
                 "bad magic {:02x?} (stream desynchronised or not an fvsst peer)",
                 &unread[..4]
             ));
-            self.fault(FrameFault::BadMagic, 0, 0);
+            self.fault(WireFaultKind::BadMagic, 0, 0);
             return Err(err);
         };
         let len = u32::from_be_bytes([unread[4], unread[5], unread[6], unread[7]]) as usize;
         if len > MAX_FRAME_LEN {
-            self.fault(FrameFault::Oversize, len as u32, codec.id());
+            self.fault(WireFaultKind::Oversize, len as u32, codec.id());
             return Err(FvsError::wire(format!(
                 "frame length {len} exceeds MAX_FRAME_LEN {MAX_FRAME_LEN}"
             )));
@@ -945,7 +937,7 @@ impl FrameReader {
                 self.last_fault_len = 0;
                 self.last_fault_codec = 0;
             }
-            Err(_) => self.fault(FrameFault::Payload, len as u32, codec.id()),
+            Err(_) => self.fault(WireFaultKind::Decode, len as u32, codec.id()),
         }
         msg.map(Some)
     }
@@ -1137,7 +1129,7 @@ mod tests {
         junk.extend_from_slice(&u32::MAX.to_be_bytes());
         r.feed(&junk);
         assert!(r.next_frame().is_err());
-        assert_eq!(r.last_fault(), Some(FrameFault::Oversize));
+        assert_eq!(r.last_fault(), Some(WireFaultKind::Oversize));
 
         // Bad magic.
         let mut r = FrameReader::new();
@@ -1145,7 +1137,7 @@ mod tests {
         frame[0] = b'X';
         r.feed(&frame);
         assert!(r.next_frame().is_err());
-        assert_eq!(r.last_fault(), Some(FrameFault::BadMagic));
+        assert_eq!(r.last_fault(), Some(WireFaultKind::BadMagic));
 
         // Corrupt payload, then a clean frame clears the classification.
         let mut r = FrameReader::new();
@@ -1156,7 +1148,7 @@ mod tests {
         r.feed(&bad);
         r.feed(&good);
         assert!(r.next_frame().is_err());
-        assert_eq!(r.last_fault(), Some(FrameFault::Payload));
+        assert_eq!(r.last_fault(), Some(WireFaultKind::Decode));
         assert!(r.next_frame().unwrap().is_some());
         assert_eq!(r.last_fault(), None);
     }
@@ -1269,7 +1261,7 @@ mod tests {
         junk.extend_from_slice(&((MAX_FRAME_LEN as u32) + 1).to_be_bytes());
         r.feed(&junk);
         assert!(r.next_frame().is_err());
-        assert_eq!(r.last_fault(), Some(FrameFault::Oversize));
+        assert_eq!(r.last_fault(), Some(WireFaultKind::Oversize));
         assert_eq!(r.last_fault_len(), (MAX_FRAME_LEN as u32) + 1);
         assert_eq!(r.last_fault_codec(), WireCodec::Binary.id());
 
@@ -1287,7 +1279,7 @@ mod tests {
         let mut r = FrameReader::new();
         r.feed(&bad);
         assert!(r.next_frame().is_err());
-        assert_eq!(r.last_fault(), Some(FrameFault::Payload));
+        assert_eq!(r.last_fault(), Some(WireFaultKind::Decode));
         assert_eq!(r.last_fault_len(), (good.len() - HEADER_LEN) as u32);
         assert_eq!(r.last_fault_codec(), WireCodec::Binary.id());
 

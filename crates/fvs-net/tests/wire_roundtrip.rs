@@ -9,9 +9,10 @@ use fvs_cluster::{FrequencyCommand, NodeSummary};
 use fvs_faults::{apply_counter_fault, CounterFaultKind, FaultInjector, FaultPlan};
 use fvs_model::{CounterDelta, CpiModel, FreqMhz};
 use fvs_net::{
-    encode, encode_with, FrameFault, FrameReader, WireCodec, WireMsg, CODEC_ALL, HEADER_LEN, MAGIC,
-    MAGIC_V2, MAX_FRAME_LEN, SCHEMA_VERSION,
+    encode, encode_with, FrameReader, WireCodec, WireMsg, CODEC_ALL, HEADER_LEN, MAGIC, MAGIC_V2,
+    MAX_FRAME_LEN, SCHEMA_VERSION,
 };
+use fvs_telemetry::WireFaultKind;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -212,7 +213,7 @@ proptest! {
 // order, the same fault classification after each, and a `pending()`
 // that accounts for every byte.
 
-type Faults = (Option<FrameFault>, u32, u8);
+type Faults = (Option<WireFaultKind>, u32, u8);
 
 fn faults(r: &FrameReader) -> Faults {
     (r.last_fault(), r.last_fault_len(), r.last_fault_codec())
@@ -240,7 +241,7 @@ fn alone(frame: &[u8]) -> Outcome {
 fn consumed(outcome: &Outcome) -> bool {
     !matches!(
         outcome.1 .0,
-        Some(FrameFault::BadMagic | FrameFault::Oversize)
+        Some(WireFaultKind::BadMagic | WireFaultKind::Oversize)
     )
 }
 
@@ -533,7 +534,7 @@ fn a_bad_magic_right_after_a_compaction_is_classified() {
 
     let want = alone(&bad);
     assert_eq!(Err(r.next_frame().unwrap_err().to_string()), want.0);
-    assert_eq!(faults(&r), (Some(FrameFault::BadMagic), 0, 0));
+    assert_eq!(faults(&r), (Some(WireFaultKind::BadMagic), 0, 0));
     assert_eq!(faults(&r), want.1);
     assert_eq!(r.pending(), bad.len(), "a refused frame is not consumed");
 }

@@ -10,32 +10,10 @@ use crate::predictor::{ErrorStats, PredictionTracker, Predictor};
 use fvs_faults::{SampleValidator, SampleVerdict};
 use fvs_power::BudgetSchedule;
 use fvs_telemetry::{
-    BudgetDeadlineTracker, Counter, Gauge, Histogram, RoundTimer, SchedEvent, Telemetry, Tracer,
-    TriggerKind,
+    BudgetDeadlineTracker, Counter, Gauge, Histogram, SchedEvent, Telemetry, Tracer, TriggerKind,
 };
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// Why the scheduler ran a scheduling computation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Trigger {
-    /// The periodic timer (every `T = n·t`).
-    Timer,
-    /// The global power limit changed (e.g. a supply failed).
-    BudgetChange,
-    /// A processor entered or left the idle loop.
-    IdleEdge,
-}
-
-impl Trigger {
-    fn kind(self) -> TriggerKind {
-        match self {
-            Trigger::Timer => TriggerKind::Timer,
-            Trigger::BudgetChange => TriggerKind::BudgetChange,
-            Trigger::IdleEdge => TriggerKind::IdleEdge,
-        }
-    }
-}
+use std::time::Instant;
 
 /// Minimum dispatch ticks between idle-edge-triggered computations. A
 /// core whose work arrives in sub-tick bursts flaps its idle signal;
@@ -56,16 +34,9 @@ pub struct SchedulerConfig {
     pub n: u32,
     /// Global power budget over time.
     pub budget: BudgetSchedule,
-    /// React to idle edges immediately (in addition to pinning idle
-    /// processors at scheduling time).
-    pub idle_edge_trigger: bool,
     /// Memory-latency constants the predictor inverts the CPI equation
     /// with (measured once per platform, paper §7.1).
     pub latencies: fvs_model::MemoryLatencies,
-    /// Record `(time, trigger)` entries for every scheduling computation.
-    /// The log grows for the lifetime of the daemon; long-running
-    /// allocation-sensitive hosts can switch it off.
-    pub log_triggers: bool,
     /// Telemetry pipeline: structured round events, metrics, and the
     /// budget-deadline journal all flow through this handle. Disabled by
     /// default — the disabled handle costs one branch per emission point
@@ -96,9 +67,7 @@ impl SchedulerConfig {
             t_s: 0.010,
             n: 10,
             budget: BudgetSchedule::constant(f64::INFINITY),
-            idle_edge_trigger: true,
             latencies: fvs_model::MemoryLatencies::P630,
-            log_triggers: true,
             telemetry: Telemetry::disabled(),
             tracer: Tracer::disabled(),
             deadline_s: 1.0,
@@ -158,14 +127,6 @@ impl SchedulerConfig {
     /// trigger).
     pub fn with_idle_detection(mut self, enabled: bool) -> Self {
         self.algorithm.idle_detection = enabled;
-        self.idle_edge_trigger = enabled;
-        self
-    }
-
-    /// Disable the `(time, trigger)` log (its growth is the only
-    /// steady-state allocation the daemon performs).
-    pub fn without_trigger_log(mut self) -> Self {
-        self.log_triggers = false;
         self
     }
 
@@ -239,7 +200,6 @@ pub struct FvsstScheduler {
     pending_idle_edge: bool,
     last_decision: Option<ScheduleDecision>,
     schedules_run: u64,
-    triggers: Vec<(f64, Trigger)>,
     cache: ScheduleCache,
     proc_buf: Vec<ProcInput>,
     budget_tracker: BudgetDeadlineTracker,
@@ -268,7 +228,6 @@ impl FvsstScheduler {
             pending_idle_edge: false,
             last_decision: None,
             schedules_run: 0,
-            triggers: Vec::new(),
             cache,
             proc_buf: Vec::with_capacity(n_cores),
             budget_tracker,
@@ -288,11 +247,6 @@ impl FvsstScheduler {
     /// Scheduling computations performed so far.
     pub fn schedules_run(&self) -> u64 {
         self.schedules_run
-    }
-
-    /// The `(time, trigger)` log.
-    pub fn trigger_log(&self) -> &[(f64, Trigger)] {
-        &self.triggers
     }
 
     /// All-samples prediction-error stats for core `i`.
@@ -451,23 +405,20 @@ impl FvsstScheduler {
         true
     }
 
-    fn run_schedule(&mut self, ctx: &TickContext<'_>, trigger: Trigger, out: &mut Decision) {
+    fn run_schedule(&mut self, ctx: &TickContext<'_>, trigger: TriggerKind, out: &mut Decision) {
         let _round_span = self.config.tracer.span("sched.round");
-        if self.config.log_triggers {
-            self.triggers.push((ctx.now_s, trigger));
-        }
         let round = self.schedules_run;
         self.schedules_run += 1;
         self.ticks_since_schedule = 0;
         self.budget_tracker.on_round();
         let telemetry_on = self.config.telemetry.enabled();
-        let timer = telemetry_on.then(RoundTimer::start);
+        let started = telemetry_on.then(Instant::now);
         let stats_before = self.cache.stats();
         if telemetry_on {
             self.config.telemetry.emit(SchedEvent::RoundStart {
                 round,
                 t_s: ctx.now_s,
-                trigger: trigger.kind(),
+                trigger,
                 budget_w: ctx.budget_w,
             });
         }
@@ -573,7 +524,7 @@ impl FvsstScheduler {
                 proc_hits: (stats.proc_hits - stats_before.proc_hits) as u32,
                 proc_rebuilds: (stats.proc_rebuilds - stats_before.proc_rebuilds) as u32,
             });
-            let wall_ns = timer.map(|t| t.elapsed_ns()).unwrap_or(0);
+            let wall = started.map(|t| t.elapsed()).unwrap_or_default();
             telemetry.emit(SchedEvent::RoundEnd {
                 round,
                 feasible: d.feasible,
@@ -581,7 +532,7 @@ impl FvsstScheduler {
                 predicted_power_w: d.predicted_power_w,
                 budget_w: ctx.budget_w,
                 headroom_w: ctx.budget_w - d.predicted_power_w,
-                wall_ns,
+                wall_ns: u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
             });
             if let Some(m) = &self.metrics {
                 m.rounds.inc();
@@ -589,9 +540,7 @@ impl FvsstScheduler {
                 if full_hit {
                     m.cache_full_hits.inc();
                 }
-                if let Some(t) = &timer {
-                    m.round_wall_s.observe(t.elapsed_s());
-                }
+                m.round_wall_s.observe(wall.as_secs_f64());
             }
         }
     }
@@ -664,8 +613,8 @@ impl Policy for FvsstScheduler {
         // Trigger 3: idle edges (deferred while rate-limited, never
         // dropped — the pending flag survives until served or until a
         // schedule runs for another reason).
-        let idle_changed =
-            self.config.idle_edge_trigger && (0..n).any(|i| ctx.idle[i] != self.last_idle[i]);
+        let idle_changed = self.config.algorithm.idle_detection
+            && (0..n).any(|i| ctx.idle[i] != self.last_idle[i]);
         self.last_idle.clear();
         self.last_idle.extend_from_slice(ctx.idle);
         if idle_changed {
@@ -674,25 +623,25 @@ impl Policy for FvsstScheduler {
 
         if budget_changed {
             self.pending_idle_edge = false;
-            self.run_schedule(ctx, Trigger::BudgetChange, out);
+            self.run_schedule(ctx, TriggerKind::BudgetChange, out);
             return true;
         }
         if self.pending_idle_edge && self.ticks_since_schedule >= IDLE_EDGE_MIN_SPACING {
             self.pending_idle_edge = false;
-            self.run_schedule(ctx, Trigger::IdleEdge, out);
+            self.run_schedule(ctx, TriggerKind::IdleEdge, out);
             return true;
         }
         // Bootstrap: enforce the budget as soon as the first window has
         // data, rather than idling at f_max for a full period.
         if self.last_decision.is_none() {
             self.pending_idle_edge = false;
-            self.run_schedule(ctx, Trigger::Timer, out);
+            self.run_schedule(ctx, TriggerKind::Timer, out);
             return true;
         }
         // Trigger 2: the periodic timer.
         if self.ticks_since_schedule >= self.config.n {
             self.pending_idle_edge = false;
-            self.run_schedule(ctx, Trigger::Timer, out);
+            self.run_schedule(ctx, TriggerKind::Timer, out);
             return true;
         }
         // No round fired: verify the standing command actually took
@@ -746,10 +695,21 @@ mod tests {
         synthesize_delta(model, 0.0, 0.0, mem_rate, instr, f)
     }
 
+    /// What fired each round `telemetry` journaled, in order.
+    fn triggers(telemetry: &Telemetry) -> Vec<TriggerKind> {
+        (telemetry.events().iter())
+            .filter_map(|e| match *e {
+                SchedEvent::RoundStart { trigger, .. } => Some(trigger),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn timer_fires_every_n_ticks() {
         let platform = PlatformView::p630();
-        let cfg = SchedulerConfig::p630();
+        let telemetry = Telemetry::memory(64);
+        let cfg = SchedulerConfig::p630().with_telemetry(telemetry.clone());
         let mut s = FvsstScheduler::new(1, cfg);
         let model = CpiModel::from_components(1.0, 4.0e-9);
         // Apply each command like a real host, so actuation verification
@@ -774,13 +734,15 @@ mod tests {
             }
         }
         assert_eq!(decisions, 3, "30 ticks / n=10");
-        assert!(s.trigger_log().iter().all(|(_, t)| *t == Trigger::Timer));
+        assert_eq!(triggers(&telemetry), [TriggerKind::Timer; 3]);
     }
 
     #[test]
     fn budget_change_triggers_immediately() {
         let platform = PlatformView::p630();
-        let mut s = FvsstScheduler::new(1, SchedulerConfig::p630());
+        let telemetry = Telemetry::memory(64);
+        let cfg = SchedulerConfig::p630().with_telemetry(telemetry.clone());
+        let mut s = FvsstScheduler::new(1, cfg);
         let model = CpiModel::from_components(1.0, 0.0);
         let current = [FreqMhz(1000)];
         let idle = [false];
@@ -792,7 +754,10 @@ mod tests {
         let samples = [sample_for(&model, 0.0, FreqMhz(1000), 0.01)];
         let c1 = ctx(0.02, 1, 75.0, &samples, &idle, &current, &platform);
         let d = s.on_tick(&c1).expect("budget change must trigger");
-        assert_eq!(s.trigger_log()[1].1, Trigger::BudgetChange);
+        assert_eq!(
+            triggers(&telemetry),
+            [TriggerKind::Timer, TriggerKind::BudgetChange]
+        );
         // 75 W cap on one CPU-bound core: 750 MHz.
         assert_eq!(d.freqs[0], FreqMhz(750));
         assert!(d.feasible);
@@ -801,7 +766,9 @@ mod tests {
     #[test]
     fn idle_edge_triggers_and_pins_to_min() {
         let platform = PlatformView::p630();
-        let mut s = FvsstScheduler::new(1, SchedulerConfig::p630());
+        let telemetry = Telemetry::memory(64);
+        let cfg = SchedulerConfig::p630().with_telemetry(telemetry.clone());
+        let mut s = FvsstScheduler::new(1, cfg);
         let model = CpiModel::from_components(1.0 / 1.3, 0.0);
         let current = [FreqMhz(1000)];
         let samples = [sample_for(&model, 0.0, FreqMhz(1000), 0.01)];
@@ -841,7 +808,10 @@ mod tests {
         );
         let d = s.on_tick(&c2).expect("idle edge must trigger");
         assert_eq!(d.freqs[0], FreqMhz(250));
-        assert_eq!(s.trigger_log()[1].1, Trigger::IdleEdge);
+        assert_eq!(
+            triggers(&telemetry),
+            [TriggerKind::Timer, TriggerKind::IdleEdge]
+        );
     }
 
     #[test]

@@ -126,6 +126,11 @@ pub struct ScheduledSimulation<P: Policy = FvsstScheduler> {
 impl ScheduledSimulation<FvsstScheduler> {
     /// The canonical setup: an fvsst daemon built from `config` managing
     /// `machine`, with the budget taken from `config.budget`.
+    ///
+    /// # Panics
+    ///
+    /// When `config.t_s` is not finite and positive (see
+    /// [`with_policy`](ScheduledSimulation::with_policy)).
     pub fn new(machine: Machine, config: SchedulerConfig) -> Self {
         let budget = config.budget.clone();
         let t_s = config.t_s;
@@ -135,8 +140,18 @@ impl ScheduledSimulation<FvsstScheduler> {
 }
 
 impl<P: Policy> ScheduledSimulation<P> {
-    /// A machine under an arbitrary policy (baselines, ablations).
+    /// A machine under an arbitrary policy (baselines, ablations),
+    /// dispatched every `t_s` seconds.
+    ///
+    /// # Panics
+    ///
+    /// When `t_s` is not finite and positive: no tick count covers a run
+    /// at such a period.
     pub fn with_policy(machine: Machine, policy: P, budget: BudgetSchedule, t_s: f64) -> Self {
+        assert!(
+            t_s.is_finite() && t_s > 0.0,
+            "t_s must be finite and positive, got {t_s}"
+        );
         let n = machine.num_cores();
         let cfg = machine.config();
         let platform = PlatformView {
@@ -532,6 +547,13 @@ mod tests {
             b = b.workload(i, WorkloadSpec::synthetic(*c, 1.0e12));
         }
         b.build()
+    }
+
+    #[test]
+    #[should_panic(expected = "t_s must be finite and positive")]
+    fn a_zero_dispatch_period_is_refused() {
+        let config = SchedulerConfig::p630().with_t_s(0.0);
+        ScheduledSimulation::new(machine_with([1.0; 4]), config);
     }
 
     #[test]

@@ -252,3 +252,33 @@ fn demotion_events_replay_to_the_final_decision() {
     assert_eq!(feasible, decision.feasible);
     assert_eq!(demotions as usize, decision.demotions);
 }
+
+/// A budget drop under an unlimited `ΔT` journals `"deadline_s":null`:
+/// every line of the JSONL file is JSON, whatever the configuration.
+#[test]
+fn unlimited_deadline_journals_json_lines() {
+    let path = std::env::temp_dir().join(format!(
+        "fvs-sched-unlimited-deadline-{}.jsonl",
+        std::process::id()
+    ));
+    let telemetry = Telemetry::jsonl(&path).expect("journal file");
+    let config = SchedulerConfig::p630()
+        .with_budget(dropping_budget())
+        .with_telemetry(telemetry.clone())
+        .with_deadline_s(f64::INFINITY);
+    let mut sim = ScheduledSimulation::new(busy_machine(), config).without_trace();
+    sim.run_for(1.5);
+    telemetry.flush().expect("flush");
+
+    let text = std::fs::read_to_string(&path).expect("journal written");
+    let _ = std::fs::remove_file(&path);
+    let mut drops = 0;
+    for line in text.lines() {
+        let v = serde_json::from_str(line).unwrap_or_else(|e| panic!("not JSON ({e}): {line}"));
+        if v["kind"].as_str() == Some("budget_drop") {
+            drops += 1;
+            assert!(v["deadline_s"].is_null(), "{line}");
+        }
+    }
+    assert_eq!(drops, 1);
+}

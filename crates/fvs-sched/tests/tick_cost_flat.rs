@@ -36,9 +36,7 @@ fn scheduled_run() -> ScheduledSimulation {
         })
         .take_while(|e| e.at_s < SIM_S)
         .collect();
-    let config = SchedulerConfig::p630()
-        .with_budget(BudgetSchedule::with_events(full_w, events))
-        .without_trigger_log();
+    let config = SchedulerConfig::p630().with_budget(BudgetSchedule::with_events(full_w, events));
     ScheduledSimulation::new(b.build(), config).without_trace()
 }
 

@@ -63,12 +63,10 @@ fn prove(label: &str, telemetry: Telemetry, tracer: Tracer) {
         .workload(2, WorkloadSpec::synthetic(5.0, 1.0e15))
         .workload(3, WorkloadSpec::synthetic(0.5, 1.0e15))
         .build();
-    // A finite budget keeps pass 2 demoting; the trigger log (the
-    // daemon's only unbounded growth) is off, as a long-running
-    // allocation-sensitive host would configure it.
+    // A finite budget keeps pass 2 demoting; the daemon is otherwise
+    // configured as shipped.
     let config = SchedulerConfig::p630()
         .with_budget(BudgetSchedule::constant(294.0))
-        .without_trigger_log()
         .with_telemetry(telemetry.clone())
         .with_tracer(tracer.clone());
     let mut sim = ScheduledSimulation::new(machine, config).without_trace();

@@ -4,101 +4,181 @@
 //! can record it without allocating. The JSONL encoding is flat —
 //! `{"kind":"demotion",...}` — so traces can be filtered with nothing
 //! fancier than `grep '"kind":"demotion"'` or `jq 'select(.kind==…)'`.
+//!
+//! Each variant is declared once, in the `sched_events!` table below:
+//! its name, its `kind` string and its fields. The enum,
+//! [`SchedEvent::kind`] and [`SchedEvent::write_jsonl`] all come from
+//! that table, so a field cannot be declared and not journaled, and
+//! every field is written under its own name by its type's one rule: an
+//! `f64` is a number, or `null` when non-finite (an unlimited budget is
+//! `+∞`); an integer or `bool` is itself; a [`TriggerKind`],
+//! [`FaultDomain`] or [`WireFaultKind`] is its quoted `as_str` name.
 
 use core::fmt::Write;
 
-/// Why a scheduling round ran (mirror of the daemon's trigger enum,
-/// kept dependency-free here).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TriggerKind {
-    /// The periodic timer (`T = n·t`).
-    Timer,
-    /// The global power limit changed.
-    BudgetChange,
-    /// A processor entered or left the idle loop.
-    IdleEdge,
+/// How a field's value is written into its event's JSONL line: one rule
+/// per field type (see the module docs).
+trait JsonValue {
+    fn write_json(self, buf: &mut String);
 }
 
-impl TriggerKind {
-    /// Stable lowercase name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TriggerKind::Timer => "timer",
-            TriggerKind::BudgetChange => "budget_change",
-            TriggerKind::IdleEdge => "idle_edge",
+impl JsonValue for f64 {
+    fn write_json(self, buf: &mut String) {
+        if self.is_finite() {
+            let _ = write!(buf, "{self}");
+        } else {
+            buf.push_str("null");
         }
     }
 }
 
-/// Which layer an injected fault targeted (mirror of the fault
-/// taxonomy in fvs-faults, kept dependency-free here).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultDomain {
-    /// A performance-counter sample was corrupted.
-    Counter,
-    /// A frequency command was dropped, truncated or delayed.
-    Actuation,
+/// Integers and booleans: their `Display` form is their JSON form.
+macro_rules! display_json {
+    ($($ty:ty),*) => {$(
+        impl JsonValue for $ty {
+            fn write_json(self, buf: &mut String) {
+                let _ = write!(buf, "{self}");
+            }
+        }
+    )*};
 }
 
-impl FaultDomain {
-    /// Stable lowercase name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FaultDomain::Counter => "counter",
-            FaultDomain::Actuation => "actuation",
+display_json!(u8, u32, u64, bool);
+
+/// Declares a fieldless enum the journal writes by name: each variant
+/// with its stable lowercase name, `as_str`, and its `JsonValue` rule
+/// (the name, quoted).
+macro_rules! names {
+    (
+        $(#[$doc:meta])*
+        $name:ident {
+            $($(#[$variant_doc:meta])* $variant:ident = $str:literal),* $(,)?
         }
+    ) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $name {
+            $($(#[$variant_doc])* $variant),*
+        }
+
+        impl $name {
+            /// Stable lowercase name.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $($name::$variant => $str),*
+                }
+            }
+        }
+
+        impl JsonValue for $name {
+            fn write_json(self, buf: &mut String) {
+                buf.push('"');
+                buf.push_str(self.as_str());
+                buf.push('"');
+            }
+        }
+    };
+}
+
+names! {
+    /// Why a scheduling round ran.
+    TriggerKind {
+        /// The periodic timer (`T = n·t`).
+        Timer = "timer",
+        /// The global power limit changed (e.g. a supply failed).
+        BudgetChange = "budget_change",
+        /// A processor entered or left the idle loop.
+        IdleEdge = "idle_edge",
     }
 }
 
-/// What went wrong on the wire (mirror of the fvs-net frame-fault and
-/// chaos-injection taxonomy, kept dependency-free here).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireFaultKind {
-    /// A frame was dropped (never written, or never delivered).
-    Drop,
-    /// A frame was held back and delivered late.
-    Delay,
-    /// A frame was delivered twice.
-    Duplicate,
-    /// A frame was truncated or bit-flipped in flight.
-    Corrupt,
-    /// The connection was reset mid-stream.
-    Reset,
-    /// Traffic toward the coordinator was blackholed (uplink partition).
-    PartitionUp,
-    /// Traffic toward the agent was blackholed (downlink partition).
-    PartitionDown,
-    /// A received length prefix exceeded the frame cap.
-    Oversize,
-    /// A received frame header had the wrong magic.
-    BadMagic,
-    /// A received payload failed to decode.
-    Decode,
-}
-
-impl WireFaultKind {
-    /// Stable lowercase name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            WireFaultKind::Drop => "drop",
-            WireFaultKind::Delay => "delay",
-            WireFaultKind::Duplicate => "duplicate",
-            WireFaultKind::Corrupt => "corrupt",
-            WireFaultKind::Reset => "reset",
-            WireFaultKind::PartitionUp => "partition_up",
-            WireFaultKind::PartitionDown => "partition_down",
-            WireFaultKind::Oversize => "oversize",
-            WireFaultKind::BadMagic => "bad_magic",
-            WireFaultKind::Decode => "decode",
-        }
+names! {
+    /// Which layer an injected fault targeted (mirror of the fault
+    /// taxonomy in fvs-faults, kept dependency-free here).
+    FaultDomain {
+        /// A performance-counter sample was corrupted.
+        Counter = "counter",
+        /// A frequency command was dropped, truncated or delayed.
+        Actuation = "actuation",
     }
 }
 
-/// One structured scheduling event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SchedEvent {
+names! {
+    /// What went wrong on the wire: a fault a `ChaosStream` injected, or
+    /// one the frame decoder classified (`FrameReader::last_fault`).
+    WireFaultKind {
+        /// A frame was dropped (never written, or never delivered).
+        Drop = "drop",
+        /// A frame was held back and delivered late.
+        Delay = "delay",
+        /// A frame was delivered twice.
+        Duplicate = "duplicate",
+        /// A frame was truncated or bit-flipped in flight.
+        Corrupt = "corrupt",
+        /// The connection was reset mid-stream.
+        Reset = "reset",
+        /// Traffic toward the coordinator was blackholed (uplink partition).
+        PartitionUp = "partition_up",
+        /// Traffic toward the agent was blackholed (downlink partition).
+        PartitionDown = "partition_down",
+        /// A received length prefix exceeded the frame cap.
+        Oversize = "oversize",
+        /// A received frame header had the wrong magic.
+        BadMagic = "bad_magic",
+        /// A received payload failed to decode.
+        Decode = "decode",
+    }
+}
+
+/// Declares [`SchedEvent`] from one table of `Variant = "kind" { field:
+/// Type, … }` entries, and generates [`SchedEvent::kind`] and
+/// [`SchedEvent::write_jsonl`] from the same table.
+macro_rules! sched_events {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident = $kind:literal {
+            $($(#[$field_doc:meta])* $field:ident: $ty:ty),* $(,)?
+        }
+    ),* $(,)?) => {
+        /// One structured scheduling event.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub enum SchedEvent {
+            $($(#[$doc])* $variant { $($(#[$field_doc])* $field: $ty),* }),*
+        }
+
+        impl SchedEvent {
+            /// Stable lowercase event-kind name (the JSONL `kind` field).
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(SchedEvent::$variant { .. } => $kind),*
+                }
+            }
+
+            /// Append the event as one JSON object (no trailing newline)
+            /// to `buf`: its `kind`, then each field under its own name
+            /// in declaration order. Reuses the caller's buffer so the
+            /// JSONL sink formats without allocating in steady state.
+            pub fn write_jsonl(&self, buf: &mut String) {
+                buf.push_str("{\"kind\":\"");
+                buf.push_str(self.kind());
+                buf.push('"');
+                match *self {
+                    $(SchedEvent::$variant { $($field),* } => {
+                        $(
+                            buf.push_str(concat!(",\"", stringify!($field), "\":"));
+                            $field.write_json(buf);
+                        )*
+                    })*
+                }
+                buf.push('}');
+            }
+        }
+    };
+}
+
+sched_events! {
     /// A scheduling round began.
-    RoundStart {
+    RoundStart = "round_start" {
         /// Round sequence number (the daemon's `schedules_run`).
         round: u64,
         /// Simulation/wall time of the round (s).
@@ -109,7 +189,7 @@ pub enum SchedEvent {
         budget_w: f64,
     },
     /// Pass 1's ε choice for one processor.
-    Desired {
+    Desired = "desired" {
         /// Round sequence number.
         round: u64,
         /// Processor index.
@@ -120,7 +200,7 @@ pub enum SchedEvent {
         idle: bool,
     },
     /// One pass-2 single-step demotion.
-    Demotion {
+    Demotion = "demotion" {
         /// Round sequence number.
         round: u64,
         /// Demoted processor.
@@ -135,7 +215,7 @@ pub enum SchedEvent {
         power_delta_w: f64,
     },
     /// Cache outcome of the round.
-    CacheOutcome {
+    CacheOutcome = "cache" {
         /// Round sequence number.
         round: u64,
         /// The round was answered entirely from the cached decision.
@@ -146,7 +226,7 @@ pub enum SchedEvent {
         proc_rebuilds: u32,
     },
     /// A scheduling round completed.
-    RoundEnd {
+    RoundEnd = "round_end" {
         /// Round sequence number.
         round: u64,
         /// Whether the budget could be met.
@@ -163,7 +243,7 @@ pub enum SchedEvent {
         wall_ns: u64,
     },
     /// The budget dropped (e.g. a supply failed).
-    BudgetDrop {
+    BudgetDrop = "budget_drop" {
         /// When the drop was observed (s).
         t_s: f64,
         /// Budget before (W).
@@ -174,7 +254,7 @@ pub enum SchedEvent {
         deadline_s: f64,
     },
     /// Measured power first came back under the dropped budget.
-    BudgetCompliance {
+    BudgetCompliance = "budget_compliance" {
         /// When compliance was observed (s).
         t_s: f64,
         /// Scheduling rounds between the drop and compliance.
@@ -185,14 +265,14 @@ pub enum SchedEvent {
         within_deadline: bool,
     },
     /// `ΔT` expired with measured power still over the dropped budget.
-    BudgetViolation {
+    BudgetViolation = "budget_violation" {
         /// When the deadline expired (s).
         t_s: f64,
         /// The deadline that was missed (s).
         deadline_s: f64,
     },
     /// The feedback guard grew its safety margin.
-    FeedbackClamp {
+    FeedbackClamp = "feedback_clamp" {
         /// When the clamp fired (s).
         t_s: f64,
         /// The new margin (W).
@@ -201,7 +281,7 @@ pub enum SchedEvent {
         overshoot_w: f64,
     },
     /// One global (cluster-coordinator) scheduling round.
-    ClusterRound {
+    ClusterRound = "cluster_round" {
         /// Coordinator round sequence number.
         round: u64,
         /// Nodes that have reported at least once.
@@ -216,7 +296,7 @@ pub enum SchedEvent {
         feasible: bool,
     },
     /// The fault injector fired.
-    FaultInjected {
+    FaultInjected = "fault_injected" {
         /// When the fault fired (s).
         t_s: f64,
         /// Which layer it targeted.
@@ -225,18 +305,18 @@ pub enum SchedEvent {
         target: u32,
     },
     /// The sample validator refused an impossible counter sample.
-    SampleQuarantined {
+    SampleQuarantined = "sample_quarantined" {
         /// When the sample was refused (s).
         t_s: f64,
         /// Processor (or, cluster-side, node) whose sample was refused.
         proc: u32,
         /// The offending value (observed IPC, or the corrupt summary
-        /// power); non-finite values encode as `null`.
+        /// power).
         value: f64,
     },
     /// A commanded frequency did not take effect; the scheduler
     /// re-issued it.
-    ActuationRetry {
+    ActuationRetry = "actuation_retry" {
         /// When the retry fired (s).
         t_s: f64,
         /// Processor being retried.
@@ -250,7 +330,7 @@ pub enum SchedEvent {
     },
     /// A cluster node went silent past the heartbeat timeout; the
     /// coordinator now charges it conservatively.
-    NodeDeclaredDead {
+    NodeDeclaredDead = "node_declared_dead" {
         /// When the node was declared dead (s).
         t_s: f64,
         /// The silent node.
@@ -262,7 +342,7 @@ pub enum SchedEvent {
     },
     /// Actuation retries were exhausted; the processor is pinned at its
     /// fail-safe minimum frequency and excluded from Pass 1.
-    FailsafePin {
+    FailsafePin = "failsafe_pin" {
         /// When the pin was applied (s).
         t_s: f64,
         /// The pinned processor.
@@ -274,7 +354,7 @@ pub enum SchedEvent {
     },
     /// One tier of the budget-delegation tree ran (or skipped) a
     /// delegation round.
-    TierRound {
+    TierRound = "tier_round" {
         /// When the round ran (s).
         t_s: f64,
         /// Tier code: 1 = rack, 2 = row, 3 = datacenter root.
@@ -285,18 +365,18 @@ pub enum SchedEvent {
         skipped: u32,
     },
     /// A parent tier handed a child a *different* sub-budget.
-    SubbudgetAssigned {
+    SubbudgetAssigned = "subbudget_assigned" {
         /// When the assignment was made (s).
         t_s: f64,
         /// Tier code of the *assigning* parent (2 = row, 3 = root).
         tier: u8,
         /// Child index within the parent (rack or row number).
         child: u32,
-        /// The new sub-budget (W); non-finite encodes as `null`.
+        /// The new sub-budget (W).
         subbudget_w: f64,
     },
     /// Per-tier fingerprint-cache outcome for one delegation round.
-    SubtreeCache {
+    SubtreeCache = "subtree_cache" {
         /// When the round ran (s).
         t_s: f64,
         /// Tier code: 1 = rack, 2 = row, 3 = datacenter root.
@@ -308,14 +388,14 @@ pub enum SchedEvent {
     },
     /// Something went wrong on the wire — a chaos-injected fault (at the
     /// injection site) or an organic frame fault (at the detection site).
-    WireFault {
+    WireFault = "wire_fault" {
         /// When the fault happened (s).
         t_s: f64,
         /// Node the connection belongs to (`u32::MAX` before the hello
         /// names it).
         node: u32,
         /// What went wrong.
-        kind: WireFaultKind,
+        fault: WireFaultKind,
         /// `true` when a `ChaosStream` injected it on purpose; `false`
         /// for organic corruption detected at the frame decoder.
         injected: bool,
@@ -329,24 +409,23 @@ pub enum SchedEvent {
         codec: u8,
     },
     /// The coordinator persisted a recovery snapshot.
-    SnapshotWritten {
+    SnapshotWritten = "snapshot_written" {
         /// When the snapshot was taken (s, coordinator clock).
         t_s: f64,
         /// The coordinator epoch recorded in the snapshot.
         epoch: u64,
-        /// The budget recorded in the snapshot (W); non-finite encodes
-        /// as `null`.
+        /// The budget recorded in the snapshot (W).
         budget_w: f64,
         /// Node records carried by the snapshot.
         nodes: u32,
     },
     /// A coordinator restarted from a recovery snapshot (`--resume`).
-    CoordinatorResumed {
+    CoordinatorResumed = "coordinator_resumed" {
         /// When the resumed coordinator came up (s, its own clock).
         t_s: f64,
         /// The new (post-bump) coordinator epoch.
         epoch: u64,
-        /// The restored budget (W); non-finite encodes as `null`.
+        /// The restored budget (W).
         budget_w: f64,
         /// Node charges restored from the snapshot.
         restored_nodes: u32,
@@ -354,7 +433,7 @@ pub enum SchedEvent {
         grace_s: f64,
     },
     /// A stale-epoch peer was fenced (split-brain guard).
-    EpochFenced {
+    EpochFenced = "epoch_fenced" {
         /// When the fencing happened (s).
         t_s: f64,
         /// The node whose connection carried the stale epoch.
@@ -366,7 +445,7 @@ pub enum SchedEvent {
     },
     /// The post-resume resync window closed: restored charges are now
     /// either refreshed by live summaries or conservatively retained.
-    ResyncComplete {
+    ResyncComplete = "resync_complete" {
         /// When resync closed (s, coordinator clock).
         t_s: f64,
         /// Wall time the resync took (s).
@@ -379,330 +458,7 @@ pub enum SchedEvent {
     },
 }
 
-/// Write `x` as a JSON number, mapping non-finite values (an unlimited
-/// budget is `+∞`) to `null`.
-fn jnum(buf: &mut String, x: f64) {
-    if x.is_finite() {
-        let _ = write!(buf, "{x}");
-    } else {
-        buf.push_str("null");
-    }
-}
-
 impl SchedEvent {
-    /// Stable lowercase event-kind name (the JSONL `kind` field).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            SchedEvent::RoundStart { .. } => "round_start",
-            SchedEvent::Desired { .. } => "desired",
-            SchedEvent::Demotion { .. } => "demotion",
-            SchedEvent::CacheOutcome { .. } => "cache",
-            SchedEvent::RoundEnd { .. } => "round_end",
-            SchedEvent::BudgetDrop { .. } => "budget_drop",
-            SchedEvent::BudgetCompliance { .. } => "budget_compliance",
-            SchedEvent::BudgetViolation { .. } => "budget_violation",
-            SchedEvent::FeedbackClamp { .. } => "feedback_clamp",
-            SchedEvent::ClusterRound { .. } => "cluster_round",
-            SchedEvent::FaultInjected { .. } => "fault_injected",
-            SchedEvent::SampleQuarantined { .. } => "sample_quarantined",
-            SchedEvent::ActuationRetry { .. } => "actuation_retry",
-            SchedEvent::NodeDeclaredDead { .. } => "node_declared_dead",
-            SchedEvent::FailsafePin { .. } => "failsafe_pin",
-            SchedEvent::TierRound { .. } => "tier_round",
-            SchedEvent::SubbudgetAssigned { .. } => "subbudget_assigned",
-            SchedEvent::SubtreeCache { .. } => "subtree_cache",
-            SchedEvent::WireFault { .. } => "wire_fault",
-            SchedEvent::SnapshotWritten { .. } => "snapshot_written",
-            SchedEvent::CoordinatorResumed { .. } => "coordinator_resumed",
-            SchedEvent::EpochFenced { .. } => "epoch_fenced",
-            SchedEvent::ResyncComplete { .. } => "resync_complete",
-        }
-    }
-
-    /// Append the event as one JSON object (no trailing newline) to
-    /// `buf`. Reuses the caller's buffer so the JSONL sink formats
-    /// without allocating in steady state.
-    pub fn write_jsonl(&self, buf: &mut String) {
-        let _ = write!(buf, "{{\"kind\":\"{}\"", self.kind());
-        match *self {
-            SchedEvent::RoundStart {
-                round,
-                t_s,
-                trigger,
-                budget_w,
-            } => {
-                let _ = write!(
-                    buf,
-                    ",\"round\":{round},\"t_s\":{t_s},\"trigger\":\"{}\"",
-                    trigger.as_str()
-                );
-                buf.push_str(",\"budget_w\":");
-                jnum(buf, budget_w);
-            }
-            SchedEvent::Desired {
-                round,
-                proc,
-                desired_mhz,
-                idle,
-            } => {
-                let _ = write!(
-                    buf,
-                    ",\"round\":{round},\"proc\":{proc},\"desired_mhz\":{desired_mhz},\"idle\":{idle}"
-                );
-            }
-            SchedEvent::Demotion {
-                round,
-                proc,
-                from_mhz,
-                to_mhz,
-                predicted_loss,
-                power_delta_w,
-            } => {
-                let _ = write!(
-                    buf,
-                    ",\"round\":{round},\"proc\":{proc},\"from_mhz\":{from_mhz},\"to_mhz\":{to_mhz}"
-                );
-                buf.push_str(",\"predicted_loss\":");
-                jnum(buf, predicted_loss);
-                buf.push_str(",\"power_delta_w\":");
-                jnum(buf, power_delta_w);
-            }
-            SchedEvent::CacheOutcome {
-                round,
-                full_hit,
-                proc_hits,
-                proc_rebuilds,
-            } => {
-                let _ = write!(
-                    buf,
-                    ",\"round\":{round},\"full_hit\":{full_hit},\"proc_hits\":{proc_hits},\"proc_rebuilds\":{proc_rebuilds}"
-                );
-            }
-            SchedEvent::RoundEnd {
-                round,
-                feasible,
-                demotions,
-                predicted_power_w,
-                budget_w,
-                headroom_w,
-                wall_ns,
-            } => {
-                let _ = write!(
-                    buf,
-                    ",\"round\":{round},\"feasible\":{feasible},\"demotions\":{demotions}"
-                );
-                buf.push_str(",\"predicted_power_w\":");
-                jnum(buf, predicted_power_w);
-                buf.push_str(",\"budget_w\":");
-                jnum(buf, budget_w);
-                buf.push_str(",\"headroom_w\":");
-                jnum(buf, headroom_w);
-                let _ = write!(buf, ",\"wall_ns\":{wall_ns}");
-            }
-            SchedEvent::BudgetDrop {
-                t_s,
-                from_w,
-                to_w,
-                deadline_s,
-            } => {
-                let _ = write!(buf, ",\"t_s\":{t_s}");
-                buf.push_str(",\"from_w\":");
-                jnum(buf, from_w);
-                buf.push_str(",\"to_w\":");
-                jnum(buf, to_w);
-                let _ = write!(buf, ",\"deadline_s\":{deadline_s}");
-            }
-            SchedEvent::BudgetCompliance {
-                t_s,
-                rounds,
-                wall_s,
-                within_deadline,
-            } => {
-                let _ = write!(
-                    buf,
-                    ",\"t_s\":{t_s},\"rounds\":{rounds},\"wall_s\":{wall_s},\"within_deadline\":{within_deadline}"
-                );
-            }
-            SchedEvent::BudgetViolation { t_s, deadline_s } => {
-                let _ = write!(buf, ",\"t_s\":{t_s},\"deadline_s\":{deadline_s}");
-            }
-            SchedEvent::FeedbackClamp {
-                t_s,
-                margin_w,
-                overshoot_w,
-            } => {
-                let _ = write!(
-                    buf,
-                    ",\"t_s\":{t_s},\"margin_w\":{margin_w},\"overshoot_w\":{overshoot_w}"
-                );
-            }
-            SchedEvent::ClusterRound {
-                round,
-                nodes,
-                procs,
-                budget_w,
-                predicted_power_w,
-                feasible,
-            } => {
-                let _ = write!(
-                    buf,
-                    ",\"round\":{round},\"nodes\":{nodes},\"procs\":{procs}"
-                );
-                buf.push_str(",\"budget_w\":");
-                jnum(buf, budget_w);
-                buf.push_str(",\"predicted_power_w\":");
-                jnum(buf, predicted_power_w);
-                let _ = write!(buf, ",\"feasible\":{feasible}");
-            }
-            SchedEvent::FaultInjected {
-                t_s,
-                domain,
-                target,
-            } => {
-                let _ = write!(
-                    buf,
-                    ",\"t_s\":{t_s},\"domain\":\"{}\",\"target\":{target}",
-                    domain.as_str()
-                );
-            }
-            SchedEvent::SampleQuarantined { t_s, proc, value } => {
-                let _ = write!(buf, ",\"t_s\":{t_s},\"proc\":{proc}");
-                buf.push_str(",\"value\":");
-                jnum(buf, value);
-            }
-            SchedEvent::ActuationRetry {
-                t_s,
-                proc,
-                attempt,
-                requested_mhz,
-                actual_mhz,
-            } => {
-                let _ = write!(
-                    buf,
-                    ",\"t_s\":{t_s},\"proc\":{proc},\"attempt\":{attempt},\"requested_mhz\":{requested_mhz},\"actual_mhz\":{actual_mhz}"
-                );
-            }
-            SchedEvent::NodeDeclaredDead {
-                t_s,
-                node,
-                last_seen_s,
-                charged_w,
-            } => {
-                let _ = write!(buf, ",\"t_s\":{t_s},\"node\":{node}");
-                buf.push_str(",\"last_seen_s\":");
-                jnum(buf, last_seen_s);
-                buf.push_str(",\"charged_w\":");
-                jnum(buf, charged_w);
-            }
-            SchedEvent::FailsafePin {
-                t_s,
-                proc,
-                pinned_mhz,
-                retries,
-            } => {
-                let _ = write!(
-                    buf,
-                    ",\"t_s\":{t_s},\"proc\":{proc},\"pinned_mhz\":{pinned_mhz},\"retries\":{retries}"
-                );
-            }
-            SchedEvent::TierRound {
-                t_s,
-                tier,
-                ran,
-                skipped,
-            } => {
-                let _ = write!(
-                    buf,
-                    ",\"t_s\":{t_s},\"tier\":{tier},\"ran\":{ran},\"skipped\":{skipped}"
-                );
-            }
-            SchedEvent::SubbudgetAssigned {
-                t_s,
-                tier,
-                child,
-                subbudget_w,
-            } => {
-                let _ = write!(buf, ",\"t_s\":{t_s},\"tier\":{tier},\"child\":{child}");
-                buf.push_str(",\"subbudget_w\":");
-                jnum(buf, subbudget_w);
-            }
-            SchedEvent::SubtreeCache {
-                t_s,
-                tier,
-                hits,
-                misses,
-            } => {
-                let _ = write!(
-                    buf,
-                    ",\"t_s\":{t_s},\"tier\":{tier},\"hits\":{hits},\"misses\":{misses}"
-                );
-            }
-            SchedEvent::WireFault {
-                t_s,
-                node,
-                kind,
-                injected,
-                frame_len,
-                codec,
-            } => {
-                let _ = write!(
-                    buf,
-                    ",\"t_s\":{t_s},\"node\":{node},\"fault\":\"{}\",\"injected\":{injected},\"frame_len\":{frame_len},\"codec\":{codec}",
-                    kind.as_str()
-                );
-            }
-            SchedEvent::SnapshotWritten {
-                t_s,
-                epoch,
-                budget_w,
-                nodes,
-            } => {
-                let _ = write!(buf, ",\"t_s\":{t_s},\"epoch\":{epoch}");
-                buf.push_str(",\"budget_w\":");
-                jnum(buf, budget_w);
-                let _ = write!(buf, ",\"nodes\":{nodes}");
-            }
-            SchedEvent::CoordinatorResumed {
-                t_s,
-                epoch,
-                budget_w,
-                restored_nodes,
-                grace_s,
-            } => {
-                let _ = write!(buf, ",\"t_s\":{t_s},\"epoch\":{epoch}");
-                buf.push_str(",\"budget_w\":");
-                jnum(buf, budget_w);
-                let _ = write!(
-                    buf,
-                    ",\"restored_nodes\":{restored_nodes},\"grace_s\":{grace_s}"
-                );
-            }
-            SchedEvent::EpochFenced {
-                t_s,
-                node,
-                peer_epoch,
-                local_epoch,
-            } => {
-                let _ = write!(
-                    buf,
-                    ",\"t_s\":{t_s},\"node\":{node},\"peer_epoch\":{peer_epoch},\"local_epoch\":{local_epoch}"
-                );
-            }
-            SchedEvent::ResyncComplete {
-                t_s,
-                wall_s,
-                fresh_nodes,
-                charged_nodes,
-            } => {
-                let _ = write!(
-                    buf,
-                    ",\"t_s\":{t_s},\"wall_s\":{wall_s},\"fresh_nodes\":{fresh_nodes},\"charged_nodes\":{charged_nodes}"
-                );
-            }
-        }
-        buf.push('}');
-    }
-
     /// The event as one JSON line (fresh allocation; tests/tools).
     pub fn to_jsonl(&self) -> String {
         let mut s = String::new();
@@ -831,7 +587,7 @@ mod tests {
             SchedEvent::WireFault {
                 t_s: 1.7,
                 node: u32::MAX,
-                kind: WireFaultKind::Oversize,
+                fault: WireFaultKind::Oversize,
                 injected: false,
                 frame_len: 2048,
                 codec: 2,

@@ -3,7 +3,7 @@
 //! The paper's operational claims — the budget pass honors a dropped
 //! `P_max` within the deadline `ΔT`, per-processor predicted loss stays
 //! under ε — are only claims until they are observable. This crate turns
-//! them into signals, in three pieces:
+//! them into signals, in four pieces:
 //!
 //! - [`metrics`] — a lock-light registry of named counters, gauges and
 //!   fixed-bucket histograms. Updates are plain atomics (no locks, no
@@ -15,7 +15,9 @@
 //!   demotion (processor, frequency step, predicted loss, power delta),
 //!   the cache outcome, budget headroom and wall time, through a
 //!   [`Telemetry`] handle feeding one of two sinks (preallocated
-//!   in-memory ring, JSONL file) or a fan-out over several. The disabled
+//!   in-memory ring, JSONL file) or a fan-out over several. Each event is
+//!   declared once, and its JSONL line is generated from the declaration
+//!   (non-finite numbers are written as `null`). The disabled
 //!   handle costs one branch per emit and allocates nothing — the
 //!   counting-allocator proofs in `fvs-sched` run against both the
 //!   disabled handle and an enabled preallocated ring.
@@ -26,9 +28,6 @@
 //! - [`deadline`] — [`BudgetDeadlineTracker`]: stamps budget drops,
 //!   measures rounds-to-compliance and wall-time-to-compliance against a
 //!   configurable `ΔT`, and counts violations.
-//!
-//! [`RoundTimer`] is the shared monotonic stopwatch used for round and
-//! experiment wall times.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,7 +36,6 @@ pub mod deadline;
 pub mod event;
 pub mod metrics;
 pub mod sink;
-pub mod timer;
 pub mod trace;
 
 pub use deadline::{BudgetDeadlineTracker, ComplianceRecord, OpenEpisode};
@@ -47,5 +45,4 @@ pub use metrics::{
     ScopedMetrics,
 };
 pub use sink::Telemetry;
-pub use timer::RoundTimer;
 pub use trace::{SpanGuard, SpanId, SpanRecord, Tracer};
