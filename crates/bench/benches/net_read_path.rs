@@ -20,7 +20,7 @@
 use criterion::{BenchmarkId, Criterion};
 use fvs_cluster::{GlobalCoordinator, NodeSummary};
 use fvs_model::{CpiModel, FreqMhz};
-use fvs_net::{encode_binary, ChaosStream, FrameReader, Transport, WireMsg};
+use fvs_net::{encode_binary, FrameReader, Transport, WireMsg};
 use fvs_sched::FvsstAlgorithm;
 use std::hint::black_box;
 use std::io::Write;
@@ -72,9 +72,9 @@ fn bench_loopback(c: &mut Criterion) {
     const BURST: usize = 64;
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let mut client = TcpStream::connect(listener.local_addr().expect("bound")).expect("connect");
-    let (server, _) = listener.accept().expect("accept");
+    let (mut server, _) = listener.accept().expect("accept");
     server.set_nonblocking(true).expect("nonblocking");
-    let mut rx = Transport::new(ChaosStream::passthrough(server));
+    let mut rx = Transport::new();
     let burst = summary_frame(0).repeat(BURST);
     let mut coordinator = GlobalCoordinator::new(FvsstAlgorithm::p630(), 1);
     let mut in_flight = 0usize;
@@ -95,7 +95,7 @@ fn bench_loopback(c: &mut Criterion) {
                 client.write_all(&burst).expect("loopback takes a burst");
                 in_flight = BURST;
             }
-            rx.fill().expect("loopback read");
+            rx.fill(&mut server, 0.0).expect("loopback read");
         });
     });
     g.finish();

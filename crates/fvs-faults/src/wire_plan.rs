@@ -3,8 +3,9 @@
 //! [`WireFaultPlan`] extends the host-level [`FaultPlan`] grammar down
 //! to the socket: per-frame drop / delay / duplication / corruption
 //! rates, connection resets, and scripted one-way partitions.
-//! [`WireFaultPlan::frame_fault`] is the one decision a frame takes, on
-//! fvs-net's `ChaosStream` and on `ClusterSim`'s simulated wire alike.
+//! [`WireFaultPlan::frame_fault`] is the one decision a frame takes, in
+//! fvs-net's `Transport`, on a socket and on `ClusterSim`'s simulated
+//! wire alike.
 //!
 //! One-way partitions are first-class because the paper's conservative
 //! charging discipline treats them differently: an *uplink*-dead node
@@ -48,21 +49,6 @@ pub enum PartitionDirection {
     Both,
 }
 
-impl PartitionDirection {
-    /// Whether this partition blocks agent → coordinator traffic.
-    pub fn blocks_uplink(self) -> bool {
-        matches!(self, PartitionDirection::Uplink | PartitionDirection::Both)
-    }
-
-    /// Whether this partition blocks coordinator → agent traffic.
-    pub fn blocks_downlink(self) -> bool {
-        matches!(
-            self,
-            PartitionDirection::Downlink | PartitionDirection::Both
-        )
-    }
-}
-
 /// A scripted partition: `node`'s traffic is blackholed (in the given
 /// direction) during `[from_s, until_s)`, measured on the clock of
 /// whoever carries the frames: a socket's wall clock since launch, or
@@ -89,7 +75,7 @@ impl PartitionSpec {
 
 /// What can go wrong on the wire, and how often. Rates are per-frame
 /// probabilities; partitions are scripted windows. The default plan is
-/// quiet: a `ChaosStream` built from it is a pure passthrough.
+/// quiet: a transport built under it holds no fault state.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WireFaultPlan {
     /// Per-frame probability the frame is silently dropped.
@@ -116,8 +102,8 @@ impl WireFaultPlan {
         WireFaultPlan::default()
     }
 
-    /// True when the plan can never produce a fault — a `ChaosStream`
-    /// built from a quiet plan is byte-identical to the bare stream.
+    /// True when the plan can never produce a fault — a transport built
+    /// under a quiet plan writes exactly the encoded frames.
     pub fn is_quiet(&self) -> bool {
         self.drop_rate <= 0.0
             && self.delay_rate <= 0.0
@@ -365,11 +351,20 @@ mod tests {
         assert!(up.active(1, 2.9));
         assert!(!up.active(1, 3.0), "half-open window");
         assert!(!up.active(0, 2.5), "other nodes unaffected");
-        assert!(up.direction.blocks_uplink());
-        assert!(!up.direction.blocks_downlink());
-        assert!(PartitionDirection::Both.blocks_uplink());
-        assert!(PartitionDirection::Both.blocks_downlink());
-        assert!(PartitionDirection::Downlink.blocks_downlink());
-        assert!(!PartitionDirection::Downlink.blocks_uplink());
+        // Which traffic each direction blackholes, toward the coordinator
+        // (`uplink`) and away from it.
+        for (direction, up_lost, down_lost) in [
+            (PartitionDirection::Uplink, true, false),
+            (PartitionDirection::Downlink, false, true),
+            (PartitionDirection::Both, true, true),
+        ] {
+            let plan = WireFaultPlan {
+                partitions: vec![PartitionSpec { direction, ..up }],
+                ..WireFaultPlan::none()
+            };
+            assert_eq!(plan.partitioned(1, true, 2.5).is_some(), up_lost);
+            assert_eq!(plan.partitioned(1, false, 2.5).is_some(), down_lost);
+            assert_eq!(plan.partitioned(1, true, 3.0), None, "healed");
+        }
     }
 }

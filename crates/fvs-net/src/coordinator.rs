@@ -21,7 +21,7 @@
 //! re-stamping, write-ahead snapshots and the resume rules are the
 //! core's: see [`crate::coordinator_core`].
 
-use crate::chaos::{ChaosSide, ChaosStream};
+use crate::chaos::ChaosSide;
 pub use crate::coordinator_core::CoordinatorStatus;
 use crate::coordinator_core::{CoordinatorCore, Ingest, Refusal, RoundSink};
 use crate::error::FvsError;
@@ -36,6 +36,7 @@ use fvs_telemetry::{
     Counter, Gauge, Histogram, MetricsRegistry, SchedEvent, Telemetry, Tracer, WireFaultKind,
 };
 use netpoll::PollEvent;
+use std::collections::BTreeSet;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -79,7 +80,7 @@ pub struct CoordinatorConfig {
     /// Admission limit: sockets accepted beyond this many live
     /// connections are closed immediately.
     pub max_conns: usize,
-    /// Wire-chaos injection on accepted sockets (quiet = passthrough).
+    /// Wire-chaos injection on accepted connections (quiet = none).
     pub chaos: WireChaos,
     /// Where events and `net.*` metrics go.
     pub telemetry: Telemetry,
@@ -346,6 +347,12 @@ struct Driver {
     start: Instant,
     store: Option<SnapshotStore>,
     accept_seq: u64,
+    /// Connections holding chaos-delayed frames, flushed as those come
+    /// due; empty under a quiet plan.
+    held: BTreeSet<u64>,
+    /// The `now_s` of the round being run: what its downlink writes are
+    /// stamped with.
+    round_s: f64,
     /// When this round's first downlink write began; `net.fanout_wall_s`
     /// is from then until the round returns, just past its last write.
     fanout_started: Option<Instant>,
@@ -400,6 +407,8 @@ impl CoordinatorServer {
             start,
             store,
             accept_seq: 0,
+            held: BTreeSet::new(),
+            round_s: 0.0,
             fanout_started: None,
         };
         let thread = std::thread::Builder::new()
@@ -490,28 +499,32 @@ impl Driver {
         self.start.elapsed().as_secs_f64()
     }
 
-    /// Take a connection off the reactor and count the disconnect;
-    /// dropping the transport closes the socket. The core is told by
-    /// the caller.
+    /// Take a connection off the reactor, which closes its socket, and
+    /// count the disconnect. The core is told by the caller.
     fn close_conn(&mut self, token: u64) {
+        self.held.remove(&token);
         if self.reactor.remove(token).is_some() {
             self.metrics.disconnects.inc();
         }
     }
 
     /// The one downlink write path: queue `msg` (none for a bare
-    /// writable event), write what the socket takes, point the poller's
-    /// write interest at what is left, count the frame. `false` means
+    /// writable event or a delayed frame come due), write what the
+    /// socket takes as of `now_s`, point the poller's write interest at
+    /// what is left, note a held frame, count the frame. `false` means
     /// the connection failed, or was already gone, and is closed; the
     /// caller tells the core.
-    fn write_conn(&mut self, token: u64, msg: Option<&WireMsg>) -> bool {
-        let Some((transport, _)) = self.reactor.get_mut(token) else {
+    fn write_conn(&mut self, token: u64, msg: Option<&WireMsg>, now_s: f64) -> bool {
+        let Some((transport, stream, _)) = self.reactor.get_mut(token) else {
             return false;
         };
-        let queued = msg.is_none_or(|msg| transport.send(msg).is_ok());
-        if !(queued && transport.flush().is_ok()) {
+        let queued = msg.is_none_or(|msg| transport.send(msg, now_s).is_ok());
+        if !(queued && transport.flush(stream, now_s).is_ok()) {
             self.close_conn(token);
             return false;
+        }
+        if transport.next_delay_due().is_some() {
+            self.held.insert(token);
         }
         let _ = self.reactor.update_interest(token);
         if let Some(msg) = msg {
@@ -535,12 +548,10 @@ impl Driver {
                 continue;
             }
             self.accept_seq += 1;
-            let stream = ChaosStream::wrap(
-                stream,
+            let transport = Transport::under(
                 &self.config.chaos,
                 ChaosSide::Coordinator,
                 self.accept_seq,
-                self.start,
                 self.config.telemetry.clone(),
                 Some(Arc::clone(&self.metrics.wire_faults)),
             );
@@ -549,7 +560,7 @@ impl Driver {
                 last_rx_s: self.now_s(),
                 bytes_seen: 0,
             };
-            if self.reactor.insert(Transport::new(stream), conn).is_ok() {
+            if self.reactor.insert(stream, transport, conn).is_ok() {
                 self.metrics.connects.inc();
             }
         }
@@ -562,17 +573,17 @@ impl Driver {
     /// do.
     fn service_conn(&mut self, ev: &PollEvent, core: &mut CoordinatorCore) -> bool {
         let token = ev.token;
-        if ev.writable && !self.write_conn(token, None) {
+        let now_s = self.now_s();
+        if ev.writable && !self.write_conn(token, None, now_s) {
             return false;
         }
         if !(ev.readable || ev.hangup) {
             return true;
         }
-        let now_s = self.now_s();
-        let Some((transport, conn)) = self.reactor.get_mut(token) else {
+        let Some((transport, stream, conn)) = self.reactor.get_mut(token) else {
             return false;
         };
-        match transport.fill() {
+        match transport.fill(stream, now_s) {
             Ok(FillStatus::Eof) | Err(_) => return false,
             Ok(FillStatus::Progress) => {
                 conn.last_rx_s = now_s;
@@ -593,7 +604,7 @@ impl Driver {
         let mut summaries = 0u64;
         let mut open = true;
         while open {
-            let Some((transport, _)) = self.reactor.get_mut(token) else {
+            let Some((transport, _, _)) = self.reactor.get_mut(token) else {
                 return false;
             };
             let msg = match transport.next_msg() {
@@ -645,13 +656,13 @@ impl Driver {
                 } => {
                     let (ack, verdict) =
                         core.hello(token, node, version, last_epoch, codecs, arrival_s);
-                    open = self.write_conn(token, Some(&ack)) && verdict.is_ok();
+                    open = self.write_conn(token, Some(&ack), arrival_s) && verdict.is_ok();
                     from = core.node_of(token);
                     match verdict {
                         Ok(codec) => {
-                            if let Some((transport, _)) = self.reactor.get_mut(token) {
+                            if let Some((transport, _, _)) = self.reactor.get_mut(token) {
                                 transport.set_codec(codec);
-                                transport.stream().set_node(node);
+                                transport.set_node(node);
                             }
                         }
                         Err(Refusal::Version) => self.metrics.version_rejects.inc(),
@@ -676,6 +687,28 @@ impl Driver {
                 .observe_n(waited_s, summaries);
         }
         open
+    }
+
+    /// Flush the connections whose chaos-delayed frames are due: a held
+    /// frame leaves when its hold ends, not with the connection's next
+    /// write. A flushed connection that still holds one is listed again
+    /// by [`Driver::write_conn`].
+    fn flush_held(&mut self, core: &mut CoordinatorCore) {
+        if self.held.is_empty() {
+            return;
+        }
+        let now_s = self.now_s();
+        for token in std::mem::take(&mut self.held) {
+            let held = self.reactor.get_mut(token);
+            let Some(due) = held.and_then(|(t, _, _)| t.next_delay_due()) else {
+                continue;
+            };
+            if due > now_s {
+                self.held.insert(token);
+            } else if !self.write_conn(token, None, now_s) {
+                core.closed(token);
+            }
+        }
     }
 
     /// Move a waiting budget change from the mailbox into the core.
@@ -744,7 +777,7 @@ impl Driver {
                     let expired = self
                         .reactor
                         .get_mut(token)
-                        .is_some_and(|(_, c)| now_s - c.last_rx_s > read_deadline_s);
+                        .is_some_and(|(_, _, c)| now_s - c.last_rx_s > read_deadline_s);
                     if expired {
                         self.close_conn(token);
                         core.closed(token);
@@ -752,11 +785,13 @@ impl Driver {
                 }
             }
 
+            self.flush_held(&mut core);
             self.take_budget(&mut core);
             let now_s = self.now_s();
             if stopping || core.until_round_s(now_s) <= 0.0 {
                 let _round_span = self.config.tracer.span("net.round");
                 let round_started = Instant::now();
+                self.round_s = now_s;
                 let snapshot = core.run_round(now_s, &mut self);
                 let fanout = self.fanout_started.take();
                 self.metrics
@@ -805,7 +840,7 @@ impl RoundSink for Driver {
 
     fn send(&mut self, conn: u64, msg: &WireMsg) -> bool {
         self.fanout_started.get_or_insert_with(Instant::now);
-        self.write_conn(conn, Some(msg))
+        self.write_conn(conn, Some(msg), self.round_s)
     }
 }
 

@@ -29,7 +29,7 @@ use fvs_cluster::{ClusterNode, NodeSummary};
 
 use crate::agent::AgentConfig;
 use crate::agent_core::{AgentCore, Heard, Phase, Tick};
-use crate::chaos::{ChaosSide, ChaosStream};
+use crate::chaos::ChaosSide;
 use crate::error::FvsError;
 use crate::reactor::Reactor;
 use crate::transport::{FillStatus, Transport};
@@ -231,6 +231,7 @@ impl AgentFleet {
             addr,
             config,
             start,
+            woke: start,
             stats: Arc::clone(&stats),
             power_w: 0.0,
         };
@@ -261,12 +262,15 @@ struct Fleet {
     reactor: Reactor<usize>,
     timers: Timers,
     addr: SocketAddr,
-    /// Read for its pace and what a socket is wrapped in; the protocol
-    /// fields are the cores'.
+    /// Read for its pace and the chaos its transports run under; the
+    /// protocol fields are the cores'.
     config: AgentConfig,
     /// Zero of the cores' clock, and the anchor of the chaos plan's
     /// partition windows.
     start: Instant,
+    /// When the loop last woke from a poll: the time its goodbyes go
+    /// out at.
+    woke: Instant,
     stats: Arc<FleetStats>,
     /// Sum of the slots' `power_w`.
     power_w: f64,
@@ -324,8 +328,9 @@ impl Fleet {
             self.reactor.poll(Some(timeout))?;
             let events = self.reactor.drain_events();
             let now = Instant::now();
+            self.woke = now;
             for ev in &events {
-                let Some((_, &mut idx)) = self.reactor.get_mut(ev.token) else {
+                let Some((_, _, &mut idx)) = self.reactor.get_mut(ev.token) else {
                     continue; // removed earlier this batch
                 };
                 if ev.readable || ev.hangup {
@@ -333,7 +338,7 @@ impl Fleet {
                 }
                 // (`readable` may just have dropped the socket.)
                 let open = self.slots[idx].token == Some(ev.token);
-                if ev.writable && open && !self.ship(idx, None) {
+                if ev.writable && open && !self.ship(idx, None, self.secs(now)) {
                     self.disconnect(idx, now);
                 }
             }
@@ -346,14 +351,17 @@ impl Fleet {
     /// for, and the counters take each machine's power as it stands.
     fn finish(&mut self, shutdown: &AtomicU8) {
         if shutdown.load(Ordering::SeqCst) == END_BYE {
+            let now_s = self.secs(self.woke);
             for slot in &self.slots {
                 let Some(token) = slot.token else { continue };
-                if let (Phase::Running, Some((transport, _))) =
+                if let (Phase::Running, Some((transport, stream, _))) =
                     (slot.core.phase(), self.reactor.get_mut(token))
                 {
-                    transport.stream().set_nonblocking(false).ok();
+                    // Best effort: the peer may already be gone.
+                    stream.set_nonblocking(false).ok();
                     let node = slot.core.node().id;
-                    transport.send_best_effort(&WireMsg::Bye { node });
+                    let _ = transport.send(&WireMsg::Bye { node }, now_s);
+                    let _ = transport.flush(stream, now_s);
                 }
             }
         }
@@ -381,27 +389,24 @@ impl Fleet {
         }
     }
 
-    fn greet(&mut self, idx: usize, raw: TcpStream, now: Instant) -> Result<(), FvsError> {
+    fn greet(&mut self, idx: usize, mut raw: TcpStream, now: Instant) -> Result<(), FvsError> {
         let now_s = self.secs(now);
         let slot = &mut self.slots[idx];
         slot.connect_seq += 1;
-        let stream = ChaosStream::wrap(
-            raw,
+        let mut transport = Transport::under(
             &self.config.chaos,
             ChaosSide::Agent,
             slot.connect_seq,
-            self.start,
             self.config.telemetry.clone(),
             None,
         );
-        stream.set_node(slot.core.node().id);
-        let _ = stream.set_nodelay(true);
-        let mut transport = Transport::new(stream);
+        transport.set_node(slot.core.node().id);
+        let _ = raw.set_nodelay(true);
         // Socket is still blocking here, so hello + flush go out whole;
         // `Reactor::insert` flips it nonblocking.
-        transport.send(&slot.core.connected(now_s))?;
-        transport.flush()?;
-        slot.token = Some(self.reactor.insert(transport, idx)?);
+        transport.send(&slot.core.connected(now_s), now_s)?;
+        transport.flush(&mut raw, now_s)?;
+        slot.token = Some(self.reactor.insert(raw, transport, idx)?);
         arm(&mut self.timers, slot, idx, now + self.config.pace);
         Ok(())
     }
@@ -433,8 +438,8 @@ impl Fleet {
         let now_s = self.secs(now);
         let shipped = match self.slots[idx].core.tick(now_s) {
             Tick::Silent => false,
-            Tick::Flush => self.ship(idx, None),
-            Tick::Summary(summary) => self.ship(idx, Some(summary)),
+            Tick::Flush => self.ship(idx, None, now_s),
+            Tick::Summary(summary) => self.ship(idx, Some(summary), now_s),
         };
         let now = Instant::now();
         if shipped {
@@ -447,15 +452,15 @@ impl Fleet {
         }
     }
 
-    /// Send what is due on a slot's link — a summary if there is one,
-    /// whatever is queued always; false when the link has failed or has
-    /// backed up past [`MAX_QUEUED_BYTES`].
-    fn ship(&mut self, idx: usize, summary: Option<NodeSummary>) -> bool {
+    /// Send what is due on a slot's link at `now_s` — a summary if there
+    /// is one, whatever is queued or has come due always; false when the
+    /// link has failed or has backed up past [`MAX_QUEUED_BYTES`].
+    fn ship(&mut self, idx: usize, summary: Option<NodeSummary>, now_s: f64) -> bool {
         let slot = &mut self.slots[idx];
         let Some(token) = slot.token else {
             return false;
         };
-        let Some((transport, _)) = self.reactor.get_mut(token) else {
+        let Some((transport, stream, _)) = self.reactor.get_mut(token) else {
             return false;
         };
         if let Some(summary) = summary {
@@ -464,12 +469,12 @@ impl Fleet {
             self.stats
                 .power_bits
                 .store(self.power_w.to_bits(), Ordering::SeqCst);
-            if transport.send(&WireMsg::Summary(summary)).is_err() {
+            if transport.send(&WireMsg::Summary(summary), now_s).is_err() {
                 return false;
             }
             self.stats.summaries_sent.fetch_add(1, Ordering::SeqCst);
         }
-        if transport.flush().is_err() || transport.queued_bytes() > MAX_QUEUED_BYTES {
+        if transport.flush(stream, now_s).is_err() || transport.queued_bytes() > MAX_QUEUED_BYTES {
             return false;
         }
         let _ = self.reactor.update_interest(token);
@@ -483,13 +488,13 @@ impl Fleet {
         let Some(token) = self.slots[idx].token else {
             return;
         };
-        let Some((transport, _)) = self.reactor.get_mut(token) else {
+        let Some((transport, stream, _)) = self.reactor.get_mut(token) else {
             return;
         };
-        if matches!(transport.fill(), Ok(FillStatus::Eof) | Err(_)) {
+        if matches!(transport.fill(stream, now_s), Ok(FillStatus::Eof) | Err(_)) {
             return self.disconnect(idx, now);
         }
-        while let Some((transport, _)) = self.reactor.get_mut(token) {
+        while let Some((transport, _, _)) = self.reactor.get_mut(token) {
             let msg = match transport.next_msg() {
                 Ok(Some(msg)) => msg,
                 Ok(None) => return,

@@ -19,8 +19,10 @@
 //! coordinator's — and all its scheduling and protocol state — are
 //! [`coordinator_core`]'s [`CoordinatorCore`]. The loops drive them,
 //! and so does [`sim`]'s [`ClusterSim`], over a virtual-time wire.
-//! Each connection's codec, chaos and queueing state lives in a
-//! [`transport::Transport`], and no other code writes a control-plane
+//! Each connection end's codec, fault, framing and queueing state lives
+//! in a [`transport::Transport`], which owns no socket and reads no
+//! clock: the same type beside a socket in either loop and at either
+//! end of the simulated wire, and no other code writes a control-plane
 //! socket. Built entirely on `std::net` TCP — the vendored, offline
 //! dependency set has no async runtime, and needs none.
 //!
@@ -49,7 +51,7 @@ pub mod wire;
 pub use agent::{AgentConfig, ReconnectLadder};
 pub use agent_core::{AgentCore, Heard, Phase, Tick};
 pub use args::NetArgs;
-pub use chaos::{ChaosSide, ChaosStream, WireChaos, WriteFault};
+pub use chaos::{ChaosSide, WireChaos, WriteFault};
 pub use coordinator::{CoordinatorConfig, CoordinatorServer, CoordinatorStatus};
 pub use coordinator_core::{CoordinatorCore, Ingest, Refusal, RoundSink};
 pub use error::FvsError;

@@ -1,9 +1,9 @@
 //! The readiness reactor: many connections, one thread.
 //!
-//! A [`Reactor`] owns a `netpoll` poller plus a slab of
-//! [`Transport`]s, each paired with caller-supplied per-connection
-//! state (the coordinator hangs handshake/deadline bookkeeping here;
-//! the agent loop hangs the index of the agent's slot). Tokens are slab
+//! A [`Reactor`] owns a `netpoll` poller plus a slab of sockets, each
+//! beside its [`Transport`] and caller-supplied per-connection state
+//! (the coordinator hangs handshake/deadline bookkeeping here; the
+//! agent loop hangs the index of the agent's slot). Tokens are slab
 //! indices, so event dispatch is an array lookup — no hashing on the
 //! hot path — and a freed slot's storage is reused by the next accept.
 //!
@@ -16,6 +16,7 @@
 //! the reserved [`LISTENER_TOKEN`], far above any slab index.
 
 use std::io;
+use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::time::Duration;
 
@@ -27,6 +28,7 @@ use crate::transport::Transport;
 pub const LISTENER_TOKEN: u64 = u64::MAX;
 
 struct Entry<T> {
+    stream: TcpStream,
     transport: Transport,
     data: T,
     /// Last interest registered with the poller, to skip no-op
@@ -73,11 +75,11 @@ impl<T> Reactor<T> {
             .register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)
     }
 
-    /// Adopt a connection: switch it nonblocking, register it with the
-    /// poller, and store it with its per-connection state. Returns the
-    /// connection's token.
-    pub fn insert(&mut self, transport: Transport, data: T) -> io::Result<u64> {
-        transport.stream().set_nonblocking(true)?;
+    /// Adopt a connection: switch its socket nonblocking, register it
+    /// with the poller, and store it with its transport and
+    /// per-connection state. Returns the connection's token.
+    pub fn insert(&mut self, stream: TcpStream, transport: Transport, data: T) -> io::Result<u64> {
+        stream.set_nonblocking(true)?;
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slots.push(None);
             self.slots.len() - 1
@@ -89,14 +91,12 @@ impl<T> Reactor<T> {
         } else {
             Interest::READ
         };
-        if let Err(e) = self
-            .poller
-            .register(transport.stream().as_raw_fd(), token, interest)
-        {
+        if let Err(e) = self.poller.register(stream.as_raw_fd(), token, interest) {
             self.free.push(slot);
             return Err(e);
         }
         self.slots[slot] = Some(Entry {
+            stream,
             transport,
             data,
             writable,
@@ -105,23 +105,23 @@ impl<T> Reactor<T> {
         Ok(token)
     }
 
-    /// Drop a connection, deregistering it from the poller. Returns
-    /// its transport and state (the socket closes when the transport
-    /// drops, unless the caller keeps it).
-    pub fn remove(&mut self, token: u64) -> Option<(Transport, T)> {
+    /// Drop a connection, deregistering and closing its socket. Returns
+    /// its state.
+    pub fn remove(&mut self, token: u64) -> Option<T> {
         let slot = usize::try_from(token).ok()?;
         let entry = self.slots.get_mut(slot)?.take()?;
-        let _ = self.poller.deregister(entry.transport.stream().as_raw_fd());
+        let _ = self.poller.deregister(entry.stream.as_raw_fd());
         self.free.push(slot);
         self.count -= 1;
-        Some((entry.transport, entry.data))
+        Some(entry.data)
     }
 
-    /// Mutable access to one connection.
-    pub fn get_mut(&mut self, token: u64) -> Option<(&mut Transport, &mut T)> {
+    /// Mutable access to one connection: its transport, its socket (for
+    /// the transport to flush into and fill from) and its state.
+    pub fn get_mut(&mut self, token: u64) -> Option<(&mut Transport, &mut TcpStream, &mut T)> {
         let slot = usize::try_from(token).ok()?;
         let entry = self.slots.get_mut(slot)?.as_mut()?;
-        Some((&mut entry.transport, &mut entry.data))
+        Some((&mut entry.transport, &mut entry.stream, &mut entry.data))
     }
 
     /// Re-sync this connection's poller interest with its transport's
@@ -144,7 +144,7 @@ impl<T> Reactor<T> {
             Interest::READ
         };
         self.poller
-            .modify(entry.transport.stream().as_raw_fd(), token, interest)?;
+            .modify(entry.stream.as_raw_fd(), token, interest)?;
         entry.writable = wants;
         Ok(())
     }
@@ -184,30 +184,31 @@ impl<T> Reactor<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::ChaosStream;
-    use crate::transport::tests::pair;
     use crate::wire::WireMsg;
+    use std::net::TcpListener;
+
+    /// A connected loopback socket pair.
+    fn pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        (client, server)
+    }
 
     #[test]
     fn slab_reuses_slots_and_tracks_count() {
         let mut r: Reactor<u32> = Reactor::new().unwrap();
         let (a1, _k1) = pair();
         let (a2, _k2) = pair();
-        let t1 = r
-            .insert(Transport::new(ChaosStream::passthrough(a1)), 1)
-            .unwrap();
-        let t2 = r
-            .insert(Transport::new(ChaosStream::passthrough(a2)), 2)
-            .unwrap();
+        let t1 = r.insert(a1, Transport::new(), 1).unwrap();
+        let t2 = r.insert(a2, Transport::new(), 2).unwrap();
         assert_eq!(r.len(), 2);
         assert_ne!(t1, t2);
-        let (_, data) = r.remove(t1).unwrap();
+        let data = r.remove(t1).unwrap();
         assert_eq!(data, 1);
         assert_eq!(r.len(), 1);
         let (a3, _k3) = pair();
-        let t3 = r
-            .insert(Transport::new(ChaosStream::passthrough(a3)), 3)
-            .unwrap();
+        let t3 = r.insert(a3, Transport::new(), 3).unwrap();
         assert_eq!(t3, t1, "freed slot is reused");
         assert_eq!(r.tokens().len(), 2);
         assert!(r.get_mut(t2).is_some());
@@ -218,9 +219,7 @@ mod tests {
     fn readable_event_carries_the_right_token() {
         let mut r: Reactor<()> = Reactor::new().unwrap();
         let (server, mut client) = pair();
-        let token = r
-            .insert(Transport::new(ChaosStream::passthrough(server)), ())
-            .unwrap();
+        let token = r.insert(server, Transport::new(), ()).unwrap();
 
         use std::io::Write;
         let frame = crate::wire::encode(&WireMsg::Heartbeat { epoch: 5 }).unwrap();
@@ -231,9 +230,9 @@ mod tests {
         let events = r.drain_events();
         assert!(events.iter().any(|e| e.token == token && e.readable));
 
-        let (transport, _) = r.get_mut(token).unwrap();
+        let (transport, stream, _) = r.get_mut(token).unwrap();
         assert!(matches!(
-            transport.fill().unwrap(),
+            transport.fill(stream, 0.0).unwrap(),
             crate::transport::FillStatus::Progress
         ));
         assert_eq!(
@@ -247,9 +246,7 @@ mod tests {
     fn write_interest_follows_the_queue() {
         let mut r: Reactor<()> = Reactor::new().unwrap();
         let (server, _client) = pair();
-        let token = r
-            .insert(Transport::new(ChaosStream::passthrough(server)), ())
-            .unwrap();
+        let token = r.insert(server, Transport::new(), ()).unwrap();
         // Idle connection: no writable wakeups even though the socket
         // could accept bytes (write interest is off).
         let n = r.poll(Some(Duration::from_millis(30))).unwrap();
@@ -257,8 +254,10 @@ mod tests {
 
         // Queue a frame without flushing: interest flips on and the
         // poller reports writability.
-        let (transport, _) = r.get_mut(token).unwrap();
-        transport.send(&WireMsg::Heartbeat { epoch: 1 }).unwrap();
+        let (transport, _, _) = r.get_mut(token).unwrap();
+        transport
+            .send(&WireMsg::Heartbeat { epoch: 1 }, 0.0)
+            .unwrap();
         assert!(transport.wants_write());
         r.update_interest(token).unwrap();
         let n = r.poll(Some(Duration::from_secs(2))).unwrap();
@@ -267,8 +266,8 @@ mod tests {
         assert!(events.iter().any(|e| e.token == token && e.writable));
 
         // Flush; interest flips back off.
-        let (transport, _) = r.get_mut(token).unwrap();
-        transport.flush().unwrap();
+        let (transport, stream, _) = r.get_mut(token).unwrap();
+        transport.flush(stream, 0.0).unwrap();
         assert!(!transport.wants_write());
         r.update_interest(token).unwrap();
         r.recycle_events(events);

@@ -3,40 +3,42 @@
 //!
 //! [`ClusterSim`] drives the two protocol cores as the socket loops do:
 //! each node an [`AgentCore`], the coordinator a [`CoordinatorCore`],
-//! every hello, ack, summary, ceiling and heartbeat an encoded frame
-//! that crosses a [`DelayQueue`] (`latency_s` each way) into a
-//! [`FrameReader`]. The cores say when a round is owed, what a frame
-//! means and when to reconnect; this adds the world: one clock for every
-//! machine, scripted outages and budget changes, the fault plan, and
-//! the measured truth of a [`ClusterReport`]. It reads no clock.
+//! and between them one [`Transport`] at each end of every connection,
+//! as on a socket: every hello, ack, summary, ceiling and heartbeat is
+//! sent and flushed by one end, crosses a [`DelayQueue`] (`latency_s`
+//! each way) and is filled into the other. The cores say when a round is
+//! owed, what a frame means and when to reconnect; this adds the world:
+//! one clock for every machine, scripted outages and budget changes, the
+//! fault plan, and the measured truth of a [`ClusterReport`]. It reads
+//! no clock.
 //!
-//! The message faults are the agents', as if each agent's socket ran a
-//! [`ChaosStream`](crate::ChaosStream) under the plan, seeded the same
-//! way: what an agent writes takes
-//! [`WireFaultPlan::frame_fault`](fvs_faults::WireFaultPlan::frame_fault),
-//! what it reads is lost in a downlink partition. A frame that does not
-//! decode closes its connection at both ends.
+//! The message faults are the agents': each agent's end runs under the
+//! plan, seeded by its connection number, and the coordinator's end
+//! runs quiet — the transport decides and applies every fault, as on a
+//! socket. A frame that does not decode closes its connection at both
+//! ends.
 
 use crate::agent::AgentConfig;
 use crate::agent_core::{AgentCore, Heard, Tick};
-use crate::chaos::{injected_fault, WireChaos};
+use crate::chaos::{ChaosSide, WireChaos};
 use crate::coordinator::CoordinatorConfig;
 use crate::coordinator_core::{CoordinatorCore, RoundSink};
 use crate::error::FvsError;
 use crate::snapshot::Snapshot;
-use crate::wire::{encode_with, FrameReader, WireCodec, WireMsg};
+use crate::transport::Transport;
+use crate::wire::WireMsg;
 use fvs_cluster::{ClusterNode, GlobalCoordinator, NodeSummary};
-use fvs_faults::{CounterFaultKind, FaultInjector, WriteFault};
+use fvs_faults::{CounterFaultKind, FaultInjector};
 use fvs_model::CpiModel;
 use fvs_power::{BudgetEvent, BudgetSchedule};
 use fvs_sched::FvsstAlgorithm;
 use fvs_sim::MachineBuilder;
-use fvs_telemetry::{FaultDomain, SchedEvent, Telemetry};
+use fvs_telemetry::{Counter, FaultDomain, SchedEvent, Telemetry};
 use fvs_workloads::{MixConfig, WorkloadGenerator, WorkloadSpec};
-use rand::rngs::StdRng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Node count below which the cluster tick runs sequentially: each
 /// node's tick is microseconds of work, and fork/join overhead would
@@ -183,13 +185,13 @@ impl<T> DelayQueue<T> {
     }
 }
 
-/// One connection: each end's reader, and its fault stream (none under
-/// a quiet plan).
+/// One connection and its two ends.
 struct Link {
     conn: u64,
-    /// `[agent's end, coordinator's end]`: index with `uplink`.
-    readers: [FrameReader; 2],
-    rng: Option<StdRng>,
+    /// `[coordinator's end, agent's end]`, the agent's under the fault
+    /// plan (its stream seeded by `conn`): index with `uplink` to write,
+    /// with `!uplink` to read.
+    ends: [Transport; 2],
 }
 
 /// One agent and its end of the wire.
@@ -240,7 +242,8 @@ pub struct ClusterSim {
     node_events: Vec<NodeEvent>,
     faults: FaultInjector,
     chaos: WireChaos,
-    wire_faults: u64,
+    /// Frame faults the agents' ends have injected.
+    wire_faults: Arc<Counter>,
 }
 
 impl ClusterSim {
@@ -249,8 +252,9 @@ impl ClusterSim {
     ///
     /// # Panics
     ///
-    /// When `config` cannot run: `t_s` not finite and positive, `n` of
-    /// zero, or `latency_s` not finite and non-negative.
+    /// When `config` cannot run — `t_s` not finite and positive, `n` of
+    /// zero, or `latency_s` not finite and non-negative — or `nodes` is
+    /// empty.
     pub fn new(nodes: Vec<ClusterNode>, config: ClusterConfig) -> Self {
         let agent = AgentConfig {
             tick_s: config.t_s,
@@ -269,6 +273,7 @@ impl ClusterSim {
         if let Err(e) = agent.validate().and(coordinator.validate()).and(latency) {
             panic!("ClusterConfig: {e}");
         }
+        assert!(!nodes.is_empty(), "a cluster needs at least one node");
         let f_min = config.algorithm.freq_set.min();
         let slots: Vec<Slot> = nodes
             .into_iter()
@@ -300,7 +305,7 @@ impl ClusterSim {
             node_events: Vec::new(),
             faults: FaultInjector::disabled(),
             chaos: WireChaos::none(),
-            wire_faults: 0,
+            wire_faults: Arc::new(Counter::new()),
         }
     }
 
@@ -404,9 +409,7 @@ impl ClusterSim {
 
     /// Current cluster time (all nodes advance in lockstep).
     pub fn now_s(&self) -> f64 {
-        self.slots
-            .first()
-            .map_or(0.0, |s| s.core.node().machine().now_s())
+        self.slots[0].core.node().machine().now_s()
     }
 
     /// Aggregate processor power right now.
@@ -455,11 +458,12 @@ impl ClusterSim {
             self.compliance_at = Some(now);
         }
 
-        // What each agent's tick owes its link, and a hello from each
-        // one whose wait is over.
+        // What each agent's tick owes its link — every tick flushes, so a
+        // delayed frame leaves on the tick that finds it due — and a
+        // hello from each one whose wait is over.
         for i in 0..self.slots.len() {
             match std::mem::replace(&mut self.slots[i].due, Tick::Flush) {
-                Tick::Flush => {}
+                Tick::Flush => self.flush(i, true, now),
                 Tick::Silent => self.close(i, now),
                 Tick::Summary(mut summary) => {
                     if let Some(kind) = self.faults.counter_fault() {
@@ -524,11 +528,14 @@ impl ClusterSim {
     fn connect(&mut self, i: usize, now: f64) {
         self.conn_slot.push(i);
         let conn = self.conn_slot.len() as u64;
+        let telemetry = self.config.telemetry.clone();
+        let counter = Some(Arc::clone(&self.wire_faults));
+        let mut agent = Transport::under(&self.chaos, ChaosSide::Agent, conn, telemetry, counter);
+        agent.set_node(i);
         let slot = &mut self.slots[i];
         slot.link = Some(Link {
             conn,
-            readers: Default::default(),
-            rng: (!self.chaos.is_quiet()).then(|| self.chaos.rng(conn)),
+            ends: [Transport::new(), agent],
         });
         let hello = slot.core.connected(now);
         self.send(i, true, &hello, now);
@@ -545,65 +552,62 @@ impl ClusterSim {
         slot.connect_at_s = now + wait;
     }
 
-    /// Write `msg` on slot `i`'s link, toward the coordinator when
-    /// `uplink`, due `latency_s` later. Both cores prefer FVS2, so they
-    /// negotiate what `encode_with` does under it: the handshake JSON.
+    /// Send `msg` from one end of slot `i`'s link — the agent's when
+    /// `uplink` — and put what that end flushes on the wire. A send the
+    /// transport refuses (a reset) closes the connection.
     fn send(&mut self, i: usize, uplink: bool, msg: &WireMsg, now: f64) {
         let Some(link) = self.slots[i].link.as_mut() else {
             return;
         };
-        let conn = link.conn;
-        let Ok(mut frame) = encode_with(msg, WireCodec::Binary) else {
+        if link.ends[usize::from(uplink)].send(msg, now).is_err() {
             return self.close(i, now);
+        }
+        self.flush(i, uplink, now);
+    }
+
+    /// Put what one end of slot `i`'s link — the agent's when `uplink` —
+    /// has ready by `now` on the wire, due `latency_s` later.
+    fn flush(&mut self, i: usize, uplink: bool, now: f64) {
+        let Some(link) = self.slots[i].link.as_mut() else {
+            return;
         };
-        let mut at_s = now + self.config.latency_s;
-        let mut copies = 1;
-        let plan = &self.chaos.plan;
-        let fault = link.rng.as_mut().and_then(|rng| {
-            if uplink {
-                plan.frame_fault(&frame, i, true, now, rng)
-            } else {
-                plan.partitioned(i, false, now)
-                    .map(|kind| (kind, WriteFault::Drop))
-            }
-        });
-        if let Some((kind, fault)) = fault {
-            self.wire_faults += 1;
-            let event = injected_fault(now, i, kind, &frame);
-            self.config.telemetry.emit(event);
-            match fault {
-                WriteFault::Deliver => {}
-                WriteFault::Drop => return,
-                WriteFault::Corrupt(bytes) => frame = bytes,
-                WriteFault::Duplicate => copies = 2,
-                WriteFault::Delay(hold) => at_s += hold.as_secs_f64(),
-                WriteFault::Reset => return self.close(i, now),
-            }
+        let mut bytes = Vec::new();
+        // A `Vec` takes whatever it is written.
+        let _ = link.ends[usize::from(uplink)].flush(&mut bytes, now);
+        if bytes.is_empty() {
+            return;
         }
         let queue = if uplink {
             &mut self.uplink
         } else {
             &mut self.downlink
         };
-        for _ in 0..copies {
-            queue.send(at_s, (i, conn, frame.clone()));
-        }
+        queue.send(now + self.config.latency_s, (i, link.conn, bytes));
     }
 
     /// Bytes reaching one end of slot `i`'s connection `conn` (the
-    /// coordinator's when `uplink`), read and handed to that end's core;
-    /// a frame that does not decode, or a core that refuses, closes it.
-    fn arrive(&mut self, i: usize, conn: u64, uplink: bool, bytes: &[u8], now: f64) {
+    /// coordinator's when `uplink`), filled into it and handed frame by
+    /// frame to that end's core; a frame that does not decode, or a core
+    /// that refuses, closes it.
+    fn arrive(&mut self, i: usize, conn: u64, uplink: bool, mut bytes: &[u8], now: f64) {
+        let end = usize::from(!uplink);
         let Some(link) = self.link(i, conn) else {
-            return; // closed while the frame was in flight
+            return; // closed while the bytes were in flight
         };
-        link.readers[usize::from(uplink)].feed(bytes);
+        while !bytes.is_empty() {
+            // A slice never fails a read.
+            let _ = link.ends[end].fill(&mut bytes, now);
+        }
         while let Some(link) = self.link(i, conn) {
-            let open = match link.readers[usize::from(uplink)].next_frame() {
+            let open = match link.ends[end].next_msg() {
                 Ok(None) => return,
                 Err(_) => false,
                 Ok(Some(msg)) if !uplink => {
                     let heard = self.slots[i].core.frame(&msg, now);
+                    if let (Heard::Accepted { codec, .. }, Some(link)) = (heard, self.link(i, conn))
+                    {
+                        link.ends[end].set_codec(codec);
+                    }
                     !matches!(heard, Heard::Fenced | Heard::Refused)
                 }
                 Ok(Some(WireMsg::Hello {
@@ -616,6 +620,9 @@ impl ClusterSim {
                     let core = &mut self.coordinator;
                     let (ack, verdict) = core.hello(conn, node, version, last_epoch, codecs, now);
                     self.send(i, false, &ack, now);
+                    if let (Ok(codec), Some(link)) = (verdict, self.link(i, conn)) {
+                        link.ends[end].set_codec(codec);
+                    }
                     verdict.is_ok()
                 }
                 Ok(Some(WireMsg::Summary(mut summary))) => {
@@ -664,7 +671,7 @@ impl ClusterSim {
                 .map(|s| s.core.node().machine().residency(0).mean_mhz())
                 .collect(),
             rounds: self.coordinator.status().rounds,
-            faults_injected: self.faults.injected() + self.wire_faults,
+            faults_injected: self.faults.injected() + self.wire_faults.get(),
             reserved_w: self.coordinator().reserved_w(),
         }
     }
@@ -748,6 +755,14 @@ mod tests {
     #[should_panic(expected = "tick_s must be finite and positive")]
     fn a_zero_dispatch_period_is_refused() {
         ClusterSim::three_tier(2, 1, ClusterConfig::rack().with_t_s(0.0));
+    }
+
+    /// With no node there is no clock: `run_for` would tick and report
+    /// nothing.
+    #[test]
+    #[should_panic(expected = "a cluster needs at least one node")]
+    fn an_empty_cluster_is_refused() {
+        ClusterSim::new(Vec::new(), ClusterConfig::rack());
     }
 
     #[test]
@@ -920,6 +935,24 @@ mod tests {
             assert!(sim.now_s() < 20.0, "node 0 never re-reported");
             sim.step_tick();
         }
+    }
+
+    /// Every frame an agent writes is held 50 ms, its hello included:
+    /// held frames leave on the flush of the tick that finds them due, so
+    /// every node still handshakes and reports, and rounds run.
+    #[test]
+    fn delayed_frames_leave_on_a_later_ticks_flush() {
+        let plan = FaultPlan::parse("delay=1.0:0.05").unwrap();
+        let mut sim = ClusterSim::three_tier(4, 5, ClusterConfig::rack())
+            .with_faults(FaultInjector::new(plan, 3));
+        let report = sim.run_for(1.0);
+        assert!(report.faults_injected > 0, "plan must actually fire");
+        assert!(report.rounds > 0);
+        for node in 0..4 {
+            let reported = sim.coordinator().latest_summary(node);
+            assert!(reported.is_some(), "node {node} never reported");
+        }
+        assert_eq!(report.reserved_w, 0.0, "a node is still charged");
     }
 
     #[test]

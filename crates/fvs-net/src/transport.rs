@@ -1,95 +1,202 @@
-//! The transport: one connection's codec, chaos, framing and queueing
-//! state behind a single API, the same type at both ends.
+//! The transport: one connection end's codec, chaos, framing and
+//! queueing state behind a single API — the same type on a socket in
+//! either driver and at either end of `ClusterSim`'s simulated wire.
+//!
+//! A transport owns no socket and reads no clock. [`Transport::flush`]
+//! writes into whatever `Write` its caller holds and [`Transport::fill`]
+//! reads from whatever `Read`; every call that can meet a fault carries
+//! `now_s`, the caller's seconds since its start.
 //!
 //! * **Codec seam** — frames go out under the negotiated [`WireCodec`]
 //!   (handshake frames always JSON, see [`encode_with`]); incoming
 //!   frames decode by magic, so both codecs are always readable.
-//! * **Chaos as a layer** — outgoing frames take their fault decision
-//!   from [`ChaosStream::decide_write_fault`] at enqueue time, which is
-//!   what makes fault injection compose with nonblocking writes: a
-//!   partial write retried later must not re-roll the dice, and a
-//!   chaos-delayed frame must not block frames behind it.
-//! * **Queueing** — writes never block. Bytes that don't fit the socket
-//!   buffer wait in an outbound queue with a partial-write offset;
-//!   [`Transport::flush`] drains what the socket will take.
+//! * **Chaos** — built under a [`WireChaos`] plan that can fire, a
+//!   transport takes [`WireFaultPlan::frame_fault`] once for each frame
+//!   [`Transport::send`] encodes, as it queues it: a partial write
+//!   retried later never re-rolls the dice, and a held frame waits
+//!   aside, never blocking the frames behind it. Bytes
+//!   [`Transport::fill`] reads inside a partition window of the
+//!   direction they travel are consumed and discarded, so a one-way
+//!   partition behaves like the real thing: an uplink-dead node keeps
+//!   receiving commands it can never acknowledge, a downlink-dead node
+//!   keeps reporting while ignoring every ceiling. Each injected fault is
+//!   journaled as a `wire_fault` flagged `injected`. Same plan, seed,
+//!   stream id and frames → the same faults. Under a quiet plan a
+//!   transport holds no chaos state and writes exactly the encoded
+//!   frames.
+//! * **Queueing** — writes never block. Bytes the writer does not take
+//!   wait in an outbound queue with a partial-write offset;
+//!   [`Transport::flush`] drains what the writer will take.
 //!
-//! Every transport in production sits on a nonblocking socket in a
+//! On a socket, a transport sits beside its nonblocking stream in a
 //! [`Reactor`](crate::reactor::Reactor), driven off readiness events:
-//! thousands of them in the coordinator's, one per agent in an agent
-//! loop's. The one blocking moment is an agent's hello, sent before the
+//! thousands of them in the coordinator's, one per agent in the fleet's.
+//! The one blocking moment is an agent's hello, flushed before the
 //! socket is handed to the reactor.
 
 use std::collections::VecDeque;
-use std::io;
-use std::time::Instant;
+use std::io::{self, Read, Write};
+use std::sync::Arc;
 
-use crate::chaos::{ChaosStream, WriteFault};
+use crate::chaos::{ChaosSide, WireChaos, WriteFault};
 use crate::error::FvsError;
-use crate::wire::{encode_with, FrameReader, WireCodec, WireMsg};
+use crate::wire::{encode_with, FrameReader, WireCodec, WireMsg, MAGIC, MAGIC_V2};
 use fvs_cluster::NodeSummary;
-use fvs_telemetry::WireFaultKind;
+use fvs_faults::WireFaultPlan;
+use fvs_telemetry::{Counter, SchedEvent, Telemetry, WireFaultKind};
+use rand::rngs::StdRng;
 
-/// Most bytes one [`Transport::fill`] call takes off its socket: well
+/// Most bytes one [`Transport::fill`] call takes off its reader: well
 /// above what a node sends between two polls (a reconnect burst is
 /// under 8 KiB), small enough that the caller is back within a few
 /// hundred microseconds.
 const FILL_BUDGET: u64 = 64 * 1024;
 
-/// What [`Transport::fill`] observed on the socket.
+/// The node index before a hello names it.
+const NODE_UNKNOWN: usize = usize::MAX;
+
+/// What [`Transport::fill`] observed on its reader.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FillStatus {
     /// Bytes arrived and were buffered; call [`Transport::next_msg`].
     Progress,
-    /// Nothing available right now (`WouldBlock` / read timeout).
+    /// Nothing available right now (`WouldBlock` / read timeout), or
+    /// what arrived was lost in a partition window.
     Idle,
     /// The peer closed the connection (orderly EOF).
     Eof,
 }
 
-/// One connection's transport state. See the module docs.
-#[derive(Debug)]
+/// One connection end's transport state. See the module docs.
+#[derive(Debug, Default)]
 pub struct Transport {
-    stream: ChaosStream,
     reader: FrameReader,
     codec: WireCodec,
-    /// Complete frames (post-fault-decision) awaiting socket space.
+    /// Complete frames (post-fault-decision) awaiting writer space.
     outq: VecDeque<Vec<u8>>,
     /// Bytes of `outq.front()` already written.
     out_pos: usize,
     /// Total bytes across `outq` (backpressure accounting).
     queued: usize,
-    /// Chaos-delayed frames and their due times, promoted into `outq`
-    /// by [`Transport::flush`]. Kept separate so a held frame never
-    /// blocks the frames behind it.
-    delayed: Vec<(Instant, Vec<u8>)>,
-    /// Frames successfully enqueued (i.e. sent, as far as the caller
-    /// is concerned — chaos drops count, since the caller can't tell).
-    frames_tx: u64,
-    /// Total bytes [`Transport::fill`] has read off the socket.
+    /// Chaos-delayed frames and when they come due (`now_s`), promoted
+    /// into `outq` by [`Transport::flush`].
+    delayed: Vec<(f64, Vec<u8>)>,
+    /// Total bytes [`Transport::fill`] has kept.
     bytes_rx: u64,
+    /// This connection's fault state; `None` under a quiet plan.
+    chaos: Option<Box<Faults>>,
+}
+
+/// A connection's fault state under a plan that can fire.
+#[derive(Debug)]
+struct Faults {
+    plan: WireFaultPlan,
+    rng: StdRng,
+    /// This end writes toward the coordinator (it is the agent's).
+    uplink: bool,
+    /// The node this connection speaks for ([`NODE_UNKNOWN`] until
+    /// [`Transport::set_node`]); partitions target nodes.
+    node: usize,
+    injected: u64,
+    journal: Telemetry,
+    counter: Option<Arc<Counter>>,
+}
+
+impl Faults {
+    /// The fault `frame`, written at `now_s`, takes
+    /// ([`WireFaultPlan::frame_fault`]), recorded here for the caller to
+    /// apply.
+    fn frame_fault(&mut self, frame: &[u8], now_s: f64) -> WriteFault {
+        let decided = self
+            .plan
+            .frame_fault(frame, self.node, self.uplink, now_s, &mut self.rng);
+        let Some((kind, fault)) = decided else {
+            return WriteFault::Deliver;
+        };
+        self.note(kind, frame, now_s);
+        fault
+    }
+
+    /// Record one injected fault, on `frame` (empty for a blackholed
+    /// read): the count, the optional counter, and the journal entry.
+    fn note(&mut self, kind: WireFaultKind, frame: &[u8], now_s: f64) {
+        self.injected += 1;
+        if let Some(c) = &self.counter {
+            c.inc();
+        }
+        if self.journal.enabled() {
+            let (frame_len, codec) = sniff_frame(frame);
+            self.journal.emit(SchedEvent::WireFault {
+                t_s: now_s,
+                node: u32::try_from(self.node).unwrap_or(u32::MAX),
+                fault: kind,
+                injected: true,
+                frame_len,
+                codec,
+            });
+        }
+    }
+}
+
+/// Identify a frame for fault telemetry: its total size and the codec
+/// its magic claims (0 when the buffer is too short or foreign).
+fn sniff_frame(buf: &[u8]) -> (u32, u8) {
+    let len = u32::try_from(buf.len()).unwrap_or(u32::MAX);
+    let codec = match buf.get(..4) {
+        Some(magic) if magic == MAGIC => WireCodec::Json.id(),
+        Some(magic) if magic == MAGIC_V2 => WireCodec::Binary.id(),
+        _ => 0,
+    };
+    (len, codec)
 }
 
 impl Transport {
-    /// Wrap a connection. The write codec starts as JSON — the only
-    /// encoding legal before negotiation completes.
-    pub fn new(stream: ChaosStream) -> Self {
+    /// A transport under no chaos. The write codec starts as JSON — the
+    /// only encoding legal before negotiation completes.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// `side`'s end of connection `stream_id` under `chaos` (a quiet plan
+    /// gives [`Transport::new`]). The stream id gives each connection
+    /// (reconnect attempts, accept sequence) its own reproducible fault
+    /// stream; injected faults are journaled through `journal` and
+    /// counted on `counter` when given.
+    pub fn under(
+        chaos: &WireChaos,
+        side: ChaosSide,
+        stream_id: u64,
+        journal: Telemetry,
+        counter: Option<Arc<Counter>>,
+    ) -> Self {
+        let chaos = (!chaos.is_quiet()).then(|| {
+            Box::new(Faults {
+                plan: chaos.plan.clone(),
+                rng: chaos.rng(stream_id),
+                uplink: side == ChaosSide::Agent,
+                node: NODE_UNKNOWN,
+                injected: 0,
+                journal,
+                counter,
+            })
+        });
         Transport {
-            stream,
-            reader: FrameReader::new(),
-            codec: WireCodec::Json,
-            outq: VecDeque::new(),
-            out_pos: 0,
-            queued: 0,
-            delayed: Vec::new(),
-            frames_tx: 0,
-            bytes_rx: 0,
+            chaos,
+            ..Self::default()
         }
     }
 
-    /// The underlying chaos-wrapped socket (for `set_node`,
-    /// `peer_addr`, timeouts and shutdown).
-    pub fn stream(&self) -> &ChaosStream {
-        &self.stream
+    /// Name the node this connection speaks for (the agent's end knows
+    /// it at once, the coordinator's from the hello).
+    pub fn set_node(&mut self, node: usize) {
+        if let Some(chaos) = &mut self.chaos {
+            chaos.node = node;
+        }
+    }
+
+    /// Faults injected on this connection end so far.
+    pub fn injected(&self) -> u64 {
+        self.chaos.as_ref().map_or(0, |c| c.injected)
     }
 
     /// Switch the write codec once negotiation picks one. Reads are
@@ -98,17 +205,7 @@ impl Transport {
         self.codec = codec;
     }
 
-    /// The negotiated write codec.
-    pub fn codec(&self) -> WireCodec {
-        self.codec
-    }
-
-    /// Frames handed to [`Transport::send`] so far.
-    pub fn frames_tx(&self) -> u64 {
-        self.frames_tx
-    }
-
-    /// Total bytes read off the socket so far (metrics delta source).
+    /// Total bytes kept off the reader so far (metrics delta source).
     pub fn bytes_rx(&self) -> u64 {
         self.bytes_rx
     }
@@ -118,28 +215,34 @@ impl Transport {
         self.queued
     }
 
-    /// Whether [`Transport::flush`] has socket work to do right now —
+    /// Whether [`Transport::flush`] has writer work to do right now —
     /// the reactor's cue to poll for write readiness.
     pub fn wants_write(&self) -> bool {
         !self.outq.is_empty()
     }
 
-    /// When the earliest chaos-delayed frame comes due, if any — the
-    /// cue to call [`Transport::flush`] again even without new sends.
-    pub fn next_delay_due(&self) -> Option<Instant> {
-        self.delayed.iter().map(|(due, _)| *due).min()
+    /// When the earliest chaos-delayed frame comes due (`now_s`), if
+    /// any — the cue to call [`Transport::flush`] again even without new
+    /// sends.
+    pub fn next_delay_due(&self) -> Option<f64> {
+        self.delayed.iter().map(|&(due, _)| due).reduce(f64::min)
     }
 
     /// Encode `msg` under the negotiated codec, take the chaos fault
-    /// decision, and queue the surviving bytes. Never blocks; call
-    /// [`Transport::flush`] to move the queue onto the socket.
+    /// decision at `now_s`, and queue the surviving bytes. Never blocks;
+    /// call [`Transport::flush`] to move the queue onto the writer.
     ///
-    /// An `Err` means the connection is unusable (encode failure or a
-    /// chaos reset that already shut the socket down).
-    pub fn send(&mut self, msg: &WireMsg) -> Result<(), FvsError> {
+    /// An `Err` means the connection is unusable (an encode failure, or
+    /// a chaos reset: the caller closes it).
+    pub fn send(&mut self, msg: &WireMsg, now_s: f64) -> Result<(), FvsError> {
         let frame = encode_with(msg, self.codec)?;
-        self.frames_tx += 1;
-        match self.stream.decide_write_fault(&frame) {
+        let fault = self
+            .chaos
+            .as_deref_mut()
+            .map_or(WriteFault::Deliver, |chaos| {
+                chaos.frame_fault(&frame, now_s)
+            });
+        match fault {
             WriteFault::Deliver => self.enqueue(frame),
             WriteFault::Drop => {}
             WriteFault::Corrupt(bytes) => self.enqueue(bytes),
@@ -147,7 +250,7 @@ impl Transport {
                 self.enqueue(frame.clone());
                 self.enqueue(frame);
             }
-            WriteFault::Delay(hold) => self.delayed.push((Instant::now() + hold, frame)),
+            WriteFault::Delay(hold) => self.delayed.push((now_s + hold.as_secs_f64(), frame)),
             WriteFault::Reset => {
                 return Err(FvsError::Io(io::Error::new(
                     io::ErrorKind::ConnectionReset,
@@ -163,15 +266,14 @@ impl Transport {
         self.outq.push_back(bytes);
     }
 
-    /// Promote due delayed frames, then write as much of the queue as
-    /// the socket accepts, returning at `WouldBlock` with the remainder
-    /// queued. Errors mean the connection is dead.
-    pub fn flush(&mut self) -> io::Result<()> {
+    /// Promote the delayed frames due by `now_s`, then write as much of
+    /// the queue as `dst` accepts, returning at `WouldBlock` with the
+    /// remainder queued. Errors mean the connection is dead.
+    pub fn flush(&mut self, dst: &mut impl Write, now_s: f64) -> io::Result<()> {
         if !self.delayed.is_empty() {
-            let now = Instant::now();
             let mut i = 0;
             while i < self.delayed.len() {
-                if self.delayed[i].0 <= now {
+                if self.delayed[i].0 <= now_s {
                     let (_, frame) = self.delayed.remove(i);
                     self.enqueue(frame);
                 } else {
@@ -180,11 +282,11 @@ impl Transport {
             }
         }
         while let Some(front) = self.outq.front() {
-            match self.stream.write_raw(&front[self.out_pos..]) {
+            match dst.write(&front[self.out_pos..]) {
                 Ok(0) => {
                     return Err(io::Error::new(
                         io::ErrorKind::WriteZero,
-                        "socket accepted zero bytes",
+                        "the writer accepted zero bytes",
                     ))
                 }
                 Ok(n) => {
@@ -203,11 +305,13 @@ impl Transport {
         Ok(())
     }
 
-    /// Read what the socket has straight into the frame buffer, at most
+    /// Read what `src` has straight into the frame buffer, at most
     /// [`FILL_BUDGET`] bytes a call. Returns after the first read that
-    /// left room (the socket had no more than that), when the budget is
-    /// spent, the socket has nothing (`WouldBlock` or a read timeout),
-    /// the peer closes, or an error surfaces.
+    /// left room (the reader had no more than that), when the budget is
+    /// spent, the reader has nothing (`WouldBlock` or a read timeout),
+    /// the peer closes, or an error surfaces. Bytes that arrive at
+    /// `now_s` inside a partition window of their direction are
+    /// discarded, and the call reports [`FillStatus::Idle`].
     ///
     /// The budget is what keeps a peer that writes faster than this side
     /// reads from holding the caller here forever (no frame parsed, no
@@ -216,12 +320,30 @@ impl Transport {
     /// the socket — more bytes, or the EOF behind them — is reported
     /// again on the next poll; that is also why no call ends by asking
     /// once more only to be told `WouldBlock`.
-    pub fn fill(&mut self) -> io::Result<FillStatus> {
+    pub fn fill(&mut self, src: &mut impl Read, now_s: f64) -> io::Result<FillStatus> {
+        let (held, kept) = (self.reader.pending(), self.bytes_rx);
+        let status = self.read_budget(src)?;
+        let Some(chaos) = self.chaos.as_deref_mut().filter(|_| self.bytes_rx > kept) else {
+            return Ok(status);
+        };
+        // Reads travel the other way from writes.
+        let Some(kind) = chaos.plan.partitioned(chaos.node, !chaos.uplink, now_s) else {
+            return Ok(status);
+        };
+        // The bytes vanish as if the link were down, and the caller sees
+        // a quiet socket.
+        self.reader.truncate(held);
+        self.bytes_rx = kept;
+        chaos.note(kind, &[], now_s);
+        Ok(FillStatus::Idle)
+    }
+
+    fn read_budget(&mut self, src: &mut impl Read) -> io::Result<FillStatus> {
         let mut progressed = false;
         let spent_at = self.bytes_rx + FILL_BUDGET;
         while self.bytes_rx < spent_at {
             let left = (spent_at - self.bytes_rx) as usize;
-            match self.reader.read_from(&mut self.stream, left) {
+            match self.reader.read_from(src, left) {
                 // EOF right after fresh bytes (peer wrote, then closed):
                 // report the progress first so the caller parses what
                 // arrived; the next call reports the EOF.
@@ -281,36 +403,15 @@ impl Transport {
     pub fn last_fault_codec(&self) -> u8 {
         self.reader.last_fault_codec()
     }
-
-    /// Best-effort goodbye: send + flush, ignoring failures (the peer
-    /// may already be gone).
-    pub fn send_best_effort(&mut self, msg: &WireMsg) {
-        let _ = self.send(msg);
-        let _ = self.flush();
-    }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::chaos::{ChaosSide, WireChaos};
     use crate::wire::SCHEMA_VERSION;
-    use fvs_faults::WireFaultPlan;
-    use fvs_telemetry::Telemetry;
-    use std::net::{TcpListener, TcpStream};
-    use std::time::Duration;
 
-    /// A connected loopback socket pair.
-    pub(crate) fn pair() -> (TcpStream, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (server, _) = listener.accept().unwrap();
-        (client, server)
-    }
-
-    /// A loopback pair: the sending end an agent's socket under `chaos`,
-    /// the receiving end bare.
+    /// A sending end as an agent's under `chaos`, and a quiet receiving
+    /// end; the wire between them is the caller's `Vec<u8>`.
     pub(crate) fn transport_pair(chaos: &WireChaos) -> (Transport, Transport) {
         transport_pair_journaled(chaos, Telemetry::disabled())
     }
@@ -319,63 +420,71 @@ pub(crate) mod tests {
         chaos: &WireChaos,
         journal: Telemetry,
     ) -> (Transport, Transport) {
-        let (a, b) = pair();
-        let tx = Transport::new(ChaosStream::wrap(
-            a,
-            chaos,
-            ChaosSide::Agent,
-            0,
-            Instant::now(),
-            journal,
-            None,
-        ));
-        let rx = Transport::new(ChaosStream::passthrough(b));
-        (tx, rx)
+        let tx = Transport::under(chaos, ChaosSide::Agent, 0, journal, None);
+        (tx, Transport::new())
     }
 
-    /// Every byte that reaches `rx` before its peer closes, unparsed.
-    pub(crate) fn read_to_end(mut rx: Transport) -> Vec<u8> {
-        use std::io::Read;
-        rx.stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        let mut bytes = Vec::new();
-        rx.stream.read_to_end(&mut bytes).unwrap();
-        bytes
+    /// Send `msg` at `now_s` and flush whatever is due onto `wire`.
+    pub(crate) fn send_flush(tx: &mut Transport, wire: &mut Vec<u8>, msg: &WireMsg, now_s: f64) {
+        tx.send(msg, now_s).unwrap();
+        tx.flush(wire, now_s).unwrap();
     }
 
-    pub(crate) fn recv_one(rx: &mut Transport) -> WireMsg {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        rx.stream()
-            .set_read_timeout(Some(Duration::from_millis(10)))
-            .unwrap();
-        while Instant::now() < deadline {
-            if let Some(msg) = rx.next_msg().unwrap() {
-                return msg;
+    /// The next frame `rx` parses out of `wire`, which it consumes.
+    pub(crate) fn recv_one(rx: &mut Transport, wire: &mut Vec<u8>) -> WireMsg {
+        rx.fill(&mut wire.as_slice(), 0.0).unwrap();
+        wire.clear();
+        rx.next_msg().unwrap().expect("a whole frame on the wire")
+    }
+
+    /// A socket buffer with room for `room` bytes: a write past that
+    /// would block.
+    struct Pipe {
+        bytes: Vec<u8>,
+        room: usize,
+    }
+
+    impl Write for Pipe {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.room - self.bytes.len());
+            if n == 0 {
+                return Err(io::ErrorKind::WouldBlock.into());
             }
-            let _ = rx.fill().unwrap();
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
         }
-        panic!("no frame within deadline");
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
     }
 
     #[test]
     fn frames_cross_in_both_codecs() {
         let (mut tx, mut rx) = transport_pair(&WireChaos::none());
-        tx.send(&WireMsg::Heartbeat { epoch: 1 }).unwrap();
-        tx.flush().unwrap();
-        assert_eq!(recv_one(&mut rx), WireMsg::Heartbeat { epoch: 1 });
+        let mut wire = Vec::new();
+        send_flush(&mut tx, &mut wire, &WireMsg::Heartbeat { epoch: 1 }, 0.0);
+        assert_eq!(
+            recv_one(&mut rx, &mut wire),
+            WireMsg::Heartbeat { epoch: 1 }
+        );
 
         tx.set_codec(WireCodec::Binary);
-        tx.send(&WireMsg::Heartbeat { epoch: 2 }).unwrap();
-        tx.flush().unwrap();
+        send_flush(&mut tx, &mut wire, &WireMsg::Heartbeat { epoch: 2 }, 0.0);
         // The receiver never negotiated binary — the magic carries it.
-        assert_eq!(recv_one(&mut rx), WireMsg::Heartbeat { epoch: 2 });
+        assert_eq!(
+            recv_one(&mut rx, &mut wire),
+            WireMsg::Heartbeat { epoch: 2 }
+        );
     }
 
     #[test]
     fn nonblocking_sender_queues_past_a_full_socket() {
         let (mut tx, mut rx) = transport_pair(&WireChaos::none());
-        tx.stream().set_nonblocking(true).unwrap();
+        let mut pipe = Pipe {
+            bytes: Vec::new(),
+            room: 4096,
+        };
         // Stuff the socket until writes stop landing, then some more.
         let msg = WireMsg::Hello {
             node: 1,
@@ -385,29 +494,26 @@ pub(crate) mod tests {
             codecs: crate::wire::CODEC_ALL,
         };
         let mut sent = 0u64;
-        while tx.queued_bytes() == 0 && sent < 200_000 {
-            tx.send(&msg).unwrap();
-            tx.flush().unwrap();
+        while tx.queued_bytes() == 0 {
+            tx.send(&msg, 0.0).unwrap();
+            tx.flush(&mut pipe, 0.0).unwrap();
             sent += 1;
         }
-        assert!(tx.queued_bytes() > 0, "loopback buffers are not infinite");
         for _ in 0..100 {
-            tx.send(&msg).unwrap();
+            tx.send(&msg, 0.0).unwrap();
         }
         sent += 100;
-        // Drain the receiver; the sender's queue must fully unwind.
-        let deadline = Instant::now() + Duration::from_secs(10);
+        // Drain the receiver; the sender's queue must fully unwind,
+        // partial writes and all.
         let mut got = 0u64;
-        rx.stream()
-            .set_read_timeout(Some(Duration::from_millis(5)))
-            .unwrap();
-        while got < sent && Instant::now() < deadline {
-            tx.flush().unwrap();
-            let _ = rx.fill().unwrap();
+        while got < sent {
+            rx.fill(&mut pipe.bytes.as_slice(), 0.0).unwrap();
+            pipe.bytes.clear();
             while let Some(m) = rx.next_msg().unwrap() {
                 assert_eq!(m, msg);
                 got += 1;
             }
+            tx.flush(&mut pipe, 0.0).unwrap();
         }
         assert_eq!(got, sent);
         assert_eq!(tx.queued_bytes(), 0);
@@ -418,32 +524,20 @@ pub(crate) mod tests {
     /// frames, run rounds and see its stop flag.
     #[test]
     fn fill_returns_under_a_flooding_writer() {
-        use std::io::Write;
-        let (mut client, server) = pair();
-        let writer = std::thread::spawn(move || {
-            let block = vec![0u8; 64 * 1024];
-            for _ in 0..128 {
-                if client.write_all(&block).is_err() {
-                    break;
-                }
-            }
-        });
-        let mut rx = Transport::new(ChaosStream::passthrough(server));
-        rx.stream().set_nonblocking(true).unwrap();
+        let mut flood = io::repeat(0).take(128 * 64 * 1024);
+        let mut rx = Transport::new();
         let mut largest = 0;
         loop {
             let before = rx.bytes_rx();
-            match rx.fill().unwrap() {
+            match rx.fill(&mut flood, 0.0).unwrap() {
                 FillStatus::Eof => break,
-                FillStatus::Idle => std::thread::yield_now(),
+                FillStatus::Idle => unreachable!("a flood never runs dry"),
                 FillStatus::Progress => largest = largest.max(rx.bytes_rx() - before),
             }
         }
-        writer.join().unwrap();
         assert_eq!(rx.bytes_rx(), 128 * 64 * 1024, "nothing may be lost");
-        // 64 KiB writes against reads that never exceed what is left of
-        // the budget: the socket does not run dry first, so the budget is
-        // what ended the longest call — to the byte.
+        // The reader never runs dry, so the budget is what ended the
+        // longest call — to the byte.
         assert!(largest >= FILL_BUDGET, "flood never outran fill: {largest}");
         assert!(
             largest < FILL_BUDGET + 4096,
@@ -456,7 +550,6 @@ pub(crate) mod tests {
     #[test]
     fn a_steady_connection_holds_one_kib_of_read_buffer() {
         let (mut tx, mut rx) = transport_pair(&WireChaos::none());
-        rx.stream().set_nonblocking(true).unwrap();
         let summary = WireMsg::Summary(NodeSummary {
             node: 3,
             sent_at_s: 0.5,
@@ -465,19 +558,17 @@ pub(crate) mod tests {
             current: vec![fvs_model::FreqMhz(1000); 4],
             power_w: 512.0,
         });
+        let mut wire = Vec::new();
         for round in 0..40 {
             tx.set_codec(if round % 2 == 0 {
                 WireCodec::Json
             } else {
                 WireCodec::Binary
             });
-            tx.send(&summary).unwrap();
-            tx.flush().unwrap();
-            let deadline = Instant::now() + Duration::from_secs(5);
-            while rx.fill().unwrap() != FillStatus::Progress {
-                assert!(Instant::now() < deadline, "frame {round} never arrived");
-                std::thread::yield_now();
-            }
+            send_flush(&mut tx, &mut wire, &summary, 0.0);
+            let status = rx.fill(&mut wire.as_slice(), 0.0).unwrap();
+            wire.clear();
+            assert_eq!(status, FillStatus::Progress, "frame {round} never arrived");
             assert_eq!(rx.next_msg().unwrap().as_ref(), Some(&summary));
             assert_eq!(rx.next_msg().unwrap(), None);
             assert_eq!(rx.reader.capacity(), 1024);
@@ -498,17 +589,21 @@ pub(crate) mod tests {
             11,
         );
         let (mut tx, mut rx) = transport_pair(&chaos);
-        tx.send(&WireMsg::Heartbeat { epoch: 1 }).unwrap();
-        tx.flush().unwrap();
-        assert!(tx.next_delay_due().is_some());
+        let mut wire = Vec::new();
+        send_flush(&mut tx, &mut wire, &WireMsg::Heartbeat { epoch: 1 }, 0.0);
+        assert_eq!(tx.next_delay_due(), Some(0.08));
         assert!(!tx.wants_write(), "held frame must not occupy the queue");
-        std::thread::sleep(Duration::from_millis(120));
-        tx.flush().unwrap();
-        assert_eq!(recv_one(&mut rx), WireMsg::Heartbeat { epoch: 1 });
+        tx.flush(&mut wire, 0.05).unwrap();
+        assert!(wire.is_empty(), "not due yet");
+        tx.flush(&mut wire, 0.12).unwrap();
+        assert_eq!(
+            recv_one(&mut rx, &mut wire),
+            WireMsg::Heartbeat { epoch: 1 }
+        );
         assert!(tx.next_delay_due().is_none());
     }
 
-    /// Chaos reset surfaces as a send error and the socket is dead.
+    /// Chaos reset surfaces as a send error.
     #[test]
     fn chaos_reset_surfaces_on_send() {
         let chaos = WireChaos::new(
@@ -519,7 +614,7 @@ pub(crate) mod tests {
             3,
         );
         let (mut tx, _rx) = transport_pair(&chaos);
-        let err = tx.send(&WireMsg::Heartbeat { epoch: 1 }).unwrap_err();
+        let err = tx.send(&WireMsg::Heartbeat { epoch: 1 }, 0.0).unwrap_err();
         assert!(matches!(err, FvsError::Io(_)), "{err}");
     }
 }

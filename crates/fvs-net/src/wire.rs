@@ -849,6 +849,12 @@ impl FrameReader {
         self.end - self.start
     }
 
+    /// Forget every unconsumed byte past the first `keep`: what a
+    /// partition window swallowed.
+    pub(crate) fn truncate(&mut self, keep: usize) {
+        self.end = self.end.min(self.start + keep);
+    }
+
     /// Bytes of storage held, parsed or not.
     pub fn capacity(&self) -> usize {
         self.buf.len()

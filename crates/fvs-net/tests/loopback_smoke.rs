@@ -4,11 +4,12 @@
 //! the workspace-root `net_loopback` integration test.
 
 use fvs_cluster::NodeSummary;
+use fvs_faults::WireFaultPlan;
 use fvs_model::{CpiModel, FreqMhz};
 use fvs_net::wire::{encode, encode_binary};
 use fvs_net::{
-    AgentConfig, AgentFleet, CoordinatorConfig, CoordinatorServer, FleetHandle, WireMsg, CODEC_ALL,
-    SCHEMA_VERSION,
+    AgentConfig, AgentFleet, CoordinatorConfig, CoordinatorServer, FleetHandle, FrameReader,
+    WireChaos, WireMsg, CODEC_ALL, SCHEMA_VERSION,
 };
 use fvs_sched::FvsstAlgorithm;
 use fvs_sim::MachineBuilder;
@@ -133,6 +134,57 @@ fn agent_survives_a_coordinator_restart() {
     );
     let stats = agent.stop();
     assert!(stats.reconnects() >= 1, "ladder never climbed: {stats:?}");
+    server.shutdown().unwrap();
+}
+
+/// Bugfix: a chaos-delayed frame on the coordinator's end used to leave
+/// only with its connection's next write — a ceiling or a heartbeat, up
+/// to a period later. Held 50 ms under a 1 s period, the hello ack must
+/// arrive well inside the period.
+#[test]
+fn a_coordinator_delayed_frame_leaves_when_its_hold_ends() {
+    let chaos = WireChaos::new(WireFaultPlan::parse("delay=1.0:0.05").unwrap(), 7);
+    let server = CoordinatorServer::bind(
+        "127.0.0.1:0",
+        1,
+        FvsstAlgorithm::p630(),
+        CoordinatorConfig::default_lan()
+            .with_period_s(1.0)
+            .with_chaos(chaos),
+    )
+    .unwrap();
+    let mut socket = TcpStream::connect(server.local_addr()).unwrap();
+    socket
+        .set_read_timeout(Some(Duration::from_secs(3)))
+        .unwrap();
+    let hello = WireMsg::Hello {
+        node: 0,
+        procs: 4,
+        version: SCHEMA_VERSION,
+        last_epoch: 0,
+        codecs: CODEC_ALL,
+    };
+    let sent = Instant::now();
+    socket.write_all(&encode(&hello).unwrap()).unwrap();
+    let mut reader = FrameReader::new();
+    let ack = loop {
+        if let Some(msg) = reader.next_frame().unwrap() {
+            break msg;
+        }
+        let n = reader
+            .read_from(&mut socket, 4096)
+            .expect("an ack within 3 s");
+        assert!(n > 0, "the coordinator closed the connection");
+    };
+    let waited = sent.elapsed();
+    assert!(
+        matches!(ack, WireMsg::HelloAck { accepted: true, .. }),
+        "{ack:?}"
+    );
+    assert!(
+        waited < Duration::from_millis(500),
+        "the ack took {waited:?} under a 1 s period"
+    );
     server.shutdown().unwrap();
 }
 

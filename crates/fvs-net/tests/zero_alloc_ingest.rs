@@ -13,7 +13,7 @@
 
 use fvs_cluster::{GlobalCoordinator, NodeSummary};
 use fvs_model::{CpiModel, FreqMhz};
-use fvs_net::{encode_binary, ChaosStream, FillStatus, Transport, WireMsg};
+use fvs_net::{encode_binary, FillStatus, Transport, WireMsg};
 use fvs_sched::FvsstAlgorithm;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write;
@@ -71,7 +71,7 @@ fn summary(node: usize, frame: usize) -> NodeSummary {
 /// until all of it is in the coordinator. Returns the summaries accepted.
 fn burst(
     clients: &mut [TcpStream],
-    servers: &mut [Transport],
+    servers: &mut [(TcpStream, Transport)],
     bursts: &[Vec<u8>],
     coordinator: &mut GlobalCoordinator,
 ) -> usize {
@@ -82,8 +82,8 @@ fn burst(
     let (mut seen, mut accepted) = (0, 0);
     while seen < CONNS * FRAMES_PER_BURST {
         assert!(Instant::now() < deadline, "burst stalled at {seen} frames");
-        for transport in servers.iter_mut() {
-            match transport.fill().expect("loopback read") {
+        for (socket, transport) in servers.iter_mut() {
+            match transport.fill(socket, 0.0).expect("loopback read") {
                 FillStatus::Progress => {}
                 FillStatus::Idle => continue,
                 FillStatus::Eof => panic!("nobody closed this connection"),
@@ -110,7 +110,7 @@ fn main() {
         clients.push(TcpStream::connect(addr).expect("connect"));
         let (server, _) = listener.accept().expect("accept");
         server.set_nonblocking(true).expect("nonblocking");
-        servers.push(Transport::new(ChaosStream::passthrough(server)));
+        servers.push((server, Transport::new()));
     }
     let bursts: Vec<Vec<u8>> = (0..CONNS)
         .map(|node| {

@@ -104,7 +104,7 @@ names! {
 }
 
 names! {
-    /// What went wrong on the wire: a fault a `ChaosStream` injected, or
+    /// What went wrong on the wire: a fault a wire-chaos plan injected, or
     /// one the frame decoder classified (`FrameReader::last_fault`).
     WireFaultKind {
         /// A frame was dropped (never written, or never delivered).
@@ -396,7 +396,7 @@ sched_events! {
         node: u32,
         /// What went wrong.
         fault: WireFaultKind,
-        /// `true` when a `ChaosStream` injected it on purpose; `false`
+        /// `true` when a wire-chaos plan injected it on purpose; `false`
         /// for organic corruption detected at the frame decoder.
         injected: bool,
         /// Observed frame length (payload bytes): the length prefix of

@@ -82,7 +82,7 @@ pub mod prelude {
     };
     pub use fvs_net::netpoll::{raise_nofile_limit, Poller};
     pub use fvs_net::{
-        http_get, AgentConfig, AgentFleet, ChaosStream, ClusterConfig, ClusterReport, ClusterSim,
+        http_get, AgentConfig, AgentFleet, ClusterConfig, ClusterReport, ClusterSim,
         CoordinatorConfig, CoordinatorServer, CoordinatorStatus, FillStatus, FleetHandle,
         FleetStats, FvsError, HealthReport, NetArgs, ObsHandles, ObsServer, Reactor,
         ReconnectLadder, Snapshot, SnapshotStore, Transport, WireChaos, WireCodec, WireMsg,
