@@ -17,7 +17,7 @@
 //! ladder.
 
 use crate::error::FvsError;
-use crate::wire::{WireCodec, SCHEMA_VERSION};
+use crate::wire::SCHEMA_VERSION;
 use crate::WireChaos;
 use fvs_telemetry::{Telemetry, Tracer};
 use rand::rngs::StdRng;
@@ -97,11 +97,6 @@ pub struct AgentConfig {
     /// Schema version to announce (tests speak wrong versions on
     /// purpose; everything real uses [`SCHEMA_VERSION`]).
     pub version: u32,
-    /// Preferred wire codec. JSON is always advertised (it is the
-    /// handshake encoding and the floor every peer speaks); preferring
-    /// [`WireCodec::Binary`] additionally advertises the `FVS2` fast
-    /// path, which the coordinator picks when it too prefers binary.
-    pub codec: WireCodec,
     /// Wire-chaos injection on this agent's socket (quiet = pure
     /// passthrough).
     pub chaos: WireChaos,
@@ -126,7 +121,6 @@ impl AgentConfig {
             jitter_seed: 0,
             link_timeout: Duration::from_secs(3),
             version: SCHEMA_VERSION,
-            codec: WireCodec::Binary,
             chaos: WireChaos::none(),
             tracer: Tracer::disabled(),
             telemetry: Telemetry::disabled(),
@@ -173,12 +167,6 @@ impl AgentConfig {
     /// Announce a different schema version (version-negotiation tests).
     pub fn with_version(mut self, version: u32) -> Self {
         self.version = version;
-        self
-    }
-
-    /// Set the preferred wire codec (see [`AgentConfig::codec`]).
-    pub fn with_codec(mut self, codec: WireCodec) -> Self {
-        self.codec = codec;
         self
     }
 

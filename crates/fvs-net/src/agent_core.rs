@@ -21,7 +21,7 @@
 //! and turns readiness and due timers into these calls.
 
 use crate::agent::{AgentConfig, ReconnectLadder};
-use crate::wire::{WireCodec, WireMsg, CODEC_ALL, CODEC_JSON_BIT};
+use crate::wire::{WireMsg, CODEC_ALL};
 use fvs_cluster::{ClusterNode, NodeSummary};
 use fvs_telemetry::Tracer;
 use std::time::Duration;
@@ -56,12 +56,9 @@ pub enum Heard {
     /// Not for this agent or not for this phase, or a sign of life from
     /// the current coordinator and no more.
     Nothing,
-    /// The hello was accepted: write under `codec` from here on.
-    /// `reconnect` is false for this agent's first accepted handshake
-    /// and true for every later one.
+    /// The hello was accepted. `reconnect` is false for this agent's
+    /// first accepted handshake and true for every later one.
     Accepted {
-        /// The codec the coordinator chose.
-        codec: WireCodec,
         /// This agent had been accepted before.
         reconnect: bool,
     },
@@ -96,7 +93,6 @@ pub struct AgentCore {
     summary_every: u32,
     link_timeout_s: f64,
     version: u32,
-    codec: WireCodec,
     tracer: Tracer,
 }
 
@@ -122,7 +118,6 @@ impl AgentCore {
             summary_every: config.summary_every,
             link_timeout_s: config.link_timeout.as_secs_f64(),
             version: config.version,
-            codec: config.codec,
             tracer: config.tracer.clone(),
         }
     }
@@ -143,10 +138,9 @@ impl AgentCore {
     }
 
     /// A socket opened at `now_s`. Returns the hello to send on it; the
-    /// silence that `link_timeout` bounds starts here.
-    ///
-    /// JSON is always advertised (it is the handshake encoding and the
-    /// floor every peer speaks); preferring binary adds the `FVS2` bit.
+    /// silence that `link_timeout` bounds starts here. The hello
+    /// advertises both codecs: it travels as `FVS1`, and every frame
+    /// after it as `FVS2`.
     pub fn connected(&mut self, now_s: f64) -> WireMsg {
         self.phase = Phase::Handshaking;
         self.last_rx_s = now_s;
@@ -155,10 +149,7 @@ impl AgentCore {
             procs: self.node.machine().num_cores(),
             version: self.version,
             last_epoch: self.last_epoch,
-            codecs: match self.codec {
-                WireCodec::Json => CODEC_JSON_BIT,
-                WireCodec::Binary => CODEC_ALL,
-            },
+            codecs: CODEC_ALL,
         }
     }
 
@@ -195,19 +186,19 @@ impl AgentCore {
             self.last_rx_s = now_s;
         }
         let (epoch, accepted) = match *msg {
+            // The ack's codec byte is not read: every coordinator reads
+            // both magics.
             WireMsg::HelloAck {
                 accepted,
                 version,
                 epoch,
-                codec,
+                ..
             } if self.phase == Phase::Handshaking => {
                 if !accepted && version != self.version {
                     // Another schema: its epoch says nothing about ours.
                     return self.refused();
                 }
-                // An unknown codec id from a newer peer degrades to JSON
-                // — the floor both sides always speak.
-                (epoch, Some((accepted, WireCodec::from_id(codec))))
+                (epoch, Some(accepted))
             }
             WireMsg::Heartbeat { epoch } => (epoch, None),
             WireMsg::Ceiling(ref cmd)
@@ -228,14 +219,14 @@ impl AgentCore {
                 self.last_epoch = epoch;
                 Heard::Nothing
             }
-            Some((false, _)) => self.refused(),
-            Some((true, codec)) => {
+            Some(false) => self.refused(),
+            Some(true) => {
                 self.last_epoch = epoch;
                 self.ladder.reset();
                 self.phase = Phase::Running;
                 self.ticks = 0;
                 let reconnect = std::mem::replace(&mut self.ever_accepted, true);
-                Heard::Accepted { codec, reconnect }
+                Heard::Accepted { reconnect }
             }
         }
     }

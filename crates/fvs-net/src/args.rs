@@ -7,8 +7,8 @@
 //! the duplication: a binary enables the groups it supports
 //! (builder-style), offers each unrecognised token to
 //! [`NetArgs::accept`] from its own parse loop, and renders the matching
-//! usage text with [`NetArgs::usage_fragment`]. New flags — `--codec`,
-//! `--max-conns` — land here once and appear everywhere the group is
+//! usage text with [`NetArgs::usage_fragment`]. A new flag, such as
+//! `--max-conns`, lands here once and appears everywhere its group is
 //! enabled.
 //!
 //! The struct also owns the derived-object helpers the binaries shared
@@ -18,7 +18,6 @@
 
 use crate::chaos::WireChaos;
 use crate::error::FvsError;
-use crate::wire::WireCodec;
 use fvs_faults::WireFaultPlan;
 use fvs_telemetry::{Telemetry, Tracer};
 
@@ -45,7 +44,6 @@ pub struct NetArgs {
     telemetry_enabled: bool,
     chaos_enabled: bool,
     snapshots_enabled: bool,
-    codec_enabled: bool,
     max_conns_enabled: bool,
 
     /// `--obs-addr ADDR`: observability listener address.
@@ -65,11 +63,6 @@ pub struct NetArgs {
     pub resume: bool,
     /// `--grace S`: resync grace window after a resume.
     pub grace_s: f64,
-    /// `--codec json|binary`: the codec this endpoint prefers. The
-    /// coordinator treats it as the ceiling it will negotiate down
-    /// from; an agent advertises only this codec (and JSON, which is
-    /// always legal).
-    pub codec: WireCodec,
     /// `--max-conns N`: accept limit (connections beyond it are
     /// refused at accept time).
     pub max_conns: usize,
@@ -90,7 +83,6 @@ impl NetArgs {
             telemetry_enabled: false,
             chaos_enabled: false,
             snapshots_enabled: false,
-            codec_enabled: false,
             max_conns_enabled: false,
             obs_addr: None,
             telemetry_path: None,
@@ -100,7 +92,6 @@ impl NetArgs {
             snapshot_every_s: 1.0,
             resume: false,
             grace_s: 2.0,
-            codec: WireCodec::Binary,
             max_conns: usize::MAX,
         }
     }
@@ -127,12 +118,6 @@ impl NetArgs {
     /// `--grace`.
     pub fn with_snapshots(mut self) -> Self {
         self.snapshots_enabled = true;
-        self
-    }
-
-    /// Enable `--codec`.
-    pub fn with_codec(mut self) -> Self {
-        self.codec_enabled = true;
         self
     }
 
@@ -199,14 +184,6 @@ impl NetArgs {
                 self.grace_s = parse_f64("--grace", args.get(i + 1))?;
                 Ok(Some(i + 2))
             }
-            "--codec" if self.codec_enabled => {
-                self.codec = match args.get(i + 1).map(String::as_str) {
-                    Some("json") => WireCodec::Json,
-                    Some("binary") => WireCodec::Binary,
-                    _ => return Err(FvsError::config("--codec takes 'json' or 'binary'")),
-                };
-                Ok(Some(i + 2))
-            }
             "--max-conns" if self.max_conns_enabled => {
                 self.max_conns = parse_usize("--max-conns", args.get(i + 1), 1)?;
                 Ok(Some(i + 2))
@@ -230,9 +207,6 @@ impl NetArgs {
         }
         if self.chaos_enabled {
             parts.push("[--chaos PLAN] [--chaos-seed N]");
-        }
-        if self.codec_enabled {
-            parts.push("[--codec json|binary]");
         }
         if self.max_conns_enabled {
             parts.push("[--max-conns N]");
@@ -289,13 +263,13 @@ mod tests {
 
     #[test]
     fn accepts_only_enabled_groups() {
-        let mut net = NetArgs::new().with_chaos().with_codec();
-        let args = argv(&["--chaos", "wire=0.1", "--obs-addr", "x", "--codec", "json"]);
+        let mut net = NetArgs::new().with_chaos().with_max_conns();
+        let args = argv(&["--chaos", "wire=0.1", "--obs-addr", "x", "--max-conns", "8"]);
         assert_eq!(net.accept(&args, 0).unwrap(), Some(2));
         assert_eq!(net.accept(&args, 2).unwrap(), None, "obs group is off");
         assert_eq!(net.accept(&args, 4).unwrap(), Some(6));
         assert_eq!(net.chaos_plan.as_deref(), Some("wire=0.1"));
-        assert_eq!(net.codec, WireCodec::Json);
+        assert_eq!(net.max_conns, 8);
     }
 
     #[test]
@@ -305,7 +279,6 @@ mod tests {
             .with_telemetry()
             .with_chaos()
             .with_snapshots()
-            .with_codec()
             .with_max_conns();
         let args = argv(&[
             "--obs-addr",
@@ -321,8 +294,6 @@ mod tests {
             "--resume",
             "--grace",
             "3",
-            "--codec",
-            "binary",
             "--max-conns",
             "512",
         ]);
@@ -334,24 +305,19 @@ mod tests {
         assert!(net.resume);
         assert_eq!(net.snapshot_every_s, 2.5);
         assert_eq!(net.max_conns, 512);
-        assert_eq!(net.codec, WireCodec::Binary);
         let chaos = net.wire_chaos(7).unwrap();
         assert!(!chaos.is_quiet());
         assert_eq!(chaos.seed, 42 ^ 7);
         assert!(net.telemetry().unwrap().enabled());
         assert!(net.tracer().enabled());
         assert!(net.usage_fragment().contains("--max-conns"));
-        assert!(net.usage_fragment().contains("--codec json|binary"));
     }
 
     #[test]
     fn flag_errors_are_config_errors() {
-        let mut net = NetArgs::new().with_codec().with_max_conns();
-        let bad_codec = argv(&["--codec", "yaml"]);
-        assert!(matches!(
-            net.accept(&bad_codec, 0),
-            Err(FvsError::Config(_))
-        ));
+        let mut net = NetArgs::new().with_max_conns();
+        let too_few = argv(&["--max-conns", "0"]);
+        assert!(matches!(net.accept(&too_few, 0), Err(FvsError::Config(_))));
         let no_value = argv(&["--max-conns"]);
         assert!(matches!(net.accept(&no_value, 0), Err(FvsError::Config(_))));
     }

@@ -69,7 +69,7 @@ const SEED_MIX: u64 = 0xC4A0_5BAD_F00D_5EED;
 mod tests {
     use super::*;
     use crate::transport::tests::{recv_one, send_flush, transport_pair, transport_pair_journaled};
-    use crate::wire::{encode_with, WireCodec, WireMsg};
+    use crate::wire::{encode_with, WireCodec, WireMsg, CODEC_ALL, MAGIC, SCHEMA_VERSION};
     use fvs_telemetry::{SchedEvent, Telemetry, WireFaultKind};
 
     fn beat(epoch: u64) -> WireMsg {
@@ -78,18 +78,24 @@ mod tests {
 
     /// The acceptance differential: what a `none`-plan transport writes
     /// is the encoded frames end to end and nothing else — byte for byte
-    /// what encoding alone gives — in both codecs.
+    /// what encoding alone gives: a JSON hello, then binary frames.
     #[test]
     fn quiet_chaos_stream_is_byte_identical_to_bare() {
         let (mut tx, _rx) = transport_pair(&WireChaos::none());
         let (mut bare, mut wire) = (Vec::new(), Vec::new());
-        for i in 0..50 {
-            let codec = [WireCodec::Json, WireCodec::Binary][i % 2];
-            bare.extend(encode_with(&beat(i as u64), codec).unwrap());
-            tx.set_codec(codec);
-            send_flush(&mut tx, &mut wire, &beat(i as u64), i as f64);
+        let hello = WireMsg::Hello {
+            node: 0,
+            procs: 4,
+            version: SCHEMA_VERSION,
+            last_epoch: 0,
+            codecs: CODEC_ALL,
+        };
+        for (i, msg) in std::iter::once(hello).chain((1..50).map(beat)).enumerate() {
+            bare.extend(encode_with(&msg, WireCodec::Binary).unwrap());
+            send_flush(&mut tx, &mut wire, &msg, i as f64);
         }
         assert_eq!(tx.injected(), 0);
+        assert_eq!(wire[..4], MAGIC);
         assert_eq!(wire, bare);
     }
 
@@ -191,7 +197,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        let sent = encode_with(&beat(1), WireCodec::Json).unwrap().len() as u32;
+        let sent = encode_with(&beat(1), WireCodec::Binary).unwrap().len() as u32;
         assert_eq!(
             faults,
             [

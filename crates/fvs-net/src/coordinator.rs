@@ -17,9 +17,9 @@
 //! Liveness is *genuine* socket liveness: a node is whatever its last
 //! frame says it is, a dead socket simply stops producing frames, and
 //! with ingest on the event loop itself there is no reader-to-scheduler
-//! queue to hide latency in. Handshake and codec negotiation, arrival
-//! re-stamping, write-ahead snapshots and the resume rules are the
-//! core's: see [`crate::coordinator_core`].
+//! queue to hide latency in. The handshake, arrival re-stamping,
+//! write-ahead snapshots and the resume rules are the core's: see
+//! [`crate::coordinator_core`].
 
 use crate::chaos::ChaosSide;
 pub use crate::coordinator_core::CoordinatorStatus;
@@ -29,7 +29,7 @@ use crate::obs::{HealthReport, ObsHandles, ObsServer};
 use crate::reactor::{Reactor, LISTENER_TOKEN};
 use crate::snapshot::{Snapshot, SnapshotStore};
 use crate::transport::{FillStatus, Transport};
-use crate::wire::{WireCodec, WireMsg};
+use crate::wire::WireMsg;
 use crate::WireChaos;
 use fvs_sched::FvsstAlgorithm;
 use fvs_telemetry::{
@@ -73,10 +73,6 @@ pub struct CoordinatorConfig {
     /// coordinator-side dead-link bound; agents send summaries far
     /// more often than this when healthy).
     pub read_deadline_s: f64,
-    /// The fastest codec this server will negotiate. Binary (the
-    /// default) picks `FVS2` for agents that advertise it; JSON pins
-    /// every connection to `FVS1`.
-    pub preferred_codec: WireCodec,
     /// Admission limit: sockets accepted beyond this many live
     /// connections are closed immediately.
     pub max_conns: usize,
@@ -104,7 +100,6 @@ impl CoordinatorConfig {
             resume: false,
             resync_grace_s: 2.0,
             read_deadline_s: 5.0,
-            preferred_codec: WireCodec::Binary,
             max_conns: usize::MAX,
             chaos: WireChaos::none(),
             telemetry: Telemetry::disabled(),
@@ -164,13 +159,6 @@ impl CoordinatorConfig {
     /// Override the per-connection read deadline.
     pub fn with_read_deadline_s(mut self, deadline_s: f64) -> Self {
         self.read_deadline_s = deadline_s;
-        self
-    }
-
-    /// Cap the codec this server negotiates (see
-    /// [`CoordinatorConfig::preferred_codec`]).
-    pub fn with_codec(mut self, codec: WireCodec) -> Self {
-        self.preferred_codec = codec;
         self
     }
 
@@ -659,9 +647,8 @@ impl Driver {
                     open = self.write_conn(token, Some(&ack), arrival_s) && verdict.is_ok();
                     from = core.node_of(token);
                     match verdict {
-                        Ok(codec) => {
+                        Ok(()) => {
                             if let Some((transport, _, _)) = self.reactor.get_mut(token) {
-                                transport.set_codec(codec);
                                 transport.set_node(node);
                             }
                         }

@@ -91,7 +91,8 @@ pub trait RoundSink {
 /// Why a hello was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Refusal {
-    /// The agent speaks another schema version.
+    /// The agent speaks another dialect: another schema version, or a
+    /// codec mask without `FVS2`.
     Version,
     /// The agent has acknowledged a newer epoch than this coordinator's:
     /// this one is the stale survivor of a split brain.
@@ -238,9 +239,10 @@ impl CoordinatorCore {
     /// Judge the hello `conn` sent: `node` speaking schema `version`,
     /// having acknowledged epochs up to `last_epoch`, able to read the
     /// codecs in the `codecs` bitmask. Returns the ack to write back and
-    /// the verdict: the codec to switch the connection to after the ack
-    /// (binary iff both sides want it; the ack itself always travels as
-    /// JSON), or why the connection is to be closed.
+    /// the verdict: accepted, or why the connection is to be closed. A
+    /// peer that cannot read `FVS2`, which every frame after the
+    /// handshake is, speaks another dialect and is refused as
+    /// [`Refusal::Version`].
     ///
     /// Accepted, the connection becomes the node's downlink; a
     /// reconnecting node thereby replaces its old socket as the push
@@ -253,10 +255,10 @@ impl CoordinatorCore {
         last_epoch: u64,
         codecs: u8,
         now_s: f64,
-    ) -> (WireMsg, Result<WireCodec, Refusal>) {
+    ) -> (WireMsg, Result<(), Refusal>) {
         let verdict = if self.conns.contains_key(&conn) {
             Err(Refusal::Repeated)
-        } else if version != SCHEMA_VERSION {
+        } else if version != SCHEMA_VERSION || codecs & CODEC_BINARY_BIT == 0 {
             Err(Refusal::Version)
         } else if last_epoch > self.status.epoch {
             // The agent has acknowledged a *newer* epoch than ours: we
@@ -269,11 +271,8 @@ impl CoordinatorCore {
                 local_epoch: self.status.epoch,
             });
             Err(Refusal::StaleEpoch)
-        } else if self.config.preferred_codec == WireCodec::Binary && codecs & CODEC_BINARY_BIT != 0
-        {
-            Ok(WireCodec::Binary)
         } else {
-            Ok(WireCodec::Json)
+            Ok(())
         };
         if verdict.is_ok() {
             self.conns.insert(conn, node);
@@ -287,7 +286,7 @@ impl CoordinatorCore {
             accepted: verdict.is_ok(),
             version: SCHEMA_VERSION,
             epoch: self.status.epoch,
-            codec: verdict.unwrap_or(WireCodec::Json).id(),
+            codec: verdict.map_or(WireCodec::Json, |()| WireCodec::Binary).id(),
         };
         (ack, verdict)
     }

@@ -33,7 +33,7 @@ use crate::chaos::ChaosSide;
 use crate::error::FvsError;
 use crate::reactor::Reactor;
 use crate::transport::{FillStatus, Transport};
-use crate::wire::{WireCodec, WireMsg};
+use crate::wire::WireMsg;
 
 /// Per-attempt connect timeout: a coordinator that can't even complete
 /// the TCP handshake within this is treated as down.
@@ -58,13 +58,9 @@ pub struct FleetStats {
     epochs_fenced: AtomicU64,
     version_rejects: AtomicU64,
     connect_failures: AtomicU64,
-    binary_conns: AtomicU64,
-    json_conns: AtomicU64,
     /// Fleet power as f64 bits: each node at its latest summary while
     /// the loop runs, at its last tick once it has ended.
     power_bits: AtomicU64,
-    /// Codec id of the latest accepted handshake.
-    last_codec: AtomicU8,
 }
 
 impl FleetStats {
@@ -103,26 +99,10 @@ impl FleetStats {
         self.connect_failures.load(Ordering::SeqCst)
     }
 
-    /// Handshakes that negotiated the binary codec.
-    pub fn binary_conns(&self) -> u64 {
-        self.binary_conns.load(Ordering::SeqCst)
-    }
-
-    /// Handshakes that settled on JSON.
-    pub fn json_conns(&self) -> u64 {
-        self.json_conns.load(Ordering::SeqCst)
-    }
-
     /// Fleet power (W): each node at its latest summary while the loop
     /// runs, at its last tick once it has ended.
     pub fn power_w(&self) -> f64 {
         f64::from_bits(self.power_bits.load(Ordering::SeqCst))
-    }
-
-    /// The codec of the latest accepted handshake, while any agent is
-    /// connected.
-    pub fn negotiated_codec(&self) -> Option<WireCodec> {
-        (self.connected() > 0).then(|| WireCodec::from_id(self.last_codec.load(Ordering::SeqCst)))
     }
 }
 
@@ -503,14 +483,7 @@ impl Fleet {
             };
             match self.slots[idx].core.frame(&msg, now_s) {
                 Heard::Nothing => {}
-                Heard::Accepted { codec, reconnect } => {
-                    transport.set_codec(codec);
-                    match codec {
-                        WireCodec::Binary => &self.stats.binary_conns,
-                        WireCodec::Json => &self.stats.json_conns,
-                    }
-                    .fetch_add(1, Ordering::SeqCst);
-                    self.stats.last_codec.store(codec.id(), Ordering::SeqCst);
+                Heard::Accepted { reconnect } => {
                     if reconnect {
                         self.stats.reconnects.fetch_add(1, Ordering::SeqCst);
                     }
@@ -590,9 +563,6 @@ mod tests {
             stats.summaries_sent(),
             stats.ceilings_applied()
         );
-        // Default preferences on both sides negotiate the binary path.
-        assert_eq!(stats.binary_conns() + stats.json_conns(), n as u64);
-        assert_eq!(stats.negotiated_codec(), Some(WireCodec::Binary));
         let final_stats = fleet.stop();
         let status = server.shutdown().unwrap();
         assert!(status.nodes_reporting > 0);

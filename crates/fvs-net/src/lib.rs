@@ -2,8 +2,9 @@
 //! real sockets, and over a simulated wire.
 //!
 //! [`fvs_cluster::NodeSummary`] and [`fvs_cluster::FrequencyCommand`]
-//! travel a length-prefixed, versioned wire protocol ([`wire`], JSON
-//! `FVS1` with a negotiated binary `FVS2` fast path) between a TCP
+//! travel a length-prefixed, versioned wire protocol ([`wire`]: the
+//! handshake in JSON `FVS1`, every later frame in binary `FVS2`) between
+//! a TCP
 //! [`coordinator::CoordinatorServer`] wrapping the real
 //! [`fvs_cluster::GlobalCoordinator`] and node agents, so heartbeat
 //! timeouts, silent-node charging and blind f_min commands run against
@@ -19,7 +20,7 @@
 //! coordinator's — and all its scheduling and protocol state — are
 //! [`coordinator_core`]'s [`CoordinatorCore`]. The loops drive them,
 //! and so does [`sim`]'s [`ClusterSim`], over a virtual-time wire.
-//! Each connection end's codec, fault, framing and queueing state lives
+//! Each connection end's fault, framing and queueing state lives
 //! in a [`transport::Transport`], which owns no socket and reads no
 //! clock: the same type beside a socket in either loop and at either
 //! end of the simulated wire, and no other code writes a control-plane

@@ -602,14 +602,10 @@ impl ClusterSim {
             let open = match link.ends[end].next_msg() {
                 Ok(None) => return,
                 Err(_) => false,
-                Ok(Some(msg)) if !uplink => {
-                    let heard = self.slots[i].core.frame(&msg, now);
-                    if let (Heard::Accepted { codec, .. }, Some(link)) = (heard, self.link(i, conn))
-                    {
-                        link.ends[end].set_codec(codec);
-                    }
-                    !matches!(heard, Heard::Fenced | Heard::Refused)
-                }
+                Ok(Some(msg)) if !uplink => !matches!(
+                    self.slots[i].core.frame(&msg, now),
+                    Heard::Fenced | Heard::Refused
+                ),
                 Ok(Some(WireMsg::Hello {
                     node,
                     version,
@@ -620,9 +616,6 @@ impl ClusterSim {
                     let core = &mut self.coordinator;
                     let (ack, verdict) = core.hello(conn, node, version, last_epoch, codecs, now);
                     self.send(i, false, &ack, now);
-                    if let (Ok(codec), Some(link)) = (verdict, self.link(i, conn)) {
-                        link.ends[end].set_codec(codec);
-                    }
                     verdict.is_ok()
                 }
                 Ok(Some(WireMsg::Summary(mut summary))) => {

@@ -1,5 +1,5 @@
-//! The transport: one connection end's codec, chaos, framing and
-//! queueing state behind a single API — the same type on a socket in
+//! The transport: one connection end's chaos, framing and queueing
+//! state behind a single API — the same type on a socket in
 //! either driver and at either end of `ClusterSim`'s simulated wire.
 //!
 //! A transport owns no socket and reads no clock. [`Transport::flush`]
@@ -7,9 +7,9 @@
 //! reads from whatever `Read`; every call that can meet a fault carries
 //! `now_s`, the caller's seconds since its start.
 //!
-//! * **Codec seam** — frames go out under the negotiated [`WireCodec`]
-//!   (handshake frames always JSON, see [`encode_with`]); incoming
-//!   frames decode by magic, so both codecs are always readable.
+//! * **Codec** — the handshake goes out as `FVS1` and every other frame
+//!   as `FVS2` (see [`encode_with`]); incoming frames decode by magic,
+//!   so both codecs are always readable.
 //! * **Chaos** — built under a [`WireChaos`] plan that can fire, a
 //!   transport takes [`WireFaultPlan::frame_fault`] once for each frame
 //!   [`Transport::send`] encodes, as it queues it: a partial write
@@ -71,7 +71,6 @@ pub enum FillStatus {
 #[derive(Debug, Default)]
 pub struct Transport {
     reader: FrameReader,
-    codec: WireCodec,
     /// Complete frames (post-fault-decision) awaiting writer space.
     outq: VecDeque<Vec<u8>>,
     /// Bytes of `outq.front()` already written.
@@ -151,8 +150,7 @@ fn sniff_frame(buf: &[u8]) -> (u32, u8) {
 }
 
 impl Transport {
-    /// A transport under no chaos. The write codec starts as JSON — the
-    /// only encoding legal before negotiation completes.
+    /// A transport under no chaos.
     pub fn new() -> Self {
         Self::default()
     }
@@ -199,12 +197,6 @@ impl Transport {
         self.chaos.as_ref().map_or(0, |c| c.injected)
     }
 
-    /// Switch the write codec once negotiation picks one. Reads are
-    /// unaffected — the frame magic decides per frame.
-    pub fn set_codec(&mut self, codec: WireCodec) {
-        self.codec = codec;
-    }
-
     /// Total bytes kept off the reader so far (metrics delta source).
     pub fn bytes_rx(&self) -> u64 {
         self.bytes_rx
@@ -228,14 +220,15 @@ impl Transport {
         self.delayed.iter().map(|&(due, _)| due).reduce(f64::min)
     }
 
-    /// Encode `msg` under the negotiated codec, take the chaos fault
-    /// decision at `now_s`, and queue the surviving bytes. Never blocks;
-    /// call [`Transport::flush`] to move the queue onto the writer.
+    /// Encode `msg` (`FVS2`, but a handshake frame `FVS1`), take the
+    /// chaos fault decision at `now_s`, and queue the surviving bytes.
+    /// Never blocks; call [`Transport::flush`] to move the queue onto
+    /// the writer.
     ///
     /// An `Err` means the connection is unusable (an encode failure, or
     /// a chaos reset: the caller closes it).
     pub fn send(&mut self, msg: &WireMsg, now_s: f64) -> Result<(), FvsError> {
-        let frame = encode_with(msg, self.codec)?;
+        let frame = encode_with(msg, WireCodec::Binary)?;
         let fault = self
             .chaos
             .as_deref_mut()
@@ -459,23 +452,30 @@ pub(crate) mod tests {
         }
     }
 
+    fn hello() -> WireMsg {
+        WireMsg::Hello {
+            node: 1,
+            procs: 64,
+            version: SCHEMA_VERSION,
+            last_epoch: 0,
+            codecs: crate::wire::CODEC_ALL,
+        }
+    }
+
+    /// The handshake crosses as `FVS1`, everything else as `FVS2`.
     #[test]
     fn frames_cross_in_both_codecs() {
         let (mut tx, mut rx) = transport_pair(&WireChaos::none());
         let mut wire = Vec::new();
-        send_flush(&mut tx, &mut wire, &WireMsg::Heartbeat { epoch: 1 }, 0.0);
-        assert_eq!(
-            recv_one(&mut rx, &mut wire),
-            WireMsg::Heartbeat { epoch: 1 }
-        );
-
-        tx.set_codec(WireCodec::Binary);
-        send_flush(&mut tx, &mut wire, &WireMsg::Heartbeat { epoch: 2 }, 0.0);
-        // The receiver never negotiated binary — the magic carries it.
-        assert_eq!(
-            recv_one(&mut rx, &mut wire),
-            WireMsg::Heartbeat { epoch: 2 }
-        );
+        for (msg, magic) in [
+            (hello(), MAGIC),
+            (WireMsg::Heartbeat { epoch: 2 }, MAGIC_V2),
+        ] {
+            send_flush(&mut tx, &mut wire, &msg, 0.0);
+            assert_eq!(wire, encode_with(&msg, WireCodec::Binary).unwrap());
+            assert_eq!(wire[..4], magic);
+            assert_eq!(recv_one(&mut rx, &mut wire), msg);
+        }
     }
 
     #[test]
@@ -486,13 +486,7 @@ pub(crate) mod tests {
             room: 4096,
         };
         // Stuff the socket until writes stop landing, then some more.
-        let msg = WireMsg::Hello {
-            node: 1,
-            procs: 64,
-            version: SCHEMA_VERSION,
-            last_epoch: 0,
-            codecs: crate::wire::CODEC_ALL,
-        };
+        let msg = hello();
         let mut sent = 0u64;
         while tx.queued_bytes() == 0 {
             tx.send(&msg, 0.0).unwrap();
@@ -560,11 +554,6 @@ pub(crate) mod tests {
         });
         let mut wire = Vec::new();
         for round in 0..40 {
-            tx.set_codec(if round % 2 == 0 {
-                WireCodec::Json
-            } else {
-                WireCodec::Binary
-            });
             send_flush(&mut tx, &mut wire, &summary, 0.0);
             let status = rx.fill(&mut wire.as_slice(), 0.0).unwrap();
             wire.clear();

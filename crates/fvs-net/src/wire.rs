@@ -1,5 +1,5 @@
-//! The length-prefixed, versioned wire codec — two negotiated payload
-//! encodings behind one frame shape.
+//! The length-prefixed, versioned wire codec — two payload encodings
+//! behind one frame shape.
 //!
 //! Every frame on the socket is
 //!
@@ -20,11 +20,11 @@
 //!   bits (so NaN payloads survive bit-exactly). See [`WireCodec`] and
 //!   the per-kind layouts in this module's binary section.
 //!
-//! Handshake frames (`hello` / `hello_ack`) are **always** JSON so that
-//! peers predating the binary codec can still read the introduction;
-//! the hello carries a codec bitmask and the ack picks one, after which
-//! each side writes whatever it negotiated. Readers accept both magics
-//! unconditionally — negotiation controls only what a peer *writes*.
+//! The encoding is a property of the frame kind: the handshake (`hello`
+//! / `hello_ack`) is **always** JSON, so that a peer on any schema can
+//! still be refused politely, and every other frame is binary. A hello
+//! whose codec bitmask lacks `FVS2` is refused. Readers accept both
+//! magics unconditionally.
 //!
 //! The magic catches stream desynchronisation and non-fvsst peers; the
 //! length prefix bounds each read (frames over [`MAX_FRAME_LEN`] are
@@ -53,16 +53,16 @@ pub const MAGIC_V2: [u8; 4] = *b"FVS2";
 /// Wire schema version spoken by this build.
 pub const SCHEMA_VERSION: u32 = 1;
 
-/// The payload encoding a transport writes with.
+/// A payload encoding.
 ///
-/// Advertised in the hello as a bitmask ([`WireCodec::bit`]), chosen by
-/// the coordinator in the hello ack ([`WireCodec::id`]). Readers do not
-/// care: [`FrameReader`] dispatches on the frame magic, so both
-/// encodings are always understood.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The hello advertises the codecs an agent reads as a bitmask
+/// ([`CODEC_ALL`]), and an accepting ack names `FVS2`
+/// ([`WireCodec::id`]).
+/// Readers do not care: [`FrameReader`] dispatches on the frame magic,
+/// so both encodings are always understood.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireCodec {
-    /// `FVS1`: self-describing JSON. The fallback every build speaks.
-    #[default]
+    /// `FVS1`: self-describing JSON, the handshake's encoding.
     Json,
     /// `FVS2`: fixed-layout big-endian binary. Roughly an order of
     /// magnitude cheaper to encode/decode for summaries.
@@ -79,28 +79,11 @@ impl WireCodec {
         }
     }
 
-    /// The codec's bit in the hello `codecs` bitmask.
-    pub fn bit(self) -> u8 {
-        match self {
-            WireCodec::Json => CODEC_JSON_BIT,
-            WireCodec::Binary => CODEC_BINARY_BIT,
-        }
-    }
-
-    /// Decode a hello-ack identifier; unknown ids fall back to JSON,
-    /// which every peer speaks.
+    /// Decode a hello-ack identifier; unknown ids read as JSON.
     pub fn from_id(id: u8) -> WireCodec {
         match id {
             2 => WireCodec::Binary,
             _ => WireCodec::Json,
-        }
-    }
-
-    /// Lowercase name for logs and CLI flags.
-    pub fn name(self) -> &'static str {
-        match self {
-            WireCodec::Json => "json",
-            WireCodec::Binary => "binary",
         }
     }
 }
@@ -141,8 +124,8 @@ pub enum WireMsg {
         last_epoch: u64,
         /// Bitmask of payload codecs the agent can read and write
         /// ([`CODEC_JSON_BIT`] | [`CODEC_BINARY_BIT`]). Decodes as
-        /// JSON-only when absent, so agents predating the binary codec
-        /// negotiate down automatically.
+        /// JSON-only when absent; a hello without the binary bit is
+        /// refused.
         codecs: u8,
     },
     /// Coordinator → agent reply to `Hello`: accepted or refused (with
@@ -156,10 +139,9 @@ pub enum WireMsg {
         /// ever seen and fence any coordinator presenting a lower one.
         /// Decodes as 0 when absent, so older peers interoperate.
         epoch: u64,
-        /// [`WireCodec::id`] of the codec the coordinator chose for
-        /// this connection. Decodes as JSON when absent, so acks from
-        /// coordinators predating the binary codec keep the connection
-        /// on the fallback encoding.
+        /// [`WireCodec::id`] of the codec the connection runs after the
+        /// handshake: binary when accepted, JSON when refused. Decodes
+        /// as JSON when absent. Agents do not read it.
         codec: u8,
     },
     /// Agent → coordinator: one measurement window.
@@ -267,11 +249,10 @@ pub fn encode(msg: &WireMsg) -> Result<Vec<u8>, FvsError> {
     Ok(frame)
 }
 
-/// Encode one message under the negotiated codec.
+/// Encode one message under `codec`.
 ///
-/// Handshake frames (`hello` / `hello_ack`) always go out as JSON —
-/// they are exchanged *before* negotiation completes, and a peer
-/// predating the binary codec must be able to read them.
+/// Handshake frames (`hello` / `hello_ack`) always go out as JSON, so
+/// that a peer on any schema can read them.
 pub fn encode_with(msg: &WireMsg, codec: WireCodec) -> Result<Vec<u8>, FvsError> {
     match (codec, msg) {
         (WireCodec::Json, _) | (_, WireMsg::Hello { .. }) | (_, WireMsg::HelloAck { .. }) => {
@@ -651,6 +632,13 @@ pub(crate) fn u64_field_or(v: &Value, key: &str, default: u64) -> Result<u64, Fv
     }
 }
 
+/// [`u64_field_or`] for a byte: a value above 255 is an error, never
+/// narrowed into one.
+fn u8_field_or(v: &Value, key: &str, default: u8) -> Result<u8, FvsError> {
+    u8::try_from(u64_field_or(v, key, u64::from(default))?)
+        .map_err(|_| FvsError::wire(format!("field `{key}` is not a u8")))
+}
+
 pub(crate) fn array_field<'a>(v: &'a Value, key: &str) -> Result<&'a Vec<Value>, FvsError> {
     field(v, key)?
         .as_array()
@@ -740,13 +728,13 @@ pub fn decode_payload(payload: &[u8]) -> Result<WireMsg, FvsError> {
             version,
             last_epoch: u64_field_or(body, "last_epoch", 0)?,
             // Agents predating FVS2 send no mask: they speak JSON only.
-            codecs: u64_field_or(body, "codecs", u64::from(CODEC_JSON_BIT))? as u8,
+            codecs: u8_field_or(body, "codecs", CODEC_JSON_BIT)?,
         }),
         "hello_ack" => Ok(WireMsg::HelloAck {
             accepted: bool_field(body, "accepted")?,
             version,
             epoch: u64_field_or(body, "epoch", 0)?,
-            codec: u64_field_or(body, "codec", u64::from(WireCodec::Json.id()))? as u8,
+            codec: u8_field_or(body, "codec", WireCodec::Json.id())?,
         }),
         "summary" => Ok(WireMsg::Summary(decode_summary(body)?)),
         "ceiling" => Ok(WireMsg::Ceiling(decode_command(body)?)),
@@ -1209,8 +1197,8 @@ mod tests {
         assert_eq!(r.next_frame().unwrap(), Some(b));
     }
 
-    /// `encode_with` pins the handshake to JSON regardless of the
-    /// negotiated codec — a pre-FVS2 peer must be able to read it.
+    /// `encode_with` pins the handshake to JSON, which a peer on any
+    /// schema reads.
     #[test]
     fn handshake_frames_always_encode_as_json() {
         for m in [hello(1, 0), ack(1, WireCodec::Binary)] {
@@ -1221,8 +1209,8 @@ mod tests {
         assert_eq!(&frame[..4], &MAGIC_V2);
     }
 
-    /// Frames from peers predating negotiation carry no codec fields;
-    /// they decode as JSON-only speakers.
+    /// Frames from peers predating the codec fields decode as JSON-only
+    /// speakers.
     #[test]
     fn missing_codec_fields_default_to_json() {
         let legacy = json_text(&hello(5, 0)).replace(&format!(",\"codecs\":{CODEC_ALL}"), "");

@@ -5,8 +5,7 @@
 use fvs_cluster::{ClusterNode, FrequencyCommand};
 use fvs_model::FreqMhz;
 use fvs_net::{
-    AgentConfig, AgentCore, Heard, Phase, Tick, WireCodec, WireMsg, CODEC_ALL, CODEC_JSON_BIT,
-    SCHEMA_VERSION,
+    AgentConfig, AgentCore, Heard, Phase, Tick, WireCodec, WireMsg, CODEC_ALL, SCHEMA_VERSION,
 };
 use fvs_sim::MachineBuilder;
 use fvs_workloads::WorkloadSpec;
@@ -51,8 +50,8 @@ fn ceiling(node: usize) -> WireMsg {
     WireMsg::Ceiling(FrequencyCommand { node, freqs })
 }
 
-fn accepted(codec: WireCodec, reconnect: bool) -> Heard {
-    Heard::Accepted { codec, reconnect }
+fn accepted(reconnect: bool) -> Heard {
+    Heard::Accepted { reconnect }
 }
 
 /// Node 3, speaking the current schema, in `phase` on a link opened at
@@ -60,10 +59,7 @@ fn accepted(codec: WireCodec, reconnect: bool) -> Heard {
 fn at(phase: Phase) -> AgentCore {
     let mut core = fresh();
     core.connected(0.0);
-    assert_eq!(
-        core.frame(&current_ack(), 0.0),
-        accepted(WireCodec::Binary, false)
-    );
+    assert_eq!(core.frame(&current_ack(), 0.0), accepted(false));
     if phase == Phase::Handshaking {
         core.lost();
         core.connected(0.0);
@@ -95,17 +91,10 @@ fn what_a_frame_means() {
     let beat = |epoch| WireMsg::Heartbeat { epoch };
     let rows = [
         // Acks: the current coordinator, one naming a codec this build
-        // has never heard of, a stale one (or an old build at epoch 0).
-        (
-            Handshaking,
-            current_ack(),
-            accepted(WireCodec::Binary, true),
-        ),
-        (
-            Handshaking,
-            ack(true, V, 6, 99),
-            accepted(WireCodec::Json, true),
-        ),
+        // has never heard of (the byte is not read), a stale one (or an
+        // old build at epoch 0).
+        (Handshaking, current_ack(), accepted(true)),
+        (Handshaking, ack(true, V, 6, 99), accepted(true)),
         (Handshaking, ack(true, V, 4, bin), Fenced),
         // Refusals: a stale coordinator speaking our schema is fenced
         // and retried; a current one, or any other schema, is final.
@@ -171,24 +160,19 @@ fn the_fence_follows_the_newest_epoch_acknowledged() {
 
 #[test]
 fn the_hello_states_the_node_the_schema_the_fence_and_the_codecs() {
-    for (prefer, codecs) in [
-        (WireCodec::Json, CODEC_JSON_BIT),
-        (WireCodec::Binary, CODEC_ALL),
-    ] {
-        let machine = MachineBuilder::p630().build();
-        let config = config().with_codec(prefer).with_version(V + 2);
-        let mut core = AgentCore::new(ClusterNode::new(NODE, machine, None), &config);
-        assert_eq!(core.phase(), Phase::Backoff);
-        let hello = WireMsg::Hello {
-            node: NODE,
-            procs: 4,
-            version: V + 2,
-            last_epoch: 0,
-            codecs,
-        };
-        assert_eq!(core.connected(0.0), hello);
-        assert_eq!(core.phase(), Phase::Handshaking);
-    }
+    let machine = MachineBuilder::p630().build();
+    let config = config().with_version(V + 2);
+    let mut core = AgentCore::new(ClusterNode::new(NODE, machine, None), &config);
+    assert_eq!(core.phase(), Phase::Backoff);
+    let hello = WireMsg::Hello {
+        node: NODE,
+        procs: 4,
+        version: V + 2,
+        last_epoch: 0,
+        codecs: CODEC_ALL,
+    };
+    assert_eq!(core.connected(0.0), hello);
+    assert_eq!(core.phase(), Phase::Handshaking);
 }
 
 #[test]
@@ -291,25 +275,16 @@ fn reconnect_is_false_on_the_first_accepted_handshake_and_true_after() {
     core.connected(0.0);
     core.lost();
     core.connected(0.0);
-    assert_eq!(
-        core.frame(&ack(true, V, 0, 0), 0.0),
-        accepted(WireCodec::Json, false)
-    );
+    assert_eq!(core.frame(&ack(true, V, 0, 0), 0.0), accepted(false));
     // The ladder climbs while connects fail ...
     let delays: Vec<Duration> = (0..4).map(|_| core.lost().unwrap()).collect();
     assert!(delays[3] >= BACKOFF_BASE * 4, "{delays:?}");
     // ... and an accepted handshake takes it back to the bottom rung.
     core.connected(1.0);
-    assert_eq!(
-        core.frame(&ack(true, V, 0, 0), 1.0),
-        accepted(WireCodec::Json, true)
-    );
+    assert_eq!(core.frame(&ack(true, V, 0, 0), 1.0), accepted(true));
     assert!(core.lost().unwrap() <= BACKOFF_BASE);
     core.connected(2.0);
-    assert_eq!(
-        core.frame(&current_ack(), 2.0),
-        accepted(WireCodec::Binary, true)
-    );
+    assert_eq!(core.frame(&current_ack(), 2.0), accepted(true));
 }
 
 #[test]

@@ -1,8 +1,8 @@
-//! Cross-codec interop: the negotiated binary codec (`FVS2`) and the
-//! JSON fallback (`FVS1`) must agree on every message.
+//! Cross-codec interop: the binary codec (`FVS2`), which every frame
+//! after the handshake travels in, and the JSON codec (`FVS1`) must
+//! agree on every message.
 //!
-//! Three layers of proof, mirroring how a mixed-version fleet actually
-//! exercises the wire:
+//! Two layers of proof:
 //!
 //! 1. **Property tests** (256 cases each): any summary or command
 //!    encodes under both codecs and decodes back bit-identically —
@@ -12,24 +12,15 @@
 //!    bits, JSON canonicalizes every non-finite value to quiet NaN.
 //! 2. **Fuzz**: truncating or bit-flipping binary frames through the
 //!    same [`FrameReader`] the transport uses never panics.
-//! 3. **A mixed fleet over real sockets**: JSON-pinned and
-//!    binary-preferring agents against one coordinator, verifying the
-//!    per-connection negotiation lands every agent on the right codec
-//!    (and that a JSON-pinned coordinator downgrades everyone).
 
-use fvs_cluster::{ClusterNode, FrequencyCommand, NodeSummary};
+use fvs_cluster::{FrequencyCommand, NodeSummary};
 use fvs_model::{CpiModel, FreqMhz};
 use fvs_net::{
-    decode_payload, decode_payload_binary, encode_with, AgentConfig, AgentFleet, CoordinatorConfig,
-    CoordinatorServer, FrameReader, WireCodec, WireMsg, HEADER_LEN,
+    decode_payload, decode_payload_binary, encode_with, FrameReader, WireCodec, WireMsg, HEADER_LEN,
 };
-use fvs_sched::FvsstAlgorithm;
-use fvs_sim::MachineBuilder;
-use fvs_workloads::WorkloadSpec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // Strategies
@@ -150,9 +141,7 @@ fn assert_summary_bits(got: &WireMsg, want: &NodeSummary) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Finite summaries round-trip bit-identically under BOTH codecs:
-    /// a fleet mixing FVS1 and FVS2 connections feeds the coordinator
-    /// byte-for-byte the same numbers.
+    /// Finite summaries round-trip bit-identically under BOTH codecs.
     #[test]
     fn finite_summaries_agree_across_codecs(s in arb_summary(arb_finite)) {
         let msg = WireMsg::Summary(s.clone());
@@ -246,8 +235,8 @@ proptest! {
 
     /// A frame re-tagged with the *other* codec's magic must not decode
     /// as a valid message by accident — the payload formats are
-    /// disjoint enough that misnegotiation surfaces as an error, not
-    /// silent garbage. (Empty-body frames are exempt: a zero-length
+    /// disjoint enough that a mislabelled frame surfaces as an error,
+    /// not silent garbage. (Empty-body frames are exempt: a zero-length
     /// payload is invalid under both codecs.)
     #[test]
     fn cross_tagged_frames_do_not_silently_decode(s in arb_summary(arb_finite)) {
@@ -256,126 +245,4 @@ proptest! {
         // starts with a kind byte (1..=4), never the '{' JSON needs.
         prop_assert!(decode_payload(&frame[HEADER_LEN..]).is_err());
     }
-}
-
-// ---------------------------------------------------------------------------
-// 3. Mixed fleet over real sockets
-// ---------------------------------------------------------------------------
-
-fn nodes(ids: std::ops::Range<usize>) -> Vec<ClusterNode> {
-    ids.map(|i| {
-        let mut b = MachineBuilder::p630();
-        for core in 0..4 {
-            b = b.workload(core, WorkloadSpec::synthetic(50.0, 1.0e18));
-        }
-        ClusterNode::new(i, b.build(), None)
-    })
-    .collect()
-}
-
-fn wait_until(deadline_s: u64, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + Duration::from_secs(deadline_s);
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    false
-}
-
-/// A coordinator preferring binary, fed by one JSON-pinned fleet and
-/// one binary-preferring fleet: each connection lands on exactly the
-/// codec its hello advertised, and summaries from both dialects ingest
-/// into the same scheduling rounds.
-#[test]
-fn mixed_fleet_negotiates_per_connection() {
-    let per_fleet = 6;
-    let server = CoordinatorServer::bind(
-        "127.0.0.1:0",
-        2 * per_fleet,
-        FvsstAlgorithm::p630(),
-        CoordinatorConfig::default_lan().with_period_s(0.05),
-    )
-    .unwrap();
-
-    let base = AgentConfig::default_lan()
-        .with_tick_s(0.02)
-        .with_summary_every(2);
-    let json_fleet = AgentFleet::launch(
-        nodes(0..per_fleet),
-        server.local_addr(),
-        base.clone().with_codec(WireCodec::Json),
-        Duration::from_millis(50),
-    )
-    .unwrap();
-    let bin_fleet = AgentFleet::launch(
-        nodes(per_fleet..2 * per_fleet),
-        server.local_addr(),
-        base.with_codec(WireCodec::Binary),
-        Duration::from_millis(50),
-    )
-    .unwrap();
-
-    let (js, bs) = (json_fleet.stats(), bin_fleet.stats());
-    assert!(
-        wait_until(20, || js.connected() == per_fleet as u64
-            && bs.connected() == per_fleet as u64
-            && js.ceilings_applied() > 0
-            && bs.ceilings_applied() > 0),
-        "mixed fleet never converged: json={} binary={}",
-        js.connected(),
-        bs.connected(),
-    );
-
-    let js = json_fleet.stop();
-    let bs = bin_fleet.stop();
-    let status = server.shutdown().unwrap();
-
-    // The negotiation split: JSON-pinned agents never got binary, and
-    // binary-preferring agents all got the fast path.
-    assert_eq!(js.json_conns(), per_fleet as u64);
-    assert_eq!(js.binary_conns(), 0);
-    assert_eq!(bs.binary_conns(), per_fleet as u64);
-    assert_eq!(bs.json_conns(), 0);
-    assert_eq!(js.version_rejects() + bs.version_rejects(), 0);
-    assert!(status.nodes_reporting > 0);
-}
-
-/// A JSON-pinned coordinator (`--codec json`) downgrades even
-/// binary-preferring agents: preference is coordinator-side policy,
-/// the agent's advertisement is only a capability mask.
-#[test]
-fn json_pinned_coordinator_downgrades_everyone() {
-    let n = 4;
-    let server = CoordinatorServer::bind(
-        "127.0.0.1:0",
-        n,
-        FvsstAlgorithm::p630(),
-        CoordinatorConfig::default_lan()
-            .with_period_s(0.05)
-            .with_codec(WireCodec::Json),
-    )
-    .unwrap();
-    let fleet = AgentFleet::launch(
-        nodes(0..n),
-        server.local_addr(),
-        AgentConfig::default_lan()
-            .with_tick_s(0.02)
-            .with_summary_every(2)
-            .with_codec(WireCodec::Binary),
-        Duration::from_millis(50),
-    )
-    .unwrap();
-    let stats = fleet.stats();
-    assert!(
-        wait_until(20, || stats.connected() == n as u64
-            && stats.ceilings_applied() > 0),
-        "fleet never converged: connected={}",
-        stats.connected(),
-    );
-    let stats = fleet.stop();
-    server.shutdown().unwrap();
-    assert_eq!(stats.json_conns(), n as u64);
-    assert_eq!(stats.binary_conns(), 0);
 }

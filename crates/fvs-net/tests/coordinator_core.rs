@@ -41,7 +41,7 @@ fn summary(node: usize, power_w: f64) -> NodeSummary {
 
 /// A hello from `node` on `conn`, current schema, both codecs, no epoch
 /// acknowledged yet. Returns the verdict.
-fn hello(core: &mut CoordinatorCore, conn: u64, node: usize) -> Result<WireCodec, Refusal> {
+fn hello(core: &mut CoordinatorCore, conn: u64, node: usize) -> Result<(), Refusal> {
     core.hello(conn, node, SCHEMA_VERSION, 0, CODEC_ALL, 0.0).1
 }
 
@@ -145,24 +145,26 @@ fn an_agent_that_has_seen_a_newer_epoch_fences_this_coordinator() {
     assert_eq!(core.status().connections, 1);
 }
 
+/// Every frame after the handshake is `FVS2`: a hello that reads it is
+/// accepted, one that does not speaks another dialect and is refused,
+/// with a JSON ack, for no node.
 #[test]
-fn binary_is_negotiated_iff_both_sides_want_it() {
-    for (preferred, advertised, chosen) in [
-        (WireCodec::Binary, CODEC_ALL, WireCodec::Binary),
-        (WireCodec::Binary, CODEC_JSON_BIT, WireCodec::Json),
-        (WireCodec::Json, CODEC_ALL, WireCodec::Json),
-        (WireCodec::Json, CODEC_JSON_BIT, WireCodec::Json),
+fn only_a_peer_that_reads_fvs2_is_accepted() {
+    for (advertised, verdict, codec) in [
+        (CODEC_ALL, Ok(()), WireCodec::Binary),
+        (CODEC_JSON_BIT, Err(Refusal::Version), WireCodec::Json),
     ] {
-        let mut core = core(1, &config().with_codec(preferred));
-        let (ack, verdict) = core.hello(1, 0, SCHEMA_VERSION, 0, advertised, 0.0);
-        assert_eq!(verdict, Ok(chosen), "{preferred:?} x {advertised:#04b}");
-        let accepted = WireMsg::HelloAck {
-            accepted: true,
+        let mut core = core(1, &config());
+        let (ack, got) = core.hello(1, 0, SCHEMA_VERSION, 0, advertised, 0.0);
+        assert_eq!(got, verdict, "{advertised:#04b}");
+        let want = WireMsg::HelloAck {
+            accepted: verdict.is_ok(),
             version: SCHEMA_VERSION,
             epoch: 1,
-            codec: chosen.id(),
+            codec: codec.id(),
         };
-        assert_eq!(ack, accepted);
+        assert_eq!(ack, want);
+        assert_eq!(core.node_of(1), verdict.ok().map(|()| 0));
     }
 }
 

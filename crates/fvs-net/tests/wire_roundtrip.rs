@@ -9,8 +9,8 @@ use fvs_cluster::{FrequencyCommand, NodeSummary};
 use fvs_faults::{apply_counter_fault, CounterFaultKind, FaultInjector, FaultPlan};
 use fvs_model::{CounterDelta, CpiModel, FreqMhz};
 use fvs_net::{
-    encode, encode_with, FrameReader, WireCodec, WireMsg, CODEC_ALL, HEADER_LEN, MAGIC, MAGIC_V2,
-    MAX_FRAME_LEN, SCHEMA_VERSION,
+    decode_payload, encode, encode_with, FrameReader, WireCodec, WireMsg, CODEC_ALL, HEADER_LEN,
+    MAGIC, MAGIC_V2, MAX_FRAME_LEN, SCHEMA_VERSION,
 };
 use fvs_telemetry::WireFaultKind;
 use proptest::prelude::*;
@@ -537,6 +537,38 @@ fn a_bad_magic_right_after_a_compaction_is_classified() {
     assert_eq!(faults(&r), (Some(WireFaultKind::BadMagic), 0, 0));
     assert_eq!(faults(&r), want.1);
     assert_eq!(r.pending(), bad.len(), "a refused frame is not consumed");
+}
+
+/// The codec byte of a JSON ack and the codec mask of a JSON hello are
+/// bytes: a larger number is a decode error, never narrowed into one
+/// (`"codecs": 258` would read as `0b10`, an `FVS2` reader).
+#[test]
+fn out_of_range_codec_bytes_in_a_json_handshake_do_not_decode() {
+    let binary = WireCodec::Binary.id();
+    let hello = WireMsg::Hello {
+        node: 1,
+        procs: 4,
+        version: SCHEMA_VERSION,
+        last_epoch: 0,
+        codecs: CODEC_ALL,
+    };
+    let ack = WireMsg::HelloAck {
+        accepted: true,
+        version: SCHEMA_VERSION,
+        epoch: 1,
+        codec: binary,
+    };
+    for (msg, field, byte) in [(hello, "codecs", CODEC_ALL), (ack, "codec", binary)] {
+        let frame = encode(&msg).unwrap();
+        let text = std::str::from_utf8(&frame[HEADER_LEN..]).unwrap();
+        let exact = format!("\"{field}\":{byte}");
+        assert!(text.contains(&exact), "{text}");
+        for (value, decodes) in [(255, true), (258, false), (u64::MAX, false)] {
+            let payload = text.replace(&exact, &format!("\"{field}\":{value}"));
+            let decoded = decode_payload(payload.as_bytes());
+            assert_eq!(decoded.is_ok(), decodes, "{payload}: {decoded:?}");
+        }
+    }
 }
 
 // --- The cursor decoder as oracle -----------------------------------------

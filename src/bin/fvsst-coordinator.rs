@@ -7,7 +7,7 @@
 //!                   [--run S] [--telemetry FILE] [--obs-addr ADDR]
 //!                   [--snapshot FILE] [--snapshot-every S] [--resume]
 //!                   [--grace S] [--chaos PLAN] [--chaos-seed N]
-//!                   [--codec json|binary] [--max-conns N]
+//!                   [--max-conns N]
 //! ```
 //!
 //! Listens for `fvsst-node` agents, runs the paper's global scheduling
@@ -70,7 +70,6 @@ fn net_args() -> NetArgs {
         .with_obs()
         .with_snapshots()
         .with_chaos()
-        .with_codec()
         .with_max_conns()
 }
 
@@ -132,13 +131,10 @@ fn parse_args(args: &[String]) -> Result<Args, FvsError> {
                 let (w, t) = spec
                     .split_once('@')
                     .ok_or_else(|| FvsError::config("--drop takes the form W@T, e.g. 1200@5"))?;
-                let w: f64 = w
-                    .parse()
-                    .map_err(|_| FvsError::config("--drop watts must be a number"))?;
-                let t: f64 = t
-                    .parse()
-                    .map_err(|_| FvsError::config("--drop time must be a number"))?;
-                out.drop = Some((w, t));
+                out.drop = Some((
+                    parse_f64("--drop watts", Some(&w.to_string()))?,
+                    parse_f64("--drop time", Some(&t.to_string()))?,
+                ));
             }
             "--run" => {
                 i += 1;
@@ -164,7 +160,6 @@ fn run(args: Args) -> Result<(), FvsError> {
         .with_deadline_s(args.deadline_s)
         .with_initial_budget_w(args.budget_w)
         .with_resync_grace_s(args.net.grace_s)
-        .with_codec(args.net.codec)
         .with_max_conns(args.net.max_conns)
         .with_telemetry(args.net.telemetry()?)
         .with_tracer(args.net.tracer())
@@ -253,6 +248,31 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("fvsst-coordinator: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `--drop W@T` takes what `--budget` takes in each half: a finite,
+    /// non-negative number. A NaN budget would send every node to f_min
+    /// while `/healthz` called it unlimited.
+    #[test]
+    fn drop_halves_are_finite_and_non_negative() {
+        let parse_drop = |spec: &str| {
+            let argv = ["--drop", spec].map(String::from);
+            parse_args(&argv).map(|args| args.drop)
+        };
+        assert_eq!(parse_drop("1200@5").unwrap(), Some((1200.0, 5.0)));
+        for bad in [
+            "nan@5", "inf@5", "-1@5", "1200@nan", "1200@inf", "1200@-1", "x@5", "1200",
+        ] {
+            assert!(
+                matches!(parse_drop(bad), Err(FvsError::Config(_))),
+                "--drop {bad} was accepted"
+            );
         }
     }
 }

@@ -4,7 +4,7 @@
 //! ```text
 //! fvsst-net-soak [--agents N] [--run S] [--tick S] [--summary-every N]
 //!                [--period S] [--deadline S] [--ramp S] [--seed N]
-//!                [--codec json|binary] [--max-conns N]
+//!                [--max-conns N]
 //! ```
 //!
 //! Binds a [`CoordinatorServer`] (one reactor thread, however many
@@ -60,7 +60,7 @@ fn usage() -> String {
 
 /// The shared flag groups this binary supports.
 fn net_args() -> NetArgs {
-    NetArgs::new().with_codec().with_max_conns()
+    NetArgs::new().with_max_conns()
 }
 
 fn parse_args(args: &[String]) -> Result<Args, FvsError> {
@@ -207,7 +207,6 @@ fn run_fleet_child(args: Args) -> Result<(), FvsError> {
             .with_pace(Duration::from_secs_f64(args.tick_s))
             .with_summary_every(args.summary_every)
             .with_jitter_seed(args.seed)
-            .with_codec(args.net.codec)
             .with_link_timeout(Duration::from_secs_f64(heartbeat_s * 2.0)),
         Duration::from_secs_f64(args.ramp_s),
     )?;
@@ -218,14 +217,11 @@ fn run_fleet_child(args: Args) -> Result<(), FvsError> {
     let stats = fleet.stop();
     println!(
         "{{\"connected\": {}, \"summaries_sent\": {}, \"ceilings_applied\": {}, \
-         \"reconnects\": {}, \"binary_conns\": {}, \"json_conns\": {}, \
-         \"version_rejects\": {}, \"threads\": {}}}",
+         \"reconnects\": {}, \"version_rejects\": {}, \"threads\": {}}}",
         stats.connected(),
         stats.summaries_sent(),
         stats.ceilings_applied(),
         stats.reconnects(),
-        stats.binary_conns(),
-        stats.json_conns(),
         stats.version_rejects(),
         threads
     );
@@ -246,7 +242,6 @@ fn json_u64(line: &str, key: &str) -> u64 {
 
 /// What one soak measured: the fields of the line CI reads with `jq`.
 struct Report<'a> {
-    codec: &'a str,
     agents: usize,
     run_s: f64,
     connected: usize,
@@ -274,22 +269,18 @@ impl Report<'_> {
     /// The one JSON object the soak prints.
     fn line(&self) -> String {
         format!(
-            "{{\"schema\": \"fvsst-net-soak/1\", \"codec\": \"{}\", \"agents\": {}, \
-             \"run_s\": {:.1}, \"connected\": {}, \"connected_end\": {}, \
-             \"binary_conns\": {}, \"json_conns\": {}, \"summaries_sent\": {}, \
+            "{{\"schema\": \"fvsst-net-soak/1\", \"agents\": {}, \"run_s\": {:.1}, \
+             \"connected\": {}, \"connected_end\": {}, \"summaries_sent\": {}, \
              \"ceilings_applied\": {}, \"reconnects\": {}, \"ingest_per_s\": {:.1}, \
              \"fanout_p50_ms\": {:.3}, \"fanout_p99_ms\": {:.3}, \"round_p99_ms\": {:.3}, \
              \"staleness_p50_ms\": {:.3}, \"budget_full_w\": {:.0}, \"budget_drop_w\": {:.0}, \
              \"drop_complied\": {}, \"compliance_wall_s\": {:.3}, \"compliances\": {}, \
              \"violations\": {}, \"final_power_w\": {:.0}, \"threads_coordinator\": {}, \
              \"threads_fleet\": {}, \"ok\": {}}}",
-            self.codec,
             self.agents,
             self.run_s,
             self.connected,
             self.connected_end,
-            json_u64(self.fleet_line, "binary_conns"),
-            json_u64(self.fleet_line, "json_conns"),
             json_u64(self.fleet_line, "summaries_sent"),
             json_u64(self.fleet_line, "ceilings_applied"),
             json_u64(self.fleet_line, "reconnects"),
@@ -337,15 +328,13 @@ fn run(args: Args) -> Result<bool, FvsError> {
             .with_deadline_s(args.deadline_s)
             .with_initial_budget_w(budget_full_w)
             .with_read_deadline_s(heartbeat_s * 2.0)
-            .with_codec(args.net.codec)
             .with_max_conns(args.net.max_conns)
             .with_telemetry(telemetry.clone()),
     )?;
     eprintln!(
-        "coordinator on {} ({} agents, codec {}, budget {:.0} W)",
+        "coordinator on {} ({} agents, budget {:.0} W)",
         server.local_addr(),
         args.agents,
-        args.net.codec.name(),
         budget_full_w
     );
 
@@ -364,8 +353,6 @@ fn run(args: Args) -> Result<bool, FvsError> {
             &args.ramp_s.to_string(),
             "--seed",
             &args.seed.to_string(),
-            "--codec",
-            args.net.codec.name(),
         ])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -433,7 +420,6 @@ fn run(args: Args) -> Result<bool, FvsError> {
     println!(
         "{}",
         Report {
-            codec: args.net.codec.name(),
             agents: args.agents,
             run_s: args.run_s,
             connected: connected_peak,
@@ -503,12 +489,11 @@ mod tests {
     #[test]
     fn report_line_carries_every_key_ci_reads() {
         let line = Report {
-            codec: "binary",
             agents: 512,
             run_s: 10.0,
             connected: 512,
             connected_end: 512,
-            fleet_line: "{\"connected\": 512, \"binary_conns\": 512, \"json_conns\": 0}",
+            fleet_line: "{\"connected\": 512, \"summaries_sent\": 9000}",
             ingest_per_s: 511.9,
             fanout_p50_ms: 3.2,
             fanout_p99_ms: 5.6,
@@ -532,8 +517,7 @@ mod tests {
         }
         for (key, want) in [
             ("connected", 512),
-            ("binary_conns", 512),
-            ("json_conns", 0),
+            ("summaries_sent", 9000),
             ("violations", 0),
             ("threads_coordinator", 2),
             ("threads_fleet", 2),

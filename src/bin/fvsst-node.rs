@@ -5,7 +5,6 @@
 //! fvsst-node [--connect ADDR|none] [--node ID] [--workload cpu|mixed|mem]
 //!            [--tick S] [--summary-every N] [--run S] [--timed]
 //!            [--obs-addr ADDR] [--chaos PLAN] [--chaos-seed N]
-//!            [--codec json|binary]
 //! ```
 //!
 //! Drives the paper's 4-way P630-like machine under a synthetic
@@ -60,7 +59,7 @@ fn usage() -> String {
 
 /// The shared flag groups this binary supports.
 fn net_args() -> NetArgs {
-    NetArgs::new().with_obs().with_chaos().with_codec()
+    NetArgs::new().with_obs().with_chaos()
 }
 
 fn parse_args(args: &[String]) -> Result<Args, FvsError> {
@@ -225,7 +224,6 @@ fn run(args: Args) -> Result<(), FvsError> {
         .with_tick_s(args.tick_s)
         .with_summary_every(args.summary_every)
         .with_jitter_seed(args.net.chaos_seed)
-        .with_codec(args.net.codec)
         .with_chaos(chaos)
         .with_tracer(tracer.clone());
     if args.timed {
