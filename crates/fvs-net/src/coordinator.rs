@@ -25,9 +25,9 @@ use crate::chaos::ChaosSide;
 pub use crate::coordinator_core::CoordinatorStatus;
 use crate::coordinator_core::{CoordinatorCore, Ingest, Refusal, RoundSink};
 use crate::error::FvsError;
-use crate::obs::{HealthReport, ObsHandles, ObsServer};
+use crate::obs::{ObsHandles, ObsServer};
 use crate::reactor::{Reactor, LISTENER_TOKEN};
-use crate::snapshot::{Snapshot, SnapshotStore};
+use crate::snapshot::Snapshot;
 use crate::transport::{FillStatus, Transport};
 use crate::wire::WireMsg;
 use crate::WireChaos;
@@ -333,7 +333,6 @@ struct Driver {
     metrics: NetMetrics,
     /// Zero of the clock every `now_s` handed to the core is read on.
     start: Instant,
-    store: Option<SnapshotStore>,
     accept_seq: u64,
     /// Connections holding chaos-delayed frames, flushed as those come
     /// due; empty under a quiet plan.
@@ -365,10 +364,8 @@ impl CoordinatorServer {
 
         // Resume path: a damaged or missing snapshot is a cold start —
         // worst-case charging is always safe.
-        let store = config.snapshot_path.as_ref().map(SnapshotStore::new);
-        let restored = match &store {
-            Some(store) if config.resume => store
-                .load()
+        let restored = match &config.snapshot_path {
+            Some(path) if config.resume => Snapshot::load(path)
                 .inspect_err(|e| {
                     eprintln!("fvsst-coordinator: snapshot unusable ({e}); cold start")
                 })
@@ -393,7 +390,6 @@ impl CoordinatorServer {
             metrics: NetMetrics::from(&telemetry),
             config,
             start,
-            store,
             accept_seq: 0,
             held: BTreeSet::new(),
             round_s: 0.0,
@@ -435,11 +431,12 @@ impl CoordinatorServer {
         self.shared.status().clone()
     }
 
-    /// The health report — the single code path behind the `/healthz`
-    /// endpoint *and* the coordinator binary's status line, so the wire
-    /// and the terminal can never disagree.
-    pub fn health(&self) -> HealthReport {
-        health_from(&self.shared, self.start)
+    /// The operator's status line: the last round's status, rendered
+    /// now — read as `/healthz` reads it, so the wire and the terminal
+    /// can never disagree.
+    pub fn status_line(&self) -> String {
+        let (status, now_s) = observe(&self.shared, self.start);
+        status.status_line(now_s)
     }
 
     /// Mount the observability listener at `addr` (`/metrics`,
@@ -454,7 +451,10 @@ impl CoordinatorServer {
                 registry: self.telemetry.registry().cloned(),
                 journal: self.telemetry.clone(),
                 tracer: self.tracer.clone(),
-                health: Some(Arc::new(move || health_from(&shared, start))),
+                health: Some(Arc::new(move || {
+                    let (status, now_s) = observe(&shared, start);
+                    (status.healthy(), status.health_json(now_s))
+                })),
             },
         )
     }
@@ -810,8 +810,10 @@ impl Driver {
 /// [`Driver::write_conn`], snapshots onto disk.
 impl RoundSink for Driver {
     fn persist(&mut self, snapshot: &Snapshot) {
-        let Some(store) = &self.store else { return };
-        match store.save(snapshot) {
+        let Some(path) = &self.config.snapshot_path else {
+            return;
+        };
+        match snapshot.save(path) {
             Ok(()) => {
                 self.metrics.snapshots_written.inc();
                 self.config.telemetry.emit(SchedEvent::SnapshotWritten {
@@ -831,35 +833,10 @@ impl RoundSink for Driver {
     }
 }
 
-/// Build a [`HealthReport`] from the last published status. Budget
-/// compliance is against the *conservative* power sum — the same
-/// quantity the paper's ΔT argument bounds — and an infinite budget is
-/// trivially compliant.
-fn health_from(shared: &Shared, start: Instant) -> HealthReport {
-    let status = shared.status().clone();
-    let now_s = start.elapsed().as_secs_f64();
-    let budget_compliant =
-        !status.budget_w.is_finite() || status.conservative_power_w <= status.budget_w;
-    HealthReport {
-        uptime_s: now_s,
-        rounds: status.rounds,
-        last_round_age_s: (now_s - status.last_round_s).max(0.0),
-        nodes_reporting: status.nodes_reporting,
-        dead_nodes: status.dead_nodes,
-        connections: status.connections,
-        budget_w: status.budget_w,
-        conservative_power_w: status.conservative_power_w,
-        reserved_w: status.reserved_w,
-        budget_compliant,
-        compliances: status.compliances,
-        violations: status.violations,
-        epoch: status.epoch,
-        resyncing: status.resyncing,
-        resync_deadline_s: status
-            .resync_deadline_s
-            .map_or(f64::NAN, |deadline_s| (deadline_s - now_s).max(0.0)),
-        degraded: status.dead_nodes > 0 || !budget_compliant,
-    }
+/// The last published status and the time it is read at, on the
+/// event loop's clock: what `/healthz` and the status line render.
+fn observe(shared: &Shared, start: Instant) -> (CoordinatorStatus, f64) {
+    (shared.status().clone(), start.elapsed().as_secs_f64())
 }
 
 #[cfg(test)]
@@ -868,8 +845,8 @@ mod tests {
 
     /// A thread that panics while holding the status lock (a scrape
     /// handler, say) poisons it; the event loop takes that lock every
-    /// round. Rounds must keep advancing, and `status()` / `health()`
-    /// must keep answering.
+    /// round. Rounds must keep advancing, and `status()` /
+    /// `status_line()` must keep answering.
     #[test]
     fn a_poisoned_status_lock_does_not_stop_scheduling() {
         let config = CoordinatorConfig::default_lan().with_period_s(0.005);
@@ -893,7 +870,12 @@ mod tests {
             "rounds stopped at {} after the lock was poisoned",
             server.status().rounds
         );
-        assert!(server.health().rounds >= before + 3);
+        let line = server.status_line();
+        let rounds = line.split(" | rounds ").nth(1);
+        let rounds: u64 = rounds
+            .and_then(|r| r.split(' ').next()?.parse().ok())
+            .unwrap();
+        assert!(rounds >= before + 3, "{line}");
         let last = server.shutdown().unwrap();
         assert!(last.rounds >= before + 3);
     }

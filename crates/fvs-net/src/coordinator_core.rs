@@ -33,11 +33,11 @@
 //! refuses changes neither.
 
 use crate::coordinator::CoordinatorConfig;
-use crate::snapshot::{Snapshot, SnapshotEpisode, SnapshotNode};
+use crate::snapshot::Snapshot;
 use crate::wire::{WireCodec, WireMsg, CODEC_BINARY_BIT, SCHEMA_VERSION};
 use fvs_cluster::{FrequencyCommand, GlobalCoordinator, NodeSummary};
 use fvs_sched::FvsstAlgorithm;
-use fvs_telemetry::{BudgetDeadlineTracker, ComplianceRecord, SchedEvent};
+use fvs_telemetry::{BudgetDeadlineTracker, ComplianceRecord, OpenEpisode, SchedEvent};
 use std::collections::BTreeMap;
 
 /// A point-in-time view of the control plane, for operators and tests.
@@ -73,6 +73,108 @@ pub struct CoordinatorStatus {
     pub last_round_s: f64,
     /// The most recently closed compliance episode.
     pub last_compliance: Option<ComplianceRecord>,
+}
+
+impl CoordinatorStatus {
+    /// The conservative power fits the budget — the quantity the paper's
+    /// ΔT argument bounds; an unlimited budget always fits.
+    fn budget_compliant(&self) -> bool {
+        !self.budget_w.is_finite() || self.conservative_power_w <= self.budget_w
+    }
+
+    /// Dead nodes exist or the budget is not honoured.
+    fn degraded(&self) -> bool {
+        self.dead_nodes > 0 || !self.budget_compliant()
+    }
+
+    /// Whether `/healthz` answers 200. A resyncing coordinator is *not*
+    /// healthy yet: its conservative charges are restored, not observed,
+    /// and the flip to 200 happens only after the round that emits
+    /// `resync_complete`.
+    pub fn healthy(&self) -> bool {
+        !self.degraded() && !self.resyncing
+    }
+
+    /// The `/healthz` body at `now_s` on the coordinator's clock: uptime,
+    /// the age of the last round and the time left in the resync window
+    /// are read against it. Non-finite numbers render as `null`, as in
+    /// the journal.
+    pub fn health_json(&self, now_s: f64) -> String {
+        fn num(x: f64) -> String {
+            if x.is_finite() {
+                format!("{x}")
+            } else {
+                "null".to_string()
+            }
+        }
+        let resync_left_s = self
+            .resync_deadline_s
+            .filter(|_| self.resyncing)
+            .map_or(f64::NAN, |deadline_s| (deadline_s - now_s).max(0.0));
+        format!(
+            concat!(
+                "{{\"status\":\"{}\",\"uptime_s\":{},\"rounds\":{},",
+                "\"last_round_age_s\":{},\"nodes_reporting\":{},",
+                "\"dead_nodes\":{},\"connections\":{},\"budget_w\":{},",
+                "\"conservative_power_w\":{},\"reserved_w\":{},",
+                "\"budget_compliant\":{},\"compliances\":{},",
+                "\"violations\":{},\"epoch\":{},\"resyncing\":{},",
+                "\"resync_deadline_s\":{}}}"
+            ),
+            self.state(["resyncing", "degraded", "ok"]),
+            num(now_s),
+            self.rounds,
+            num((now_s - self.last_round_s).max(0.0)),
+            self.nodes_reporting,
+            self.dead_nodes,
+            self.connections,
+            num(self.budget_w),
+            num(self.conservative_power_w),
+            num(self.reserved_w),
+            self.budget_compliant(),
+            self.compliances,
+            self.violations,
+            self.epoch,
+            self.resyncing,
+            num(resync_left_s),
+        )
+    }
+
+    /// The operator's one-line rendering at `now_s`: what `/healthz`
+    /// says, for a terminal.
+    pub fn status_line(&self, now_s: f64) -> String {
+        let budget = if self.budget_w.is_finite() {
+            format!("{:.1}", self.budget_w)
+        } else {
+            "inf".to_string()
+        };
+        format!(
+            "[{:7.1}s] {} | epoch {} | rounds {} | nodes {} live / {} dead | conn {} | \
+             power {:.1} W / budget {budget} W (reserved {:.1}) | ΔT {} ok / {} late",
+            now_s,
+            self.state(["RESYNC", "DEGRADED", "ok"]),
+            self.epoch,
+            self.rounds,
+            self.nodes_reporting,
+            self.dead_nodes,
+            self.connections,
+            self.conservative_power_w,
+            self.reserved_w,
+            self.compliances,
+            self.violations,
+        )
+    }
+
+    /// Which of `[resyncing, degraded, ok]` names the state.
+    fn state(&self, [resyncing, degraded, ok]: [&'static str; 3]) -> &'static str {
+        if self.resyncing {
+            resyncing
+        } else if self.degraded() {
+            degraded
+        } else {
+            ok
+        }
+    }
 }
 
 /// Where a round's output goes: the event loop's writes sockets and a
@@ -148,9 +250,14 @@ impl CoordinatorCore {
     /// A coordinator for `nodes` nodes whose clock reads zero.
     ///
     /// With `restored`, the resume path: the epoch moves past the
-    /// crashed incarnation's, the *stricter* of the persisted and the
-    /// configured budget stays in force (a pre-crash drop stays
-    /// enforced), and every node's charge comes back stamped stale, so
+    /// crashed incarnation's, and the persisted budget is in force (a
+    /// pre-crash drop stays enforced). A stricter configured budget is a
+    /// drop from it, pending: the first round, owed at once, puts it in
+    /// force as [`set_budget`](Self::set_budget) would — write-ahead,
+    /// `budget_drop`, a new ΔT episode. Every time the snapshot holds is
+    /// on the crashed clock, and is rebased once onto this one by the
+    /// snapshot's `taken_at_s`: an open episode keeps the time it has
+    /// burned, and every node's charge comes back stamped stale, so
     /// until a node reports afresh it is charged
     /// `max(last reported, last commanded)` — or the worst case if the
     /// snapshot knew nothing usable about it. A resumed coordinator is
@@ -172,23 +279,29 @@ impl CoordinatorCore {
             budget_w: config.initial_budget_w,
             ..CoordinatorStatus::default()
         };
+        let mut pending_budget_w = None;
         if let Some(snap) = restored {
             status.epoch = snap.epoch.saturating_add(1);
-            if snap.budget_w < status.budget_w {
+            // A NaN budget is no budget: the configured one stands.
+            if !snap.budget_w.is_nan() {
+                if config.initial_budget_w < snap.budget_w {
+                    pending_budget_w = Some(config.initial_budget_w);
+                }
                 status.budget_w = snap.budget_w;
             }
             status.rounds = snap.rounds;
             status.resyncing = true;
             status.resync_deadline_s = Some(config.resync_grace_s);
             for (i, n) in snap.nodes.iter().enumerate().take(nodes) {
-                let mut r = n.to_restore();
+                let mut r = n.clone();
                 if let Some(s) = &mut r.summary {
                     // Stale by construction: the first liveness sweep
                     // charges the node until a fresh summary lands.
                     // (Not `clamp` alone: a NaN age must sanitize to 0,
                     // and clamp would pass the NaN through.)
-                    let age_s = if n.age_s.is_finite() {
-                        n.age_s.clamp(0.0, 1e9)
+                    let age_s = snap.taken_at_s - s.sent_at_s;
+                    let age_s = if age_s.is_finite() {
+                        age_s.clamp(0.0, 1e9)
                     } else {
                         0.0
                     };
@@ -196,10 +309,13 @@ impl CoordinatorCore {
                 }
                 coordinator.restore_node(i, r);
             }
-            if let Some(ep) = &snap.episode {
-                // Rebase the open ΔT episode onto this clock: time
-                // already burned before the crash stays burned.
-                tracker.restore_episode(ep.to_open(0.0));
+            if let Some(ep) = snap.episode {
+                // Time already burned before the crash stays burned.
+                let age_s = (snap.taken_at_s - ep.dropped_at_s).max(0.0);
+                tracker.restore_episode(OpenEpisode {
+                    dropped_at_s: 0.0 - age_s,
+                    ..ep
+                });
             }
             config.telemetry.emit(SchedEvent::CoordinatorResumed {
                 t_s: 0.0,
@@ -216,7 +332,7 @@ impl CoordinatorCore {
             conns: BTreeMap::new(),
             routes: BTreeMap::new(),
             status,
-            pending_budget_w: None,
+            pending_budget_w,
             last_snapshot_s: 0.0,
         }
     }
@@ -460,36 +576,17 @@ impl CoordinatorCore {
         }
     }
 
-    /// The recoverable state as of `now_s`.
+    /// The recoverable state as of `now_s`, on this clock.
     fn snapshot(&self, now_s: f64) -> Snapshot {
-        let nodes = (0..self.coordinator.num_nodes())
-            .map(|i| {
-                let r = self.coordinator.export_node(i);
-                let r = r.expect("an index below num_nodes exports");
-                let age_s = r
-                    .summary
-                    .as_ref()
-                    .map(|s| (now_s - s.sent_at_s).max(0.0))
-                    .unwrap_or(f64::INFINITY);
-                SnapshotNode {
-                    summary: r.summary,
-                    age_s,
-                    commanded_w: r.commanded_w,
-                    dead: r.dead,
-                    shape: r.shape,
-                }
-            })
-            .collect();
         Snapshot {
             epoch: self.status.epoch,
             budget_w: self.status.budget_w,
             taken_at_s: now_s,
             rounds: self.status.rounds,
-            nodes,
-            episode: self
-                .tracker
-                .export_episode()
-                .map(|ep| SnapshotEpisode::from_open(&ep, now_s)),
+            nodes: (0..self.coordinator.num_nodes())
+                .filter_map(|i| self.coordinator.export_node(i))
+                .collect(),
+            episode: self.tracker.export_episode(),
         }
     }
 }

@@ -57,10 +57,10 @@ pub use coordinator::{CoordinatorConfig, CoordinatorServer, CoordinatorStatus};
 pub use coordinator_core::{CoordinatorCore, Ingest, Refusal, RoundSink};
 pub use error::FvsError;
 pub use fleet::{AgentFleet, FleetHandle, FleetStats};
-pub use obs::{http_get, HealthReport, ObsHandles, ObsServer};
+pub use obs::{http_get, ObsHandles, ObsServer};
 pub use reactor::{Reactor, LISTENER_TOKEN};
-pub use sim::{ClusterConfig, ClusterReport, ClusterSim, DelayQueue, NodeEvent};
-pub use snapshot::{Snapshot, SnapshotEpisode, SnapshotNode, SnapshotStore, SNAPSHOT_VERSION};
+pub use sim::{ClusterConfig, ClusterReport, ClusterSim};
+pub use snapshot::{Snapshot, SNAPSHOT_VERSION};
 pub use transport::{FillStatus, Transport};
 pub use wire::{
     decode_payload, decode_payload_binary, encode, encode_binary, encode_with, FrameReader,

@@ -7,10 +7,8 @@
 //! - `GET /metrics` — Prometheus-style text exposition of the attached
 //!   [`MetricsRegistry`] (per-bucket cumulative lines, `_count`/`_sum`,
 //!   `{quantile="..."}` estimates).
-//! - `GET /healthz` — one [`HealthReport`] as JSON; `200` when healthy,
-//!   `503` when degraded (dead nodes, budget non-compliance). The same
-//!   report renders the coordinator binary's status line, so the wire
-//!   and the terminal can never disagree.
+//! - `GET /healthz` — the mounting role's health as JSON, rendered by
+//!   that role: `200` when it says it is healthy, `503` when not.
 //! - `GET /journal?n=K` — the last `K` (default 100) events of the
 //!   telemetry ring as JSONL.
 //! - `GET /trace` — the span ring as chrome://tracing JSON
@@ -33,136 +31,6 @@ use std::time::{Duration, Instant};
 /// every other scrape waiting.
 const REQUEST_DEADLINE: Duration = Duration::from_millis(300);
 
-/// A point-in-time health summary, served by `/healthz` and rendered as
-/// the coordinator's status line.
-#[derive(Debug, Clone, Default)]
-pub struct HealthReport {
-    /// Seconds since the process bound its sockets.
-    pub uptime_s: f64,
-    /// Scheduling rounds completed.
-    pub rounds: u64,
-    /// Seconds since the last round finished.
-    pub last_round_age_s: f64,
-    /// Nodes that have reported at least once and are presumed live.
-    pub nodes_reporting: usize,
-    /// Nodes currently presumed dead (charged conservatively).
-    pub dead_nodes: usize,
-    /// Sockets currently connected.
-    pub connections: usize,
-    /// Budget in force (W).
-    pub budget_w: f64,
-    /// Conservative cluster power: live reports + reserved (W).
-    pub conservative_power_w: f64,
-    /// Power reserved for silent nodes (W).
-    pub reserved_w: f64,
-    /// The conservative power fits the budget right now.
-    pub budget_compliant: bool,
-    /// Budget-drop episodes closed within ΔT.
-    pub compliances: u64,
-    /// Budget-drop deadline violations.
-    pub violations: u64,
-    /// The coordinator's fencing epoch.
-    pub epoch: u64,
-    /// Inside the post-resume resync grace window: restored charges
-    /// are still being replaced by fresh summaries. Served as its own
-    /// 503 state so operators can tell "resuming" from "broken".
-    pub resyncing: bool,
-    /// Seconds left in the resync grace window (NaN → `null` when not
-    /// resyncing).
-    pub resync_deadline_s: f64,
-    /// Degraded: dead nodes exist or the budget is not honoured.
-    pub degraded: bool,
-}
-
-impl HealthReport {
-    /// Whether `/healthz` should answer 200. A resyncing coordinator
-    /// is *not* healthy yet: its conservative charges are restored,
-    /// not observed, and the flip to 200 happens only after the
-    /// scheduler emits `resync_complete`.
-    pub fn healthy(&self) -> bool {
-        !self.degraded && !self.resyncing
-    }
-
-    /// JSON body of `/healthz` (hand-rolled; non-finite numbers render
-    /// as `null` like the event journal).
-    pub fn to_json(&self) -> String {
-        fn num(x: f64) -> String {
-            if x.is_finite() {
-                format!("{x}")
-            } else {
-                "null".to_string()
-            }
-        }
-        format!(
-            concat!(
-                "{{\"status\":\"{}\",\"uptime_s\":{},\"rounds\":{},",
-                "\"last_round_age_s\":{},\"nodes_reporting\":{},",
-                "\"dead_nodes\":{},\"connections\":{},\"budget_w\":{},",
-                "\"conservative_power_w\":{},\"reserved_w\":{},",
-                "\"budget_compliant\":{},\"compliances\":{},",
-                "\"violations\":{},\"epoch\":{},\"resyncing\":{},",
-                "\"resync_deadline_s\":{}}}"
-            ),
-            if self.resyncing {
-                "resyncing"
-            } else if self.degraded {
-                "degraded"
-            } else {
-                "ok"
-            },
-            num(self.uptime_s),
-            self.rounds,
-            num(self.last_round_age_s),
-            self.nodes_reporting,
-            self.dead_nodes,
-            self.connections,
-            num(self.budget_w),
-            num(self.conservative_power_w),
-            num(self.reserved_w),
-            self.budget_compliant,
-            self.compliances,
-            self.violations,
-            self.epoch,
-            self.resyncing,
-            if self.resyncing {
-                num(self.resync_deadline_s)
-            } else {
-                "null".to_string()
-            },
-        )
-    }
-
-    /// One-line operator rendering (the coordinator's status line).
-    pub fn status_line(&self) -> String {
-        format!(
-            "[{:7.1}s] {} | epoch {} | rounds {} | nodes {} live / {} dead | conn {} | \
-             power {:.1} W / budget {} W (reserved {:.1}) | ΔT {} ok / {} late",
-            self.uptime_s,
-            if self.resyncing {
-                "RESYNC"
-            } else if self.degraded {
-                "DEGRADED"
-            } else {
-                "ok"
-            },
-            self.epoch,
-            self.rounds,
-            self.nodes_reporting,
-            self.dead_nodes,
-            self.connections,
-            self.conservative_power_w,
-            if self.budget_w.is_finite() {
-                format!("{:.1}", self.budget_w)
-            } else {
-                "inf".to_string()
-            },
-            self.reserved_w,
-            self.compliances,
-            self.violations,
-        )
-    }
-}
-
 /// Everything the observability listener serves. Every handle is
 /// optional-by-construction: a disabled [`Telemetry`] or [`Tracer`]
 /// simply yields empty bodies, and a missing health closure turns
@@ -176,9 +44,10 @@ pub struct ObsHandles {
     pub journal: Telemetry,
     /// Span ring behind `GET /trace`.
     pub tracer: Tracer,
-    /// Builder of the `/healthz` report.
+    /// The `/healthz` answer: whether the role is healthy, and its JSON
+    /// body.
     #[allow(clippy::type_complexity)]
-    pub health: Option<Arc<dyn Fn() -> HealthReport + Send + Sync>>,
+    pub health: Option<Arc<dyn Fn() -> (bool, String) + Send + Sync>>,
 }
 
 impl std::fmt::Debug for ObsHandles {
@@ -327,13 +196,12 @@ fn route(target: &str, handles: &ObsHandles) -> (&'static str, &'static str, Str
         }
         "/healthz" => match &handles.health {
             Some(health) => {
-                let report = health();
-                let status = if report.healthy() {
+                let (healthy, mut body) = health();
+                let status = if healthy {
                     "200 OK"
                 } else {
                     "503 Service Unavailable"
                 };
-                let mut body = report.to_json();
                 body.push('\n');
                 (status, "application/json", body)
             }
@@ -407,11 +275,7 @@ mod tests {
             registry: telemetry.registry().cloned(),
             journal: telemetry.clone(),
             tracer: tracer.clone(),
-            health: Some(Arc::new(|| HealthReport {
-                rounds: 7,
-                budget_compliant: true,
-                ..HealthReport::default()
-            })),
+            health: Some(Arc::new(|| (true, r#"{"rounds":7}"#.to_string()))),
         };
         (handles, telemetry, tracer)
     }
@@ -478,10 +342,9 @@ mod tests {
             registry: None,
             journal: telemetry.clone(),
             tracer: Tracer::disabled(),
-            health: Some(Arc::new(|| HealthReport {
-                dead_nodes: 2,
-                degraded: true,
-                ..HealthReport::default()
+            health: Some(Arc::new(|| {
+                let body = r#"{"status":"degraded","dead_nodes":2}"#;
+                (false, body.to_string())
             })),
         };
         let server = ObsServer::bind("127.0.0.1:0", handles).unwrap();
@@ -492,7 +355,9 @@ mod tests {
     }
 
     /// Satellite: `resyncing` is its own 503 state, distinct from
-    /// `degraded`, and the JSON carries the grace-window deadline.
+    /// `degraded`, and the JSON carries the grace-window deadline. (The
+    /// coordinator's rendering of it is pinned in
+    /// `tests/coordinator_core.rs`.)
     #[test]
     fn healthz_resyncing_is_a_distinct_503_with_deadline() {
         let telemetry = Telemetry::disabled();
@@ -500,11 +365,9 @@ mod tests {
             registry: None,
             journal: telemetry.clone(),
             tracer: Tracer::disabled(),
-            health: Some(Arc::new(|| HealthReport {
-                resyncing: true,
-                resync_deadline_s: 1.75,
-                budget_compliant: true,
-                ..HealthReport::default()
+            health: Some(Arc::new(|| {
+                let body = r#"{"status":"resyncing","resync_deadline_s":1.75}"#;
+                (false, body.to_string())
             })),
         };
         let server = ObsServer::bind("127.0.0.1:0", handles).unwrap();
@@ -512,16 +375,6 @@ mod tests {
         assert_eq!(code, 503);
         assert!(body.contains("\"status\":\"resyncing\""), "{body}");
         assert!(body.contains("\"resync_deadline_s\":1.75"), "{body}");
-        // Once the window closes the deadline reads null and the
-        // report is healthy again.
-        let done = HealthReport {
-            resyncing: false,
-            resync_deadline_s: f64::NAN,
-            budget_compliant: true,
-            ..HealthReport::default()
-        };
-        assert!(done.healthy());
-        assert!(done.to_json().contains("\"resync_deadline_s\":null"));
     }
 
     /// Bugfix: the read timeout bounded each `read`, not the request,
@@ -558,15 +411,5 @@ mod tests {
         let (code, _) = answer.expect("a scrape behind a slow client is still answered");
         assert_eq!(code, 200);
         assert!(waited < Duration::from_secs(1), "waited {waited:?}");
-    }
-
-    #[test]
-    fn health_report_renders_infinite_budget() {
-        let r = HealthReport {
-            budget_w: f64::INFINITY,
-            ..HealthReport::default()
-        };
-        assert!(r.to_json().contains("\"budget_w\":null"));
-        assert!(r.status_line().contains("budget inf W"));
     }
 }

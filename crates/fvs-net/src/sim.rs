@@ -5,7 +5,7 @@
 //! each node an [`AgentCore`], the coordinator a [`CoordinatorCore`],
 //! and between them one [`Transport`] at each end of every connection,
 //! as on a socket: every hello, ack, summary, ceiling and heartbeat is
-//! sent and flushed by one end, crosses a [`DelayQueue`] (`latency_s`
+//! sent and flushed by one end, crosses a delay queue (`latency_s`
 //! each way) and is filled into the other. The cores say when a round is
 //! owed, what a frame means and when to reconnect; this adds the world:
 //! one clock for every machine, scripted outages and budget changes, the
@@ -142,31 +142,17 @@ pub struct ClusterReport {
     pub reserved_w: f64,
 }
 
-/// A scripted node availability change: machines crash, get drained for
-/// maintenance, and come back — the coordinator must keep the rest of
-/// the cluster compliant throughout.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct NodeEvent {
-    /// When the change takes effect (s).
-    pub at_s: f64,
-    /// Affected node.
-    pub node: usize,
-    /// `true` = the node (re)joins; `false` = it goes offline (cores
-    /// powered down, its connection gone).
-    pub online: bool,
-}
-
 /// A queue that delivers messages after a simulated network delay,
 /// preserving send order among messages with equal delivery times.
 #[derive(Debug, Default)]
-pub struct DelayQueue<T> {
+struct DelayQueue<T> {
     /// In delivery order, equal times in send order.
     pending: VecDeque<(f64, T)>,
 }
 
 impl<T> DelayQueue<T> {
     /// Enqueue `msg` for delivery at `deliver_at_s`.
-    pub fn send(&mut self, deliver_at_s: f64, msg: T) {
+    fn send(&mut self, deliver_at_s: f64, msg: T) {
         let at = self
             .pending
             .partition_point(|(t, _)| t.total_cmp(&deliver_at_s).is_le());
@@ -174,13 +160,14 @@ impl<T> DelayQueue<T> {
     }
 
     /// Pop every message whose delivery time has arrived.
-    pub fn recv_ready(&mut self, now_s: f64) -> Vec<T> {
+    fn recv_ready(&mut self, now_s: f64) -> Vec<T> {
         let due = self.pending.partition_point(|(t, _)| *t <= now_s);
         self.pending.drain(..due).map(|(_, msg)| msg).collect()
     }
 
     /// Messages still in flight.
-    pub fn in_flight(&self) -> usize {
+    #[cfg(test)]
+    fn in_flight(&self) -> usize {
         self.pending.len()
     }
 }
@@ -238,8 +225,10 @@ pub struct ClusterSim {
     peak_power_w: f64,
     budget_drop_at: Option<f64>,
     compliance_at: Option<f64>,
-    /// Availability changes not yet applied, in time order.
-    node_events: Vec<NodeEvent>,
+    /// The fault plan's outages not yet applied, in time order: when,
+    /// which node, and whether it comes back (`true`) or goes offline
+    /// (cores powered down, its connection gone).
+    availability: Vec<(f64, usize, bool)>,
     faults: FaultInjector,
     chaos: WireChaos,
     /// Frame faults the agents' ends have injected.
@@ -302,25 +291,23 @@ impl ClusterSim {
             peak_power_w: 0.0,
             budget_drop_at: None,
             compliance_at: None,
-            node_events: Vec::new(),
+            availability: Vec::new(),
             faults: FaultInjector::disabled(),
             chaos: WireChaos::none(),
             wire_faults: Arc::new(Counter::new()),
         }
     }
 
-    /// Script node availability changes; they merge with any scheduled
-    /// already (a fault plan's outages, say), in time order.
-    pub fn with_node_events(mut self, events: Vec<NodeEvent>) -> Self {
-        self.node_events.extend(events);
-        self.node_events.sort_by(|a, b| a.at_s.total_cmp(&b.at_s));
-        self
-    }
-
-    /// Attach a fault injector: its outages join the availability events,
-    /// its budget drops (fractions of the initial budget) the schedule;
-    /// counter faults corrupt summaries before they are encoded, and
-    /// message faults take the frames, seeded from the injector's seed.
+    /// Attach a fault injector: its outages take nodes offline and back,
+    /// its budget drops (fractions of the initial budget) join the
+    /// schedule; counter faults corrupt summaries before they are
+    /// encoded, and message faults take the frames, seeded from the
+    /// injector's seed.
+    ///
+    /// # Panics
+    ///
+    /// When an outage names a node the cluster does not have: a plan
+    /// that cannot be run is refused, not run without it.
     pub fn with_faults(mut self, injector: FaultInjector) -> Self {
         let plan = injector.plan();
         let initial = self.config.budget.initial_w();
@@ -330,19 +317,30 @@ impl ClusterSim {
                 budget_w: initial * drop.factor,
             });
         }
-        let events = plan.node_outages.iter().flat_map(|o| {
-            let event = |at_s, online| NodeEvent {
-                at_s,
-                node: o.node,
-                online,
-            };
-            let back = o.up_s.is_finite().then(|| event(o.up_s, true));
-            std::iter::once(event(o.down_s, false)).chain(back)
-        });
-        let events = events.collect();
+        for o in &plan.node_outages {
+            if o.node >= self.slots.len() {
+                let up = if o.up_s.is_finite() {
+                    format!(":{}", o.up_s)
+                } else {
+                    String::new()
+                };
+                panic!(
+                    "fault plan clause node={}@{}{up} names a node this {}-node cluster \
+                     does not have",
+                    o.node,
+                    o.down_s,
+                    self.slots.len()
+                );
+            }
+            self.availability.push((o.down_s, o.node, false));
+            if o.up_s.is_finite() {
+                self.availability.push((o.up_s, o.node, true));
+            }
+        }
+        self.availability.sort_by(|a, b| a.0.total_cmp(&b.0));
         self.chaos = WireChaos::new(plan.wire.clone(), injector.seed());
         self.faults = injector;
-        self.with_node_events(events)
+        self
     }
 
     /// The coordinator's scheduler (degradation state: reserve, dead
@@ -420,13 +418,11 @@ impl ClusterSim {
     /// Advance the whole cluster one dispatch tick.
     pub fn step_tick(&mut self) {
         let t_s = self.config.t_s;
-        // Apply any availability events due by the end of this tick.
+        // Apply any outage edges due by the end of this tick.
         let end = self.now_s() + t_s;
-        let due = self.node_events.partition_point(|e| e.at_s <= end);
-        for ev in self.node_events.drain(..due).collect::<Vec<_>>() {
-            if ev.node < self.slots.len() {
-                self.set_online(ev.node, ev.online);
-            }
+        let due = self.availability.partition_point(|&(at_s, ..)| at_s <= end);
+        for (_, node, online) in self.availability.drain(..due).collect::<Vec<_>>() {
+            self.set_online(node, online);
         }
         // Every agent ticks, linked or not (offline cores execute and
         // draw nothing); large clusters fan that work out across threads.
@@ -695,14 +691,16 @@ mod tests {
     use super::*;
     use fvs_faults::FaultPlan;
     use fvs_workloads::Tier;
+    use proptest::prelude::*;
 
     /// Unlimited, then `budget_w` from `at_s` on.
     fn cut(at_s: f64, budget_w: f64) -> BudgetSchedule {
         BudgetSchedule::with_events(f64::INFINITY, vec![BudgetEvent { at_s, budget_w }])
     }
 
-    fn event(at_s: f64, node: usize, online: bool) -> NodeEvent {
-        NodeEvent { at_s, node, online }
+    /// An injector for `plan`'s clauses and nothing else.
+    fn outages(plan: &str) -> FaultInjector {
+        FaultInjector::new(FaultPlan::parse(plan).unwrap(), 1)
     }
 
     #[test]
@@ -724,6 +722,37 @@ mod tests {
         q.send(1.0, 2);
         q.send(1.0, 3);
         assert_eq!(q.recv_ready(1.0), vec![1, 2, 3]);
+    }
+
+    proptest! {
+        /// DelayQueue delivers every message exactly once, in
+        /// delivery-time order, never early.
+        #[test]
+        fn delay_queue_delivers_everything_in_order(
+            sends in prop::collection::vec((0.0f64..10.0, 0u32..1000), 1..50),
+            polls in prop::collection::vec(0.0f64..12.0, 1..30),
+        ) {
+            let mut q = DelayQueue::default();
+            for (at, msg) in &sends {
+                q.send(*at, (*at, *msg));
+            }
+            let mut polls = polls.clone();
+            polls.sort_by(f64::total_cmp);
+            polls.push(11.0); // final drain
+            let mut received = Vec::new();
+            for now in polls {
+                for (deliver_at, msg) in q.recv_ready(now) {
+                    prop_assert!(deliver_at <= now, "early delivery");
+                    received.push((deliver_at, msg));
+                }
+            }
+            prop_assert_eq!(received.len(), sends.len());
+            // Delivery-time ordering.
+            for w in received.windows(2) {
+                prop_assert!(w[0].0 <= w[1].0 + 1e-12);
+            }
+            prop_assert_eq!(q.in_flight(), 0);
+        }
     }
 
     #[test]
@@ -770,18 +799,13 @@ mod tests {
         ClusterSim::three_tier(2, 1, ClusterConfig::rack().with_latency_s(-0.001));
     }
 
-    /// Node events scripted after a fault plan join its outages instead
-    /// of replacing them.
+    /// Bugfix: an outage for a node the cluster does not have was
+    /// skipped, so `node=9@1` on a 4-node cell injected nothing and the
+    /// cell still reported compliant.
     #[test]
-    fn scripted_events_merge_with_the_plans_outages() {
-        let plan = FaultPlan::parse("node=1@0.5").unwrap();
-        let mut sim = ClusterSim::three_tier(3, 3, ClusterConfig::rack())
-            .with_faults(FaultInjector::new(plan, 1))
-            .with_node_events(vec![event(0.3, 2, false)]);
-        sim.run_for(1.0);
-        assert!(sim.is_online(0));
-        assert!(!sim.is_online(1), "the plan's outage was dropped");
-        assert!(!sim.is_online(2));
+    #[should_panic(expected = "node=9@1 names a node this 4-node cluster does not have")]
+    fn an_outage_for_a_missing_node_is_refused() {
+        ClusterSim::three_tier(4, 1, ClusterConfig::rack()).with_faults(outages("node=9@1"));
     }
 
     #[test]
@@ -827,8 +851,7 @@ mod tests {
     fn node_failure_and_rejoin_keep_cluster_compliant() {
         // 4 nodes × 4 cores; budget forces scheduling throughout.
         let config = ClusterConfig::rack().with_budget(BudgetSchedule::constant(1200.0));
-        let mut sim = ClusterSim::three_tier(4, 21, config)
-            .with_node_events(vec![event(1.0, 0, false), event(2.0, 0, true)]);
+        let mut sim = ClusterSim::three_tier(4, 21, config).with_faults(outages("node=0@1.0:2.0"));
         // Before the failure.
         sim.run_for(0.9);
         assert!(sim.is_online(0));
@@ -856,8 +879,8 @@ mod tests {
 
     #[test]
     fn offline_node_does_not_execute_work() {
-        let mut sim = ClusterSim::three_tier(2, 3, ClusterConfig::rack())
-            .with_node_events(vec![event(0.5, 1, false)]);
+        let mut sim =
+            ClusterSim::three_tier(2, 3, ClusterConfig::rack()).with_faults(outages("node=1@0.5"));
         sim.run_for(0.5);
         let before = sim.node(1).machine().core(0).stats().body_instructions;
         sim.run_for(1.0);

@@ -2,18 +2,21 @@
 //!
 //! A [`Snapshot`] captures everything the coordinator must not forget
 //! across a crash: the fencing epoch, the *enforced* budget, each
-//! node's last summary (with its age), the last commanded ceiling, the
-//! dead flag and learned shape, and any open budget-deadline episode.
-//! [`SnapshotStore`] persists it atomically (temp file + rename) so a
-//! crash mid-write leaves the previous snapshot intact.
+//! node's [`NodeRestore`] (last summary, last commanded ceiling, dead
+//! flag, learned shape) and any open budget-deadline [`OpenEpisode`] —
+//! the records the coordinator keeps, as it keeps them, their times on
+//! the exporter's clock. `taken_at_s` is that clock at capture, so the
+//! restorer rebases every time once, by it. [`Snapshot::save`] persists
+//! atomically (temp file + rename) so a crash mid-write leaves the
+//! previous snapshot intact.
 //!
-//! On-disk format: one header line `FVSSNAP v1 <fnv1a64-hex>\n`
+//! On-disk format: one header line `FVSSNAP v2 <fnv1a64-hex>\n`
 //! followed by the body JSON. The checksum covers the exact body
 //! bytes, so truncation or a single flipped bit is detected and the
 //! whole file is rejected — the caller then cold-starts with
 //! worst-case charging, which is always safe, merely slower to
-//! converge. Every decode failure is a clean [`FvsError`]; nothing in
-//! this module panics on hostile bytes.
+//! converge. So is a file of another version. Every decode failure is a
+//! clean [`FvsError`]; nothing in this module panics on hostile bytes.
 //!
 //! Floats: the wire codec maps non-finite floats to JSON `null`, which
 //! is the right lossy choice for summaries in flight but would erase
@@ -25,81 +28,20 @@
 
 use std::fs;
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::error::FvsError;
 use crate::wire;
-use fvs_cluster::{NodeRestore, NodeSummary};
+use fvs_cluster::NodeRestore;
 use fvs_telemetry::OpenEpisode;
 use serde::{Serialize, Value};
 
-/// Snapshot format version (the `v1` in the header line).
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Snapshot format version (the `v2` in the header line).
+pub const SNAPSHOT_VERSION: u32 = 2;
 
-const HEADER_PREFIX: &str = "FVSSNAP v1 ";
-
-/// Per-node persisted state: [`NodeRestore`] plus the summary's age at
-/// snapshot time, so the restorer can re-stamp it against its own
-/// clock (absolute coordinator timestamps do not survive a restart).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotNode {
-    /// Last accepted summary, if any.
-    pub summary: Option<NodeSummary>,
-    /// How old that summary was when the snapshot was taken, seconds.
-    pub age_s: f64,
-    /// Power implied by the last commanded frequency vector.
-    pub commanded_w: f64,
-    /// Whether the node had been declared dead.
-    pub dead: bool,
-    /// Learned processor count (`None` until a summary revealed it).
-    pub shape: Option<usize>,
-}
-
-impl SnapshotNode {
-    /// The restore payload for [`fvs_cluster::GlobalCoordinator`].
-    pub fn to_restore(&self) -> NodeRestore {
-        NodeRestore {
-            summary: self.summary.clone(),
-            commanded_w: self.commanded_w,
-            dead: self.dead,
-            shape: self.shape,
-        }
-    }
-}
-
-/// An open budget-deadline episode, ages instead of absolute times.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SnapshotEpisode {
-    /// Seconds between the budget drop and the snapshot.
-    pub age_s: f64,
-    /// The dropped-to budget being chased.
-    pub budget_w: f64,
-    /// Scheduling rounds spent inside the episode so far.
-    pub rounds: u32,
-    /// Whether the deadline-violation event already fired.
-    pub violation_emitted: bool,
-}
-
-impl SnapshotEpisode {
-    /// Capture an exported tracker episode at `now_s` coordinator time.
-    pub fn from_open(ep: &OpenEpisode, now_s: f64) -> Self {
-        SnapshotEpisode {
-            age_s: (now_s - ep.dropped_at_s).max(0.0),
-            budget_w: ep.budget_w,
-            rounds: ep.rounds,
-            violation_emitted: ep.violation_emitted,
-        }
-    }
-
-    /// Rebase onto a fresh clock where `now_s` is the restore instant.
-    pub fn to_open(&self, now_s: f64) -> OpenEpisode {
-        OpenEpisode {
-            dropped_at_s: now_s - self.age_s.max(0.0),
-            budget_w: self.budget_w,
-            rounds: self.rounds,
-            violation_emitted: self.violation_emitted,
-        }
-    }
+/// The header line up to its checksum.
+fn header_prefix() -> String {
+    format!("FVSSNAP v{SNAPSHOT_VERSION} ")
 }
 
 /// Versioned, checksummed image of the coordinator's volatile state.
@@ -111,14 +53,15 @@ pub struct Snapshot {
     /// the scheduler acts on a change, so a crash can never un-enforce
     /// a drop).
     pub budget_w: f64,
-    /// Coordinator clock at capture, seconds since its start.
+    /// Coordinator clock at capture, seconds since its start: the clock
+    /// every time below is on.
     pub taken_at_s: f64,
     /// Scheduling rounds completed.
     pub rounds: u64,
     /// Per-node state, indexed by node id.
-    pub nodes: Vec<SnapshotNode>,
+    pub nodes: Vec<NodeRestore>,
     /// Open ΔT episode, if a budget drop was still being chased.
-    pub episode: Option<SnapshotEpisode>,
+    pub episode: Option<OpenEpisode>,
 }
 
 /// FNV-1a 64-bit over the body bytes — tiny, dependency-free, and
@@ -161,7 +104,7 @@ fn float_field(v: &Value, key: &str) -> Result<f64, FvsError> {
     }
 }
 
-fn node_value(n: &SnapshotNode) -> Value {
+fn node_value(n: &NodeRestore) -> Value {
     wire::obj(vec![
         (
             "summary",
@@ -170,7 +113,6 @@ fn node_value(n: &SnapshotNode) -> Value {
                 None => Value::Null,
             },
         ),
-        ("age_s", float_value(n.age_s)),
         ("commanded_w", float_value(n.commanded_w)),
         ("dead", Value::Bool(n.dead)),
         (
@@ -183,7 +125,7 @@ fn node_value(n: &SnapshotNode) -> Value {
     ])
 }
 
-fn decode_node(v: &Value) -> Result<SnapshotNode, FvsError> {
+fn decode_node(v: &Value) -> Result<NodeRestore, FvsError> {
     if !v.is_object() {
         return Err(FvsError::wire("snapshot: node entry is not an object"));
     }
@@ -199,25 +141,24 @@ fn decode_node(v: &Value) -> Result<SnapshotNode, FvsError> {
                 .ok_or_else(|| FvsError::wire("snapshot: field `shape` is not an index"))?,
         ),
     };
-    Ok(SnapshotNode {
+    Ok(NodeRestore {
         summary,
-        age_s: float_field(v, "age_s")?,
         commanded_w: float_field(v, "commanded_w")?,
         dead: wire::bool_field(v, "dead")?,
         shape,
     })
 }
 
-fn episode_value(ep: &SnapshotEpisode) -> Value {
+fn episode_value(ep: &OpenEpisode) -> Value {
     wire::obj(vec![
-        ("age_s", float_value(ep.age_s)),
+        ("dropped_at_s", float_value(ep.dropped_at_s)),
         ("budget_w", float_value(ep.budget_w)),
         ("rounds", Value::UInt(u64::from(ep.rounds))),
         ("violation_emitted", Value::Bool(ep.violation_emitted)),
     ])
 }
 
-fn decode_episode(v: &Value) -> Result<SnapshotEpisode, FvsError> {
+fn decode_episode(v: &Value) -> Result<OpenEpisode, FvsError> {
     if !v.is_object() {
         return Err(FvsError::wire("snapshot: episode is not an object"));
     }
@@ -226,8 +167,8 @@ fn decode_episode(v: &Value) -> Result<SnapshotEpisode, FvsError> {
         .and_then(Value::as_u64)
         .and_then(|x| u32::try_from(x).ok())
         .ok_or_else(|| FvsError::wire("snapshot: episode `rounds` is not a u32"))?;
-    Ok(SnapshotEpisode {
-        age_s: float_field(v, "age_s")?,
+    Ok(OpenEpisode {
+        dropped_at_s: float_field(v, "dropped_at_s")?,
         budget_w: float_field(v, "budget_w")?,
         rounds,
         violation_emitted: wire::bool_field(v, "violation_emitted")?,
@@ -257,7 +198,8 @@ impl Snapshot {
         ]);
         let body = serde_json::to_string(&body)?;
         Ok(format!(
-            "{HEADER_PREFIX}{:016x}\n{body}",
+            "{}{:016x}\n{body}",
+            header_prefix(),
             fnv1a64(body.as_bytes())
         ))
     }
@@ -271,7 +213,7 @@ impl Snapshot {
             .split_once('\n')
             .ok_or_else(|| FvsError::wire("snapshot: missing header line"))?;
         let sum_hex = header
-            .strip_prefix(HEADER_PREFIX)
+            .strip_prefix(&header_prefix())
             .ok_or_else(|| FvsError::wire("snapshot: bad or unsupported header"))?;
         let want = u64::from_str_radix(sum_hex, 16)
             .map_err(|_| FvsError::wire("snapshot: checksum is not hex"))?;
@@ -320,52 +262,35 @@ impl Snapshot {
             episode,
         })
     }
-}
 
-/// Atomic file persistence for [`Snapshot`]s.
-#[derive(Debug, Clone)]
-pub struct SnapshotStore {
-    path: PathBuf,
-}
-
-impl SnapshotStore {
-    /// A store writing to `path`.
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        SnapshotStore { path: path.into() }
-    }
-
-    /// Where snapshots land.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Persist atomically: write a sibling temp file, fsync, rename.
-    /// A crash at any point leaves either the old snapshot or the new
-    /// one — never a torn file (and a torn rename target would fail
-    /// the checksum anyway).
-    pub fn save(&self, snapshot: &Snapshot) -> Result<(), FvsError> {
-        let text = snapshot.encode()?;
-        let tmp = self.path.with_extension("tmp");
+    /// Persist atomically at `path`: write a sibling temp file, fsync,
+    /// rename. A crash at any point leaves either the old snapshot or
+    /// the new one — never a torn file (and a torn rename target would
+    /// fail the checksum anyway).
+    pub fn save(&self, path: &Path) -> Result<(), FvsError> {
+        let text = self.encode()?;
+        let tmp = path.with_extension("tmp");
         {
             let mut f = fs::File::create(&tmp)?;
             f.write_all(text.as_bytes())?;
             f.sync_all()?;
         }
-        fs::rename(&tmp, &self.path)?;
+        fs::rename(&tmp, path)?;
         Ok(())
     }
 
-    /// Load and verify the snapshot. `Err` covers both "no file" and
-    /// "file is damaged"; the caller treats either as a cold start.
-    pub fn load(&self) -> Result<Snapshot, FvsError> {
-        let text = fs::read_to_string(&self.path)?;
-        Snapshot::decode(&text)
+    /// Load and verify the snapshot at `path`. `Err` covers both "no
+    /// file" and "file is damaged"; the caller treats either as a cold
+    /// start.
+    pub fn load(path: &Path) -> Result<Snapshot, FvsError> {
+        Snapshot::decode(&fs::read_to_string(path)?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fvs_cluster::NodeSummary;
     use fvs_model::{CpiModel, FreqMhz};
 
     fn sample_summary(node: usize) -> NodeSummary {
@@ -392,23 +317,21 @@ mod tests {
             taken_at_s: 17.25,
             rounds: 42,
             nodes: vec![
-                SnapshotNode {
+                NodeRestore {
                     summary: Some(sample_summary(0)),
-                    age_s: 0.75,
                     commanded_w: 410.0,
                     dead: false,
                     shape: Some(2),
                 },
-                SnapshotNode {
+                NodeRestore {
                     summary: None,
-                    age_s: f64::INFINITY,
                     commanded_w: 0.0,
                     dead: true,
                     shape: None,
                 },
             ],
-            episode: Some(SnapshotEpisode {
-                age_s: 1.5,
+            episode: Some(OpenEpisode {
+                dropped_at_s: 15.75,
                 budget_w: 900.0,
                 rounds: 7,
                 violation_emitted: false,
@@ -429,11 +352,11 @@ mod tests {
         let mut snap = sample_snapshot();
         snap.budget_w = f64::INFINITY;
         snap.nodes[0].commanded_w = f64::NEG_INFINITY;
-        snap.nodes[0].age_s = f64::NAN;
+        snap.episode.as_mut().unwrap().dropped_at_s = f64::NAN;
         let back = Snapshot::decode(&snap.encode().unwrap()).unwrap();
         assert_eq!(back.budget_w, f64::INFINITY);
         assert_eq!(back.nodes[0].commanded_w, f64::NEG_INFINITY);
-        assert!(back.nodes[0].age_s.is_nan());
+        assert!(back.episode.unwrap().dropped_at_s.is_nan());
     }
 
     #[test]
@@ -456,50 +379,60 @@ mod tests {
         }
     }
 
+    /// Seal `body` under this build's header.
+    fn sealed(body: &str) -> String {
+        format!(
+            "{}{:016x}\n{body}",
+            header_prefix(),
+            fnv1a64(body.as_bytes())
+        )
+    }
+
     #[test]
     fn foreign_versions_and_headers_are_refused() {
         let snap = sample_snapshot();
         let text = snap.encode().unwrap();
-        let forged = text.replace("\"snapshot_version\":1", "\"snapshot_version\":2");
+        assert!(text.starts_with("FVSSNAP v2 "), "{text}");
+        let forged = text.replace("\"snapshot_version\":2", "\"snapshot_version\":3");
         // Version swap changes the body → checksum catches it first;
         // re-seal with a fresh checksum to reach the version check.
         let body = forged.split_once('\n').unwrap().1;
-        let resealed = format!("{HEADER_PREFIX}{:016x}\n{body}", fnv1a64(body.as_bytes()));
-        let err = Snapshot::decode(&resealed).unwrap_err();
+        let err = Snapshot::decode(&sealed(body)).unwrap_err();
         assert!(err.to_string().contains("not supported"), "{err}");
         assert!(Snapshot::decode("GARBAGE").is_err());
         assert!(Snapshot::decode("").is_err());
+    }
+
+    /// A file the v1 format wrote (ages, not times) is refused whole, by
+    /// its header and, re-sealed, by its version: the caller cold-starts.
+    #[test]
+    fn a_v1_file_is_refused() {
+        let v1 = concat!(
+            "FVSSNAP v1 b942bbf31a38b03a\n",
+            r#"{"snapshot_version":1,"epoch":3,"budget_w":1200.0,"taken_at_s":17.25,"#,
+            r#""rounds":42,"nodes":[{"summary":null,"age_s":"inf","commanded_w":410.0,"#,
+            r#""dead":false,"shape":4}],"episode":{"age_s":1.5,"budget_w":900.0,"#,
+            r#""rounds":7,"violation_emitted":false}}"#
+        );
+        let err = Snapshot::decode(v1).unwrap_err();
+        assert!(err.to_string().contains("unsupported header"), "{err}");
+        let err = Snapshot::decode(&sealed(v1.split_once('\n').unwrap().1)).unwrap_err();
+        assert!(err.to_string().contains("not supported"), "{err}");
     }
 
     #[test]
     fn store_saves_atomically_and_loads_back() {
         let dir = std::env::temp_dir().join(format!("fvs-snap-test-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
-        let store = SnapshotStore::new(dir.join("coord.snap"));
-        assert!(store.load().is_err(), "no file yet");
+        let path = dir.join("coord.snap");
+        assert!(Snapshot::load(&path).is_err(), "no file yet");
         let mut snap = sample_snapshot();
-        store.save(&snap).unwrap();
-        assert_eq!(store.load().unwrap(), snap);
+        snap.save(&path).unwrap();
+        assert_eq!(Snapshot::load(&path).unwrap(), snap);
         snap.epoch = 4;
         snap.budget_w = 800.0;
-        store.save(&snap).unwrap();
-        assert_eq!(store.load().unwrap().epoch, 4);
+        snap.save(&path).unwrap();
+        assert_eq!(Snapshot::load(&path).unwrap().epoch, 4);
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn episode_rebases_across_clocks() {
-        let ep = OpenEpisode {
-            dropped_at_s: 10.0,
-            budget_w: 900.0,
-            rounds: 3,
-            violation_emitted: true,
-        };
-        let snap_ep = SnapshotEpisode::from_open(&ep, 11.5);
-        assert!((snap_ep.age_s - 1.5).abs() < 1e-12);
-        let back = snap_ep.to_open(0.25);
-        assert!((back.dropped_at_s - (0.25 - 1.5)).abs() < 1e-12);
-        assert_eq!(back.rounds, 3);
-        assert!(back.violation_emitted);
     }
 }

@@ -3,14 +3,14 @@
 //! and reads what came out — through a recording [`RoundSink`], the
 //! status, and an in-memory journal.
 
-use fvs_cluster::NodeSummary;
+use fvs_cluster::{NodeRestore, NodeSummary};
 use fvs_model::{CpiModel, FreqMhz};
 use fvs_net::{
-    CoordinatorConfig, CoordinatorCore, Ingest, Refusal, RoundSink, Snapshot, SnapshotNode,
+    CoordinatorConfig, CoordinatorCore, CoordinatorStatus, Ingest, Refusal, RoundSink, Snapshot,
     WireCodec, WireMsg, CODEC_ALL, CODEC_JSON_BIT, SCHEMA_VERSION,
 };
 use fvs_sched::FvsstAlgorithm;
-use fvs_telemetry::{SchedEvent, Telemetry};
+use fvs_telemetry::{OpenEpisode, SchedEvent, Telemetry};
 
 const PERIOD_S: f64 = 0.1;
 const TIMEOUT_S: f64 = 0.5;
@@ -433,9 +433,11 @@ fn snapshot_of(nodes: usize) -> Snapshot {
         taken_at_s: 42.0,
         rounds: 17,
         nodes: (0..nodes)
-            .map(|node| SnapshotNode {
-                summary: Some(summary(node, 300.0)),
-                age_s: 0.1,
+            .map(|node| NodeRestore {
+                summary: Some(NodeSummary {
+                    sent_at_s: 41.9,
+                    ..summary(node, 300.0)
+                }),
                 commanded_w: 400.0,
                 dead: false,
                 shape: Some(4),
@@ -524,4 +526,240 @@ fn resync_ends_at_its_deadline_with_the_silent_still_charged() {
         });
     assert_eq!(complete, Some((2.0, 1, 1)));
     assert_eq!(core.status().conservative_power_w, 250.0 + 400.0);
+}
+
+/// The first `SchedEvent` `pick` matches, from `telemetry`'s ring.
+fn first<T>(telemetry: &Telemetry, pick: impl Fn(SchedEvent) -> Option<T>) -> Option<T> {
+    telemetry.events().into_iter().find_map(pick)
+}
+
+/// Bugfix: a budget configured stricter than the snapshot's was put in
+/// force silently — no write-ahead snapshot, no `budget_drop`, no ΔT
+/// episode — while the restored episode went on judging compliance
+/// against the looser budget. Now the resume is at the snapshot's
+/// budget and the first round cuts to the configured one as
+/// `set_budget` would.
+#[test]
+fn a_stricter_budget_configured_at_resume_is_a_budget_drop() {
+    let config = config()
+        .with_initial_budget_w(800.0)
+        .with_snapshots("never-opened.snap", 10.0);
+    let mut snap = snapshot_of(2);
+    snap.episode = Some(OpenEpisode {
+        dropped_at_s: 41.5,
+        budget_w: 1000.0,
+        rounds: 3,
+        violation_emitted: false,
+    });
+    let mut core = CoordinatorCore::new(2, FvsstAlgorithm::p630(), &config, Some(&snap));
+    assert_eq!(core.until_round_s(0.0), 0.0, "the cut cannot wait");
+    for node in 0..2 {
+        hello(&mut core, 1 + node as u64, node).unwrap();
+        core.ingest(Some(node), &mut summary(node, 450.0), 0.05);
+    }
+    let calls = round(&mut core, 0.1);
+    assert_eq!(
+        calls.first(),
+        Some(&Call::Persist(800.0)),
+        "write-ahead first"
+    );
+    assert_eq!(core.status().budget_w, 800.0);
+    let drop = first(&config.telemetry, |ev| match ev {
+        SchedEvent::BudgetDrop {
+            t_s, from_w, to_w, ..
+        } => Some((t_s, from_w, to_w)),
+        _ => None,
+    });
+    assert_eq!(drop, Some((0.1, 1000.0, 800.0)));
+    // 900 W meets the restored episode's 1 000 W, not the 800 W in force.
+    assert!(!kinds(&config.telemetry).contains(&"budget_compliance"));
+
+    for node in 0..2 {
+        core.ingest(Some(node), &mut summary(node, 350.0), 0.15);
+    }
+    round(&mut core, 0.2);
+    let compliance = first(&config.telemetry, |ev| match ev {
+        SchedEvent::BudgetCompliance {
+            t_s,
+            rounds,
+            wall_s,
+            ..
+        } => Some((t_s, rounds, wall_s)),
+        _ => None,
+    });
+    assert_eq!(compliance, Some((0.2, 2, 0.2 - 0.1)), "timed from the cut");
+}
+
+/// A snapshot's times are on the crashed clock and are rebased once, by
+/// its `taken_at_s`. Each row: two summaries arrive, the budget drops
+/// out of reach (the episode stays open), a cadence snapshot is taken at
+/// `t`, written, read back and resumed. The restored summaries and ΔT
+/// clock are those of the format that stored ages, bit for bit: a
+/// summary `age = t − arrival` old comes back sent at
+/// `−(age + timeout + 1)`, and the drop `t − drop` before the resume.
+#[test]
+fn a_resume_rebases_every_time_once_by_the_snapshot_clock() {
+    // (arrivals, drop at, snapshot at)
+    let rows: [([f64; 2], f64, f64); 5] = [
+        ([0.05, 0.07], 0.12, 0.2),
+        ([10.37, 10.41], 10.43, 13.7),
+        ([0.3, 1.9], 2.0, 2.0 + 1.0 / 3.0),
+        ([1e-9, 12_345.678_9], 12_345.7, 12_346.1),
+        ([0.1, 0.1], 0.1, 0.1 + 1e-3),
+    ];
+    for (arrivals, drop_s, t) in rows {
+        let crashed = config()
+            .with_snapshots("never-opened.snap", 1e-3)
+            .with_deadline_s(1e9);
+        let mut a = core(2, &crashed);
+        for (node, &at) in arrivals.iter().enumerate() {
+            hello(&mut a, 1 + node as u64, node).unwrap();
+            a.ingest(Some(node), &mut summary(node, 300.0), at);
+        }
+        a.set_budget(100.0);
+        round(&mut a, drop_s);
+        let snap = a.run_round(t, &mut Recorder::default());
+        let text = snap.expect("cadence is due").encode().unwrap();
+        let snap = Snapshot::decode(&text).unwrap();
+
+        let resumed = config();
+        let mut b = CoordinatorCore::new(2, FvsstAlgorithm::p630(), &resumed, Some(&snap));
+        for (node, &at) in arrivals.iter().enumerate() {
+            let age_s = (t - at).max(0.0).clamp(0.0, 1e9);
+            let want = -(age_s + TIMEOUT_S + 1.0);
+            let got = b.coordinator().latest_summary(node).unwrap().sent_at_s;
+            assert_eq!(got.to_bits(), want.to_bits(), "row at {t}: {got} vs {want}");
+        }
+        // The open episode's clock, read off its compliance.
+        for node in 0..2 {
+            hello(&mut b, 1 + node as u64, node).unwrap();
+            b.ingest(Some(node), &mut summary(node, 10.0), 0.05);
+        }
+        round(&mut b, 0.1);
+        let wall_s = first(&resumed.telemetry, |ev| match ev {
+            SchedEvent::BudgetCompliance { wall_s, .. } => Some(wall_s),
+            _ => None,
+        });
+        let dropped_at_s = 0.0 - (t - drop_s).max(0.0);
+        let want = 0.1 - dropped_at_s;
+        assert_eq!(wall_s.map(f64::to_bits), Some(want.to_bits()), "row at {t}");
+    }
+}
+
+/// The coordinator's `/healthz` body and status line, byte for byte as
+/// the `HealthReport` they replaced rendered them: ok, degraded under
+/// an unlimited budget, degraded over a finite one, and resyncing.
+#[test]
+fn healthz_bodies_and_status_lines_match_the_golden_strings() {
+    let ok = CoordinatorStatus {
+        rounds: 42,
+        nodes_reporting: 3,
+        conservative_power_w: 850.5,
+        budget_w: 1200.0,
+        connections: 3,
+        compliances: 2,
+        epoch: 1,
+        last_round_s: 9.75,
+        ..CoordinatorStatus::default()
+    };
+    let degraded_unlimited = CoordinatorStatus {
+        rounds: 7,
+        nodes_reporting: 1,
+        dead_nodes: 1,
+        reserved_w: 560.0,
+        conservative_power_w: 860.25,
+        budget_w: f64::INFINITY,
+        connections: 1,
+        violations: 1,
+        epoch: 2,
+        last_round_s: 3.5,
+        ..CoordinatorStatus::default()
+    };
+    let over = CoordinatorStatus {
+        rounds: 9,
+        nodes_reporting: 2,
+        conservative_power_w: 1300.0,
+        budget_w: 1200.0,
+        connections: 2,
+        compliances: 1,
+        epoch: 1,
+        last_round_s: 4.0,
+        ..CoordinatorStatus::default()
+    };
+    let resyncing = CoordinatorStatus {
+        rounds: 17,
+        nodes_reporting: 2,
+        reserved_w: 800.0,
+        conservative_power_w: 800.0,
+        budget_w: 1000.0,
+        connections: 2,
+        epoch: 4,
+        resyncing: true,
+        resync_deadline_s: Some(2.0),
+        last_round_s: 0.25,
+        ..CoordinatorStatus::default()
+    };
+    let golden = [
+        (
+            ok,
+            10.0,
+            true,
+            concat!(
+                r#"{"status":"ok","uptime_s":10,"rounds":42,"last_round_age_s":0.25,"#,
+                r#""nodes_reporting":3,"dead_nodes":0,"connections":3,"budget_w":1200,"#,
+                r#""conservative_power_w":850.5,"reserved_w":0,"budget_compliant":true,"#,
+                r#""compliances":2,"violations":0,"epoch":1,"resyncing":false,"#,
+                r#""resync_deadline_s":null}"#
+            ),
+            "[   10.0s] ok | epoch 1 | rounds 42 | nodes 3 live / 0 dead | conn 3 | \
+             power 850.5 W / budget 1200.0 W (reserved 0.0) | ΔT 2 ok / 0 late",
+        ),
+        (
+            degraded_unlimited,
+            3.625,
+            false,
+            concat!(
+                r#"{"status":"degraded","uptime_s":3.625,"rounds":7,"last_round_age_s":0.125,"#,
+                r#""nodes_reporting":1,"dead_nodes":1,"connections":1,"budget_w":null,"#,
+                r#""conservative_power_w":860.25,"reserved_w":560,"budget_compliant":true,"#,
+                r#""compliances":0,"violations":1,"epoch":2,"resyncing":false,"#,
+                r#""resync_deadline_s":null}"#
+            ),
+            "[    3.6s] DEGRADED | epoch 2 | rounds 7 | nodes 1 live / 1 dead | conn 1 | \
+             power 860.2 W / budget inf W (reserved 560.0) | ΔT 0 ok / 1 late",
+        ),
+        (
+            over,
+            4.0625,
+            false,
+            concat!(
+                r#"{"status":"degraded","uptime_s":4.0625,"rounds":9,"last_round_age_s":0.0625,"#,
+                r#""nodes_reporting":2,"dead_nodes":0,"connections":2,"budget_w":1200,"#,
+                r#""conservative_power_w":1300,"reserved_w":0,"budget_compliant":false,"#,
+                r#""compliances":1,"violations":0,"epoch":1,"resyncing":false,"#,
+                r#""resync_deadline_s":null}"#
+            ),
+            "[    4.1s] DEGRADED | epoch 1 | rounds 9 | nodes 2 live / 0 dead | conn 2 | \
+             power 1300.0 W / budget 1200.0 W (reserved 0.0) | ΔT 1 ok / 0 late",
+        ),
+        (
+            resyncing,
+            0.5,
+            false,
+            concat!(
+                r#"{"status":"resyncing","uptime_s":0.5,"rounds":17,"last_round_age_s":0.25,"#,
+                r#""nodes_reporting":2,"dead_nodes":0,"connections":2,"budget_w":1000,"#,
+                r#""conservative_power_w":800,"reserved_w":800,"budget_compliant":true,"#,
+                r#""compliances":0,"violations":0,"epoch":4,"resyncing":true,"#,
+                r#""resync_deadline_s":1.5}"#
+            ),
+            "[    0.5s] RESYNC | epoch 4 | rounds 17 | nodes 2 live / 0 dead | conn 2 | \
+             power 800.0 W / budget 1000.0 W (reserved 800.0) | ΔT 0 ok / 0 late",
+        ),
+    ];
+    for (status, now_s, healthy, body, line) in golden {
+        assert_eq!(status.healthy(), healthy, "{status:?}");
+        assert_eq!(status.health_json(now_s), body);
+        assert_eq!(status.status_line(now_s), line);
+    }
 }

@@ -4,12 +4,11 @@
 //! a clean error, never a panic and never a silently different
 //! snapshot.
 
-use fvs_cluster::NodeSummary;
+use fvs_cluster::{NodeRestore, NodeSummary};
 use fvs_model::{CpiModel, FreqMhz};
-use fvs_net::{
-    CoordinatorConfig, CoordinatorCore, RoundSink, Snapshot, SnapshotEpisode, SnapshotNode, WireMsg,
-};
+use fvs_net::{CoordinatorConfig, CoordinatorCore, RoundSink, Snapshot, WireMsg};
 use fvs_sched::FvsstAlgorithm;
+use fvs_telemetry::OpenEpisode;
 use proptest::prelude::*;
 
 /// Any f64, with the non-finite specials drawn often enough to matter.
@@ -59,18 +58,16 @@ fn arb_summary() -> impl Strategy<Value = Option<NodeSummary>> {
         })
 }
 
-fn arb_node() -> impl Strategy<Value = SnapshotNode> {
+fn arb_node() -> impl Strategy<Value = NodeRestore> {
     (
         arb_summary(),
-        arb_f64(),
         arb_f64(),
         any::<bool>(),
         (any::<bool>(), 0usize..16),
     )
         .prop_map(
-            |(summary, age_s, commanded_w, dead, (has_shape, procs))| SnapshotNode {
+            |(summary, commanded_w, dead, (has_shape, procs))| NodeRestore {
                 summary,
-                age_s,
                 commanded_w,
                 dead,
                 shape: has_shape.then_some(procs),
@@ -78,7 +75,7 @@ fn arb_node() -> impl Strategy<Value = SnapshotNode> {
         )
 }
 
-fn arb_episode() -> impl Strategy<Value = Option<SnapshotEpisode>> {
+fn arb_episode() -> impl Strategy<Value = Option<OpenEpisode>> {
     (
         arb_f64(),
         arb_f64(),
@@ -86,9 +83,9 @@ fn arb_episode() -> impl Strategy<Value = Option<SnapshotEpisode>> {
         any::<bool>(),
         any::<bool>(),
     )
-        .prop_map(|(age_s, budget_w, rounds, violation_emitted, has)| {
-            has.then_some(SnapshotEpisode {
-                age_s,
+        .prop_map(|(dropped_at_s, budget_w, rounds, violation_emitted, has)| {
+            has.then_some(OpenEpisode {
+                dropped_at_s,
                 budget_w,
                 rounds,
                 violation_emitted,
@@ -250,7 +247,6 @@ proptest! {
         prop_assert!(same_float(snap.taken_at_s, back.taken_at_s));
         prop_assert_eq!(back.nodes.len(), snap.nodes.len());
         for (b, s) in back.nodes.iter().zip(&snap.nodes) {
-            prop_assert!(same_float(s.age_s, b.age_s));
             prop_assert!(same_float(s.commanded_w, b.commanded_w));
             prop_assert_eq!(b.dead, s.dead);
             prop_assert_eq!(b.shape, s.shape);
@@ -259,7 +255,7 @@ proptest! {
         match (&snap.episode, &back.episode) {
             (None, None) => {}
             (Some(s), Some(b)) => {
-                prop_assert!(same_float(s.age_s, b.age_s));
+                prop_assert!(same_float(s.dropped_at_s, b.dropped_at_s));
                 prop_assert!(same_float(s.budget_w, b.budget_w));
                 prop_assert_eq!(b.rounds, s.rounds);
                 prop_assert_eq!(b.violation_emitted, s.violation_emitted);

@@ -27,12 +27,10 @@ mod bank;
 pub mod core;
 pub mod machine;
 pub mod noise;
-pub mod pacing;
 pub mod trace;
 
 pub use crate::core::{CoreStats, PhaseCursor};
 pub use actuator::{Actuator, DvfsActuator, ThrottleActuator, ThrottlePowerModel};
 pub use machine::{CoreView, CoreViewMut, Machine, MachineBuilder, MachineConfig};
 pub use noise::NoiseModel;
-pub use pacing::{PaceReport, Pacer};
 pub use trace::{ResidencyHistogram, TraceRecorder, TraceSample};

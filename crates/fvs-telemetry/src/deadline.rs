@@ -24,19 +24,12 @@ pub struct ComplianceRecord {
     pub within_deadline: bool,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Episode {
-    dropped_at_s: f64,
-    budget_w: f64,
-    rounds: u32,
-    violation_emitted: bool,
-}
-
-/// A portable image of an open compliance episode, for crash-recovery
-/// snapshots. The caller owns the clock: it exports `dropped_at_s` on
-/// one timeline and restores it rebased onto another (a resumed
-/// coordinator restores `now − age` so the `ΔT` clock keeps running
-/// across the restart instead of resetting).
+/// An open compliance episode: a drop awaiting compliance. It is what
+/// the tracker holds and what a crash-recovery snapshot keeps. The
+/// caller owns the clock: it exports `dropped_at_s` on one timeline and
+/// restores it rebased onto another (a resumed coordinator restores
+/// `now − age` so the `ΔT` clock keeps running across the restart
+/// instead of resetting).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpenEpisode {
     /// When the budget dropped (s, exporter's clock).
@@ -54,7 +47,7 @@ pub struct OpenEpisode {
 #[derive(Debug, Clone)]
 pub struct BudgetDeadlineTracker {
     deadline_s: f64,
-    episode: Option<Episode>,
+    episode: Option<OpenEpisode>,
     compliances: u64,
     violations: u64,
     last: Option<ComplianceRecord>,
@@ -101,12 +94,7 @@ impl BudgetDeadlineTracker {
     /// The open episode as a portable image (crash-recovery snapshots),
     /// or `None` when no drop is awaiting compliance.
     pub fn export_episode(&self) -> Option<OpenEpisode> {
-        self.episode.map(|ep| OpenEpisode {
-            dropped_at_s: ep.dropped_at_s,
-            budget_w: ep.budget_w,
-            rounds: ep.rounds,
-            violation_emitted: ep.violation_emitted,
-        })
+        self.episode
     }
 
     /// Reopen an episode exported by [`Self::export_episode`], replacing
@@ -115,12 +103,7 @@ impl BudgetDeadlineTracker {
     /// the time already burned before the crash still counts against
     /// `ΔT`.
     pub fn restore_episode(&mut self, ep: OpenEpisode) {
-        self.episode = Some(Episode {
-            dropped_at_s: ep.dropped_at_s,
-            budget_w: ep.budget_w,
-            rounds: ep.rounds,
-            violation_emitted: ep.violation_emitted,
-        });
+        self.episode = Some(ep);
     }
 
     /// Inform the tracker of a budget change at `now_s`. A *drop* opens
@@ -130,7 +113,7 @@ impl BudgetDeadlineTracker {
     /// target is moot).
     pub fn on_budget_change(&mut self, now_s: f64, from_w: f64, to_w: f64) -> Option<SchedEvent> {
         if to_w < from_w {
-            self.episode = Some(Episode {
+            self.episode = Some(OpenEpisode {
                 dropped_at_s: now_s,
                 budget_w: to_w,
                 rounds: 0,

@@ -25,8 +25,8 @@
 //! estimates), `GET /healthz` (JSON health, `503` when degraded),
 //! `GET /journal?n=K` (event tail as JSONL) and `GET /trace`
 //! (chrome://tracing span export; `?fmt=flame` for text). The once-a-
-//! second status line printed here renders the *same* `HealthReport`
-//! that `/healthz` serves — one code path, two consumers.
+//! second status line printed here renders the *same* status that
+//! `/healthz` serves, read the same way — two consumers, one reading.
 //!
 //! Durability: `--snapshot FILE` persists checksummed crash-recovery
 //! snapshots every `--snapshot-every` seconds (and write-ahead on every
@@ -212,9 +212,9 @@ fn run(args: Args) -> Result<(), FvsError> {
             break;
         }
         if last_print.elapsed() >= Duration::from_secs(1) {
-            // The exact report `/healthz` serves, rendered for the
-            // terminal — the wire and the console cannot disagree.
-            println!("{}", server.health().status_line());
+            // The status `/healthz` serves, rendered for the terminal —
+            // the wire and the console cannot disagree.
+            println!("{}", server.status_line());
             last_print = Instant::now();
         }
         std::thread::sleep(Duration::from_millis(20));

@@ -179,13 +179,10 @@ fn main() -> ExitCode {
         tree.ingest(summary(node, 0.0, args.seed, false));
     }
 
-    // Live health while the drill runs: round progress and budget
-    // compliance so far, shared with the obs thread through a mutex.
-    let health = std::sync::Arc::new(std::sync::Mutex::new(HealthReport {
-        nodes_reporting: args.nodes,
-        budget_compliant: true,
-        ..HealthReport::default()
-    }));
+    // Live health while the drill runs, `(healthy, body)`: round
+    // progress and budget compliance so far, rendered every round and
+    // shared with the obs thread through a mutex.
+    let health = std::sync::Arc::new(std::sync::Mutex::new((true, "{\"rounds\":0}".to_string())));
     let obs = match &args.net.obs_addr {
         Some(addr) => {
             let health = std::sync::Arc::clone(&health);
@@ -262,18 +259,18 @@ fn main() -> ExitCode {
         if !tree.rack_online(0) && tree.reserved_w() > 0.0 {
             dead_rack_charged = true;
         }
-        {
-            let mut h = health.lock().expect("health poisoned");
-            h.uptime_s = timer.elapsed().as_secs_f64();
-            h.rounds = tree.rounds();
-            h.last_round_age_s = 0.0;
-            h.budget_w = budget_w;
-            h.conservative_power_w = tree.predicted_power_w();
-            h.reserved_w = tree.reserved_w();
-            h.dead_nodes = usize::from(!tree.rack_online(0));
-            h.budget_compliant = over_budget_rounds == 0;
-            h.degraded = !tree.rack_online(0) || over_budget_rounds > 0;
-        }
+        let healthy = tree.rack_online(0) && over_budget_rounds == 0;
+        let body = format!(
+            "{{\"status\":\"{}\",\"rounds\":{},\"budget_w\":{budget_w},\
+             \"predicted_power_w\":{},\"reserved_w\":{},\"rack_0_online\":{},\
+             \"over_budget_rounds\":{over_budget_rounds}}}",
+            if healthy { "ok" } else { "degraded" },
+            tree.rounds(),
+            tree.predicted_power_w(),
+            tree.reserved_w(),
+            tree.rack_online(0),
+        );
+        *health.lock().expect("health poisoned") = (healthy, body);
     }
     let wall_s = timer.elapsed().as_secs_f64();
     drop(obs);

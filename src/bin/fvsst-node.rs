@@ -2,7 +2,7 @@
 //! coordinator socket.
 //!
 //! ```text
-//! fvsst-node [--connect ADDR|none] [--node ID] [--workload cpu|mixed|mem]
+//! fvsst-node [--connect ADDR] [--node ID] [--workload cpu|mixed|mem]
 //!            [--tick S] [--summary-every N] [--run S] [--timed]
 //!            [--obs-addr ADDR] [--chaos PLAN] [--chaos-seed N]
 //! ```
@@ -17,16 +17,14 @@
 //! `--timed` switches to wall-clock real-time pacing: each `--tick`
 //! seconds of simulation takes that many wall seconds, so the node can
 //! stand in for live hardware on the paper's real `t = 10 ms` sampling
-//! cadence during long coordinator soaks. With `--connect none` the
-//! timed node runs a standalone pacing drill (no coordinator): it ticks
-//! locally for `--run` seconds, prints the achieved cadence, and fails
-//! if the mean tick strays more than 25 % from target — the CI
-//! sanity check for the pacing loop.
+//! cadence during long coordinator soaks.
 //!
 //! `--obs-addr ADDR` mounts the node-side observability plane:
-//! `GET /healthz` answers from the agent's live counters (degraded =
-//! not currently connected to the coordinator) and `GET /trace` serves
-//! the agent's `node.apply` spans, one per ceiling actuated.
+//! `GET /healthz` serves the agent's own counters — `status` (`ok`, or
+//! `degraded` and a 503 while not connected to the coordinator),
+//! `connected`, `summaries_sent`, `ceilings_applied`, `reconnects`,
+//! `epochs_fenced` and `power_w` — and `GET /trace` serves the agent's
+//! `node.apply` spans, one per ceiling actuated.
 //!
 //! `--chaos PLAN` wraps the agent's socket in deterministic wire-fault
 //! injection (same grammar as the coordinator's flag, e.g.
@@ -50,7 +48,7 @@ struct Args {
 
 fn usage() -> String {
     format!(
-        "usage: fvsst-node [--connect ADDR|none] [--node ID] \
+        "usage: fvsst-node [--connect ADDR] [--node ID] \
          [--workload cpu|mixed|mem] [--tick S] [--summary-every N] [--run S] \
          [--timed] {}",
         net_args().usage_fragment()
@@ -159,56 +157,7 @@ fn build_node(id: usize, workload: &str) -> ClusterNode {
     ClusterNode::new(id, b.build(), None)
 }
 
-/// Standalone wall-clock pacing drill: tick the node locally (no
-/// coordinator) at real-time rate and assert the achieved cadence.
-fn run_timed_standalone(args: &Args) -> Result<(), FvsError> {
-    let mut node = build_node(args.node, &args.workload);
-    let run_s = if args.run_s > 0.0 { args.run_s } else { 2.0 };
-    let ticks = (run_s / args.tick_s).round().max(1.0) as u64;
-    println!(
-        "fvsst-node {} ({} workload): standalone timed drill, {} ticks at {:.1} ms",
-        args.node,
-        args.workload,
-        ticks,
-        args.tick_s * 1e3
-    );
-    let mut pacer = Pacer::new(Duration::from_secs_f64(args.tick_s));
-    for _ in 0..ticks {
-        node.tick(args.tick_s);
-        pacer.pace();
-    }
-    let r = pacer.report();
-    println!(
-        "timed run: {} ticks in {:.3} s wall (target {:.2} ms/tick, mean {:.2} ms, \
-         {} overruns, worst {:.2} ms), final power {:.1} W",
-        r.ticks,
-        r.elapsed_s,
-        r.target_tick_s * 1e3,
-        r.mean_tick_s() * 1e3,
-        r.overruns,
-        r.max_overrun_s * 1e3,
-        node.power_w()
-    );
-    if !r.cadence_ok(0.25) {
-        return Err(FvsError::config(format!(
-            "wall-clock cadence off target: mean {:.3} ms vs target {:.3} ms",
-            r.mean_tick_s() * 1e3,
-            r.target_tick_s * 1e3
-        )));
-    }
-    println!("cadence within tolerance");
-    Ok(())
-}
-
 fn run(args: Args) -> Result<(), FvsError> {
-    if args.timed && args.connect == "none" {
-        return run_timed_standalone(&args);
-    }
-    if args.connect == "none" {
-        return Err(FvsError::config(
-            "--connect none only makes sense with --timed (standalone pacing drill)",
-        ));
-    }
     let node = build_node(args.node, &args.workload);
     let tracer = if args.net.obs_addr.is_some() {
         Tracer::ring(1024)
@@ -240,9 +189,8 @@ fn run(args: Args) -> Result<(), FvsError> {
     let start = Instant::now();
     let obs = match &args.net.obs_addr {
         Some(addr) => {
-            // Node-side health: degraded simply means "not connected to
-            // the coordinator right now"; power rides in the same slot
-            // the coordinator reports conservatively.
+            // Node-side health: the fleet's own counters; degraded
+            // simply means "not connected to the coordinator right now".
             let stats = agent.stats();
             let obs = ObsServer::bind(
                 addr,
@@ -251,19 +199,19 @@ fn run(args: Args) -> Result<(), FvsError> {
                     journal: Telemetry::disabled(),
                     tracer,
                     health: Some(std::sync::Arc::new(move || {
-                        let connected = stats.connected() > 0;
-                        HealthReport {
-                            uptime_s: start.elapsed().as_secs_f64(),
-                            rounds: stats.summaries_sent(),
-                            nodes_reporting: usize::from(connected),
-                            connections: usize::from(connected),
-                            budget_w: f64::INFINITY,
-                            conservative_power_w: stats.power_w(),
-                            budget_compliant: true,
-                            compliances: stats.ceilings_applied(),
-                            degraded: !connected,
-                            ..HealthReport::default()
-                        }
+                        let connected = stats.connected();
+                        let body = format!(
+                            "{{\"status\":\"{}\",\"connected\":{connected},\
+                             \"summaries_sent\":{},\"ceilings_applied\":{},\
+                             \"reconnects\":{},\"epochs_fenced\":{},\"power_w\":{}}}",
+                            if connected > 0 { "ok" } else { "degraded" },
+                            stats.summaries_sent(),
+                            stats.ceilings_applied(),
+                            stats.reconnects(),
+                            stats.epochs_fenced(),
+                            stats.power_w(),
+                        );
+                        (connected > 0, body)
                     })),
                 },
             )?;

@@ -84,16 +84,15 @@ pub mod prelude {
     pub use fvs_net::{
         http_get, AgentConfig, AgentFleet, ClusterConfig, ClusterReport, ClusterSim,
         CoordinatorConfig, CoordinatorServer, CoordinatorStatus, FillStatus, FleetHandle,
-        FleetStats, FvsError, HealthReport, NetArgs, ObsHandles, ObsServer, Reactor,
-        ReconnectLadder, Snapshot, SnapshotStore, Transport, WireChaos, WireCodec, WireMsg,
-        LISTENER_TOKEN, SCHEMA_VERSION,
+        FleetStats, FvsError, NetArgs, ObsHandles, ObsServer, Reactor, ReconnectLadder, Snapshot,
+        Transport, WireChaos, WireCodec, WireMsg, LISTENER_TOKEN, SCHEMA_VERSION,
     };
     pub use fvs_power::{
         BudgetEvent, BudgetSchedule, EnergyMeter, FreqPowerTable, PowerSupply, SupplyBank,
         VoltageTable,
     };
     pub use fvs_sched::{FvsstAlgorithm, FvsstScheduler, ScheduledSimulation, SchedulerConfig};
-    pub use fvs_sim::{Machine, MachineBuilder, PaceReport, Pacer};
+    pub use fvs_sim::{Machine, MachineBuilder};
     pub use fvs_telemetry::{
         BudgetDeadlineTracker, MetricsRegistry, SchedEvent, Telemetry, Tracer,
     };

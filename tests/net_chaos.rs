@@ -138,11 +138,9 @@ fn coordinator_crash_resume_and_epoch_fencing_under_wire_chaos() {
     // Budget drop: the write-ahead snapshot must persist the new budget
     // even before compliance lands, so a crash can never un-enforce it.
     server_a.set_budget(BUDGET_W);
-    let store = SnapshotStore::new(&snap_path);
     assert!(
         wait_until(Duration::from_secs(10), || {
-            store
-                .load()
+            Snapshot::load(&snap_path)
                 .map(|s| s.budget_w == BUDGET_W && s.epoch == 1)
                 .unwrap_or(false)
         }),
@@ -159,8 +157,7 @@ fn coordinator_crash_resume_and_epoch_fencing_under_wire_chaos() {
     // every node's summary in it.
     assert!(
         wait_until(Duration::from_secs(10), || {
-            store
-                .load()
+            Snapshot::load(&snap_path)
                 .map(|s| {
                     s.nodes.iter().filter(|n| n.summary.is_some()).count() == NODES && s.rounds > 0
                 })
@@ -168,7 +165,7 @@ fn coordinator_crash_resume_and_epoch_fencing_under_wire_chaos() {
         }),
         "snapshot never captured all node summaries"
     );
-    let pre_crash = store.load().expect("snapshot before crash");
+    let pre_crash = Snapshot::load(&snap_path).expect("snapshot before crash");
 
     // ---- Crash. No goodbye to the agents; the sockets just die.
     drop(server_a);
