@@ -1,8 +1,8 @@
 //! The delegation tree from its public surface: the rack's change
 //! detector against the flat schedule cache, and which rack phases
 //! leave the calling thread. The tree's decisions against the flat
-//! coordinator's are `hierarchy_differential`'s; the 10 000-node
-//! budget-drop and dead-rack drill is `fvsst-hier-drill`.
+//! coordinator's, budget drops and dead racks included, are
+//! `hierarchy_differential`'s.
 
 use fvs_cluster::hierarchy::RackCoordinator;
 use fvs_cluster::{DelegationTree, GlobalCoordinator, HierTopology, NodeSummary};

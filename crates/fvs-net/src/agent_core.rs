@@ -69,9 +69,10 @@ pub enum Heard {
     /// the ladder: the current coordinator may come back on this
     /// address.
     Fenced,
-    /// Refused over schema version. Retrying with the same schema can
-    /// never succeed, so the agent is [`Phase::Dead`] for good instead
-    /// of storming. Drop the link.
+    /// Refused over another schema version, or over a node id outside
+    /// the coordinator's cluster. Retrying as the same node on the same
+    /// schema can never succeed, so the agent is [`Phase::Dead`] for good
+    /// instead of storming. Drop the link.
     Refused,
 }
 

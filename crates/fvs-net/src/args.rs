@@ -1,20 +1,9 @@
-//! Shared CLI flag surface for the net binaries.
-//!
-//! `fvsst-coordinator`, `fvsst-node` and `fvsst-hier-drill` each grew
-//! their own copies of the same flag parsing (`--chaos`,
-//! `--chaos-seed`, `--obs-addr`, `--snapshot`, ...), which meant every
-//! new transport flag had to land three times. [`NetArgs`] collapses
-//! the duplication: a binary enables the groups it supports
-//! (builder-style), offers each unrecognised token to
-//! [`NetArgs::accept`] from its own parse loop, and renders the matching
-//! usage text with [`NetArgs::usage_fragment`]. A new flag, such as
-//! `--max-conns`, lands here once and appears everywhere its group is
-//! enabled.
-//!
-//! The struct also owns the derived-object helpers the binaries shared
-//! by copy-paste: the telemetry fanout logic (JSONL file and/or the
-//! in-memory ring `/journal` tails), the tracer, and the parsed
-//! [`WireChaos`].
+//! The flags the net binaries share: `--obs-addr`, `--telemetry`, the
+//! `--chaos` pair, the snapshot group and `--max-conns`. A binary enables
+//! the groups it takes, offers each token its own parse loop does not
+//! know to [`NetArgs::accept`], and splices [`NetArgs::usage_fragment`]
+//! into its usage text. [`NetArgs`] also builds what the flags describe:
+//! the telemetry sink, the span tracer and the [`WireChaos`].
 
 use crate::chaos::WireChaos;
 use crate::error::FvsError;

@@ -654,7 +654,9 @@ impl Driver {
                         }
                         Err(Refusal::Version) => self.metrics.version_rejects.inc(),
                         Err(Refusal::StaleEpoch) => self.metrics.epoch_rejects.inc(),
-                        Err(Refusal::Repeated) => self.metrics.wire_faults.inc(),
+                        Err(Refusal::Repeated | Refusal::UnknownNode) => {
+                            self.metrics.wire_faults.inc()
+                        }
                     }
                 }
                 WireMsg::Bye { .. } => open = false,

@@ -201,6 +201,8 @@ pub enum Refusal {
     StaleEpoch,
     /// The connection had already handshaken — a protocol error.
     Repeated,
+    /// The hello names a node outside this coordinator's cluster.
+    UnknownNode,
 }
 
 /// What [`CoordinatorCore::ingest`] did with a summary.
@@ -358,7 +360,8 @@ impl CoordinatorCore {
     /// the verdict: accepted, or why the connection is to be closed. A
     /// peer that cannot read `FVS2`, which every frame after the
     /// handshake is, speaks another dialect and is refused as
-    /// [`Refusal::Version`].
+    /// [`Refusal::Version`]; a node id outside the cluster is
+    /// [`Refusal::UnknownNode`], or its power would never be charged.
     ///
     /// Accepted, the connection becomes the node's downlink; a
     /// reconnecting node thereby replaces its old socket as the push
@@ -376,6 +379,8 @@ impl CoordinatorCore {
             Err(Refusal::Repeated)
         } else if version != SCHEMA_VERSION || codecs & CODEC_BINARY_BIT == 0 {
             Err(Refusal::Version)
+        } else if node >= self.coordinator.num_nodes() {
+            Err(Refusal::UnknownNode)
         } else if last_epoch > self.status.epoch {
             // The agent has acknowledged a *newer* epoch than ours: we
             // are the stale survivor, and refusing resolves the split

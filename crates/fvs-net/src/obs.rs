@@ -241,8 +241,8 @@ fn query_param<'q>(query: &'q str, key: &str) -> Option<&'q str> {
         .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('='))
 }
 
-/// Issue one local `GET` and return `(status_code, body)` — the test
-/// and drill scrape client (keeps CI free of curl).
+/// Issue one local `GET` and return `(status_code, body)`: the tests'
+/// scrape client.
 pub fn http_get(addr: std::net::SocketAddr, target: &str) -> Result<(u16, String), FvsError> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;

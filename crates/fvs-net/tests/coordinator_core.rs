@@ -105,6 +105,26 @@ fn another_schema_version_is_refused_with_an_ack_that_says_so() {
     assert_eq!(core.status().connections, 0);
 }
 
+/// Bugfix: a hello naming a node the cluster does not have was
+/// accepted, counted and kept alive by heartbeats, while every summary
+/// it sent was refused as out of range: its power was never charged.
+#[test]
+fn a_node_outside_the_cluster_is_refused() {
+    let mut core = core(4, &config());
+    let (ack, verdict) = core.hello(7, 4, SCHEMA_VERSION, 0, CODEC_ALL, 0.0);
+    assert_eq!(verdict, Err(Refusal::UnknownNode));
+    let refusal = WireMsg::HelloAck {
+        accepted: false,
+        version: SCHEMA_VERSION,
+        epoch: 1,
+        codec: WireCodec::Json.id(),
+    };
+    assert_eq!(ack, refusal);
+    assert_eq!(core.node_of(7), None);
+    assert_eq!(round(&mut core, PERIOD_S), []);
+    assert_eq!(core.status().connections, 0);
+}
+
 #[test]
 fn an_agent_that_has_seen_a_newer_epoch_fences_this_coordinator() {
     let config = config();

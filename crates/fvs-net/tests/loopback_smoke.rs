@@ -79,8 +79,11 @@ fn agent_reports_and_receives_ceilings() {
     server.shutdown().unwrap();
 }
 
-#[test]
-fn wrong_schema_version_is_refused_not_retried() {
+/// One agent, node `node` speaking `config`, against a one-node
+/// coordinator that refuses its hello: the refusal is permanent, so the
+/// agent exits on its own, and the coordinator counts neither the
+/// connection nor the node.
+fn assert_refused_for_good(node: usize, config: AgentConfig) {
     let server = CoordinatorServer::bind(
         "127.0.0.1:0",
         1,
@@ -89,8 +92,8 @@ fn wrong_schema_version_is_refused_not_retried() {
     )
     .unwrap();
     let addr = server.local_addr().to_string();
-    let agent = launch(&addr, fast_agent().with_version(SCHEMA_VERSION + 1));
-    // The refusal is permanent, so the agent exits on its own.
+    let agent =
+        AgentFleet::launch(vec![cpu_bound_node(node)], &addr, config, Duration::ZERO).unwrap();
     let deadline = Instant::now() + Duration::from_secs(5);
     while !agent.is_finished() && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
@@ -100,7 +103,20 @@ fn wrong_schema_version_is_refused_not_retried() {
     assert_eq!(stats.version_rejects(), 1);
     assert_eq!(stats.summaries_sent(), 0);
     let st = server.shutdown().unwrap();
-    assert_eq!(st.nodes_reporting, 0);
+    assert_eq!((st.connections, st.nodes_reporting), (0, 0), "{st:?}");
+}
+
+#[test]
+fn wrong_schema_version_is_refused_not_retried() {
+    assert_refused_for_good(0, fast_agent().with_version(SCHEMA_VERSION + 1));
+}
+
+/// Bugfix: a hello from a node the cluster does not have was accepted,
+/// and the coordinator's heartbeats kept the agent's link alive while
+/// every summary it sent was refused, so its power was never charged.
+#[test]
+fn a_node_outside_the_cluster_is_refused_not_retried() {
+    assert_refused_for_good(1, fast_agent());
 }
 
 #[test]

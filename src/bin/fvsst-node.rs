@@ -11,8 +11,11 @@
 //! workload, ships a `NodeSummary` upstream every `--summary-every`
 //! ticks, and applies whatever frequency ceilings the coordinator sends
 //! back. If the link drops the agent climbs an exponential backoff
-//! ladder until the coordinator returns, while the machine keeps running
-//! at its last-commanded frequencies. `--run 0` runs until killed.
+//! ladder until the coordinator returns; until then the machine is not
+//! ticked, so it holds its last-commanded frequencies and its simulated
+//! clock stands still. `--run 0` runs until killed. A coordinator that
+//! refuses the hello (another schema version, or a `--node` outside its
+//! `--nodes`) ends the node with an error.
 //!
 //! `--timed` switches to wall-clock real-time pacing: each `--tick`
 //! seconds of simulation takes that many wall seconds, so the node can
@@ -159,11 +162,7 @@ fn build_node(id: usize, workload: &str) -> ClusterNode {
 
 fn run(args: Args) -> Result<(), FvsError> {
     let node = build_node(args.node, &args.workload);
-    let tracer = if args.net.obs_addr.is_some() {
-        Tracer::ring(1024)
-    } else {
-        Tracer::disabled()
-    };
+    let tracer = args.net.tracer();
     // Mix the node id into the chaos seed so a fleet sharing one
     // --chaos-seed still draws distinct fault sequences per node.
     let chaos = args
@@ -225,7 +224,7 @@ fn run(args: Args) -> Result<(), FvsError> {
     };
     loop {
         if agent.is_finished() {
-            // Version refusal is the one self-terminating path.
+            // A refused hello is the one self-terminating path.
             break;
         }
         if args.run_s > 0.0 && start.elapsed().as_secs_f64() >= args.run_s {
@@ -247,7 +246,9 @@ fn run(args: Args) -> Result<(), FvsError> {
     );
     if stats.version_rejects() > 0 {
         return Err(FvsError::wire(
-            "coordinator refused our schema version".to_string(),
+            "coordinator refused the hello: another schema version, \
+             or a node id outside its cluster"
+                .to_string(),
         ));
     }
     Ok(())

@@ -19,7 +19,7 @@
 //! - [`baselines`] — comparator policies (no-DVFS, uniform scaling, node
 //!   power-down, utilization-driven, oracle).
 //! - [`cluster`] — multi-node coordination under a global budget: the
-//!   flat coordinator and the budget-delegation tree.
+//!   paper's global coordinator.
 //! - [`telemetry`] — metrics registry, event journal and budget-deadline
 //!   accounting.
 //! - [`faults`] — fault plans and injectors (corrupt counters, failed
@@ -71,10 +71,7 @@ pub use fvs_workloads as workloads;
 /// and run a coordinator/agent pair over real sockets.
 pub mod prelude {
     pub use fvs_baselines::NoDvfs;
-    pub use fvs_cluster::{
-        ClusterNode, DelegationTree, FrequencyCommand, GlobalCoordinator, HierStats, HierTopology,
-        NodeSummary, RackCoordinator,
-    };
+    pub use fvs_cluster::{ClusterNode, FrequencyCommand, GlobalCoordinator, NodeSummary};
     pub use fvs_faults::{FaultInjector, FaultPlan, WireFaultPlan};
     pub use fvs_harness::{run_capped_app, RunSettings};
     pub use fvs_model::{
