@@ -17,8 +17,8 @@
 //! - **Degradation**: the [`SampleValidator`], first rung of the
 //!   degradation ladder (quarantine → retry → fail-safe pin →
 //!   conservative charging; see DESIGN.md §11), which refuses
-//!   impossible counter samples and remembers each processor's last
-//!   trusted model fingerprint.
+//!   impossible counter samples; the predictor's last fit, fed only by
+//!   the samples it let through, carries a processor through quarantine.
 //!
 //! Everything is zero-cost when quiet: a quiet injector answers every
 //! query with a single branch, and the validator is branch-and-compare

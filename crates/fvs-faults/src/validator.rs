@@ -3,9 +3,9 @@
 //! The [`SampleValidator`] sits between the raw counter stream and the
 //! predictor. Samples that cannot be real — non-finite counters,
 //! negative counts, impossible IPC — are quarantined instead of entering
-//! the model-fitting window, and the validator remembers the last model
-//! that was fitted from trusted data so the scheduler can keep deciding
-//! from a known-good fingerprint while a processor's counters misbehave.
+//! the model-fitting window. The validator only judges samples: while a
+//! processor's counters misbehave, the scheduler keeps deciding from the
+//! predictor's last fit, which only trusted samples ever fed.
 //!
 //! Validation is pure preallocated arithmetic: no allocation after
 //! construction, and thresholds generous enough that legitimate noisy
@@ -13,30 +13,24 @@
 //! quarantined — so with no faults injected, behavior is bit-identical
 //! to running without the validator.
 
-use fvs_model::{CounterDelta, CpiModel};
+use fvs_model::CounterDelta;
 
 /// Verdict on one counter sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SampleVerdict {
     /// The sample is physically plausible; feed it to the predictor.
     Trusted,
-    /// The sample cannot be real; drop it and fall back to the last
-    /// trusted model.
+    /// The sample cannot be real; drop it (the predictor keeps its
+    /// last fit).
     Quarantined,
 }
 
-#[derive(Debug, Clone, Default)]
-struct ProcState {
-    quarantined: u64,
-    trusted: Option<CpiModel>,
-}
-
-/// Quarantines impossible counter samples and remembers each
-/// processor's last trusted model fingerprint.
+/// Quarantines impossible counter samples and counts them.
 #[derive(Debug, Clone)]
 pub struct SampleValidator {
     max_ipc: f64,
-    procs: Vec<ProcState>,
+    /// Samples quarantined per processor.
+    quarantined: Vec<u64>,
     total_quarantined: u64,
 }
 
@@ -55,7 +49,7 @@ impl SampleValidator {
     pub fn with_max_ipc(n: usize, max_ipc: f64) -> Self {
         SampleValidator {
             max_ipc,
-            procs: vec![ProcState::default(); n],
+            quarantined: vec![0; n],
             total_quarantined: 0,
         }
     }
@@ -70,30 +64,15 @@ impl SampleValidator {
         if plausible {
             SampleVerdict::Trusted
         } else {
-            self.procs[proc].quarantined += 1;
+            self.quarantined[proc] += 1;
             self.total_quarantined += 1;
             SampleVerdict::Quarantined
         }
     }
 
-    /// Remember `model` as `proc`'s last trusted fingerprint (ignored
-    /// unless the model is valid).
-    #[inline]
-    pub fn record_trusted(&mut self, proc: usize, model: CpiModel) {
-        if model.is_valid() {
-            self.procs[proc].trusted = Some(model);
-        }
-    }
-
-    /// The last trusted model fingerprint for `proc`, if any.
-    #[inline]
-    pub fn trusted_model(&self, proc: usize) -> Option<CpiModel> {
-        self.procs[proc].trusted
-    }
-
     /// Samples quarantined for `proc` so far.
     pub fn quarantined(&self, proc: usize) -> u64 {
-        self.procs[proc].quarantined
+        self.quarantined[proc]
     }
 
     /// Samples quarantined across all processors.
@@ -151,23 +130,5 @@ mod tests {
 
         assert_eq!(v.quarantined(0), 4);
         assert_eq!(v.total_quarantined(), 4);
-    }
-
-    #[test]
-    fn trusted_model_survives_quarantine() {
-        let mut v = SampleValidator::new(1);
-        let m = CpiModel::from_components(1.2, 40.0e-12);
-        v.record_trusted(0, m);
-        let mut nan = sane();
-        nan.instructions = f64::INFINITY;
-        assert_eq!(v.validate(0, &nan), SampleVerdict::Quarantined);
-        assert_eq!(v.trusted_model(0), Some(m));
-    }
-
-    #[test]
-    fn invalid_models_are_not_recorded() {
-        let mut v = SampleValidator::new(1);
-        v.record_trusted(0, CpiModel::from_components(f64::NAN, 40.0e-12));
-        assert_eq!(v.trusted_model(0), None);
     }
 }

@@ -78,12 +78,6 @@ impl Predictor {
     pub fn num_cores(&self) -> usize {
         self.models.len()
     }
-
-    /// Forget a core's model (used when work is reassigned).
-    pub fn reset(&mut self, i: usize) {
-        self.models[i] = None;
-        self.windows[i] = CounterWindow::new();
-    }
 }
 
 /// Accumulates |predicted − observed| IPC deviations — Table 2's metric.
@@ -223,20 +217,6 @@ mod tests {
         // Empty window: refit returns the old model.
         let second = p.refit(0, FreqMhz(1000)).unwrap();
         assert_eq!(first, second);
-    }
-
-    #[test]
-    fn reset_forgets() {
-        let lat = MemoryLatencies::P630;
-        let mut p = Predictor::new(1, lat);
-        let truth = CpiModel::from_components(1.0, 0.0);
-        p.push(
-            0,
-            &synthesize_delta(&truth, 0.0, 0.0, 0.0, 1.0e7, FreqMhz(1000)),
-        );
-        p.refit(0, FreqMhz(1000));
-        p.reset(0);
-        assert!(p.model(0).is_none());
     }
 
     #[test]

@@ -433,19 +433,12 @@ impl FvsstScheduler {
         self.proc_buf.clear();
         for i in 0..n {
             // The window only ever held validated samples, so a fresh
-            // fit is trustworthy by construction; remember it as the
-            // fallback fingerprint. A processor whose counters have been
-            // quarantined since bootstrap falls back to the last trusted
-            // model. Pinned processors (exhausted actuation retries) are
-            // fed through the idle-pin path: excluded from Pass 1,
-            // assigned the fail-safe minimum.
-            let model = self
-                .predictor
-                .refit(i, ctx.current[i])
-                .or_else(|| self.validator.trusted_model(i));
-            if let Some(m) = model {
-                self.validator.record_trusted(i, m);
-            }
+            // fit is trustworthy by construction; a window that
+            // quarantine left empty keeps the predictor's last fit.
+            // Pinned processors (exhausted actuation retries) are fed
+            // through the idle-pin path: excluded from Pass 1, assigned
+            // the fail-safe minimum.
+            let model = self.predictor.refit(i, ctx.current[i]);
             let pinned = self.failsafe[i].pinned;
             self.proc_buf.push(ProcInput {
                 model: if pinned { None } else { model },

@@ -16,9 +16,9 @@
 //! multi-tick windows (see the differential proptests in
 //! `tests/batch_parity.rs`):
 //!
-//! 1. **Linearized actuators.** Every [`crate::Actuator`] is a step
-//!    function `(current, target, settle_at)` ([`Actuator::linearize`]),
-//!    so the effective frequency lives in a flat `eff_hz` array that only
+//! 1. **Actuators as columns.** A core's actuator is a step function
+//!    `(current, target, settle_at)` ([`CoreBank::effective_at`]), so the
+//!    effective frequency lives in a flat `eff_hz` array that only
 //!    changes when a request lands or a pending transition settles —
 //!    never inside the tick loop.
 //! 2. **Cached phase coefficients.** The CPI model of the current phase
@@ -49,7 +49,6 @@
 //! per 128-core block), which is what the zero-alloc-per-tick proofs in
 //! `fvs-sched` measure.
 
-use crate::actuator::Actuator;
 use crate::core::{CoreStats, PhaseCursor};
 use crate::noise::NoiseModel;
 use fvs_model::{CounterDelta, ExecutionProfile, FreqMhz, MemoryLatencies};
@@ -143,9 +142,8 @@ fn phase_cache(
 /// Contiguous per-field state for every core of a machine.
 ///
 /// The bank is the authoritative simulation state; [`crate::Machine`]
-/// wraps it together with the cold per-core objects (workload specs,
-/// boxed actuators, energy meters) and exposes the familiar per-core
-/// view API on top.
+/// wraps it together with the cold per-core state (workload specs,
+/// energy meters) and exposes the familiar per-core view API on top.
 #[derive(Debug)]
 pub(crate) struct CoreBank {
     n: usize,
@@ -176,9 +174,8 @@ pub(crate) struct CoreBank {
     pub(crate) pending_steal_s: Vec<f64>,
     pub(crate) powered: Vec<bool>,
     pub(crate) idle_loop_flag: Vec<bool>,
-    // --- linearized actuator state + effective-frequency cache ---
-    /// The most recently requested frequency (MHz), synced with the
-    /// linearization.
+    // --- actuator state + effective-frequency cache ---
+    /// The most recently requested frequency (MHz).
     pub(crate) req_mhz: Vec<u32>,
     pub(crate) lin_cur_mhz: Vec<u32>,
     pub(crate) lin_tgt_mhz: Vec<u32>,
@@ -242,10 +239,11 @@ pub(crate) struct CoreBank {
 }
 
 impl CoreBank {
-    /// A zeroed bank for `n` cores. Rows still need their actuator
-    /// linearization, idle flags and phase caches initialised (the
-    /// machine builder does this).
-    pub(crate) fn new(n: usize) -> Self {
+    /// A bank for `n` cores that have run nothing yet, each settled at a
+    /// request for `req` that runs at `eff` and draws `power_w`. Rows still
+    /// need their idle flags and phase caches (the machine builder does
+    /// this).
+    pub(crate) fn new(n: usize, req: FreqMhz, eff: FreqMhz, power_w: f64) -> Self {
         CoreBank {
             n,
             instructions: vec![0.0; n],
@@ -269,13 +267,13 @@ impl CoreBank {
             pending_steal_s: vec![0.0; n],
             powered: vec![true; n],
             idle_loop_flag: vec![false; n],
-            req_mhz: vec![0; n],
-            lin_cur_mhz: vec![0; n],
-            lin_tgt_mhz: vec![0; n],
+            req_mhz: vec![req.0; n],
+            lin_cur_mhz: vec![eff.0; n],
+            lin_tgt_mhz: vec![eff.0; n],
             lin_settle_at_s: vec![0.0; n],
-            eff_mhz: vec![0; n],
-            eff_hz: vec![0.0; n],
-            power_w: vec![0.0; n],
+            eff_mhz: vec![eff.0; n],
+            eff_hz: vec![eff.hz(); n],
+            power_w: vec![power_w; n],
             settling: Vec::with_capacity(n),
             settling_flag: vec![false; n],
             stint_s: vec![0.0; n],
@@ -302,17 +300,7 @@ impl CoreBank {
         self.n
     }
 
-    /// Sync a row's requested and linearized actuator state.
-    pub(crate) fn sync_linearization(&mut self, i: usize, actuator: &dyn Actuator) {
-        let (cur, tgt, settle_at) = actuator.linearize();
-        self.req_mhz[i] = actuator.requested().0;
-        self.lin_cur_mhz[i] = cur.0;
-        self.lin_tgt_mhz[i] = tgt.0;
-        self.lin_settle_at_s[i] = settle_at;
-    }
-
-    /// The effective frequency of row `i` at `now_s`, from the
-    /// linearized actuator state (equals `actuator.effective(now_s)`).
+    /// The effective frequency of row `i` at `now_s`.
     pub(crate) fn effective_at(&self, i: usize, now_s: f64) -> FreqMhz {
         if now_s >= self.lin_settle_at_s[i] {
             FreqMhz(self.lin_tgt_mhz[i])
@@ -550,10 +538,10 @@ impl CoreBank {
 
     /// Advance every powered row through [`CoreBank::step_row_core`]
     /// alone — no fast path, no phase cache, no deferred windows: the
-    /// differential oracle and the benchmark denominator. A machine is
-    /// stepped this way or batched for its whole life
-    /// ([`crate::MachineBuilder::reference_stepping`]), so no window is
-    /// ever open here and the phase cache is never read afterwards.
+    /// differential oracle. A machine is stepped this way or batched for
+    /// its whole life ([`crate::MachineBuilder::reference_stepping`]), so
+    /// no window is ever open here and the phase cache is never read
+    /// afterwards.
     pub(crate) fn step_rows_reference(
         &mut self,
         now_s: f64,

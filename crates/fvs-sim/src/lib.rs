@@ -6,8 +6,8 @@
 //! [`fvs_workloads::WorkloadSpec`]s under the analytic timing model of
 //! [`fvs_model`], expose Power4+-style performance counters (with
 //! configurable sampling noise), and accept frequency commands through
-//! either a true-DVFS actuator or a duty-cycle fetch-throttle actuator
-//! with settling behaviour.
+//! either a true-DVFS actuator with an optional settling time or a
+//! duty-cycle fetch-throttle actuator.
 //!
 //! Everything the scheduler can *observe* or *actuate* on the real
 //! machine has one narrow interface here, so the scheduling code in
@@ -30,7 +30,7 @@ pub mod noise;
 pub mod trace;
 
 pub use crate::core::{CoreStats, PhaseCursor};
-pub use actuator::{Actuator, DvfsActuator, ThrottleActuator, ThrottlePowerModel};
+pub use actuator::ThrottlePowerModel;
 pub use machine::{CoreView, CoreViewMut, Machine, MachineBuilder, MachineConfig};
 pub use noise::NoiseModel;
 pub use trace::{ResidencyHistogram, TraceRecorder, TraceSample};

@@ -8,10 +8,9 @@
 //! saying what the views say. A machine is stepped one of two ways for its whole
 //! life, chosen at [`MachineBuilder::build`]: the batched pass, or —
 //! with [`MachineBuilder::reference_stepping`] — the scalar per-core
-//! loop that serves as the differential-testing oracle and the
-//! benchmark denominator.
+//! loop that serves as the differential-testing oracle.
 
-use crate::actuator::{Actuator, DvfsActuator, ThrottleActuator, ThrottlePowerModel};
+use crate::actuator::{Actuation, ThrottlePowerModel};
 use crate::bank::CoreBank;
 use crate::core::{CoreStats, PhaseCursor};
 use crate::noise::NoiseModel;
@@ -47,21 +46,13 @@ impl MachineConfig {
     }
 }
 
-/// Which actuator the builder installs per core.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum ActuatorKind {
-    DvfsInstant,
-    Dvfs { settle_s: f64 },
-    Throttle { power_model: ThrottlePowerModel },
-}
-
 /// Builder for a [`Machine`].
 #[derive(Debug)]
 pub struct MachineBuilder {
     config: MachineConfig,
     n_cores: usize,
     workloads: Vec<Option<WorkloadSpec>>,
-    actuator: ActuatorKind,
+    actuation: Actuation,
     seed: u64,
     initial_freq: FreqMhz,
     reference_stepping: bool,
@@ -75,7 +66,7 @@ impl MachineBuilder {
             config: MachineConfig::p630(),
             n_cores: 4,
             workloads: vec![None; 4],
-            actuator: ActuatorKind::DvfsInstant,
+            actuation: Actuation::Dvfs { settle_s: 0.0 },
             seed: 0xF0_55_7E,
             initial_freq: FreqMhz(1000),
             reference_stepping: false,
@@ -98,15 +89,20 @@ impl MachineBuilder {
         self
     }
 
-    /// Use DVFS actuators with a settling time.
+    /// Use DVFS actuators with a settling time; panics unless `settle_s`
+    /// is finite and non-negative (a request would never settle).
     pub fn dvfs_settling(mut self, settle_s: f64) -> Self {
-        self.actuator = ActuatorKind::Dvfs { settle_s };
+        assert!(
+            settle_s.is_finite() && settle_s >= 0.0,
+            "settle_s must be finite and non-negative, got {settle_s}"
+        );
+        self.actuation = Actuation::Dvfs { settle_s };
         self
     }
 
     /// Use fetch-throttle actuators (the paper's prototype mechanism).
     pub fn throttling(mut self, power_model: ThrottlePowerModel) -> Self {
-        self.actuator = ActuatorKind::Throttle { power_model };
+        self.actuation = Actuation::throttle(power_model);
         self
     }
 
@@ -136,8 +132,8 @@ impl MachineBuilder {
 
     /// Step cores with the scalar per-core loop instead of the batched
     /// SoA pass, for the machine's whole life — the oracle side of the
-    /// differential proptests and the denominator of the
-    /// `sim_core_ticks_per_sec` benchmark.
+    /// differential proptests, and the `sim_tick_scalar` criterion
+    /// bench.
     pub fn reference_stepping(mut self) -> Self {
         self.reference_stepping = true;
         self
@@ -151,34 +147,14 @@ impl MachineBuilder {
             .into_iter()
             .map(|w| w.unwrap_or_else(WorkloadSpec::hot_idle))
             .collect();
-        let actuators: Vec<Box<dyn Actuator>> = (0..n)
-            .map(|_| -> Box<dyn Actuator> {
-                match self.actuator {
-                    ActuatorKind::DvfsInstant => Box::new(DvfsActuator::instant(self.initial_freq)),
-                    ActuatorKind::Dvfs { settle_s } => {
-                        Box::new(DvfsActuator::new(self.initial_freq, settle_s))
-                    }
-                    ActuatorKind::Throttle { power_model } => {
-                        let mut t = ThrottleActuator::p630(power_model);
-                        t.request(self.initial_freq, 0.0);
-                        Box::new(t)
-                    }
-                }
-            })
-            .collect();
-        let mut bank = CoreBank::new(n);
+        // Every core starts settled at the initial request.
+        let f = self.initial_freq;
+        let (eff, _) = self.actuation.lands(f, 0.0);
+        let power_w = self.actuation.power_w(f, eff, &self.config.power_table);
+        let mut bank = CoreBank::new(n, f, eff, power_w);
         for (i, w) in workloads.iter().enumerate() {
             debug_assert!(w.is_valid(), "invalid workload for core {i}");
             bank.idle_loop_flag[i] = w.is_idle_loop;
-            bank.sync_linearization(i, actuators[i].as_ref());
-            let eff = bank.effective_at(i, 0.0);
-            bank.eff_mhz[i] = eff.0;
-            bank.eff_hz[i] = eff.hz();
-            bank.power_w[i] = actuators[i].power_w(0.0, &self.config.power_table);
-            if bank.lin_settle_at_s[i] > 0.0 {
-                bank.settling_flag[i] = true;
-                bank.settling.push(i as u32);
-            }
             bank.sync_transitional(i, w);
             bank.refresh_row(i, w, &self.config.latencies);
         }
@@ -186,7 +162,7 @@ impl MachineBuilder {
             config: self.config,
             bank,
             workloads,
-            actuators,
+            actuation: self.actuation,
             now_s: 0.0,
             rng: StdRng::seed_from_u64(self.seed),
             energy_j: vec![0.0; n],
@@ -207,7 +183,7 @@ pub struct Machine {
     config: MachineConfig,
     bank: CoreBank,
     workloads: Vec<WorkloadSpec>,
-    actuators: Vec<Box<dyn Actuator>>,
+    actuation: Actuation,
     now_s: f64,
     rng: StdRng,
     // Energy accounting in struct-of-arrays form with deferred accrual:
@@ -402,14 +378,23 @@ impl Machine {
 
     /// Request frequency `f` on core `i`, effective per its actuator.
     pub fn set_frequency(&mut self, i: usize, f: FreqMhz) {
-        // A repeated request changes nothing in either actuator; with no
-        // transition in flight there is nothing settled to commit either.
-        if f.0 == self.bank.req_mhz[i] && !self.bank.settling_flag[i] {
+        // A repeated request changes no column (so it never restarts a
+        // ramp); with no transition in flight there is nothing settled to
+        // commit either.
+        let repeated = f.0 == self.bank.req_mhz[i];
+        if repeated && !self.bank.settling_flag[i] {
             return;
         }
         let now = self.now_s;
-        self.actuators[i].request(f, now);
-        self.bank.sync_linearization(i, self.actuators[i].as_ref());
+        if !repeated {
+            // What is in effect now persists until the request settles.
+            let b = &mut self.bank;
+            let (target, settle_at_s) = self.actuation.lands(f, now);
+            b.lin_cur_mhz[i] = b.effective_at(i, now).0;
+            b.req_mhz[i] = f.0;
+            b.lin_tgt_mhz[i] = target.0;
+            b.lin_settle_at_s[i] = settle_at_s;
+        }
         self.apply_effective(i, now);
         if self.bank.lin_settle_at_s[i] > now && !self.bank.settling_flag[i] {
             self.bank.settling_flag[i] = true;
@@ -559,10 +544,14 @@ impl Machine {
         h
     }
 
-    /// Power of core `i` straight from its actuator (zero when off).
+    /// Power of core `i` from its actuator columns (zero when off).
     fn live_power(&self, i: usize, now_s: f64) -> f64 {
         if self.bank.powered[i] {
-            self.actuators[i].power_w(now_s, &self.config.power_table)
+            self.actuation.power_w(
+                FreqMhz(self.bank.req_mhz[i]),
+                self.bank.effective_at(i, now_s),
+                &self.config.power_table,
+            )
         } else {
             0.0
         }
@@ -660,7 +649,7 @@ impl Machine {
     }
 
     /// [`Machine::step`] of a [`MachineBuilder::reference_stepping`]
-    /// machine: per core per tick, live virtual actuator calls, a
+    /// machine: per core per tick, live actuator reads, a
     /// per-tick histogram insert, and a CPI-model rebuild from the phase
     /// profile. Agrees with the batched step bit-for-bit when every tick
     /// is observed and to ≤1e-12 relative otherwise (deferred windows).
@@ -678,7 +667,7 @@ impl Machine {
             if p > self.energy_peak_w[i] {
                 self.energy_peak_w[i] = p;
             }
-            self.residency[i].add(self.actuators[i].effective(now), dt);
+            self.residency[i].add(self.bank.effective_at(i, now), dt);
         }
         self.bank
             .step_rows_reference(now, dt, &self.config.latencies, &self.workloads);
@@ -686,8 +675,12 @@ impl Machine {
     }
 
     /// Run unmanaged (no scheduler) for `duration` in `tick`-second
-    /// steps.
+    /// steps; panics unless `tick` is finite and positive.
     pub fn run_for(&mut self, duration: f64, tick: f64) {
+        assert!(
+            tick.is_finite() && tick > 0.0,
+            "tick must be finite and positive, got {tick}"
+        );
         let steps = (duration / tick).round() as u64;
         for _ in 0..steps {
             self.step(tick);
