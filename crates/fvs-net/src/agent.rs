@@ -135,7 +135,7 @@ impl AgentConfig {
 
     /// Override the ticks-per-summary window.
     pub fn with_summary_every(mut self, ticks: u32) -> Self {
-        self.summary_every = ticks.max(1);
+        self.summary_every = ticks;
         self
     }
 

@@ -187,7 +187,7 @@ impl CoordinatorConfig {
     }
 
     /// Checked by [`CoordinatorServer::bind`] and `ClusterSim`.
-    pub(crate) fn validate(&self) -> Result<(), FvsError> {
+    pub fn validate(&self) -> Result<(), FvsError> {
         for (name, value) in [
             ("period_s", self.period_s),
             ("heartbeat_timeout_s", self.heartbeat_timeout_s),
@@ -201,6 +201,16 @@ impl CoordinatorConfig {
                     "{name} must be finite and positive"
                 )));
             }
+        }
+        // Rounds schedule under `(budget - reserved).max(0.0)`, which reads
+        // a NaN as 0 W. An infinite budget is no budget.
+        if self.initial_budget_w.is_nan() || self.initial_budget_w < 0.0 {
+            return Err(FvsError::config("initial_budget_w must be non-negative"));
+        }
+        if !(self.worst_case_node_w.is_finite() && self.worst_case_node_w >= 0.0) {
+            return Err(FvsError::config(
+                "worst_case_node_w must be finite and non-negative",
+            ));
         }
         if self.max_conns == 0 {
             return Err(FvsError::config("max_conns must be at least 1"));
@@ -272,8 +282,8 @@ impl NetMetrics {
     }
 }
 
-/// [`Shared::budget`] when no change is waiting: the bits of a NaN no
-/// caller's budget has.
+/// [`Shared::budget`] when no change is waiting: the bits of a NaN,
+/// which [`CoordinatorServer::set_budget`] refuses.
 const NO_BUDGET: u64 = u64::MAX;
 
 /// What the event loop shares with the threads that hold the server.
@@ -421,8 +431,10 @@ impl CoordinatorServer {
     }
 
     /// Change the global budget; the event loop reacts on its next
-    /// slice (a few milliseconds), not its next period.
+    /// slice (a few milliseconds), not its next period. Panics on a NaN
+    /// or negative `watts` (infinity is no budget).
     pub fn set_budget(&self, watts: f64) {
+        assert!(watts >= 0.0, "set_budget: a budget of {watts} W");
         self.shared.budget.store(watts.to_bits(), Ordering::SeqCst);
     }
 

@@ -452,8 +452,10 @@ impl CoordinatorCore {
     }
 
     /// Change the global budget. The next round puts it in force, and
-    /// that round is owed now.
+    /// that round is owed now. Panics on a NaN or negative `watts`
+    /// (infinity is no budget).
     pub fn set_budget(&mut self, watts: f64) {
+        assert!(watts >= 0.0, "set_budget: a budget of {watts} W");
         self.pending_budget_w = Some(watts);
     }
 

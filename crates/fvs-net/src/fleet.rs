@@ -57,7 +57,6 @@ pub struct FleetStats {
     reconnects: AtomicU64,
     epochs_fenced: AtomicU64,
     version_rejects: AtomicU64,
-    connect_failures: AtomicU64,
     /// Fleet power as f64 bits: each node at its latest summary while
     /// the loop runs, at its last tick once it has ended.
     power_bits: AtomicU64,
@@ -92,11 +91,6 @@ impl FleetStats {
     /// Agents permanently refused over schema version.
     pub fn version_rejects(&self) -> u64 {
         self.version_rejects.load(Ordering::SeqCst)
-    }
-
-    /// Failed connect attempts (refused, timed out, unreachable).
-    pub fn connect_failures(&self) -> u64 {
-        self.connect_failures.load(Ordering::SeqCst)
     }
 
     /// Fleet power (W): each node at its latest summary while the loop
@@ -364,7 +358,6 @@ impl Fleet {
             .map_err(FvsError::from)
             .and_then(|raw| self.greet(idx, raw, now));
         if greeted.is_err() {
-            self.stats.connect_failures.fetch_add(1, Ordering::SeqCst);
             self.disconnect(idx, now);
         }
     }

@@ -335,19 +335,20 @@ mod tests {
         server.shutdown();
     }
 
-    #[test]
-    fn healthz_degraded_is_503() {
-        let telemetry = Telemetry::disabled();
+    /// A listener whose `/healthz` reports unhealthy with `body`.
+    fn unhealthy(body: &'static str) -> ObsServer {
         let handles = ObsHandles {
             registry: None,
-            journal: telemetry.clone(),
+            journal: Telemetry::disabled(),
             tracer: Tracer::disabled(),
-            health: Some(Arc::new(|| {
-                let body = r#"{"status":"degraded","dead_nodes":2}"#;
-                (false, body.to_string())
-            })),
+            health: Some(Arc::new(move || (false, body.to_string()))),
         };
-        let server = ObsServer::bind("127.0.0.1:0", handles).unwrap();
+        ObsServer::bind("127.0.0.1:0", handles).unwrap()
+    }
+
+    #[test]
+    fn healthz_degraded_is_503() {
+        let server = unhealthy(r#"{"status":"degraded","dead_nodes":2}"#);
         let (code, body) = http_get(server.local_addr(), "/healthz").unwrap();
         assert_eq!(code, 503);
         assert!(body.contains("\"status\":\"degraded\""), "{body}");
@@ -360,17 +361,7 @@ mod tests {
     /// `tests/coordinator_core.rs`.)
     #[test]
     fn healthz_resyncing_is_a_distinct_503_with_deadline() {
-        let telemetry = Telemetry::disabled();
-        let handles = ObsHandles {
-            registry: None,
-            journal: telemetry.clone(),
-            tracer: Tracer::disabled(),
-            health: Some(Arc::new(|| {
-                let body = r#"{"status":"resyncing","resync_deadline_s":1.75}"#;
-                (false, body.to_string())
-            })),
-        };
-        let server = ObsServer::bind("127.0.0.1:0", handles).unwrap();
+        let server = unhealthy(r#"{"status":"resyncing","resync_deadline_s":1.75}"#);
         let (code, body) = http_get(server.local_addr(), "/healthz").unwrap();
         assert_eq!(code, 503);
         assert!(body.contains("\"status\":\"resyncing\""), "{body}");

@@ -242,8 +242,8 @@ impl ClusterSim {
     /// # Panics
     ///
     /// When `config` cannot run — `t_s` not finite and positive, `n` of
-    /// zero, or `latency_s` not finite and non-negative — or `nodes` is
-    /// empty.
+    /// zero, `latency_s` not finite and non-negative, or an initial
+    /// budget that is NaN or negative — or `nodes` is empty.
     pub fn new(nodes: Vec<ClusterNode>, config: ClusterConfig) -> Self {
         let agent = AgentConfig {
             tick_s: config.t_s,

@@ -6,8 +6,8 @@
 use fvs_cluster::{NodeRestore, NodeSummary};
 use fvs_model::{CpiModel, FreqMhz};
 use fvs_net::{
-    CoordinatorConfig, CoordinatorCore, CoordinatorStatus, Ingest, Refusal, RoundSink, Snapshot,
-    WireCodec, WireMsg, CODEC_ALL, CODEC_JSON_BIT, SCHEMA_VERSION,
+    CoordinatorConfig, CoordinatorCore, CoordinatorStatus, FvsError, Ingest, Refusal, RoundSink,
+    Snapshot, WireCodec, WireMsg, CODEC_ALL, CODEC_JSON_BIT, SCHEMA_VERSION,
 };
 use fvs_sched::FvsstAlgorithm;
 use fvs_telemetry::{OpenEpisode, SchedEvent, Telemetry};
@@ -279,6 +279,37 @@ fn a_budget_change_is_persisted_before_any_ceiling_leaves() {
     let mut sink = Recorder::default();
     assert!(plain.run_round(5.0, &mut sink).is_none());
     assert_eq!(sink.calls, []);
+}
+
+/// A round schedules under `(budget - reserved).max(0.0)`, and `max`
+/// drops a NaN: a NaN budget, or a NaN charge for a node that never
+/// reported, would pin every node to `f_min` and say nothing. The config
+/// refuses both; an infinite budget is no budget and stays legal.
+#[test]
+fn a_budget_or_charge_no_round_can_use_is_a_config_error() {
+    let bad = [
+        ("budget NaN", config().with_initial_budget_w(f64::NAN)),
+        ("budget -1", config().with_initial_budget_w(-1.0)),
+        ("charge NaN", config().with_worst_case_node_w(f64::NAN)),
+        ("charge inf", config().with_worst_case_node_w(f64::INFINITY)),
+        ("charge -1", config().with_worst_case_node_w(-1.0)),
+    ];
+    for (what, config) in bad {
+        let verdict = config.validate();
+        assert!(
+            matches!(verdict, Err(FvsError::Config(_))),
+            "{what}: {verdict:?}"
+        );
+    }
+    for budget_w in [0.0, 500.0, f64::INFINITY] {
+        assert!(config().with_initial_budget_w(budget_w).validate().is_ok());
+    }
+}
+
+#[test]
+#[should_panic(expected = "set_budget: a budget of NaN W")]
+fn a_nan_budget_change_is_refused() {
+    core(1, &config()).set_budget(f64::NAN);
 }
 
 #[test]

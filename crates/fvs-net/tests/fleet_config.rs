@@ -34,6 +34,10 @@ fn a_bad_config_is_a_config_error_and_spawns_nothing() {
         ("tick_s = -1", AgentConfig::default_lan().with_tick_s(-1.0)),
         ("summary_every = 0", zero_window),
         (
+            "with_summary_every(0)",
+            AgentConfig::default_lan().with_summary_every(0),
+        ),
+        (
             "link_timeout = 0",
             AgentConfig::default_lan().with_link_timeout(Duration::ZERO),
         ),

@@ -1,10 +1,9 @@
 //! Per-core counter windows, model fitting, and prediction-error
 //! tracking (the machinery behind the paper's Table 2).
 //!
-//! A sample is checked once on its way into a window: by
-//! [`Predictor::push`] for callers that hand it raw counters, or by the
-//! scheduler's `SampleValidator`, which checks that and more and then
-//! uses the unchecked entry.
+//! A sample is checked once, by [`Predictor::push`], on its way into a
+//! window: one rule for an SMP's scheduler and a cluster node alike,
+//! the first rung of the degradation ladder (DESIGN.md §11).
 
 use fvs_model::{CounterDelta, CounterWindow, CpiModel, Estimator, FreqMhz, MemoryLatencies};
 use serde::{Deserialize, Serialize};
@@ -28,21 +27,24 @@ impl Predictor {
         }
     }
 
-    /// Feed one dispatch-interval sample for core `i`. Corrupt samples
-    /// (non-finite or negative counters — racy or wrapped reads on real
-    /// hardware) are dropped rather than poisoning the window.
-    pub fn push(&mut self, i: usize, delta: &CounterDelta) {
-        if delta.is_sane() {
-            self.push_sane(i, delta);
-        }
-    }
+    /// Largest IPC a sample may claim: twice what the P630's 4-issue
+    /// core can sustain, so measurement noise never reaches it.
+    pub const MAX_IPC: f64 = 8.0;
 
-    /// [`Predictor::push`] for a sample the caller has already found
-    /// [`CounterDelta::is_sane`] (the scheduler's validator checks that
-    /// and more).
+    /// Feed one dispatch-interval sample for core `i` if it can be real:
+    /// [`CounterDelta::is_sane`] (racy or wrapped reads are not), IPC at
+    /// most [`Predictor::MAX_IPC`], no instructions without cycles.
+    /// Returns whether it entered the window; a refused (quarantined)
+    /// sample leaves the window and the last fit as they were.
     #[inline]
-    pub(crate) fn push_sane(&mut self, i: usize, delta: &CounterDelta) {
-        self.windows[i].push(delta);
+    pub fn push(&mut self, i: usize, delta: &CounterDelta) -> bool {
+        let plausible = delta.is_sane()
+            && delta.observed_ipc() <= Self::MAX_IPC
+            && (delta.instructions == 0.0 || delta.cycles > 0.0);
+        if plausible {
+            self.windows[i].push(delta);
+        }
+        plausible
     }
 
     /// Close the scheduling window for core `i`: drain the accumulated
@@ -57,11 +59,6 @@ impl Predictor {
         self.models[i]
     }
 
-    /// The current model for core `i` without refitting.
-    pub fn model(&self, i: usize) -> Option<CpiModel> {
-        self.models[i]
-    }
-
     /// Observed IPC over the *currently accumulating* window for core
     /// `i`, or `None` while the window is empty. Read this before
     /// [`Predictor::refit`] drains the window.
@@ -72,11 +69,6 @@ impl Predictor {
         } else {
             None
         }
-    }
-
-    /// Number of cores tracked.
-    pub fn num_cores(&self) -> usize {
-        self.models.len()
     }
 }
 
@@ -217,6 +209,41 @@ mod tests {
         // Empty window: refit returns the old model.
         let second = p.refit(0, FreqMhz(1000)).unwrap();
         assert_eq!(first, second);
+    }
+
+    /// A plausible sample, changed by `edit`.
+    fn sane(edit: impl FnOnce(&mut CounterDelta)) -> CounterDelta {
+        let mut d = CounterDelta {
+            instructions: 1.0e6,
+            cycles: 2.0e6,
+            l2_accesses: 1.0e4,
+            l3_accesses: 5.0e3,
+            mem_accesses: 2.0e3,
+        };
+        edit(&mut d);
+        d
+    }
+
+    #[test]
+    fn plausible_samples_are_trusted() {
+        let mut p = Predictor::new(2, MemoryLatencies::P630);
+        assert!(p.push(0, &sane(|_| {})));
+        // A zero delta (stuck counter / idle interval) is not evidence
+        // of corruption — it is merely uninformative.
+        assert!(p.push(1, &CounterDelta::default()));
+    }
+
+    #[test]
+    fn nan_spike_and_negative_are_quarantined() {
+        let mut p = Predictor::new(1, MemoryLatencies::P630);
+        assert!(!p.push(0, &sane(|d| d.cycles = f64::NAN)));
+        assert!(!p.push(0, &sane(|d| d.instructions *= 1.0e3)));
+        assert!(!p.push(0, &sane(|d| d.mem_accesses = -1.0)));
+        // Instructions without cycles is physically impossible.
+        assert!(!p.push(0, &sane(|d| d.cycles = 0.0)));
+        // The window holds the next good sample, and none of the four.
+        assert!(p.push(0, &sane(|_| {})));
+        assert_eq!(p.window_ipc(0), Some(0.5));
     }
 
     #[test]

@@ -7,7 +7,6 @@ use crate::algorithm::{
 };
 use crate::policy::{Decision, OverheadModel, Policy, TickContext};
 use crate::predictor::{ErrorStats, PredictionTracker, Predictor};
-use fvs_faults::{SampleValidator, SampleVerdict};
 use fvs_power::BudgetSchedule;
 use fvs_telemetry::{
     BudgetDeadlineTracker, Counter, Gauge, Histogram, SchedEvent, Telemetry, Tracer, TriggerKind,
@@ -136,11 +135,6 @@ impl SchedulerConfig {
         self.max_actuation_retries = retries;
         self
     }
-
-    /// The scheduling period `T` in seconds.
-    pub fn period_s(&self) -> f64 {
-        self.t_s * f64::from(self.n)
-    }
 }
 
 /// Metric handles the daemon keeps warm (created once at construction
@@ -204,7 +198,8 @@ pub struct FvsstScheduler {
     proc_buf: Vec<ProcInput>,
     budget_tracker: BudgetDeadlineTracker,
     metrics: Option<SchedMetrics>,
-    validator: SampleValidator,
+    /// Counter samples the predictor refused.
+    quarantined: u64,
     failsafe: Vec<FailsafeState>,
     /// No processor is pinned or mid-retry (every [`FailsafeState`] has
     /// zero `retries` and no pin), as the last verify walk left it.
@@ -232,7 +227,7 @@ impl FvsstScheduler {
             proc_buf: Vec::with_capacity(n_cores),
             budget_tracker,
             metrics,
-            validator: SampleValidator::new(n_cores),
+            quarantined: 0,
             failsafe: vec![FailsafeState::default(); n_cores],
             failsafe_quiet: true,
             actuation_retries: 0,
@@ -270,20 +265,15 @@ impl FvsstScheduler {
         self.cache.stats()
     }
 
-    /// The telemetry handle in use (disabled unless configured).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.config.telemetry
-    }
-
     /// Budget-drop deadline accounting (rounds/wall-time to compliance,
     /// violation counts).
     pub fn budget_deadline(&self) -> &BudgetDeadlineTracker {
         &self.budget_tracker
     }
 
-    /// Counter samples refused by the sample validator so far.
+    /// Counter samples the predictor refused so far.
     pub fn quarantined_samples(&self) -> u64 {
-        self.validator.total_quarantined()
+        self.quarantined
     }
 
     /// Actuation re-issues performed so far (degradation-ladder rung 2).
@@ -380,16 +370,18 @@ impl FvsstScheduler {
             }
         }
         self.failsafe_quiet = quiet;
-        if !reissue {
-            return false;
+        if reissue {
+            self.command_in_force(out);
         }
-        // Re-issue the decision in force, with fail-safe pins folded in
-        // (the stored decision is updated so the verify loop and any
-        // later full cache hit agree on what was commanded).
-        let last = self
-            .last_decision
-            .as_mut()
-            .expect("reissue implies a stored decision");
+        reissue
+    }
+
+    /// Fold the fail-safe pins into the decision in force and hand it
+    /// to `out`. The stored decision carries the pins too, so the verify
+    /// walk and any later full cache hit agree on what was commanded.
+    fn command_in_force(&mut self, out: &mut Decision) {
+        let f_min = self.config.algorithm.freq_set.min();
+        let last = self.last_decision.as_mut().expect("a decision is in force");
         for (i, fs) in self.failsafe.iter().enumerate() {
             if fs.pinned {
                 last.freqs[i] = f_min;
@@ -400,9 +392,8 @@ impl FvsstScheduler {
         out.desired.clone_from(&last.desired);
         out.predicted_ipc.clone_from(&last.predicted_ipc);
         out.powered_on.clear();
-        out.powered_on.resize(ctx.current.len(), true);
+        out.powered_on.resize(last.freqs.len(), true);
         out.feasible = last.feasible;
-        true
     }
 
     fn run_schedule(&mut self, ctx: &TickContext<'_>, trigger: TriggerKind, out: &mut Decision) {
@@ -459,12 +450,6 @@ impl FvsstScheduler {
         for i in 0..n {
             self.tracker.predict(i, d.predicted_ipc[i]);
         }
-        out.freqs.clone_from(&d.freqs);
-        out.desired.clone_from(&d.desired);
-        out.predicted_ipc.clone_from(&d.predicted_ipc);
-        out.powered_on.clear();
-        out.powered_on.resize(n, true);
-        out.feasible = d.feasible;
         match &mut self.last_decision {
             Some(prev) => prev.clone_from(d),
             None => self.last_decision = Some(d.clone()),
@@ -472,18 +457,7 @@ impl FvsstScheduler {
         // Fail-safe pins override whatever the round produced (the
         // idle-pin path already yields f_min when idle detection is on;
         // this keeps the pin binding when it is off).
-        if self.failsafe.iter().any(|f| f.pinned) {
-            let f_min = self.config.algorithm.freq_set.min();
-            let last = self.last_decision.as_mut().expect("decision just stored");
-            for (i, fs) in self.failsafe.iter().enumerate() {
-                if fs.pinned {
-                    out.freqs[i] = f_min;
-                    out.desired[i] = f_min;
-                    last.freqs[i] = f_min;
-                    last.desired[i] = f_min;
-                }
-            }
-        }
+        self.command_in_force(out);
         if telemetry_on {
             // `d`'s borrow of the cache has ended; journal the round from
             // the retained decision and the cache's demotion log (which
@@ -549,17 +523,15 @@ impl Policy for FvsstScheduler {
         // Degradation-ladder rung 1: impossible counter samples are
         // quarantined before they can reach the model-fitting window.
         for (i, s) in ctx.samples.iter().enumerate() {
-            match self.validator.validate(i, s) {
-                SampleVerdict::Trusted => self.predictor.push_sane(i, s),
-                SampleVerdict::Quarantined => {
-                    self.config.telemetry.emit(SchedEvent::SampleQuarantined {
-                        t_s: ctx.now_s,
-                        proc: i as u32,
-                        value: s.observed_ipc(),
-                    });
-                    if let Some(m) = &self.metrics {
-                        m.samples_quarantined.inc();
-                    }
+            if !self.predictor.push(i, s) {
+                self.quarantined += 1;
+                self.config.telemetry.emit(SchedEvent::SampleQuarantined {
+                    t_s: ctx.now_s,
+                    proc: i as u32,
+                    value: s.observed_ipc(),
+                });
+                if let Some(m) = &self.metrics {
+                    m.samples_quarantined.inc();
                 }
             }
         }
@@ -1004,9 +976,9 @@ mod tests {
     }
 
     /// A sample can pass `is_sane` and still be impossible. The
-    /// validator's is the only check between a sample and the fitting
-    /// window, so such a sample must stop there: quarantined, counted
-    /// once, the window as it was.
+    /// predictor's rule is the only check between a sample and the
+    /// fitting window, so such a sample must stop there: quarantined,
+    /// counted once, the window as it was.
     #[test]
     fn sane_but_implausible_samples_stay_out_of_the_window() {
         let platform = PlatformView::p630();

@@ -132,8 +132,7 @@ impl MachineBuilder {
 
     /// Step cores with the scalar per-core loop instead of the batched
     /// SoA pass, for the machine's whole life — the oracle side of the
-    /// differential proptests, and the `sim_tick_scalar` criterion
-    /// bench.
+    /// differential proptests (`tests/batch_parity.rs`).
     pub fn reference_stepping(mut self) -> Self {
         self.reference_stepping = true;
         self
