@@ -49,23 +49,31 @@ pub const DEFAULT_HEARTBEAT_TIMEOUT_S: f64 = 0.5;
 /// full p630 node at maximum frequency (4 × 140 W).
 pub const DEFAULT_WORST_CASE_NODE_W: f64 = 560.0;
 
-/// One node's coordinator-side charging state, as exported into (and
-/// restored from) a crash-recovery snapshot: the last summary held, the
-/// last-commanded power ceiling, the dead flag and the learned
-/// processor-count shape. Everything conservative charging needs — a
-/// resumed coordinator that restores these keeps charging a silent node
-/// `max(last reported, last commanded)` (or worst-case if it knows
-/// nothing) exactly as if it had never crashed.
-#[derive(Debug, Clone, PartialEq)]
+/// The coordinator's per-node state, one record per node: the last
+/// summary held, the last-commanded power ceiling, the dead flag and the
+/// learned processor-count shape. A crash-recovery snapshot persists the
+/// records as the coordinator keeps them. They are everything
+/// conservative charging needs — a resumed coordinator that restores
+/// them keeps charging a silent node `max(last reported, last
+/// commanded)` (or worst-case if it knows nothing) exactly as if it had
+/// never crashed.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NodeRestore {
     /// The newest summary held for the node (its `sent_at_s` is on the
     /// exporter's clock; rebase before restoring).
     pub summary: Option<NodeSummary>,
-    /// Ceiling of the frequencies last commanded (W).
+    /// Ceiling of the frequencies last *commanded* (W). A node can die
+    /// after commands were issued but before any summary reflects them,
+    /// so its last report may understate what it is now drawing; dead
+    /// nodes are charged the max of both.
     pub commanded_w: f64,
-    /// Whether the node was already declared dead.
+    /// Whether the node was already declared dead (one-shot; reset when
+    /// the node reports again).
     pub dead: bool,
-    /// Learned per-node processor count (for blind fail-safe commands).
+    /// Learned processor count, from any uplink arrival — even a
+    /// rejected one, as long as its vectors agree. Lets the coordinator
+    /// send blind fail-safe commands to a node it can hear nothing
+    /// useful from.
     pub shape: Option<usize>,
 }
 
@@ -74,7 +82,8 @@ pub struct NodeRestore {
 #[derive(Debug)]
 pub struct GlobalCoordinator {
     algorithm: FvsstAlgorithm,
-    latest: Vec<Option<NodeSummary>>,
+    /// Everything the coordinator knows of each node, by node index.
+    nodes: Vec<NodeRestore>,
     // Reused across rounds so the steady-state global computation does
     // not allocate; nodes with phase-stable models hit the fingerprint
     // cache and skip their per-processor rebuild entirely.
@@ -91,23 +100,11 @@ pub struct GlobalCoordinator {
     heartbeat_timeout_s: f64,
     /// Conservative charge for a node that has never reported (W).
     worst_case_node_w: f64,
-    /// One-shot dead declarations (reset when the node reports again).
-    dead: Vec<bool>,
     /// Power reserved for silent nodes in the last round (W).
     reserved_w: f64,
     /// What the nodes the last sweep found live last reported drawing,
     /// summed (W).
     live_power_w: f64,
-    /// Per-node ceiling of the frequencies last *commanded* (W). A node
-    /// can die after commands were issued but before any summary
-    /// reflects them, so its last report may understate what it is now
-    /// drawing; dead nodes are charged the max of both.
-    commanded_w: Vec<f64>,
-    /// Per-node processor count, learned from any uplink arrival — even
-    /// a rejected one, as long as its vectors agree. Lets the
-    /// coordinator send blind fail-safe commands to a node it can hear
-    /// nothing useful from.
-    shape: Vec<Option<usize>>,
     /// Nodes charged (not scheduled) in the last computation — they
     /// receive blind fail-safe commands. Reused across rounds.
     blind: Vec<usize>,
@@ -153,7 +150,7 @@ impl GlobalCoordinator {
         });
         GlobalCoordinator {
             algorithm,
-            latest: vec![None; nodes],
+            nodes: vec![NodeRestore::default(); nodes],
             cache: ScheduleCache::with_tolerance(ModelTolerance::PHASE_DEFAULT),
             live: Vec::new(),
             procs: Vec::new(),
@@ -163,11 +160,8 @@ impl GlobalCoordinator {
             metrics,
             heartbeat_timeout_s: DEFAULT_HEARTBEAT_TIMEOUT_S,
             worst_case_node_w: DEFAULT_WORST_CASE_NODE_W,
-            dead: vec![false; nodes],
             reserved_w: 0.0,
             live_power_w: 0.0,
-            commanded_w: vec![0.0; nodes],
-            shape: vec![None; nodes],
             blind: Vec::new(),
         }
     }
@@ -240,20 +234,17 @@ impl GlobalCoordinator {
     /// already held — the caller's summary is left exactly as passed.
     pub fn ingest_swap(&mut self, summary: &mut NodeSummary) -> bool {
         let n_procs = summary.models.len();
+        let shaped = summary.idle.len() == n_procs && summary.current.len() == n_procs;
         // Even a summary rejected for corrupt content reveals the node's
         // processor count — enough to fail-safe it later.
-        if summary.node < self.latest.len()
-            && summary.idle.len() == n_procs
-            && summary.current.len() == n_procs
-        {
-            self.shape[summary.node] = Some(n_procs);
+        if let Some(record) = self.nodes.get_mut(summary.node).filter(|_| shaped) {
+            record.shape = Some(n_procs);
         }
-        if summary.node >= self.latest.len()
+        if summary.node >= self.nodes.len()
             || !summary.sent_at_s.is_finite()
             || !summary.power_w.is_finite()
             || summary.power_w < 0.0
-            || summary.idle.len() != n_procs
-            || summary.current.len() != n_procs
+            || !shaped
         {
             if let Some(m) = &self.metrics {
                 m.summaries_rejected.inc();
@@ -267,7 +258,7 @@ impl GlobalCoordinator {
             }
             return false;
         }
-        let slot = &mut self.latest[summary.node];
+        let slot = &mut self.nodes[summary.node].summary;
         let newer = slot
             .as_ref()
             .map(|old| summary.sent_at_s >= old.sent_at_s)
@@ -308,13 +299,17 @@ impl GlobalCoordinator {
 
     /// How many nodes have reported at least once.
     pub fn nodes_reporting(&self) -> usize {
-        self.latest.iter().filter(|s| s.is_some()).count()
+        self.nodes.iter().filter(|r| r.summary.is_some()).count()
     }
 
     /// Sum of the latest reported node powers (telemetry view; lags
     /// reality by the message latency).
     pub fn reported_power_w(&self) -> f64 {
-        self.latest.iter().flatten().map(|s| s.power_w).sum()
+        self.nodes
+            .iter()
+            .filter_map(|r| r.summary.as_ref())
+            .map(|s| s.power_w)
+            .sum()
     }
 
     /// Power reserved for silent or never-reported nodes in the last
@@ -342,7 +337,7 @@ impl GlobalCoordinator {
     /// Nodes currently presumed dead (silent past the heartbeat
     /// timeout, or never heard from once the timeout has elapsed).
     pub fn dead_nodes(&self) -> usize {
-        self.dead.iter().filter(|d| **d).count()
+        self.nodes.iter().filter(|r| r.dead).count()
     }
 
     /// Run the global computation at time `now_s` and emit one command
@@ -406,10 +401,10 @@ impl GlobalCoordinator {
         self.blind.clear();
         let mut reserved_w = 0.0;
         let mut live_power_w = 0.0;
-        for (node_idx, slot) in self.latest.iter().enumerate() {
-            match slot {
+        for (node_idx, record) in self.nodes.iter_mut().enumerate() {
+            match &record.summary {
                 Some(s) if now_s - s.sent_at_s <= self.heartbeat_timeout_s => {
-                    self.dead[node_idx] = false;
+                    record.dead = false;
                     live_power_w += s.power_w;
                     self.live.push((node_idx, self.procs.len()));
                     let inputs = s.models.iter().zip(&s.idle).zip(&s.current);
@@ -425,11 +420,11 @@ impl GlobalCoordinator {
                     // last reported drawing and the ceiling of what it was
                     // last commanded (it may have gone silent after a
                     // boost command but before any summary reflected it).
-                    let charged_w = s.power_w.max(self.commanded_w[node_idx]);
+                    let charged_w = s.power_w.max(record.commanded_w);
                     reserved_w += charged_w;
                     self.blind.push(node_idx);
-                    if !self.dead[node_idx] {
-                        self.dead[node_idx] = true;
+                    if !record.dead {
+                        record.dead = true;
                         self.telemetry.emit(SchedEvent::NodeDeclaredDead {
                             t_s: now_s,
                             node: node_idx as u32,
@@ -442,8 +437,8 @@ impl GlobalCoordinator {
                     // Never heard from and overdue: assume the worst.
                     reserved_w += self.worst_case_node_w;
                     self.blind.push(node_idx);
-                    if !self.dead[node_idx] {
-                        self.dead[node_idx] = true;
+                    if !record.dead {
+                        record.dead = true;
                         self.telemetry.emit(SchedEvent::NodeDeclaredDead {
                             t_s: now_s,
                             node: node_idx as u32,
@@ -500,7 +495,7 @@ impl GlobalCoordinator {
             // Remember the node's power ceiling for conservative charging
             // should it go silent before reporting again: the table power
             // of what it is sent, which the cache holds by slot.
-            self.commanded_w[node] = self.cache.decided_power_w(start..end);
+            self.nodes[node].commanded_w = self.cache.decided_power_w(start..end);
             commands.push(FrequencyCommand {
                 node,
                 freqs: freqs[start..end].to_vec(),
@@ -514,7 +509,7 @@ impl GlobalCoordinator {
         // node actually reports again.
         let f_min = self.algorithm.freq_set.min();
         for &node in &self.blind {
-            if let Some(n_procs) = self.shape[node] {
+            if let Some(n_procs) = self.nodes[node].shape {
                 commands.push(FrequencyCommand {
                     node,
                     freqs: vec![f_min; n_procs],
@@ -533,12 +528,12 @@ impl GlobalCoordinator {
 
     /// Nodes this coordinator was built for.
     pub fn num_nodes(&self) -> usize {
-        self.latest.len()
+        self.nodes.len()
     }
 
     /// Whether node `node` is currently presumed dead.
     pub fn is_dead(&self, node: usize) -> bool {
-        self.dead.get(node).copied().unwrap_or(false)
+        self.nodes.get(node).is_some_and(|r| r.dead)
     }
 
     /// The earliest future time at which a currently-live node could be
@@ -548,11 +543,8 @@ impl GlobalCoordinator {
     /// A round skipped until this deadline cannot miss a declaration.
     pub fn next_liveness_deadline_s(&self) -> f64 {
         let mut deadline = f64::INFINITY;
-        for (node_idx, slot) in self.latest.iter().enumerate() {
-            if self.dead[node_idx] {
-                continue;
-            }
-            let due = match slot {
+        for record in self.nodes.iter().filter(|r| !r.dead) {
+            let due = match &record.summary {
                 Some(s) => s.sent_at_s + self.heartbeat_timeout_s,
                 // Never reported: the grace period ends at the timeout.
                 None => self.heartbeat_timeout_s,
@@ -564,21 +556,13 @@ impl GlobalCoordinator {
 
     /// The newest summary held for `node` (snapshot export and tests).
     pub fn latest_summary(&self, node: usize) -> Option<&NodeSummary> {
-        self.latest.get(node).and_then(|s| s.as_ref())
+        self.nodes.get(node).and_then(|r| r.summary.as_ref())
     }
 
-    /// Export `node`'s charging state for a crash-recovery snapshot, or
-    /// `None` when the index is out of range.
+    /// Export `node`'s record for a crash-recovery snapshot, or `None`
+    /// when the index is out of range.
     pub fn export_node(&self, node: usize) -> Option<NodeRestore> {
-        if node >= self.latest.len() {
-            return None;
-        }
-        Some(NodeRestore {
-            summary: self.latest[node].clone(),
-            commanded_w: self.commanded_w[node],
-            dead: self.dead[node],
-            shape: self.shape[node],
-        })
+        self.nodes.get(node).cloned()
     }
 
     /// Restore `node`'s charging state from a snapshot — the resync
@@ -589,10 +573,10 @@ impl GlobalCoordinator {
     /// until a fresh summary arrives. Out-of-range indices and
     /// malformed summaries are ignored (a snapshot cannot widen the
     /// cluster or inject what [`ingest`](Self::ingest) would refuse).
-    pub fn restore_node(&mut self, node: usize, r: NodeRestore) {
-        if node >= self.latest.len() {
+    pub fn restore_node(&mut self, node: usize, mut r: NodeRestore) {
+        let Some(record) = self.nodes.get_mut(node) else {
             return;
-        }
+        };
         // A corrupt summary is dropped and the flags and ceiling kept: the
         // node degrades to worst-case charging. `-∞` is a legal timestamp
         // (what an infinite heartbeat timeout rebases to); NaN or `+∞`
@@ -607,14 +591,13 @@ impl GlobalCoordinator {
                 || s.sent_at_s.is_nan()
                 || s.sent_at_s == f64::INFINITY
         });
-        self.latest[node] = if corrupt { None } else { r.summary };
-        self.commanded_w[node] = if r.commanded_w.is_finite() && r.commanded_w >= 0.0 {
-            r.commanded_w
-        } else {
-            0.0
-        };
-        self.dead[node] = r.dead;
-        self.shape[node] = r.shape;
+        if corrupt {
+            r.summary = None;
+        }
+        if !(r.commanded_w.is_finite() && r.commanded_w >= 0.0) {
+            r.commanded_w = 0.0;
+        }
+        *record = r;
     }
 
     /// A conservative ceiling on what this coordinator's nodes can draw
@@ -625,14 +608,14 @@ impl GlobalCoordinator {
     /// when the subtree goes dark.
     pub fn charge_ceiling_w(&self) -> f64 {
         let mut total = self.reserved_w;
-        for (node_idx, slot) in self.latest.iter().enumerate() {
-            let Some(s) = slot else {
+        for record in &self.nodes {
+            let Some(s) = &record.summary else {
                 // Never-reported nodes are already in the reserve
                 // (grace charges are part of `reserved_w` after any
                 // compute).
                 continue;
             };
-            if self.dead[node_idx] {
+            if record.dead {
                 continue; // likewise already reserved
             }
             // The larger of what the node last reported drawing and the
@@ -640,7 +623,7 @@ impl GlobalCoordinator {
             // never commanded cannot ramp past its current draw on its
             // own, so its report is the honest ceiling. Worst case only
             // if we know neither.
-            let ceiling = self.commanded_w[node_idx].max(s.power_w);
+            let ceiling = record.commanded_w.max(s.power_w);
             total += if ceiling > 0.0 {
                 ceiling
             } else {

@@ -80,16 +80,24 @@ impl ClusterNode {
         }
     }
 
-    /// Apply a frequency vector from the coordinator. A window measures
-    /// one frequency: a core that changes closes its window at the old.
-    pub fn apply(&mut self, freqs: &[FreqMhz]) {
-        for (i, f) in freqs.iter().enumerate().take(self.machine.num_cores()) {
+    /// Apply a frequency vector from the coordinator, one entry per core.
+    /// A vector of another length, or one naming a frequency outside the
+    /// machine's set, is refused whole (`false`): every core keeps its
+    /// setting. A window measures one frequency: a core that changes
+    /// closes its window at the old.
+    pub fn apply(&mut self, freqs: &[FreqMhz]) -> bool {
+        let set = self.machine.frequency_set();
+        if freqs.len() != self.machine.num_cores() || !freqs.iter().all(|&f| set.contains(f)) {
+            return false;
+        }
+        for (i, f) in freqs.iter().enumerate() {
             let current = self.machine.core(i).requested_frequency();
             if current != *f {
                 self.predictor.refit(i, current);
             }
             self.machine.set_frequency(i, *f);
         }
+        true
     }
 
     /// Aggregate processor power right now.
@@ -127,7 +135,7 @@ mod tests {
     fn apply_sets_frequencies() {
         let machine = MachineBuilder::p630().build();
         let mut node = ClusterNode::new(0, machine, None);
-        node.apply(&[FreqMhz(500), FreqMhz(600), FreqMhz(700), FreqMhz(800)]);
+        assert!(node.apply(&[FreqMhz(500), FreqMhz(600), FreqMhz(700), FreqMhz(800)]));
         assert_eq!(node.machine().effective_frequency(0), FreqMhz(500));
         assert_eq!(node.machine().effective_frequency(3), FreqMhz(800));
         assert_eq!(node.power_w(), 35.0 + 48.0 + 66.0 + 84.0);

@@ -5,16 +5,15 @@
 //! measurement window every `summary_every` ticks, ship the
 //! [`fvs_cluster::NodeSummary`] upstream, and apply whatever frequency
 //! ceilings come back. When the link drops it reconnects up a
-//! [`ReconnectLadder`], and the machine holds its last-commanded
+//! [`ReconnectLadder`], and the machine runs on at its last-commanded
 //! frequencies — exactly the mute-but-running scenario the
 //! coordinator's conservative charging defends against.
 //!
 //! Those rules are [`AgentCore`](crate::AgentCore)'s, which needs no
-//! socket. The loop that gives it one, [`crate::fleet`]'s, ticks only
-//! agents with an open socket: while one reconnects, its machine's clock
-//! stands still. [`ClusterSim`](crate::ClusterSim) ticks every agent
-//! every tick. This module holds what both read: the tunables and the
-//! ladder.
+//! socket. Its drivers — the loop that gives it one, [`crate::fleet`]'s,
+//! and [`ClusterSim`](crate::ClusterSim) — tick every agent every
+//! period, linked or not, and connect when the core says to. This
+//! module holds what they read: the tunables and the ladder.
 
 use crate::error::FvsError;
 use crate::wire::SCHEMA_VERSION;

@@ -2,15 +2,18 @@
 //!
 //! [`AgentCore`] is one agent as a state machine: its [`ClusterNode`],
 //! where it is in the life of its connection ([`Phase`]), its
-//! [`ReconnectLadder`], the fence (the highest coordinator epoch it has
-//! acknowledged, and it serves none below it), when a frame last
-//! decoded, how many ticks the open measurement window holds, and the
-//! protocol fields of its [`AgentConfig`]. It is driven by plain calls
-//! that carry the time as `now_s`, seconds on whatever clock the caller
-//! keeps: [`connected`](AgentCore::connected) when a socket has opened,
+//! [`ReconnectLadder`] and when its next connect is due, the fence (the
+//! highest coordinator epoch it has acknowledged, and it serves none
+//! below it), when a frame last decoded, how many ticks the open
+//! measurement window holds, and the protocol fields of its
+//! [`AgentConfig`]. It is driven by plain calls that carry the time as
+//! `now_s`, seconds on whatever clock the caller keeps:
+//! [`connected`](AgentCore::connected) when a socket has opened,
 //! [`tick`](AgentCore::tick) once per dispatch period,
 //! [`frame`](AgentCore::frame) for every frame that decodes and
-//! [`lost`](AgentCore::lost) when the link is gone.
+//! [`lost`](AgentCore::lost) when the link is gone. It alone says when to
+//! reconnect: a driver ticks every agent, linked or not, and opens a link
+//! when a tick says [`Tick::Connect`].
 //!
 //! It opens no socket, reads no clock and never sleeps, so the node
 //! side of the paper's ΔT can be asked as a table of calls
@@ -21,15 +24,14 @@
 //! and turns readiness and due timers into these calls.
 
 use crate::agent::{AgentConfig, ReconnectLadder};
-use crate::wire::{WireMsg, CODEC_ALL};
+use crate::wire::{WireCodec, WireMsg, CODEC_ALL};
 use fvs_cluster::{ClusterNode, NodeSummary};
-use fvs_telemetry::Tracer;
-use std::time::Duration;
+use fvs_telemetry::{SchedEvent, Telemetry, Tracer, WireFaultKind};
 
 /// Where an agent is in the life of its connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// No socket: waiting out the ramp stagger or a backoff rung.
+    /// No socket: waiting out a backoff rung, or not yet connected.
     Backoff,
     /// Hello sent, ack awaited.
     Handshaking,
@@ -48,6 +50,9 @@ pub enum Tick {
     Summary(NodeSummary),
     /// No frame has decoded for `link_timeout`: drop the link.
     Silent,
+    /// No link, and the wait is over: open one and send
+    /// [`connected`](AgentCore::connected)'s hello.
+    Connect,
 }
 
 /// What a decoded frame meant to the agent that received it.
@@ -62,7 +67,8 @@ pub enum Heard {
         /// This agent had been accepted before.
         reconnect: bool,
     },
-    /// A ceiling for this node, now applied to its machine.
+    /// A ceiling for this node, now applied to its machine (one it
+    /// cannot run is journaled as a `wire_fault` and heard as nothing).
     Applied,
     /// The sender's epoch is below the fence — a stale survivor, or an
     /// old build that knows no epochs. Drop the link and retry through
@@ -82,6 +88,8 @@ pub struct AgentCore {
     node: ClusterNode,
     phase: Phase,
     ladder: ReconnectLadder,
+    /// When a [`Phase::Backoff`] agent connects next.
+    connect_at_s: f64,
     /// Highest coordinator epoch ever acknowledged: the fence.
     last_epoch: u64,
     /// When a frame last decoded, or the hello left
@@ -95,6 +103,7 @@ pub struct AgentCore {
     link_timeout_s: f64,
     version: u32,
     tracer: Tracer,
+    telemetry: Telemetry,
 }
 
 impl AgentCore {
@@ -111,6 +120,7 @@ impl AgentCore {
                 config.backoff_max,
                 config.jitter_seed ^ id.wrapping_mul(0x517C_C1B7_2722_0A95),
             ),
+            connect_at_s: 0.0,
             last_epoch: 0,
             last_rx_s: 0.0,
             ticks: 0,
@@ -120,6 +130,7 @@ impl AgentCore {
             link_timeout_s: config.link_timeout.as_secs_f64(),
             version: config.version,
             tracer: config.tracer.clone(),
+            telemetry: config.telemetry.clone(),
         }
     }
 
@@ -155,10 +166,11 @@ impl AgentCore {
     }
 
     /// One dispatch period has passed. A machine does not stop because
-    /// its link did: it advances in every phase but [`Phase::Dead`]. A
-    /// running agent owes a summary every `summary_every`-th tick; any
-    /// other only flushes (a delayed hello moves on the flush that finds
-    /// it due). Only an open link can be silent.
+    /// its link did: it advances in every phase but [`Phase::Dead`]. An
+    /// agent without a link connects once its wait is over. A running
+    /// agent owes a summary every `summary_every`-th tick; any other
+    /// only flushes (a delayed hello moves on the flush that finds it
+    /// due). Only an open link can be silent.
     pub fn tick(&mut self, now_s: f64) -> Tick {
         if self.phase == Phase::Dead {
             return Tick::Flush;
@@ -168,7 +180,10 @@ impl AgentCore {
             self.ticks += 1;
             self.ticks.is_multiple_of(self.summary_every)
         };
-        if self.phase != Phase::Backoff && now_s - self.last_rx_s > self.link_timeout_s {
+        let linked = self.phase != Phase::Backoff;
+        if !linked && now_s >= self.connect_at_s {
+            Tick::Connect
+        } else if linked && now_s - self.last_rx_s > self.link_timeout_s {
             Tick::Silent
         } else if window_closed {
             Tick::Summary(self.node.summarize())
@@ -206,8 +221,19 @@ impl AgentCore {
                 if self.phase == Phase::Running && cmd.node == self.node.id =>
             {
                 let _apply = self.tracer.span("node.apply");
-                self.node.apply(&cmd.freqs);
-                return Heard::Applied;
+                if self.node.apply(&cmd.freqs) {
+                    return Heard::Applied;
+                }
+                // A frame that decoded into a ceiling this node cannot run.
+                self.telemetry.emit(SchedEvent::WireFault {
+                    t_s: now_s,
+                    node: self.node.id as u32,
+                    fault: WireFaultKind::Decode,
+                    injected: false,
+                    frame_len: 0,
+                    codec: WireCodec::Binary.id(),
+                });
+                return Heard::Nothing;
             }
             _ => return Heard::Nothing,
         };
@@ -237,18 +263,25 @@ impl AgentCore {
         Heard::Refused
     }
 
-    /// The link is gone (it failed, it never opened, or [`tick`] or
-    /// [`frame`] said to drop it). Returns how long to wait before
-    /// connecting again, one rung further up the ladder; `None` for an
-    /// agent that was refused for good.
+    /// The link is gone at `now_s` (it failed, it never opened, or
+    /// [`tick`] or [`frame`] said to drop it). Returns when [`tick`] will
+    /// say [`Tick::Connect`], one rung further up the ladder; `None` for
+    /// an agent that was refused for good.
     ///
     /// [`tick`]: AgentCore::tick
     /// [`frame`]: AgentCore::frame
-    pub fn lost(&mut self) -> Option<Duration> {
+    pub fn lost(&mut self, now_s: f64) -> Option<f64> {
         if self.phase == Phase::Dead {
             return None;
         }
         self.phase = Phase::Backoff;
-        Some(self.ladder.next_delay())
+        self.connect_at_s = now_s + self.ladder.next_delay().as_secs_f64();
+        Some(self.connect_at_s)
+    }
+
+    /// The wait is over early — a simulator powered the machine back on:
+    /// an agent without a link is told to connect on its next tick.
+    pub fn connect_now(&mut self) {
+        self.connect_at_s = f64::NEG_INFINITY;
     }
 }

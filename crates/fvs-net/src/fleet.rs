@@ -2,19 +2,20 @@
 //!
 //! Every agent is an [`AgentCore`] — the state machine that holds the
 //! node role's rules — given a socket: the slots are multiplexed onto
-//! one [`Reactor`], with a timer heap driving wall-clock ticks. A due
-//! timer on a slot without a socket connects it; on one with a socket
-//! it is one tick of the core, whose answer (flush, this summary, the
-//! link is silent) goes over the slot's [`Transport`]; every frame that
-//! decodes goes to the core, and what it says happened is counted. The
-//! loop decides nothing. This is the only way an agent runs:
-//! [`AgentFleet::launch`] for the thousands of a soak as for the one of
-//! `fvsst-node`, a tick taking [`AgentConfig::pace`] of wall time.
+//! one [`Reactor`], with one periodic timer per slot driving wall-clock
+//! ticks. A due timer is one tick of the core, linked or not, and its
+//! answer (connect, flush, this summary, the link is silent) is carried
+//! out over the slot's [`Transport`]; every frame that decodes goes to
+//! the core, and what it says happened is counted. The loop decides
+//! nothing. This is the only way an agent runs: [`AgentFleet::launch`]
+//! for the thousands of a soak as for the one of `fvsst-node`, a tick
+//! taking [`AgentConfig::pace`] of wall time.
 //!
-//! Connects are staggered across a ramp window so 10k simultaneous SYNs
-//! don't blow the accept backlog, and the ramp doubles as tick phase
-//! stagger: agents connected at different times summarize at different
-//! times, spreading uplink load across the period.
+//! First ticks, and so first connects, are staggered across a ramp
+//! window so 10k simultaneous SYNs don't blow the accept backlog, and
+//! the ramp doubles as tick phase stagger: agents started at different
+//! times summarize at different times, spreading uplink load across the
+//! period.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -88,7 +89,8 @@ impl FleetStats {
         self.epochs_fenced.load(Ordering::SeqCst)
     }
 
-    /// Agents permanently refused over schema version.
+    /// Agents refused for good: over schema version, or over a node id
+    /// outside the coordinator's cluster.
     pub fn version_rejects(&self) -> u64 {
         self.version_rejects.load(Ordering::SeqCst)
     }
@@ -139,7 +141,7 @@ impl FleetHandle {
     }
 
     /// Whether the loop has ended on its own: every agent was refused
-    /// over its schema version.
+    /// for good.
     pub fn is_finished(&self) -> bool {
         self.thread.is_finished()
     }
@@ -148,9 +150,6 @@ impl FleetHandle {
 /// What the loop keeps for an agent beside its rules.
 struct Slot {
     core: AgentCore,
-    /// Bumped when a timer is armed and when the socket goes; heap
-    /// entries of an older generation are skipped.
-    gen: u64,
     token: Option<u64>,
     connect_seq: u64,
     /// Node power in the latest summary (W).
@@ -182,15 +181,14 @@ impl AgentFleet {
             .ok_or_else(|| FvsError::config("fleet address resolved to nothing"))?;
         let n = nodes.len();
         let start = Instant::now();
-        // First connects, staggered across the ramp.
+        // First ticks, staggered across the ramp.
         let timers = (0..n)
-            .map(|i| Reverse((start + ramp.mul_f64(i as f64 / n as f64), i, 0)))
+            .map(|i| Reverse((start + ramp.mul_f64(i as f64 / n as f64), i)))
             .collect();
         let slots = nodes
             .into_iter()
             .map(|node| Slot {
                 core: AgentCore::new(node, &config),
-                gen: 0,
                 token: None,
                 connect_seq: 0,
                 power_w: 0.0,
@@ -227,8 +225,8 @@ impl AgentFleet {
     }
 }
 
-/// (due, slot index, generation) — a min-heap via `Reverse`.
-type Timers = BinaryHeap<Reverse<(Instant, usize, u64)>>;
+/// (due, slot index) — a min-heap via `Reverse`, one entry per slot.
+type Timers = BinaryHeap<Reverse<(Instant, usize)>>;
 
 /// Everything the loop owns.
 struct Fleet {
@@ -250,12 +248,6 @@ struct Fleet {
     power_w: f64,
 }
 
-/// Arm a slot's next timer under a fresh generation.
-fn arm(timers: &mut Timers, slot: &mut Slot, idx: usize, at: Instant) {
-    slot.gen += 1;
-    timers.push(Reverse((at, idx, slot.gen)));
-}
-
 impl Fleet {
     /// `at` on the clock the cores are told: seconds since launch.
     fn secs(&self, at: Instant) -> f64 {
@@ -270,22 +262,15 @@ impl Fleet {
             let mut fired = 0usize;
             let now = Instant::now();
             while fired < MAX_TIMERS_PER_ITER {
-                let Some(&Reverse((when, idx, gen))) = self.timers.peek() else {
+                let Some(&Reverse((when, idx))) = self.timers.peek() else {
                     break;
                 };
                 if when > now {
                     break;
                 }
                 self.timers.pop();
-                if self.slots[idx].gen != gen {
-                    continue; // re-armed or hung up since this was armed
-                }
                 fired += 1;
-                if self.slots[idx].token.is_some() {
-                    self.tick(idx, when, now);
-                } else {
-                    self.connect(idx);
-                }
+                self.tick(idx, when, now);
             }
 
             // Sleep until the next timer (or briefly, if timers are
@@ -295,7 +280,7 @@ impl Fleet {
             } else {
                 self.timers
                     .peek()
-                    .map(|Reverse((when, _, _))| when.saturating_duration_since(Instant::now()))
+                    .map(|Reverse((when, _))| when.saturating_duration_since(Instant::now()))
                     .unwrap_or(Duration::from_millis(50))
                     .min(Duration::from_millis(50))
             };
@@ -347,23 +332,12 @@ impl Fleet {
             .store(power_w.to_bits(), Ordering::SeqCst);
     }
 
-    /// A timer came due on a slot without a socket: open one and send
-    /// the core's hello, or wait out the next rung.
-    fn connect(&mut self, idx: usize) {
-        let raw = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT);
+    /// The core said to connect: open a socket and send its hello on it.
+    fn connect(&mut self, idx: usize) -> Result<(), FvsError> {
+        let mut raw = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT)?;
         // The connect blocks for up to `CONNECT_TIMEOUT`: the hello is
-        // stamped, and a failure waits, from when it returned.
-        let now = Instant::now();
-        let greeted = raw
-            .map_err(FvsError::from)
-            .and_then(|raw| self.greet(idx, raw, now));
-        if greeted.is_err() {
-            self.disconnect(idx, now);
-        }
-    }
-
-    fn greet(&mut self, idx: usize, mut raw: TcpStream, now: Instant) -> Result<(), FvsError> {
-        let now_s = self.secs(now);
+        // stamped from when it returned.
+        let now_s = self.secs(Instant::now());
         let slot = &mut self.slots[idx];
         slot.connect_seq += 1;
         let mut transport = Transport::under(
@@ -380,14 +354,14 @@ impl Fleet {
         transport.send(&slot.core.connected(now_s), now_s)?;
         transport.flush(&mut raw, now_s)?;
         slot.token = Some(self.reactor.insert(raw, transport, idx)?);
-        arm(&mut self.timers, slot, idx, now + self.config.pace);
         Ok(())
     }
 
     /// A slot's link is gone or no good: drop its socket if it has one,
-    /// no goodbye, and connect again when the core says — never, if it
-    /// was refused for good.
+    /// no goodbye, and tell the core, whose ticks say when to connect
+    /// again — never, if it was refused for good.
     fn disconnect(&mut self, idx: usize, now: Instant) {
+        let now_s = self.secs(now);
         let slot = &mut self.slots[idx];
         if let Some(token) = slot.token.take() {
             self.reactor.remove(token);
@@ -396,32 +370,32 @@ impl Fleet {
         if slot.core.phase() == Phase::Running {
             self.stats.connected.fetch_sub(1, Ordering::SeqCst);
         }
-        slot.gen += 1; // orphan any armed timer
-        if let Some(delay) = slot.core.lost() {
-            arm(&mut self.timers, slot, idx, now + delay);
-        }
+        slot.core.lost(now_s);
     }
 
-    /// One wall-clock tick of a connected agent, due at `when` and
-    /// fired at `now`: ship what the core owes — every tick flushes, so
-    /// a chaos-delayed frame, the hello included, moves on the flush
-    /// that finds it due — and reconnect if the core calls the link
-    /// silent or the shipping found it no good.
+    /// One wall-clock tick of an agent, due at `when` and fired at
+    /// `now`: connect, or ship what the core owes — every tick flushes,
+    /// so a chaos-delayed frame, the hello included, moves on the flush
+    /// that finds it due — and drop a link that could not open, that the
+    /// core calls silent or that the shipping found no good.
     fn tick(&mut self, idx: usize, when: Instant, now: Instant) {
         let now_s = self.secs(now);
-        let shipped = match self.slots[idx].core.tick(now_s) {
+        let ok = match self.slots[idx].core.tick(now_s) {
+            Tick::Connect => self.connect(idx).is_ok(),
             Tick::Silent => false,
             Tick::Flush => self.ship(idx, None, now_s),
             Tick::Summary(summary) => self.ship(idx, Some(summary), now_s),
         };
         let now = Instant::now();
-        if shipped {
-            // Drift-free cadence: schedule off the previous deadline, but
-            // never pile further into the past than "now".
-            let next = (when + self.config.pace).max(now);
-            arm(&mut self.timers, &mut self.slots[idx], idx, next);
-        } else {
+        if !ok {
             self.disconnect(idx, now);
+        }
+        if self.slots[idx].core.phase() != Phase::Dead {
+            // Drift-free cadence, until refused for good: schedule off the
+            // previous deadline, but never pile further into the past
+            // than "now".
+            let next = (when + self.config.pace).max(now);
+            self.timers.push(Reverse((next, idx)));
         }
     }
 
@@ -431,7 +405,7 @@ impl Fleet {
     fn ship(&mut self, idx: usize, summary: Option<NodeSummary>, now_s: f64) -> bool {
         let slot = &mut self.slots[idx];
         let Some(token) = slot.token else {
-            return false;
+            return true;
         };
         let Some((transport, stream, _)) = self.reactor.get_mut(token) else {
             return false;

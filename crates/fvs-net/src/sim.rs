@@ -188,8 +188,6 @@ struct Slot {
     due: Tick,
     link: Option<Link>,
     online: bool,
-    /// When the agent connects next (virtual s), while it has no link.
-    connect_at_s: f64,
 }
 
 /// A frame in flight: the slot at its agent end, its connection, its
@@ -273,7 +271,6 @@ impl ClusterSim {
                     due: Tick::Flush,
                     link: None,
                     online: true,
-                    connect_at_s: 0.0,
                 }
             })
             .collect();
@@ -456,9 +453,11 @@ impl ClusterSim {
 
         // What each agent's tick owes its link — every tick flushes, so a
         // delayed frame leaves on the tick that finds it due — and a
-        // hello from each one whose wait is over.
+        // hello from each online one whose wait is over.
         for i in 0..self.slots.len() {
             match std::mem::replace(&mut self.slots[i].due, Tick::Flush) {
+                Tick::Connect if self.slots[i].online => self.connect(i, now),
+                Tick::Connect => {}
                 Tick::Flush => self.flush(i, true, now),
                 Tick::Silent => self.close(i, now),
                 Tick::Summary(mut summary) => {
@@ -472,10 +471,6 @@ impl ClusterSim {
                     }
                     self.send(i, true, &WireMsg::Summary(summary), now);
                 }
-            }
-            let slot = &self.slots[i];
-            if slot.link.is_none() && slot.online && now >= slot.connect_at_s {
-                self.connect(i, now);
             }
         }
 
@@ -510,13 +505,13 @@ impl ClusterSim {
         let f_min = self.config.algorithm.freq_set.min();
         let slot = &mut self.slots[i];
         slot.online = online;
-        slot.connect_at_s = if online { now } else { f64::INFINITY };
         let machine = slot.core.node_mut().machine_mut();
         (0..machine.num_cores()).for_each(|core| machine.set_powered(core, online));
         if online {
             // The cluster has long since redistributed this node's
             // budget: rejoin at f_min, as at boot.
             machine.set_all_frequencies(f_min);
+            slot.core.connect_now();
         }
     }
 
@@ -544,8 +539,7 @@ impl ClusterSim {
         let slot = &mut self.slots[i];
         let Some(link) = slot.link.take() else { return };
         self.coordinator.closed(link.conn);
-        let wait = slot.core.lost().map_or(f64::INFINITY, |d| d.as_secs_f64());
-        slot.connect_at_s = now + wait;
+        slot.core.lost(now);
     }
 
     /// Send `msg` from one end of slot `i`'s link — the agent's when

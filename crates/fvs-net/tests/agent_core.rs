@@ -8,6 +8,7 @@ use fvs_net::{
     AgentConfig, AgentCore, Heard, Phase, Tick, WireCodec, WireMsg, CODEC_ALL, SCHEMA_VERSION,
 };
 use fvs_sim::MachineBuilder;
+use fvs_telemetry::{SchedEvent, Telemetry};
 use fvs_workloads::WorkloadSpec;
 use std::time::Duration;
 
@@ -25,11 +26,15 @@ fn config() -> AgentConfig {
 }
 
 fn fresh() -> AgentCore {
+    fresh_with(&config())
+}
+
+fn fresh_with(config: &AgentConfig) -> AgentCore {
     let mut b = MachineBuilder::p630();
     for core in 0..4 {
         b = b.workload(core, WorkloadSpec::synthetic(100.0, 1.0e18));
     }
-    AgentCore::new(ClusterNode::new(NODE, b.build(), None), &config())
+    AgentCore::new(ClusterNode::new(NODE, b.build(), None), config)
 }
 
 fn ack(accepted: bool, version: u32, epoch: u64, codec: u8) -> WireMsg {
@@ -61,7 +66,7 @@ fn at(phase: Phase) -> AgentCore {
     core.connected(0.0);
     assert_eq!(core.frame(&current_ack(), 0.0), accepted(false));
     if phase == Phase::Handshaking {
-        core.lost();
+        core.lost(0.0);
         core.connected(0.0);
     }
     assert_eq!(core.phase(), phase);
@@ -188,11 +193,13 @@ fn a_hello_waits_for_its_ack_no_longer_than_link_timeout() {
     );
     assert_eq!(core.frame(&ceiling(NODE), 10.7), Heard::Nothing);
     assert_eq!(core.tick(10.0 + LINK_TIMEOUT_S), Tick::Flush);
-    assert_eq!(core.tick(10.0 + LINK_TIMEOUT_S + 0.001), Tick::Silent);
-    // The caller drops the link, and the core names the wait.
+    let silent_s = 10.0 + LINK_TIMEOUT_S + 0.001;
+    assert_eq!(core.tick(silent_s), Tick::Silent);
+    // The caller drops the link, and the core names when to connect.
     assert_eq!(core.phase(), Phase::Handshaking);
-    let delay = core.lost().expect("silence is not a refusal");
-    assert!(delay >= BACKOFF_BASE / 2 && delay <= BACKOFF_BASE);
+    let wait = core.lost(silent_s).expect("silence is not a refusal") - silent_s;
+    let base = BACKOFF_BASE.as_secs_f64();
+    assert!(wait >= base / 2.0 - 1e-9 && wait <= base + 1e-9, "{wait}");
     assert_eq!(core.phase(), Phase::Backoff);
 }
 
@@ -236,7 +243,7 @@ fn a_summary_every_nth_running_tick_and_none_while_handshaking() {
 
     // A new connection opens a new window: the seventh tick above is
     // not carried over.
-    core.lost();
+    core.lost(0.13);
     core.connected(0.2);
     core.frame(&current_ack(), 0.2);
     assert_eq!(core.tick(0.21), Tick::Flush);
@@ -246,17 +253,17 @@ fn a_summary_every_nth_running_tick_and_none_while_handshaking() {
 
 /// A machine does not stop because its link did: it advances in every
 /// phase but `Dead`, and with no link open there is nothing to call
-/// silent.
+/// silent — only, once the wait is over, a link to open.
 #[test]
 fn the_machine_runs_on_in_backoff_and_backoff_is_never_silent() {
     let mut core = at(Phase::Running);
-    core.lost();
+    core.lost(0.0);
     assert_eq!(core.phase(), Phase::Backoff);
     let before = core.node().machine().core(0).stats().body_instructions;
     for tick in 1..=10 {
         // Long past link_timeout since the last frame at t = 0.
         let now_s = 10.0 * LINK_TIMEOUT_S + tick as f64 * 0.01;
-        assert_eq!(core.tick(now_s), Tick::Flush, "tick {tick}");
+        assert_eq!(core.tick(now_s), Tick::Connect, "tick {tick}");
     }
     assert!((core.node().machine().now_s() - 0.1).abs() < 1e-12);
     let after = core.node().machine().core(0).stats().body_instructions;
@@ -273,16 +280,16 @@ fn reconnect_is_false_on_the_first_accepted_handshake_and_true_after() {
     let mut core = fresh();
     // A handshake that was never accepted is not a first connection.
     core.connected(0.0);
-    core.lost();
+    core.lost(0.0);
     core.connected(0.0);
     assert_eq!(core.frame(&ack(true, V, 0, 0), 0.0), accepted(false));
     // The ladder climbs while connects fail ...
-    let delays: Vec<Duration> = (0..4).map(|_| core.lost().unwrap()).collect();
-    assert!(delays[3] >= BACKOFF_BASE * 4, "{delays:?}");
+    let waits: Vec<f64> = (0..4).map(|_| core.lost(0.0).unwrap()).collect();
+    assert!(waits[3] >= 4.0 * BACKOFF_BASE.as_secs_f64(), "{waits:?}");
     // ... and an accepted handshake takes it back to the bottom rung.
     core.connected(1.0);
     assert_eq!(core.frame(&ack(true, V, 0, 0), 1.0), accepted(true));
-    assert!(core.lost().unwrap() <= BACKOFF_BASE);
+    assert!(core.lost(1.0).unwrap() - 1.0 <= BACKOFF_BASE.as_secs_f64() + 1e-9);
     core.connected(2.0);
     assert_eq!(core.frame(&current_ack(), 2.0), accepted(true));
 }
@@ -292,8 +299,103 @@ fn a_refused_agent_stays_dead_through_lost() {
     let mut core = at(Phase::Handshaking);
     assert_eq!(core.frame(&ack(false, V + 1, 0, 0), 0.0), Heard::Refused);
     assert_eq!(core.phase(), Phase::Dead);
-    // The caller drops the link; there is no rung to wait out.
-    assert_eq!(core.lost(), None);
-    assert_eq!(core.lost(), None);
+    // The caller drops the link; there is no rung to wait out, and no
+    // tick ever says to connect.
+    assert_eq!(core.lost(0.0), None);
+    assert_eq!(core.lost(0.0), None);
     assert_eq!(core.phase(), Phase::Dead);
+    for now_s in [0.0, 0.01, 1.0, 1.0e3, f64::INFINITY] {
+        assert_eq!(core.tick(now_s), Tick::Flush, "{now_s} s");
+    }
+}
+
+/// `Connect` comes on the first tick at or past the time `lost` drew —
+/// not one tick earlier — rung after rung, and keeps coming until the
+/// caller connects. The waits are the ladder's.
+#[test]
+fn connect_comes_exactly_when_the_drawn_delay_has_elapsed() {
+    let tick_s = config().tick_s;
+    let mut core = at(Phase::Running);
+    let mut lost_s = 1.0;
+    let mut rung = BACKOFF_BASE.as_secs_f64();
+    for _ in 0..7 {
+        let due = core.lost(lost_s).expect("not refused");
+        let wait = due - lost_s;
+        assert!(
+            wait >= rung / 2.0 - 1e-9 && wait <= rung + 1e-9,
+            "{wait} on {rung}"
+        );
+        let mut now_s = lost_s + tick_s;
+        while now_s < due {
+            assert_eq!(core.tick(now_s), Tick::Flush, "{now_s} s, due {due} s");
+            now_s += tick_s;
+        }
+        assert_eq!(core.tick(now_s), Tick::Connect, "{now_s} s, due {due} s");
+        assert_eq!(core.tick(now_s + tick_s), Tick::Connect, "until connected");
+        // The hello goes out; no ack comes, and the link is lost again.
+        core.connected(now_s + tick_s);
+        assert_eq!(core.tick(now_s + 2.0 * tick_s), Tick::Flush);
+        lost_s = now_s + 2.0 * tick_s;
+        rung = (2.0 * rung).min(0.64);
+    }
+}
+
+/// The machine's clock runs on across a backoff: one `tick_s` per tick,
+/// before the wait is over and after it alike.
+#[test]
+fn the_machine_clock_advances_across_a_backoff() {
+    let tick_s = config().tick_s;
+    let mut core = at(Phase::Running);
+    let due = core.lost(0.0).expect("not refused");
+    let mut answers = Vec::new();
+    for tick in 1..=20 {
+        let before_s = core.node().machine().now_s();
+        answers.push(core.tick(due + (tick - 10) as f64 * tick_s / 4.0));
+        let after_s = core.node().machine().now_s();
+        assert!((after_s - before_s - tick_s).abs() < 1e-12, "tick {tick}");
+    }
+    assert!(
+        answers[..9].iter().all(|a| *a == Tick::Flush),
+        "{answers:?}"
+    );
+    assert!(
+        answers[9..].iter().all(|a| *a == Tick::Connect),
+        "{answers:?}"
+    );
+    assert_eq!(core.phase(), Phase::Backoff);
+}
+
+/// Bugfix: a ceiling was applied entry by entry and unchecked, so a bit
+/// flip that turned 750 MHz into 4 846 MHz ran the core at 4 846 MHz,
+/// and a short vector left some cores at their old setting. A ceiling
+/// the node cannot run is now refused whole, journaled as a wire fault,
+/// and the link stays open.
+#[test]
+fn a_ceiling_the_node_cannot_run_is_refused_not_applied() {
+    let telemetry = Telemetry::memory(16);
+    let mut core = fresh_with(&config().with_telemetry(telemetry.clone()));
+    core.connected(0.0);
+    assert_eq!(core.frame(&current_ack(), 0.0), accepted(false));
+    let before = requested(&core);
+    let mhz = |f: &[u32]| f.iter().map(|&f| FreqMhz(f)).collect::<Vec<_>>();
+    for (k, freqs) in [mhz(&[750, 4846, 750, 750]), mhz(&[750, 750])]
+        .into_iter()
+        .enumerate()
+    {
+        let msg = WireMsg::Ceiling(FrequencyCommand { node: NODE, freqs });
+        assert_eq!(core.frame(&msg, 0.1), Heard::Nothing, "{msg:?}");
+        assert_eq!(requested(&core), before, "{msg:?}");
+        assert_eq!(core.phase(), Phase::Running);
+        let faults = telemetry
+            .events()
+            .into_iter()
+            .filter(|e| {
+                matches!(e, SchedEvent::WireFault { node, injected: false, .. } if *node == NODE as u32)
+            })
+            .count();
+        assert_eq!(faults, k + 1, "{msg:?}");
+    }
+    // One it can run still lands.
+    assert_eq!(core.frame(&ceiling(NODE), 0.2), Heard::Applied);
+    assert_eq!(requested(&core), vec![FreqMhz(600); 4]);
 }

@@ -9,14 +9,14 @@ use fvs_model::{CpiModel, FreqMhz};
 use fvs_net::wire::{encode, encode_binary};
 use fvs_net::{
     AgentConfig, AgentFleet, CoordinatorConfig, CoordinatorServer, FleetHandle, FrameReader,
-    WireChaos, WireMsg, CODEC_ALL, SCHEMA_VERSION,
+    WireChaos, WireCodec, WireMsg, CODEC_ALL, SCHEMA_VERSION,
 };
 use fvs_sched::FvsstAlgorithm;
 use fvs_sim::MachineBuilder;
 use fvs_telemetry::Telemetry;
 use fvs_workloads::WorkloadSpec;
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -151,6 +151,59 @@ fn agent_survives_a_coordinator_restart() {
     let stats = agent.stop();
     assert!(stats.reconnects() >= 1, "ladder never climbed: {stats:?}");
     server.shutdown().unwrap();
+}
+
+/// The next frame on `socket`, waiting up to its read timeout.
+fn next_frame(reader: &mut FrameReader, socket: &mut TcpStream) -> WireMsg {
+    loop {
+        if let Some(msg) = reader.next_frame().unwrap() {
+            return msg;
+        }
+        let n = reader.read_from(socket, 4096).expect("a frame in time");
+        assert!(n > 0, "the peer closed the connection");
+    }
+}
+
+/// Bugfix: the fleet ticked only agents with a socket, so a machine's
+/// clock stood still while its link was down. Nothing accepts on the
+/// address for 0.4 s of one-tick-per-`tick_s` pacing; the first summary
+/// after the handshake must carry a clock past that outage, not one
+/// summary window.
+#[test]
+fn a_machine_runs_while_its_link_is_down() {
+    let addr = TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    let config = fast_agent().with_pace(Duration::from_millis(10));
+    let agent = AgentFleet::launch(vec![cpu_bound_node(0)], addr, config, Duration::ZERO).unwrap();
+    std::thread::sleep(Duration::from_millis(400));
+    let listener = TcpListener::bind(addr).unwrap();
+    let (mut socket, _) = listener.accept().unwrap();
+    socket
+        .set_read_timeout(Some(Duration::from_secs(3)))
+        .unwrap();
+    let mut reader = FrameReader::new();
+    let hello = next_frame(&mut reader, &mut socket);
+    assert!(matches!(hello, WireMsg::Hello { node: 0, .. }), "{hello:?}");
+    let ack = WireMsg::HelloAck {
+        accepted: true,
+        version: SCHEMA_VERSION,
+        epoch: 1,
+        codec: WireCodec::Binary.id(),
+    };
+    socket.write_all(&encode(&ack).unwrap()).unwrap();
+    let summary = loop {
+        if let WireMsg::Summary(summary) = next_frame(&mut reader, &mut socket) {
+            break summary;
+        }
+    };
+    agent.kill();
+    assert!(
+        summary.sent_at_s > 0.25,
+        "the machine stood still while unlinked: first summary at {} s",
+        summary.sent_at_s
+    );
 }
 
 /// Bugfix: a chaos-delayed frame on the coordinator's end used to leave

@@ -81,16 +81,14 @@ struct Peer {
     core: AgentCore,
     /// The connection it holds, if it holds one.
     conn: Option<u64>,
-    /// When it next connects (virtual s), while it holds none.
-    connect_at_s: f64,
 }
 
 impl Peer {
-    /// The link is gone: wait out the rung the core names.
+    /// The link is gone: the core's ticks say when to connect again.
     fn hang_up(&mut self, now_s: f64) {
         self.conn = None;
-        let delay = self.core.lost().expect("nobody is refused for good here");
-        self.connect_at_s = now_s + delay.as_secs_f64();
+        let due = self.core.lost(now_s);
+        assert!(due.is_some(), "nobody is refused for good here");
     }
 }
 
@@ -135,7 +133,6 @@ fn run() -> Outcome {
         .map(|id| Peer {
             core: agent(id),
             conn: None,
-            connect_at_s: 0.0,
         })
         .collect();
     let mut next_conn = 0u64;
@@ -165,20 +162,20 @@ fn run() -> Outcome {
         }
 
         for (id, peer) in peers.iter_mut().enumerate() {
-            // Connect: the hello goes up and the ack comes straight back.
-            if peer.conn.is_none() && now_s >= peer.connect_at_s {
-                next_conn += 1;
-                peer.conn = Some(next_conn);
-                let hello = peer.core.connected(now_s);
-                if !muted(id) {
-                    let (ack, _) = greet(&mut coordinator, next_conn, hello, now_s - born_s);
-                    let heard = peer.core.frame(&ack, now_s);
-                    assert!(matches!(heard, Heard::Accepted { .. }), "{heard:?}");
-                    trace.push((step, next_conn, ack));
-                }
-            }
-            // Tick: a summary goes up, silence brings the link down.
+            // Tick: the hello goes up and the ack comes straight back, a
+            // summary goes up, silence brings the link down.
             match peer.core.tick(now_s) {
+                Tick::Connect => {
+                    next_conn += 1;
+                    peer.conn = Some(next_conn);
+                    let hello = peer.core.connected(now_s);
+                    if !muted(id) {
+                        let (ack, _) = greet(&mut coordinator, next_conn, hello, now_s - born_s);
+                        let heard = peer.core.frame(&ack, now_s);
+                        assert!(matches!(heard, Heard::Accepted { .. }), "{heard:?}");
+                        trace.push((step, next_conn, ack));
+                    }
+                }
                 Tick::Flush => {}
                 Tick::Summary(mut summary) => {
                     if !muted(id) {

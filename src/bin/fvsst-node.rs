@@ -11,9 +11,9 @@
 //! workload, ships a `NodeSummary` upstream every `--summary-every`
 //! ticks, and applies whatever frequency ceilings the coordinator sends
 //! back. If the link drops the agent climbs an exponential backoff
-//! ladder until the coordinator returns; until then the machine is not
-//! ticked, so it holds its last-commanded frequencies and its simulated
-//! clock stands still. `--run 0` runs until killed. A coordinator that
+//! ladder until the coordinator returns; meanwhile the machine keeps
+//! running at its last-commanded frequencies, mute but not stopped.
+//! `--run 0` runs until killed. A coordinator that
 //! refuses the hello (another schema version, or a `--node` outside its
 //! `--nodes`) ends the node with an error.
 //!
