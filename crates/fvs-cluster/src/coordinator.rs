@@ -50,13 +50,12 @@ pub const DEFAULT_HEARTBEAT_TIMEOUT_S: f64 = 0.5;
 pub const DEFAULT_WORST_CASE_NODE_W: f64 = 560.0;
 
 /// The coordinator's per-node state, one record per node: the last
-/// summary held, the last-commanded power ceiling, the dead flag and the
-/// learned processor-count shape. A crash-recovery snapshot persists the
-/// records as the coordinator keeps them. They are everything
-/// conservative charging needs — a resumed coordinator that restores
-/// them keeps charging a silent node `max(last reported, last
-/// commanded)` (or worst-case if it knows nothing) exactly as if it had
-/// never crashed.
+/// summary held, the last-commanded power ceiling and the dead flag. A
+/// crash-recovery snapshot persists the records as the coordinator keeps
+/// them. They are everything conservative charging and the blind `f_min`
+/// command need — a resumed coordinator that restores them keeps
+/// charging a silent node `max(last reported, last commanded)` (or
+/// worst-case if it knows nothing) exactly as if it had never crashed.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NodeRestore {
     /// The newest summary held for the node (its `sent_at_s` is on the
@@ -70,11 +69,6 @@ pub struct NodeRestore {
     /// Whether the node was already declared dead (one-shot; reset when
     /// the node reports again).
     pub dead: bool,
-    /// Learned processor count, from any uplink arrival — even a
-    /// rejected one, as long as its vectors agree. Lets the coordinator
-    /// send blind fail-safe commands to a node it can hear nothing
-    /// useful from.
-    pub shape: Option<usize>,
 }
 
 /// Runs the two-pass algorithm over every processor of every node under
@@ -235,11 +229,6 @@ impl GlobalCoordinator {
     pub fn ingest_swap(&mut self, summary: &mut NodeSummary) -> bool {
         let n_procs = summary.models.len();
         let shaped = summary.idle.len() == n_procs && summary.current.len() == n_procs;
-        // Even a summary rejected for corrupt content reveals the node's
-        // processor count — enough to fail-safe it later.
-        if let Some(record) = self.nodes.get_mut(summary.node).filter(|_| shaped) {
-            record.shape = Some(n_procs);
-        }
         if summary.node >= self.nodes.len()
             || !summary.sent_at_s.is_finite()
             || !summary.power_w.is_finite()
@@ -502,17 +491,19 @@ impl GlobalCoordinator {
             });
         }
         // Blind fail-safe: a charged node may be mute-but-running (its
-        // uplink corrupted while its downlink still works), in which
-        // case nothing we reserve restores *measured* compliance — so
-        // command it to f_min anyway. Unacknowledged, hence it never
-        // lowers `commanded_w`: the conservative charge stands until the
-        // node actually reports again.
+        // uplink lost while its downlink still works), and when the
+        // reserve alone exceeds the budget the live nodes are floored and
+        // nothing else restores *measured* compliance — so command it to
+        // f_min, sized by its last accepted summary. A node never heard
+        // has held f_min since boot and gets none. Unacknowledged, hence
+        // it never lowers `commanded_w`: the conservative charge stands
+        // until the node actually reports again.
         let f_min = self.algorithm.freq_set.min();
         for &node in &self.blind {
-            if let Some(n_procs) = self.nodes[node].shape {
+            if let Some(s) = &self.nodes[node].summary {
                 commands.push(FrequencyCommand {
                     node,
-                    freqs: vec![f_min; n_procs],
+                    freqs: vec![f_min; s.models.len()],
                 });
             }
         }
@@ -789,7 +780,6 @@ mod tests {
                 summary: None,
                 commanded_w: 1.0,
                 dead: false,
-                shape: None,
             },
         );
         let mut bad_power = summary(0, 0.0, &[0.0]);
@@ -803,7 +793,6 @@ mod tests {
                     summary: Some(bad),
                     commanded_w: f64::NAN,
                     dead: true,
-                    shape: Some(1),
                 },
             );
             assert!(b.latest_summary(0).is_none(), "corrupt summary dropped");

@@ -166,8 +166,8 @@ proptest! {
 
 proptest! {
     /// `ingest(s)` and `ingest_swap(&mut s)` are one implementation: the
-    /// same return value, held summaries, shapes, counters and journal
-    /// over accepted, stale, rejected-shape, non-finite and invalid-model
+    /// same return value, held summaries, counters and journal over
+    /// accepted, stale, rejected-shape, non-finite and invalid-model
     /// summaries. What `ingest_swap` leaves with the caller is the
     /// summary it displaced when it accepted, and the caller's own,
     /// untouched, when it did not.

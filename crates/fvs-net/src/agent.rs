@@ -5,9 +5,9 @@
 //! measurement window every `summary_every` ticks, ship the
 //! [`fvs_cluster::NodeSummary`] upstream, and apply whatever frequency
 //! ceilings come back. When the link drops it reconnects up a
-//! [`ReconnectLadder`], and the machine runs on at its last-commanded
-//! frequencies — exactly the mute-but-running scenario the
-//! coordinator's conservative charging defends against.
+//! [`ReconnectLadder`], and the machine runs on at `f_min` until an
+//! accepted link delivers a ceiling, so a node the coordinator cannot
+//! command draws the least it can while it is charged.
 //!
 //! Those rules are [`AgentCore`](crate::AgentCore)'s, which needs no
 //! socket. Its drivers — the loop that gives it one, [`crate::fleet`]'s,

@@ -13,7 +13,8 @@
 //! [`frame`](AgentCore::frame) for every frame that decodes and
 //! [`lost`](AgentCore::lost) when the link is gone. It alone says when to
 //! reconnect: a driver ticks every agent, linked or not, and opens a link
-//! when a tick says [`Tick::Connect`].
+//! when a tick says [`Tick::Connect`]. A node it holds no ceiling for
+//! runs at `f_min`: from construction, and after a lost link or a refusal.
 //!
 //! It opens no socket, reads no clock and never sleeps, so the node
 //! side of the paper's ΔT can be asked as a table of calls
@@ -107,12 +108,12 @@ pub struct AgentCore {
 }
 
 impl AgentCore {
-    /// An agent for `node`, not yet connected. The ladder's jitter is
-    /// seeded from the config's seed mixed with the node id, so agents
-    /// sharing one config still spread out.
+    /// An agent for `node`, not yet connected, its every core at `f_min`.
+    /// The ladder's jitter is seeded from the config's seed mixed with the
+    /// node id, so agents sharing one config still spread out.
     pub fn new(node: ClusterNode, config: &AgentConfig) -> Self {
         let id = node.id as u64;
-        AgentCore {
+        let mut core = AgentCore {
             node,
             phase: Phase::Backoff,
             ladder: ReconnectLadder::new(
@@ -131,7 +132,16 @@ impl AgentCore {
             version: config.version,
             tracer: config.tracer.clone(),
             telemetry: config.telemetry.clone(),
-        }
+        };
+        core.floor();
+        core
+    }
+
+    /// Every core to `f_min`, closing each changed window as a ceiling would.
+    fn floor(&mut self) {
+        let machine = self.node.machine();
+        self.node
+            .apply(&vec![machine.frequency_set().min(); machine.num_cores()]);
     }
 
     /// The node this agent drives.
@@ -260,17 +270,20 @@ impl AgentCore {
 
     fn refused(&mut self) -> Heard {
         self.phase = Phase::Dead;
+        self.floor();
         Heard::Refused
     }
 
     /// The link is gone at `now_s` (it failed, it never opened, or
-    /// [`tick`] or [`frame`] said to drop it). Returns when [`tick`] will
-    /// say [`Tick::Connect`], one rung further up the ladder; `None` for
-    /// an agent that was refused for good.
+    /// [`tick`] or [`frame`] said to drop it), and with it the ceiling:
+    /// every core drops to `f_min`. Returns when [`tick`] will say
+    /// [`Tick::Connect`], one rung further up the ladder; `None` for an
+    /// agent that was refused for good.
     ///
     /// [`tick`]: AgentCore::tick
     /// [`frame`]: AgentCore::frame
     pub fn lost(&mut self, now_s: f64) -> Option<f64> {
+        self.floor();
         if self.phase == Phase::Dead {
             return None;
         }

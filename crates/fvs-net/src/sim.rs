@@ -234,14 +234,14 @@ pub struct ClusterSim {
 }
 
 impl ClusterSim {
-    /// Build from explicit nodes (node `i` at index `i`). Each boots at
-    /// `f_min` and waits for its first ceiling, as a rejoining node does.
+    /// Build from explicit nodes, node `i` at index `i`; each runs at
+    /// `f_min` until its first ceiling, as its [`AgentCore`] says.
     ///
     /// # Panics
     ///
     /// When `config` cannot run — `t_s` not finite and positive, `n` of
     /// zero, `latency_s` not finite and non-negative, or an initial
-    /// budget that is NaN or negative — or `nodes` is empty.
+    /// budget that is NaN or negative — or `nodes` is empty or misnumbered.
     pub fn new(nodes: Vec<ClusterNode>, config: ClusterConfig) -> Self {
         let agent = AgentConfig {
             tick_s: config.t_s,
@@ -261,11 +261,11 @@ impl ClusterSim {
             panic!("ClusterConfig: {e}");
         }
         assert!(!nodes.is_empty(), "a cluster needs at least one node");
-        let f_min = config.algorithm.freq_set.min();
         let slots: Vec<Slot> = nodes
             .into_iter()
-            .map(|mut node| {
-                node.machine_mut().set_all_frequencies(f_min);
+            .enumerate()
+            .map(|(i, node)| {
+                assert_eq!(node.id, i, "node {i} names itself node {}", node.id);
                 Slot {
                     core: AgentCore::new(node, &agent),
                     due: Tick::Flush,
@@ -496,21 +496,17 @@ impl ClusterSim {
     }
 
     /// Node `i` goes offline (its cores power down, its connection is
-    /// gone) or comes back (at `f_min`, connecting on this tick).
+    /// gone: its agent falls to `f_min`) or comes back, connecting now.
     fn set_online(&mut self, i: usize, online: bool) {
         let now = self.now_s();
         if !online {
             self.close(i, now);
         }
-        let f_min = self.config.algorithm.freq_set.min();
         let slot = &mut self.slots[i];
         slot.online = online;
         let machine = slot.core.node_mut().machine_mut();
         (0..machine.num_cores()).for_each(|core| machine.set_powered(core, online));
         if online {
-            // The cluster has long since redistributed this node's
-            // budget: rejoin at f_min, as at boot.
-            machine.set_all_frequencies(f_min);
             slot.core.connect_now();
         }
     }
@@ -779,6 +775,15 @@ mod tests {
     #[should_panic(expected = "a cluster needs at least one node")]
     fn an_empty_cluster_is_refused() {
         ClusterSim::new(Vec::new(), ClusterConfig::rack());
+    }
+
+    /// Bugfix: ids were trusted, but the coordinator routes by id and the
+    /// plan by slot: one node was faulted and another charged for it.
+    #[test]
+    #[should_panic(expected = "node 0 names itself node 1")]
+    fn a_node_whose_id_is_not_its_index_is_refused() {
+        let node = |id| ClusterNode::new(id, MachineBuilder::p630().build(), None);
+        ClusterSim::new(vec![node(1), node(0)], ClusterConfig::rack());
     }
 
     #[test]

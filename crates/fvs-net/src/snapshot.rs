@@ -3,7 +3,7 @@
 //! A [`Snapshot`] captures everything the coordinator must not forget
 //! across a crash: the fencing epoch, the *enforced* budget, each
 //! node's [`NodeRestore`] (last summary, last commanded ceiling, dead
-//! flag, learned shape) and any open budget-deadline [`OpenEpisode`] —
+//! flag) and any open budget-deadline [`OpenEpisode`] —
 //! the records the coordinator keeps, as it keeps them, their times on
 //! the exporter's clock. `taken_at_s` is that clock at capture, so the
 //! restorer rebases every time once, by it. [`Snapshot::save`] persists
@@ -104,24 +104,20 @@ fn float_field(v: &Value, key: &str) -> Result<f64, FvsError> {
     }
 }
 
+/// `key`'s value through `decode`; `None` when it is missing or null.
+fn optional<T>(
+    v: &Value,
+    key: &str,
+    decode: fn(&Value) -> Result<T, FvsError>,
+) -> Result<Option<T>, FvsError> {
+    v.get(key).filter(|x| !x.is_null()).map(decode).transpose()
+}
+
 fn node_value(n: &NodeRestore) -> Value {
     wire::obj(vec![
-        (
-            "summary",
-            match &n.summary {
-                Some(s) => s.to_json(),
-                None => Value::Null,
-            },
-        ),
+        ("summary", n.summary.to_json()),
         ("commanded_w", float_value(n.commanded_w)),
         ("dead", Value::Bool(n.dead)),
-        (
-            "shape",
-            match n.shape {
-                Some(p) => Value::UInt(p as u64),
-                None => Value::Null,
-            },
-        ),
     ])
 }
 
@@ -129,23 +125,10 @@ fn decode_node(v: &Value) -> Result<NodeRestore, FvsError> {
     if !v.is_object() {
         return Err(FvsError::wire("snapshot: node entry is not an object"));
     }
-    let summary = match v.get("summary") {
-        None | Some(Value::Null) => None,
-        Some(s) => Some(wire::decode_summary(s)?),
-    };
-    let shape = match v.get("shape") {
-        None | Some(Value::Null) => None,
-        Some(s) => Some(
-            s.as_u64()
-                .and_then(|x| usize::try_from(x).ok())
-                .ok_or_else(|| FvsError::wire("snapshot: field `shape` is not an index"))?,
-        ),
-    };
     Ok(NodeRestore {
-        summary,
+        summary: optional(v, "summary", wire::decode_summary)?,
         commanded_w: float_field(v, "commanded_w")?,
         dead: wire::bool_field(v, "dead")?,
-        shape,
     })
 }
 
@@ -190,10 +173,7 @@ impl Snapshot {
             ),
             (
                 "episode",
-                match &self.episode {
-                    Some(ep) => episode_value(ep),
-                    None => Value::Null,
-                },
+                self.episode.as_ref().map_or(Value::Null, episode_value),
             ),
         ]);
         let body = serde_json::to_string(&body)?;
@@ -249,10 +229,7 @@ impl Snapshot {
             .iter()
             .map(decode_node)
             .collect::<Result<Vec<_>, _>>()?;
-        let episode = match v.get("episode") {
-            None | Some(Value::Null) => None,
-            Some(e) => Some(decode_episode(e)?),
-        };
+        let episode = optional(&v, "episode", decode_episode)?;
         Ok(Snapshot {
             epoch,
             budget_w: float_field(&v, "budget_w")?,
@@ -321,13 +298,11 @@ mod tests {
                     summary: Some(sample_summary(0)),
                     commanded_w: 410.0,
                     dead: false,
-                    shape: Some(2),
                 },
                 NodeRestore {
                     summary: None,
                     commanded_w: 0.0,
                     dead: true,
-                    shape: None,
                 },
             ],
             episode: Some(OpenEpisode {
@@ -343,8 +318,12 @@ mod tests {
     fn full_snapshot_round_trips() {
         let snap = sample_snapshot();
         let text = snap.encode().unwrap();
-        let back = Snapshot::decode(&text).unwrap();
-        assert_eq!(back, snap);
+        assert_eq!(Snapshot::decode(&text).unwrap(), snap);
+        // A v2 file from a build whose records held a processor count.
+        let body = text.split_once('\n').unwrap().1;
+        let old = body.replace(r#""dead":true"#, r#""dead":true,"shape":4"#);
+        assert!(old.contains(r#""shape":4}"#), "{old}");
+        assert_eq!(Snapshot::decode(&sealed(&old)).unwrap(), snap);
     }
 
     #[test]

@@ -399,3 +399,60 @@ fn a_ceiling_the_node_cannot_run_is_refused_not_applied() {
     assert_eq!(core.frame(&ceiling(NODE), 0.2), Heard::Applied);
     assert_eq!(requested(&core), vec![FreqMhz(600); 4]);
 }
+
+/// A node without a ceiling runs at `f_min` (250 MHz on the P630): from
+/// construction, after a lost link and after a refusal, until an
+/// accepted link delivers a ceiling — an accepted hello alone is not one.
+#[test]
+fn a_node_without_a_ceiling_runs_at_f_min() {
+    let floor = vec![FreqMhz(250); 4];
+    let lifted = vec![FreqMhz(600); 4];
+    // Running under a ceiling, then the link goes.
+    let lost = || {
+        let mut core = at(Phase::Running);
+        assert_eq!(core.frame(&ceiling(NODE), 0.0), Heard::Applied);
+        core.lost(0.1);
+        core
+    };
+    // Running under a ceiling, a new hello on the same link, refused.
+    let refused = || {
+        let mut core = at(Phase::Running);
+        assert_eq!(core.frame(&ceiling(NODE), 0.0), Heard::Applied);
+        core.connected(0.1);
+        assert_eq!(core.frame(&ack(false, V + 1, 0, 0), 0.1), Heard::Refused);
+        core
+    };
+    let accepted_only = || {
+        let mut core = fresh();
+        core.connected(0.0);
+        assert_eq!(core.frame(&current_ack(), 0.0), accepted(false));
+        assert_eq!(
+            core.frame(&WireMsg::Heartbeat { epoch: FENCE }, 0.1),
+            Heard::Nothing
+        );
+        core.tick(0.01);
+        core
+    };
+    let first_ceiling = || {
+        let mut core = accepted_only();
+        assert_eq!(core.frame(&ceiling(NODE), 0.2), Heard::Applied);
+        core
+    };
+    let rejoined = || {
+        let mut core = lost();
+        core.connected(0.2);
+        assert_eq!(core.frame(&current_ack(), 0.2), accepted(true));
+        core
+    };
+    let rows = [
+        ("new", fresh(), &floor),
+        ("after lost()", lost(), &floor),
+        ("after a refusal", refused(), &floor),
+        ("accepted, no ceiling yet", accepted_only(), &floor),
+        ("first ceiling", first_ceiling(), &lifted),
+        ("accepted again after lost()", rejoined(), &floor),
+    ];
+    for (label, core, want) in rows {
+        assert_eq!(&requested(&core), want, "{label}");
+    }
+}

@@ -1,17 +1,15 @@
 //! Cluster chaos proptest: under arbitrary mixes of counter corruption,
-//! frames dropped, doubled and delayed on the wire, a one-way uplink
-//! partition of a random node, a node outage, and a mid-run budget drop,
-//! the coordinator's conservative accounting must keep the whole rack's
-//! measured power inside the budget in force — at every tick outside
-//! the declared ΔT response windows, not just at the end. The message
-//! faults are the sockets' model (`WireFaultPlan::frame_fault`), on the
-//! frames of `ClusterSim`'s wire.
+//! frames dropped, doubled, delayed, corrupted and reset on the wire, a
+//! one-way uplink partition of a random node, a node outage, and a
+//! mid-run budget drop, the coordinator's conservative accounting and
+//! each node's fall to `f_min` when its link is lost must keep the whole
+//! rack's measured power inside the budget in force — at every tick
+//! outside the declared ΔT response windows, not just at the end. The
+//! message faults are the sockets' model (`WireFaultPlan::frame_fault`),
+//! on the frames of `ClusterSim`'s wire.
 //!
-//! Not drawn here: `corrupt=` and `reset=`. Either closes a connection,
-//! and until the agent has reconnected its node is live to the
-//! coordinator but cannot be commanded, so measured power can overshoot
-//! for a round; and a bit flip the decoder accepts is believed. The
-//! `ClusterSim` unit tests hold those to end-of-run compliance.
+//! A bit flip the decoder accepts is still believed (FVS2 frames carry
+//! no check); these cases happen not to show it.
 
 use fvs_faults::{FaultInjector, FaultPlan};
 use fvs_net::{ClusterConfig, ClusterSim};
@@ -33,6 +31,8 @@ proptest! {
         wire in 0.0f64..0.3,
         wdup in 0.0f64..0.2,
         delay in 0.0f64..0.2,
+        reset in 0.0f64..0.05,
+        corrupt in 0.0f64..0.05,
         mute in 0usize..4,
         mute_from in 0.0f64..3.0,
         mute_for in 0.1f64..1.5,
@@ -47,7 +47,7 @@ proptest! {
         // always feasible for the full rack.
         let plan = FaultPlan::parse(&format!(
             "counters={counters:.4},wire={wire:.4},wdup={wdup:.4},delay={delay:.4}:0.2,\
-             partition_up={mute}@{mute_from:.4}:{:.4},\
+             reset={reset:.4},corrupt={corrupt:.4},partition_up={mute}@{mute_from:.4}:{:.4},\
              drop={drop_factor:.4}@{drop_at:.4},node={victim}@0.2:{up:.4}",
             mute_from + mute_for
         )).unwrap();
@@ -173,4 +173,30 @@ fn a_none_plan_is_bit_identical_to_no_fault_layer() {
     let bare = run(None);
     assert!(bare.0.contains("response_s: Some"), "{}", bare.0);
     assert_eq!(run(Some(FaultPlan::parse("none").unwrap())), bare);
+}
+
+/// The case the coordinator's blind `f_min` command exists for. Node
+/// 1's uplink is partitioned from 0.9 s to 2.47 s: it hears its
+/// ceilings and heartbeats, so its link stays up and it keeps its
+/// last ceiling, but it is silent to the coordinator, declared dead
+/// and charged the 492 W it last drew. The budget drops to 419 W at
+/// 1.53 s, below that charge alone, so `budget − reserved` clamps at
+/// 0 and flooring the live node leaves the rack at 528 W: only the
+/// blind command to the charged node brings it under.
+#[test]
+fn a_reserve_over_the_dropped_budget_is_met_by_the_blind_command() {
+    let plan = FaultPlan::parse("partition_up=1@0.9:2.47,drop=0.5@1.53").unwrap();
+    let config = ClusterConfig::rack().with_budget(BudgetSchedule::constant(838.0));
+    let mut sim = ClusterSim::three_tier(2, 0, config).with_faults(FaultInjector::new(plan, 0));
+    let mut reserved_w: f64 = 0.0;
+    while sim.now_s() < 3.0 {
+        sim.step_tick();
+        let now = sim.now_s();
+        reserved_w = reserved_w.max(sim.coordinator().reserved_w());
+        if now >= 1.53 + 0.5 {
+            let power = sim.total_power_w();
+            assert!(power <= 419.0, "{power} W over 419 W at t={now}");
+        }
+    }
+    assert!(reserved_w > 419.0, "the charge never exceeded the budget");
 }

@@ -491,7 +491,6 @@ fn snapshot_of(nodes: usize) -> Snapshot {
                 }),
                 commanded_w: 400.0,
                 dead: false,
-                shape: Some(4),
             })
             .collect(),
         episode: None,

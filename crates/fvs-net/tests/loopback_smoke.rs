@@ -206,6 +206,21 @@ fn a_machine_runs_while_its_link_is_down() {
     );
 }
 
+/// Bugfix: a socket node booted at 1 GHz (560 W for a 4-way P630) and
+/// kept its last ceiling while unlinked. With nothing listening it never
+/// holds a ceiling, so it runs at `f_min`: 4 × 9 W at 250 MHz.
+#[test]
+fn a_node_that_never_links_runs_at_f_min() {
+    let addr = TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    let agent =
+        AgentFleet::launch(vec![cpu_bound_node(0)], addr, fast_agent(), Duration::ZERO).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(agent.stop().power_w(), 36.0);
+}
+
 /// Bugfix: a chaos-delayed frame on the coordinator's end used to leave
 /// only with its connection's next write — a ceiling or a heartbeat, up
 /// to a period later. Held 50 ms under a 1 s period, the hello ack must

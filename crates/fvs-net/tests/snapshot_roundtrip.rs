@@ -59,20 +59,11 @@ fn arb_summary() -> impl Strategy<Value = Option<NodeSummary>> {
 }
 
 fn arb_node() -> impl Strategy<Value = NodeRestore> {
-    (
-        arb_summary(),
-        arb_f64(),
-        any::<bool>(),
-        (any::<bool>(), 0usize..16),
-    )
-        .prop_map(
-            |(summary, commanded_w, dead, (has_shape, procs))| NodeRestore {
-                summary,
-                commanded_w,
-                dead,
-                shape: has_shape.then_some(procs),
-            },
-        )
+    (arb_summary(), arb_f64(), any::<bool>()).prop_map(|(summary, commanded_w, dead)| NodeRestore {
+        summary,
+        commanded_w,
+        dead,
+    })
 }
 
 fn arb_episode() -> impl Strategy<Value = Option<OpenEpisode>> {
@@ -249,7 +240,6 @@ proptest! {
         for (b, s) in back.nodes.iter().zip(&snap.nodes) {
             prop_assert!(same_float(s.commanded_w, b.commanded_w));
             prop_assert_eq!(b.dead, s.dead);
-            prop_assert_eq!(b.shape, s.shape);
             assert_summary_matches(&s.summary, &b.summary);
         }
         match (&snap.episode, &back.episode) {

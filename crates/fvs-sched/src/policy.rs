@@ -1,10 +1,9 @@
 //! The policy interface every power-management strategy implements.
 //!
 //! [`crate::sim_loop::ScheduledSimulation`] drives a machine tick by tick
-//! and consults a [`Policy`] each dispatch period. The fvsst scheduler,
-//! every baseline in `fvs-baselines`, and the cluster coordinator's
-//! per-node agents are all `Policy` implementations, so experiments can
-//! swap strategies without touching the harness.
+//! and consults a [`Policy`] each dispatch period. The fvsst scheduler
+//! and every baseline in `fvs-baselines` are `Policy` implementations,
+//! so experiments can swap strategies without touching the harness.
 
 use fvs_model::{CounterDelta, CpiModel, FreqMhz, FrequencySet, MemoryLatencies};
 use fvs_power::{FreqPowerTable, VoltageTable};

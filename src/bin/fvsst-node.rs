@@ -10,9 +10,9 @@
 //! Drives the paper's 4-way P630-like machine under a synthetic
 //! workload, ships a `NodeSummary` upstream every `--summary-every`
 //! ticks, and applies whatever frequency ceilings the coordinator sends
-//! back. If the link drops the agent climbs an exponential backoff
-//! ladder until the coordinator returns; meanwhile the machine keeps
-//! running at its last-commanded frequencies, mute but not stopped.
+//! back. Until the first ceiling, and whenever the link drops, every
+//! core runs at `f_min`; the agent climbs an exponential backoff ladder
+//! until the coordinator returns, the machine mute but not stopped.
 //! `--run 0` runs until killed. A coordinator that
 //! refuses the hello (another schema version, or a `--node` outside its
 //! `--nodes`) ends the node with an error.
