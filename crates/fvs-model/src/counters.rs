@@ -60,7 +60,8 @@ impl CounterDelta {
     /// True when every counter is finite and non-negative. Real counter
     /// reads can be corrupted (wraparound, racy multi-register reads);
     /// the estimator refuses such windows rather than scheduling on
-    /// them.
+    /// them. Every counter is tested (no early exit), so a verdict is
+    /// straight-line code.
     #[inline]
     pub fn is_sane(&self) -> bool {
         [
@@ -71,7 +72,7 @@ impl CounterDelta {
             self.mem_accesses,
         ]
         .iter()
-        .all(|x| x.is_finite() && *x >= 0.0)
+        .fold(true, |ok, x| ok & (*x >= 0.0) & (*x <= f64::MAX))
     }
 }
 

@@ -522,19 +522,17 @@ impl Policy for FvsstScheduler {
         let n = ctx.samples.len();
         // Degradation-ladder rung 1: impossible counter samples are
         // quarantined before they can reach the model-fitting window.
-        for (i, s) in ctx.samples.iter().enumerate() {
-            if !self.predictor.push(i, s) {
-                self.quarantined += 1;
-                self.config.telemetry.emit(SchedEvent::SampleQuarantined {
-                    t_s: ctx.now_s,
-                    proc: i as u32,
-                    value: s.observed_ipc(),
-                });
-                if let Some(m) = &self.metrics {
-                    m.samples_quarantined.inc();
-                }
+        self.predictor.push_all(ctx.samples, |i| {
+            self.quarantined += 1;
+            self.config.telemetry.emit(SchedEvent::SampleQuarantined {
+                t_s: ctx.now_s,
+                proc: i as u32,
+                value: ctx.samples[i].observed_ipc(),
+            });
+            if let Some(m) = &self.metrics {
+                m.samples_quarantined.inc();
             }
-        }
+        });
         self.ticks_since_schedule += 1;
 
         // Trigger 1: budget change — respond immediately; ΔT is short.

@@ -321,10 +321,14 @@ impl<P: Policy> ScheduledSimulation<P> {
         // happen entirely inside one tick, so completion is tracked
         // explicitly).
         let finished = self.machine.finished_flags();
-        let transitional = self.machine.transitional_flags();
-        for i in 0..n {
-            self.window_transitional[i] |=
-                transitional[i] || (finished[i] && !self.was_finished[i]);
+        for (((window, now), done), was) in self
+            .window_transitional
+            .iter_mut()
+            .zip(self.machine.transitional_flags())
+            .zip(finished)
+            .zip(&self.was_finished)
+        {
+            *window |= *now | (*done & !*was);
         }
         self.was_finished.copy_from_slice(finished);
         // The window flags accumulate until a decision closes the window,

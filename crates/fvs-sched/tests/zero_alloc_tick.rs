@@ -122,9 +122,10 @@ fn prove(label: &str, telemetry: Telemetry, tracer: Tracer) {
 /// The batched SoA tick itself at cluster scale: a 256-core machine of
 /// looping workloads (every loop wrap goes through the compacted
 /// boundary-crosser list, so the slow path is continuously exercised)
-/// must tick and sample without touching the allocator once warm.
-fn prove_batched() {
-    let mut b = MachineBuilder::p630().cores(256).noise(NoiseModel::NONE);
+/// must tick and sample without touching the allocator once warm, with
+/// the sampling noise pass off and on.
+fn prove_batched(noise: NoiseModel) {
+    let mut b = MachineBuilder::p630().cores(256).noise(noise);
     for i in 0..256 {
         b = b.workload(
             i,
@@ -149,7 +150,7 @@ fn prove_batched() {
         machine.sample_all_into(&mut samples);
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
-    assert_eq!(after - before, 0, "batched tick allocated");
+    assert_eq!(after - before, 0, "batched tick allocated ({noise:?})");
 
     // The run was genuinely crossing phase boundaries, not idling on
     // the fast path the whole time: the measured window retired more
@@ -182,6 +183,7 @@ fn main() {
         Telemetry::memory(4096),
         Tracer::ring(256),
     );
-    prove_batched();
+    prove_batched(NoiseModel::NONE);
+    prove_batched(NoiseModel::DEFAULT);
     println!("zero_alloc_tick: ok");
 }

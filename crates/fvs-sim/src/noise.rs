@@ -11,7 +11,7 @@
 //! noise the scheduler was exposed to.
 
 use fvs_model::CounterDelta;
-use rand::Rng;
+use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
 /// Multiplicative uniform noise on sampled counter deltas.
@@ -41,30 +41,44 @@ impl NoiseModel {
         NoiseModel { relative_amplitude }
     }
 
-    /// Apply noise to a delta using `rng`: one draw per non-zero counter,
-    /// in field order. A zero counter stays zero and draws nothing.
+    /// Apply noise to every delta in `deltas`, in place: one draw from
+    /// `rng` per non-zero counter, delta by delta, in field order, of the
+    /// factor `rng.gen_range(1 − amp..=1 + amp)` would return, with the
+    /// range constants computed once for the pass. A zero counter stays
+    /// zero and draws nothing.
     #[inline]
-    pub fn perturb<R: Rng + ?Sized>(&self, delta: &CounterDelta, rng: &mut R) -> CounterDelta {
+    pub fn perturb<R: RngCore + Clone>(&self, deltas: &mut [CounterDelta], rng: &mut R) {
         if self.relative_amplitude == 0.0 {
-            return *delta;
+            return;
         }
-        let a = self.relative_amplitude;
-        let mut jitter = |x: f64| {
-            if x == 0.0 {
-                0.0
-            } else {
-                x * rng.gen_range(1.0 - a..=1.0 + a)
+        let lo = 1.0 - self.relative_amplitude;
+        let span = (1.0 + self.relative_amplitude) - lo;
+        let mut draws = rng.clone();
+        for d in deltas {
+            for x in [
+                &mut d.instructions,
+                &mut d.cycles,
+                &mut d.l2_accesses,
+                &mut d.l3_accesses,
+                &mut d.mem_accesses,
+            ] {
+                *x = if *x == 0.0 {
+                    0.0
+                } else {
+                    *x * (lo + (draws.next_u64() >> 11) as f64 / UNIT_DIVISOR * span)
+                };
             }
-        };
-        CounterDelta {
-            instructions: jitter(delta.instructions),
-            cycles: jitter(delta.cycles),
-            l2_accesses: jitter(delta.l2_accesses),
-            l3_accesses: jitter(delta.l3_accesses),
-            mem_accesses: jitter(delta.mem_accesses),
         }
+        *rng = draws;
     }
 }
+
+/// `2⁵³ − 1`: the top 53 bits of a `next_u64` over it are a unit draw on
+/// `[0, 1]`, the one `gen_range` scales an inclusive `f64` range by. For
+/// `0 < m < 2⁵³`, `m / (2⁵³ − 1)` is exactly the next double above
+/// `m · 2⁻⁵³`, so the division could be a multiplication and a step up;
+/// it is not the cost. The xoshiro chain is: each draw waits on the last.
+const UNIT_DIVISOR: f64 = ((1u64 << 53) - 1) as f64;
 
 impl Default for NoiseModel {
     fn default() -> Self {
@@ -88,10 +102,16 @@ mod tests {
         }
     }
 
+    fn perturbed(n: NoiseModel, d: CounterDelta, rng: &mut StdRng) -> CounterDelta {
+        let mut out = [d];
+        n.perturb(&mut out, rng);
+        out[0]
+    }
+
     #[test]
     fn zero_noise_is_identity() {
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(NoiseModel::NONE.perturb(&delta(), &mut rng), delta());
+        assert_eq!(perturbed(NoiseModel::NONE, delta(), &mut rng), delta());
     }
 
     #[test]
@@ -99,7 +119,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let n = NoiseModel::uniform(0.02);
         for _ in 0..100 {
-            let d = n.perturb(&delta(), &mut rng);
+            let d = perturbed(n, delta(), &mut rng);
             assert!((d.instructions / 1.0e6 - 1.0).abs() <= 0.02 + 1e-12);
             assert!((d.cycles / 2.0e6 - 1.0).abs() <= 0.02 + 1e-12);
         }
@@ -109,8 +129,7 @@ mod tests {
     fn zero_counters_stay_zero() {
         let mut rng = StdRng::seed_from_u64(2);
         let d = CounterDelta::default();
-        let out = NoiseModel::DEFAULT.perturb(&d, &mut rng);
-        assert_eq!(out, d);
+        assert_eq!(perturbed(NoiseModel::DEFAULT, d, &mut rng), d);
     }
 
     #[test]
@@ -118,6 +137,30 @@ mod tests {
         let n = NoiseModel::DEFAULT;
         let mut a = StdRng::seed_from_u64(9);
         let mut b = StdRng::seed_from_u64(9);
-        assert_eq!(n.perturb(&delta(), &mut a), n.perturb(&delta(), &mut b));
+        assert_eq!(perturbed(n, delta(), &mut a), perturbed(n, delta(), &mut b));
+    }
+
+    /// `m / (2⁵³ − 1)` is the next double above `m · 2⁻⁵³` for every
+    /// 53-bit `m > 0`: the edges, and a sweep across all 53 binades.
+    #[test]
+    fn the_unit_division_is_a_scaled_step_up() {
+        let step_up = |m: u64| f64::from_bits((m as f64 * (-53f64).exp2()).to_bits() + 1);
+        let check = |m: u64| {
+            assert_eq!(
+                (m as f64 / UNIT_DIVISOR).to_bits(),
+                step_up(m).to_bits(),
+                "m = {m}"
+            );
+        };
+        for m in [1, (1 << 52) - 1, 1 << 52, (1 << 53) - 1] {
+            check(m);
+        }
+        let mut rng = StdRng::seed_from_u64(53);
+        for binade in 0..53 {
+            for _ in 0..2_000 {
+                let m = (1u64 << binade) | (rng.next_u64() & ((1u64 << binade) - 1));
+                check(m);
+            }
+        }
     }
 }

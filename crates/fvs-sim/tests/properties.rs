@@ -214,3 +214,63 @@ fn settled_transition_shows_in_total_power_before_the_next_step() {
     m.step(0.01);
     assert_eq!(m.total_power_w(), 4.0 * 48.0);
 }
+
+/// A counter reading for the noise pass: zero, a count, or garbage.
+fn arb_counter() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.0), 1.0f64..1.0e10, Just(f64::NAN), Just(-1.0e3)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `NoiseModel::perturb` over a buffer draws and scales exactly what
+    /// `gen_range(1 − amp..=1 + amp)` per non-zero counter, delta by
+    /// delta and field by field, would: the same bits, and the stream
+    /// left in the same place.
+    #[test]
+    fn the_noise_pass_equals_per_counter_gen_range_draws(
+        amp in 0.0f64..1.0,
+        seed in any::<u64>(),
+        fields in prop::collection::vec(
+            (arb_counter(), arb_counter(), arb_counter(), arb_counter(), arb_counter()),
+            0..40,
+        ),
+    ) {
+        let deltas: Vec<CounterDelta> = (fields.iter())
+            .map(|&(instructions, cycles, l2_accesses, l3_accesses, mem_accesses)| CounterDelta {
+                instructions,
+                cycles,
+                l2_accesses,
+                l3_accesses,
+                mem_accesses,
+            })
+            .collect();
+        let bits = |d: &CounterDelta| {
+            [d.instructions, d.cycles, d.l2_accesses, d.l3_accesses, d.mem_accesses]
+                .map(f64::to_bits)
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let by_hand: Vec<_> = (deltas.iter())
+            .map(|d| {
+                let mut d = *d;
+                for x in [
+                    &mut d.instructions,
+                    &mut d.cycles,
+                    &mut d.l2_accesses,
+                    &mut d.l3_accesses,
+                    &mut d.mem_accesses,
+                ] {
+                    if *x != 0.0 {
+                        *x *= rng.gen_range(1.0 - amp..=1.0 + amp);
+                    }
+                }
+                bits(&d)
+            })
+            .collect();
+        let mut pass = deltas;
+        let mut pass_rng = StdRng::seed_from_u64(seed);
+        NoiseModel::uniform(amp).perturb(&mut pass, &mut pass_rng);
+        prop_assert_eq!(pass.iter().map(bits).collect::<Vec<_>>(), by_hand);
+        prop_assert_eq!(pass_rng.gen_range(0u64..u64::MAX), rng.gen_range(0u64..u64::MAX));
+    }
+}

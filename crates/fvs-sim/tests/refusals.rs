@@ -1,8 +1,8 @@
-//! Inputs that would leave a machine standing still are refused up
-//! front: a tick that never adds up to a run, and a settling time after
-//! which a request never takes effect.
+//! Inputs a machine cannot run with are refused up front: a tick that
+//! never adds up to a run, a settling time after which a request never
+//! takes effect, and a noise amplitude that is no scale factor.
 
-use fvs_sim::MachineBuilder;
+use fvs_sim::{MachineBuilder, MachineConfig, NoiseModel};
 
 #[test]
 #[should_panic(expected = "tick must be finite and positive")]
@@ -14,4 +14,31 @@ fn a_zero_tick_is_refused() {
 #[should_panic(expected = "settle_s must be finite and non-negative")]
 fn a_settling_time_that_never_ends_is_refused() {
     let _ = MachineBuilder::p630().dvfs_settling(f64::NAN);
+}
+
+/// A noise factor is drawn from `[1 − amp, 1 + amp]`; an amplitude that
+/// is not a finite value in `[0, 1)` is no scale factor, and is refused
+/// when the machine is built, not at its first sample.
+#[test]
+#[should_panic(expected = "noise amplitude must be finite and in [0, 1)")]
+fn a_negative_noise_amplitude_is_refused() {
+    let _ = MachineBuilder::p630()
+        .noise(NoiseModel::uniform(-0.1))
+        .build();
+}
+
+#[test]
+#[should_panic(expected = "noise amplitude must be finite and in [0, 1)")]
+fn a_nan_noise_amplitude_is_refused() {
+    let _ = MachineBuilder::p630()
+        .noise(NoiseModel::uniform(f64::NAN))
+        .build();
+}
+
+#[test]
+#[should_panic(expected = "noise amplitude must be finite and in [0, 1)")]
+fn a_noise_amplitude_of_one_is_refused_through_the_config() {
+    let mut config = MachineConfig::p630();
+    config.noise = NoiseModel::uniform(1.0);
+    let _ = MachineBuilder::p630().config(config).build();
 }
