@@ -52,10 +52,10 @@ pub const DEFAULT_WORST_CASE_NODE_W: f64 = 560.0;
 /// The coordinator's per-node state, one record per node: the last
 /// summary held, the last-commanded power ceiling and the dead flag. A
 /// crash-recovery snapshot persists the records as the coordinator keeps
-/// them. They are everything conservative charging and the blind `f_min`
-/// command need — a resumed coordinator that restores them keeps
-/// charging a silent node `max(last reported, last commanded)` (or
-/// worst-case if it knows nothing) exactly as if it had never crashed.
+/// them. They are everything conservative charging (the record's charge
+/// rule) and the blind `f_min` command need — a resumed coordinator that
+/// restores them charges a silent node exactly as if it had never
+/// crashed.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NodeRestore {
     /// The newest summary held for the node (its `sent_at_s` is on the
@@ -63,12 +63,52 @@ pub struct NodeRestore {
     pub summary: Option<NodeSummary>,
     /// Ceiling of the frequencies last *commanded* (W). A node can die
     /// after commands were issued but before any summary reflects them,
-    /// so its last report may understate what it is now drawing; dead
-    /// nodes are charged the max of both.
+    /// so its last report may understate what it is now drawing.
     pub commanded_w: f64,
     /// Whether the node was already declared dead (one-shot; reset when
     /// the node reports again).
     pub dead: bool,
+}
+
+impl NodeRestore {
+    /// What the coordinator charges a node it cannot command, written
+    /// once: `max(last reported, last commanded)` — it may have gone
+    /// silent after a boost command, before any summary showed it — or
+    /// `worst_case_w` if it has never reported.
+    fn charge_w(&self, worst_case_w: f64) -> f64 {
+        match &self.summary {
+            Some(s) => s.power_w.max(self.commanded_w),
+            None => worst_case_w,
+        }
+    }
+}
+
+/// The check every summary the coordinator holds passes, from the uplink
+/// or a snapshot: per-processor vectors of one length and a finite,
+/// non-negative power, or it is refused whole (`false`). An invalid model
+/// is journaled and, when `hold`, degraded to `None` (scheduled as
+/// unmodelled). The node index and timestamp are the callers' to check.
+fn admissible(telemetry: &Telemetry, s: &mut NodeSummary, hold: bool) -> bool {
+    let n_procs = s.models.len();
+    let shaped = s.idle.len() == n_procs && s.current.len() == n_procs;
+    if !shaped || !s.power_w.is_finite() || s.power_w < 0.0 {
+        return false;
+    }
+    for (p, entry) in s.models.iter_mut().enumerate() {
+        if let Some(model) = entry.filter(|m| !m.is_valid()) {
+            if telemetry.enabled() {
+                telemetry.emit(SchedEvent::SampleQuarantined {
+                    t_s: s.sent_at_s,
+                    proc: p as u32,
+                    value: model.cpi0,
+                });
+            }
+            if hold {
+                *entry = None;
+            }
+        }
+    }
+    true
 }
 
 /// Runs the two-pass algorithm over every processor of every node under
@@ -161,24 +201,31 @@ impl GlobalCoordinator {
     }
 
     /// Override the heartbeat timeout after which a silent node is
-    /// declared dead and charged conservatively.
+    /// declared dead and charged conservatively (`+∞`: never). Panics on
+    /// a NaN or non-positive timeout.
     pub fn with_heartbeat_timeout(mut self, timeout_s: f64) -> Self {
         self.set_heartbeat_timeout(timeout_s);
         self
     }
 
     pub(crate) fn set_heartbeat_timeout(&mut self, timeout_s: f64) {
+        assert!(timeout_s > 0.0, "heartbeat timeout must be positive");
         self.heartbeat_timeout_s = timeout_s;
     }
 
     /// Override the conservative charge for nodes that have never
-    /// reported (heterogeneous clusters with bigger machines).
+    /// reported (heterogeneous clusters with bigger machines). Panics
+    /// unless `watts` is finite and non-negative.
     pub fn with_worst_case_node_w(mut self, watts: f64) -> Self {
         self.set_worst_case_node_w(watts);
         self
     }
 
     pub(crate) fn set_worst_case_node_w(&mut self, watts: f64) {
+        assert!(
+            watts.is_finite() && watts >= 0.0,
+            "worst-case node charge must be finite and non-negative"
+        );
         self.worst_case_node_w = watts;
     }
 
@@ -210,12 +257,12 @@ impl GlobalCoordinator {
     /// stored (fresh and well-formed), `false` when it was rejected or
     /// lost to a newer one already held.
     ///
-    /// The uplink is not trusted: a summary with a non-finite timestamp
-    /// or power, an out-of-range node index, or mismatched per-processor
-    /// vectors is rejected whole, and any individual model with
-    /// non-finite components is degraded to `None` (the processor is
-    /// scheduled as unmodelled, holding its current frequency). Nothing
-    /// a node ships can make the global computation produce a NaN.
+    /// The uplink is not trusted: a summary with an out-of-range node
+    /// index, a non-finite timestamp or power, a negative power or
+    /// mismatched per-processor vectors is rejected whole, and a model
+    /// with non-finite components is degraded to `None` (the processor
+    /// holds its current frequency). Nothing a node ships can make the
+    /// global computation produce a NaN.
     pub fn ingest(&mut self, mut summary: NodeSummary) -> bool {
         self.ingest_swap(&mut summary)
     }
@@ -227,49 +274,31 @@ impl GlobalCoordinator {
     /// into its vectors. On `false` — rejected, or lost to a newer one
     /// already held — the caller's summary is left exactly as passed.
     pub fn ingest_swap(&mut self, summary: &mut NodeSummary) -> bool {
-        let n_procs = summary.models.len();
-        let shaped = summary.idle.len() == n_procs && summary.current.len() == n_procs;
-        if summary.node >= self.nodes.len()
-            || !summary.sent_at_s.is_finite()
-            || !summary.power_w.is_finite()
-            || summary.power_w < 0.0
-            || !shaped
-        {
-            if let Some(m) = &self.metrics {
-                m.summaries_rejected.inc();
-            }
-            if self.telemetry.enabled() {
-                self.telemetry.emit(SchedEvent::SampleQuarantined {
-                    t_s: summary.sent_at_s,
-                    proc: summary.node as u32,
-                    value: summary.power_w,
-                });
-            }
-            return false;
-        }
-        let slot = &mut self.nodes[summary.node].summary;
-        let newer = slot
-            .as_ref()
-            .map(|old| summary.sent_at_s >= old.sent_at_s)
-            .unwrap_or(true);
-        for (p, entry) in summary.models.iter_mut().enumerate() {
-            if let Some(model) = entry {
-                if !model.is_valid() {
-                    if self.telemetry.enabled() {
-                        self.telemetry.emit(SchedEvent::SampleQuarantined {
-                            t_s: summary.sent_at_s,
-                            proc: p as u32,
-                            value: model.cpi0,
-                        });
-                    }
-                    // Only a summary about to be stored is degraded; a
-                    // stale one goes back to the caller as it came.
-                    if newer {
-                        *entry = None;
-                    }
+        let t = summary.sent_at_s;
+        let newer = self
+            .nodes
+            .get(summary.node)
+            .filter(|_| t.is_finite())
+            .map(|r| r.summary.as_ref().is_none_or(|old| t >= old.sent_at_s));
+        // Only a summary about to be stored is degraded; a stale one goes
+        // back to the caller as it came.
+        let newer = match newer {
+            Some(newer) if admissible(&self.telemetry, summary, newer) => newer,
+            _ => {
+                if let Some(m) = &self.metrics {
+                    m.summaries_rejected.inc();
                 }
+                if self.telemetry.enabled() {
+                    self.telemetry.emit(SchedEvent::SampleQuarantined {
+                        t_s: summary.sent_at_s,
+                        proc: summary.node as u32,
+                        value: summary.power_w,
+                    });
+                }
+                return false;
             }
-        }
+        };
+        let slot = &mut self.nodes[summary.node].summary;
         if let Some(m) = &self.metrics {
             if newer {
                 m.summaries_ingested.inc();
@@ -333,12 +362,11 @@ impl GlobalCoordinator {
     /// per live node.
     ///
     /// Graceful degradation for the silent: a node whose last summary
-    /// is older than the heartbeat timeout cannot be commanded, so its
-    /// last-reported power is *charged against the budget* and the live
-    /// nodes are scheduled under what remains; a node that never
-    /// reported at all is charged the worst-case node power. Either way
-    /// the cluster's true draw cannot exceed the global budget because
-    /// of a node the coordinator cannot see.
+    /// is older than the heartbeat timeout, or that never reported, cannot
+    /// be commanded, so it is *charged against the budget* by
+    /// [`NodeRestore`]'s charge rule and the live nodes are scheduled
+    /// under what remains. The cluster's true draw cannot exceed the
+    /// global budget because of a node the coordinator cannot see.
     pub fn schedule(&mut self, budget_w: f64, now_s: f64) -> Vec<FrequencyCommand> {
         let _round_span = self.tracer.span("cluster.round");
         self.compute(budget_w, now_s);
@@ -346,20 +374,17 @@ impl GlobalCoordinator {
             let _emit_span = self.tracer.span("cluster.emit_commands");
             self.emit_commands()
         };
-        let (feasible, predicted_power_w) = {
-            let d = self.cache.decision();
-            (d.feasible, d.predicted_power_w)
-        };
         let round = self.rounds;
         self.rounds += 1;
         if self.telemetry.enabled() {
+            let d = self.cache.decision();
             self.telemetry.emit(SchedEvent::ClusterRound {
                 round,
                 nodes: self.nodes_reporting() as u32,
                 procs: self.procs.len() as u32,
                 budget_w,
-                predicted_power_w,
-                feasible,
+                predicted_power_w: d.predicted_power_w,
+                feasible: d.feasible,
             });
             if let Some(m) = &self.metrics {
                 m.rounds.inc();
@@ -404,43 +429,27 @@ impl GlobalCoordinator {
                             current,
                         }));
                 }
-                Some(s) => {
-                    // Silent past the timeout: hold the larger of what it
-                    // last reported drawing and the ceiling of what it was
-                    // last commanded (it may have gone silent after a
-                    // boost command but before any summary reflected it).
-                    let charged_w = s.power_w.max(record.commanded_w);
+                _ => {
+                    // Silent past the timeout or never heard from: charged,
+                    // in startup grace too. A node never heard from is
+                    // overdue once the timeout has elapsed and gets no
+                    // blind command: it has held f_min since boot.
+                    let charged_w = record.charge_w(self.worst_case_node_w);
                     reserved_w += charged_w;
-                    self.blind.push(node_idx);
-                    if !record.dead {
+                    let last_seen_s = record.summary.as_ref().map(|s| s.sent_at_s);
+                    if last_seen_s.is_some() {
+                        self.blind.push(node_idx);
+                    }
+                    let overdue = last_seen_s.is_some() || now_s > self.heartbeat_timeout_s;
+                    if overdue && !record.dead {
                         record.dead = true;
                         self.telemetry.emit(SchedEvent::NodeDeclaredDead {
                             t_s: now_s,
                             node: node_idx as u32,
-                            last_seen_s: s.sent_at_s,
+                            last_seen_s: last_seen_s.unwrap_or(f64::NAN),
                             charged_w,
                         });
                     }
-                }
-                None if now_s > self.heartbeat_timeout_s => {
-                    // Never heard from and overdue: assume the worst.
-                    reserved_w += self.worst_case_node_w;
-                    self.blind.push(node_idx);
-                    if !record.dead {
-                        record.dead = true;
-                        self.telemetry.emit(SchedEvent::NodeDeclaredDead {
-                            t_s: now_s,
-                            node: node_idx as u32,
-                            last_seen_s: f64::NAN,
-                            charged_w: self.worst_case_node_w,
-                        });
-                    }
-                }
-                None => {
-                    // Startup grace: overdue only once the timeout has
-                    // elapsed, but still charged conservatively so the
-                    // first rounds cannot overshoot on its account.
-                    reserved_w += self.worst_case_node_w;
                 }
             }
         }
@@ -494,10 +503,8 @@ impl GlobalCoordinator {
         // uplink lost while its downlink still works), and when the
         // reserve alone exceeds the budget the live nodes are floored and
         // nothing else restores *measured* compliance — so command it to
-        // f_min, sized by its last accepted summary. A node never heard
-        // has held f_min since boot and gets none. Unacknowledged, hence
-        // it never lowers `commanded_w`: the conservative charge stands
-        // until the node actually reports again.
+        // f_min, sized by its last accepted summary. Unacknowledged, it
+        // never lowers `commanded_w`: the charge stands until it reports.
         let f_min = self.algorithm.freq_set.min();
         for &node in &self.blind {
             if let Some(s) = &self.nodes[node].summary {
@@ -559,11 +566,11 @@ impl GlobalCoordinator {
     /// Restore `node`'s charging state from a snapshot — the resync
     /// charging path. The caller rebases `summary.sent_at_s` onto its
     /// own clock first; a resumed coordinator deliberately stamps it
-    /// stale so the next liveness sweep charges the node
-    /// `max(last reported, last commanded)` (its last-charged ceiling)
-    /// until a fresh summary arrives. Out-of-range indices and
-    /// malformed summaries are ignored (a snapshot cannot widen the
-    /// cluster or inject what [`ingest`](Self::ingest) would refuse).
+    /// stale so the next liveness sweep charges the node by the record's
+    /// charge rule until a fresh summary arrives. Out-of-range indices
+    /// are ignored, and the summary passes the check
+    /// [`ingest`](Self::ingest) applies, so a snapshot cannot widen the
+    /// cluster or inject what `ingest` would refuse.
     pub fn restore_node(&mut self, node: usize, mut r: NodeRestore) {
         let Some(record) = self.nodes.get_mut(node) else {
             return;
@@ -572,17 +579,10 @@ impl GlobalCoordinator {
         // node degrades to worst-case charging. `-∞` is a legal timestamp
         // (what an infinite heartbeat timeout rebases to); NaN or `+∞`
         // would outrank every later summary and pin the node for good.
-        let corrupt = r.summary.as_ref().is_some_and(|s| {
-            let n_procs = s.models.len();
-            s.node != node
-                || s.idle.len() != n_procs
-                || s.current.len() != n_procs
-                || !s.power_w.is_finite()
-                || s.power_w < 0.0
-                || s.sent_at_s.is_nan()
-                || s.sent_at_s == f64::INFINITY
+        let held = r.summary.as_mut().is_some_and(|s| {
+            s.node == node && s.sent_at_s < f64::INFINITY && admissible(&self.telemetry, s, true)
         });
-        if corrupt {
+        if !held {
             r.summary = None;
         }
         if !(r.commanded_w.is_finite() && r.commanded_w >= 0.0) {
@@ -594,34 +594,19 @@ impl GlobalCoordinator {
     /// A conservative ceiling on what this coordinator's nodes can draw
     /// if the coordinator itself dies right now and can issue no further
     /// commands: the reserve already charged for silent nodes, plus each
-    /// live node's last-commanded power ceiling (worst case for nodes
-    /// never commanded). A parent tier charges this against its budget
-    /// when the subtree goes dark.
+    /// live node's charge — [`NodeRestore`]'s rule, the worst case when
+    /// that is 0 W. A parent tier charges this against its budget when
+    /// the subtree goes dark.
     pub fn charge_ceiling_w(&self) -> f64 {
-        let mut total = self.reserved_w;
-        for record in &self.nodes {
-            let Some(s) = &record.summary else {
-                // Never-reported nodes are already in the reserve
-                // (grace charges are part of `reserved_w` after any
-                // compute).
-                continue;
-            };
-            if record.dead {
-                continue; // likewise already reserved
-            }
-            // The larger of what the node last reported drawing and the
-            // ceiling of what it was last commanded; a node that was
-            // never commanded cannot ramp past its current draw on its
-            // own, so its report is the honest ceiling. Worst case only
-            // if we know neither.
-            let ceiling = record.commanded_w.max(s.power_w);
-            total += if ceiling > 0.0 {
-                ceiling
-            } else {
-                self.worst_case_node_w
-            };
-        }
-        total
+        // Never-reported and dead nodes are already in the reserve (grace
+        // charges are part of `reserved_w` after any compute).
+        let worst_w = self.worst_case_node_w;
+        self.nodes
+            .iter()
+            .filter(|r| r.summary.is_some() && !r.dead)
+            .map(|r| r.charge_w(worst_w))
+            .map(|w| if w > 0.0 { w } else { worst_w })
+            .fold(self.reserved_w, |total, w| total + w)
     }
 }
 
@@ -825,15 +810,28 @@ mod tests {
 
     #[test]
     fn invalid_models_degrade_to_unmodelled_not_nan() {
-        let mut c = GlobalCoordinator::new(FvsstAlgorithm::p630(), 1);
         let mut s = summary(0, 1.0, &[0.0, 0.0]);
         s.models[1] = Some(CpiModel::from_components(f64::NAN, 0.0));
         s.current[1] = FreqMhz(800);
-        c.ingest(s);
-        let cmds = c.schedule(f64::INFINITY, 1.0);
-        // The corrupt model is quarantined: its processor is scheduled
-        // as unmodelled and holds its current frequency.
-        assert_eq!(cmds[0].freqs[1], FreqMhz(800));
-        assert!(cmds[0].freqs.iter().all(|f| f.0 > 0));
+        // The same summary from the uplink and from a snapshot.
+        let mut ingested = GlobalCoordinator::new(FvsstAlgorithm::p630(), 1);
+        ingested.ingest(s.clone());
+        let mut restored =
+            GlobalCoordinator::new(FvsstAlgorithm::p630(), 1).with_heartbeat_timeout(f64::INFINITY);
+        let record = NodeRestore {
+            summary: Some(s),
+            ..NodeRestore::default()
+        };
+        restored.restore_node(0, record);
+        for mut c in [ingested, restored] {
+            let cmds = c.schedule(f64::INFINITY, 1.0);
+            // The corrupt model is quarantined: its processor is scheduled
+            // as unmodelled and holds its current frequency.
+            assert_eq!(cmds[0].freqs[1], FreqMhz(800));
+            assert!(cmds[0].freqs.iter().all(|f| f.0 > 0));
+            let d = c.schedule_cache().decision();
+            assert!(d.predicted_loss.iter().all(|l| l.is_finite()));
+            assert!(d.predicted_ipc.iter().flatten().all(|ipc| ipc.is_finite()));
+        }
     }
 }

@@ -260,9 +260,9 @@ impl CoordinatorCore {
     /// on the crashed clock, and is rebased once onto this one by the
     /// snapshot's `taken_at_s`: an open episode keeps the time it has
     /// burned, and every node's charge comes back stamped stale, so
-    /// until a node reports afresh it is charged
-    /// `max(last reported, last commanded)` — or the worst case if the
-    /// snapshot knew nothing usable about it. A resumed coordinator is
+    /// until a node reports afresh it is charged by the one rule of
+    /// [`NodeRestore`](fvs_cluster::NodeRestore) (the worst case if the
+    /// snapshot knew nothing usable about it). A resumed coordinator is
     /// never less conservative than the snapshot it loaded.
     pub fn new(
         nodes: usize,

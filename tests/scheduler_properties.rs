@@ -632,3 +632,86 @@ mod end_to_end {
         }
     }
 }
+
+/// Pass 2's objective, checked against an exact solver: the largest
+/// per-processor loss of `schedule`'s decision is the smallest largest
+/// loss of any assignment that keeps every processor at or below its
+/// desired level and fits the budget (DESIGN §7: min-max, not min-Σ).
+mod min_max {
+    use super::*;
+    use fvsst::model::PerfLossTable;
+
+    /// The smallest largest loss over every assignment of a level at or
+    /// below `desired[i]` to each row `i` whose power, summed in
+    /// processor order as pass 2 sums it, is within `budget_w` (`+∞` when
+    /// none is). Every assignment is visited; none is cut.
+    fn min_max(
+        rows: &[Vec<f64>],
+        desired: &[usize],
+        power_w: &[f64],
+        budget_w: f64,
+        (sum_w, worst): (f64, f64),
+    ) -> f64 {
+        let Some((row, rest)) = rows.split_first() else {
+            return if sum_w <= budget_w {
+                worst
+            } else {
+                f64::INFINITY
+            };
+        };
+        (0..=desired[0])
+            .map(|k| {
+                let next = (sum_w + power_w[k], worst.max(row[k]));
+                min_max(rest, &desired[1..], power_w, budget_w, next)
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random `(cpi0, M)` rows on Table 1's sixteen levels, at the
+        /// paper's ε and at a random one, under a budget drawn between
+        /// the `f_min` floor and what pass 1 asks for.
+        #[test]
+        fn pass2_largest_loss_is_the_exhaustive_min_max(
+            models in prop::collection::vec((0.5f64..2.0, 0.0f64..3.0e-9), 1..=5),
+            (paper_epsilon, epsilon) in (any::<bool>(), 0.01f64..0.3),
+            at in 0.0f64..1.0,
+        ) {
+            let mut alg = FvsstAlgorithm::p630();
+            if !paper_epsilon {
+                alg.epsilon = epsilon;
+            }
+            let set = &alg.freq_set;
+            let power_w: Vec<f64> =
+                set.iter().map(|f| alg.power_table.power_interpolated(f)).collect();
+            let procs: Vec<ProcInput> = models
+                .iter()
+                .map(|&(cpi0, m)| ProcInput {
+                    model: Some(CpiModel::from_components(cpi0, m)),
+                    idle: false,
+                    current: set.max(),
+                })
+                .collect();
+            let rows: Vec<Vec<f64>> = procs
+                .iter()
+                .map(|p| {
+                    let table = PerfLossTable::build(&p.model.unwrap(), set);
+                    table.entries.iter().map(|e| e.loss_vs_ref).collect()
+                })
+                .collect();
+            let asked = alg.schedule(&procs, f64::INFINITY);
+            let desired: Vec<usize> =
+                asked.desired.iter().map(|&f| set.index_of(f).unwrap()).collect();
+            let floor_w = power_w[0] * procs.len() as f64;
+            let budget_w = floor_w + at * (asked.predicted_power_w - floor_w);
+
+            let d = alg.schedule(&procs, budget_w);
+            prop_assert!(d.feasible);
+            let largest = d.predicted_loss.iter().fold(f64::NEG_INFINITY, |a, &l| a.max(l));
+            let start = (0.0, f64::NEG_INFINITY);
+            prop_assert_eq!(largest, min_max(&rows, &desired, &power_w, budget_w, start));
+        }
+    }
+}
