@@ -159,7 +159,8 @@ struct CoordMetrics {
 }
 
 impl GlobalCoordinator {
-    /// Coordinator for `nodes` nodes.
+    /// Coordinator for `nodes` nodes. Panics on an ε the daemon would
+    /// refuse ([`FvsstAlgorithm::assert_valid_epsilon`]).
     pub fn new(algorithm: FvsstAlgorithm, nodes: usize) -> Self {
         Self::with_telemetry(algorithm, nodes, Telemetry::disabled())
     }
@@ -169,6 +170,7 @@ impl GlobalCoordinator {
     /// ingested and dropped as stale, commands fanned out, reported
     /// aggregate power).
     pub fn with_telemetry(algorithm: FvsstAlgorithm, nodes: usize, telemetry: Telemetry) -> Self {
+        algorithm.assert_valid_epsilon();
         let metrics = telemetry.registry().map(|r| {
             let scope = r.scoped("cluster");
             CoordMetrics {

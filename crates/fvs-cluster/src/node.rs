@@ -48,12 +48,8 @@ impl ClusterNode {
     /// predictor.
     pub fn tick(&mut self, t_s: f64) {
         self.machine.step(t_s);
-        let mut samples = std::mem::take(&mut self.samples_buf);
-        self.machine.sample_all_into(&mut samples);
-        for (i, s) in samples.iter().enumerate() {
-            self.predictor.push(i, s);
-        }
-        self.samples_buf = samples;
+        self.machine.sample_all_into(&mut self.samples_buf);
+        self.predictor.push_all(&self.samples_buf, |_| {});
     }
 
     /// Close the local measurement window and produce the summary the

@@ -2,7 +2,8 @@
 //! built, as `CoordinatorConfig::validate` refuses them on the wire: a
 //! heartbeat timeout that is NaN or not positive, and a worst-case node
 //! charge that is not a finite, non-negative power. A timeout of `+∞`
-//! (every node that has reported stays live) is legal.
+//! (every node that has reported stays live) is legal. An ε the SMP
+//! daemon refuses is refused by the coordinator too, by the same check.
 
 use fvs_cluster::{GlobalCoordinator, NodeSummary, RackCoordinator};
 use fvs_sched::FvsstAlgorithm;
@@ -45,6 +46,22 @@ fn an_infinite_worst_case_charge_is_refused() {
 #[should_panic(expected = "worst-case node charge must be finite and non-negative")]
 fn a_negative_worst_case_charge_is_refused() {
     let _ = coordinator().with_worst_case_node_w(-1.0);
+}
+
+#[test]
+#[should_panic(expected = "epsilon must be finite and non-negative")]
+fn a_nan_epsilon_is_refused() {
+    let mut algorithm = FvsstAlgorithm::p630();
+    algorithm.epsilon = f64::NAN;
+    let _ = GlobalCoordinator::new(algorithm, 1);
+}
+
+#[test]
+#[should_panic(expected = "epsilon must be finite and non-negative")]
+fn a_rack_passes_its_epsilon_to_the_same_check() {
+    let mut algorithm = FvsstAlgorithm::p630();
+    algorithm.epsilon = -0.01;
+    let _ = RackCoordinator::new(algorithm, 0, 1);
 }
 
 /// An infinite timeout keeps a node that reported once live, and a zero

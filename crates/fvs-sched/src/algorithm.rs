@@ -11,7 +11,8 @@
 //!   Pass 2 keeps the running total power updated by per-step deltas from
 //!   a per-index power table and, only when the desired power exceeds the
 //!   budget, draws each victim from a [`DemotionQueue`]: candidates
-//!   bucketed by a monotone function of their next-step predicted loss,
+//!   bucketed by a monotone function of their next-step predicted loss
+//!   (or, for the round-robin ablation, of the steps already taken),
 //!   each bucket sorted only when the cursor reaches it; `O(n + d)` plus
 //!   the in-bucket sorts for `d` demotions, against the naive `O(d·n)`.
 //! - [`FvsstAlgorithm::schedule_reference`] — the naive loop, kept as the
@@ -145,7 +146,9 @@ pub enum DemotionOrder {
     /// smallest predicted performance cost.
     LeastPredictedLoss,
     /// Ablation comparator: rotate through processors regardless of
-    /// predicted cost.
+    /// predicted cost. Pass 2 pops it from the same [`DemotionQueue`],
+    /// keyed by the steps a processor has already taken below its desired
+    /// slot (over `|F|`).
     RoundRobin,
 }
 
@@ -158,10 +161,14 @@ const OFFGRID: usize = usize::MAX;
 /// End-of-list marker of the [`DemotionQueue`] bucket lists.
 const NIL: u32 = u32::MAX;
 
-/// Pass 2's victim queue: the one live candidate per processor, "after
-/// one more step down `proc` would have absolute predicted loss `loss`",
-/// popped in ascending `(loss by f64::total_cmp, proc)` order — exactly
-/// the winner of the reference implementation's first-minimum scan.
+/// Pass 2's victim queue: the one live candidate per processor, popped
+/// in ascending `(key by f64::total_cmp, proc)` order. Under
+/// [`DemotionOrder::LeastPredictedLoss`] the key is the absolute predicted
+/// loss `proc` would have after one more step down, so the front is
+/// exactly the winner of the reference implementation's first-minimum
+/// scan; under [`DemotionOrder::RoundRobin`] it is the steps `proc` has
+/// already taken (over `|F|`), so the fronts cycle through the processors
+/// in index order, as the reference's cursor does.
 ///
 /// Candidates sit in intrusive per-bucket lists (`head[bucket]` →
 /// `links[proc].1` → …), so storage is `O(n + buckets)` and never grows
@@ -626,20 +633,6 @@ impl ScheduleCache {
     }
 }
 
-/// The paper's pass-2 selection key for processor `i` at set index `at`:
-/// the *absolute* predicted loss vs `f_max` after one step down
-/// (Figure 3 step 2, "smallest PerfLoss(f_max, f_less)"). Processors
-/// without a model are free to demote (zero predicted loss). The
-/// production paths read the same value as `row[at - 1]` of a row
-/// written by [`fill_loss_row`].
-#[inline]
-fn demotion_key(table: Option<&PerfLossTable>, at: usize) -> f64 {
-    match table {
-        Some(t) => t.entries[at - 1].loss_vs_ref,
-        None => 0.0,
-    }
-}
-
 /// One processor's row of the flat loss matrix: the predicted loss vs
 /// `f_max` at every set frequency, ascending — the exact expression
 /// [`PerfLossTable::rebuild`] evaluates, so rows and tables agree bit
@@ -719,21 +712,22 @@ impl FvsstAlgorithm {
         }
     }
 
-    /// Pass 1 in index space: the desired set index (or [`OFFGRID`]) and
-    /// frequency for one processor. `table` must be the processor's
-    /// evaluated [`PerfLossTable`] whenever it has a model.
-    fn desired_slot(&self, input: &ProcInput, table: Option<&PerfLossTable>) -> (usize, FreqMhz) {
-        self.desired_slot_by(input, || {
-            let t = table.expect("a modelled processor always has a table");
-            t.entries.iter().map(|e| e.loss_vs_ref)
-        })
+    /// Panics unless ε is finite and non-negative. A NaN ε admits no
+    /// setting, so every modelled processor would stay at `f_max`; an
+    /// infinite or negative one is no tolerance. Checked where a daemon
+    /// or a cluster coordinator takes its algorithm.
+    pub fn assert_valid_epsilon(&self) {
+        assert!(
+            self.epsilon.is_finite() && self.epsilon >= 0.0,
+            "epsilon must be finite and non-negative"
+        );
     }
 
-    /// [`desired_slot`](Self::desired_slot) over any source of the
-    /// processor's ascending-frequency losses (a table's entries or a
-    /// flat loss row); asked for only when a modelled processor is
-    /// scanned.
-    fn desired_slot_by<L: Iterator<Item = f64>>(
+    /// Pass 1 in index space: the desired set index (or [`OFFGRID`]) and
+    /// frequency for one processor, over any source of its
+    /// ascending-frequency losses (a flat loss row or a table's entries),
+    /// asked for only when a modelled processor is scanned.
+    fn desired_slot<L: Iterator<Item = f64>>(
         &self,
         input: &ProcInput,
         losses: impl FnOnce() -> L,
@@ -895,7 +889,7 @@ impl FvsstAlgorithm {
                 cache.keys[i] = key;
                 let row = &mut cache.losses[i * w..(i + 1) * w];
                 fill_loss_row(row, p.model.as_ref(), set);
-                let (k, f) = self.desired_slot_by(p, || row.iter().copied());
+                let (k, f) = self.desired_slot(p, || row.iter().copied());
                 (cache.step_loss[i], cache.desired_loss[i]) = slot_losses(row, k);
                 cache.models[i] = p.model;
                 cache.desired_idx[i] = k;
@@ -928,6 +922,7 @@ impl FvsstAlgorithm {
             &cache.index,
             &cache.losses,
             &cache.step_loss,
+            &cache.desired_idx,
             &mut cache.work_idx,
             &mut cache.queue,
             &mut cache.demotion_log,
@@ -949,9 +944,11 @@ impl FvsstAlgorithm {
         &cache.decision
     }
 
-    /// Pass 2: demote least-painful steps until under budget. `idx` is
-    /// mutated in place; the running power total is updated by per-step
-    /// deltas and victims come from the queue (or the round-robin cursor).
+    /// Pass 2: demote until under budget, one step at a time, each victim
+    /// popped from the [`DemotionQueue`]. `idx` starts as a copy of
+    /// `desired` and is mutated in place; the running power total is
+    /// updated by per-step deltas. Both [`DemotionOrder`]s run this one
+    /// loop and differ only in the key a candidate is queued under.
     /// Every step taken is appended to `log` (cleared first; capacity is
     /// reserved for the worst case so steady-state calls never grow it).
     /// Returns `(demotions, feasible)`.
@@ -966,6 +963,7 @@ impl FvsstAlgorithm {
         index: &PowerVoltageIndex,
         losses: &[f64],
         step_loss: &[f64],
+        desired: &[usize],
         idx: &mut [usize],
         queue: &mut DemotionQueue,
         log: &mut Vec<DemotionRecord>,
@@ -984,73 +982,47 @@ impl FvsstAlgorithm {
         }
         let mut demotions = 0usize;
         let mut feasible = true;
-        if n > 0 {
-            match self.demotion_order {
-                DemotionOrder::LeastPredictedLoss => {
-                    // Sized on every round (a loose warm-up must leave a
-                    // binding round allocation-free), filled only to pop.
-                    queue.reset(n);
-                    if power > budget_w {
-                        for (i, (&k, &loss)) in idx.iter().zip(step_loss).enumerate() {
-                            if k != OFFGRID && k > 0 {
-                                queue.push(i, loss);
-                            }
-                        }
-                    }
-                    while power > budget_w {
-                        let Some(i) = queue.pop() else {
-                            // Everything at f_min and still over budget.
-                            feasible = false;
-                            break;
-                        };
-                        let k = idx[i];
-                        let delta = index.power_w(k - 1) - index.power_w(k);
-                        power += delta;
-                        idx[i] = k - 1;
-                        demotions += 1;
-                        log.push(DemotionRecord {
-                            proc: i,
-                            from: set.at(k),
-                            to: set.at(k - 1),
-                            predicted_loss: losses[i * w + k - 1],
-                            power_delta_w: delta,
-                        });
-                        if k - 1 > 0 {
-                            queue.push(i, losses[i * w + k - 2]);
-                        }
-                    }
+        // Round-robin keys a candidate by the steps it has taken below its
+        // desired slot, over |F| so that each level has buckets of its own:
+        // popped in `(steps, proc)` order, victims cycle through the
+        // demotable processors in index order, as the reference's cursor does.
+        let rotate = self.demotion_order == DemotionOrder::RoundRobin;
+        // Sized on every round (a loose warm-up must leave a binding round
+        // allocation-free), filled only to pop.
+        queue.reset(n);
+        if power > budget_w {
+            for (i, (&k, &loss)) in idx.iter().zip(step_loss).enumerate() {
+                if k != OFFGRID && k > 0 {
+                    queue.push(i, if rotate { 0.0 } else { loss });
                 }
-                DemotionOrder::RoundRobin => {
-                    // Rotate through demotable processors, cost-blind.
-                    let mut rr_cursor = 0usize;
-                    while power > budget_w {
-                        let mut found = None;
-                        for step in 0..n {
-                            let i = (rr_cursor + step) % n;
-                            if idx[i] != OFFGRID && idx[i] > 0 {
-                                rr_cursor = (i + 1) % n;
-                                found = Some(i);
-                                break;
-                            }
-                        }
-                        let Some(i) = found else {
-                            feasible = false;
-                            break;
-                        };
-                        let k = idx[i];
-                        let delta = index.power_w(k - 1) - index.power_w(k);
-                        power += delta;
-                        idx[i] = k - 1;
-                        demotions += 1;
-                        log.push(DemotionRecord {
-                            proc: i,
-                            from: set.at(k),
-                            to: set.at(k - 1),
-                            predicted_loss: losses[i * w + k - 1],
-                            power_delta_w: delta,
-                        });
-                    }
-                }
+            }
+        }
+        // An empty machine draws nothing: feasible under any budget.
+        while n > 0 && power > budget_w {
+            let Some(i) = queue.pop() else {
+                // Everything at f_min and still over budget.
+                feasible = false;
+                break;
+            };
+            let k = idx[i];
+            let delta = index.power_w(k - 1) - index.power_w(k);
+            power += delta;
+            idx[i] = k - 1;
+            demotions += 1;
+            log.push(DemotionRecord {
+                proc: i,
+                from: set.at(k),
+                to: set.at(k - 1),
+                predicted_loss: losses[i * w + k - 1],
+                power_delta_w: delta,
+            });
+            if k - 1 > 0 {
+                let key = if rotate {
+                    (desired[i] - (k - 1)) as f64 / w as f64
+                } else {
+                    losses[i * w + k - 2]
+                };
+                queue.push(i, key);
             }
         }
         (demotions, feasible)
@@ -1105,11 +1077,12 @@ impl FvsstAlgorithm {
     }
 
     /// The naive `O(d·n)` implementation: a full linear scan over all
-    /// processors for every single demotion step. Kept as the executable
-    /// specification of pass 2 — the differential property tests assert
-    /// the queue-based [`schedule`](FvsstAlgorithm::schedule) produces
-    /// bit-identical decisions, and the benchmarks use it as the
-    /// baseline.
+    /// processors for every single demotion step (and, for
+    /// [`DemotionOrder::RoundRobin`], a rotating cursor). Kept as the
+    /// executable specification of pass 2 — the differential property
+    /// tests assert the queue-based [`schedule`](FvsstAlgorithm::schedule)
+    /// produces bit-identical decisions under both orders, and the
+    /// benchmarks use it as the baseline.
     pub fn schedule_reference(&self, procs: &[ProcInput], budget_w: f64) -> ScheduleDecision {
         let n = procs.len();
         let set = &self.freq_set;
@@ -1123,7 +1096,10 @@ impl FvsstAlgorithm {
         let mut idx = Vec::with_capacity(n);
         let mut desired = Vec::with_capacity(n);
         for (p, t) in procs.iter().zip(&tables) {
-            let (k, f) = self.desired_slot(p, t.as_ref());
+            let (k, f) = self.desired_slot(p, || {
+                let t = t.as_ref().expect("a modelled processor always has a table");
+                t.entries.iter().map(|e| e.loss_vs_ref)
+            });
             idx.push(k);
             desired.push(f);
         }
@@ -1144,13 +1120,17 @@ impl FvsstAlgorithm {
                     // loss the processor would have after one step down.
                     // (Not the incremental cost: the absolute key is what
                     // makes the paper's section-5 example demote the
-                    // CPU-bound processor from 1.0 to 0.9 GHz last.)
+                    // CPU-bound processor from 1.0 to 0.9 GHz last.) A
+                    // processor without a model is free to demote; the
+                    // queue reads the same key from its flat loss row.
                     let mut best: Option<(usize, f64)> = None;
                     for i in 0..n {
                         if idx[i] == OFFGRID || idx[i] == 0 {
                             continue;
                         }
-                        let loss = demotion_key(tables[i].as_ref(), idx[i]);
+                        let loss = tables[i]
+                            .as_ref()
+                            .map_or(0.0, |t| t.entries[idx[i] - 1].loss_vs_ref);
                         let better = match best {
                             None => true,
                             Some((_, bl)) => loss.total_cmp(&bl) == Ordering::Less,

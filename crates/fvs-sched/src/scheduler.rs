@@ -21,6 +21,10 @@ use std::time::Instant;
 const IDLE_EDGE_MIN_SPACING: u32 = 2;
 
 /// Configuration of the fvsst daemon.
+///
+/// [`FvsstScheduler::new`] refuses (panics on) what it cannot run: an
+/// `n` of 0, an ε that is NaN, infinite or negative, and a `deadline_s`
+/// that is NaN or negative (`+∞`, no deadline, is legal).
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
     /// The scheduling algorithm (frequency set, tables, ε, mode).
@@ -208,8 +212,12 @@ pub struct FvsstScheduler {
 }
 
 impl FvsstScheduler {
-    /// Daemon for `n_cores` cores.
+    /// Daemon for `n_cores` cores. Panics on a configuration it cannot
+    /// run (see [`SchedulerConfig`]).
     pub fn new(n_cores: usize, config: SchedulerConfig) -> Self {
+        assert!(config.n >= 1, "n must be at least 1");
+        config.algorithm.assert_valid_epsilon();
+        assert!(config.deadline_s >= 0.0, "deadline_s must be non-negative");
         let cache = ScheduleCache::with_tolerance(ModelTolerance::PHASE_DEFAULT);
         let budget_tracker = BudgetDeadlineTracker::new(config.deadline_s);
         let metrics = SchedMetrics::from_telemetry(&config.telemetry);

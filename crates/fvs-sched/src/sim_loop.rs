@@ -130,7 +130,8 @@ impl ScheduledSimulation<FvsstScheduler> {
     /// # Panics
     ///
     /// When `config.t_s` is not finite and positive (see
-    /// [`with_policy`](ScheduledSimulation::with_policy)).
+    /// [`with_policy`](ScheduledSimulation::with_policy)), and on what
+    /// [`FvsstScheduler::new`] refuses.
     pub fn new(machine: Machine, config: SchedulerConfig) -> Self {
         let budget = config.budget.clone();
         let t_s = config.t_s;
@@ -479,9 +480,14 @@ impl<P: Policy> ScheduledSimulation<P> {
         self.tick += 1;
     }
 
-    /// Run for `duration` seconds of simulated time and return the
-    /// cumulative report.
+    /// Run for `duration` seconds of simulated time (at least one tick)
+    /// and return the cumulative report. Panics unless `duration` is
+    /// finite and non-negative.
     pub fn run_for(&mut self, duration: f64) -> RunReport {
+        assert!(
+            duration.is_finite() && duration >= 0.0,
+            "run_for duration must be finite and non-negative"
+        );
         let ticks = (duration / self.t_s).round().max(1.0) as u64;
         for _ in 0..ticks {
             self.step_tick();

@@ -159,7 +159,7 @@ impl MachineBuilder {
         let power_w = self.actuation.power_w(f, eff, &self.config.power_table);
         let mut bank = CoreBank::new(n, f, eff, power_w);
         for (i, w) in workloads.iter().enumerate() {
-            debug_assert!(w.is_valid(), "invalid workload for core {i}");
+            assert!(w.is_valid(), "invalid workload for core {i}");
             bank.idle_loop_flag[i] = w.is_idle_loop;
             bank.sync_transitional(i, w);
             bank.refresh_row(i, w, &self.config.latencies);
@@ -320,7 +320,7 @@ impl CoreViewMut<'_> {
     /// Replace the workload (used by cluster experiments when work
     /// arrives at a node); resets the cursor, keeps counters and stats.
     pub fn assign(&mut self, workload: WorkloadSpec) {
-        debug_assert!(workload.is_valid());
+        assert!(workload.is_valid(), "invalid workload for core {}", self.i);
         let i = self.i;
         let m = &mut *self.machine;
         m.bank.perturb_row(i);

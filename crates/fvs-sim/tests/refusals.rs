@@ -1,8 +1,10 @@
-//! Inputs a machine cannot run with are refused up front: a tick that
-//! never adds up to a run, a settling time after which a request never
-//! takes effect, and a noise amplitude that is no scale factor.
+//! Inputs a machine cannot run with are refused up front, in every build
+//! profile: a tick that never adds up to a run, a settling time after
+//! which a request never takes effect, a noise amplitude that is no scale
+//! factor, and a workload with no phase to run.
 
 use fvs_sim::{MachineBuilder, MachineConfig, NoiseModel};
+use fvs_workloads::WorkloadSpec;
 
 #[test]
 #[should_panic(expected = "tick must be finite and positive")]
@@ -41,4 +43,25 @@ fn a_noise_amplitude_of_one_is_refused_through_the_config() {
     let mut config = MachineConfig::p630();
     config.noise = NoiseModel::uniform(1.0);
     let _ = MachineBuilder::p630().config(config).build();
+}
+
+/// An empty workload has no phase for the first step to index; a
+/// workload the machine cannot run is refused when it is built, not by an
+/// out-of-bounds panic (or, for phases retiring nothing, a step that
+/// never returns) once it runs.
+#[test]
+#[should_panic(expected = "invalid workload for core 1")]
+fn an_empty_workload_is_refused() {
+    let _ = MachineBuilder::p630()
+        .workload(1, WorkloadSpec::new("empty", Vec::new()))
+        .build();
+}
+
+#[test]
+#[should_panic(expected = "invalid workload for core 0")]
+fn an_empty_workload_is_refused_on_assign() {
+    let mut machine = MachineBuilder::p630().build();
+    machine
+        .core_mut(0)
+        .assign(WorkloadSpec::new("empty", Vec::new()));
 }
