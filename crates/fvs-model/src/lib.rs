@@ -61,7 +61,7 @@ pub use cpi::CpiModel;
 pub use freq::{FreqMhz, FrequencySet, FrequencySetError};
 pub use ideal::{ideal_frequency, ideal_frequency_hz};
 pub use latency::MemoryLatencies;
-pub use perfloss::{perf_loss, perf_loss_between, PerfLossTable};
+pub use perfloss::{perf_loss, perf_loss_between, perf_loss_from, PerfLossTable};
 pub use profile::{AccessRates, ExecutionProfile};
 pub use two_point::{calibrate_two_point, Observation, TwoPointError};
 

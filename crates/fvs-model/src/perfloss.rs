@@ -20,16 +20,24 @@ use serde::{Deserialize, Serialize};
 /// document the choice.)
 #[inline]
 pub fn perf_loss(model: &CpiModel, f_ref: FreqMhz, f: FreqMhz) -> f64 {
-    let p_ref = model.perf_at(f_ref);
-    (p_ref - model.perf_at(f)) / p_ref
+    perf_loss_from(model.perf_at(f_ref), model, f)
 }
 
 /// `perf_loss` between two arbitrary frequencies `g → f`, normalised by
 /// the performance at `g`.
 #[inline]
 pub fn perf_loss_between(model: &CpiModel, g: FreqMhz, f: FreqMhz) -> f64 {
-    let p_g = model.perf_at(g);
-    (p_g - model.perf_at(f)) / p_g
+    perf_loss_from(model.perf_at(g), model, f)
+}
+
+/// `perf_loss` against a reference whose performance `p_ref` is already
+/// known — the one place the loss is written. [`perf_loss`],
+/// [`PerfLossTable::rebuild`], the scheduler's loss rows and every loss
+/// a scheduling round evaluates call it, so a loss read from a table and
+/// one evaluated where a round needs it agree bit for bit.
+#[inline]
+pub fn perf_loss_from(p_ref: f64, model: &CpiModel, f: FreqMhz) -> f64 {
+    (p_ref - model.perf_at(f)) / p_ref
 }
 
 /// One row of a [`PerfLossTable`].
@@ -74,14 +82,11 @@ impl PerfLossTable {
         self.reference = set.max();
         let p_ref = model.perf_at(self.reference);
         self.entries.clear();
-        self.entries.extend(set.iter().map(|f| {
-            let perf = model.perf_at(f);
-            PerfLossEntry {
-                freq: f,
-                ipc: model.ipc_at(f),
-                perf,
-                loss_vs_ref: (p_ref - perf) / p_ref,
-            }
+        self.entries.extend(set.iter().map(|f| PerfLossEntry {
+            freq: f,
+            ipc: model.ipc_at(f),
+            perf: model.perf_at(f),
+            loss_vs_ref: perf_loss_from(p_ref, model, f),
         }));
     }
 

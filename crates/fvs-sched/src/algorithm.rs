@@ -3,11 +3,11 @@
 //! Two implementations of the budget pass are provided:
 //!
 //! - [`FvsstAlgorithm::schedule_cached`] — the production path, over a
-//!   [`ScheduleCache`]. Pass 1 writes one flat row of `|F|` losses per
-//!   processor and copies the two entries every round reads into dense
-//!   columns ([`slot_losses`]): pass 2 takes its first candidates from
-//!   one, pass 3 the loss of every processor pass 2 left alone from the
-//!   other, and the matrix is read again only where a demotion lands.
+//!   [`ScheduleCache`] of `O(n)` state. Pass 1 fills one reused `|F|` row
+//!   per rebuilt processor and keeps the two entries every round reads in
+//!   dense columns ([`slot_losses`]): pass 2's first candidates, and pass
+//!   3's loss of every processor pass 2 left alone. Any other loss is
+//!   evaluated where a round reads it ([`loss_at`]), one per demotion.
 //!   Pass 2 keeps the running total power updated by per-step deltas from
 //!   a per-index power table and, only when the desired power exceeds the
 //!   budget, draws each victim from a [`DemotionQueue`]: candidates
@@ -24,7 +24,7 @@
 //!   differentially.
 //!
 //! Pass 1 is *incremental*: the cache keeps, per processor, the model
-//! its row was built from. A processor's loss row and
+//! its slot was computed from. A processor's loss columns and
 //! desired slot are recomputed only when its fitted model moves beyond
 //! the cache's [`ModelTolerance`], and when no processor, nor the budget,
 //! changed at all — and the previous decision was feasible — the cached
@@ -33,7 +33,7 @@
 //! [`FvsstAlgorithm::schedule_with_scratch`] are the same path over a
 //! cache that forgets before every round ([`ScheduleScratch`]).
 
-use fvs_model::{ideal_frequency, CpiModel, FreqMhz, FrequencySet, PerfLossTable};
+use fvs_model::{ideal_frequency, perf_loss_from, CpiModel, FreqMhz, FrequencySet, PerfLossTable};
 use fvs_power::{FreqPowerTable, PowerVoltageIndex, VoltageTable};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -323,7 +323,7 @@ impl ScheduleScratch {
 
 /// Quantization steps for the model fingerprint of [`ScheduleCache`].
 ///
-/// A processor's cached loss row and desired slot are reused as
+/// A processor's cached loss columns and desired slot are reused as
 /// long as both fitted coefficients stay inside their quantization
 /// bucket; a move beyond half a step across a bucket boundary triggers a
 /// rebuild. Steps of `0.0` mean bit-exact comparison (every coefficient
@@ -415,7 +415,7 @@ impl Default for ModelTolerance {
 }
 
 /// One processor's cache fingerprint: everything pass 1 depends on but
-/// the model, whose bucket is the model the row was built from
+/// the model, whose bucket is the model the slot was computed from
 /// (`ScheduleCache::models`).
 ///
 /// `current` participates only for non-idle unmodelled processors — the
@@ -427,7 +427,7 @@ enum ProcKey {
     Stale,
     /// Idle-pinned (idle signal set and idle detection on), no model.
     IdleUnmodelled,
-    /// Idle-pinned with a model (the loss row still feeds pass 3).
+    /// Idle-pinned with a model (its loss at `f_min` still feeds pass 3).
     IdleModel,
     /// No model: the processor keeps `current` through pass 1.
     Unmodelled(FreqMhz),
@@ -481,11 +481,12 @@ pub struct CacheStats {
 
 /// Incremental-scheduling state for [`FvsstAlgorithm::schedule_cached`].
 ///
-/// Persists per-processor model fingerprints, loss rows and
-/// desired slots across rounds so pass 1 runs only for processors whose
-/// fitted model moved beyond the [`ModelTolerance`], and keeps the last
-/// decision so a fully-unchanged round is answered without running any
-/// pass. The steady state allocates nothing.
+/// Persists per-processor fingerprints, effective models, desired slots
+/// and two loss columns across rounds so pass 1 runs only for processors
+/// whose fitted model moved beyond the [`ModelTolerance`], and keeps the
+/// last decision so a fully-unchanged round is answered without running
+/// any pass. Every buffer is sized `n`, `|F|` or the demotion log's; none
+/// is `n × |F|`. The steady state allocates nothing.
 ///
 /// The cache watches its inputs: a different processor count, a mutated
 /// algorithm configuration (frequency set, tables, ε, mode, idle
@@ -498,18 +499,24 @@ pub struct ScheduleCache {
     alg: Option<FvsstAlgorithm>,
     index: PowerVoltageIndex,
     keys: Vec<ProcKey>,
-    /// `n × |F|` predicted losses, one row per processor, under the
-    /// *effective* models below.
-    losses: Vec<f64>,
-    /// The model each row was last filled from.
+    /// The *effective* model per processor: the one its slot and columns
+    /// were last computed from.
     models: Vec<Option<CpiModel>>,
+    /// Each effective model's `Perf(f_max)`, the divisor of its every
+    /// loss (unread without a model).
+    perf_max: Vec<f64>,
     /// Pass 1's slot per processor; its frequency is `decision.desired`.
     desired_idx: Vec<usize>,
-    /// The two [`slot_losses`] columns, rewritten whenever the row is.
+    /// The two [`slot_losses`] columns, rewritten with the slot.
     step_loss: Vec<f64>,
     desired_loss: Vec<f64>,
+    /// Pass 1's one loss row, `|F|` long, refilled per rebuilt processor.
+    row: Vec<f64>,
     /// The slots pass 2 left: the current decision in index space.
     work_idx: Vec<usize>,
+    /// Pass 2's carried loss of each queued candidate: what its
+    /// processor would lose one step below its `work_idx` slot.
+    next_loss: Vec<f64>,
     queue: DemotionQueue,
     decision: ScheduleDecision,
     demotion_log: Vec<DemotionRecord>,
@@ -615,17 +622,16 @@ impl ScheduleCache {
     /// emitted in ascending-loss order (stepping down from the desired
     /// slot); no-op on a cold cache.
     pub fn for_each_demotion(&self, mut f: impl FnMut(f64, f64)) {
-        if !self.valid {
+        let Some(alg) = self.alg.as_ref().filter(|_| self.valid) else {
             return;
-        }
-        let w = self.index.len();
+        };
         for i in 0..self.keys.len() {
             let k = self.desired_idx[i];
             if k == OFFGRID {
                 continue;
             }
             for at in (1..=k).rev() {
-                let loss = self.losses[i * w + at - 1];
+                let loss = loss_at(&self.models[i], self.perf_max[i], alg.freq_set.at(at - 1));
                 let shed = self.index.power_w(at) - self.index.power_w(at - 1);
                 f(loss, shed);
             }
@@ -633,31 +639,45 @@ impl ScheduleCache {
     }
 }
 
-/// One processor's row of the flat loss matrix: the predicted loss vs
-/// `f_max` at every set frequency, ascending — the exact expression
-/// [`PerfLossTable::rebuild`] evaluates, so rows and tables agree bit
-/// for bit. A processor without a model gets zeros: free to demote.
-fn fill_loss_row(row: &mut [f64], model: Option<&CpiModel>, set: &FrequencySet) {
+/// Pass 1's loss row for one processor: the predicted loss vs `f_max` at
+/// every set frequency, ascending, by [`perf_loss_from`] as
+/// [`PerfLossTable::rebuild`] evaluates it, so rows and tables agree bit
+/// for bit. Returns the `Perf(f_max)` it divided by. A processor without
+/// a model gets zeros: free to demote.
+fn fill_loss_row(row: &mut [f64], model: Option<&CpiModel>, set: &FrequencySet) -> f64 {
     let Some(model) = model else {
-        return row.fill(0.0);
+        row.fill(0.0);
+        return 0.0;
     };
     let p_ref = model.perf_at(set.max());
     for (loss, f) in row.iter_mut().zip(set.iter()) {
-        *loss = (p_ref - model.perf_at(f)) / p_ref;
+        *loss = perf_loss_from(p_ref, model, f);
     }
+    p_ref
 }
 
 /// The two entries of a processor's `row` every round reads, which pass
-/// 1 keeps in dense columns (8 B a processor against the matrix's 128):
-/// the loss one step below the desired slot `k` — pass 2's first
-/// candidate, 0 where there is no step down — and the loss at `k`, which
-/// pass 3 reports unless pass 2 moved the processor (0 off the grid).
+/// 1 keeps in dense columns: the loss one step below the desired slot
+/// `k` — pass 2's first candidate, 0 where there is no step down — and
+/// the loss at `k`, which pass 3 reports unless pass 2 moved the
+/// processor (0 off the grid).
 fn slot_losses(row: &[f64], k: usize) -> (f64, f64) {
     match k {
         OFFGRID => (0.0, 0.0),
         0 => (0.0, row[0]),
         _ => (row[k - 1], row[k]),
     }
+}
+
+/// A loss a round reads past pass 1, evaluated where it is read: the
+/// loss at `f` under a processor's effective `model` (0 without one),
+/// against the `Perf(f_max)` pass 1 kept — the bits [`fill_loss_row`]
+/// wrote for the same slot.
+#[inline]
+fn loss_at(model: &Option<CpiModel>, perf_max: f64, f: FreqMhz) -> f64 {
+    model
+        .as_ref()
+        .map_or(0.0, |m| perf_loss_from(perf_max, m, f))
 }
 
 /// The algorithm object: platform tables + parameters.
@@ -725,7 +745,7 @@ impl FvsstAlgorithm {
 
     /// Pass 1 in index space: the desired set index (or [`OFFGRID`]) and
     /// frequency for one processor, over any source of its
-    /// ascending-frequency losses (a flat loss row or a table's entries),
+    /// ascending-frequency losses (pass 1's loss row or a table's entries),
     /// asked for only when a modelled processor is scanned.
     fn desired_slot<L: Iterator<Item = f64>>(
         &self,
@@ -808,11 +828,11 @@ impl FvsstAlgorithm {
     /// bucket under the cache's [`ModelTolerance`], idle pinning, and —
     /// for unmodelled processors — the current frequency) changed since
     /// the previous round; unchanged processors keep their cached
-    /// loss row and desired slot, so a within-tolerance model
-    /// wobble schedules against the previously fitted coefficients (the
-    /// *effective* model). When no fingerprint changed, the budget is
-    /// bit-identical, and the previous decision was feasible, the cached
-    /// decision is returned without running any pass at all.
+    /// effective model, desired slot and loss columns, so a
+    /// within-tolerance model wobble schedules against the previously
+    /// fitted coefficients (the *effective* model). When no fingerprint
+    /// changed, the budget is bit-identical, and the previous decision was
+    /// feasible, the cached decision is returned without running any pass.
     ///
     /// With [`ModelTolerance::EXACT`] the result is always bit-identical
     /// to [`schedule_reference`] on the same inputs; with a wider
@@ -843,7 +863,6 @@ impl FvsstAlgorithm {
     ) -> &'a ScheduleDecision {
         let n = procs.len();
         let set = &self.freq_set;
-        let w = set.len();
         cache.stats.rounds += 1;
 
         // Configuration watch: any change to the platform tables or the
@@ -860,10 +879,13 @@ impl FvsstAlgorithm {
             cache.keys.clear();
             cache.keys.resize(n, ProcKey::Stale);
             cache.models.resize(n, None);
+            cache.perf_max.resize(n, 0.0);
             cache.desired_idx.resize(n, 0);
             cache.decision.desired.resize(n, FreqMhz(0));
             cache.step_loss.resize(n, 0.0);
             cache.desired_loss.resize(n, 0.0);
+            // Sized here: a loose round leaves a binding one nothing to allocate.
+            cache.next_loss.resize(n, 0.0);
             cache.valid = false;
         } else if !cache.valid {
             for k in &mut cache.keys {
@@ -871,7 +893,7 @@ impl FvsstAlgorithm {
             }
         }
         // After the configuration watch: a flushed cache may have a new |F|.
-        cache.losses.resize(n * w, 0.0);
+        cache.row.resize(set.len(), 0.0);
 
         // ---- Incremental pass 1: rebuild only what moved. ----
         let mut changed = false;
@@ -887,8 +909,8 @@ impl FvsstAlgorithm {
                 changed = true;
                 cache.stats.proc_rebuilds += 1;
                 cache.keys[i] = key;
-                let row = &mut cache.losses[i * w..(i + 1) * w];
-                fill_loss_row(row, p.model.as_ref(), set);
+                let row = &mut cache.row;
+                cache.perf_max[i] = fill_loss_row(row, p.model.as_ref(), set);
                 let (k, f) = self.desired_slot(p, || row.iter().copied());
                 (cache.step_loss[i], cache.desired_loss[i]) = slot_losses(row, k);
                 cache.models[i] = p.model;
@@ -920,8 +942,10 @@ impl FvsstAlgorithm {
         cache.work_idx.clone_from(&cache.desired_idx);
         let (demotions, feasible) = self.budget_pass(
             &cache.index,
-            &cache.losses,
+            &cache.models,
+            &cache.perf_max,
             &cache.step_loss,
+            &mut cache.next_loss,
             &cache.desired_idx,
             &mut cache.work_idx,
             &mut cache.queue,
@@ -931,9 +955,10 @@ impl FvsstAlgorithm {
         );
         self.finish_pass(
             &cache.index,
-            &cache.losses,
-            &cache.desired_loss,
             &cache.models,
+            &cache.perf_max,
+            &cache.desired_loss,
+            &cache.desired_idx,
             &cache.work_idx,
             procs,
             &mut cache.decision,
@@ -948,7 +973,9 @@ impl FvsstAlgorithm {
     /// popped from the [`DemotionQueue`]. `idx` starts as a copy of
     /// `desired` and is mutated in place; the running power total is
     /// updated by per-step deltas. Both [`DemotionOrder`]s run this one
-    /// loop and differ only in the key a candidate is queued under.
+    /// loop and differ only in the key a candidate is queued under. A
+    /// candidate's loss rides in `next_loss` (from `step_loss` at the
+    /// fill): a step logs it and evaluates the one loss below.
     /// Every step taken is appended to `log` (cleared first; capacity is
     /// reserved for the worst case so steady-state calls never grow it).
     /// Returns `(demotions, feasible)`.
@@ -961,8 +988,10 @@ impl FvsstAlgorithm {
     fn budget_pass(
         &self,
         index: &PowerVoltageIndex,
-        losses: &[f64],
+        models: &[Option<CpiModel>],
+        perf_max: &[f64],
         step_loss: &[f64],
+        next_loss: &mut [f64],
         desired: &[usize],
         idx: &mut [usize],
         queue: &mut DemotionQueue,
@@ -993,6 +1022,7 @@ impl FvsstAlgorithm {
         if power > budget_w {
             for (i, (&k, &loss)) in idx.iter().zip(step_loss).enumerate() {
                 if k != OFFGRID && k > 0 {
+                    next_loss[i] = loss;
                     queue.push(i, if rotate { 0.0 } else { loss });
                 }
             }
@@ -1013,14 +1043,16 @@ impl FvsstAlgorithm {
                 proc: i,
                 from: set.at(k),
                 to: set.at(k - 1),
-                predicted_loss: losses[i * w + k - 1],
+                predicted_loss: next_loss[i],
                 power_delta_w: delta,
             });
             if k - 1 > 0 {
+                let loss = loss_at(&models[i], perf_max[i], set.at(k - 2));
+                next_loss[i] = loss;
                 let key = if rotate {
                     (desired[i] - (k - 1)) as f64 / w as f64
                 } else {
-                    losses[i * w + k - 2]
+                    loss
                 };
                 queue.push(i, key);
             }
@@ -1030,15 +1062,19 @@ impl FvsstAlgorithm {
 
     /// Pass 3: minimum voltages + predictions, written into `decision`
     /// (which must already carry the desired frequencies; every other
-    /// field is overwritten).
+    /// field is overwritten) one column at a time. The loss of a
+    /// processor pass 2 left alone is its `desired_loss`; one it moved
+    /// is evaluated at its final slot (never one off the grid, which
+    /// cannot move).
     #[allow(clippy::too_many_arguments)]
     #[inline(never)]
     fn finish_pass(
         &self,
         index: &PowerVoltageIndex,
-        losses: &[f64],
-        desired_loss: &[f64],
         models: &[Option<CpiModel>],
+        perf_max: &[f64],
+        desired_loss: &[f64],
+        desired: &[usize],
         idx: &[usize],
         procs: &[ProcInput],
         decision: &mut ScheduleDecision,
@@ -1046,29 +1082,29 @@ impl FvsstAlgorithm {
         feasible: bool,
     ) {
         let set = &self.freq_set;
+        let slots = || idx.iter().zip(procs);
         decision.freqs.clear();
+        decision.freqs.extend(slots().map(|(&k, p)| match k {
+            OFFGRID => p.current,
+            _ => set.at(k),
+        }));
         decision.voltages.clear();
-        decision.predicted_ipc.clear();
-        decision.predicted_loss.clear();
+        decision.voltages.extend(slots().map(|(&k, p)| match k {
+            OFFGRID => self.voltage_table.min_voltage(p.current),
+            _ => index.voltage_v(k),
+        }));
+        let fitted = models.iter().zip(&decision.freqs);
+        let ipc = &mut decision.predicted_ipc;
+        ipc.clear();
+        ipc.extend(fitted.map(|(m, &f)| m.map(|m| m.ipc_at(f))));
+        let loss = &mut decision.predicted_loss;
+        loss.clear();
+        loss.extend((0..idx.len()).map(|i| match idx[i] {
+            k if k == desired[i] => desired_loss[i],
+            k => loss_at(&models[i], perf_max[i], set.at(k)),
+        }));
         let mut predicted_power_w = 0.0;
-        for (i, p) in procs.iter().enumerate() {
-            let k = idx[i];
-            let (f, v) = if k == OFFGRID {
-                (p.current, self.voltage_table.min_voltage(p.current))
-            } else {
-                (set.at(k), index.voltage_v(k))
-            };
-            // The matrix is read only where pass 2 moved the processor —
-            // never one off the grid; an unmodelled row is all zeros.
-            let loss = if f == decision.desired[i] {
-                desired_loss[i]
-            } else {
-                losses[i * set.len() + k]
-            };
-            decision.freqs.push(f);
-            decision.voltages.push(v);
-            decision.predicted_ipc.push(models[i].map(|m| m.ipc_at(f)));
-            decision.predicted_loss.push(loss);
+        for (&k, p) in slots() {
             predicted_power_w += self.slot_power(index, k, p.current);
         }
         decision.predicted_power_w = predicted_power_w;
@@ -1122,7 +1158,7 @@ impl FvsstAlgorithm {
                     // makes the paper's section-5 example demote the
                     // CPU-bound processor from 1.0 to 0.9 GHz last.) A
                     // processor without a model is free to demote; the
-                    // queue reads the same key from its flat loss row.
+                    // queue evaluates the same key from the same model.
                     let mut best: Option<(usize, f64)> = None;
                     for i in 0..n {
                         if idx[i] == OFFGRID || idx[i] == 0 {
@@ -1165,48 +1201,28 @@ impl FvsstAlgorithm {
         }
 
         // ---- Pass 3 ----
-        let mut freqs = Vec::with_capacity(n);
-        let mut voltages = Vec::with_capacity(n);
-        let mut predicted_ipc = Vec::with_capacity(n);
-        let mut predicted_loss = Vec::with_capacity(n);
-        for i in 0..n {
-            let k = idx[i];
-            let (f, v) = if k == OFFGRID {
-                (
-                    procs[i].current,
-                    self.voltage_table.min_voltage(procs[i].current),
-                )
-            } else {
-                (set.at(k), index.voltage_v(k))
-            };
-            freqs.push(f);
-            voltages.push(v);
-            match &tables[i] {
-                Some(t) => {
-                    let e = &t.entries[k];
-                    predicted_ipc.push(Some(e.ipc));
-                    predicted_loss.push(e.loss_vs_ref);
-                }
-                None => {
-                    predicted_ipc.push(None);
-                    predicted_loss.push(0.0);
-                }
-            }
-        }
-        let mut predicted_power_w = 0.0;
-        for i in 0..n {
-            predicted_power_w += self.slot_power(&index, idx[i], procs[i].current);
-        }
-        ScheduleDecision {
-            freqs,
+        let mut decision = ScheduleDecision {
             desired,
-            voltages,
-            predicted_ipc,
-            predicted_loss,
-            predicted_power_w,
             feasible,
             demotions,
+            ..ScheduleDecision::default()
+        };
+        for (i, p) in procs.iter().enumerate() {
+            let k = idx[i];
+            let (f, v) = match k {
+                OFFGRID => (p.current, self.voltage_table.min_voltage(p.current)),
+                _ => (set.at(k), index.voltage_v(k)),
+            };
+            let entry = tables[i].as_ref().map(|t| &t.entries[k]);
+            decision.freqs.push(f);
+            decision.voltages.push(v);
+            decision.predicted_ipc.push(entry.map(|e| e.ipc));
+            decision
+                .predicted_loss
+                .push(entry.map_or(0.0, |e| e.loss_vs_ref));
+            decision.predicted_power_w += self.slot_power(&index, k, p.current);
         }
+        decision
     }
 }
 
@@ -1220,11 +1236,25 @@ mod tests {
         CpiModel::from_profile(&intensity_profile(c), &MemoryLatencies::P630)
     }
 
-    fn busy(c: f64) -> ProcInput {
+    /// A processor at `mhz`, busy under `model` or unmodelled.
+    fn proc_at(mhz: u32, model: Option<CpiModel>) -> ProcInput {
         ProcInput {
-            model: Some(model_for_intensity(c)),
+            model,
             idle: false,
-            current: FreqMhz(1000),
+            current: FreqMhz(mhz),
+        }
+    }
+
+    fn busy(c: f64) -> ProcInput {
+        proc_at(1000, Some(model_for_intensity(c)))
+    }
+
+    /// The hot idle loop: idle, yet it *looks* CPU-bound to the predictor.
+    fn hot_idle() -> ProcInput {
+        let model = CpiModel::from_components(1.0 / 1.3, 0.0);
+        ProcInput {
+            idle: true,
+            ..proc_at(1000, Some(model))
         }
     }
 
@@ -1272,10 +1302,11 @@ mod tests {
         assert_eq!((s.proc_hits, s.proc_rebuilds), (3, 5));
     }
 
-    /// The columns stay copies of the matrix however a row came to be
-    /// rewritten; a loose round queues nothing, the next is the reference's.
+    /// The columns hold the table's losses at the slot, and `perf_max` the
+    /// table's `Perf(f_max)`, however a processor came to be rebuilt; a
+    /// loose round queues nothing, the next is the reference's.
     #[test]
-    fn slot_columns_mirror_the_matrix_and_loose_rounds_queue_nothing() {
+    fn slot_columns_match_the_table_and_loose_rounds_queue_nothing() {
         type Action = fn(&mut Vec<ProcInput>, &mut FvsstAlgorithm, &mut ScheduleCache);
         let actions: [Action; 8] = [
             |_, _, _| {},
@@ -1300,12 +1331,20 @@ mod tests {
                 assert_eq!(cache.demotion_log().is_empty(), !binding);
                 assert_eq!(cache.queue.head.iter().all(|&h| h == NIL), !binding);
                 assert_eq!(d, format!("{:?}", alg.schedule_reference(&procs, budget)));
-                for (i, row) in cache.losses.chunks(alg.freq_set.len()).enumerate() {
+                for (i, p) in procs.iter().enumerate() {
+                    let table = p.model.map(|m| PerfLossTable::build(&m, &alg.freq_set));
+                    let loss = |k: usize| table.as_ref().map_or(0.0, |t| t.entries[k].loss_vs_ref);
                     let want = match cache.desired_idx[i] {
                         OFFGRID => (0.0, 0.0),
-                        k => (if k > 0 { row[k - 1] } else { 0.0 }, row[k]),
+                        k => (if k > 0 { loss(k - 1) } else { 0.0 }, loss(k)),
                     };
-                    assert_eq!((cache.step_loss[i], cache.desired_loss[i]), want, "at {i}");
+                    let bits = |(a, b): (f64, f64)| (a.to_bits(), b.to_bits());
+                    let got = (cache.step_loss[i], cache.desired_loss[i]);
+                    assert_eq!(bits(got), bits(want), "at {i}");
+                    if let Some(t) = &table {
+                        let p_max = t.entries.last().unwrap().perf;
+                        assert_eq!(cache.perf_max[i].to_bits(), p_max.to_bits(), "at {i}");
+                    }
                 }
             }
         }
@@ -1316,11 +1355,7 @@ mod tests {
         let alg = FvsstAlgorithm::p630();
         // A mix of CPU-bound, memory-bound and unmodelled processors.
         let mut procs: Vec<ProcInput> = (0..6).map(|i| busy(10.0 + 18.0 * i as f64)).collect();
-        procs.push(ProcInput {
-            model: None,
-            idle: false,
-            current: FreqMhz(800),
-        });
+        procs.push(proc_at(800, None));
         let mut cache = ScheduleCache::new();
         // Cold cache exports nothing.
         assert!(!cache.is_warm());
@@ -1417,12 +1452,10 @@ mod tests {
         // A degenerate model (NaN stall component) predicts NaN loss;
         // under total_cmp ordering it must yield the victim slot to any
         // processor with a finite predicted loss.
-        let nan_proc = ProcInput {
-            model: Some(CpiModel::from_components(1.0, f64::NAN)),
-            idle: false,
-            current: FreqMhz(1000),
-        };
-        let procs = vec![nan_proc, busy(60.0)];
+        let procs = vec![
+            proc_at(1000, Some(CpiModel::from_components(1.0, f64::NAN))),
+            busy(60.0),
+        ];
         let unconstrained = alg.schedule(&procs, f64::INFINITY);
         assert!(
             unconstrained.freqs[1] > FreqMhz(250),
@@ -1480,13 +1513,7 @@ mod tests {
     #[test]
     fn idle_detection_pins_idle_to_min() {
         let alg = FvsstAlgorithm::p630();
-        let idle_proc = ProcInput {
-            // Hot idle *looks* CPU-bound to the predictor...
-            model: Some(CpiModel::from_components(1.0 / 1.3, 0.0)),
-            idle: true,
-            current: FreqMhz(1000),
-        };
-        let d = alg.schedule(&[idle_proc], f64::INFINITY);
+        let d = alg.schedule(&[hot_idle()], f64::INFINITY);
         assert_eq!(d.freqs[0], FreqMhz(250));
     }
 
@@ -1494,12 +1521,7 @@ mod tests {
     fn without_idle_detection_hot_idle_burns_full_speed() {
         let mut alg = FvsstAlgorithm::p630();
         alg.idle_detection = false;
-        let idle_proc = ProcInput {
-            model: Some(CpiModel::from_components(1.0 / 1.3, 0.0)),
-            idle: true,
-            current: FreqMhz(1000),
-        };
-        let d = alg.schedule(&[idle_proc], f64::INFINITY);
+        let d = alg.schedule(&[hot_idle()], f64::INFINITY);
         assert_eq!(
             d.freqs[0],
             FreqMhz(1000),
@@ -1510,12 +1532,7 @@ mod tests {
     #[test]
     fn unmodelled_processor_keeps_current_frequency() {
         let alg = FvsstAlgorithm::p630();
-        let p = ProcInput {
-            model: None,
-            idle: false,
-            current: FreqMhz(700),
-        };
-        let d = alg.schedule(&[p], f64::INFINITY);
+        let d = alg.schedule(&[proc_at(700, None)], f64::INFINITY);
         assert_eq!(d.freqs[0], FreqMhz(700));
         assert_eq!(d.predicted_ipc[0], None);
     }
@@ -1525,11 +1542,7 @@ mod tests {
         let alg = FvsstAlgorithm::p630();
         // 675 MHz is not a P630 setting: the processor keeps it and is
         // never demoted, even under an infeasible budget.
-        let p = ProcInput {
-            model: None,
-            idle: false,
-            current: FreqMhz(675),
-        };
+        let p = proc_at(675, None);
         let d = alg.schedule(&[p, busy(100.0)], 30.0);
         assert_eq!(d.freqs[0], FreqMhz(675));
         assert_eq!(d.freqs[1], FreqMhz(250));
@@ -1616,28 +1629,9 @@ mod tests {
         // desired step, nudged to sit between steps.
         let beta_for = |f_hat: f64| (0.95 / (f_hat - 0.02) - 1.0) / 0.05;
         let model_beta = |beta: f64| CpiModel::from_components(1.0, beta * 1.0e-9);
-        let procs = vec![
-            ProcInput {
-                model: Some(model_beta(0.0)), // CPU-bound → 1.0 GHz
-                idle: false,
-                current: FreqMhz(1000),
-            },
-            ProcInput {
-                model: Some(model_beta(beta_for(0.7))),
-                idle: false,
-                current: FreqMhz(1000),
-            },
-            ProcInput {
-                model: Some(model_beta(beta_for(0.8))),
-                idle: false,
-                current: FreqMhz(1000),
-            },
-            ProcInput {
-                model: Some(model_beta(beta_for(0.8))),
-                idle: false,
-                current: FreqMhz(1000),
-            },
-        ];
+        // The first is CPU-bound → 1.0 GHz.
+        let betas = [0.0, beta_for(0.7), beta_for(0.8), beta_for(0.8)];
+        let procs = betas.map(|b| proc_at(1000, Some(model_beta(b))));
         let d = alg.schedule(&procs, 294.0);
         assert_eq!(
             d.desired,

@@ -496,8 +496,13 @@ impl<P: Policy> ScheduledSimulation<P> {
     }
 
     /// Run until every core's workload has completed (or `max_s` of
-    /// simulated time elapses).
+    /// simulated time elapses) and return the cumulative report. Panics
+    /// unless `max_s` is finite and non-negative: `+∞` never ends a looping workload.
     pub fn run_to_completion(&mut self, max_s: f64) -> RunReport {
+        assert!(
+            max_s.is_finite() && max_s >= 0.0,
+            "run_to_completion max_s must be finite and non-negative"
+        );
         let max_ticks = (max_s / self.t_s).round() as u64;
         for _ in 0..max_ticks {
             if (0..self.machine.num_cores()).all(|i| self.machine.idle_signal(i)) {

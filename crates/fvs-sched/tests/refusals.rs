@@ -1,8 +1,9 @@
 //! Settings the daemon and its simulation cannot run with are refused up
 //! front: a scheduling period of zero dispatch ticks, an ε that is no
 //! tolerance, a compliance deadline that is NaN or negative, and a run
-//! length that is no number of ticks. A deadline of `+∞` and an ε of 0
-//! are legal.
+//! length or a completion limit that is no number of ticks (NaN,
+//! negative, or an infinite limit that a looping workload never
+//! reaches). A deadline of `+∞` and an ε of 0 are legal.
 
 use fvs_sched::{FvsstScheduler, ScheduledSimulation, SchedulerConfig};
 use fvs_sim::MachineBuilder;
@@ -69,4 +70,22 @@ fn a_nan_run_length_is_refused() {
 #[should_panic(expected = "run_for duration must be finite and non-negative")]
 fn a_negative_run_length_is_refused() {
     simulation().run_for(-1.0);
+}
+
+#[test]
+#[should_panic(expected = "run_to_completion max_s must be finite and non-negative")]
+fn a_nan_completion_limit_is_refused() {
+    simulation().run_to_completion(f64::NAN);
+}
+
+#[test]
+#[should_panic(expected = "run_to_completion max_s must be finite and non-negative")]
+fn a_negative_completion_limit_is_refused() {
+    simulation().run_to_completion(-5.0);
+}
+
+#[test]
+#[should_panic(expected = "run_to_completion max_s must be finite and non-negative")]
+fn an_infinite_completion_limit_is_refused() {
+    simulation().run_to_completion(f64::INFINITY);
 }

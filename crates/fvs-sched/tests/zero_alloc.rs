@@ -67,9 +67,24 @@ fn main() {
         // walks nearly every processor down the whole table — the
         // demotion queue sees its maximum churn.
         let budget = 64.0 * 10.0;
+        // A loose round sizes everything a binding round at the same `n`
+        // uses: pass 2's queue and its loss column are sized with the
+        // other columns, not on the first round that demotes.
+        let mut cache = ScheduleCache::new();
+        alg.schedule_cached(&mut cache, &procs, f64::INFINITY);
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let d = alg.schedule_cached(&mut cache, &procs, budget);
+        assert!(d.demotions > 0, "budget must actually force demotions");
+        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        assert_eq!(
+            after - before,
+            0,
+            "a binding round after a loose warm-up allocated ({order:?})"
+        );
+
         let mut scratch = ScheduleScratch::new();
 
-        // Warm-up sizes every buffer (loss rows, queue, output vectors).
+        // Warm-up sizes every buffer (loss columns, queue, output vectors).
         for _ in 0..3 {
             alg.schedule_with_scratch(&mut scratch, &procs, budget);
         }
@@ -113,8 +128,8 @@ fn main() {
 
         // The cached path must also be allocation-free once warm — on
         // full hits (nothing at all runs), on budget changes (pass 2/3
-        // rerun on cached loss rows), and on model changes (per-processor
-        // refill of the cached rows).
+        // rerun on the cached slots and loss columns), and on model
+        // changes (per-processor rebuilds).
         let mut cache = ScheduleCache::new();
         let mut wobbled = procs.clone();
         for _ in 0..3 {

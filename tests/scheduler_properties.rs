@@ -1,7 +1,7 @@
 //! Property-based integration tests: scheduler invariants over random
 //! workloads, budgets and platform states.
 
-use fvsst::model::{CpiModel, FreqMhz};
+use fvsst::model::{CpiModel, FreqMhz, PerfLossTable};
 use fvsst::power::{FreqPowerTable, VoltageTable};
 use fvsst::sched::{
     DemotionOrder, FvsstAlgorithm, ModelTolerance, ProcInput, ScheduleCache, ScheduleScratch,
@@ -326,6 +326,83 @@ proptest! {
         }
     }
 
+    /// Every loss the cache hands out is `PerfLossTable`'s, bit for bit:
+    /// each demotion record's `predicted_loss`, each
+    /// `decision.predicted_loss` and each `for_each_demotion` rung (0
+    /// without a model), under both demotion orders, across sequences of
+    /// drift, idle flips, lost models, off-grid currents, invalidations,
+    /// resizes, ε changes and a budget sweep that includes NaN.
+    #[test]
+    fn cached_losses_are_the_tables_bit_for_bit(
+        procs in prop::collection::vec(arb_proc_offgrid(), 1..12),
+        moves in prop::collection::vec(
+            (
+                0u8..8,        // which move
+                any::<usize>(),// which processor (or the new count)
+                0.01f64..0.4,  // the drift, or the new ε
+            ),
+            1..10,
+        ),
+        round_robin in any::<bool>(),
+    ) {
+        let mut alg = FvsstAlgorithm::p630();
+        if round_robin {
+            alg.demotion_order = DemotionOrder::RoundRobin;
+        }
+        let mut cache = ScheduleCache::new();
+        let mut procs = procs;
+        for (kind, which, x) in moves {
+            let i = which % procs.len();
+            match kind {
+                0 => {
+                    procs[i].model = procs[i].model.map(|m| {
+                        CpiModel::from_components(m.cpi0 + x, m.mem_time_per_instr)
+                    })
+                }
+                1 => procs[i].idle = !procs[i].idle,
+                2 => procs[i].model = None,
+                3 => procs[i].current = FreqMhz(675),
+                4 => cache.invalidate(),
+                5 => {
+                    let p = procs[i];
+                    procs.resize(1 + which % 12, p);
+                }
+                6 => alg.epsilon = x,
+                _ => {}
+            }
+            let set = &alg.freq_set;
+            let tables: Vec<Option<PerfLossTable>> = procs
+                .iter()
+                .map(|p| p.model.map(|m| PerfLossTable::build(&m, set)))
+                .collect();
+            let loss = |i: usize, k: usize| {
+                tables[i].as_ref().map_or(0.0, |t| t.entries[k].loss_vs_ref).to_bits()
+            };
+            let top = alg.schedule(&procs, f64::INFINITY).predicted_power_w;
+            for budget in [f64::INFINITY, 0.9 * top, 0.6 * top, f64::NAN, 0.3 * top, 0.0] {
+                let d = alg.schedule_cached(&mut cache, &procs, budget).clone();
+                for (i, (&f, &got)) in d.freqs.iter().zip(&d.predicted_loss).enumerate() {
+                    // Off the grid only without a model: loss 0.
+                    let want = set.index_of(f).map_or(0.0f64.to_bits(), |k| loss(i, k));
+                    prop_assert_eq!(got.to_bits(), want, "decision, processor {}", i);
+                }
+                for rec in cache.demotion_log() {
+                    let k = set.index_of(rec.to).unwrap();
+                    prop_assert_eq!(rec.predicted_loss.to_bits(), loss(rec.proc, k), "{:?}", rec);
+                }
+                let mut rungs = Vec::new();
+                cache.for_each_demotion(|l, _| rungs.push(l.to_bits()));
+                let mut want = Vec::new();
+                for (i, &f) in d.desired.iter().enumerate() {
+                    if let Some(k) = set.index_of(f) {
+                        want.extend((1..=k).rev().map(|at| loss(i, at - 1)));
+                    }
+                }
+                prop_assert_eq!(rungs, want);
+            }
+        }
+    }
+
     /// A reused scratch gives the reference's decision, demotion log
     /// included, for any interleaving of processor counts, budgets, ε,
     /// demotion orders and frequency sets: what the scratch keeps from
@@ -367,7 +444,6 @@ proptest! {
 /// naive selection rule replayed over the demotion log.
 mod demotion_queue {
     use super::*;
-    use fvsst::model::PerfLossTable;
     use fvsst::sched::{DemotionRecord, ScheduleDecision};
 
     /// The queue's bucket count for `n` processors (white box: the cases
@@ -639,7 +715,6 @@ mod end_to_end {
 /// desired level and fits the budget (DESIGN §7: min-max, not min-Σ).
 mod min_max {
     use super::*;
-    use fvsst::model::PerfLossTable;
 
     /// The smallest largest loss over every assignment of a level at or
     /// below `desired[i]` to each row `i` whose power, summed in
