@@ -28,12 +28,7 @@ impl Policy for NoDvfs {
             return false;
         }
         self.configured = true;
-        let n = ctx.samples.len();
-        let f_max = ctx.platform.freq_set.max();
-        out.set_uniform(n, f_max);
-        // Honest reporting: it has no way to meet a finite budget below
-        // n × max_power.
-        out.feasible = n as f64 * ctx.platform.power_table.max_power() <= ctx.budget_w;
+        out.set_uniform(ctx.samples.len(), ctx.platform.freq_set.max());
         true
     }
 }

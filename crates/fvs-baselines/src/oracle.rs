@@ -71,10 +71,8 @@ impl Policy for Oracle {
             .schedule_cached(&mut self.cache, &self.proc_buf, ctx.budget_w);
         out.freqs.clone_from(&d.freqs);
         out.desired.clone_from(&d.desired);
-        out.predicted_ipc.clone_from(&d.predicted_ipc);
         out.powered_on.clear();
         out.powered_on.resize(n, true);
-        out.feasible = d.feasible;
         true
     }
 

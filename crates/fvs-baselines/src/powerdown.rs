@@ -38,10 +38,6 @@ impl Policy for NodePowerDown {
         for i in fit..n {
             out.powered_on[i] = false;
         }
-        out.feasible = fit > 0 || ctx.budget_w >= 0.0 && n == 0;
-        if fit == 0 {
-            out.feasible = ctx.budget_w <= 0.0;
-        }
         true
     }
 }

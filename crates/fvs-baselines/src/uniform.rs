@@ -49,18 +49,10 @@ impl Policy for UniformScaling {
         }
         self.last_budget = Some(ctx.budget_w);
         let n = ctx.samples.len();
-        match uniform_cap_frequency(
-            &ctx.platform.freq_set,
-            &ctx.platform.power_table,
-            n,
-            ctx.budget_w,
-        ) {
-            Some(f) => out.set_uniform(n, f),
-            None => {
-                out.set_uniform(n, ctx.platform.freq_set.min());
-                out.feasible = false;
-            }
-        }
+        let set = &ctx.platform.freq_set;
+        let f = uniform_cap_frequency(set, &ctx.platform.power_table, n, ctx.budget_w)
+            .unwrap_or_else(|| set.min());
+        out.set_uniform(n, f);
         true
     }
 }

@@ -58,11 +58,8 @@ impl Policy for UtilizationDriven {
             out.freqs.push(next.min(cap));
         }
         out.desired.clone_from(&out.freqs);
-        out.predicted_ipc.clear();
-        out.predicted_ipc.resize(n, None);
         out.powered_on.clear();
         out.powered_on.resize(n, true);
-        out.feasible = true;
         true
     }
 }

@@ -623,10 +623,9 @@ impl ClusterSim {
         self.slots[i].link.as_mut().filter(|l| l.conn == conn)
     }
 
-    /// Run for `duration` seconds and return the cumulative report.
+    /// Run for `duration` seconds, as [`fvs_sched::dispatch_ticks`] counts them, and report.
     pub fn run_for(&mut self, duration: f64) -> ClusterReport {
-        let ticks = (duration / self.config.t_s).round().max(1.0) as u64;
-        for _ in 0..ticks {
+        for _ in 0..fvs_sched::dispatch_ticks(duration, self.config.t_s) {
             self.step_tick();
         }
         self.report()

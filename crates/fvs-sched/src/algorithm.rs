@@ -66,7 +66,7 @@ pub struct ProcInput {
 }
 
 /// The outcome of one scheduling computation.
-#[derive(Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ScheduleDecision {
     /// Final frequency per processor (after the budget pass).
     pub freqs: Vec<FreqMhz>,
@@ -88,35 +88,6 @@ pub struct ScheduleDecision {
     pub feasible: bool,
     /// Number of single-step demotions pass 2 performed.
     pub demotions: usize,
-}
-
-impl Clone for ScheduleDecision {
-    fn clone(&self) -> Self {
-        ScheduleDecision {
-            freqs: self.freqs.clone(),
-            desired: self.desired.clone(),
-            voltages: self.voltages.clone(),
-            predicted_ipc: self.predicted_ipc.clone(),
-            predicted_loss: self.predicted_loss.clone(),
-            predicted_power_w: self.predicted_power_w,
-            feasible: self.feasible,
-            demotions: self.demotions,
-        }
-    }
-
-    // The derived default would reallocate every vector; field-wise
-    // `clone_from` keeps a warm destination allocation-free, which the
-    // daemon's steady-state tick relies on.
-    fn clone_from(&mut self, source: &Self) {
-        self.freqs.clone_from(&source.freqs);
-        self.desired.clone_from(&source.desired);
-        self.voltages.clone_from(&source.voltages);
-        self.predicted_ipc.clone_from(&source.predicted_ipc);
-        self.predicted_loss.clone_from(&source.predicted_loss);
-        self.predicted_power_w = source.predicted_power_w;
-        self.feasible = source.feasible;
-        self.demotions = source.demotions;
-    }
 }
 
 /// One pass-2 single-step demotion, as recorded by the budget pass.

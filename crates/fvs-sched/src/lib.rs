@@ -52,4 +52,4 @@ pub use feedback::{FeedbackConfig, FeedbackGuard};
 pub use policy::{Decision, OverheadModel, PlatformView, Policy, TickContext};
 pub use predictor::{ErrorStats, PredictionTracker, Predictor};
 pub use scheduler::{FvsstScheduler, SchedulerConfig};
-pub use sim_loop::{RunReport, ScheduledSimulation};
+pub use sim_loop::{dispatch_ticks, RunReport, ScheduledSimulation};

@@ -71,7 +71,8 @@ pub struct TickContext<'a> {
     pub platform: &'a PlatformView,
 }
 
-/// A frequency assignment produced by a policy.
+/// A frequency assignment produced by a policy: what the host applies
+/// (`freqs`, `powered_on`) and records (`desired`), and nothing else.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Decision {
     /// Final frequency per core.
@@ -79,14 +80,9 @@ pub struct Decision {
     /// Pre-budget "desired" frequency per core (= `freqs` for policies
     /// without the concept).
     pub desired: Vec<FreqMhz>,
-    /// Predicted IPC per core at the final frequency, when the policy
-    /// predicts at all.
-    pub predicted_ipc: Vec<Option<f64>>,
     /// Per-core power state (`false` = powered down; the node power-down
     /// baseline uses this — fvsst never does).
     pub powered_on: Vec<bool>,
-    /// Whether the policy believes the budget is met.
-    pub feasible: bool,
 }
 
 impl Decision {
@@ -104,11 +100,8 @@ impl Decision {
         self.freqs.resize(n, f);
         self.desired.clear();
         self.desired.resize(n, f);
-        self.predicted_ipc.clear();
-        self.predicted_ipc.resize(n, None);
         self.powered_on.clear();
         self.powered_on.resize(n, true);
-        self.feasible = true;
     }
 }
 
@@ -150,7 +143,10 @@ pub trait Policy: Send {
 
     /// Consulted once per dispatch tick. To (re)assign frequencies,
     /// write the assignment into `out` and return `true`; otherwise
-    /// return `false` (the contents of `out` are then ignored).
+    /// return `false` (the contents of `out` are then ignored). The host
+    /// applies `freqs` and `powered_on` and records `desired`; whatever
+    /// else a policy computes (predictions, feasibility) it exposes on
+    /// its own type, as [`crate::FvsstScheduler::last_decision`] does.
     ///
     /// `out` is a buffer the harness reuses across ticks — implementors
     /// should overwrite it with `clear` + `extend`/`resize` (or
@@ -188,7 +184,6 @@ mod tests {
         let d = Decision::uniform(3, FreqMhz(500));
         assert_eq!(d.freqs, vec![FreqMhz(500); 3]);
         assert_eq!(d.desired, d.freqs);
-        assert!(d.feasible);
     }
 
     #[test]

@@ -196,7 +196,10 @@ pub struct FvsstScheduler {
     /// An idle edge arrived during the rate-limit window and is waiting
     /// to be served.
     pending_idle_edge: bool,
-    last_decision: Option<ScheduleDecision>,
+    /// The command in force: the last round's frequencies with the
+    /// fail-safe pins folded in. Everything else about the round is read
+    /// from `cache`.
+    command: Decision,
     schedules_run: u64,
     cache: ScheduleCache,
     proc_buf: Vec<ProcInput>,
@@ -229,7 +232,7 @@ impl FvsstScheduler {
             last_budget_w: None,
             last_idle: vec![false; n_cores],
             pending_idle_edge: false,
-            last_decision: None,
+            command: Decision::default(),
             schedules_run: 0,
             cache,
             proc_buf: Vec::with_capacity(n_cores),
@@ -263,9 +266,12 @@ impl FvsstScheduler {
         self.tracker.steady_stats(i)
     }
 
-    /// The most recent decision.
+    /// The most recent round's decision, as the schedule cache computed
+    /// it: the fail-safe pins are not folded in (the host is commanded
+    /// `f_min` for every processor [`failsafe_pinned`](Self::failsafe_pinned)
+    /// says is pinned). `None` before the first round.
     pub fn last_decision(&self) -> Option<&ScheduleDecision> {
-        self.last_decision.as_ref()
+        (self.schedules_run > 0).then(|| self.cache.decision())
     }
 
     /// Hit/rebuild counters of the incremental scheduling cache.
@@ -308,19 +314,18 @@ impl FvsstScheduler {
         self.failsafe_quiet = true;
     }
 
-    /// Verify the decision in force actually took effect on the
-    /// hardware; re-issue with exponential backoff, and after the
-    /// configured retries pin the offender at the fail-safe minimum
+    /// Verify the command in force (set by the bootstrap round, which
+    /// `decide` runs first) actually took effect on the hardware;
+    /// re-issue with exponential backoff, and after the configured
+    /// retries pin the offender at the fail-safe minimum
     /// (degradation-ladder rungs 2 and 3). Returns `true` when `out`
     /// carries a re-issued assignment the host must apply. With healthy
     /// actuation this is one slice comparison.
     fn verify_actuation(&mut self, ctx: &TickContext<'_>, out: &mut Decision) -> bool {
-        let Some(last) = &self.last_decision else {
-            return false;
-        };
         // Every command landed and nothing is pinned or mid-retry: the
         // walk would reset retry counts that are already zero.
-        if self.failsafe_quiet && ctx.current == last.freqs {
+        let command = &self.command;
+        if self.failsafe_quiet && ctx.current == command.freqs {
             return false;
         }
         let f_min = self.config.algorithm.freq_set.min();
@@ -329,7 +334,7 @@ impl FvsstScheduler {
         for i in 0..ctx.current.len() {
             let fs = &mut self.failsafe[i];
             quiet &= !fs.pinned;
-            let target = if fs.pinned { f_min } else { last.freqs[i] };
+            let target = if fs.pinned { f_min } else { command.freqs[i] };
             if ctx.current[i] == target {
                 if !fs.pinned {
                     fs.retries = 0;
@@ -384,24 +389,21 @@ impl FvsstScheduler {
         reissue
     }
 
-    /// Fold the fail-safe pins into the decision in force and hand it
-    /// to `out`. The stored decision carries the pins too, so the verify
-    /// walk and any later full cache hit agree on what was commanded.
+    /// Fold the fail-safe pins into the command in force and hand it to
+    /// `out`, field by field so warm buffers are reused. The command keeps
+    /// the pins, so the verify walk compares against what was commanded.
     fn command_in_force(&mut self, out: &mut Decision) {
         let f_min = self.config.algorithm.freq_set.min();
-        let last = self.last_decision.as_mut().expect("a decision is in force");
+        let command = &mut self.command;
         for (i, fs) in self.failsafe.iter().enumerate() {
             if fs.pinned {
-                last.freqs[i] = f_min;
-                last.desired[i] = f_min;
+                command.freqs[i] = f_min;
+                command.desired[i] = f_min;
             }
         }
-        out.freqs.clone_from(&last.freqs);
-        out.desired.clone_from(&last.desired);
-        out.predicted_ipc.clone_from(&last.predicted_ipc);
-        out.powered_on.clear();
-        out.powered_on.resize(last.freqs.len(), true);
-        out.feasible = last.feasible;
+        out.freqs.clone_from(&command.freqs);
+        out.desired.clone_from(&command.desired);
+        out.powered_on.clone_from(&command.powered_on);
     }
 
     fn run_schedule(&mut self, ctx: &TickContext<'_>, trigger: TriggerKind, out: &mut Decision) {
@@ -458,22 +460,21 @@ impl FvsstScheduler {
         for i in 0..n {
             self.tracker.predict(i, d.predicted_ipc[i]);
         }
-        match &mut self.last_decision {
-            Some(prev) => prev.clone_from(d),
-            None => self.last_decision = Some(d.clone()),
-        }
+        let command = &mut self.command;
+        command.freqs.clone_from(&d.freqs);
+        command.desired.clone_from(&d.desired);
+        command.powered_on.clear();
+        command.powered_on.resize(n, true);
         // Fail-safe pins override whatever the round produced (the
         // idle-pin path already yields f_min when idle detection is on;
         // this keeps the pin binding when it is off).
         self.command_in_force(out);
         if telemetry_on {
-            // `d`'s borrow of the cache has ended; journal the round from
-            // the retained decision and the cache's demotion log (which
-            // always describes the decision in force, full hits
-            // included).
+            // Journal the round: what was desired from the command in
+            // force, the rest from the cache's decision and demotion log
+            // (which always describes that decision, full hits included).
             let telemetry = &self.config.telemetry;
-            let d = self.last_decision.as_ref().expect("decision just stored");
-            for (i, f) in d.desired.iter().enumerate() {
+            for (i, f) in self.command.desired.iter().enumerate() {
                 telemetry.emit(SchedEvent::Desired {
                     round,
                     proc: i as u32,
@@ -491,6 +492,7 @@ impl FvsstScheduler {
                     power_delta_w: r.power_delta_w,
                 });
             }
+            let d = self.cache.decision();
             let stats = self.cache.stats();
             let full_hit = stats.full_hits > stats_before.full_hits;
             telemetry.emit(SchedEvent::CacheOutcome {
@@ -604,7 +606,7 @@ impl Policy for FvsstScheduler {
         }
         // Bootstrap: enforce the budget as soon as the first window has
         // data, rather than idling at f_max for a full period.
-        if self.last_decision.is_none() {
+        if self.schedules_run == 0 {
             self.pending_idle_edge = false;
             self.run_schedule(ctx, TriggerKind::Timer, out);
             return true;
@@ -731,7 +733,7 @@ mod tests {
         );
         // 75 W cap on one CPU-bound core: 750 MHz.
         assert_eq!(d.freqs[0], FreqMhz(750));
-        assert!(d.feasible);
+        assert!(s.last_decision().expect("a round ran").feasible);
     }
 
     #[test]

@@ -18,6 +18,18 @@ use fvs_sim::{Machine, ResidencyHistogram, TraceRecorder, TraceSample};
 use fvs_telemetry::{FaultDomain, SchedEvent, Telemetry};
 use serde::{Deserialize, Serialize};
 
+/// Dispatch ticks of `t_s` in a scheduled run of `duration` seconds: to
+/// the nearest, and at least one. Panics unless `duration` is finite and
+/// non-negative; NaN or a negative duration would run one tick without a
+/// word, and `+∞` would ask for `u64::MAX` ticks.
+pub fn dispatch_ticks(duration: f64, t_s: f64) -> u64 {
+    assert!(
+        duration.is_finite() && duration >= 0.0,
+        "run_for duration must be finite and non-negative"
+    );
+    (duration / t_s).round().max(1.0) as u64
+}
+
 /// Where the global power budget comes from.
 #[derive(Debug)]
 enum BudgetSource {
@@ -484,12 +496,7 @@ impl<P: Policy> ScheduledSimulation<P> {
     /// and return the cumulative report. Panics unless `duration` is
     /// finite and non-negative.
     pub fn run_for(&mut self, duration: f64) -> RunReport {
-        assert!(
-            duration.is_finite() && duration >= 0.0,
-            "run_for duration must be finite and non-negative"
-        );
-        let ticks = (duration / self.t_s).round().max(1.0) as u64;
-        for _ in 0..ticks {
+        for _ in 0..dispatch_ticks(duration, self.t_s) {
             self.step_tick();
         }
         self.report()

@@ -238,12 +238,16 @@ proptest! {
                 platform: &platform,
             };
             if let Some(d) = s.on_tick(&ctx) {
-                prop_assert!(d.feasible, "single-machine budget is generous");
+                prop_assert!(
+                    s.last_decision().expect("a round ran").feasible,
+                    "single-machine budget is generous"
+                );
                 for (i, f) in d.freqs.iter().enumerate() {
                     prop_assert!(set.contains(*f), "freq {} not schedulable", f);
                     prop_assert!(d.desired[i].0 > 0);
                     prop_assert!(
-                        d.predicted_ipc[i].is_none_or(f64::is_finite),
+                        s.last_decision().expect("a round ran").predicted_ipc[i]
+                            .is_none_or(f64::is_finite),
                         "NaN predicted_ipc at tick {tick}"
                     );
                     current[i] = *f;

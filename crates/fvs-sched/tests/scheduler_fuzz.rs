@@ -170,7 +170,7 @@ proptest! {
                     .iter()
                     .map(|f| table.power_interpolated(*f))
                     .sum();
-                if d.feasible {
+                if s.last_decision().expect("a round ran").feasible {
                     prop_assert!(power <= budget + 1e-9, "power {power} > {budget}");
                 } else {
                     prop_assert!(d.freqs.iter().all(|f| *f == FreqMhz(250)));

@@ -634,23 +634,23 @@ impl Machine {
 
     /// Advance the whole machine by `dt` seconds.
     pub fn step(&mut self, dt: f64) {
-        if self.reference_stepping {
-            self.step_reference(dt);
-            return;
-        }
         debug_assert!(dt > 0.0);
         let now = self.now_s;
         self.settle_pending(now);
-        // Deferred energy/stint accrual: per-core power is constant
-        // until the next actuation event, so this tick joins the open
-        // machine-wide window instead of touching any per-core array.
-        if dt != self.acc_dt {
-            self.flush_accrual_all();
-            self.acc_dt = dt;
+        if self.reference_stepping {
+            self.step_reference(now, dt);
+        } else {
+            // Deferred energy/stint accrual: per-core power is constant
+            // until the next actuation event, so this tick joins the open
+            // machine-wide window instead of touching any per-core array.
+            if dt != self.acc_dt {
+                self.flush_accrual_all();
+                self.acc_dt = dt;
+            }
+            self.acc_ticks += 1;
+            self.bank
+                .tick_batch(now, dt, &self.config.latencies, &self.workloads);
         }
-        self.acc_ticks += 1;
-        self.bank
-            .tick_batch(now, dt, &self.config.latencies, &self.workloads);
         self.now_s += dt;
     }
 
@@ -661,10 +661,7 @@ impl Machine {
     /// is observed and to ≤1e-12 relative otherwise (deferred windows).
     /// Never mixed with it on one machine: this loop opens no deferred
     /// window and leaves the bank's phase cache stale.
-    fn step_reference(&mut self, dt: f64) {
-        debug_assert!(dt > 0.0);
-        let now = self.now_s;
-        self.settle_pending(now);
+    fn step_reference(&mut self, now: f64, dt: f64) {
         for i in 0..self.bank.len() {
             let p = self.live_power(i, now);
             // Same per-meter arithmetic as `EnergyMeter::record`.
@@ -677,12 +674,15 @@ impl Machine {
         }
         self.bank
             .step_rows_reference(now, dt, &self.config.latencies, &self.workloads);
-        self.now_s += dt;
     }
 
     /// Run unmanaged (no scheduler) for `duration` in `tick`-second
-    /// steps; panics unless `tick` is finite and positive.
+    /// steps; panics unless both are finite, `duration` non-negative and `tick` positive.
     pub fn run_for(&mut self, duration: f64, tick: f64) {
+        assert!(
+            duration.is_finite() && duration >= 0.0,
+            "duration must be finite and non-negative, got {duration}"
+        );
         assert!(
             tick.is_finite() && tick > 0.0,
             "tick must be finite and positive, got {tick}"

@@ -1,7 +1,8 @@
 //! Inputs a machine cannot run with are refused up front, in every build
-//! profile: a tick that never adds up to a run, a settling time after
-//! which a request never takes effect, a noise amplitude that is no scale
-//! factor, and a workload with no phase to run.
+//! profile: a tick that never adds up to a run, a duration that is no
+//! length of time, a settling time after which a request never takes
+//! effect, a noise amplitude that is no scale factor, and a workload with
+//! no phase to run.
 
 use fvs_sim::{MachineBuilder, MachineConfig, NoiseModel};
 use fvs_workloads::WorkloadSpec;
@@ -10,6 +11,26 @@ use fvs_workloads::WorkloadSpec;
 #[should_panic(expected = "tick must be finite and positive")]
 fn a_zero_tick_is_refused() {
     MachineBuilder::p630().build().run_for(1.0, 0.0);
+}
+
+/// A NaN or negative duration stepped zero times without a word; `+∞`
+/// asked for `u64::MAX` steps.
+#[test]
+#[should_panic(expected = "duration must be finite and non-negative")]
+fn a_nan_duration_is_refused() {
+    MachineBuilder::p630().build().run_for(f64::NAN, 0.01);
+}
+
+#[test]
+#[should_panic(expected = "duration must be finite and non-negative")]
+fn a_negative_duration_is_refused() {
+    MachineBuilder::p630().build().run_for(-5.0, 0.01);
+}
+
+#[test]
+#[should_panic(expected = "duration must be finite and non-negative")]
+fn an_infinite_duration_is_refused() {
+    MachineBuilder::p630().build().run_for(f64::INFINITY, 0.01);
 }
 
 #[test]
