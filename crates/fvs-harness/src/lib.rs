@@ -6,8 +6,7 @@
 //! XxxResult` function returning structured data, with a `render()`
 //! producing the same rows/series the paper prints. The `fvsst-exp`
 //! binary dispatches by experiment id (`table1`, `fig6`, `ablation`,
-//! `all`, …); the Criterion benches in `crates/bench` wrap the same
-//! functions.
+//! `all`, …).
 //!
 //! Large parameter sweeps fan out with rayon — every point is an
 //! independent simulation, which is exactly the shape `par_iter` wants.

@@ -29,7 +29,7 @@ use crate::obs::{ObsHandles, ObsServer};
 use crate::reactor::{Reactor, LISTENER_TOKEN};
 use crate::snapshot::Snapshot;
 use crate::transport::{FillStatus, Transport};
-use crate::wire::WireMsg;
+use crate::wire::{Frame, WireMsg};
 use crate::WireChaos;
 use fvs_sched::FvsstAlgorithm;
 use fvs_telemetry::{
@@ -596,9 +596,9 @@ impl Driver {
         // Every frame parsed below arrived with this call's read at the
         // latest; summaries are re-stamped with that time.
         let arrival_s = conn.last_rx_s;
-        // The node this connection speaks for: looked up once a read,
-        // and again after a hello, never per summary.
-        let mut from = core.node_of(token);
+        // Who this connection speaks for: looked up once a read, and
+        // again after a hello, never per summary.
+        let mut from = core.peer_of(token);
         // Counted here, added to the metrics once after the loop.
         let mut frames = 0u64;
         let mut summaries = 0u64;
@@ -607,9 +607,20 @@ impl Driver {
             let Some((transport, _, _)) = self.reactor.get_mut(token) else {
                 return false;
             };
-            let msg = match transport.next_msg() {
+            let msg = match transport.next_lent() {
                 Ok(None) => break,
-                Ok(Some(msg)) => msg,
+                Ok(Some(Frame::Summary(summary))) => {
+                    frames += 1;
+                    summaries += 1;
+                    // Accepted, the reader's record now holds the summary
+                    // it displaced, whose vectors the next decode reuses.
+                    let ingest = core.ingest(from, summary, arrival_s);
+                    if matches!(ingest, Ingest::Misattributed | Ingest::Miscounted) {
+                        self.metrics.wire_faults.inc();
+                    }
+                    continue;
+                }
+                Ok(Some(Frame::Msg(msg))) => msg,
                 Err(_) => {
                     // A desynchronised stream cannot be trusted;
                     // classify the organic fault for the journal and
@@ -625,7 +636,7 @@ impl Driver {
                     self.metrics.wire_faults.inc();
                     self.config.telemetry.emit(SchedEvent::WireFault {
                         t_s: self.start.elapsed().as_secs_f64(),
-                        node: core.node_of(token).map_or(u32::MAX, |n| n as u32),
+                        node: from.map_or(u32::MAX, |p| p.node as u32),
                         fault,
                         injected: false,
                         frame_len: transport.last_fault_len(),
@@ -637,27 +648,17 @@ impl Driver {
             };
             frames += 1;
             match msg {
-                WireMsg::Summary(mut summary) => {
-                    summaries += 1;
-                    // Accepted, `summary` now holds the one it
-                    // displaced; either way its vectors take the
-                    // connection's next decode.
-                    if core.ingest(from, &mut summary, arrival_s) == Ingest::Misattributed {
-                        self.metrics.wire_faults.inc();
-                    }
-                    transport.recycle(summary);
-                }
                 WireMsg::Hello {
                     node,
+                    procs,
                     version,
                     last_epoch,
                     codecs,
-                    ..
                 } => {
                     let (ack, verdict) =
-                        core.hello(token, node, version, last_epoch, codecs, arrival_s);
+                        core.hello(token, node, procs, version, last_epoch, codecs, arrival_s);
                     open = self.write_conn(token, Some(&ack), arrival_s) && verdict.is_ok();
-                    from = core.node_of(token);
+                    from = core.peer_of(token);
                     match verdict {
                         Ok(()) => {
                             if let Some((transport, _, _)) = self.reactor.get_mut(token) {
@@ -672,8 +673,8 @@ impl Driver {
                     }
                 }
                 WireMsg::Bye { .. } => open = false,
-                // Agents never send these; ignore.
-                WireMsg::HelloAck { .. } | WireMsg::Ceiling(_) | WireMsg::Heartbeat { .. } => {}
+                // Agents send nothing else.
+                _ => {}
             }
         }
         self.metrics.frames_rx.add(frames);

@@ -7,7 +7,8 @@
 //! snapshot cadences — and is driven by plain calls that carry the time
 //! as `now_s`, seconds on whatever clock the caller keeps:
 //! [`hello`](CoordinatorCore::hello), [`ingest`](CoordinatorCore::ingest)
-//! (from the node a connection handshook as, and no other) and
+//! (from the node a connection handshook as, and no other, with the
+//! processors its hello announced) and
 //! [`closed`](CoordinatorCore::closed) for what connections say,
 //! [`set_budget`](CoordinatorCore::set_budget) for what the operator
 //! says, [`until_round_s`](CoordinatorCore::until_round_s) for when a
@@ -214,12 +215,28 @@ pub enum Ingest {
     Rejected,
     /// Refused unread: its connection did not handshake as its node.
     Misattributed,
+    /// Refused unread: its processor count is not the one its node's
+    /// hello announced, so no ceiling sized by it could be applied.
+    Miscounted,
+}
+
+/// Who a connection speaks for, as [`CoordinatorCore::peer_of`] finds
+/// it: what [`CoordinatorCore::ingest`] holds the connection's
+/// summaries to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Peer {
+    /// The node the connection handshook as.
+    pub node: usize,
+    /// The processors the node's current route announced.
+    pub procs: usize,
 }
 
 /// A node's current downlink.
 #[derive(Debug)]
 struct Route {
     conn: u64,
+    /// The processor count its hello announced.
+    procs: usize,
     /// The last round that wrote this node a ceiling, so the keep-alive
     /// pass skips it.
     commanded_round: u64,
@@ -339,9 +356,13 @@ impl CoordinatorCore {
         }
     }
 
-    /// The node `conn` handshook as, if it has.
-    pub fn node_of(&self, conn: u64) -> Option<usize> {
-        self.conns.get(&conn).copied()
+    /// The node `conn` handshook as and the processors that node's
+    /// route announced: `None` if `conn` never handshook, or if its node
+    /// has since lost its route (a newer socket came and closed).
+    pub fn peer_of(&self, conn: u64) -> Option<Peer> {
+        let node = *self.conns.get(&conn)?;
+        let procs = self.routes.get(&node)?.procs;
+        Some(Peer { node, procs })
     }
 
     /// The control plane as of the last round (or of construction).
@@ -354,22 +375,26 @@ impl CoordinatorCore {
         &self.coordinator
     }
 
-    /// Judge the hello `conn` sent: `node` speaking schema `version`,
-    /// having acknowledged epochs up to `last_epoch`, able to read the
-    /// codecs in the `codecs` bitmask. Returns the ack to write back and
-    /// the verdict: accepted, or why the connection is to be closed. A
-    /// peer that cannot read `FVS2`, which every frame after the
-    /// handshake is, speaks another dialect and is refused as
-    /// [`Refusal::Version`]; a node id outside the cluster is
-    /// [`Refusal::UnknownNode`], or its power would never be charged.
+    /// Judge the hello `conn` sent: `node`, of `procs` processors,
+    /// speaking schema `version`, having acknowledged epochs up to
+    /// `last_epoch`, able to read the codecs in the `codecs` bitmask.
+    /// Returns the ack to write back and the verdict: accepted, or why
+    /// the connection is to be closed. A peer that cannot read `FVS2`,
+    /// which every frame after the handshake is, speaks another dialect
+    /// and is refused as [`Refusal::Version`]; a node id outside the
+    /// cluster is [`Refusal::UnknownNode`], or its power would never be
+    /// charged.
     ///
-    /// Accepted, the connection becomes the node's downlink; a
-    /// reconnecting node thereby replaces its old socket as the push
-    /// target, and the old one dies by its read deadline.
+    /// Accepted, the connection becomes the node's downlink, and `procs`
+    /// the count its summaries are held to; a reconnecting node thereby
+    /// replaces its old socket as the push target, and the old one dies
+    /// by its read deadline.
+    #[allow(clippy::too_many_arguments)]
     pub fn hello(
         &mut self,
         conn: u64,
         node: usize,
+        procs: usize,
         version: u32,
         last_epoch: u64,
         codecs: u8,
@@ -399,6 +424,7 @@ impl CoordinatorCore {
             self.conns.insert(conn, node);
             let route = Route {
                 conn,
+                procs,
                 commanded_round: 0,
             };
             self.routes.insert(node, route);
@@ -413,23 +439,28 @@ impl CoordinatorCore {
     }
 
     /// Take a summary that arrived at `arrival_s` on a connection that
-    /// handshook as node `from` (its [`node_of`](Self::node_of), looked up
-    /// once per read and again after a hello). One naming any other node
-    /// is [`Ingest::Misattributed`]: else any socket could keep a dead
-    /// node live and uncharged. The rest are re-stamped with `arrival_s`
-    /// — liveness is what the coordinator observed, so clock skew cannot
-    /// fake it — and swapped into the scheduler: on [`Ingest::Accepted`]
-    /// the caller holds the summary it displaced and can decode the next
-    /// frame into its vectors. Otherwise nothing changed: not the node's
-    /// liveness, not its charge.
+    /// speaks as `from` (its [`peer_of`](Self::peer_of), looked up once
+    /// per read and again after a hello). One naming any other node is
+    /// [`Ingest::Misattributed`]: else any socket could keep a dead node
+    /// live and uncharged. One of another processor count than
+    /// `from.procs` is [`Ingest::Miscounted`]: else the next round would
+    /// size the node a ceiling it refuses. The rest are re-stamped with
+    /// `arrival_s` — liveness is what the coordinator observed, so clock
+    /// skew cannot fake it — and swapped into the scheduler: on
+    /// [`Ingest::Accepted`] the caller holds the summary it displaced,
+    /// whose vectors the next frame decodes into. Otherwise nothing
+    /// changed: not the node's liveness, not its charge.
     pub fn ingest(
         &mut self,
-        from: Option<usize>,
+        from: Option<Peer>,
         summary: &mut NodeSummary,
         arrival_s: f64,
     ) -> Ingest {
-        if from != Some(summary.node) {
+        let Some(from) = from.filter(|p| p.node == summary.node) else {
             return Ingest::Misattributed;
+        };
+        if summary.models.len() != from.procs {
+            return Ingest::Miscounted;
         }
         summary.sent_at_s = arrival_s;
         if self.coordinator.ingest_swap(summary) {

@@ -54,7 +54,7 @@ pub use agent_core::{AgentCore, Heard, Phase, Tick};
 pub use args::NetArgs;
 pub use chaos::{ChaosSide, WireChaos, WriteFault};
 pub use coordinator::{CoordinatorConfig, CoordinatorServer, CoordinatorStatus};
-pub use coordinator_core::{CoordinatorCore, Ingest, Refusal, RoundSink};
+pub use coordinator_core::{CoordinatorCore, Ingest, Peer, Refusal, RoundSink};
 pub use error::FvsError;
 pub use fleet::{AgentFleet, FleetHandle, FleetStats};
 pub use obs::{http_get, ObsHandles, ObsServer};
@@ -63,7 +63,7 @@ pub use sim::{ClusterConfig, ClusterReport, ClusterSim};
 pub use snapshot::{Snapshot, SNAPSHOT_VERSION};
 pub use transport::{FillStatus, Transport};
 pub use wire::{
-    decode_payload, decode_payload_binary, encode, encode_binary, encode_with, FrameReader,
+    decode_payload, decode_payload_binary, encode, encode_binary, encode_with, Frame, FrameReader,
     WireCodec, WireMsg, CODEC_ALL, CODEC_BINARY_BIT, CODEC_JSON_BIT, HEADER_LEN, MAGIC, MAGIC_V2,
     MAX_FRAME_LEN, SCHEMA_VERSION,
 };

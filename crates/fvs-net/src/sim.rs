@@ -26,7 +26,7 @@ use crate::coordinator_core::{CoordinatorCore, RoundSink};
 use crate::error::FvsError;
 use crate::snapshot::Snapshot;
 use crate::transport::Transport;
-use crate::wire::WireMsg;
+use crate::wire::{Frame, WireMsg};
 use fvs_cluster::{ClusterNode, GlobalCoordinator, NodeSummary};
 use fvs_faults::{CounterFaultKind, FaultInjector};
 use fvs_model::CpiModel;
@@ -192,7 +192,7 @@ struct Slot {
 
 /// A frame in flight: the slot at its agent end, its connection, its
 /// bytes.
-type Frame = (usize, u64, Vec<u8>);
+type InFlight = (usize, u64, Vec<u8>);
 
 /// Where a round's output waits to be framed.
 #[derive(Default)]
@@ -212,8 +212,8 @@ pub struct ClusterSim {
     slots: Vec<Slot>,
     coordinator: CoordinatorCore,
     config: ClusterConfig,
-    uplink: DelayQueue<Frame>,
-    downlink: DelayQueue<Frame>,
+    uplink: DelayQueue<InFlight>,
+    downlink: DelayQueue<InFlight>,
     /// The slot at the agent end of every connection ever opened:
     /// connection `c` at `c - 1`.
     conn_slot: Vec<usize>,
@@ -584,33 +584,39 @@ impl ClusterSim {
             // A slice never fails a read.
             let _ = link.ends[end].fill(&mut bytes, now);
         }
-        while let Some(link) = self.link(i, conn) {
-            let open = match link.ends[end].next_msg() {
+        // The link borrowed by field, not through `link`, so that a lent
+        // summary goes to the coordinator while the reader holds it.
+        while let Some(link) = self.slots[i].link.as_mut().filter(|l| l.conn == conn) {
+            let msg = match link.ends[end].next_lent() {
                 Ok(None) => return,
-                Err(_) => false,
-                Ok(Some(msg)) if !uplink => !matches!(
+                Err(_) => return self.close(i, now),
+                Ok(Some(Frame::Summary(summary))) if uplink => {
+                    let from = self.coordinator.peer_of(conn);
+                    self.coordinator.ingest(from, summary, now);
+                    continue;
+                }
+                Ok(Some(frame)) => frame.into_msg(),
+            };
+            let open = match msg {
+                msg if !uplink => !matches!(
                     self.slots[i].core.frame(&msg, now),
                     Heard::Fenced | Heard::Refused
                 ),
-                Ok(Some(WireMsg::Hello {
+                WireMsg::Hello {
                     node,
+                    procs,
                     version,
                     last_epoch,
                     codecs,
-                    ..
-                })) => {
+                } => {
                     let core = &mut self.coordinator;
-                    let (ack, verdict) = core.hello(conn, node, version, last_epoch, codecs, now);
+                    let (ack, verdict) =
+                        core.hello(conn, node, procs, version, last_epoch, codecs, now);
                     self.send(i, false, &ack, now);
                     verdict.is_ok()
                 }
-                Ok(Some(WireMsg::Summary(mut summary))) => {
-                    let from = self.coordinator.node_of(conn);
-                    self.coordinator.ingest(from, &mut summary, now);
-                    true
-                }
                 // An agent sends nothing else.
-                Ok(Some(_)) => true,
+                _ => true,
             };
             if !open {
                 return self.close(i, now);

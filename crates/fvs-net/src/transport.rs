@@ -40,8 +40,7 @@ use std::sync::Arc;
 
 use crate::chaos::{ChaosSide, WireChaos, WriteFault};
 use crate::error::FvsError;
-use crate::wire::{encode_with, FrameReader, WireCodec, WireMsg, MAGIC, MAGIC_V2};
-use fvs_cluster::NodeSummary;
+use crate::wire::{encode_with, Frame, FrameReader, WireCodec, WireMsg, MAGIC, MAGIC_V2};
 use fvs_faults::WireFaultPlan;
 use fvs_telemetry::{Counter, SchedEvent, Telemetry, WireFaultKind};
 use rand::rngs::StdRng;
@@ -366,21 +365,20 @@ impl Transport {
         Ok(FillStatus::Progress)
     }
 
-    /// Hand back a summary taken from [`Transport::next_msg`] (or the
-    /// one an ingest displaced): the next binary summary is decoded into
-    /// its vectors (see [`FrameReader::recycle`]).
-    pub fn recycle(&mut self, summary: NodeSummary) {
-        self.reader.recycle(summary);
-    }
-
-    /// Parse the next buffered frame; `Ok(None)` means more bytes are
+    /// Parse the next buffered frame, a summary lent in the reader's
+    /// record (see [`Frame::Summary`]); `Ok(None)` means more bytes are
     /// needed. On `Err`, [`Transport::last_fault`] (and its length and
     /// codec companions) classify the failure for telemetry.
+    pub fn next_lent(&mut self) -> Result<Option<Frame<'_>>, FvsError> {
+        self.reader.next_lent()
+    }
+
+    /// [`Transport::next_lent`], owned.
     pub fn next_msg(&mut self) -> Result<Option<WireMsg>, FvsError> {
         self.reader.next_frame()
     }
 
-    /// Classification of the most recent [`Transport::next_msg`] error.
+    /// Classification of the most recent [`Transport::next_lent`] error.
     pub fn last_fault(&self) -> Option<WireFaultKind> {
         self.reader.last_fault()
     }
@@ -402,6 +400,7 @@ impl Transport {
 pub(crate) mod tests {
     use super::*;
     use crate::wire::SCHEMA_VERSION;
+    use fvs_cluster::NodeSummary;
 
     /// A sending end as an agent's under `chaos`, and a quiet receiving
     /// end; the wire between them is the caller's `Vec<u8>`.

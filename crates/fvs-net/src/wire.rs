@@ -464,16 +464,7 @@ fn sized<'a, const N: usize>(p: &'a [u8], kind: &str) -> Result<&'a [u8; N], Fvs
 }
 
 /// Decode one `FVS2` binary frame *payload*.
-pub fn decode_payload_binary(payload: &[u8]) -> Result<WireMsg, FvsError> {
-    decode_payload_binary_reusing(payload, &mut NodeSummary::default())
-}
-
-/// [`decode_payload_binary`] that decodes a summary into the vectors of
-/// `spare` and moves it into the returned message, leaving `spare`
-/// empty: a caller that puts a summary it is done with back into
-/// `spare` decodes the next one without touching the heap. Other kinds
-/// leave `spare` alone.
-fn decode_payload_binary_reusing(p: &[u8], spare: &mut NodeSummary) -> Result<WireMsg, FvsError> {
+pub fn decode_payload_binary(p: &[u8]) -> Result<WireMsg, FvsError> {
     let Some(&kind) = p.first() else {
         return Err(FvsError::wire("empty binary payload"));
     };
@@ -498,8 +489,9 @@ fn decode_payload_binary_reusing(p: &[u8], spare: &mut NodeSummary) -> Result<Wi
             }
         }
         BK_SUMMARY => {
-            decode_summary_binary(p, spare)?;
-            WireMsg::Summary(std::mem::take(spare))
+            let mut summary = NodeSummary::default();
+            decode_summary_binary(p, &mut summary)?;
+            WireMsg::Summary(summary)
         }
         BK_CEILING => WireMsg::Ceiling(decode_ceiling_binary(p)?),
         BK_BYE => WireMsg::Bye {
@@ -512,10 +504,11 @@ fn decode_payload_binary_reusing(p: &[u8], spare: &mut NodeSummary) -> Result<Wi
     })
 }
 
-/// A summary payload into `spare`: the head, then each processor's
-/// record, its length (by its flags) checked as the walk reaches it,
-/// then nothing.
-fn decode_summary_binary(p: &[u8], spare: &mut NodeSummary) -> Result<(), FvsError> {
+/// A summary payload into `into`, whose vectors it reuses: the head,
+/// then each processor's record, its length (by its flags) checked as
+/// the walk reaches it, then nothing. On `Err`, `into` holds whatever
+/// had been decoded.
+fn decode_summary_binary(p: &[u8], into: &mut NodeSummary) -> Result<(), FvsError> {
     let Some((head, mut rest)) = p.split_first_chunk::<SUMMARY_HEAD_LEN>() else {
         return Err(bad_len("summary", p.len(), SUMMARY_HEAD_LEN));
     };
@@ -525,10 +518,10 @@ fn decode_summary_binary(p: &[u8], spare: &mut NodeSummary) -> Result<(), FvsErr
     if rest.len() < nproc * PROC_LEN {
         return Err(cut(p, rest, nproc * PROC_LEN));
     }
-    spare.node = index_at(head, 1)?;
-    spare.sent_at_s = f64_at(head, 9);
-    spare.power_w = f64_at(head, 17);
-    let (models, idle, current) = (&mut spare.models, &mut spare.idle, &mut spare.current);
+    into.node = index_at(head, 1)?;
+    into.sent_at_s = f64_at(head, 9);
+    into.power_w = f64_at(head, 17);
+    let (models, idle, current) = (&mut into.models, &mut into.idle, &mut into.current);
     models.clear();
     idle.clear();
     current.clear();
@@ -748,10 +741,34 @@ pub fn decode_payload(payload: &[u8]) -> Result<WireMsg, FvsError> {
     }
 }
 
+/// One complete frame as [`FrameReader::next_lent`] lends it.
+#[derive(Debug)]
+pub enum Frame<'a> {
+    /// A summary, of either codec, decoded into the record the reader
+    /// keeps. A caller may swap it for a summary it is done with, as
+    /// [`crate::CoordinatorCore::ingest`] does: the next summary decodes
+    /// into the vectors the record holds then, and allocates nothing.
+    Summary(&'a mut NodeSummary),
+    /// Any other kind. Never a [`WireMsg::Summary`].
+    Msg(WireMsg),
+}
+
+impl Frame<'_> {
+    /// The frame as an owned message. A summary moves out of the
+    /// reader's record, which the next summary then decodes afresh.
+    pub fn into_msg(self) -> WireMsg {
+        match self {
+            Frame::Summary(summary) => WireMsg::Summary(std::mem::take(summary)),
+            Frame::Msg(msg) => msg,
+        }
+    }
+}
+
 /// Incremental frame parser over a byte stream.
 ///
 /// Feed it whatever the socket produced; it buffers partial frames and
-/// yields complete messages. Any framing violation (bad magic,
+/// yields complete ones: lent by [`next_lent`](FrameReader::next_lent), owned by
+/// [`next_frame`](FrameReader::next_frame). Any framing violation (bad magic,
 /// oversized length, malformed payload) is returned as an error and
 /// poisons nothing — but a desynchronised TCP stream cannot be trusted
 /// past the first bad byte, so callers should drop the connection and
@@ -767,9 +784,8 @@ pub struct FrameReader {
     buf: Vec<u8>,
     start: usize,
     end: usize,
-    /// Where the next binary summary is decoded (see
-    /// [`FrameReader::recycle`]).
-    spare: NodeSummary,
+    /// Where the next summary is decoded (see [`Frame::Summary`]).
+    record: NodeSummary,
     last_fault: Option<WireFaultKind>,
     last_fault_len: u32,
     last_fault_codec: u8,
@@ -848,13 +864,7 @@ impl FrameReader {
         self.buf.len()
     }
 
-    /// Hand back a summary the caller is done with: the next binary
-    /// summary frame is decoded into its vectors instead of fresh ones.
-    pub fn recycle(&mut self, summary: NodeSummary) {
-        self.spare = summary;
-    }
-
-    /// Classification of the most recent [`next_frame`] error, cleared
+    /// Classification of the most recent [`next_lent`] error, cleared
     /// by any successful parse: [`WireFaultKind::BadMagic`] (stream
     /// desynchronised or a foreign peer), [`WireFaultKind::Oversize`]
     /// (length prefix over [`MAX_FRAME_LEN`]) or [`WireFaultKind::Decode`]
@@ -862,7 +872,7 @@ impl FrameReader {
     /// `wire_fault` event the reader's owner journals carries, so chaos
     /// runs can tell an organic fault from an injected one.
     ///
-    /// [`next_frame`]: FrameReader::next_frame
+    /// [`next_lent`]: FrameReader::next_lent
     pub fn last_fault(&self) -> Option<WireFaultKind> {
         self.last_fault
     }
@@ -886,9 +896,9 @@ impl FrameReader {
         self.last_fault_codec = codec;
     }
 
-    /// Try to extract the next complete message. `Ok(None)` means more
+    /// Try to extract the next complete frame. `Ok(None)` means more
     /// bytes are needed.
-    pub fn next_frame(&mut self) -> Result<Option<WireMsg>, FvsError> {
+    pub fn next_lent(&mut self) -> Result<Option<Frame<'_>>, FvsError> {
         let unread = &self.buf[self.start..self.end];
         if unread.len() < HEADER_LEN {
             return Ok(None);
@@ -918,22 +928,39 @@ impl FrameReader {
             return Ok(None);
         }
         let payload = &unread[HEADER_LEN..HEADER_LEN + len];
-        let msg = match codec {
-            WireCodec::Json => decode_payload(payload),
-            WireCodec::Binary => decode_payload_binary_reusing(payload, &mut self.spare),
+        // `None`: a summary, now in `record`.
+        let decoded = match codec {
+            WireCodec::Binary if payload.first() == Some(&BK_SUMMARY) => {
+                decode_summary_binary(payload, &mut self.record).map(|()| None)
+            }
+            WireCodec::Binary => decode_payload_binary(payload).map(Some),
+            WireCodec::Json => decode_payload(payload).map(|msg| match msg {
+                WireMsg::Summary(summary) => {
+                    self.record = summary;
+                    None
+                }
+                msg => Some(msg),
+            }),
         };
         // Consume the frame whether or not the payload decoded: the
         // framing itself was sound, so the next frame may be fine.
         self.start += HEADER_LEN + len;
-        match &msg {
-            Ok(_) => {
-                self.last_fault = None;
-                self.last_fault_len = 0;
-                self.last_fault_codec = 0;
+        match decoded {
+            Ok(msg) => {
+                (self.last_fault, self.last_fault_len, self.last_fault_codec) = (None, 0, 0);
+                let frame = msg.map_or(Frame::Summary(&mut self.record), Frame::Msg);
+                Ok(Some(frame))
             }
-            Err(_) => self.fault(WireFaultKind::Decode, len as u32, codec.id()),
+            Err(e) => {
+                self.fault(WireFaultKind::Decode, len as u32, codec.id());
+                Err(e)
+            }
         }
-        msg.map(Some)
+    }
+
+    /// [`next_lent`](Self::next_lent), owned.
+    pub fn next_frame(&mut self) -> Result<Option<WireMsg>, FvsError> {
+        Ok(self.next_lent()?.map(Frame::into_msg))
     }
 }
 

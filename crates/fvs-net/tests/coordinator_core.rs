@@ -6,8 +6,8 @@
 use fvs_cluster::{NodeRestore, NodeSummary};
 use fvs_model::{CpiModel, FreqMhz};
 use fvs_net::{
-    CoordinatorConfig, CoordinatorCore, CoordinatorStatus, FvsError, Ingest, Refusal, RoundSink,
-    Snapshot, WireCodec, WireMsg, CODEC_ALL, CODEC_JSON_BIT, SCHEMA_VERSION,
+    CoordinatorConfig, CoordinatorCore, CoordinatorStatus, FvsError, Ingest, Peer, Refusal,
+    RoundSink, Snapshot, WireCodec, WireMsg, CODEC_ALL, CODEC_JSON_BIT, SCHEMA_VERSION,
 };
 use fvs_sched::FvsstAlgorithm;
 use fvs_telemetry::{OpenEpisode, SchedEvent, Telemetry};
@@ -15,6 +15,8 @@ use fvs_telemetry::{OpenEpisode, SchedEvent, Telemetry};
 const PERIOD_S: f64 = 0.1;
 const TIMEOUT_S: f64 = 0.5;
 const WORST_W: f64 = 560.0;
+/// Processors per node, as every hello here announces.
+const PROCS: usize = 4;
 
 fn config() -> CoordinatorConfig {
     CoordinatorConfig::default_lan()
@@ -32,17 +34,23 @@ fn summary(node: usize, power_w: f64) -> NodeSummary {
     NodeSummary {
         node,
         sent_at_s: 1.0e6, // the agent's clock; the core must not care
-        models: vec![Some(CpiModel::from_components(1.5, 1.0e-9)); 4],
-        idle: vec![false; 4],
-        current: vec![FreqMhz(1000); 4],
+        models: vec![Some(CpiModel::from_components(1.5, 1.0e-9)); PROCS],
+        idle: vec![false; PROCS],
+        current: vec![FreqMhz(1000); PROCS],
         power_w,
     }
 }
 
-/// A hello from `node` on `conn`, current schema, both codecs, no epoch
-/// acknowledged yet. Returns the verdict.
+/// A connection that speaks for `node`, as its hello announced it.
+fn from(node: usize) -> Option<Peer> {
+    Some(Peer { node, procs: PROCS })
+}
+
+/// A hello from `node` of `PROCS` processors on `conn`, current schema,
+/// both codecs, no epoch acknowledged yet. Returns the verdict.
 fn hello(core: &mut CoordinatorCore, conn: u64, node: usize) -> Result<(), Refusal> {
-    core.hello(conn, node, SCHEMA_VERSION, 0, CODEC_ALL, 0.0).1
+    core.hello(conn, node, PROCS, SCHEMA_VERSION, 0, CODEC_ALL, 0.0)
+        .1
 }
 
 fn kinds(telemetry: &Telemetry) -> Vec<&'static str> {
@@ -90,7 +98,7 @@ fn round(core: &mut CoordinatorCore, now_s: f64) -> Vec<Call> {
 #[test]
 fn another_schema_version_is_refused_with_an_ack_that_says_so() {
     let mut core = core(1, &config());
-    let (ack, verdict) = core.hello(7, 0, SCHEMA_VERSION + 1, 0, CODEC_ALL, 0.0);
+    let (ack, verdict) = core.hello(7, 0, PROCS, SCHEMA_VERSION + 1, 0, CODEC_ALL, 0.0);
     assert_eq!(verdict, Err(Refusal::Version));
     let refusal = WireMsg::HelloAck {
         accepted: false,
@@ -100,7 +108,7 @@ fn another_schema_version_is_refused_with_an_ack_that_says_so() {
     };
     assert_eq!(ack, refusal);
     // Refused, the connection speaks for nobody.
-    assert_eq!(core.node_of(7), None);
+    assert_eq!(core.peer_of(7), None);
     assert_eq!(round(&mut core, PERIOD_S), []);
     assert_eq!(core.status().connections, 0);
 }
@@ -111,7 +119,7 @@ fn another_schema_version_is_refused_with_an_ack_that_says_so() {
 #[test]
 fn a_node_outside_the_cluster_is_refused() {
     let mut core = core(4, &config());
-    let (ack, verdict) = core.hello(7, 4, SCHEMA_VERSION, 0, CODEC_ALL, 0.0);
+    let (ack, verdict) = core.hello(7, 4, PROCS, SCHEMA_VERSION, 0, CODEC_ALL, 0.0);
     assert_eq!(verdict, Err(Refusal::UnknownNode));
     let refusal = WireMsg::HelloAck {
         accepted: false,
@@ -120,7 +128,7 @@ fn a_node_outside_the_cluster_is_refused() {
         codec: WireCodec::Json.id(),
     };
     assert_eq!(ack, refusal);
-    assert_eq!(core.node_of(7), None);
+    assert_eq!(core.peer_of(7), None);
     assert_eq!(round(&mut core, PERIOD_S), []);
     assert_eq!(core.status().connections, 0);
 }
@@ -132,12 +140,12 @@ fn an_agent_that_has_seen_a_newer_epoch_fences_this_coordinator() {
     assert_eq!(core.status().epoch, 1);
     // Epochs up to ours are fine: the agent's fence is `>=`.
     assert!(core
-        .hello(1, 0, SCHEMA_VERSION, 1, CODEC_ALL, 0.2)
+        .hello(1, 0, PROCS, SCHEMA_VERSION, 1, CODEC_ALL, 0.2)
         .1
         .is_ok());
     assert_eq!(kinds(&config.telemetry), [] as [&str; 0]);
 
-    let (ack, verdict) = core.hello(2, 1, SCHEMA_VERSION, 2, CODEC_ALL, 0.25);
+    let (ack, verdict) = core.hello(2, 1, PROCS, SCHEMA_VERSION, 2, CODEC_ALL, 0.25);
     assert_eq!(verdict, Err(Refusal::StaleEpoch));
     assert!(matches!(
         ack,
@@ -175,7 +183,7 @@ fn only_a_peer_that_reads_fvs2_is_accepted() {
         (CODEC_JSON_BIT, Err(Refusal::Version), WireCodec::Json),
     ] {
         let mut core = core(1, &config());
-        let (ack, got) = core.hello(1, 0, SCHEMA_VERSION, 0, advertised, 0.0);
+        let (ack, got) = core.hello(1, 0, PROCS, SCHEMA_VERSION, 0, advertised, 0.0);
         assert_eq!(got, verdict, "{advertised:#04b}");
         let want = WireMsg::HelloAck {
             accepted: verdict.is_ok(),
@@ -184,7 +192,7 @@ fn only_a_peer_that_reads_fvs2_is_accepted() {
             codec: codec.id(),
         };
         assert_eq!(ack, want);
-        assert_eq!(core.node_of(1), verdict.ok().map(|()| 0));
+        assert_eq!(core.peer_of(1), verdict.ok().and_then(|()| from(0)));
     }
 }
 
@@ -192,13 +200,13 @@ fn only_a_peer_that_reads_fvs2_is_accepted() {
 fn a_reconnect_takes_the_route_and_the_old_sockets_close_leaves_it() {
     let mut core = core(1, &config());
     hello(&mut core, 1, 0).unwrap();
-    core.ingest(Some(0), &mut summary(0, 300.0), 0.05);
+    core.ingest(from(0), &mut summary(0, 300.0), 0.05);
     assert_eq!(round(&mut core, 0.1), [Call::Ceiling(1, 0)]);
 
     // The node comes back on a new socket while the old one lingers.
     hello(&mut core, 2, 0).unwrap();
-    assert_eq!((core.node_of(1), core.node_of(2)), (Some(0), Some(0)));
-    core.ingest(Some(0), &mut summary(0, 300.0), 0.15);
+    assert_eq!((core.peer_of(1), core.peer_of(2)), (from(0), from(0)));
+    core.ingest(from(0), &mut summary(0, 300.0), 0.15);
     assert_eq!(round(&mut core, 0.2), [Call::Ceiling(2, 0)]);
     assert_eq!(core.status().connections, 1);
 
@@ -216,7 +224,7 @@ fn a_second_hello_on_a_handshaken_connection_is_a_protocol_error() {
     let mut core = core(2, &config());
     hello(&mut core, 1, 0).unwrap();
     // Same connection, now claiming node 1: refused, and nothing moves.
-    let (ack, verdict) = core.hello(1, 1, SCHEMA_VERSION, 0, CODEC_ALL, 0.0);
+    let (ack, verdict) = core.hello(1, 1, PROCS, SCHEMA_VERSION, 0, CODEC_ALL, 0.0);
     assert_eq!(verdict, Err(Refusal::Repeated));
     assert!(matches!(
         ack,
@@ -225,7 +233,7 @@ fn a_second_hello_on_a_handshaken_connection_is_a_protocol_error() {
             ..
         }
     ));
-    assert_eq!(core.node_of(1), Some(0));
+    assert_eq!(core.peer_of(1), from(0));
     assert_eq!(round(&mut core, 0.1), [Call::Heartbeat(1, 1)]);
     assert_eq!(core.status().connections, 1);
     // The caller closes it, and no route leaks: the count comes back to
@@ -241,7 +249,7 @@ fn a_budget_change_is_persisted_before_any_ceiling_leaves() {
     let mut core = core(2, &config);
     for node in 0..2 {
         hello(&mut core, 10 + node as u64, node).unwrap();
-        core.ingest(Some(node), &mut summary(node, 300.0), 0.05);
+        core.ingest(from(node), &mut summary(node, 300.0), 0.05);
     }
     // No change, no cadence due: ceilings only.
     let ceilings = [Call::Ceiling(10, 0), Call::Ceiling(11, 1)];
@@ -265,7 +273,7 @@ fn a_budget_change_is_persisted_before_any_ceiling_leaves() {
 
     // The cadence snapshot is the caller's to persist, after the round.
     for node in 0..2 {
-        core.ingest(Some(node), &mut summary(node, 200.0), 1.1);
+        core.ingest(from(node), &mut summary(node, 200.0), 1.1);
     }
     let mut sink = Recorder::default();
     let cadence = core.run_round(1.2, &mut sink).expect("cadence is due");
@@ -321,7 +329,7 @@ fn keep_alives_go_to_exactly_the_routes_the_round_did_not_command() {
     hello(&mut core, 21, 1).unwrap();
     hello(&mut core, 22, 2).unwrap();
     hello(&mut core, 23, 2).unwrap();
-    core.ingest(Some(0), &mut summary(0, 300.0), 0.05);
+    core.ingest(from(0), &mut summary(0, 300.0), 0.05);
     let expected = [
         Call::Ceiling(20, 0),
         Call::Heartbeat(21, 1),
@@ -331,7 +339,7 @@ fn keep_alives_go_to_exactly_the_routes_the_round_did_not_command() {
 
     // Everyone connected reports: the steady case sends no keep-alive.
     for node in 0..3 {
-        core.ingest(Some(node), &mut summary(node, 300.0), 0.15);
+        core.ingest(from(node), &mut summary(node, 300.0), 0.15);
     }
     let steady = [
         Call::Ceiling(20, 0),
@@ -347,7 +355,7 @@ fn keep_alives_go_to_exactly_the_routes_the_round_did_not_command() {
     };
     core.run_round(0.3, &mut sink);
     assert_eq!(sink.calls, steady);
-    assert_eq!((core.node_of(21), core.status().connections), (None, 2));
+    assert_eq!((core.peer_of(21), core.status().connections), (None, 2));
     assert_eq!(
         round(&mut core, 0.4),
         [Call::Ceiling(20, 0), Call::Ceiling(23, 2)]
@@ -379,7 +387,7 @@ fn a_round_is_owed_on_the_period_and_on_a_budget_change() {
 #[test]
 fn a_rejected_summary_changes_neither_liveness_nor_the_conservative_sum() {
     let mut core = core(2, &config());
-    let accepted = core.ingest(Some(0), &mut summary(0, 300.0), 0.05);
+    let accepted = core.ingest(from(0), &mut summary(0, 300.0), 0.05);
     assert_eq!(accepted, Ingest::Accepted);
     round(&mut core, 0.1);
     // Node 0 live at 300 W, node 1 never heard from: worst case.
@@ -397,7 +405,7 @@ fn a_rejected_summary_changes_neither_liveness_nor_the_conservative_sum() {
     // Each attributed to the node it names, so the scheduler judges it.
     for bad in &mut rejects {
         let before = bad.clone();
-        let ingested = core.ingest(Some(bad.node), bad, 0.15);
+        let ingested = core.ingest(from(bad.node), bad, 0.15);
         assert_eq!(ingested, Ingest::Rejected, "{before:?} must be refused");
     }
     round(&mut core, 0.2);
@@ -407,7 +415,7 @@ fn a_rejected_summary_changes_neither_liveness_nor_the_conservative_sum() {
     // Only rejects since 0.05: past the timeout the node is silent, for
     // the status exactly as for the scheduler — charged, not counted.
     for bad in &mut rejects {
-        assert_eq!(core.ingest(Some(bad.node), bad, 0.58), Ingest::Rejected);
+        assert_eq!(core.ingest(from(bad.node), bad, 0.58), Ingest::Rejected);
     }
     round(&mut core, 0.6);
     let status = core.status();
@@ -423,7 +431,7 @@ fn a_rejected_summary_changes_neither_liveness_nor_the_conservative_sum() {
 #[test]
 fn a_summary_before_any_hello_is_refused() {
     let mut core = core(1, &config());
-    let from = core.node_of(5);
+    let from = core.peer_of(5);
     assert_eq!(
         core.ingest(from, &mut summary(0, 300.0), 0.05),
         Ingest::Misattributed
@@ -434,7 +442,7 @@ fn a_summary_before_any_hello_is_refused() {
 
     // Once the connection has handshaken as node 0, it speaks for it.
     hello(&mut core, 5, 0).unwrap();
-    let from = core.node_of(5);
+    let from = core.peer_of(5);
     assert_eq!(
         core.ingest(from, &mut summary(0, 300.0), 0.15),
         Ingest::Accepted
@@ -452,7 +460,7 @@ fn a_summary_naming_another_node_is_refused() {
     hello(&mut core, 1, 0).unwrap();
     hello(&mut core, 2, 1).unwrap();
     for (conn, node) in [(1, 0), (2, 1)] {
-        let from = core.node_of(conn);
+        let from = core.peer_of(conn);
         let ingested = core.ingest(from, &mut summary(node, 300.0), 0.05);
         assert_eq!(ingested, Ingest::Accepted);
     }
@@ -460,7 +468,7 @@ fn a_summary_naming_another_node_is_refused() {
     assert_eq!(core.status().conservative_power_w, 600.0);
 
     // Node 1 falls silent; connection 1 reports for both.
-    let from = core.node_of(1);
+    let from = core.peer_of(1);
     for at in [0.2, 0.3, 0.4, 0.5, 0.6] {
         assert_eq!(
             core.ingest(from, &mut summary(0, 300.0), at),
@@ -475,6 +483,86 @@ fn a_summary_naming_another_node_is_refused() {
     let status = core.status();
     assert_eq!(status.dead_nodes, 1);
     assert!(status.reserved_w >= 300.0, "{status:?}");
+}
+
+/// A summary of `procs` processors from `node`.
+fn summary_of(node: usize, procs: usize, power_w: f64) -> NodeSummary {
+    NodeSummary {
+        models: vec![Some(CpiModel::from_components(1.5, 1.0e-9)); procs],
+        idle: vec![false; procs],
+        current: vec![FreqMhz(1000); procs],
+        ..summary(node, power_w)
+    }
+}
+
+/// The lengths of the ceilings one round at `now_s` commands.
+fn ceiling_lengths(core: &mut CoordinatorCore, now_s: f64) -> Vec<usize> {
+    struct Lengths(Vec<usize>);
+    impl RoundSink for Lengths {
+        fn persist(&mut self, _: &Snapshot) {}
+        fn send(&mut self, _: u64, msg: &WireMsg) -> bool {
+            if let WireMsg::Ceiling(cmd) = msg {
+                self.0.push(cmd.freqs.len());
+            }
+            true
+        }
+    }
+    let mut sink = Lengths(Vec::new());
+    core.run_round(now_s, &mut sink);
+    sink.0
+}
+
+/// Bugfix: the processor count a hello announces was dropped, so a
+/// well-formed summary of any other count went into the scheduler and
+/// the next round sized the node a ceiling its machine refuses to
+/// apply (40 000 processors fit one frame). Such a summary is refused
+/// as a misattributed one is, the node's liveness and charge untouched.
+#[test]
+fn a_summary_of_another_processor_count_than_announced_is_refused() {
+    let mut core = core(1, &config());
+    hello(&mut core, 1, 0).unwrap();
+    let from = core.peer_of(1);
+    for procs in [5, 40_000, 3] {
+        assert_eq!(
+            core.ingest(from, &mut summary_of(0, procs, 300.0), 0.05),
+            Ingest::Miscounted,
+            "{procs} processors after a hello announcing {PROCS}"
+        );
+    }
+    assert_eq!(ceiling_lengths(&mut core, 0.1), []);
+    assert_eq!(core.status().nodes_reporting, 0);
+    assert_eq!(core.status().conservative_power_w, WORST_W);
+
+    assert_eq!(
+        core.ingest(from, &mut summary_of(0, PROCS, 300.0), 0.15),
+        Ingest::Accepted
+    );
+    assert_eq!(
+        core.ingest(from, &mut summary_of(0, 40_000, 100.0), 0.25),
+        Ingest::Miscounted
+    );
+    assert_eq!(ceiling_lengths(&mut core, 0.3), [PROCS]);
+    assert_eq!(core.status().conservative_power_w, 300.0);
+    let held = core
+        .coordinator()
+        .latest_summary(0)
+        .expect("node 0 reported");
+    assert_eq!((held.models.len(), held.sent_at_s), (PROCS, 0.15));
+
+    // A reconnect that announces another count moves the node to it.
+    let (_, verdict) = core.hello(2, 0, 8, SCHEMA_VERSION, 0, CODEC_ALL, 0.35);
+    assert_eq!(verdict, Ok(()));
+    let from = core.peer_of(2);
+    assert_eq!(from, Some(Peer { node: 0, procs: 8 }));
+    assert_eq!(
+        core.ingest(from, &mut summary_of(0, PROCS, 300.0), 0.4),
+        Ingest::Miscounted
+    );
+    assert_eq!(
+        core.ingest(from, &mut summary_of(0, 8, 300.0), 0.45),
+        Ingest::Accepted
+    );
+    assert_eq!(ceiling_lengths(&mut core, 0.5), [8]);
 }
 
 fn snapshot_of(nodes: usize) -> Snapshot {
@@ -512,7 +600,7 @@ fn resync_ends_when_every_node_is_fresh_and_says_so_before_the_status_does() {
     assert_eq!(kinds(&config.telemetry), ["coordinator_resumed"]);
     // The resumed epoch fences nobody who acknowledged the old one.
     assert!(core
-        .hello(1, 0, SCHEMA_VERSION, 3, CODEC_ALL, 0.0)
+        .hello(1, 0, PROCS, SCHEMA_VERSION, 3, CODEC_ALL, 0.0)
         .1
         .is_ok());
 
@@ -521,13 +609,13 @@ fn resync_ends_when_every_node_is_fresh_and_says_so_before_the_status_does() {
     assert_eq!(core.status().conservative_power_w, 800.0);
     assert!(core.status().resyncing);
     // One of two fresh is not enough.
-    core.ingest(Some(0), &mut summary(0, 250.0), 0.15);
+    core.ingest(from(0), &mut summary(0, 250.0), 0.15);
     round(&mut core, 0.2);
     assert_eq!(core.status().conservative_power_w, 250.0 + 400.0);
     assert!(core.status().resyncing);
     assert!(!kinds(&config.telemetry).contains(&"resync_complete"));
 
-    core.ingest(Some(1), &mut summary(1, 250.0), 0.25);
+    core.ingest(from(1), &mut summary(1, 250.0), 0.25);
     round(&mut core, 0.3);
     let complete = config
         .telemetry
@@ -556,7 +644,7 @@ fn resync_ends_at_its_deadline_with_the_silent_still_charged() {
     let config = config().with_resync_grace_s(2.0);
     let snap = snapshot_of(2);
     let mut core = CoordinatorCore::new(2, FvsstAlgorithm::p630(), &config, Some(&snap));
-    core.ingest(Some(0), &mut summary(0, 250.0), 1.85);
+    core.ingest(from(0), &mut summary(0, 250.0), 1.85);
     round(&mut core, 1.9);
     assert!(core.status().resyncing);
     round(&mut core, 2.0);
@@ -605,7 +693,7 @@ fn a_stricter_budget_configured_at_resume_is_a_budget_drop() {
     assert_eq!(core.until_round_s(0.0), 0.0, "the cut cannot wait");
     for node in 0..2 {
         hello(&mut core, 1 + node as u64, node).unwrap();
-        core.ingest(Some(node), &mut summary(node, 450.0), 0.05);
+        core.ingest(from(node), &mut summary(node, 450.0), 0.05);
     }
     let calls = round(&mut core, 0.1);
     assert_eq!(
@@ -625,7 +713,7 @@ fn a_stricter_budget_configured_at_resume_is_a_budget_drop() {
     assert!(!kinds(&config.telemetry).contains(&"budget_compliance"));
 
     for node in 0..2 {
-        core.ingest(Some(node), &mut summary(node, 350.0), 0.15);
+        core.ingest(from(node), &mut summary(node, 350.0), 0.15);
     }
     round(&mut core, 0.2);
     let compliance = first(&config.telemetry, |ev| match ev {
@@ -664,7 +752,7 @@ fn a_resume_rebases_every_time_once_by_the_snapshot_clock() {
         let mut a = core(2, &crashed);
         for (node, &at) in arrivals.iter().enumerate() {
             hello(&mut a, 1 + node as u64, node).unwrap();
-            a.ingest(Some(node), &mut summary(node, 300.0), at);
+            a.ingest(from(node), &mut summary(node, 300.0), at);
         }
         a.set_budget(100.0);
         round(&mut a, drop_s);
@@ -683,7 +771,7 @@ fn a_resume_rebases_every_time_once_by_the_snapshot_clock() {
         // The open episode's clock, read off its compliance.
         for node in 0..2 {
             hello(&mut b, 1 + node as u64, node).unwrap();
-            b.ingest(Some(node), &mut summary(node, 10.0), 0.05);
+            b.ingest(from(node), &mut summary(node, 10.0), 0.05);
         }
         round(&mut b, 0.1);
         let wall_s = first(&resumed.telemetry, |ev| match ev {

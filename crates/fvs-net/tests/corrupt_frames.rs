@@ -6,7 +6,8 @@
 //! [`AgentCore::frame`] and to [`CoordinatorCore::hello`] /
 //! [`CoordinatorCore::ingest`], and a round runs over what the
 //! coordinator then believes. A summary naming any node but the one its
-//! connection handshook as must be [`Ingest::Misattributed`].
+//! connection handshook as must be [`Ingest::Misattributed`], and one
+//! of another processor count than its hello's [`Ingest::Miscounted`].
 //! `wire_roundtrip`'s `corrupt_frames_never_panic` stops at the decoder;
 //! this goes on into the cores.
 
@@ -98,7 +99,7 @@ fn linked_coordinator() -> CoordinatorCore {
         &CoordinatorConfig::default_lan(),
         None,
     );
-    let (_, verdict) = coordinator.hello(CONN, NODE, SCHEMA_VERSION, 0, CODEC_ALL, 0.0);
+    let (_, verdict) = coordinator.hello(CONN, NODE, PROCS, SCHEMA_VERSION, 0, CODEC_ALL, 0.0);
     assert_eq!(verdict, Ok(()));
     coordinator
 }
@@ -152,15 +153,17 @@ proptest! {
         while let Ok(Some(decoded)) = reader.next_frame() {
             agent.frame(&decoded, now_s);
             match decoded {
-                WireMsg::Hello { node, version, last_epoch, codecs, .. } => {
-                    let _ = coordinator.hello(CONN + 1, node, version, last_epoch, codecs, now_s);
+                WireMsg::Hello { node, procs, version, last_epoch, codecs } => {
+                    let _ = coordinator.hello(CONN + 1, node, procs, version, last_epoch, codecs, now_s);
                 }
                 WireMsg::Summary(mut summary) => {
-                    let named = summary.node;
-                    let from = coordinator.node_of(CONN);
+                    let (named, procs) = (summary.node, summary.models.len());
+                    let from = coordinator.peer_of(CONN);
                     let verdict = coordinator.ingest(from, &mut summary, now_s);
                     if named != NODE {
                         prop_assert_eq!(verdict, Ingest::Misattributed, "summary names node {}", named);
+                    } else if procs != PROCS {
+                        prop_assert_eq!(verdict, Ingest::Miscounted, "summary of {} processors", procs);
                     }
                 }
                 _ => {}

@@ -88,18 +88,6 @@ impl<'a> Cursor<'a> {
 
 /// Decode one `FVS2` binary frame *payload*.
 pub fn decode_payload_binary(payload: &[u8]) -> Result<WireMsg, FvsError> {
-    decode_payload_binary_reusing(payload, &mut NodeSummary::default())
-}
-
-/// [`decode_payload_binary`] that decodes a summary into the vectors of
-/// `spare` and moves it into the returned message, leaving `spare`
-/// empty: a caller that puts a summary it is done with back into
-/// `spare` decodes the next one without touching the heap. Other kinds
-/// leave `spare` alone.
-fn decode_payload_binary_reusing(
-    payload: &[u8],
-    spare: &mut NodeSummary,
-) -> Result<WireMsg, FvsError> {
     let mut c = Cursor::new(payload);
     let kind = c.u8()?;
     let msg = match kind {
@@ -117,9 +105,12 @@ fn decode_payload_binary_reusing(
             codec: c.u8()?,
         },
         BK_SUMMARY => {
-            spare.node = c.index()?;
-            spare.sent_at_s = c.f64()?;
-            spare.power_w = c.f64()?;
+            let mut s = NodeSummary {
+                node: c.index()?,
+                sent_at_s: c.f64()?,
+                power_w: c.f64()?,
+                ..NodeSummary::default()
+            };
             let nproc = usize::from(c.u16()?);
             // Each processor is at least 5 bytes (flags + current), so a
             // fuzzed count larger than the payload is refused before any
@@ -130,15 +121,12 @@ fn decode_payload_binary_reusing(
                     c.remaining()
                 )));
             }
-            spare.models.clear();
-            spare.idle.clear();
-            spare.current.clear();
-            spare.models.reserve(nproc);
-            spare.idle.reserve(nproc);
-            spare.current.reserve(nproc);
+            s.models.reserve(nproc);
+            s.idle.reserve(nproc);
+            s.current.reserve(nproc);
             for _ in 0..nproc {
                 let flags = c.u8()?;
-                spare.models.push(if flags & FLAG_MODEL != 0 {
+                s.models.push(if flags & FLAG_MODEL != 0 {
                     Some(CpiModel {
                         cpi0: c.f64()?,
                         mem_time_per_instr: c.f64()?,
@@ -146,10 +134,10 @@ fn decode_payload_binary_reusing(
                 } else {
                     None
                 });
-                spare.idle.push(flags & FLAG_IDLE != 0);
-                spare.current.push(FreqMhz(c.u32()?));
+                s.idle.push(flags & FLAG_IDLE != 0);
+                s.current.push(FreqMhz(c.u32()?));
             }
-            WireMsg::Summary(std::mem::take(spare))
+            WireMsg::Summary(s)
         }
         BK_CEILING => {
             let node = c.index()?;

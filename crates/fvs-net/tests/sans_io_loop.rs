@@ -102,15 +102,15 @@ fn greet(
 ) -> (WireMsg, bool) {
     let WireMsg::Hello {
         node,
+        procs,
         version,
         last_epoch,
         codecs,
-        ..
     } = hello
     else {
         panic!("connected() returns a hello, not {hello:?}");
     };
-    let (ack, verdict) = coordinator.hello(conn, node, version, last_epoch, codecs, now_s);
+    let (ack, verdict) = coordinator.hello(conn, node, procs, version, last_epoch, codecs, now_s);
     (ack, verdict.is_ok())
 }
 
@@ -179,7 +179,7 @@ fn run() -> Outcome {
                 Tick::Flush => {}
                 Tick::Summary(mut summary) => {
                     if !muted(id) {
-                        let from = peer.conn.and_then(|conn| coordinator.node_of(conn));
+                        let from = peer.conn.and_then(|conn| coordinator.peer_of(conn));
                         let ingested = coordinator.ingest(from, &mut summary, now_s - born_s);
                         assert_eq!(ingested, Ingest::Accepted);
                     }

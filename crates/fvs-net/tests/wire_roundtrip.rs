@@ -9,8 +9,8 @@ use fvs_cluster::{FrequencyCommand, NodeSummary};
 use fvs_faults::{apply_counter_fault, CounterFaultKind, FaultInjector, FaultPlan};
 use fvs_model::{CounterDelta, CpiModel, FreqMhz};
 use fvs_net::{
-    decode_payload, encode, encode_with, FrameReader, WireCodec, WireMsg, CODEC_ALL, HEADER_LEN,
-    MAGIC, MAGIC_V2, MAX_FRAME_LEN, SCHEMA_VERSION,
+    decode_payload, encode, encode_with, Frame, FrameReader, FvsError, WireCodec, WireMsg,
+    CODEC_ALL, HEADER_LEN, MAGIC, MAGIC_V2, MAX_FRAME_LEN, SCHEMA_VERSION,
 };
 use fvs_telemetry::WireFaultKind;
 use proptest::prelude::*;
@@ -209,9 +209,10 @@ proptest! {
 // The reference is the simplest reader there is: a fresh `FrameReader`
 // fed exactly one frame. A stream of those frames, cut at arbitrary
 // byte boundaries and delivered through `feed` or read in place through
-// `read_from`, must yield the same messages and errors in the same
-// order, the same fault classification after each, and a `pending()`
-// that accounts for every byte.
+// `read_from`, and parsed by `next_frame` or by the lending `next_lent`, must
+// yield the same messages (bit for bit) and errors in the same order,
+// the same fault classification after each, and a `pending()` that
+// accounts for every byte.
 
 type Faults = (Option<WireFaultKind>, u32, u8);
 
@@ -262,11 +263,39 @@ impl Read for ShortReads<'_> {
     }
 }
 
-/// Drain `r` against `expected[*next..]`, checking each outcome, the
-/// classification left after it, and that `pending()` is exactly what
-/// was delivered minus what was consumed.
+/// How a path takes one frame off a reader.
+type Parse = fn(&mut FrameReader) -> Result<Option<WireMsg>, FvsError>;
+
+/// The lending call, its summary copied out of the reader's record: the
+/// record keeps its vectors, and the next summary decodes into them.
+fn lend(r: &mut FrameReader) -> Result<Option<WireMsg>, FvsError> {
+    Ok(r.next_lent()?.map(|frame| match frame {
+        Frame::Summary(summary) => WireMsg::Summary(summary.clone()),
+        Frame::Msg(WireMsg::Summary(_)) => panic!("a summary is lent, never moved"),
+        Frame::Msg(msg) => msg,
+    }))
+}
+
+/// The bits of every float `msg` carries: equal messages with equal
+/// bits agree bit for bit, NaN payloads and signed zeros included.
+fn float_bits(msg: &Result<WireMsg, String>) -> Vec<u64> {
+    let Ok(WireMsg::Summary(s)) = msg else {
+        return Vec::new();
+    };
+    let models = s.models.iter().flatten();
+    [s.sent_at_s, s.power_w]
+        .into_iter()
+        .chain(models.flat_map(|m| [m.cpi0, m.mem_time_per_instr]))
+        .map(f64::to_bits)
+        .collect()
+}
+
+/// Drain `r` by `parse` against `expected[*next..]`, checking each
+/// outcome, the classification left after it, and that `pending()` is
+/// exactly what was delivered minus what was consumed.
 fn drain(
     r: &mut FrameReader,
+    parse: Parse,
     frames: &[Vec<u8>],
     expected: &[Outcome],
     next: &mut usize,
@@ -275,7 +304,7 @@ fn drain(
 ) -> Result<(), TestCaseError> {
     loop {
         let before = faults(r);
-        let got = match r.next_frame() {
+        let got = match parse(r) {
             Ok(None) => {
                 prop_assert_eq!(faults(r), before, "waiting for bytes changed the fault");
                 prop_assert_eq!(r.pending(), delivered - *taken);
@@ -287,6 +316,7 @@ fn drain(
         prop_assert!(*next < expected.len(), "a frame nobody sent: {:?}", got);
         let want = &expected[*next];
         prop_assert_eq!(&got, &want.0, "frame {}", *next);
+        prop_assert_eq!(float_bits(&got), float_bits(&want.0), "frame {}", *next);
         prop_assert_eq!(faults(r), want.1, "fault after frame {}", *next);
         if !consumed(want) {
             // The stream is stuck on this frame, as it must be.
@@ -299,8 +329,8 @@ fn drain(
     }
 }
 
-/// Deliver `stream` both ways and hold each against `expected`.
-fn check_both_paths(
+/// Deliver `stream` every way and hold each against `expected`.
+fn check_every_path(
     frames: &[Vec<u8>],
     expected: &[Outcome],
     seed: u64,
@@ -310,16 +340,24 @@ fn check_both_paths(
     let whole = expected.iter().take_while(|o| consumed(o)).count();
     let mut cuts = StdRng::seed_from_u64(seed);
 
-    // Through `feed`, cut at arbitrary byte boundaries.
-    let mut r = FrameReader::new();
-    let (mut next, mut taken, mut delivered) = (0, 0, 0);
-    while delivered < stream.len() {
-        let n = cuts.gen_range(1..=(stream.len() - delivered).min(3000));
-        r.feed(&stream[delivered..delivered + n]);
-        delivered += n;
-        drain(&mut r, frames, expected, &mut next, delivered, &mut taken)?;
+    // Through `feed`, cut at arbitrary byte boundaries, parsed by each
+    // call.
+    for (path, parse) in [
+        ("feed", FrameReader::next_frame as Parse),
+        ("next_lent", lend),
+    ] {
+        let mut r = FrameReader::new();
+        let (mut next, mut taken, mut delivered) = (0, 0, 0);
+        while delivered < stream.len() {
+            let n = cuts.gen_range(1..=(stream.len() - delivered).min(3000));
+            r.feed(&stream[delivered..delivered + n]);
+            delivered += n;
+            drain(
+                &mut r, parse, frames, expected, &mut next, delivered, &mut taken,
+            )?;
+        }
+        prop_assert_eq!(next, whole, "{}: frames left undecoded", path);
     }
-    prop_assert_eq!(next, whole, "feed: frames left undecoded");
 
     // Read in place from a source that returns arbitrary short reads,
     // under arbitrary limits.
@@ -337,7 +375,15 @@ fn check_both_paths(
             break;
         }
         delivered += n;
-        drain(&mut r, frames, expected, &mut next, delivered, &mut taken)?;
+        drain(
+            &mut r,
+            FrameReader::next_frame,
+            frames,
+            expected,
+            &mut next,
+            delivered,
+            &mut taken,
+        )?;
     }
     prop_assert_eq!(delivered, stream.len(), "read_from: bytes lost");
     prop_assert_eq!(next, whole, "read_from: frames left undecoded");
@@ -412,7 +458,8 @@ proptest! {
     /// Random sequences of frames — both codecs, every kind, payload-
     /// corrupt frames in between, now and then one near `MAX_FRAME_LEN`,
     /// sometimes ending in a frame the reader must refuse — decode the
-    /// same through `feed`, through `read_from`, and one frame at a time.
+    /// same through `feed`, through `read_from`, through the lending
+    /// `next_lent`, and one frame at a time.
     #[test]
     fn reader_paths_agree_with_frame_at_a_time_decoding(
         specs in prop::collection::vec((arb_msg(), any::<bool>(), 0u8..8, any::<u16>()), 1..24),
@@ -442,7 +489,7 @@ proptest! {
             _ => {}
         }
         let expected: Vec<Outcome> = frames.iter().map(|f| alone(f)).collect();
-        check_both_paths(&frames, &expected, seed)?;
+        check_every_path(&frames, &expected, seed)?;
     }
 }
 

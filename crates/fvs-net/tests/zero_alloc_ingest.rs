@@ -1,19 +1,24 @@
 //! Counting-allocator proof of the coordinator read path's steady-state
 //! claim: after one warm-up burst, a reconnect herd's binary summaries
-//! travel socket → `Transport::fill` → `next_msg` → `ingest_swap` →
-//! `recycle` without one heap allocation. The read lands in storage the
-//! reader already owns, the summary is decoded into the vectors of the
-//! one the previous ingest displaced, and the coordinator swaps instead
-//! of dropping. Take the `recycle` call out, or let `fill` size its
-//! storage per call again, and this fails.
+//! travel socket → `Transport::fill` → `Transport::next_lent` (the reader
+//! lends its record as `Frame::Summary`) → `CoordinatorCore::ingest` →
+//! `GlobalCoordinator::ingest_swap` without one heap allocation. The
+//! read lands in storage the reader already owns, the summary is decoded
+//! into the record that holds what the previous ingest displaced, and
+//! the coordinator swaps instead of dropping. Take a summary out of the
+//! record (`Frame::into_msg`, what `next_frame` does), or let `fill`
+//! size its storage per call again, and this fails.
 //!
 //! Runs as a `harness = false` binary for the reason given in
 //! `crates/fvs-sched/tests/zero_alloc.rs`: the counters are exact only
 //! in a single-threaded process.
 
-use fvs_cluster::{GlobalCoordinator, NodeSummary};
+use fvs_cluster::NodeSummary;
 use fvs_model::{CpiModel, FreqMhz};
-use fvs_net::{encode_binary, FillStatus, Transport, WireMsg};
+use fvs_net::{
+    encode_binary, CoordinatorConfig, CoordinatorCore, FillStatus, Frame, Ingest, Transport,
+    WireMsg, CODEC_ALL, SCHEMA_VERSION,
+};
 use fvs_sched::FvsstAlgorithm;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write;
@@ -51,6 +56,7 @@ static ALLOC: CountingAllocator = CountingAllocator;
 
 const CONNS: usize = 8;
 const FRAMES_PER_BURST: usize = 64;
+const PROCS: usize = 4;
 
 /// The `frame`th summary of a burst from `node`; the power tells them
 /// apart, so the end state shows the last one won.
@@ -58,7 +64,7 @@ fn summary(node: usize, frame: usize) -> NodeSummary {
     NodeSummary {
         node,
         sent_at_s: 1.0,
-        models: (0..4)
+        models: (0..PROCS)
             .map(|p| (p != 3).then(|| CpiModel::from_components(1.0 + p as f64, 1.0e-9)))
             .collect(),
         idle: vec![false, false, false, true],
@@ -67,13 +73,14 @@ fn summary(node: usize, frame: usize) -> NodeSummary {
     }
 }
 
-/// Write every connection's burst, then read, parse, ingest and recycle
-/// until all of it is in the coordinator. Returns the summaries accepted.
+/// Write every connection's burst, then read, parse and ingest until
+/// all of it is in the coordinator, as the coordinator's event loop
+/// does. Returns the summaries accepted.
 fn burst(
     clients: &mut [TcpStream],
     servers: &mut [(TcpStream, Transport)],
     bursts: &[Vec<u8>],
-    coordinator: &mut GlobalCoordinator,
+    core: &mut CoordinatorCore,
 ) -> usize {
     for (client, bytes) in clients.iter_mut().zip(bursts) {
         client.write_all(bytes).expect("loopback takes a burst");
@@ -82,19 +89,19 @@ fn burst(
     let (mut seen, mut accepted) = (0, 0);
     while seen < CONNS * FRAMES_PER_BURST {
         assert!(Instant::now() < deadline, "burst stalled at {seen} frames");
-        for (socket, transport) in servers.iter_mut() {
+        for (conn, (socket, transport)) in servers.iter_mut().enumerate() {
             match transport.fill(socket, 0.0).expect("loopback read") {
                 FillStatus::Progress => {}
                 FillStatus::Idle => continue,
                 FillStatus::Eof => panic!("nobody closed this connection"),
             }
-            while let Some(msg) = transport.next_msg().expect("clean frames") {
-                let WireMsg::Summary(mut s) = msg else {
+            let from = core.peer_of(conn as u64);
+            while let Some(frame) = transport.next_lent().expect("clean frames") {
+                let Frame::Summary(s) = frame else {
                     panic!("only summaries were sent");
                 };
                 seen += 1;
-                accepted += usize::from(coordinator.ingest_swap(&mut s));
-                transport.recycle(s);
+                accepted += usize::from(core.ingest(from, s, 1.0) == Ingest::Accepted);
             }
         }
     }
@@ -119,27 +126,35 @@ fn main() {
                 .collect()
         })
         .collect();
-    let mut coordinator = GlobalCoordinator::new(FvsstAlgorithm::p630(), CONNS);
+    let config = CoordinatorConfig::default_lan();
+    let mut core = CoordinatorCore::new(CONNS, FvsstAlgorithm::p630(), &config, None);
+    for node in 0..CONNS {
+        let (_, verdict) = core.hello(node as u64, node, PROCS, SCHEMA_VERSION, 0, CODEC_ALL, 0.0);
+        assert_eq!(verdict, Ok(()));
+    }
 
     // Warm-up: the read storage grows to what a burst needs, every node
-    // gets its first summary stored and every reader a spare to decode
-    // into. (Twice, in case the first one's bytes trickled in and no
+    // gets its first summary stored and every reader's record vectors
+    // to decode into. (Twice, in case the first one's bytes trickled in and no
     // read found the storage full.)
     for _ in 0..2 {
-        let warm = burst(&mut clients, &mut servers, &bursts, &mut coordinator);
+        let warm = burst(&mut clients, &mut servers, &bursts, &mut core);
         assert_eq!(warm, CONNS * FRAMES_PER_BURST);
     }
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     let mut accepted = 0;
     for _ in 0..3 {
-        accepted += burst(&mut clients, &mut servers, &bursts, &mut coordinator);
+        accepted += burst(&mut clients, &mut servers, &bursts, &mut core);
     }
     let allocated = ALLOCATIONS.load(Ordering::SeqCst) - before;
 
     assert_eq!(accepted, 3 * CONNS * FRAMES_PER_BURST);
     for node in 0..CONNS {
-        let held = coordinator.latest_summary(node).expect("node reported");
+        let held = core
+            .coordinator()
+            .latest_summary(node)
+            .expect("node reported");
         assert_eq!(held, &summary(node, FRAMES_PER_BURST - 1));
     }
     assert_eq!(
