@@ -18,16 +18,21 @@
 //! - [`Oracle`] — fvsst's pass structure fed with ground-truth models
 //!   instead of counter estimates: the upper bound that isolates
 //!   prediction error from algorithmic behaviour.
+//! - [`RoundRobinDemotion`] and [`ContinuousIdeal`] — fvsst with its
+//!   pass-2 order or its pass-1 rule swapped for the alternative the
+//!   ablation experiment weighs it against.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod ablation;
 pub mod no_dvfs;
 pub mod oracle;
 pub mod powerdown;
 pub mod uniform;
 pub mod utilization;
 
+pub use ablation::{ContinuousIdeal, RoundRobinDemotion};
 pub use no_dvfs::NoDvfs;
 pub use oracle::Oracle;
 pub use powerdown::NodePowerDown;

@@ -34,7 +34,8 @@ impl Oracle {
         }
     }
 
-    /// The paper-default oracle (ε = 5 %, P630, every 10 ticks).
+    /// The paper-default oracle ([`FvsstAlgorithm::p630`]: ε = 4.8 %,
+    /// P630; every 10 ticks).
     pub fn p630() -> Self {
         Self::new(FvsstAlgorithm::p630(), 10)
     }
@@ -52,8 +53,10 @@ impl Policy for Oracle {
             .map(|b| (b - ctx.budget_w).abs() > 1e-9)
             .unwrap_or(false);
         self.last_budget = Some(ctx.budget_w);
-        // Bootstrap on the first tick (mirrors FvsstScheduler), then on
-        // the timer or a budget change.
+        // A round on the first tick, on every tick whose count is a
+        // multiple of the period (ticks 1, 10, 20, … where the daemon
+        // rounds at 1, 11, 21, …), and on a budget change, which does not
+        // restart that count.
         if self.ticks > 1 && !budget_changed && !self.ticks.is_multiple_of(self.period_ticks) {
             return false;
         }

@@ -9,19 +9,21 @@
 //! 4. **Actuator** (section 6): true DVFS vs fetch throttling under both
 //!    power-accounting assumptions.
 //! 5. **Demotion order** (Figure 3 step 2): least-predicted-loss vs
-//!    round-robin.
+//!    round-robin ([`RoundRobinDemotion`]).
 //! 6. **ε sweep**: power/performance trade-off of the loss tolerance.
 //! 7. **T/t ratio** (section 5): scheduling period vs responsiveness and
 //!    overhead.
-//! 8. **Discrete vs continuous `f_ideal`** (section 5 extension).
+//! 8. **Discrete vs continuous `f_ideal`** (section 5 extension,
+//!    [`ContinuousIdeal`]).
 
 use crate::render::TableBuilder;
 use crate::runs::RunSettings;
-use fvs_baselines::{NoDvfs, NodePowerDown, Oracle, UniformScaling, UtilizationDriven};
-use fvs_power::{BudgetEvent, BudgetSchedule, SupplyBank};
-use fvs_sched::{
-    DemotionOrder, Policy, RunReport, ScheduledSimulation, SchedulerConfig, SchedulingMode,
+use fvs_baselines::{
+    ContinuousIdeal, NoDvfs, NodePowerDown, Oracle, RoundRobinDemotion, UniformScaling,
+    UtilizationDriven,
 };
+use fvs_power::{BudgetEvent, BudgetSchedule, SupplyBank};
+use fvs_sched::{Policy, RunReport, ScheduledSimulation, SchedulerConfig};
 use fvs_sim::{Machine, MachineBuilder, ThrottlePowerModel};
 use fvs_workloads::WorkloadSpec;
 use serde::{Deserialize, Serialize};
@@ -279,24 +281,33 @@ fn run_actuators(settings: &RunSettings, dur: f64) -> Vec<(String, f64, f64)> {
         .collect()
 }
 
+/// fvsst under `config`, and `comparator` built from it, on the diverse
+/// machine: each one's report.
+fn against<P: Policy>(
+    settings: &RunSettings,
+    dur: f64,
+    config: SchedulerConfig,
+    comparator: impl FnOnce(usize, &SchedulerConfig) -> P,
+) -> [RunReport; 2] {
+    let machine = diverse_machine(settings);
+    let policy = comparator(machine.num_cores(), &config);
+    let (budget, t_s) = (config.budget.clone(), config.t_s);
+    let mut other = ScheduledSimulation::with_policy(machine, policy, budget, t_s).without_trace();
+    let mut fvsst = ScheduledSimulation::new(diverse_machine(settings), config).without_trace();
+    [fvsst.run_for(dur), other.run_for(dur)]
+}
+
+fn throughput(report: &RunReport) -> f64 {
+    report.body_instructions.iter().sum()
+}
+
 fn run_demotion(settings: &RunSettings, dur: f64) -> Vec<(String, f64)> {
-    [
-        ("least-loss", DemotionOrder::LeastPredictedLoss),
-        ("round-robin", DemotionOrder::RoundRobin),
-    ]
-    .iter()
-    .map(|(name, order)| {
-        let machine = diverse_machine(settings);
-        let mut config = SchedulerConfig::p630().with_budget(BudgetSchedule::constant(250.0));
-        config.algorithm.demotion_order = *order;
-        let mut sim = ScheduledSimulation::new(machine, config).without_trace();
-        let report = sim.run_for(dur);
-        (
-            name.to_string(),
-            report.body_instructions.iter().sum::<f64>(),
-        )
-    })
-    .collect()
+    let config = SchedulerConfig::p630().with_budget(BudgetSchedule::constant(250.0));
+    let reports = against(settings, dur, config, RoundRobinDemotion::new);
+    let names = ["least-loss", "round-robin"];
+    (names.iter().zip(&reports))
+        .map(|(name, r)| (name.to_string(), throughput(r)))
+        .collect()
 }
 
 fn run_epsilon(settings: &RunSettings, dur: f64) -> Vec<(f64, f64, f64)> {
@@ -338,25 +349,12 @@ fn run_period(settings: &RunSettings, dur: f64) -> Vec<(u32, u64, u64, f64, f64)
 }
 
 fn run_modes(settings: &RunSettings, dur: f64) -> Vec<(String, f64, f64)> {
-    [
-        ("discrete-epsilon", SchedulingMode::DiscreteEpsilon),
-        ("continuous-ideal", SchedulingMode::ContinuousIdeal),
-    ]
-    .iter()
-    .map(|(name, mode)| {
-        let machine = diverse_machine(settings);
-        let config = SchedulerConfig::p630()
-            .with_mode(*mode)
-            .with_budget(BudgetSchedule::constant(f64::INFINITY));
-        let mut sim = ScheduledSimulation::new(machine, config).without_trace();
-        let report = sim.run_for(dur);
-        (
-            name.to_string(),
-            report.avg_power_w,
-            report.body_instructions.iter().sum::<f64>(),
-        )
-    })
-    .collect()
+    let config = SchedulerConfig::p630().with_budget(BudgetSchedule::constant(f64::INFINITY));
+    let reports = against(settings, dur, config, ContinuousIdeal::new);
+    let names = ["discrete-epsilon", "continuous-ideal"];
+    (names.iter().zip(&reports))
+        .map(|(name, r)| (name.to_string(), r.avg_power_w, throughput(r)))
+        .collect()
 }
 
 fn run_feedback(settings: &RunSettings, dur: f64) -> Vec<(String, f64, f64)> {

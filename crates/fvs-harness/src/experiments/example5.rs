@@ -15,7 +15,7 @@
 use crate::render::TableBuilder;
 use fvs_model::{CpiModel, FreqMhz};
 use fvs_power::{FreqPowerTable, VoltageTable};
-use fvs_sched::{DemotionOrder, FvsstAlgorithm, ProcInput, ScheduleDecision, SchedulingMode};
+use fvs_sched::{FvsstAlgorithm, ProcInput, ScheduleDecision};
 use serde::{Deserialize, Serialize};
 
 /// Result of the worked example.
@@ -48,9 +48,7 @@ pub fn run() -> Example5Result {
         power_table: table,
         voltage_table: VoltageTable::p630(),
         epsilon: 0.05,
-        mode: SchedulingMode::DiscreteEpsilon,
         idle_detection: true,
-        demotion_order: DemotionOrder::LeastPredictedLoss,
     };
     let budget_w = 294.0;
     let proc = |beta: f64| ProcInput {

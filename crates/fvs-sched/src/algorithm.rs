@@ -11,8 +11,7 @@
 //!   Pass 2 keeps the running total power updated by per-step deltas from
 //!   a per-index power table and, only when the desired power exceeds the
 //!   budget, draws each victim from a [`DemotionQueue`]: candidates
-//!   bucketed by a monotone function of their next-step predicted loss
-//!   (or, for the round-robin ablation, of the steps already taken),
+//!   bucketed by a monotone function of their next-step predicted loss,
 //!   each bucket sorted only when the cursor reaches it; `O(n + d)` plus
 //!   the in-bucket sorts for `d` demotions, against the naive `O(d·n)`.
 //! - [`FvsstAlgorithm::schedule_reference`] — the naive loop, kept as the
@@ -32,23 +31,15 @@
 //! [`FvsstAlgorithm::schedule`] and
 //! [`FvsstAlgorithm::schedule_with_scratch`] are the same path over a
 //! cache that forgets before every round ([`ScheduleScratch`]).
+//!
+//! Pass 1 has one rule and pass 2 one order, the paper's. The ablation
+//! comparators (round-robin demotion, the continuous `f_ideal` of §5)
+//! are policies of their own in `fvs-baselines`, over pass 1's output.
 
-use fvs_model::{ideal_frequency, perf_loss_from, CpiModel, FreqMhz, FrequencySet, PerfLossTable};
+use fvs_model::{perf_loss_from, CpiModel, FreqMhz, FrequencySet, PerfLossTable};
 use fvs_power::{FreqPowerTable, PowerVoltageIndex, VoltageTable};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-
-/// How pass 1 picks the per-processor candidate frequency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SchedulingMode {
-    /// Scan the discrete frequency set and take the lowest setting with
-    /// predicted loss `< ε` (the paper's primary mechanism).
-    DiscreteEpsilon,
-    /// Compute the continuous `f_ideal` closed form and snap it up to the
-    /// next available setting (the section-5 extension; avoids the
-    /// per-frequency scan on platforms with many settings).
-    ContinuousIdeal,
-}
 
 /// Per-processor input to one scheduling computation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -110,19 +101,6 @@ pub struct DemotionRecord {
     pub power_delta_w: f64,
 }
 
-/// How pass 2 chooses which processor to demote next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DemotionOrder {
-    /// The paper's rule: the processor whose one-step demotion has the
-    /// smallest predicted performance cost.
-    LeastPredictedLoss,
-    /// Ablation comparator: rotate through processors regardless of
-    /// predicted cost. Pass 2 pops it from the same [`DemotionQueue`],
-    /// keyed by the steps a processor has already taken below its desired
-    /// slot (over `|F|`).
-    RoundRobin,
-}
-
 /// Sentinel index for a processor whose current frequency is not a member
 /// of the schedulable set (possible only for unmodelled, non-idle
 /// processors). Such a processor keeps its frequency: it cannot be
@@ -133,13 +111,10 @@ const OFFGRID: usize = usize::MAX;
 const NIL: u32 = u32::MAX;
 
 /// Pass 2's victim queue: the one live candidate per processor, popped
-/// in ascending `(key by f64::total_cmp, proc)` order. Under
-/// [`DemotionOrder::LeastPredictedLoss`] the key is the absolute predicted
-/// loss `proc` would have after one more step down, so the front is
-/// exactly the winner of the reference implementation's first-minimum
-/// scan; under [`DemotionOrder::RoundRobin`] it is the steps `proc` has
-/// already taken (over `|F|`), so the fronts cycle through the processors
-/// in index order, as the reference's cursor does.
+/// in ascending `(loss by f64::total_cmp, proc)` order. The loss is the
+/// absolute predicted loss `proc` would have after one more step down, so
+/// the front is exactly the winner of the reference implementation's
+/// first-minimum scan.
 ///
 /// Candidates sit in intrusive per-bucket lists (`head[bucket]` →
 /// `links[proc].1` → …), so storage is `O(n + buckets)` and never grows
@@ -155,8 +130,9 @@ const NIL: u32 = u32::MAX;
 struct DemotionQueue {
     /// First processor of each bucket's list, or [`NIL`].
     head: Vec<u32>,
-    /// Per processor: its candidate's sort key and the next processor in
-    /// the same bucket.
+    /// Per processor: its candidate's sort key (the loss, as
+    /// [`push`](Self::push) maps it) and the next processor in the same
+    /// bucket.
     links: Vec<(u64, u32)>,
     /// Buckets below `cursor` have been gathered.
     cursor: usize,
@@ -185,7 +161,7 @@ impl DemotionQueue {
     /// Insert (or replace) `proc`'s candidate.
     fn push(&mut self, proc: usize, loss: f64) {
         // `total_cmp` order as an unsigned integer: flip negative values
-        // entirely, set the sign bit of the others.
+        // entirely, set the sign bit of the others. `pop` undoes it.
         let bits = loss.to_bits();
         let key = if bits >> 63 == 1 {
             !bits
@@ -215,8 +191,10 @@ impl DemotionQueue {
         self.side[at] = entry;
     }
 
-    /// Remove and return the processor with the smallest `(loss, proc)`.
-    fn pop(&mut self) -> Option<usize> {
+    /// Remove and return the processor with the smallest `(loss, proc)`,
+    /// and its loss: [`push`](Self::push)'s key mapped back, every bit of
+    /// it (a NaN's sign and payload included).
+    fn pop(&mut self) -> Option<(usize, f64)> {
         if self.run.is_empty() && self.side.is_empty() {
             while *self.head.get(self.cursor)? == NIL {
                 self.cursor += 1;
@@ -234,15 +212,17 @@ impl DemotionQueue {
             (Some(r), Some(s)) => r < s,
             (r, _) => r.is_some(),
         };
-        if from_run {
-            self.run.pop().map(|(_, proc)| proc as usize)
+        let (key, proc) = if from_run {
+            self.run.pop()?
         } else {
-            Some(self.pop_side())
-        }
+            self.pop_side()
+        };
+        let bits = if key >> 63 == 1 { key ^ 1 << 63 } else { !key };
+        Some((proc as usize, f64::from_bits(bits)))
     }
 
-    fn pop_side(&mut self) -> usize {
-        let (_, proc) = self.side.swap_remove(0);
+    fn pop_side(&mut self) -> (u64, u32) {
+        let front = self.side.swap_remove(0);
         let (mut at, len) = (0, self.side.len());
         loop {
             let mut child = 2 * at + 1;
@@ -250,7 +230,7 @@ impl DemotionQueue {
                 child += 1;
             }
             if child >= len || self.side[at] <= self.side[child] {
-                return proc as usize;
+                return front;
             }
             self.side.swap(at, child);
             at = child;
@@ -460,9 +440,8 @@ pub struct CacheStats {
 /// is `n × |F|`. The steady state allocates nothing.
 ///
 /// The cache watches its inputs: a different processor count, a mutated
-/// algorithm configuration (frequency set, tables, ε, mode, idle
-/// detection, demotion order), or [`ScheduleCache::invalidate`] flush it
-/// wholesale.
+/// algorithm configuration (frequency set, tables, ε, idle detection),
+/// or [`ScheduleCache::invalidate`] flush it wholesale.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleCache {
     tolerance: ModelTolerance,
@@ -485,9 +464,6 @@ pub struct ScheduleCache {
     row: Vec<f64>,
     /// The slots pass 2 left: the current decision in index space.
     work_idx: Vec<usize>,
-    /// Pass 2's carried loss of each queued candidate: what its
-    /// processor would lose one step below its `work_idx` slot.
-    next_loss: Vec<f64>,
     queue: DemotionQueue,
     decision: ScheduleDecision,
     demotion_log: Vec<DemotionRecord>,
@@ -666,20 +642,15 @@ pub struct FvsstAlgorithm {
     pub voltage_table: VoltageTable,
     /// Tolerated predicted performance loss `ε`.
     pub epsilon: f64,
-    /// Pass-1 mode.
-    pub mode: SchedulingMode,
     /// When enabled, idle processors are pinned to `f_min` (the paper's
     /// idle-detection signal). When disabled, the hot-idle loop is fed to
     /// the predictor like any workload — the pathology of section 5.
     pub idle_detection: bool,
-    /// Pass-2 demotion order (ablation; the paper uses least predicted
-    /// loss).
-    pub demotion_order: DemotionOrder,
 }
 
 impl FvsstAlgorithm {
     /// The paper's configuration on the P630 platform: Table 1
-    /// frequencies and powers, discrete mode, idle detection on.
+    /// frequencies and powers, idle detection on.
     ///
     /// ε is 4.8 %, deliberately just *below* the 5 % performance step a
     /// CPU-bound workload takes from 1000→950 MHz. The paper notes ε
@@ -697,9 +668,7 @@ impl FvsstAlgorithm {
             power_table,
             voltage_table: VoltageTable::p630(),
             epsilon: 0.048,
-            mode: SchedulingMode::DiscreteEpsilon,
             idle_detection: true,
-            demotion_order: DemotionOrder::LeastPredictedLoss,
         }
     }
 
@@ -727,24 +696,14 @@ impl FvsstAlgorithm {
         if input.idle && self.idle_detection {
             return (0, set.min());
         }
-        if let Some(model) = &input.model {
-            match self.mode {
-                SchedulingMode::DiscreteEpsilon => {
-                    // Lowest setting with loss < ε; loss is monotone
-                    // non-increasing in frequency, so the first
-                    // admissible ascending entry is the answer. Falls
-                    // back to f_max (loss 0 by construction).
-                    let k = losses()
-                        .position(|loss| loss < self.epsilon)
-                        .unwrap_or(set.len() - 1);
-                    (k, set.at(k))
-                }
-                SchedulingMode::ContinuousIdeal => {
-                    let f = set.snap_up(ideal_frequency(model, set.max(), self.epsilon));
-                    let k = set.index_of(f).expect("snap_up returns a set member");
-                    (k, f)
-                }
-            }
+        if input.model.is_some() {
+            // Lowest setting with loss < ε; loss is monotone non-increasing
+            // in frequency, so the first admissible ascending entry is the
+            // answer. Falls back to f_max (loss 0 by construction).
+            let k = losses()
+                .position(|loss| loss < self.epsilon)
+                .unwrap_or(set.len() - 1);
+            (k, set.at(k))
         } else {
             match set.index_of(input.current) {
                 Some(k) => (k, input.current),
@@ -855,8 +814,6 @@ impl FvsstAlgorithm {
             cache.decision.desired.resize(n, FreqMhz(0));
             cache.step_loss.resize(n, 0.0);
             cache.desired_loss.resize(n, 0.0);
-            // Sized here: a loose round leaves a binding one nothing to allocate.
-            cache.next_loss.resize(n, 0.0);
             cache.valid = false;
         } else if !cache.valid {
             for k in &mut cache.keys {
@@ -916,8 +873,6 @@ impl FvsstAlgorithm {
             &cache.models,
             &cache.perf_max,
             &cache.step_loss,
-            &mut cache.next_loss,
-            &cache.desired_idx,
             &mut cache.work_idx,
             &mut cache.queue,
             &mut cache.demotion_log,
@@ -941,15 +896,14 @@ impl FvsstAlgorithm {
     }
 
     /// Pass 2: demote until under budget, one step at a time, each victim
-    /// popped from the [`DemotionQueue`]. `idx` starts as a copy of
-    /// `desired` and is mutated in place; the running power total is
-    /// updated by per-step deltas. Both [`DemotionOrder`]s run this one
-    /// loop and differ only in the key a candidate is queued under. A
-    /// candidate's loss rides in `next_loss` (from `step_loss` at the
-    /// fill): a step logs it and evaluates the one loss below.
-    /// Every step taken is appended to `log` (cleared first; capacity is
-    /// reserved for the worst case so steady-state calls never grow it).
-    /// Returns `(demotions, feasible)`.
+    /// popped from the [`DemotionQueue`] with the loss it was queued under
+    /// (from `step_loss` at the fill). `idx` starts as a copy of the
+    /// desired slots and is mutated in place; the running power total is
+    /// updated by per-step deltas. A step logs the popped loss and queues
+    /// the processor under the one loss below. Every step taken is
+    /// appended to `log` (cleared first; capacity is reserved for the
+    /// worst case so steady-state calls never grow it). Returns
+    /// `(demotions, feasible)`.
     ///
     /// Out of line, like [`finish_pass`](Self::finish_pass): folded into
     /// their one caller they slow its pass-1 and full-hit loops (the repo
@@ -962,8 +916,6 @@ impl FvsstAlgorithm {
         models: &[Option<CpiModel>],
         perf_max: &[f64],
         step_loss: &[f64],
-        next_loss: &mut [f64],
-        desired: &[usize],
         idx: &mut [usize],
         queue: &mut DemotionQueue,
         log: &mut Vec<DemotionRecord>,
@@ -972,7 +924,6 @@ impl FvsstAlgorithm {
     ) -> (usize, bool) {
         let n = procs.len();
         let set = &self.freq_set;
-        let w = set.len();
         log.clear();
         // Worst case: every processor walks from f_max to f_min.
         log.reserve(n * set.len().saturating_sub(1));
@@ -982,25 +933,19 @@ impl FvsstAlgorithm {
         }
         let mut demotions = 0usize;
         let mut feasible = true;
-        // Round-robin keys a candidate by the steps it has taken below its
-        // desired slot, over |F| so that each level has buckets of its own:
-        // popped in `(steps, proc)` order, victims cycle through the
-        // demotable processors in index order, as the reference's cursor does.
-        let rotate = self.demotion_order == DemotionOrder::RoundRobin;
         // Sized on every round (a loose warm-up must leave a binding round
         // allocation-free), filled only to pop.
         queue.reset(n);
         if power > budget_w {
             for (i, (&k, &loss)) in idx.iter().zip(step_loss).enumerate() {
                 if k != OFFGRID && k > 0 {
-                    next_loss[i] = loss;
-                    queue.push(i, if rotate { 0.0 } else { loss });
+                    queue.push(i, loss);
                 }
             }
         }
         // An empty machine draws nothing: feasible under any budget.
         while n > 0 && power > budget_w {
-            let Some(i) = queue.pop() else {
+            let Some((i, loss)) = queue.pop() else {
                 // Everything at f_min and still over budget.
                 feasible = false;
                 break;
@@ -1014,18 +959,11 @@ impl FvsstAlgorithm {
                 proc: i,
                 from: set.at(k),
                 to: set.at(k - 1),
-                predicted_loss: next_loss[i],
+                predicted_loss: loss,
                 power_delta_w: delta,
             });
             if k - 1 > 0 {
-                let loss = loss_at(&models[i], perf_max[i], set.at(k - 2));
-                next_loss[i] = loss;
-                let key = if rotate {
-                    (desired[i] - (k - 1)) as f64 / w as f64
-                } else {
-                    loss
-                };
-                queue.push(i, key);
+                queue.push(i, loss_at(&models[i], perf_max[i], set.at(k - 2)));
             }
         }
         (demotions, feasible)
@@ -1084,12 +1022,11 @@ impl FvsstAlgorithm {
     }
 
     /// The naive `O(d·n)` implementation: a full linear scan over all
-    /// processors for every single demotion step (and, for
-    /// [`DemotionOrder::RoundRobin`], a rotating cursor). Kept as the
-    /// executable specification of pass 2 — the differential property
-    /// tests assert the queue-based [`schedule`](FvsstAlgorithm::schedule)
-    /// produces bit-identical decisions under both orders, and the
-    /// benchmarks use it as the baseline.
+    /// processors for every single demotion step. Kept as the executable
+    /// specification of pass 2 — the differential property tests assert
+    /// the queue-based [`schedule`](FvsstAlgorithm::schedule) produces
+    /// bit-identical decisions, and the repo benchmark uses it as the
+    /// baseline.
     pub fn schedule_reference(&self, procs: &[ProcInput], budget_w: f64) -> ScheduleDecision {
         let n = procs.len();
         let set = &self.freq_set;
@@ -1118,50 +1055,27 @@ impl FvsstAlgorithm {
         }
         let mut demotions = 0usize;
         let mut feasible = true;
-        let mut rr_cursor = 0usize;
         while n > 0 && power > budget_w {
-            let victim = match self.demotion_order {
-                DemotionOrder::LeastPredictedLoss => {
-                    // Figure 3 step 2: "select n, p with smallest
-                    // PerfLoss(f_max, f_less)" — the *absolute* predicted
-                    // loss the processor would have after one step down.
-                    // (Not the incremental cost: the absolute key is what
-                    // makes the paper's section-5 example demote the
-                    // CPU-bound processor from 1.0 to 0.9 GHz last.) A
-                    // processor without a model is free to demote; the
-                    // queue evaluates the same key from the same model.
-                    let mut best: Option<(usize, f64)> = None;
-                    for i in 0..n {
-                        if idx[i] == OFFGRID || idx[i] == 0 {
-                            continue;
-                        }
-                        let loss = tables[i]
-                            .as_ref()
-                            .map_or(0.0, |t| t.entries[idx[i] - 1].loss_vs_ref);
-                        let better = match best {
-                            None => true,
-                            Some((_, bl)) => loss.total_cmp(&bl) == Ordering::Less,
-                        };
-                        if better {
-                            best = Some((i, loss));
-                        }
-                    }
-                    best.map(|(i, _)| i)
+            // Figure 3 step 2: "select n, p with smallest PerfLoss(f_max,
+            // f_less)" — the *absolute* predicted loss the processor would
+            // have after one step down. (Not the incremental cost: the
+            // absolute key is what makes the paper's section-5 example
+            // demote the CPU-bound processor from 1.0 to 0.9 GHz last.) A
+            // processor without a model is free to demote; the queue
+            // evaluates the same key from the same model.
+            let mut victim: Option<(usize, f64)> = None;
+            for i in 0..n {
+                if idx[i] == OFFGRID || idx[i] == 0 {
+                    continue;
                 }
-                DemotionOrder::RoundRobin => {
-                    let mut found = None;
-                    for step in 0..n {
-                        let i = (rr_cursor + step) % n;
-                        if idx[i] != OFFGRID && idx[i] > 0 {
-                            rr_cursor = (i + 1) % n;
-                            found = Some(i);
-                            break;
-                        }
-                    }
-                    found
+                let loss = tables[i]
+                    .as_ref()
+                    .map_or(0.0, |t| t.entries[idx[i] - 1].loss_vs_ref);
+                if victim.is_none_or(|(_, best)| loss.total_cmp(&best) == Ordering::Less) {
+                    victim = Some((i, loss));
                 }
-            };
-            let Some(i) = victim else {
+            }
+            let Some((i, _)) = victim else {
                 feasible = false;
                 break;
             };
@@ -1404,17 +1318,12 @@ mod tests {
     #[test]
     fn empty_proc_list_is_feasible() {
         let alg = FvsstAlgorithm::p630();
-        for order in [DemotionOrder::LeastPredictedLoss, DemotionOrder::RoundRobin] {
-            let mut a = alg.clone();
-            a.demotion_order = order;
-            let d = a.schedule(&[], 50.0);
-            assert!(d.feasible, "an empty system meets any budget");
-            assert!(d.freqs.is_empty());
-            assert_eq!(d.predicted_power_w, 0.0);
-            assert_eq!(d.demotions, 0);
-            let r = a.schedule_reference(&[], 50.0);
-            assert_eq!(d, r);
-        }
+        let d = alg.schedule(&[], 50.0);
+        assert!(d.feasible, "an empty system meets any budget");
+        assert!(d.freqs.is_empty());
+        assert_eq!(d.predicted_power_w, 0.0);
+        assert_eq!(d.demotions, 0);
+        assert_eq!(d, alg.schedule_reference(&[], 50.0));
     }
 
     #[test]
@@ -1531,41 +1440,6 @@ mod tests {
     }
 
     #[test]
-    fn continuous_mode_matches_discrete_within_one_step() {
-        let disc = FvsstAlgorithm::p630();
-        let mut cont = FvsstAlgorithm::p630();
-        cont.mode = SchedulingMode::ContinuousIdeal;
-        for c in [0.0, 20.0, 40.0, 60.0, 80.0, 100.0] {
-            let dd = disc.schedule(&[busy(c)], f64::INFINITY);
-            let dc = cont.schedule(&[busy(c)], f64::INFINITY);
-            let diff = (dd.freqs[0].0 as i64 - dc.freqs[0].0 as i64).abs();
-            assert!(
-                diff <= 50,
-                "intensity {c}: discrete {} vs continuous {}",
-                dd.freqs[0],
-                dc.freqs[0]
-            );
-        }
-    }
-
-    #[test]
-    fn round_robin_demotion_meets_budget_but_costs_more() {
-        let mut rr = FvsstAlgorithm::p630();
-        rr.demotion_order = DemotionOrder::RoundRobin;
-        let ll = FvsstAlgorithm::p630();
-        let procs = vec![busy(100.0), busy(10.0), busy(10.0), busy(10.0)];
-        let budget = 250.0;
-        let d_rr = rr.schedule(&procs, budget);
-        let d_ll = ll.schedule(&procs, budget);
-        assert!(d_rr.predicted_power_w <= budget);
-        assert!(d_ll.predicted_power_w <= budget);
-        // Least-loss protects the CPU-bound processor at least as well.
-        assert!(d_ll.freqs[0] >= d_rr.freqs[0]);
-        let loss = |d: &ScheduleDecision| d.predicted_loss.iter().sum::<f64>();
-        assert!(loss(&d_ll) <= loss(&d_rr) + 1e-12);
-    }
-
-    #[test]
     fn epsilon_widening_admits_lower_frequencies() {
         let mut alg = FvsstAlgorithm::p630();
         let tight = alg.schedule(&[busy(40.0)], f64::INFINITY).freqs[0];
@@ -1590,9 +1464,7 @@ mod tests {
             power_table: table,
             voltage_table: VoltageTable::p630(),
             epsilon: 0.05,
-            mode: SchedulingMode::DiscreteEpsilon,
             idle_detection: true,
-            demotion_order: DemotionOrder::LeastPredictedLoss,
         };
         // Craft models whose ε-frequencies are exactly the example's.
         // desired = lowest f with loss < 5%; use β from the saturation

@@ -15,9 +15,9 @@
 //!
 //! The crate is layered exactly like the paper's prototype:
 //!
-//! - [`algorithm`] — the pure two-pass algorithm of Figure 3 (plus the
-//!   continuous `f_ideal` variant of section 5), independent of any
-//!   simulator: feed it models, get a [`algorithm::ScheduleDecision`].
+//! - [`algorithm`] — the pure two-pass algorithm of Figure 3,
+//!   independent of any simulator: feed it models, get a
+//!   [`algorithm::ScheduleDecision`].
 //! - [`predictor`] — per-core counter windows, model estimation, and the
 //!   prediction-error tracking behind Table 2.
 //! - [`policy`] — the [`policy::Policy`] trait every power-management
@@ -45,8 +45,8 @@ pub mod scheduler;
 pub mod sim_loop;
 
 pub use algorithm::{
-    CacheStats, DemotionOrder, DemotionRecord, FvsstAlgorithm, ModelTolerance, ProcInput,
-    ScheduleCache, ScheduleDecision, ScheduleScratch, SchedulingMode,
+    CacheStats, DemotionRecord, FvsstAlgorithm, ModelTolerance, ProcInput, ScheduleCache,
+    ScheduleDecision, ScheduleScratch,
 };
 pub use feedback::{FeedbackConfig, FeedbackGuard};
 pub use policy::{Decision, OverheadModel, PlatformView, Policy, TickContext};

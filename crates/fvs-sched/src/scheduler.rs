@@ -3,7 +3,6 @@
 
 use crate::algorithm::{
     CacheStats, FvsstAlgorithm, ModelTolerance, ProcInput, ScheduleCache, ScheduleDecision,
-    SchedulingMode,
 };
 use crate::policy::{Decision, OverheadModel, Policy, TickContext};
 use crate::predictor::{ErrorStats, PredictionTracker, Predictor};
@@ -27,7 +26,8 @@ const IDLE_EDGE_MIN_SPACING: u32 = 2;
 /// that is NaN or negative (`+∞`, no deadline, is legal).
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
-    /// The scheduling algorithm (frequency set, tables, ε, mode).
+    /// The scheduling algorithm (frequency set, tables, ε, idle
+    /// detection).
     pub algorithm: FvsstAlgorithm,
     /// Dispatch period `t` in seconds (counter sampling interval). The
     /// paper uses 10 ms — the Linux scheduler makes shorter intervals
@@ -117,12 +117,6 @@ impl SchedulerConfig {
     /// Set the budget schedule.
     pub fn with_budget(mut self, budget: BudgetSchedule) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Switch pass-1 mode.
-    pub fn with_mode(mut self, mode: SchedulingMode) -> Self {
-        self.algorithm.mode = mode;
         self
     }
 

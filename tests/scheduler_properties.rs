@@ -3,9 +3,7 @@
 
 use fvsst::model::{CpiModel, FreqMhz, PerfLossTable};
 use fvsst::power::{FreqPowerTable, VoltageTable};
-use fvsst::sched::{
-    DemotionOrder, FvsstAlgorithm, ModelTolerance, ProcInput, ScheduleCache, ScheduleScratch,
-};
+use fvsst::sched::{FvsstAlgorithm, ModelTolerance, ProcInput, ScheduleCache, ScheduleScratch};
 use proptest::prelude::*;
 
 fn arb_proc() -> impl Strategy<Value = ProcInput> {
@@ -159,17 +157,13 @@ proptest! {
     /// Differential: the heap-based incremental pass 2 produces decisions
     /// bit-identical to the naive O(d·n) reference loop — every field,
     /// across random mixes (including off-grid currents and empty
-    /// processor lists), random budgets, and both demotion orders.
+    /// processor lists) and random budgets.
     #[test]
     fn heap_pass2_matches_naive_reference(
         procs in prop::collection::vec(arb_proc_offgrid(), 0..16),
         budget in 5.0f64..2000.0,
-        round_robin in any::<bool>(),
     ) {
-        let mut alg = FvsstAlgorithm::p630();
-        if round_robin {
-            alg.demotion_order = DemotionOrder::RoundRobin;
-        }
+        let alg = FvsstAlgorithm::p630();
         let fast = alg.schedule(&procs, budget);
         let naive = alg.schedule_reference(&procs, budget);
         prop_assert_eq!(fast, naive);
@@ -194,12 +188,8 @@ proptest! {
             ),
             1..10,
         ),
-        round_robin in any::<bool>(),
     ) {
-        let mut alg = FvsstAlgorithm::p630();
-        if round_robin {
-            alg.demotion_order = DemotionOrder::RoundRobin;
-        }
+        let alg = FvsstAlgorithm::p630();
         let mut cache = ScheduleCache::new();
         let mut procs = procs;
         let mut feasible_repeats = 0u32;
@@ -329,7 +319,7 @@ proptest! {
     /// Every loss the cache hands out is `PerfLossTable`'s, bit for bit:
     /// each demotion record's `predicted_loss`, each
     /// `decision.predicted_loss` and each `for_each_demotion` rung (0
-    /// without a model), under both demotion orders, across sequences of
+    /// without a model), across sequences of
     /// drift, idle flips, lost models, off-grid currents, invalidations,
     /// resizes, ε changes and a budget sweep that includes NaN.
     #[test]
@@ -343,12 +333,8 @@ proptest! {
             ),
             1..10,
         ),
-        round_robin in any::<bool>(),
     ) {
         let mut alg = FvsstAlgorithm::p630();
-        if round_robin {
-            alg.demotion_order = DemotionOrder::RoundRobin;
-        }
         let mut cache = ScheduleCache::new();
         let mut procs = procs;
         for (kind, which, x) in moves {
@@ -404,8 +390,8 @@ proptest! {
     }
 
     /// A reused scratch gives the reference's decision, demotion log
-    /// included, for any interleaving of processor counts, budgets, ε,
-    /// demotion orders and frequency sets: what the scratch keeps from
+    /// included, for any interleaving of processor counts, budgets, ε and
+    /// frequency sets: what the scratch keeps from
     /// one round (it is a cache that forgets) never reaches the next.
     #[test]
     fn scratch_reuse_matches_one_shot(
@@ -414,19 +400,15 @@ proptest! {
                 prop::collection::vec(arb_proc_offgrid(), 0..12),
                 5.0f64..2000.0,
                 0.01f64..0.3,   // ε
-                any::<bool>(),  // round-robin demotion
                 any::<bool>(),  // the 5-setting section-5 table
             ),
             1..6,
         ),
     ) {
         let mut scratch = ScheduleScratch::new();
-        for (procs, budget, epsilon, round_robin, small_set) in &rounds {
+        for (procs, budget, epsilon, small_set) in &rounds {
             let mut alg = FvsstAlgorithm::p630();
             alg.epsilon = *epsilon;
-            if *round_robin {
-                alg.demotion_order = DemotionOrder::RoundRobin;
-            }
             if *small_set {
                 alg.power_table = FreqPowerTable::section5_example();
                 alg.freq_set = alg.power_table.frequency_set();
@@ -494,17 +476,15 @@ mod demotion_queue {
         let mut freqs = d.desired.clone();
         assert_eq!(log.len(), d.demotions);
         for step in log {
-            if alg.demotion_order == DemotionOrder::LeastPredictedLoss {
-                let (loss, victim) = (0..procs.len())
-                    .filter_map(|i| match set.index_of(freqs[i]) {
-                        Some(k) if k > 0 => Some((key(i, k), i)),
-                        _ => None,
-                    })
-                    .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-                    .expect("a step was logged, so a victim exists");
-                assert_eq!(step.proc, victim);
-                assert_eq!(step.predicted_loss.to_bits(), loss.to_bits());
-            }
+            let (loss, victim) = (0..procs.len())
+                .filter_map(|i| match set.index_of(freqs[i]) {
+                    Some(k) if k > 0 => Some((key(i, k), i)),
+                    _ => None,
+                })
+                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+                .expect("a step was logged, so a victim exists");
+            assert_eq!(step.proc, victim);
+            assert_eq!(step.predicted_loss.to_bits(), loss.to_bits());
             assert_eq!(freqs[step.proc], step.from);
             assert_eq!(set.step_down(step.from), Some(step.to));
             freqs[step.proc] = step.to;
@@ -524,16 +504,13 @@ mod demotion_queue {
         assert_log_replays(alg, procs, cache.decision(), cache.demotion_log());
     }
 
-    /// Both demotion orders, at budgets that force a few steps, about
-    /// half of them, and all of them (infeasible: every bucket empties).
+    /// At budgets that force a few steps, about half of them, and all of
+    /// them (infeasible: every bucket empties).
     fn assert_matches_reference_across_budgets(procs: &[ProcInput]) {
-        for order in [DemotionOrder::LeastPredictedLoss, DemotionOrder::RoundRobin] {
-            let mut alg = FvsstAlgorithm::p630();
-            alg.demotion_order = order;
-            let top = alg.schedule(procs, f64::INFINITY).predicted_power_w;
-            for budget_w in [top - 1.0, 0.5 * top, 0.0] {
-                assert_matches_reference(&alg, procs, budget_w);
-            }
+        let alg = FvsstAlgorithm::p630();
+        let top = alg.schedule(procs, f64::INFINITY).predicted_power_w;
+        for budget_w in [top - 1.0, 0.5 * top, 0.0] {
+            assert_matches_reference(&alg, procs, budget_w);
         }
     }
 
