@@ -2,7 +2,8 @@
 //! for the alternative the ablation experiment measures it against.
 //!
 //! Both run the daemon's rounds — pass 1 of [`FvsstAlgorithm`] on
-//! counter-fitted models — and replace what follows it:
+//! counter-fitted models, when the daemon's [`RoundClock`] says — and
+//! replace what follows it:
 //!
 //! - [`RoundRobinDemotion`] — pass 2 demotes by rotation instead of by
 //!   least predicted loss (Figure 3, step 2).
@@ -13,53 +14,40 @@ use fvs_model::{ideal_frequency, FreqMhz};
 use fvs_power::PowerVoltageIndex;
 use fvs_sched::{
     Decision, FvsstAlgorithm, ModelTolerance, OverheadModel, Policy, Predictor, ProcInput,
-    ScheduleCache, SchedulerConfig, TickContext,
+    RoundClock, ScheduleCache, SchedulerConfig, TickContext,
 };
 
-/// The daemon's round loop without its idle-edge trigger: a round on the
-/// first tick, on a budget change of more than 1e-9 W, and `n` ticks
-/// after the last round. A round refits every core and runs pass 1 under
-/// an unbounded budget, so the cache's decision holds the desired
-/// frequencies.
+/// The daemon's round loop: a round when its [`RoundClock`] says, which
+/// refits every core and runs pass 1 under an unbounded budget, so the
+/// cache's decision holds the desired frequencies.
 #[derive(Debug)]
 struct Rounds {
     algorithm: FvsstAlgorithm,
-    n: u32,
+    clock: RoundClock,
     predictor: Predictor,
     cache: ScheduleCache,
     procs: Vec<ProcInput>,
-    since_round: u32,
-    /// `None` until the first tick.
-    last_budget_w: Option<f64>,
 }
 
 impl Rounds {
     fn new(n_cores: usize, config: &SchedulerConfig) -> Self {
-        assert!(config.n >= 1, "n must be at least 1");
+        let clock = RoundClock::new(config);
         config.algorithm.assert_valid_epsilon();
         Rounds {
             algorithm: config.algorithm.clone(),
-            n: config.n,
+            clock,
             predictor: Predictor::new(n_cores, config.latencies),
             cache: ScheduleCache::with_tolerance(ModelTolerance::PHASE_DEFAULT),
             procs: Vec::with_capacity(n_cores),
-            since_round: 0,
-            last_budget_w: None,
         }
     }
 
     /// Take one tick's samples; returns whether a round ran.
     fn tick(&mut self, ctx: &TickContext<'_>) -> bool {
         self.predictor.push_all(ctx.samples, |_| {});
-        self.since_round += 1;
-        let due = match self.last_budget_w.replace(ctx.budget_w) {
-            None => true,
-            Some(b) => (b - ctx.budget_w).abs() > 1e-9 || self.since_round >= self.n,
-        };
-        if !due {
+        if self.clock.tick(ctx.budget_w, ctx.idle).round.is_none() {
             return false;
         }
-        self.since_round = 0;
         self.procs.clear();
         for i in 0..ctx.samples.len() {
             self.procs.push(ProcInput {

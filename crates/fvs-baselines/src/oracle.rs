@@ -1,6 +1,13 @@
 //! The ground-truth oracle: fvsst without prediction error.
+//!
+//! It rounds when the daemon does — it reads the daemon's
+//! [`RoundClock`], built from the same [`SchedulerConfig`] — so the gap
+//! between the two is not one of round phase.
 
-use fvs_sched::{Decision, FvsstAlgorithm, Policy, ProcInput, ScheduleCache, TickContext};
+use fvs_sched::{
+    Decision, FvsstAlgorithm, Policy, ProcInput, RoundClock, ScheduleCache, SchedulerConfig,
+    TickContext,
+};
 
 /// Runs the exact two-pass fvsst algorithm, but feeds it the *ground
 /// truth* timing model of whatever each core is executing right now
@@ -11,33 +18,27 @@ use fvs_sched::{Decision, FvsstAlgorithm, Policy, ProcInput, ScheduleCache, Tick
 #[derive(Debug)]
 pub struct Oracle {
     algorithm: FvsstAlgorithm,
-    period_ticks: u64,
-    ticks: u64,
-    last_budget: Option<f64>,
+    clock: RoundClock,
     cache: ScheduleCache,
     proc_buf: Vec<ProcInput>,
 }
 
 impl Oracle {
-    /// Oracle with the same algorithm parameters and period as a given
-    /// fvsst configuration.
-    pub fn new(algorithm: FvsstAlgorithm, period_ticks: u64) -> Self {
+    /// The oracle of a daemon built from `config`: its algorithm, ε, idle
+    /// detection and rounds. Panics on what [`fvs_sched::FvsstScheduler`]
+    /// refuses of them: an `n` of 0 and an ε that is NaN, infinite or
+    /// negative.
+    pub fn new(config: &SchedulerConfig) -> Self {
+        let clock = RoundClock::new(config);
+        config.algorithm.assert_valid_epsilon();
         Oracle {
-            algorithm,
-            period_ticks: period_ticks.max(1),
-            ticks: 0,
-            last_budget: None,
+            algorithm: config.algorithm.clone(),
+            clock,
             // EXACT tolerance: the cache is a pure memoisation layer, so
             // the oracle's decisions stay bit-identical to a fresh run.
             cache: ScheduleCache::new(),
             proc_buf: Vec::new(),
         }
-    }
-
-    /// The paper-default oracle ([`FvsstAlgorithm::p630`]: ε = 4.8 %,
-    /// P630; every 10 ticks).
-    pub fn p630() -> Self {
-        Self::new(FvsstAlgorithm::p630(), 10)
     }
 }
 
@@ -47,17 +48,7 @@ impl Policy for Oracle {
     }
 
     fn decide(&mut self, ctx: &TickContext<'_>, out: &mut Decision) -> bool {
-        self.ticks += 1;
-        let budget_changed = self
-            .last_budget
-            .map(|b| (b - ctx.budget_w).abs() > 1e-9)
-            .unwrap_or(false);
-        self.last_budget = Some(ctx.budget_w);
-        // A round on the first tick, on every tick whose count is a
-        // multiple of the period (ticks 1, 10, 20, … where the daemon
-        // rounds at 1, 11, 21, …), and on a budget change, which does not
-        // restart that count.
-        if self.ticks > 1 && !budget_changed && !self.ticks.is_multiple_of(self.period_ticks) {
+        if self.clock.tick(ctx.budget_w, ctx.idle).round.is_none() {
             return false;
         }
         self.proc_buf.clear();
@@ -102,15 +93,15 @@ mod tests {
                 .noise(NoiseModel::NONE)
                 .build()
         };
+        let config = SchedulerConfig::p630();
         let mut oracle_sim = ScheduledSimulation::with_policy(
             build(),
-            Oracle::p630(),
+            Oracle::new(&config),
             BudgetSchedule::constant(f64::INFINITY),
             0.01,
         );
         oracle_sim.run_for(1.0);
         let machine = build();
-        let config = fvs_sched::SchedulerConfig::p630();
         let mut fvsst_sim = ScheduledSimulation::new(machine, config);
         fvsst_sim.run_for(1.0);
         for i in 0..4 {
@@ -132,7 +123,7 @@ mod tests {
             .build();
         let mut sim = ScheduledSimulation::with_policy(
             machine,
-            Oracle::p630(),
+            Oracle::new(&SchedulerConfig::p630()),
             BudgetSchedule::constant(294.0),
             0.01,
         );

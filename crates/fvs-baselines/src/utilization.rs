@@ -8,28 +8,13 @@ use fvs_sched::{Decision, Policy, TickContext};
 /// makes any use of information about how efficiently the workload uses
 /// the processor or about its memory behavior". A uniform budget cap is
 /// applied on top so the comparison under power limits is fair.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct UtilizationDriven {
-    /// Dispatch ticks between adjustments (mirrors fvsst's `n`).
-    pub period_ticks: u64,
     ticks: u64,
 }
 
-impl UtilizationDriven {
-    /// Adjust every `period_ticks` dispatch ticks.
-    pub fn new(period_ticks: u64) -> Self {
-        UtilizationDriven {
-            period_ticks: period_ticks.max(1),
-            ticks: 0,
-        }
-    }
-}
-
-impl Default for UtilizationDriven {
-    fn default() -> Self {
-        Self::new(10)
-    }
-}
+/// Dispatch ticks between adjustments (fvsst's default `n`).
+const PERIOD_TICKS: u64 = 10;
 
 impl Policy for UtilizationDriven {
     fn name(&self) -> &str {
@@ -38,7 +23,7 @@ impl Policy for UtilizationDriven {
 
     fn decide(&mut self, ctx: &TickContext<'_>, out: &mut Decision) -> bool {
         self.ticks += 1;
-        if !self.ticks.is_multiple_of(self.period_ticks) {
+        if !self.ticks.is_multiple_of(PERIOD_TICKS) {
             return false;
         }
         let set = &ctx.platform.freq_set;

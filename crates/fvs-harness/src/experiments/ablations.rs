@@ -153,10 +153,10 @@ fn policy_row<P: Policy>(
 
 fn run_policies(settings: &RunSettings, dur: f64) -> Vec<PolicyRow> {
     let reference = unconstrained_reference(settings, dur);
+    let config = SchedulerConfig::p630().with_budget(tight_budget());
     let fvsst = {
         let machine = diverse_machine(settings);
-        let config = SchedulerConfig::p630().with_budget(tight_budget());
-        let mut sim = ScheduledSimulation::new(machine, config).without_trace();
+        let mut sim = ScheduledSimulation::new(machine, config.clone()).without_trace();
         let report = sim.run_for(dur);
         PolicyRow {
             policy: "fvsst".to_string(),
@@ -167,7 +167,7 @@ fn run_policies(settings: &RunSettings, dur: f64) -> Vec<PolicyRow> {
     };
     vec![
         fvsst,
-        policy_row("oracle", Oracle::p630(), settings, dur, &reference),
+        policy_row("oracle", Oracle::new(&config), settings, dur, &reference),
         policy_row(
             "uniform-scaling",
             UniformScaling::new(),

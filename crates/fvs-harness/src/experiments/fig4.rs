@@ -47,6 +47,12 @@ pub struct Fig4Result {
     pub rows: Vec<Fig4Row>,
 }
 
+/// The daemon's configuration; the oracle is built from it too, so the
+/// two round on the same ticks.
+fn daemon_config() -> SchedulerConfig {
+    SchedulerConfig::p630().with_budget(BudgetSchedule::constant(f64::INFINITY))
+}
+
 fn completion_under_fvsst(intensity: f64, instr: f64, settings: &RunSettings) -> f64 {
     let machine = MachineBuilder::p630()
         .cores(1)
@@ -58,8 +64,7 @@ fn completion_under_fvsst(intensity: f64, instr: f64, settings: &RunSettings) ->
         )
         .seed(settings.seed ^ intensity.to_bits())
         .build();
-    let config = SchedulerConfig::p630().with_budget(BudgetSchedule::constant(f64::INFINITY));
-    let mut sim = ScheduledSimulation::new(machine, config).without_trace();
+    let mut sim = ScheduledSimulation::new(machine, daemon_config()).without_trace();
     let report = sim.run_to_completion(600.0);
     report.completed_at_s[0].unwrap_or(report.duration_s)
 }
@@ -77,7 +82,7 @@ fn completion_under_oracle(intensity: f64, instr: f64, settings: &RunSettings) -
         .build();
     let mut sim = ScheduledSimulation::with_policy(
         machine,
-        Oracle::p630(),
+        Oracle::new(&daemon_config()),
         BudgetSchedule::constant(f64::INFINITY),
         0.01,
     )

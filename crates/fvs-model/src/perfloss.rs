@@ -117,16 +117,6 @@ impl PerfLossTable {
     pub fn entry(&self, f: FreqMhz) -> Option<&PerfLossEntry> {
         self.entries.iter().find(|e| e.freq == f)
     }
-
-    /// *Incremental* predicted loss of stepping from `from` down to the
-    /// next lower setting, if one exists. Returns
-    /// `(next_freq, additional_loss_vs_ref)`.
-    pub fn demotion_cost(&self, set: &FrequencySet, from: FreqMhz) -> Option<(FreqMhz, f64)> {
-        let lower = set.step_down(from)?;
-        let cur = self.entry(from)?.loss_vs_ref;
-        let next = self.entry(lower)?.loss_vs_ref;
-        Some((lower, next - cur))
-    }
 }
 
 #[cfg(test)]
@@ -218,16 +208,5 @@ mod tests {
         table.rebuild(&model(0.03), &set);
         assert_eq!(table, PerfLossTable::build(&model(0.03), &set));
         assert_eq!(table.entries.capacity(), cap, "storage must be reused");
-    }
-
-    #[test]
-    fn demotion_cost_is_positive_and_walks_down() {
-        let set = FrequencySet::p630();
-        let m = model(0.01);
-        let table = PerfLossTable::build(&m, &set);
-        let (lower, cost) = table.demotion_cost(&set, FreqMhz(1000)).unwrap();
-        assert_eq!(lower, FreqMhz(950));
-        assert!(cost > 0.0);
-        assert!(table.demotion_cost(&set, FreqMhz(250)).is_none());
     }
 }

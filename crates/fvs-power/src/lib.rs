@@ -6,7 +6,7 @@
 //!   generated on the original system by the Lava circuit-level estimator
 //!   — reproduced here verbatim as [`FreqPowerTable::p630_table1`]),
 //! - the **minimum-voltage table** (`MinVoltage(f)` of Figure 3 step 3),
-//!   with optional per-processor process variation,
+//!   one nominal table for every processor,
 //! - the **analytic model** `P = C·V²·f + B·V²` of section 4.4, with a
 //!   least-squares calibration against any (f, V, P) table,
 //! - **energy accounting** (the paper's Table 3 reports normalised

@@ -8,10 +8,9 @@ use serde::{Deserialize, Serialize};
 /// The paper's platform runs its Power4+ cores at 1.3 V at the nominal
 /// 1 GHz. Voltage must scale down roughly linearly with frequency until it
 /// hits the technology's minimum operating voltage. The scheduler performs
-/// step 3 of Figure 3 by looking the voltage up here; the paper notes the
+/// step 3 of Figure 3 by looking the voltage up here. (The paper notes the
 /// table "may be different for each processor if there is significant
-/// process variation", which [`VoltageTable::with_process_variation`]
-/// models as a multiplicative offset.
+/// process variation"; every processor modelled here is nominal.)
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VoltageTable {
     /// Frequency at which `v_max` is required.
@@ -22,8 +21,6 @@ pub struct VoltageTable {
     pub f_min: FreqMhz,
     /// Technology minimum operating voltage.
     pub v_min: f64,
-    /// Per-processor process-variation multiplier (1.0 = nominal).
-    pub variation: f64,
 }
 
 impl VoltageTable {
@@ -35,24 +32,15 @@ impl VoltageTable {
             v_max: 1.3,
             f_min: FreqMhz(250),
             v_min: 0.7,
-            variation: 1.0,
         }
     }
 
-    /// Same curve scaled by a process-variation factor (e.g. a slow-corner
-    /// part needing 3% more voltage everywhere uses `1.03`).
-    pub fn with_process_variation(mut self, factor: f64) -> Self {
-        self.variation = factor;
-        self
-    }
-
     /// `MinVoltage(f)`: linear interpolation between the calibration
-    /// points, clamped to `[v_min, v_max]` before applying the variation
-    /// multiplier.
+    /// points, clamped to `[v_min, v_max]`.
     pub fn min_voltage(&self, f: FreqMhz) -> f64 {
         let span_f = (self.f_max.0 - self.f_min.0) as f64;
         let w = ((f.0.saturating_sub(self.f_min.0)) as f64 / span_f).clamp(0.0, 1.0);
-        (self.v_min + (self.v_max - self.v_min) * w) * self.variation
+        self.v_min + (self.v_max - self.v_min) * w
     }
 }
 
@@ -89,16 +77,6 @@ mod tests {
         let v = VoltageTable::p630();
         assert!((v.min_voltage(FreqMhz(100)) - 0.7).abs() < 1e-12);
         assert!((v.min_voltage(FreqMhz(1500)) - 1.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn process_variation_scales_uniformly() {
-        let nominal = VoltageTable::p630();
-        let slow = VoltageTable::p630().with_process_variation(1.05);
-        for f in FrequencySet::p630().iter() {
-            let ratio = slow.min_voltage(f) / nominal.min_voltage(f);
-            assert!((ratio - 1.05).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -21,46 +21,28 @@
 
 use crate::policy::{Decision, OverheadModel, Policy, TickContext};
 use fvs_telemetry::{Counter, Gauge, SchedEvent, Telemetry};
-use serde::{Deserialize, Serialize};
 
-/// Tuning of the adaptive margin.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FeedbackConfig {
-    /// Margin quantum (W): the margin moves in multiples of this, which
-    /// also acts as the re-trigger hysteresis.
-    pub quantum_w: f64,
-    /// Extra headroom added on top of the measured overshoot when
-    /// growing the margin (W).
-    pub step_w: f64,
-    /// Consecutive over-budget ticks required before the margin grows.
-    /// This gives the inner scheduler its own reaction time (one or two
-    /// dispatch ticks) so transient overshoots — startup, a fresh budget
-    /// drop — are absorbed by ordinary scheduling rather than margin.
-    pub grow_holdoff_ticks: u32,
-    /// Consecutive compliant ticks (with at least `quantum_w` of slack)
-    /// required before the margin decays one quantum.
-    pub decay_holdoff_ticks: u32,
-    /// Upper bound on the margin (W); 0 disables feedback entirely.
-    pub max_margin_w: f64,
-}
-
-impl Default for FeedbackConfig {
-    fn default() -> Self {
-        FeedbackConfig {
-            quantum_w: 5.0,
-            step_w: 5.0,
-            grow_holdoff_ticks: 3,
-            decay_holdoff_ticks: 50,
-            max_margin_w: 500.0,
-        }
-    }
-}
+/// Margin quantum (W): the margin moves in multiples of this, which also
+/// acts as the re-trigger hysteresis.
+const QUANTUM_W: f64 = 5.0;
+/// Extra headroom added on top of the measured overshoot when growing the
+/// margin (W).
+const STEP_W: f64 = 5.0;
+/// Consecutive over-budget ticks required before the margin grows. This
+/// gives the inner scheduler its own reaction time (one or two dispatch
+/// ticks) so transient overshoots — startup, a fresh budget drop — are
+/// absorbed by ordinary scheduling rather than margin.
+const GROW_HOLDOFF_TICKS: u32 = 3;
+/// Consecutive compliant ticks (with at least `QUANTUM_W` of slack)
+/// required before the margin decays one quantum.
+const DECAY_HOLDOFF_TICKS: u32 = 50;
+/// Upper bound on the margin (W).
+const MAX_MARGIN_W: f64 = 500.0;
 
 /// A policy wrapper enforcing the budget against *measured* power.
 #[derive(Debug)]
 pub struct FeedbackGuard<P: Policy> {
     inner: P,
-    config: FeedbackConfig,
     margin_w: f64,
     compliant_ticks: u32,
     overshoot_ticks: u32,
@@ -77,16 +59,10 @@ struct GuardMetrics {
 }
 
 impl<P: Policy> FeedbackGuard<P> {
-    /// Wrap `inner` with the default feedback tuning.
+    /// Wrap `inner`.
     pub fn new(inner: P) -> Self {
-        Self::with_config(inner, FeedbackConfig::default())
-    }
-
-    /// Wrap `inner` with explicit tuning.
-    pub fn with_config(inner: P, config: FeedbackConfig) -> Self {
         FeedbackGuard {
             inner,
-            config,
             margin_w: 0.0,
             compliant_ticks: 0,
             overshoot_ticks: 0,
@@ -115,11 +91,6 @@ impl<P: Policy> FeedbackGuard<P> {
     pub fn margin_w(&self) -> f64 {
         self.margin_w
     }
-
-    /// The wrapped policy.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
 }
 
 impl<P: Policy> Policy for FeedbackGuard<P> {
@@ -130,7 +101,6 @@ impl<P: Policy> Policy for FeedbackGuard<P> {
     }
 
     fn decide(&mut self, ctx: &TickContext<'_>, out: &mut Decision) -> bool {
-        let cfg = self.config;
         if ctx.budget_w.is_finite() {
             let overshoot = ctx.measured_power_w - ctx.budget_w;
             if overshoot > 0.0 {
@@ -139,10 +109,10 @@ impl<P: Policy> Policy for FeedbackGuard<P> {
                 // Grow only once the inner scheduler has had its chance:
                 // a persistent overshoot is model error, a transient one
                 // is just scheduling latency.
-                if self.overshoot_ticks >= cfg.grow_holdoff_ticks {
-                    let target = self.margin_w + overshoot + cfg.step_w;
-                    let quantised = (target / cfg.quantum_w).ceil() * cfg.quantum_w;
-                    self.margin_w = quantised.min(cfg.max_margin_w);
+                if self.overshoot_ticks >= GROW_HOLDOFF_TICKS {
+                    let target = self.margin_w + overshoot + STEP_W;
+                    let quantised = (target / QUANTUM_W).ceil() * QUANTUM_W;
+                    self.margin_w = quantised.min(MAX_MARGIN_W);
                     self.overshoot_ticks = 0;
                     self.telemetry.emit(SchedEvent::FeedbackClamp {
                         t_s: ctx.now_s,
@@ -153,12 +123,12 @@ impl<P: Policy> Policy for FeedbackGuard<P> {
                         m.clamps.inc();
                     }
                 }
-            } else if -overshoot >= cfg.quantum_w && self.margin_w > 0.0 {
+            } else if -overshoot >= QUANTUM_W && self.margin_w > 0.0 {
                 self.overshoot_ticks = 0;
                 // Comfortably under: decay after the hold-off.
                 self.compliant_ticks += 1;
-                if self.compliant_ticks >= cfg.decay_holdoff_ticks {
-                    self.margin_w = (self.margin_w - cfg.quantum_w).max(0.0);
+                if self.compliant_ticks >= DECAY_HOLDOFF_TICKS {
+                    self.margin_w = (self.margin_w - QUANTUM_W).max(0.0);
                     self.compliant_ticks = 0;
                 }
             } else {
@@ -257,13 +227,7 @@ mod tests {
     #[test]
     fn margin_decays_when_load_disappears() {
         let config = SchedulerConfig::p630();
-        let guard = FeedbackGuard::with_config(
-            FvsstScheduler::new(4, config),
-            FeedbackConfig {
-                decay_holdoff_ticks: 10,
-                ..FeedbackConfig::default()
-            },
-        );
+        let guard = FeedbackGuard::new(FvsstScheduler::new(4, config));
         // Short workloads: cores go idle after ~0.3 s, power collapses,
         // and the margin should walk back down.
         let machine = MachineBuilder::p630()

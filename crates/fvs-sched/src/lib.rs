@@ -23,9 +23,11 @@
 //! - [`policy`] — the [`policy::Policy`] trait every power-management
 //!   policy (fvsst itself, and the baselines crate) implements, plus the
 //!   dispatch-tick context.
-//! - [`scheduler`] — [`FvsstScheduler`]: the stateful daemon. Timer
+//! - [`round_clock`] — [`RoundClock`]: when the daemon rounds. Timer
 //!   trigger every `T = n·t`, immediate trigger on budget change, idle
-//!   edges, optional idle detection, daemon overhead accounting.
+//!   edges; the baselines' comparators and oracle read it too.
+//! - [`scheduler`] — [`FvsstScheduler`]: the stateful daemon. Optional
+//!   idle detection, actuation verification, daemon overhead accounting.
 //! - [`sim_loop`] — [`ScheduledSimulation`]: drives a
 //!   [`fvs_sim::Machine`] under any policy and produces a [`RunReport`]
 //!   (energy, budget compliance, completion times, full trace).
@@ -41,6 +43,7 @@ pub mod algorithm;
 pub mod feedback;
 pub mod policy;
 pub mod predictor;
+pub mod round_clock;
 pub mod scheduler;
 pub mod sim_loop;
 
@@ -48,8 +51,9 @@ pub use algorithm::{
     CacheStats, DemotionRecord, FvsstAlgorithm, ModelTolerance, ProcInput, ScheduleCache,
     ScheduleDecision, ScheduleScratch,
 };
-pub use feedback::{FeedbackConfig, FeedbackGuard};
+pub use feedback::FeedbackGuard;
 pub use policy::{Decision, OverheadModel, PlatformView, Policy, TickContext};
 pub use predictor::{ErrorStats, PredictionTracker, Predictor};
+pub use round_clock::{RoundClock, Tick};
 pub use scheduler::{FvsstScheduler, SchedulerConfig};
 pub use sim_loop::{dispatch_ticks, RunReport, ScheduledSimulation};

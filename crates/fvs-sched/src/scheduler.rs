@@ -1,23 +1,18 @@
-//! The stateful fvsst scheduler daemon: triggers, windows, and the
-//! policy implementation.
+//! The stateful fvsst scheduler daemon: counter windows, rounds when its
+//! [`RoundClock`] says, and the policy implementation.
 
 use crate::algorithm::{
     CacheStats, FvsstAlgorithm, ModelTolerance, ProcInput, ScheduleCache, ScheduleDecision,
 };
 use crate::policy::{Decision, OverheadModel, Policy, TickContext};
 use crate::predictor::{ErrorStats, PredictionTracker, Predictor};
+use crate::round_clock::RoundClock;
 use fvs_power::BudgetSchedule;
 use fvs_telemetry::{
     BudgetDeadlineTracker, Counter, Gauge, Histogram, SchedEvent, Telemetry, Tracer, TriggerKind,
 };
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Minimum dispatch ticks between idle-edge-triggered computations. A
-/// core whose work arrives in sub-tick bursts flaps its idle signal;
-/// without a floor, every flap would pay the full scheduling overhead.
-/// Budget changes are never rate-limited — ΔT is a hard deadline.
-const IDLE_EDGE_MIN_SPACING: u32 = 2;
 
 /// Configuration of the fvsst daemon.
 ///
@@ -184,12 +179,7 @@ pub struct FvsstScheduler {
     config: SchedulerConfig,
     predictor: Predictor,
     tracker: PredictionTracker,
-    ticks_since_schedule: u32,
-    last_budget_w: Option<f64>,
-    last_idle: Vec<bool>,
-    /// An idle edge arrived during the rate-limit window and is waiting
-    /// to be served.
-    pending_idle_edge: bool,
+    clock: RoundClock,
     /// The command in force: the last round's frequencies with the
     /// fail-safe pins folded in. Everything else about the round is read
     /// from `cache`.
@@ -212,7 +202,7 @@ impl FvsstScheduler {
     /// Daemon for `n_cores` cores. Panics on a configuration it cannot
     /// run (see [`SchedulerConfig`]).
     pub fn new(n_cores: usize, config: SchedulerConfig) -> Self {
-        assert!(config.n >= 1, "n must be at least 1");
+        let clock = RoundClock::new(&config);
         config.algorithm.assert_valid_epsilon();
         assert!(config.deadline_s >= 0.0, "deadline_s must be non-negative");
         let cache = ScheduleCache::with_tolerance(ModelTolerance::PHASE_DEFAULT);
@@ -222,10 +212,7 @@ impl FvsstScheduler {
             predictor: Predictor::new(n_cores, config.latencies),
             tracker: PredictionTracker::new(n_cores),
             config,
-            ticks_since_schedule: 0,
-            last_budget_w: None,
-            last_idle: vec![false; n_cores],
-            pending_idle_edge: false,
+            clock,
             command: Decision::default(),
             schedules_run: 0,
             cache,
@@ -404,7 +391,6 @@ impl FvsstScheduler {
         let _round_span = self.config.tracer.span("sched.round");
         let round = self.schedules_run;
         self.schedules_run += 1;
-        self.ticks_since_schedule = 0;
         self.budget_tracker.on_round();
         let telemetry_on = self.config.telemetry.enabled();
         let started = telemetry_on.then(Instant::now);
@@ -523,7 +509,6 @@ impl Policy for FvsstScheduler {
     }
 
     fn decide(&mut self, ctx: &TickContext<'_>, out: &mut Decision) -> bool {
-        let n = ctx.samples.len();
         // Degradation-ladder rung 1: impossible counter samples are
         // quarantined before they can reach the model-fitting window.
         self.predictor.push_all(ctx.samples, |i| {
@@ -537,24 +522,14 @@ impl Policy for FvsstScheduler {
                 m.samples_quarantined.inc();
             }
         });
-        self.ticks_since_schedule += 1;
-
-        // Trigger 1: budget change — respond immediately; ΔT is short.
-        let prev_budget_w = self.last_budget_w;
-        let budget_changed = prev_budget_w
-            .map(|b| (b - ctx.budget_w).abs() > 1e-9)
-            .unwrap_or(false);
-        self.last_budget_w = Some(ctx.budget_w);
+        let tick = self.clock.tick(ctx.budget_w, ctx.idle);
 
         // Budget-deadline accounting: stamp drops, then judge this
         // tick's *measured* power against any open episode. Pure scalar
         // bookkeeping; the emits are no-ops when telemetry is disabled.
-        if budget_changed {
-            if let Some(ev) = self.budget_tracker.on_budget_change(
-                ctx.now_s,
-                prev_budget_w.expect("budget_changed implies a previous budget"),
-                ctx.budget_w,
-            ) {
+        if let Some(prev_budget_w) = tick.replaced_budget_w {
+            let tracker = &mut self.budget_tracker;
+            if let Some(ev) = tracker.on_budget_change(ctx.now_s, prev_budget_w, ctx.budget_w) {
                 self.config.telemetry.emit(ev);
             }
         }
@@ -577,38 +552,8 @@ impl Policy for FvsstScheduler {
                 .set(ctx.budget_w - ctx.measured_power_w);
         }
 
-        // Trigger 3: idle edges (deferred while rate-limited, never
-        // dropped — the pending flag survives until served or until a
-        // schedule runs for another reason).
-        let idle_changed = self.config.algorithm.idle_detection
-            && (0..n).any(|i| ctx.idle[i] != self.last_idle[i]);
-        self.last_idle.clear();
-        self.last_idle.extend_from_slice(ctx.idle);
-        if idle_changed {
-            self.pending_idle_edge = true;
-        }
-
-        if budget_changed {
-            self.pending_idle_edge = false;
-            self.run_schedule(ctx, TriggerKind::BudgetChange, out);
-            return true;
-        }
-        if self.pending_idle_edge && self.ticks_since_schedule >= IDLE_EDGE_MIN_SPACING {
-            self.pending_idle_edge = false;
-            self.run_schedule(ctx, TriggerKind::IdleEdge, out);
-            return true;
-        }
-        // Bootstrap: enforce the budget as soon as the first window has
-        // data, rather than idling at f_max for a full period.
-        if self.schedules_run == 0 {
-            self.pending_idle_edge = false;
-            self.run_schedule(ctx, TriggerKind::Timer, out);
-            return true;
-        }
-        // Trigger 2: the periodic timer.
-        if self.ticks_since_schedule >= self.config.n {
-            self.pending_idle_edge = false;
-            self.run_schedule(ctx, TriggerKind::Timer, out);
+        if let Some(trigger) = tick.round {
+            self.run_schedule(ctx, trigger, out);
             return true;
         }
         // No round fired: verify the standing command actually took
