@@ -18,7 +18,7 @@
 
 use crate::render::TableBuilder;
 use crate::runs::RunSettings;
-use fvs_net::{ClusterConfig, ClusterSim};
+use fvs_net::{ClusterConfig, ClusterSim, DropResponse};
 use fvs_power::{BudgetEvent, BudgetSchedule};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -38,6 +38,10 @@ pub struct ScaleCell {
     pub latency_s: f64,
     /// Time from the budget cut to compliance (s), if reached.
     pub response_s: Option<f64>,
+    /// Each budget decrease and the first tick under its new budget.
+    pub drops: Vec<DropResponse>,
+    /// When every node had first been written a ceiling in one round (s).
+    pub all_commanded_s: Option<f64>,
     /// Total seconds over budget.
     pub violation_s: f64,
     /// Final power as a fraction of the cut budget.
@@ -83,6 +87,8 @@ fn run_one(nodes: usize, latency_s: f64, settings: &RunSettings) -> ScaleCell {
         nodes,
         latency_s,
         response_s: report.response_s,
+        drops: report.drops,
+        all_commanded_s: report.all_commanded_s,
         violation_s: report.violation_s,
         budget_utilisation: report.final_power_w / cut_w,
         diversity_mhz: diversity,

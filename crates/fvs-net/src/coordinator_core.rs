@@ -263,6 +263,13 @@ pub struct CoordinatorCore {
     /// A budget set since the last round; the next puts it in force.
     pending_budget_w: Option<f64>,
     last_snapshot_s: f64,
+    /// Which nodes have had a summary accepted in this run of the
+    /// process, and how many: the whole-cluster edge is the moment the
+    /// count reaches the cluster's size, once.
+    heard: Vec<bool>,
+    heard_from: usize,
+    /// The whole-cluster edge has come and its round has not yet run.
+    edge_owed: bool,
 }
 
 impl CoordinatorCore {
@@ -353,6 +360,9 @@ impl CoordinatorCore {
             status,
             pending_budget_w,
             last_snapshot_s: 0.0,
+            heard: vec![false; nodes],
+            heard_from: 0,
+            edge_owed: false,
         }
     }
 
@@ -449,7 +459,9 @@ impl CoordinatorCore {
     /// skew cannot fake it — and swapped into the scheduler: on
     /// [`Ingest::Accepted`] the caller holds the summary it displaced,
     /// whose vectors the next frame decodes into. Otherwise nothing
-    /// changed: not the node's liveness, not its charge.
+    /// changed: not the node's liveness, not its charge. The node's
+    /// first accepted summary in this run counts it heard from; the one
+    /// that makes every node heard from owes a round at once.
     pub fn ingest(
         &mut self,
         from: Option<Peer>,
@@ -463,11 +475,14 @@ impl CoordinatorCore {
             return Ingest::Miscounted;
         }
         summary.sent_at_s = arrival_s;
-        if self.coordinator.ingest_swap(summary) {
-            Ingest::Accepted
-        } else {
-            Ingest::Rejected
+        if !self.coordinator.ingest_swap(summary) {
+            return Ingest::Rejected;
         }
+        if !std::mem::replace(&mut self.heard[from.node], true) {
+            self.heard_from += 1;
+            self.edge_owed = self.heard_from == self.heard.len();
+        }
+        Ingest::Accepted
     }
 
     /// `conn` is gone. Its node loses its route only if `conn` still
@@ -491,9 +506,12 @@ impl CoordinatorCore {
     }
 
     /// How long until a round is owed (s): zero when one is — the period
-    /// has elapsed since the last, or a budget change is waiting.
+    /// has elapsed since the last, a budget change is waiting, or every
+    /// node has now been heard from, for the first time in this run (a
+    /// cold-started or resumed cluster is commanded, and its resync
+    /// ended, as soon as it has all reported, not a period later).
     pub fn until_round_s(&self, now_s: f64) -> f64 {
-        if self.pending_budget_w.is_some() {
+        if self.pending_budget_w.is_some() || self.edge_owed {
             return 0.0;
         }
         (self.config.period_s - (now_s - self.status.last_round_s)).max(0.0)
@@ -516,6 +534,7 @@ impl CoordinatorCore {
     /// when one is due.
     pub fn run_round(&mut self, now_s: f64, sink: &mut impl RoundSink) -> Option<Snapshot> {
         self.status.last_round_s = now_s;
+        self.edge_owed = false;
         if let Some(budget_w) = self.pending_budget_w.take() {
             if budget_w != self.status.budget_w {
                 let from_w = std::mem::replace(&mut self.status.budget_w, budget_w);

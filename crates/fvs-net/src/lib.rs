@@ -59,7 +59,7 @@ pub use error::FvsError;
 pub use fleet::{AgentFleet, FleetHandle, FleetStats};
 pub use obs::{http_get, ObsHandles, ObsServer};
 pub use reactor::{Reactor, LISTENER_TOKEN};
-pub use sim::{ClusterConfig, ClusterReport, ClusterSim};
+pub use sim::{ClusterConfig, ClusterReport, ClusterSim, DropResponse};
 pub use snapshot::{Snapshot, SNAPSHOT_VERSION};
 pub use transport::{FillStatus, Transport};
 pub use wire::{

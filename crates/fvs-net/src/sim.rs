@@ -124,9 +124,16 @@ pub struct ClusterReport {
     pub peak_power_w: f64,
     /// Seconds over budget.
     pub violation_s: f64,
-    /// Time from the most recent budget *decrease* until compliance (s);
-    /// None when no decrease occurred or compliance was never reached.
+    /// Time from the most recent budget *decrease* until compliance (s):
+    /// the last of `drops`, as a duration; None when no decrease
+    /// occurred or compliance was never reached.
     pub response_s: Option<f64>,
+    /// Every budget decrease, in order, with the first tick at which
+    /// the machines' actual power was at or below its new budget.
+    pub drops: Vec<DropResponse>,
+    /// When the first round that wrote every node a ceiling ran (s);
+    /// None if no round ever did.
+    pub all_commanded_s: Option<f64>,
     /// Per-node final power (W).
     pub node_power_w: Vec<f64>,
     /// Per-node mean effective frequency of core 0 over the run (MHz) —
@@ -140,6 +147,18 @@ pub struct ClusterReport {
     /// Power the coordinator held in reserve for silent nodes at the end
     /// of the run (W).
     pub reserved_w: f64,
+}
+
+/// One budget decrease and when the cluster first complied with it.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct DropResponse {
+    /// When the budget fell (s).
+    pub at_s: f64,
+    /// The budget it fell to (W).
+    pub budget_w: f64,
+    /// The first tick at or after the drop at which the machines' actual
+    /// power was at or below `budget_w` (s); None if none was.
+    pub under_budget_s: Option<f64>,
 }
 
 /// A queue that delivers messages after a simulated network delay,
@@ -221,8 +240,8 @@ pub struct ClusterSim {
     last_budget_w: f64,
     violation_s: f64,
     peak_power_w: f64,
-    budget_drop_at: Option<f64>,
-    compliance_at: Option<f64>,
+    drops: Vec<DropResponse>,
+    all_commanded_s: Option<f64>,
     /// The fault plan's outages not yet applied, in time order: when,
     /// which node, and whether it comes back (`true`) or goes offline
     /// (cores powered down, its connection gone).
@@ -286,8 +305,8 @@ impl ClusterSim {
             outbox: Outbox::default(),
             violation_s: 0.0,
             peak_power_w: 0.0,
-            budget_drop_at: None,
-            compliance_at: None,
+            drops: Vec::new(),
+            all_commanded_s: None,
             availability: Vec::new(),
             faults: FaultInjector::disabled(),
             chaos: WireChaos::none(),
@@ -435,8 +454,11 @@ impl ClusterSim {
         if (budget_w - self.last_budget_w).abs() > 1e-9 {
             // Track budget decreases for response-time measurement.
             if budget_w < self.last_budget_w {
-                self.budget_drop_at = Some(now);
-                self.compliance_at = None;
+                self.drops.push(DropResponse {
+                    at_s: now,
+                    budget_w,
+                    under_budget_s: None,
+                });
             }
             self.coordinator.set_budget(budget_w);
             self.last_budget_w = budget_w;
@@ -447,8 +469,11 @@ impl ClusterSim {
         self.peak_power_w = self.peak_power_w.max(power);
         if power > budget_w {
             self.violation_s += t_s;
-        } else if self.budget_drop_at.is_some() && self.compliance_at.is_none() {
-            self.compliance_at = Some(now);
+        }
+        for drop in self.drops.iter_mut().filter(|d| d.under_budget_s.is_none()) {
+            if power <= drop.budget_w {
+                drop.under_budget_s = Some(now);
+            }
         }
 
         // What each agent's tick owes its link — every tick flushes, so a
@@ -481,11 +506,17 @@ impl ClusterSim {
         }
         if self.coordinator.until_round_s(now) <= 0.5 * t_s {
             self.coordinator.run_round(now, &mut self.outbox);
+            let mut ceilings = 0;
             for (conn, msg) in std::mem::take(&mut self.outbox.0) {
                 let i = self.conn_slot[conn as usize - 1];
                 if self.link(i, conn).is_some() {
+                    ceilings += usize::from(matches!(msg, WireMsg::Ceiling(_)));
                     self.send(i, false, &msg, now);
                 }
+            }
+            // A round writes a node at most one ceiling.
+            if ceilings == self.slots.len() && self.all_commanded_s.is_none() {
+                self.all_commanded_s = Some(now);
             }
         }
 
@@ -644,10 +675,12 @@ impl ClusterSim {
             final_power_w: self.total_power_w(),
             peak_power_w: self.peak_power_w,
             violation_s: self.violation_s,
-            response_s: match (self.budget_drop_at, self.compliance_at) {
-                (Some(drop), Some(ok)) => Some(ok - drop),
-                _ => None,
-            },
+            response_s: self
+                .drops
+                .last()
+                .and_then(|d| Some(d.under_budget_s? - d.at_s)),
+            drops: self.drops.clone(),
+            all_commanded_s: self.all_commanded_s,
             node_power_w: self.slots.iter().map(|s| s.core.node().power_w()).collect(),
             node_mean_mhz: self
                 .slots

@@ -901,3 +901,143 @@ fn healthz_bodies_and_status_lines_match_the_golden_strings() {
         assert_eq!(status.status_line(now_s), line);
     }
 }
+
+/// The whole-cluster edge: a round is owed at once when the last
+/// node's first accepted summary lands — not at a period before any
+/// summary, and never again, not for a second summary and not for a
+/// node that hands over a new hello.
+#[test]
+fn the_last_first_summary_owes_a_round_at_once_and_only_once() {
+    let mut core = core(3, &config());
+    assert!(
+        (core.until_round_s(0.0) - PERIOD_S).abs() < 1e-12,
+        "no edge at t = 0"
+    );
+    for node in 0..2 {
+        hello(&mut core, node as u64, node).unwrap();
+        let from = core.peer_of(node as u64);
+        assert_eq!(
+            core.ingest(from, &mut summary(node, 300.0), 0.02),
+            Ingest::Accepted
+        );
+        assert!(
+            (core.until_round_s(0.02) - 0.08).abs() < 1e-12,
+            "two of three"
+        );
+    }
+    hello(&mut core, 2, 2).unwrap();
+    let from = core.peer_of(2);
+    assert_eq!(
+        core.ingest(from, &mut summary(2, 300.0), 0.03),
+        Ingest::Accepted
+    );
+    assert_eq!(core.until_round_s(0.03), 0.0, "every node has reported");
+    assert_eq!(round(&mut core, 0.03).len(), 3, "every node commanded");
+    assert!((core.until_round_s(0.04) - 0.09).abs() < 1e-12);
+
+    // Fresh summaries, and node 2 again on a new connection: the edge
+    // was this run's, and the period rules from here on.
+    for node in 0..3 {
+        let from = core.peer_of(node as u64);
+        assert_eq!(
+            core.ingest(from, &mut summary(node, 280.0), 0.05),
+            Ingest::Accepted
+        );
+    }
+    hello(&mut core, 7, 2).unwrap();
+    let from = core.peer_of(7);
+    assert_eq!(
+        core.ingest(from, &mut summary(2, 270.0), 0.06),
+        Ingest::Accepted
+    );
+    assert!(
+        (core.until_round_s(0.06) - 0.07).abs() < 1e-12,
+        "a rejoin waits"
+    );
+}
+
+/// Only an accepted summary counts a node heard from: a rejected,
+/// misattributed or miscounted one leaves the cluster on the period.
+#[test]
+fn a_refused_summary_does_not_count_a_node_heard_from() {
+    let mut core = core(2, &config());
+    assert_eq!(
+        core.ingest(from(0), &mut summary(0, 300.0), 0.01),
+        Ingest::Accepted
+    );
+    let refused = [
+        (from(1), summary(1, f64::NAN), Ingest::Rejected),
+        (from(0), summary(1, 300.0), Ingest::Misattributed),
+        (None, summary(1, 300.0), Ingest::Misattributed),
+        (from(1), summary_of(1, PROCS + 1, 300.0), Ingest::Miscounted),
+    ];
+    for (peer, mut s, verdict) in refused {
+        assert_eq!(core.ingest(peer, &mut s, 0.02), verdict);
+        assert!(
+            (core.until_round_s(0.02) - 0.08).abs() < 1e-12,
+            "{verdict:?} counted"
+        );
+    }
+    assert_eq!(
+        core.ingest(from(1), &mut summary(1, 300.0), 0.03),
+        Ingest::Accepted
+    );
+    assert_eq!(core.until_round_s(0.03), 0.0);
+}
+
+/// With one node never heard from there is no edge: rounds come on the
+/// period, however often the others report.
+#[test]
+fn with_one_node_never_heard_from_the_cluster_keeps_to_the_period() {
+    let mut core = core(3, &config());
+    for k in 1..=5 {
+        let t = 0.1 * f64::from(k);
+        for node in 0..2 {
+            let at = t - 0.05;
+            assert_eq!(
+                core.ingest(from(node), &mut summary(node, 300.0), at),
+                Ingest::Accepted
+            );
+            assert!(core.until_round_s(at) > 0.0, "a round owed at {at} s");
+        }
+        assert!(core.until_round_s(t) <= 1e-12);
+        round(&mut core, t);
+    }
+    assert_eq!(core.status().rounds, 5);
+}
+
+/// After a resume the edge is the resync end: the round it owes
+/// journals `resync_complete`, and the status says so only after it.
+#[test]
+fn after_a_resume_the_edge_round_ends_resync_before_the_status_says_so() {
+    let config = config().with_resync_grace_s(2.0);
+    let snap = snapshot_of(2);
+    let mut core = CoordinatorCore::new(2, FvsstAlgorithm::p630(), &config, Some(&snap));
+    assert_eq!(
+        core.ingest(from(0), &mut summary(0, 250.0), 0.03),
+        Ingest::Accepted
+    );
+    assert!(core.until_round_s(0.03) > 0.0, "one of two");
+    assert_eq!(
+        core.ingest(from(1), &mut summary(1, 250.0), 0.04),
+        Ingest::Accepted
+    );
+    assert_eq!(core.until_round_s(0.04), 0.0);
+    assert!(core.status().resyncing, "not before the round");
+    assert!(!kinds(&config.telemetry).contains(&"resync_complete"));
+
+    round(&mut core, 0.04);
+    let complete = first(&config.telemetry, |ev| match ev {
+        SchedEvent::ResyncComplete {
+            t_s,
+            fresh_nodes,
+            charged_nodes,
+            ..
+        } => Some((t_s, fresh_nodes, charged_nodes)),
+        _ => None,
+    });
+    assert_eq!(complete, Some((0.04, 2, 0)));
+    let status = core.status();
+    assert_eq!((status.resyncing, status.resync_deadline_s), (false, None));
+    assert_eq!(status.last_round_s, 0.04);
+}

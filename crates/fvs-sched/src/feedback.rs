@@ -20,7 +20,6 @@
 //! margin change lands as an ordinary budget-change trigger.
 
 use crate::policy::{Decision, OverheadModel, Policy, TickContext};
-use fvs_telemetry::{Counter, Gauge, SchedEvent, Telemetry};
 
 /// Margin quantum (W): the margin moves in multiples of this, which also
 /// acts as the re-trigger hysteresis.
@@ -46,16 +45,6 @@ pub struct FeedbackGuard<P: Policy> {
     margin_w: f64,
     compliant_ticks: u32,
     overshoot_ticks: u32,
-    telemetry: Telemetry,
-    metrics: Option<GuardMetrics>,
-}
-
-/// Metric handles for the guard, created once at construction so the
-/// per-tick path never touches the registry mutex.
-#[derive(Debug)]
-struct GuardMetrics {
-    clamps: std::sync::Arc<Counter>,
-    margin_watts: std::sync::Arc<Gauge>,
 }
 
 impl<P: Policy> FeedbackGuard<P> {
@@ -66,25 +55,7 @@ impl<P: Policy> FeedbackGuard<P> {
             margin_w: 0.0,
             compliant_ticks: 0,
             overshoot_ticks: 0,
-            telemetry: Telemetry::disabled(),
-            metrics: None,
         }
-    }
-
-    /// Attach a telemetry handle: every margin growth (a clamp of the
-    /// inner budget) emits a [`SchedEvent::FeedbackClamp`] and bumps a
-    /// `feedback.clamps` counter; the live margin is exported as a
-    /// `feedback.margin_watts` gauge.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.metrics = telemetry.registry().map(|r| {
-            let scope = r.scoped("feedback");
-            GuardMetrics {
-                clamps: scope.counter("clamps"),
-                margin_watts: scope.gauge("margin_watts"),
-            }
-        });
-        self.telemetry = telemetry;
-        self
     }
 
     /// The current safety margin (W).
@@ -114,14 +85,6 @@ impl<P: Policy> Policy for FeedbackGuard<P> {
                     let quantised = (target / QUANTUM_W).ceil() * QUANTUM_W;
                     self.margin_w = quantised.min(MAX_MARGIN_W);
                     self.overshoot_ticks = 0;
-                    self.telemetry.emit(SchedEvent::FeedbackClamp {
-                        t_s: ctx.now_s,
-                        margin_w: self.margin_w,
-                        overshoot_w: overshoot,
-                    });
-                    if let Some(m) = &self.metrics {
-                        m.clamps.inc();
-                    }
                 }
             } else if -overshoot >= QUANTUM_W && self.margin_w > 0.0 {
                 self.overshoot_ticks = 0;
@@ -135,9 +98,6 @@ impl<P: Policy> Policy for FeedbackGuard<P> {
                 self.compliant_ticks = 0;
                 self.overshoot_ticks = 0;
             }
-        }
-        if let Some(m) = &self.metrics {
-            m.margin_watts.set(self.margin_w);
         }
         let adjusted = TickContext {
             now_s: ctx.now_s,

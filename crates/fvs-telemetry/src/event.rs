@@ -271,15 +271,6 @@ sched_events! {
         /// The deadline that was missed (s).
         deadline_s: f64,
     },
-    /// The feedback guard grew its safety margin.
-    FeedbackClamp = "feedback_clamp" {
-        /// When the clamp fired (s).
-        t_s: f64,
-        /// The new margin (W).
-        margin_w: f64,
-        /// The measured overshoot that triggered it (W).
-        overshoot_w: f64,
-    },
     /// One global (cluster-coordinator) scheduling round.
     ClusterRound = "cluster_round" {
         /// Coordinator round sequence number.
@@ -523,11 +514,6 @@ mod tests {
             SchedEvent::BudgetViolation {
                 t_s: 0.51,
                 deadline_s: 1e-6,
-            },
-            SchedEvent::FeedbackClamp {
-                t_s: 1.0,
-                margin_w: 10.0,
-                overshoot_w: 4.2,
             },
             SchedEvent::ClusterRound {
                 round: 3,

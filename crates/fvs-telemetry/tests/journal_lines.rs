@@ -61,11 +61,6 @@ fn every_variant(f: &mut dyn FnMut(f64) -> f64) -> Vec<SchedEvent> {
             t_s: f(1.5),
             deadline_s: f(1e-6),
         },
-        SchedEvent::FeedbackClamp {
-            t_s: f(2.0),
-            margin_w: f(10.0),
-            overshoot_w: f(4.2),
-        },
         SchedEvent::ClusterRound {
             round: 3,
             nodes: 4,
@@ -159,7 +154,7 @@ fn every_variant(f: &mut dyn FnMut(f64) -> f64) -> Vec<SchedEvent> {
 
 /// The lines [`every_variant`] is journaled as, one per variant in
 /// declaration order.
-const GOLDEN: [&str; 23] = [
+const GOLDEN: [&str; 22] = [
     r#"{"kind":"round_start","round":7,"t_s":0.1,"trigger":"timer","budget_w":294}"#,
     r#"{"kind":"desired","round":7,"proc":3,"desired_mhz":950,"idle":false}"#,
     r#"{"kind":"demotion","round":7,"proc":2,"from_mhz":1000,"to_mhz":950,"predicted_loss":0.05,"power_delta_w":-13.4}"#,
@@ -168,7 +163,6 @@ const GOLDEN: [&str; 23] = [
     r#"{"kind":"budget_drop","t_s":0.5,"from_w":560,"to_w":294,"deadline_s":1}"#,
     r#"{"kind":"budget_compliance","t_s":0.52,"rounds":1,"wall_s":0.0000001,"within_deadline":true}"#,
     r#"{"kind":"budget_violation","t_s":1.5,"deadline_s":0.000001}"#,
-    r#"{"kind":"feedback_clamp","t_s":2,"margin_w":10,"overshoot_w":4.2}"#,
     r#"{"kind":"cluster_round","round":3,"nodes":4,"procs":16,"budget_w":1000,"predicted_power_w":950.5,"feasible":true}"#,
     r#"{"kind":"fault_injected","t_s":1.1,"domain":"counter","target":2}"#,
     r#"{"kind":"sample_quarantined","t_s":1.2,"proc":0,"value":8.5}"#,
