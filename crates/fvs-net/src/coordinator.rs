@@ -23,13 +23,13 @@
 
 use crate::chaos::ChaosSide;
 pub use crate::coordinator_core::CoordinatorStatus;
-use crate::coordinator_core::{CoordinatorCore, Ingest, Refusal, RoundSink};
+use crate::coordinator_core::{CoordinatorCore, Ingest, Received, Refusal, RoundSink};
 use crate::error::FvsError;
 use crate::obs::{ObsHandles, ObsServer};
 use crate::reactor::{Reactor, LISTENER_TOKEN};
 use crate::snapshot::Snapshot;
 use crate::transport::{FillStatus, Transport};
-use crate::wire::{Frame, WireMsg};
+use crate::wire::WireMsg;
 use crate::WireChaos;
 use fvs_sched::FvsstAlgorithm;
 use fvs_telemetry::{
@@ -567,10 +567,10 @@ impl Driver {
     }
 
     /// Service one connection's readiness: flush if writable, then read,
-    /// parse and hand the core every complete frame — a summary is in
-    /// the scheduler the same iteration its bytes arrive. `false` when
-    /// the connection is to be closed (or already is): the caller's to
-    /// do.
+    /// parse and hand the core every complete frame (a summary is in the
+    /// scheduler the same iteration its bytes arrive), writing and
+    /// counting what it answers. `false` when the connection is to be
+    /// closed (or already is): the caller's to do.
     fn service_conn(&mut self, ev: &PollEvent, core: &mut CoordinatorCore) -> bool {
         let token = ev.token;
         let now_s = self.now_s();
@@ -596,9 +596,6 @@ impl Driver {
         // Every frame parsed below arrived with this call's read at the
         // latest; summaries are re-stamped with that time.
         let arrival_s = conn.last_rx_s;
-        // Who this connection speaks for: looked up once a read, and
-        // again after a hello, never per summary.
-        let mut from = core.peer_of(token);
         // Counted here, added to the metrics once after the loop.
         let mut frames = 0u64;
         let mut summaries = 0u64;
@@ -607,27 +604,14 @@ impl Driver {
             let Some((transport, _, _)) = self.reactor.get_mut(token) else {
                 return false;
             };
-            let msg = match transport.next_lent() {
+            let received = match transport.next_lent() {
                 Ok(None) => break,
-                Ok(Some(Frame::Summary(summary))) => {
-                    frames += 1;
-                    summaries += 1;
-                    // Accepted, the reader's record now holds the summary
-                    // it displaced, whose vectors the next decode reuses.
-                    let ingest = core.ingest(from, summary, arrival_s);
-                    if matches!(ingest, Ingest::Misattributed | Ingest::Miscounted) {
-                        self.metrics.wire_faults.inc();
-                    }
-                    continue;
-                }
-                Ok(Some(Frame::Msg(msg))) => msg,
+                Ok(Some(frame)) => core.frame(token, frame, arrival_s),
                 Err(_) => {
-                    // A desynchronised stream cannot be trusted;
-                    // classify the organic fault for the journal and
-                    // metrics *before* dropping it (oversize / bad magic
-                    // / decode are distinguishable from injected chaos
-                    // via `injected:false`, and the event carries the
-                    // observed frame length and codec).
+                    // A desynchronised stream cannot be trusted. The
+                    // organic fault (oversize / bad magic / decode, told
+                    // from chaos by `injected:false`) is journaled, with
+                    // the frame's length and codec, before the close.
                     let fault = transport.last_fault().unwrap_or(WireFaultKind::Decode);
                     if fault == WireFaultKind::Oversize {
                         self.metrics.oversize_frames.inc();
@@ -636,7 +620,7 @@ impl Driver {
                     self.metrics.wire_faults.inc();
                     self.config.telemetry.emit(SchedEvent::WireFault {
                         t_s: self.start.elapsed().as_secs_f64(),
-                        node: from.map_or(u32::MAX, |p| p.node as u32),
+                        node: core.node_of(token).map_or(u32::MAX, |node| node as u32),
                         fault,
                         injected: false,
                         frame_len: transport.last_fault_len(),
@@ -647,34 +631,28 @@ impl Driver {
                 }
             };
             frames += 1;
-            match msg {
-                WireMsg::Hello {
-                    node,
-                    procs,
-                    version,
-                    last_epoch,
-                    codecs,
-                } => {
-                    let (ack, verdict) =
-                        core.hello(token, node, procs, version, last_epoch, codecs, arrival_s);
-                    open = self.write_conn(token, Some(&ack), arrival_s) && verdict.is_ok();
-                    from = core.peer_of(token);
-                    match verdict {
-                        Ok(()) => {
-                            if let Some((transport, _, _)) = self.reactor.get_mut(token) {
-                                transport.set_node(node);
-                            }
-                        }
-                        Err(Refusal::Version) => self.metrics.version_rejects.inc(),
-                        Err(Refusal::StaleEpoch) => self.metrics.epoch_rejects.inc(),
-                        Err(Refusal::Repeated | Refusal::UnknownNode) => {
-                            self.metrics.wire_faults.inc()
-                        }
+            if let Received::Hello { ack, .. } = &received {
+                open = self.write_conn(token, Some(ack), arrival_s);
+            }
+            open &= received.open();
+            match received {
+                Received::Summary(ingest) => {
+                    summaries += 1;
+                    if matches!(ingest, Ingest::Misattributed | Ingest::Miscounted) {
+                        self.metrics.wire_faults.inc();
                     }
                 }
-                WireMsg::Bye { .. } => open = false,
-                // Agents send nothing else.
-                _ => {}
+                Received::Hello { node, verdict, .. } => match verdict {
+                    Ok(()) => {
+                        if let Some((transport, _, _)) = self.reactor.get_mut(token) {
+                            transport.set_node(node);
+                        }
+                    }
+                    Err(Refusal::Version) => self.metrics.version_rejects.inc(),
+                    Err(Refusal::StaleEpoch) => self.metrics.epoch_rejects.inc(),
+                    Err(Refusal::Repeated | Refusal::UnknownNode) => self.metrics.wire_faults.inc(),
+                },
+                Received::Bye | Received::Ignored => {}
             }
         }
         self.metrics.frames_rx.add(frames);

@@ -6,14 +6,14 @@
 //! the fencing epoch, the budget in force, and the round, resync and
 //! snapshot cadences — and is driven by plain calls that carry the time
 //! as `now_s`, seconds on whatever clock the caller keeps:
-//! [`hello`](CoordinatorCore::hello), [`ingest`](CoordinatorCore::ingest)
-//! (from the node a connection handshook as, and no other, with the
-//! processors its hello announced) and
-//! [`closed`](CoordinatorCore::closed) for what connections say,
+//! [`frame`](CoordinatorCore::frame) for every frame an agent sends,
+//! answered with what the caller is to write back, close or count, and
+//! [`closed`](CoordinatorCore::closed) for a connection gone;
 //! [`set_budget`](CoordinatorCore::set_budget) for what the operator
-//! says, [`until_round_s`](CoordinatorCore::until_round_s) for when a
+//! says; [`until_round_s`](CoordinatorCore::until_round_s) for when a
 //! round is owed and [`run_round`](CoordinatorCore::run_round) for the
-//! round, its output handed to a [`RoundSink`].
+//! round, its output handed to a [`RoundSink`]. No caller holds a copy
+//! of any of these rules.
 //!
 //! It opens no socket, reads no clock and never sleeps, so the paper's
 //! guarantee — conservative power (live reports plus what is reserved
@@ -22,7 +22,8 @@
 //! (`tests/coordinator_core.rs`), and a virtual-time replay has
 //! something to drive. The event loop in [`crate::coordinator`] is the
 //! one production caller: it owns the listener, the poller and the
-//! per-connection byte machinery, and turns readiness into these calls.
+//! per-connection byte machinery, and turns readiness into these calls
+//! ([`crate::sim`] makes the same ones on virtual time).
 //!
 //! What "live" means is not decided here either: the conservative sum
 //! and the resync count are read off the liveness sweep the
@@ -35,7 +36,7 @@
 
 use crate::coordinator::CoordinatorConfig;
 use crate::snapshot::Snapshot;
-use crate::wire::{WireCodec, WireMsg, CODEC_BINARY_BIT, SCHEMA_VERSION};
+use crate::wire::{Frame, WireCodec, WireMsg, CODEC_BINARY_BIT, SCHEMA_VERSION};
 use fvs_cluster::{FrequencyCommand, GlobalCoordinator, NodeSummary};
 use fvs_sched::FvsstAlgorithm;
 use fvs_telemetry::{BudgetDeadlineTracker, ComplianceRecord, OpenEpisode, SchedEvent};
@@ -194,41 +195,67 @@ pub trait RoundSink {
 /// Why a hello was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Refusal {
+    /// The connection had already handshaken — a protocol error.
+    Repeated,
     /// The agent speaks another dialect: another schema version, or a
-    /// codec mask without `FVS2`.
+    /// codec mask without `FVS2`, which every later frame is.
     Version,
+    /// The hello names a node outside this coordinator's cluster, whose
+    /// power would never be charged.
+    UnknownNode,
     /// The agent has acknowledged a newer epoch than this coordinator's:
     /// this one is the stale survivor of a split brain.
     StaleEpoch,
-    /// The connection had already handshaken — a protocol error.
-    Repeated,
-    /// The hello names a node outside this coordinator's cluster.
-    UnknownNode,
 }
 
-/// What [`CoordinatorCore::ingest`] did with a summary.
+/// What became of a summary ([`Received::Summary`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Ingest {
     /// In the scheduler.
     Accepted,
     /// Refused by the scheduler: malformed, or older than the one held.
     Rejected,
-    /// Refused unread: its connection did not handshake as its node.
+    /// Refused unread: its connection did not handshake as its node
+    /// (else any socket could keep a dead node live and uncharged).
     Misattributed,
     /// Refused unread: its processor count is not the one its node's
     /// hello announced, so no ceiling sized by it could be applied.
     Miscounted,
 }
 
-/// Who a connection speaks for, as [`CoordinatorCore::peer_of`] finds
-/// it: what [`CoordinatorCore::ingest`] holds the connection's
-/// summaries to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Peer {
-    /// The node the connection handshook as.
-    pub node: usize,
-    /// The processors the node's current route announced.
-    pub procs: usize,
+/// What [`CoordinatorCore::frame`] made of an uplink frame, as
+/// [`Heard`](crate::Heard) is for an agent: what happened, with the
+/// reply to write back (a hello's `ack`), and whether the link stays
+/// [`open`](Received::open).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Received {
+    /// A hello, judged: the ack goes back either way, and a refused link
+    /// closes after it.
+    Hello {
+        /// The node the hello named.
+        node: usize,
+        /// The `hello_ack` to write back.
+        ack: WireMsg,
+        /// Accepted, or why not.
+        verdict: Result<(), Refusal>,
+    },
+    /// A summary, and what became of it; the link stays open.
+    Summary(Ingest),
+    /// The agent is leaving: the link closes.
+    Bye,
+    /// A kind no agent sends: nothing happens.
+    Ignored,
+}
+
+impl Received {
+    /// Whether the link stays open once the reply is written.
+    pub fn open(&self) -> bool {
+        match self {
+            Received::Hello { verdict, .. } => verdict.is_ok(),
+            Received::Summary(_) | Received::Ignored => true,
+            Received::Bye => false,
+        }
+    }
 }
 
 /// A node's current downlink.
@@ -255,6 +282,9 @@ pub struct CoordinatorCore {
     /// Each node's current downlink: the connection of its latest
     /// accepted hello. Ordered, so a round's output repeats exactly.
     routes: BTreeMap<usize, Route>,
+    /// The last summary's connection and who it speaks for, kept until a
+    /// hello or a close: a read's summaries look it up once, not each.
+    speaker: Option<(u64, Option<(usize, usize)>)>,
     /// What the last round published. The epoch (monotonic across
     /// resumes: cold start = 1, resume = snapshot + 1), the budget in
     /// force, the round count and time and the resync deadline are kept
@@ -357,6 +387,7 @@ impl CoordinatorCore {
             config: config.clone(),
             conns: BTreeMap::new(),
             routes: BTreeMap::new(),
+            speaker: None,
             status,
             pending_budget_w,
             last_snapshot_s: 0.0,
@@ -366,13 +397,10 @@ impl CoordinatorCore {
         }
     }
 
-    /// The node `conn` handshook as and the processors that node's
-    /// route announced: `None` if `conn` never handshook, or if its node
-    /// has since lost its route (a newer socket came and closed).
-    pub fn peer_of(&self, conn: u64) -> Option<Peer> {
-        let node = *self.conns.get(&conn)?;
-        let procs = self.routes.get(&node)?.procs;
-        Some(Peer { node, procs })
+    /// The node `conn` handshook as, if it did and is still open: what a
+    /// caller journals a fault on the connection against.
+    pub fn node_of(&self, conn: u64) -> Option<usize> {
+        self.conns.get(&conn).copied()
     }
 
     /// The control plane as of the last round (or of construction).
@@ -385,31 +413,45 @@ impl CoordinatorCore {
         &self.coordinator
     }
 
-    /// Judge the hello `conn` sent: `node`, of `procs` processors,
-    /// speaking schema `version`, having acknowledged epochs up to
-    /// `last_epoch`, able to read the codecs in the `codecs` bitmask.
-    /// Returns the ack to write back and the verdict: accepted, or why
-    /// the connection is to be closed. A peer that cannot read `FVS2`,
-    /// which every frame after the handshake is, speaks another dialect
-    /// and is refused as [`Refusal::Version`]; a node id outside the
-    /// cluster is [`Refusal::UnknownNode`], or its power would never be
-    /// charged.
-    ///
-    /// Accepted, the connection becomes the node's downlink, and `procs`
-    /// the count its summaries are held to; a reconnecting node thereby
-    /// replaces its old socket as the push target, and the old one dies
-    /// by its read deadline.
-    #[allow(clippy::too_many_arguments)]
-    pub fn hello(
-        &mut self,
-        conn: u64,
-        node: usize,
-        procs: usize,
-        version: u32,
-        last_epoch: u64,
-        codecs: u8,
-        now_s: f64,
-    ) -> (WireMsg, Result<(), Refusal>) {
+    /// Take a frame `conn` sent at `now_s`: the one entry for all an
+    /// agent says, as [`AgentCore::frame`](crate::AgentCore::frame) is
+    /// for all it hears. A hello is refused for the first [`Refusal`]
+    /// that holds, in the order declared; accepted, the connection
+    /// becomes the node's downlink — replacing, for a reconnecting node,
+    /// the old socket, which dies by its read deadline — and the
+    /// processors it announced the count its summaries are held to. A
+    /// summary is held to that node and count (see [`Ingest`]), then
+    /// re-stamped with `now_s` — liveness is what the coordinator
+    /// observed, so clock skew cannot fake it — and swapped into the
+    /// scheduler: accepted, the lent record holds the summary it
+    /// displaced, whose vectors the next frame decodes into; refused,
+    /// neither the node's liveness nor its charge changed. The node's
+    /// first accepted summary in this run counts it heard from; the one
+    /// that makes every node heard from owes a round at once. A bye
+    /// closes the link; any other kind is ignored. Inlined, so that a
+    /// summary moves no frame and no verdict.
+    #[inline]
+    pub fn frame(&mut self, conn: u64, frame: Frame<'_>, now_s: f64) -> Received {
+        match frame {
+            Frame::Summary(summary) => Received::Summary(self.ingest(conn, summary, now_s)),
+            Frame::Msg(WireMsg::Bye { .. }) => Received::Bye,
+            Frame::Msg(msg) => self.hello(conn, msg, now_s),
+        }
+    }
+
+    /// A hello `conn` sent at `now_s`, or a kind no agent sends: see
+    /// [`frame`](Self::frame).
+    fn hello(&mut self, conn: u64, msg: WireMsg, now_s: f64) -> Received {
+        let WireMsg::Hello {
+            node,
+            procs,
+            version,
+            last_epoch,
+            codecs,
+        } = msg
+        else {
+            return Received::Ignored;
+        };
         let verdict = if self.conns.contains_key(&conn) {
             Err(Refusal::Repeated)
         } else if version != SCHEMA_VERSION || codecs & CODEC_BINARY_BIT == 0 {
@@ -438,6 +480,7 @@ impl CoordinatorCore {
                 commanded_round: 0,
             };
             self.routes.insert(node, route);
+            self.speaker = None;
         }
         let ack = WireMsg::HelloAck {
             accepted: verdict.is_ok(),
@@ -445,40 +488,30 @@ impl CoordinatorCore {
             epoch: self.status.epoch,
             codec: verdict.map_or(WireCodec::Json, |()| WireCodec::Binary).id(),
         };
-        (ack, verdict)
+        Received::Hello { node, ack, verdict }
     }
 
-    /// Take a summary that arrived at `arrival_s` on a connection that
-    /// speaks as `from` (its [`peer_of`](Self::peer_of), looked up once
-    /// per read and again after a hello). One naming any other node is
-    /// [`Ingest::Misattributed`]: else any socket could keep a dead node
-    /// live and uncharged. One of another processor count than
-    /// `from.procs` is [`Ingest::Miscounted`]: else the next round would
-    /// size the node a ceiling it refuses. The rest are re-stamped with
-    /// `arrival_s` — liveness is what the coordinator observed, so clock
-    /// skew cannot fake it — and swapped into the scheduler: on
-    /// [`Ingest::Accepted`] the caller holds the summary it displaced,
-    /// whose vectors the next frame decodes into. Otherwise nothing
-    /// changed: not the node's liveness, not its charge. The node's
-    /// first accepted summary in this run counts it heard from; the one
-    /// that makes every node heard from owes a round at once.
-    pub fn ingest(
-        &mut self,
-        from: Option<Peer>,
-        summary: &mut NodeSummary,
-        arrival_s: f64,
-    ) -> Ingest {
-        let Some(from) = from.filter(|p| p.node == summary.node) else {
+    /// A summary `conn` sent, arriving at `arrival_s`: see
+    /// [`frame`](Self::frame).
+    fn ingest(&mut self, conn: u64, summary: &mut NodeSummary, arrival_s: f64) -> Ingest {
+        // `conn`'s node and the processors its route announced: `None` if
+        // it never handshook, or its node's route has since gone.
+        if self.speaker.is_none_or(|(last, _)| last != conn) {
+            let route = |&node: &usize| Some((node, self.routes.get(&node)?.procs));
+            self.speaker = Some((conn, self.conns.get(&conn).and_then(route)));
+        }
+        let from = self.speaker.and_then(|(_, from)| from);
+        let Some((node, procs)) = from.filter(|&(node, _)| node == summary.node) else {
             return Ingest::Misattributed;
         };
-        if summary.models.len() != from.procs {
+        if summary.models.len() != procs {
             return Ingest::Miscounted;
         }
         summary.sent_at_s = arrival_s;
         if !self.coordinator.ingest_swap(summary) {
             return Ingest::Rejected;
         }
-        if !std::mem::replace(&mut self.heard[from.node], true) {
+        if !std::mem::replace(&mut self.heard[node], true) {
             self.heard_from += 1;
             self.edge_owed = self.heard_from == self.heard.len();
         }
@@ -492,17 +525,23 @@ impl CoordinatorCore {
         let Some(node) = self.conns.remove(&conn) else {
             return;
         };
+        self.speaker = None;
         if self.routes.get(&node).is_some_and(|r| r.conn == conn) {
             self.routes.remove(&node);
         }
     }
 
-    /// Change the global budget. The next round puts it in force, and
-    /// that round is owed now. Panics on a NaN or negative `watts`
-    /// (infinity is no budget).
-    pub fn set_budget(&mut self, watts: f64) {
+    /// Change the global budget by the one rule: `watts` replaces the
+    /// latest budget set, in force or waiting, if more than 1e-9 W from
+    /// it ([`fvs_power::replaced_budget`]), and a round is owed now to
+    /// put it in force. Returns the budget replaced; `None` owes nothing.
+    /// Panics on a NaN or negative `watts` (infinity is no budget).
+    pub fn set_budget(&mut self, watts: f64) -> Option<f64> {
         assert!(watts >= 0.0, "set_budget: a budget of {watts} W");
+        let latest_w = self.pending_budget_w.unwrap_or(self.status.budget_w);
+        let replaced_w = fvs_power::replaced_budget(latest_w, watts)?;
         self.pending_budget_w = Some(watts);
+        Some(replaced_w)
     }
 
     /// How long until a round is owed (s): zero when one is — the period
@@ -536,8 +575,8 @@ impl CoordinatorCore {
         self.status.last_round_s = now_s;
         self.edge_owed = false;
         if let Some(budget_w) = self.pending_budget_w.take() {
-            if budget_w != self.status.budget_w {
-                let from_w = std::mem::replace(&mut self.status.budget_w, budget_w);
+            if let Some(from_w) = fvs_power::replaced_budget(self.status.budget_w, budget_w) {
+                self.status.budget_w = budget_w;
                 if self.config.snapshot_path.is_some() {
                     sink.persist(&self.snapshot(now_s));
                     self.last_snapshot_s = now_s;

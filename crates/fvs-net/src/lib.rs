@@ -16,10 +16,12 @@
 //! for one, a tick taking [`AgentConfig::pace`] of wall time.
 //! Each role's rules are kept apart from its loop, with no socket and
 //! no clock in them, as a state machine driven by plain calls carrying
-//! `now_s`: the node's are [`agent_core`]'s [`AgentCore`], the
-//! coordinator's — and all its scheduling and protocol state — are
-//! [`coordinator_core`]'s [`CoordinatorCore`]. The loops drive them,
-//! and so does [`sim`]'s [`ClusterSim`], over a virtual-time wire.
+//! `now_s`, one of which takes every frame from the peer and says what
+//! to write back and whether the link stays open: the node's are
+//! [`AgentCore`] ([`AgentCore::frame`]), the coordinator's — and all its
+//! scheduling and protocol state — [`CoordinatorCore`]
+//! ([`CoordinatorCore::frame`]). The loops drive them, and so does
+//! [`sim`]'s [`ClusterSim`], over a virtual-time wire; none keeps a rule.
 //! Each connection end's fault, framing and queueing state lives
 //! in a [`transport::Transport`], which owns no socket and reads no
 //! clock: the same type beside a socket in either loop and at either
@@ -54,7 +56,7 @@ pub use agent_core::{AgentCore, Heard, Phase, Tick};
 pub use args::NetArgs;
 pub use chaos::{ChaosSide, WireChaos, WriteFault};
 pub use coordinator::{CoordinatorConfig, CoordinatorServer, CoordinatorStatus};
-pub use coordinator_core::{CoordinatorCore, Ingest, Peer, Refusal, RoundSink};
+pub use coordinator_core::{CoordinatorCore, Ingest, Received, Refusal, RoundSink};
 pub use error::FvsError;
 pub use fleet::{AgentFleet, FleetHandle, FleetStats};
 pub use obs::{http_get, ObsHandles, ObsServer};

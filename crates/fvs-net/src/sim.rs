@@ -6,11 +6,11 @@
 //! and between them one [`Transport`] at each end of every connection,
 //! as on a socket: every hello, ack, summary, ceiling and heartbeat is
 //! sent and flushed by one end, crosses a delay queue (`latency_s`
-//! each way) and is filled into the other. The cores say when a round is
-//! owed, what a frame means and when to reconnect; this adds the world:
-//! one clock for every machine, scripted outages and budget changes, the
-//! fault plan, and the measured truth of a [`ClusterReport`]. It reads
-//! no clock.
+//! each way) and is filled into the other. The cores hold every rule:
+//! when a round is owed, what a frame means and what it answers, when a
+//! budget has changed, when to reconnect. This adds the world: one clock
+//! for every machine, scripted outages, the budget schedule, the fault
+//! plan, and the measured truth of a [`ClusterReport`]. It reads no clock.
 //!
 //! The message faults are the agents': each agent's end runs under the
 //! plan, seeded by its connection number, and the coordinator's end
@@ -22,11 +22,11 @@ use crate::agent::AgentConfig;
 use crate::agent_core::{AgentCore, Heard, Tick};
 use crate::chaos::{ChaosSide, WireChaos};
 use crate::coordinator::CoordinatorConfig;
-use crate::coordinator_core::{CoordinatorCore, RoundSink};
+use crate::coordinator_core::{CoordinatorCore, Received, RoundSink};
 use crate::error::FvsError;
 use crate::snapshot::Snapshot;
 use crate::transport::Transport;
-use crate::wire::{Frame, WireMsg};
+use crate::wire::WireMsg;
 use fvs_cluster::{ClusterNode, GlobalCoordinator, NodeSummary};
 use fvs_faults::{CounterFaultKind, FaultInjector};
 use fvs_model::CpiModel;
@@ -237,7 +237,6 @@ pub struct ClusterSim {
     /// connection `c` at `c - 1`.
     conn_slot: Vec<usize>,
     outbox: Outbox,
-    last_budget_w: f64,
     violation_s: f64,
     peak_power_w: f64,
     drops: Vec<DropResponse>,
@@ -297,7 +296,6 @@ impl ClusterSim {
         ClusterSim {
             coordinator: core,
             slots,
-            last_budget_w: config.budget.initial_w(),
             config,
             uplink: DelayQueue::default(),
             downlink: DelayQueue::default(),
@@ -450,18 +448,15 @@ impl ClusterSim {
             self.slots.iter_mut().for_each(|s| s.due = s.core.tick(end));
         }
         let now = self.now_s();
+        // The coordinator says when the schedule's budget changed.
         let budget_w = self.config.budget.budget_at(now);
-        if (budget_w - self.last_budget_w).abs() > 1e-9 {
-            // Track budget decreases for response-time measurement.
-            if budget_w < self.last_budget_w {
-                self.drops.push(DropResponse {
-                    at_s: now,
-                    budget_w,
-                    under_budget_s: None,
-                });
-            }
-            self.coordinator.set_budget(budget_w);
-            self.last_budget_w = budget_w;
+        let replaced_w = self.coordinator.set_budget(budget_w);
+        if replaced_w.is_some_and(|from_w| budget_w < from_w) {
+            self.drops.push(DropResponse {
+                at_s: now,
+                budget_w,
+                under_budget_s: None,
+            });
         }
 
         // Compliance accounting, on what the machines really draw.
@@ -605,7 +600,7 @@ impl ClusterSim {
     /// Bytes reaching one end of slot `i`'s connection `conn` (the
     /// coordinator's when `uplink`), filled into it and handed frame by
     /// frame to that end's core; a frame that does not decode, or a core
-    /// that refuses, closes it.
+    /// that says to, closes it.
     fn arrive(&mut self, i: usize, conn: u64, uplink: bool, mut bytes: &[u8], now: f64) {
         let end = usize::from(!uplink);
         let Some(link) = self.link(i, conn) else {
@@ -618,36 +613,21 @@ impl ClusterSim {
         // The link borrowed by field, not through `link`, so that a lent
         // summary goes to the coordinator while the reader holds it.
         while let Some(link) = self.slots[i].link.as_mut().filter(|l| l.conn == conn) {
-            let msg = match link.ends[end].next_lent() {
+            let frame = match link.ends[end].next_lent() {
                 Ok(None) => return,
                 Err(_) => return self.close(i, now),
-                Ok(Some(Frame::Summary(summary))) if uplink => {
-                    let from = self.coordinator.peer_of(conn);
-                    self.coordinator.ingest(from, summary, now);
-                    continue;
-                }
-                Ok(Some(frame)) => frame.into_msg(),
+                Ok(Some(frame)) => frame,
             };
-            let open = match msg {
-                msg if !uplink => !matches!(
-                    self.slots[i].core.frame(&msg, now),
-                    Heard::Fenced | Heard::Refused
-                ),
-                WireMsg::Hello {
-                    node,
-                    procs,
-                    version,
-                    last_epoch,
-                    codecs,
-                } => {
-                    let core = &mut self.coordinator;
-                    let (ack, verdict) =
-                        core.hello(conn, node, procs, version, last_epoch, codecs, now);
-                    self.send(i, false, &ack, now);
-                    verdict.is_ok()
+            let open = if uplink {
+                let received = self.coordinator.frame(conn, frame, now);
+                if let Received::Hello { ack, .. } = &received {
+                    self.send(i, false, ack, now);
                 }
-                // An agent sends nothing else.
-                _ => true,
+                received.open()
+            } else {
+                let msg = frame.into_msg();
+                let heard = self.slots[i].core.frame(&msg, now);
+                !matches!(heard, Heard::Fenced | Heard::Refused)
             };
             if !open {
                 return self.close(i, now);

@@ -746,7 +746,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<WireMsg, FvsError> {
 pub enum Frame<'a> {
     /// A summary, of either codec, decoded into the record the reader
     /// keeps. A caller may swap it for a summary it is done with, as
-    /// [`crate::CoordinatorCore::ingest`] does: the next summary decodes
+    /// [`crate::CoordinatorCore::frame`] does: the next summary decodes
     /// into the vectors the record holds then, and allocates nothing.
     Summary(&'a mut NodeSummary),
     /// Any other kind. Never a [`WireMsg::Summary`].

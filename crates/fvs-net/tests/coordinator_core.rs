@@ -6,9 +6,11 @@
 use fvs_cluster::{NodeRestore, NodeSummary};
 use fvs_model::{CpiModel, FreqMhz};
 use fvs_net::{
-    CoordinatorConfig, CoordinatorCore, CoordinatorStatus, FvsError, Ingest, Peer, Refusal,
-    RoundSink, Snapshot, WireCodec, WireMsg, CODEC_ALL, CODEC_JSON_BIT, SCHEMA_VERSION,
+    ClusterConfig, ClusterSim, CoordinatorConfig, CoordinatorCore, CoordinatorStatus, Frame,
+    FvsError, Ingest, Received, Refusal, RoundSink, Snapshot, WireCodec, WireMsg, CODEC_ALL,
+    CODEC_JSON_BIT, SCHEMA_VERSION,
 };
+use fvs_power::{BudgetEvent, BudgetSchedule};
 use fvs_sched::FvsstAlgorithm;
 use fvs_telemetry::{OpenEpisode, SchedEvent, Telemetry};
 
@@ -41,16 +43,54 @@ fn summary(node: usize, power_w: f64) -> NodeSummary {
     }
 }
 
-/// A connection that speaks for `node`, as its hello announced it.
-fn from(node: usize) -> Option<Peer> {
-    Some(Peer { node, procs: PROCS })
+/// The hello `node` sends: `procs` processors, schema `version`, epochs
+/// up to `last_epoch` acknowledged, the codecs in `codecs`.
+fn hello_of(node: usize, procs: usize, version: u32, last_epoch: u64, codecs: u8) -> WireMsg {
+    WireMsg::Hello {
+        node,
+        procs,
+        version,
+        last_epoch,
+        codecs,
+    }
+}
+
+/// `msg`, a hello, arrives on `conn` at `now_s`: the ack and the verdict.
+fn greet(
+    core: &mut CoordinatorCore,
+    conn: u64,
+    msg: WireMsg,
+    now_s: f64,
+) -> (WireMsg, Result<(), Refusal>) {
+    match core.frame(conn, Frame::Msg(msg), now_s) {
+        Received::Hello { ack, verdict, .. } => (ack, verdict),
+        other => panic!("a hello was taken for {other:?}"),
+    }
 }
 
 /// A hello from `node` of `PROCS` processors on `conn`, current schema,
 /// both codecs, no epoch acknowledged yet. Returns the verdict.
 fn hello(core: &mut CoordinatorCore, conn: u64, node: usize) -> Result<(), Refusal> {
-    core.hello(conn, node, PROCS, SCHEMA_VERSION, 0, CODEC_ALL, 0.0)
-        .1
+    greet(
+        core,
+        conn,
+        hello_of(node, PROCS, SCHEMA_VERSION, 0, CODEC_ALL),
+        0.0,
+    )
+    .1
+}
+
+/// `summary` arrives on `conn` at `arrival_s`: what became of it.
+fn ingest(
+    core: &mut CoordinatorCore,
+    conn: u64,
+    summary: &mut NodeSummary,
+    arrival_s: f64,
+) -> Ingest {
+    match core.frame(conn, Frame::Summary(summary), arrival_s) {
+        Received::Summary(ingest) => ingest,
+        other => panic!("a summary was taken for {other:?}"),
+    }
 }
 
 fn kinds(telemetry: &Telemetry) -> Vec<&'static str> {
@@ -98,7 +138,8 @@ fn round(core: &mut CoordinatorCore, now_s: f64) -> Vec<Call> {
 #[test]
 fn another_schema_version_is_refused_with_an_ack_that_says_so() {
     let mut core = core(1, &config());
-    let (ack, verdict) = core.hello(7, 0, PROCS, SCHEMA_VERSION + 1, 0, CODEC_ALL, 0.0);
+    let hello = hello_of(0, PROCS, SCHEMA_VERSION + 1, 0, CODEC_ALL);
+    let (ack, verdict) = greet(&mut core, 7, hello, 0.0);
     assert_eq!(verdict, Err(Refusal::Version));
     let refusal = WireMsg::HelloAck {
         accepted: false,
@@ -108,7 +149,8 @@ fn another_schema_version_is_refused_with_an_ack_that_says_so() {
     };
     assert_eq!(ack, refusal);
     // Refused, the connection speaks for nobody.
-    assert_eq!(core.peer_of(7), None);
+    let mut s = summary(0, 300.0);
+    assert_eq!(ingest(&mut core, 7, &mut s, 0.05), Ingest::Misattributed);
     assert_eq!(round(&mut core, PERIOD_S), []);
     assert_eq!(core.status().connections, 0);
 }
@@ -119,7 +161,8 @@ fn another_schema_version_is_refused_with_an_ack_that_says_so() {
 #[test]
 fn a_node_outside_the_cluster_is_refused() {
     let mut core = core(4, &config());
-    let (ack, verdict) = core.hello(7, 4, PROCS, SCHEMA_VERSION, 0, CODEC_ALL, 0.0);
+    let hello = hello_of(4, PROCS, SCHEMA_VERSION, 0, CODEC_ALL);
+    let (ack, verdict) = greet(&mut core, 7, hello, 0.0);
     assert_eq!(verdict, Err(Refusal::UnknownNode));
     let refusal = WireMsg::HelloAck {
         accepted: false,
@@ -128,7 +171,8 @@ fn a_node_outside_the_cluster_is_refused() {
         codec: WireCodec::Json.id(),
     };
     assert_eq!(ack, refusal);
-    assert_eq!(core.peer_of(7), None);
+    let mut s = summary(4, 300.0);
+    assert_eq!(ingest(&mut core, 7, &mut s, 0.05), Ingest::Misattributed);
     assert_eq!(round(&mut core, PERIOD_S), []);
     assert_eq!(core.status().connections, 0);
 }
@@ -139,13 +183,12 @@ fn an_agent_that_has_seen_a_newer_epoch_fences_this_coordinator() {
     let mut core = core(2, &config);
     assert_eq!(core.status().epoch, 1);
     // Epochs up to ours are fine: the agent's fence is `>=`.
-    assert!(core
-        .hello(1, 0, PROCS, SCHEMA_VERSION, 1, CODEC_ALL, 0.2)
-        .1
-        .is_ok());
+    let hello = hello_of(0, PROCS, SCHEMA_VERSION, 1, CODEC_ALL);
+    assert!(greet(&mut core, 1, hello, 0.2).1.is_ok());
     assert_eq!(kinds(&config.telemetry), [] as [&str; 0]);
 
-    let (ack, verdict) = core.hello(2, 1, PROCS, SCHEMA_VERSION, 2, CODEC_ALL, 0.25);
+    let hello = hello_of(1, PROCS, SCHEMA_VERSION, 2, CODEC_ALL);
+    let (ack, verdict) = greet(&mut core, 2, hello, 0.25);
     assert_eq!(verdict, Err(Refusal::StaleEpoch));
     assert!(matches!(
         ack,
@@ -183,7 +226,8 @@ fn only_a_peer_that_reads_fvs2_is_accepted() {
         (CODEC_JSON_BIT, Err(Refusal::Version), WireCodec::Json),
     ] {
         let mut core = core(1, &config());
-        let (ack, got) = core.hello(1, 0, PROCS, SCHEMA_VERSION, 0, advertised, 0.0);
+        let hello = hello_of(0, PROCS, SCHEMA_VERSION, 0, advertised);
+        let (ack, got) = greet(&mut core, 1, hello, 0.0);
         assert_eq!(got, verdict, "{advertised:#04b}");
         let want = WireMsg::HelloAck {
             accepted: verdict.is_ok(),
@@ -192,7 +236,9 @@ fn only_a_peer_that_reads_fvs2_is_accepted() {
             codec: codec.id(),
         };
         assert_eq!(ack, want);
-        assert_eq!(core.peer_of(1), verdict.ok().and_then(|()| from(0)));
+        let taken = ingest(&mut core, 1, &mut summary(0, 300.0), 0.05);
+        let speaks = verdict.map_or(Ingest::Misattributed, |()| Ingest::Accepted);
+        assert_eq!(taken, speaks, "{advertised:#04b}");
     }
 }
 
@@ -200,13 +246,16 @@ fn only_a_peer_that_reads_fvs2_is_accepted() {
 fn a_reconnect_takes_the_route_and_the_old_sockets_close_leaves_it() {
     let mut core = core(1, &config());
     hello(&mut core, 1, 0).unwrap();
-    core.ingest(from(0), &mut summary(0, 300.0), 0.05);
+    ingest(&mut core, 1, &mut summary(0, 300.0), 0.05);
     assert_eq!(round(&mut core, 0.1), [Call::Ceiling(1, 0)]);
 
-    // The node comes back on a new socket while the old one lingers.
+    // The node comes back on a new socket while the old one lingers:
+    // both speak for it.
     hello(&mut core, 2, 0).unwrap();
-    assert_eq!((core.peer_of(1), core.peer_of(2)), (from(0), from(0)));
-    core.ingest(from(0), &mut summary(0, 300.0), 0.15);
+    for conn in [1, 2] {
+        let taken = ingest(&mut core, conn, &mut summary(0, 300.0), 0.15);
+        assert_eq!(taken, Ingest::Accepted, "on connection {conn}");
+    }
     assert_eq!(round(&mut core, 0.2), [Call::Ceiling(2, 0)]);
     assert_eq!(core.status().connections, 1);
 
@@ -224,7 +273,8 @@ fn a_second_hello_on_a_handshaken_connection_is_a_protocol_error() {
     let mut core = core(2, &config());
     hello(&mut core, 1, 0).unwrap();
     // Same connection, now claiming node 1: refused, and nothing moves.
-    let (ack, verdict) = core.hello(1, 1, PROCS, SCHEMA_VERSION, 0, CODEC_ALL, 0.0);
+    let hello = hello_of(1, PROCS, SCHEMA_VERSION, 0, CODEC_ALL);
+    let (ack, verdict) = greet(&mut core, 1, hello, 0.0);
     assert_eq!(verdict, Err(Refusal::Repeated));
     assert!(matches!(
         ack,
@@ -233,7 +283,8 @@ fn a_second_hello_on_a_handshaken_connection_is_a_protocol_error() {
             ..
         }
     ));
-    assert_eq!(core.peer_of(1), from(0));
+    let mut s = summary(1, 300.0);
+    assert_eq!(ingest(&mut core, 1, &mut s, 0.05), Ingest::Misattributed);
     assert_eq!(round(&mut core, 0.1), [Call::Heartbeat(1, 1)]);
     assert_eq!(core.status().connections, 1);
     // The caller closes it, and no route leaks: the count comes back to
@@ -249,13 +300,13 @@ fn a_budget_change_is_persisted_before_any_ceiling_leaves() {
     let mut core = core(2, &config);
     for node in 0..2 {
         hello(&mut core, 10 + node as u64, node).unwrap();
-        core.ingest(from(node), &mut summary(node, 300.0), 0.05);
+        ingest(&mut core, 10 + node as u64, &mut summary(node, 300.0), 0.05);
     }
     // No change, no cadence due: ceilings only.
     let ceilings = [Call::Ceiling(10, 0), Call::Ceiling(11, 1)];
     assert_eq!(round(&mut core, 0.1), ceilings);
 
-    core.set_budget(500.0);
+    assert_eq!(core.set_budget(500.0), Some(f64::INFINITY));
     let mut sink = Recorder::default();
     let cadence = core.run_round(0.12, &mut sink);
     let [first, rest @ ..] = sink.calls.as_slice() else {
@@ -267,13 +318,15 @@ fn a_budget_change_is_persisted_before_any_ceiling_leaves() {
     assert_eq!(core.status().budget_w, 500.0);
     assert!(kinds(&config.telemetry).contains(&"budget_drop"));
 
-    // Setting the budget it already has owes a round but changes nothing.
-    core.set_budget(500.0);
+    // Setting the budget it already has owes nothing, and a round then
+    // changes nothing.
+    assert_eq!(core.set_budget(500.0), None);
+    assert!(core.until_round_s(0.14) > 0.0);
     assert_eq!(round(&mut core, 0.14), ceilings);
 
     // The cadence snapshot is the caller's to persist, after the round.
     for node in 0..2 {
-        core.ingest(from(node), &mut summary(node, 200.0), 1.1);
+        ingest(&mut core, 10 + node as u64, &mut summary(node, 200.0), 1.1);
     }
     let mut sink = Recorder::default();
     let cadence = core.run_round(1.2, &mut sink).expect("cadence is due");
@@ -283,7 +336,7 @@ fn a_budget_change_is_persisted_before_any_ceiling_leaves() {
 
     // Without a snapshot path nothing is built or handed out.
     let mut plain = self::core(1, &self::config());
-    plain.set_budget(500.0);
+    assert_eq!(plain.set_budget(500.0), Some(f64::INFINITY));
     let mut sink = Recorder::default();
     assert!(plain.run_round(5.0, &mut sink).is_none());
     assert_eq!(sink.calls, []);
@@ -329,7 +382,7 @@ fn keep_alives_go_to_exactly_the_routes_the_round_did_not_command() {
     hello(&mut core, 21, 1).unwrap();
     hello(&mut core, 22, 2).unwrap();
     hello(&mut core, 23, 2).unwrap();
-    core.ingest(from(0), &mut summary(0, 300.0), 0.05);
+    ingest(&mut core, 20, &mut summary(0, 300.0), 0.05);
     let expected = [
         Call::Ceiling(20, 0),
         Call::Heartbeat(21, 1),
@@ -338,8 +391,8 @@ fn keep_alives_go_to_exactly_the_routes_the_round_did_not_command() {
     assert_eq!(round(&mut core, 0.1), expected);
 
     // Everyone connected reports: the steady case sends no keep-alive.
-    for node in 0..3 {
-        core.ingest(from(node), &mut summary(node, 300.0), 0.15);
+    for (conn, node) in [(20, 0), (21, 1), (23, 2)] {
+        ingest(&mut core, conn, &mut summary(node, 300.0), 0.15);
     }
     let steady = [
         Call::Ceiling(20, 0),
@@ -355,7 +408,11 @@ fn keep_alives_go_to_exactly_the_routes_the_round_did_not_command() {
     };
     core.run_round(0.3, &mut sink);
     assert_eq!(sink.calls, steady);
-    assert_eq!((core.peer_of(21), core.status().connections), (None, 2));
+    let taken = ingest(&mut core, 21, &mut summary(1, 300.0), 0.35);
+    assert_eq!(
+        (taken, core.status().connections),
+        (Ingest::Misattributed, 2)
+    );
     assert_eq!(
         round(&mut core, 0.4),
         [Call::Ceiling(20, 0), Call::Ceiling(23, 2)]
@@ -387,7 +444,8 @@ fn a_round_is_owed_on_the_period_and_on_a_budget_change() {
 #[test]
 fn a_rejected_summary_changes_neither_liveness_nor_the_conservative_sum() {
     let mut core = core(2, &config());
-    let accepted = core.ingest(from(0), &mut summary(0, 300.0), 0.05);
+    hello(&mut core, 0, 0).unwrap();
+    let accepted = ingest(&mut core, 0, &mut summary(0, 300.0), 0.05);
     assert_eq!(accepted, Ingest::Accepted);
     round(&mut core, 0.1);
     // Node 0 live at 300 W, node 1 never heard from: worst case.
@@ -400,14 +458,19 @@ fn a_rejected_summary_changes_neither_liveness_nor_the_conservative_sum() {
         summary(0, -50.0),
         summary(0, f64::INFINITY),
         misshapen,
-        summary(9, 100.0),
     ];
-    // Each attributed to the node it names, so the scheduler judges it.
+    // Each on the connection of the node it names, so the scheduler
+    // judges it. A node outside the cluster has no such connection.
     for bad in &mut rejects {
         let before = bad.clone();
-        let ingested = core.ingest(from(bad.node), bad, 0.15);
+        let ingested = ingest(&mut core, 0, bad, 0.15);
         assert_eq!(ingested, Ingest::Rejected, "{before:?} must be refused");
     }
+    let mut outside = summary(9, 100.0);
+    assert_eq!(
+        ingest(&mut core, 0, &mut outside, 0.15),
+        Ingest::Misattributed
+    );
     round(&mut core, 0.2);
     assert_eq!(core.status().conservative_power_w, 300.0 + WORST_W);
     assert_eq!(core.status().dead_nodes, 0);
@@ -415,7 +478,7 @@ fn a_rejected_summary_changes_neither_liveness_nor_the_conservative_sum() {
     // Only rejects since 0.05: past the timeout the node is silent, for
     // the status exactly as for the scheduler — charged, not counted.
     for bad in &mut rejects {
-        assert_eq!(core.ingest(from(bad.node), bad, 0.58), Ingest::Rejected);
+        assert_eq!(ingest(&mut core, 0, bad, 0.58), Ingest::Rejected);
     }
     round(&mut core, 0.6);
     let status = core.status();
@@ -431,9 +494,8 @@ fn a_rejected_summary_changes_neither_liveness_nor_the_conservative_sum() {
 #[test]
 fn a_summary_before_any_hello_is_refused() {
     let mut core = core(1, &config());
-    let from = core.peer_of(5);
     assert_eq!(
-        core.ingest(from, &mut summary(0, 300.0), 0.05),
+        ingest(&mut core, 5, &mut summary(0, 300.0), 0.05),
         Ingest::Misattributed
     );
     round(&mut core, 0.1);
@@ -442,9 +504,8 @@ fn a_summary_before_any_hello_is_refused() {
 
     // Once the connection has handshaken as node 0, it speaks for it.
     hello(&mut core, 5, 0).unwrap();
-    let from = core.peer_of(5);
     assert_eq!(
-        core.ingest(from, &mut summary(0, 300.0), 0.15),
+        ingest(&mut core, 5, &mut summary(0, 300.0), 0.15),
         Ingest::Accepted
     );
     round(&mut core, 0.2);
@@ -460,22 +521,20 @@ fn a_summary_naming_another_node_is_refused() {
     hello(&mut core, 1, 0).unwrap();
     hello(&mut core, 2, 1).unwrap();
     for (conn, node) in [(1, 0), (2, 1)] {
-        let from = core.peer_of(conn);
-        let ingested = core.ingest(from, &mut summary(node, 300.0), 0.05);
+        let ingested = ingest(&mut core, conn, &mut summary(node, 300.0), 0.05);
         assert_eq!(ingested, Ingest::Accepted);
     }
     round(&mut core, 0.1);
     assert_eq!(core.status().conservative_power_w, 600.0);
 
     // Node 1 falls silent; connection 1 reports for both.
-    let from = core.peer_of(1);
     for at in [0.2, 0.3, 0.4, 0.5, 0.6] {
         assert_eq!(
-            core.ingest(from, &mut summary(0, 300.0), at),
+            ingest(&mut core, 1, &mut summary(0, 300.0), at),
             Ingest::Accepted
         );
         assert_eq!(
-            core.ingest(from, &mut summary(1, 100.0), at),
+            ingest(&mut core, 1, &mut summary(1, 100.0), at),
             Ingest::Misattributed
         );
         round(&mut core, at + 0.05);
@@ -521,10 +580,9 @@ fn ceiling_lengths(core: &mut CoordinatorCore, now_s: f64) -> Vec<usize> {
 fn a_summary_of_another_processor_count_than_announced_is_refused() {
     let mut core = core(1, &config());
     hello(&mut core, 1, 0).unwrap();
-    let from = core.peer_of(1);
     for procs in [5, 40_000, 3] {
         assert_eq!(
-            core.ingest(from, &mut summary_of(0, procs, 300.0), 0.05),
+            ingest(&mut core, 1, &mut summary_of(0, procs, 300.0), 0.05),
             Ingest::Miscounted,
             "{procs} processors after a hello announcing {PROCS}"
         );
@@ -534,11 +592,11 @@ fn a_summary_of_another_processor_count_than_announced_is_refused() {
     assert_eq!(core.status().conservative_power_w, WORST_W);
 
     assert_eq!(
-        core.ingest(from, &mut summary_of(0, PROCS, 300.0), 0.15),
+        ingest(&mut core, 1, &mut summary_of(0, PROCS, 300.0), 0.15),
         Ingest::Accepted
     );
     assert_eq!(
-        core.ingest(from, &mut summary_of(0, 40_000, 100.0), 0.25),
+        ingest(&mut core, 1, &mut summary_of(0, 40_000, 100.0), 0.25),
         Ingest::Miscounted
     );
     assert_eq!(ceiling_lengths(&mut core, 0.3), [PROCS]);
@@ -549,17 +607,18 @@ fn a_summary_of_another_processor_count_than_announced_is_refused() {
         .expect("node 0 reported");
     assert_eq!((held.models.len(), held.sent_at_s), (PROCS, 0.15));
 
-    // A reconnect that announces another count moves the node to it.
-    let (_, verdict) = core.hello(2, 0, 8, SCHEMA_VERSION, 0, CODEC_ALL, 0.35);
-    assert_eq!(verdict, Ok(()));
-    let from = core.peer_of(2);
-    assert_eq!(from, Some(Peer { node: 0, procs: 8 }));
+    // A reconnect that announces another count moves the node to it,
+    // on either of its connections.
+    let hello = hello_of(0, 8, SCHEMA_VERSION, 0, CODEC_ALL);
+    assert_eq!(greet(&mut core, 2, hello, 0.35).1, Ok(()));
+    for conn in [2, 1] {
+        assert_eq!(
+            ingest(&mut core, conn, &mut summary_of(0, PROCS, 300.0), 0.4),
+            Ingest::Miscounted
+        );
+    }
     assert_eq!(
-        core.ingest(from, &mut summary_of(0, PROCS, 300.0), 0.4),
-        Ingest::Miscounted
-    );
-    assert_eq!(
-        core.ingest(from, &mut summary_of(0, 8, 300.0), 0.45),
+        ingest(&mut core, 2, &mut summary_of(0, 8, 300.0), 0.45),
         Ingest::Accepted
     );
     assert_eq!(ceiling_lengths(&mut core, 0.5), [8]);
@@ -599,23 +658,23 @@ fn resync_ends_when_every_node_is_fresh_and_says_so_before_the_status_does() {
     );
     assert_eq!(kinds(&config.telemetry), ["coordinator_resumed"]);
     // The resumed epoch fences nobody who acknowledged the old one.
-    assert!(core
-        .hello(1, 0, PROCS, SCHEMA_VERSION, 3, CODEC_ALL, 0.0)
-        .1
-        .is_ok());
+    for node in 0..2 {
+        let hello = hello_of(node, PROCS, SCHEMA_VERSION, 3, CODEC_ALL);
+        assert!(greet(&mut core, 1 + node as u64, hello, 0.0).1.is_ok());
+    }
 
     // Restored charges are stale by construction: max(reported, commanded).
     round(&mut core, 0.1);
     assert_eq!(core.status().conservative_power_w, 800.0);
     assert!(core.status().resyncing);
     // One of two fresh is not enough.
-    core.ingest(from(0), &mut summary(0, 250.0), 0.15);
+    ingest(&mut core, 1, &mut summary(0, 250.0), 0.15);
     round(&mut core, 0.2);
     assert_eq!(core.status().conservative_power_w, 250.0 + 400.0);
     assert!(core.status().resyncing);
     assert!(!kinds(&config.telemetry).contains(&"resync_complete"));
 
-    core.ingest(from(1), &mut summary(1, 250.0), 0.25);
+    ingest(&mut core, 2, &mut summary(1, 250.0), 0.25);
     round(&mut core, 0.3);
     let complete = config
         .telemetry
@@ -644,7 +703,8 @@ fn resync_ends_at_its_deadline_with_the_silent_still_charged() {
     let config = config().with_resync_grace_s(2.0);
     let snap = snapshot_of(2);
     let mut core = CoordinatorCore::new(2, FvsstAlgorithm::p630(), &config, Some(&snap));
-    core.ingest(from(0), &mut summary(0, 250.0), 1.85);
+    hello(&mut core, 1, 0).unwrap();
+    ingest(&mut core, 1, &mut summary(0, 250.0), 1.85);
     round(&mut core, 1.9);
     assert!(core.status().resyncing);
     round(&mut core, 2.0);
@@ -693,7 +753,7 @@ fn a_stricter_budget_configured_at_resume_is_a_budget_drop() {
     assert_eq!(core.until_round_s(0.0), 0.0, "the cut cannot wait");
     for node in 0..2 {
         hello(&mut core, 1 + node as u64, node).unwrap();
-        core.ingest(from(node), &mut summary(node, 450.0), 0.05);
+        ingest(&mut core, 1 + node as u64, &mut summary(node, 450.0), 0.05);
     }
     let calls = round(&mut core, 0.1);
     assert_eq!(
@@ -713,7 +773,7 @@ fn a_stricter_budget_configured_at_resume_is_a_budget_drop() {
     assert!(!kinds(&config.telemetry).contains(&"budget_compliance"));
 
     for node in 0..2 {
-        core.ingest(from(node), &mut summary(node, 350.0), 0.15);
+        ingest(&mut core, 1 + node as u64, &mut summary(node, 350.0), 0.15);
     }
     round(&mut core, 0.2);
     let compliance = first(&config.telemetry, |ev| match ev {
@@ -752,7 +812,7 @@ fn a_resume_rebases_every_time_once_by_the_snapshot_clock() {
         let mut a = core(2, &crashed);
         for (node, &at) in arrivals.iter().enumerate() {
             hello(&mut a, 1 + node as u64, node).unwrap();
-            a.ingest(from(node), &mut summary(node, 300.0), at);
+            ingest(&mut a, 1 + node as u64, &mut summary(node, 300.0), at);
         }
         a.set_budget(100.0);
         round(&mut a, drop_s);
@@ -771,7 +831,7 @@ fn a_resume_rebases_every_time_once_by_the_snapshot_clock() {
         // The open episode's clock, read off its compliance.
         for node in 0..2 {
             hello(&mut b, 1 + node as u64, node).unwrap();
-            b.ingest(from(node), &mut summary(node, 10.0), 0.05);
+            ingest(&mut b, 1 + node as u64, &mut summary(node, 10.0), 0.05);
         }
         round(&mut b, 0.1);
         let wall_s = first(&resumed.telemetry, |ev| match ev {
@@ -915,9 +975,8 @@ fn the_last_first_summary_owes_a_round_at_once_and_only_once() {
     );
     for node in 0..2 {
         hello(&mut core, node as u64, node).unwrap();
-        let from = core.peer_of(node as u64);
         assert_eq!(
-            core.ingest(from, &mut summary(node, 300.0), 0.02),
+            ingest(&mut core, node as u64, &mut summary(node, 300.0), 0.02),
             Ingest::Accepted
         );
         assert!(
@@ -926,9 +985,8 @@ fn the_last_first_summary_owes_a_round_at_once_and_only_once() {
         );
     }
     hello(&mut core, 2, 2).unwrap();
-    let from = core.peer_of(2);
     assert_eq!(
-        core.ingest(from, &mut summary(2, 300.0), 0.03),
+        ingest(&mut core, 2, &mut summary(2, 300.0), 0.03),
         Ingest::Accepted
     );
     assert_eq!(core.until_round_s(0.03), 0.0, "every node has reported");
@@ -938,16 +996,14 @@ fn the_last_first_summary_owes_a_round_at_once_and_only_once() {
     // Fresh summaries, and node 2 again on a new connection: the edge
     // was this run's, and the period rules from here on.
     for node in 0..3 {
-        let from = core.peer_of(node as u64);
         assert_eq!(
-            core.ingest(from, &mut summary(node, 280.0), 0.05),
+            ingest(&mut core, node as u64, &mut summary(node, 280.0), 0.05),
             Ingest::Accepted
         );
     }
     hello(&mut core, 7, 2).unwrap();
-    let from = core.peer_of(7);
     assert_eq!(
-        core.ingest(from, &mut summary(2, 270.0), 0.06),
+        ingest(&mut core, 7, &mut summary(2, 270.0), 0.06),
         Ingest::Accepted
     );
     assert!(
@@ -961,25 +1017,29 @@ fn the_last_first_summary_owes_a_round_at_once_and_only_once() {
 #[test]
 fn a_refused_summary_does_not_count_a_node_heard_from() {
     let mut core = core(2, &config());
+    for node in 0..2 {
+        hello(&mut core, node as u64, node).unwrap();
+    }
     assert_eq!(
-        core.ingest(from(0), &mut summary(0, 300.0), 0.01),
+        ingest(&mut core, 0, &mut summary(0, 300.0), 0.01),
         Ingest::Accepted
     );
+    // On node 1's connection, node 0's, and one that never said hello.
     let refused = [
-        (from(1), summary(1, f64::NAN), Ingest::Rejected),
-        (from(0), summary(1, 300.0), Ingest::Misattributed),
-        (None, summary(1, 300.0), Ingest::Misattributed),
-        (from(1), summary_of(1, PROCS + 1, 300.0), Ingest::Miscounted),
+        (1, summary(1, f64::NAN), Ingest::Rejected),
+        (0, summary(1, 300.0), Ingest::Misattributed),
+        (9, summary(1, 300.0), Ingest::Misattributed),
+        (1, summary_of(1, PROCS + 1, 300.0), Ingest::Miscounted),
     ];
-    for (peer, mut s, verdict) in refused {
-        assert_eq!(core.ingest(peer, &mut s, 0.02), verdict);
+    for (conn, mut s, verdict) in refused {
+        assert_eq!(ingest(&mut core, conn, &mut s, 0.02), verdict);
         assert!(
             (core.until_round_s(0.02) - 0.08).abs() < 1e-12,
             "{verdict:?} counted"
         );
     }
     assert_eq!(
-        core.ingest(from(1), &mut summary(1, 300.0), 0.03),
+        ingest(&mut core, 1, &mut summary(1, 300.0), 0.03),
         Ingest::Accepted
     );
     assert_eq!(core.until_round_s(0.03), 0.0);
@@ -990,12 +1050,15 @@ fn a_refused_summary_does_not_count_a_node_heard_from() {
 #[test]
 fn with_one_node_never_heard_from_the_cluster_keeps_to_the_period() {
     let mut core = core(3, &config());
+    for node in 0..2 {
+        hello(&mut core, node as u64, node).unwrap();
+    }
     for k in 1..=5 {
         let t = 0.1 * f64::from(k);
         for node in 0..2 {
             let at = t - 0.05;
             assert_eq!(
-                core.ingest(from(node), &mut summary(node, 300.0), at),
+                ingest(&mut core, node as u64, &mut summary(node, 300.0), at),
                 Ingest::Accepted
             );
             assert!(core.until_round_s(at) > 0.0, "a round owed at {at} s");
@@ -1013,13 +1076,16 @@ fn after_a_resume_the_edge_round_ends_resync_before_the_status_says_so() {
     let config = config().with_resync_grace_s(2.0);
     let snap = snapshot_of(2);
     let mut core = CoordinatorCore::new(2, FvsstAlgorithm::p630(), &config, Some(&snap));
+    for node in 0..2 {
+        hello(&mut core, node as u64, node).unwrap();
+    }
     assert_eq!(
-        core.ingest(from(0), &mut summary(0, 250.0), 0.03),
+        ingest(&mut core, 0, &mut summary(0, 250.0), 0.03),
         Ingest::Accepted
     );
     assert!(core.until_round_s(0.03) > 0.0, "one of two");
     assert_eq!(
-        core.ingest(from(1), &mut summary(1, 250.0), 0.04),
+        ingest(&mut core, 1, &mut summary(1, 250.0), 0.04),
         Ingest::Accepted
     );
     assert_eq!(core.until_round_s(0.04), 0.0);
@@ -1040,4 +1106,209 @@ fn after_a_resume_the_edge_round_ends_resync_before_the_status_says_so() {
     let status = core.status();
     assert_eq!((status.resyncing, status.resync_deadline_s), (false, None));
     assert_eq!(status.last_round_s, 0.04);
+}
+
+/// What one uplink frame was, for the table below.
+enum Sent {
+    Msg(WireMsg),
+    Summary(NodeSummary),
+}
+
+/// Every kind of frame through the one entry: what it is taken for (a
+/// hello with the ack it owes), and whether the link stays open. Connection 1 has
+/// handshaken as node 0 of a two-node cluster; connection 2 is new.
+#[test]
+fn frame_says_what_each_uplink_frame_was_what_to_write_and_whether_to_stay() {
+    let ack = |accepted: bool| WireMsg::HelloAck {
+        accepted,
+        version: SCHEMA_VERSION,
+        epoch: 1,
+        codec: if accepted {
+            WireCodec::Binary
+        } else {
+            WireCodec::Json
+        }
+        .id(),
+    };
+    let said = |node, version, last_epoch| {
+        Sent::Msg(hello_of(node, PROCS, version, last_epoch, CODEC_ALL))
+    };
+    let judged = |node, verdict: Result<(), Refusal>| Received::Hello {
+        node,
+        ack: ack(verdict.is_ok()),
+        verdict,
+    };
+    let rows = [
+        // (what, connection, frame, taken for, stays open)
+        (
+            "hello",
+            2,
+            said(1, SCHEMA_VERSION, 1),
+            judged(1, Ok(())),
+            true,
+        ),
+        (
+            "hello of another schema",
+            2,
+            said(1, SCHEMA_VERSION + 1, 0),
+            judged(1, Err(Refusal::Version)),
+            false,
+        ),
+        (
+            "hello that has seen a newer epoch",
+            2,
+            said(1, SCHEMA_VERSION, 2),
+            judged(1, Err(Refusal::StaleEpoch)),
+            false,
+        ),
+        (
+            "second hello",
+            1,
+            said(1, SCHEMA_VERSION, 0),
+            judged(1, Err(Refusal::Repeated)),
+            false,
+        ),
+        (
+            "hello from outside the cluster",
+            2,
+            said(2, SCHEMA_VERSION, 0),
+            judged(2, Err(Refusal::UnknownNode)),
+            false,
+        ),
+        (
+            "summary",
+            1,
+            Sent::Summary(summary(0, 300.0)),
+            Received::Summary(Ingest::Accepted),
+            true,
+        ),
+        (
+            "NaN summary",
+            1,
+            Sent::Summary(summary(0, f64::NAN)),
+            Received::Summary(Ingest::Rejected),
+            true,
+        ),
+        (
+            "another node's summary",
+            1,
+            Sent::Summary(summary(1, 300.0)),
+            Received::Summary(Ingest::Misattributed),
+            true,
+        ),
+        (
+            "summary before a hello",
+            2,
+            Sent::Summary(summary(1, 300.0)),
+            Received::Summary(Ingest::Misattributed),
+            true,
+        ),
+        (
+            "summary of another count",
+            1,
+            Sent::Summary(summary_of(0, PROCS + 1, 300.0)),
+            Received::Summary(Ingest::Miscounted),
+            true,
+        ),
+        (
+            "bye",
+            1,
+            Sent::Msg(WireMsg::Bye { node: 0 }),
+            Received::Bye,
+            false,
+        ),
+        (
+            "heartbeat",
+            1,
+            Sent::Msg(WireMsg::Heartbeat { epoch: 1 }),
+            Received::Ignored,
+            true,
+        ),
+        (
+            "hello_ack",
+            2,
+            Sent::Msg(ack(true)),
+            Received::Ignored,
+            true,
+        ),
+    ];
+    for (what, conn, sent, want, open) in rows {
+        let mut core = core(2, &config());
+        hello(&mut core, 1, 0).unwrap();
+        let got = match sent {
+            Sent::Msg(msg) => core.frame(conn, Frame::Msg(msg), 0.05),
+            Sent::Summary(mut s) => core.frame(conn, Frame::Summary(&mut s), 0.05),
+        };
+        assert_eq!(got, want, "{what}");
+        assert_eq!(got.open(), open, "{what}");
+    }
+}
+
+/// The budget-change rule is `RoundClock`'s: a change of at most 1e-9 W
+/// is none — it owes no round and replaces nothing — and a real one
+/// returns the budget it replaced, in force or waiting. A waiting change
+/// that comes back to the budget in force puts nothing in force: no
+/// write-ahead, no second `budget_drop`.
+#[test]
+fn a_budget_change_of_a_nanowatt_or_less_owes_no_round() {
+    let config = config().with_snapshots("never-opened.snap", 10.0);
+    let mut core = self::core(1, &config);
+    round(&mut core, PERIOD_S);
+    assert_eq!(
+        core.set_budget(f64::INFINITY),
+        None,
+        "no budget is no budget"
+    );
+    assert!(core.until_round_s(0.15) > 0.0);
+
+    assert_eq!(core.set_budget(900.0), Some(f64::INFINITY));
+    assert_eq!(core.until_round_s(0.15), 0.0);
+    assert_eq!(
+        core.set_budget(900.0 + 1e-10),
+        None,
+        "against the waiting one"
+    );
+    assert_eq!(core.set_budget(800.0), Some(900.0));
+    assert_eq!(round(&mut core, 0.15).first(), Some(&Call::Persist(800.0)));
+    assert_eq!(core.status().budget_w, 800.0);
+
+    for nudge_w in [1e-10, -5e-10, 9e-10] {
+        assert_eq!(core.set_budget(800.0 + nudge_w), None, "{nudge_w:e} W");
+        assert!(core.until_round_s(0.16) > 0.0, "{nudge_w:e} W");
+    }
+    assert_eq!(core.set_budget(700.0), Some(800.0), "a drop");
+    assert_eq!(core.set_budget(800.0), Some(700.0), "and back");
+    assert_eq!(core.until_round_s(0.16), 0.0);
+    let calls = round(&mut core, 0.16);
+    assert!(!calls.contains(&Call::Persist(800.0)), "{calls:?}");
+    assert_eq!(core.status().budget_w, 800.0);
+    let drops = kinds(&config.telemetry);
+    assert_eq!(drops.iter().filter(|&&k| k == "budget_drop").count(), 1);
+}
+
+/// `ClusterSim` hands the coordinator the schedule's budget every tick
+/// and records a drop when `set_budget` says one replaced a higher
+/// budget: a repeated value, or one within 1e-9 W, is no drop, and a
+/// raise is none either.
+#[test]
+fn a_cluster_schedule_that_repeats_a_budget_records_only_the_real_drops() {
+    let step = |at_s, budget_w| BudgetEvent { at_s, budget_w };
+    let budget = BudgetSchedule::with_events(
+        1600.0,
+        vec![
+            step(0.2, 1000.0),
+            step(0.3, 1000.0),
+            step(0.4, 1000.0 + 1e-10),
+            step(0.5, 1200.0),
+            step(0.6, 1200.0),
+            step(0.7, 900.0),
+            step(0.8, 900.0),
+        ],
+    );
+    let config = ClusterConfig::rack().with_budget(budget);
+    let report = ClusterSim::three_tier(4, 7, config).run_for(1.0);
+    let drops: Vec<(f64, f64)> = report.drops.iter().map(|d| (d.at_s, d.budget_w)).collect();
+    assert_eq!(drops.len(), 2, "{drops:?}");
+    assert_eq!((drops[0].1, drops[1].1), (1000.0, 900.0));
+    assert!((drops[0].0 - 0.2).abs() < 0.011 && (drops[1].0 - 0.7).abs() < 0.011);
 }

@@ -3,19 +3,20 @@
 //! Every frame kind is encoded under each codec it travels in, then has
 //! one to eight random bits flipped or is cut short. Whatever
 //! `FrameReader` still decodes out of it goes to a handshaken
-//! [`AgentCore::frame`] and to [`CoordinatorCore::hello`] /
-//! [`CoordinatorCore::ingest`], and a round runs over what the
-//! coordinator then believes. A summary naming any node but the one its
-//! connection handshook as must be [`Ingest::Misattributed`], and one
-//! of another processor count than its hello's [`Ingest::Miscounted`].
+//! [`AgentCore::frame`] and to [`CoordinatorCore::frame`] (a hello on a
+//! fresh connection, anything else on the handshaken one), and a round
+//! runs over what the coordinator then believes. A summary naming any
+//! node but the one its connection handshook as must be
+//! [`Ingest::Misattributed`], and one of another processor count than
+//! its hello's [`Ingest::Miscounted`].
 //! `wire_roundtrip`'s `corrupt_frames_never_panic` stops at the decoder;
 //! this goes on into the cores.
 
 use fvs_cluster::{ClusterNode, FrequencyCommand, NodeSummary};
 use fvs_model::{CpiModel, FreqMhz};
 use fvs_net::{
-    encode_with, AgentConfig, AgentCore, CoordinatorConfig, CoordinatorCore, FrameReader, Heard,
-    Ingest, RoundSink, Snapshot, WireCodec, WireMsg, CODEC_ALL, SCHEMA_VERSION,
+    encode_with, AgentConfig, AgentCore, CoordinatorConfig, CoordinatorCore, Frame, FrameReader,
+    Heard, Ingest, Received, RoundSink, Snapshot, WireCodec, WireMsg, CODEC_ALL, SCHEMA_VERSION,
 };
 use fvs_sched::FvsstAlgorithm;
 use fvs_sim::MachineBuilder;
@@ -99,8 +100,15 @@ fn linked_coordinator() -> CoordinatorCore {
         &CoordinatorConfig::default_lan(),
         None,
     );
-    let (_, verdict) = coordinator.hello(CONN, NODE, PROCS, SCHEMA_VERSION, 0, CODEC_ALL, 0.0);
-    assert_eq!(verdict, Ok(()));
+    let hello = WireMsg::Hello {
+        node: NODE,
+        procs: PROCS,
+        version: SCHEMA_VERSION,
+        last_epoch: 0,
+        codecs: CODEC_ALL,
+    };
+    let received = coordinator.frame(CONN, Frame::Msg(hello), 0.0);
+    assert!(received.open(), "{received:?}");
     coordinator
 }
 
@@ -153,20 +161,21 @@ proptest! {
         while let Ok(Some(decoded)) = reader.next_frame() {
             agent.frame(&decoded, now_s);
             match decoded {
-                WireMsg::Hello { node, procs, version, last_epoch, codecs } => {
-                    let _ = coordinator.hello(CONN + 1, node, procs, version, last_epoch, codecs, now_s);
+                hello @ WireMsg::Hello { .. } => {
+                    coordinator.frame(CONN + 1, Frame::Msg(hello), now_s);
                 }
                 WireMsg::Summary(mut summary) => {
                     let (named, procs) = (summary.node, summary.models.len());
-                    let from = coordinator.peer_of(CONN);
-                    let verdict = coordinator.ingest(from, &mut summary, now_s);
+                    let verdict = coordinator.frame(CONN, Frame::Summary(&mut summary), now_s);
                     if named != NODE {
-                        prop_assert_eq!(verdict, Ingest::Misattributed, "summary names node {}", named);
+                        prop_assert_eq!(verdict, Received::Summary(Ingest::Misattributed), "summary names node {}", named);
                     } else if procs != PROCS {
-                        prop_assert_eq!(verdict, Ingest::Miscounted, "summary of {} processors", procs);
+                        prop_assert_eq!(verdict, Received::Summary(Ingest::Miscounted), "summary of {} processors", procs);
                     }
                 }
-                _ => {}
+                other => {
+                    coordinator.frame(CONN, Frame::Msg(other), now_s);
+                }
             }
             now_s += 0.01;
         }

@@ -13,8 +13,8 @@
 
 use fvs_cluster::ClusterNode;
 use fvs_net::{
-    AgentConfig, AgentCore, CoordinatorConfig, CoordinatorCore, Heard, Ingest, RoundSink, Snapshot,
-    Tick, WireMsg,
+    AgentConfig, AgentCore, CoordinatorConfig, CoordinatorCore, Frame, Heard, Ingest, Received,
+    RoundSink, Snapshot, Tick, WireMsg,
 };
 use fvs_sched::FvsstAlgorithm;
 use fvs_sim::MachineBuilder;
@@ -100,18 +100,10 @@ fn greet(
     hello: WireMsg,
     now_s: f64,
 ) -> (WireMsg, bool) {
-    let WireMsg::Hello {
-        node,
-        procs,
-        version,
-        last_epoch,
-        codecs,
-    } = hello
-    else {
-        panic!("connected() returns a hello, not {hello:?}");
-    };
-    let (ack, verdict) = coordinator.hello(conn, node, procs, version, last_epoch, codecs, now_s);
-    (ack, verdict.is_ok())
+    match coordinator.frame(conn, Frame::Msg(hello), now_s) {
+        Received::Hello { ack, verdict, .. } => (ack, verdict.is_ok()),
+        other => panic!("connected() returns a hello, not what was taken for {other:?}"),
+    }
 }
 
 /// Everything a run leaves behind that another run must equal.
@@ -179,9 +171,10 @@ fn run() -> Outcome {
                 Tick::Flush => {}
                 Tick::Summary(mut summary) => {
                     if !muted(id) {
-                        let from = peer.conn.and_then(|conn| coordinator.peer_of(conn));
-                        let ingested = coordinator.ingest(from, &mut summary, now_s - born_s);
-                        assert_eq!(ingested, Ingest::Accepted);
+                        let conn = peer.conn.expect("a summary is sent on a link");
+                        let frame = Frame::Summary(&mut summary);
+                        let received = coordinator.frame(conn, frame, now_s - born_s);
+                        assert_eq!(received, Received::Summary(Ingest::Accepted));
                     }
                 }
                 Tick::Silent => {

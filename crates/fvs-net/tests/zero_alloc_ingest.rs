@@ -1,7 +1,7 @@
 //! Counting-allocator proof of the coordinator read path's steady-state
 //! claim: after one warm-up burst, a reconnect herd's binary summaries
 //! travel socket → `Transport::fill` → `Transport::next_lent` (the reader
-//! lends its record as `Frame::Summary`) → `CoordinatorCore::ingest` →
+//! lends its record as `Frame::Summary`) → `CoordinatorCore::frame` →
 //! `GlobalCoordinator::ingest_swap` without one heap allocation. The
 //! read lands in storage the reader already owns, the summary is decoded
 //! into the record that holds what the previous ingest displaced, and
@@ -16,8 +16,8 @@
 use fvs_cluster::NodeSummary;
 use fvs_model::{CpiModel, FreqMhz};
 use fvs_net::{
-    encode_binary, CoordinatorConfig, CoordinatorCore, FillStatus, Frame, Ingest, Transport,
-    WireMsg, CODEC_ALL, SCHEMA_VERSION,
+    encode_binary, CoordinatorConfig, CoordinatorCore, FillStatus, Frame, Ingest, Received,
+    Transport, WireMsg, CODEC_ALL, SCHEMA_VERSION,
 };
 use fvs_sched::FvsstAlgorithm;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -95,13 +95,14 @@ fn burst(
                 FillStatus::Idle => continue,
                 FillStatus::Eof => panic!("nobody closed this connection"),
             }
-            let from = core.peer_of(conn as u64);
             while let Some(frame) = transport.next_lent().expect("clean frames") {
-                let Frame::Summary(s) = frame else {
-                    panic!("only summaries were sent");
-                };
+                assert!(
+                    matches!(frame, Frame::Summary(_)),
+                    "only summaries were sent"
+                );
                 seen += 1;
-                accepted += usize::from(core.ingest(from, s, 1.0) == Ingest::Accepted);
+                let received = core.frame(conn as u64, frame, 1.0);
+                accepted += usize::from(received == Received::Summary(Ingest::Accepted));
             }
         }
     }
@@ -129,8 +130,15 @@ fn main() {
     let config = CoordinatorConfig::default_lan();
     let mut core = CoordinatorCore::new(CONNS, FvsstAlgorithm::p630(), &config, None);
     for node in 0..CONNS {
-        let (_, verdict) = core.hello(node as u64, node, PROCS, SCHEMA_VERSION, 0, CODEC_ALL, 0.0);
-        assert_eq!(verdict, Ok(()));
+        let hello = WireMsg::Hello {
+            node,
+            procs: PROCS,
+            version: SCHEMA_VERSION,
+            last_epoch: 0,
+            codecs: CODEC_ALL,
+        };
+        let received = core.frame(node as u64, Frame::Msg(hello), 0.0);
+        assert!(received.open(), "{received:?}");
     }
 
     // Warm-up: the read storage grows to what a burst needs, every node

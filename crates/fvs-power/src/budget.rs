@@ -9,6 +9,14 @@
 
 use serde::{Deserialize, Serialize};
 
+/// The one budget-change rule: `budget_w` replaces `previous_w` when the
+/// two differ by more than 1e-9 W, and the budget replaced is returned.
+/// The daemon's round clock and the cluster coordinator both read it, so
+/// what one of them takes for a budget change the other does too.
+pub fn replaced_budget(previous_w: f64, budget_w: f64) -> Option<f64> {
+    ((budget_w - previous_w).abs() > 1e-9).then_some(previous_w)
+}
+
 /// One scheduled budget change.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BudgetEvent {

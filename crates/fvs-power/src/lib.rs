@@ -26,7 +26,7 @@ pub mod supply;
 pub mod table;
 pub mod voltage;
 
-pub use budget::{BudgetEvent, BudgetSchedule};
+pub use budget::{replaced_budget, BudgetEvent, BudgetSchedule};
 pub use energy::EnergyMeter;
 pub use index::PowerVoltageIndex;
 pub use model::{AnalyticPowerModel, CalibrationReport};

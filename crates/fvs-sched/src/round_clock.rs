@@ -11,7 +11,7 @@ const IDLE_EDGE_MIN_SPACING: u32 = 2;
 
 /// The daemon's round rule and its state. A round runs on the first tick
 /// (the bootstrap: enforce the budget as soon as the first window has
-/// data); at once on a budget change of more than 1e-9 W (never
+/// data); at once on a budget change ([`fvs_power::replaced_budget`]; never
 /// rate-limited: ΔT is a hard deadline); with idle detection on, on an
 /// idle edge, which waits until `IDLE_EDGE_MIN_SPACING` ticks after the
 /// last round and is never dropped; and `n` ticks after the last round.
@@ -56,7 +56,7 @@ impl RoundClock {
     pub fn tick(&mut self, budget_w: f64, idle: &[bool]) -> Tick {
         self.since_round += 1;
         let previous = self.budget_w.replace(budget_w);
-        let replaced_budget_w = previous.filter(|b| (b - budget_w).abs() > 1e-9);
+        let replaced_budget_w = previous.and_then(|b| fvs_power::replaced_budget(b, budget_w));
         if self.idle_detection && self.idle[..] != *idle {
             self.pending_idle_edge = true;
             self.idle.clear();
