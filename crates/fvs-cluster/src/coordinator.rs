@@ -71,13 +71,13 @@ pub struct NodeRestore {
 }
 
 impl NodeRestore {
-    /// What the coordinator charges a node it cannot command, written
-    /// once: `max(last reported, last commanded)` — it may have gone
-    /// silent after a boost command, before any summary showed it — or
-    /// `worst_case_w` if it has never reported.
+    /// What the coordinator charges a node it cannot command: the
+    /// daemon's [`fvs_sched::unlanded_charge_w`] of its last report and
+    /// last command — it may have gone silent after a boost command,
+    /// before any summary showed it — or `worst_case_w` if it has never reported.
     fn charge_w(&self, worst_case_w: f64) -> f64 {
         match &self.summary {
-            Some(s) => s.power_w.max(self.commanded_w),
+            Some(s) => fvs_sched::unlanded_charge_w(s.power_w, self.commanded_w),
             None => worst_case_w,
         }
     }

@@ -15,8 +15,8 @@
 //!
 //! The degradation ladder that answers it lives where each rung acts
 //! (DESIGN.md §11): sample quarantine in `fvs_sched::Predictor::push`,
-//! actuation retry and the fail-safe pin in `FvsstScheduler`,
-//! conservative charging in `fvs_cluster::GlobalCoordinator`.
+//! the hold and charge of an unlanded command in `FvsstScheduler`, and
+//! that charge for a silent node in `fvs_cluster::GlobalCoordinator`.
 //!
 //! A quiet injector answers every query with a single branch, so the
 //! counting-allocator proofs in fvs-sched hold with the fault machinery

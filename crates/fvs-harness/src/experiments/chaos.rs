@@ -6,8 +6,9 @@
 //!
 //! - **machine** — a 4-core P630 under fvsst with corrupted counter
 //!   samples, flaky actuation, and the plan's scripted budget drop. The
-//!   degradation ladder (quarantine → verify-retry → fail-safe pin)
-//!   must keep the schedule NaN-free and end compliant.
+//!   degradation ladder (quarantine, then a hold at `f_min`, charged,
+//!   for a command that has not landed) must keep the schedule NaN-free
+//!   and end compliant.
 //! - **cluster** — a 4-node rack under the plan's message faults (the
 //!   wire model: frames lost, doubled, delayed, corrupted or reset, a
 //!   partition window) and corrupted counters, a node outage, and the
@@ -47,13 +48,15 @@ pub struct ChaosCell {
     pub faults_injected: u64,
     /// Samples / summaries quarantined by validation.
     pub quarantined: u64,
-    /// Actuation verify-retry attempts.
+    /// `f_min` re-issues to held processors.
     pub actuation_retries: u64,
-    /// Processors pinned at the fail-safe minimum.
+    /// Holds at the fail-safe minimum begun: commands that had not
+    /// landed.
     pub failsafe_pins: u64,
     /// Nodes presumed dead at the end of the run (cluster cell).
     pub dead_nodes: u64,
-    /// Power the coordinator reserved for silent nodes at the end (W).
+    /// Power reserved at the end (W): by the coordinator for silent
+    /// nodes, by the daemon for commands that had not landed.
     pub reserved_w: f64,
     /// `final_power_w <= budget_w`: the invariant the experiment exists
     /// to check.
@@ -76,15 +79,8 @@ fn run_machine(plan: &FaultPlan, settings: &RunSettings, telemetry: Telemetry) -
     for (i, c) in [100.0, 60.0, 30.0, 10.0].iter().enumerate() {
         b = b.workload(i, WorkloadSpec::synthetic(*c, 1.0e13).looping());
     }
-    // A one-retry budget keeps the ladder's bottom rung (fail-safe
-    // pinning) reachable within the run: quarantine deliberately keeps
-    // the schedule stable under corrupted counters, so frequency
-    // transitions — the only place actuation faults bite — are rare,
-    // and K consecutive faulted re-issues of the same transition is
-    // rate^K rare on top of that.
     let config = SchedulerConfig::p630()
         .with_budget(BudgetSchedule::constant(560.0))
-        .with_max_actuation_retries(1)
         .with_telemetry(telemetry.clone());
     let mut sim = ScheduledSimulation::new(b.build(), config)
         .without_trace()
@@ -101,9 +97,9 @@ fn run_machine(plan: &FaultPlan, settings: &RunSettings, telemetry: Telemetry) -
         faults_injected: sim.faults_injected(),
         quarantined: sched.quarantined_samples(),
         actuation_retries: sched.actuation_retries(),
-        failsafe_pins: sched.failsafe_pins() as u64,
+        failsafe_pins: sched.holds(),
         dead_nodes: 0,
-        reserved_w: 0.0,
+        reserved_w: sched.reserved_w(),
         compliant: report.final_power_w <= budget_w + 1e-9,
     }
 }

@@ -103,16 +103,6 @@ impl BoundedCpiModel {
         })
     }
 
-    /// Predicted performance interval `(min, max)` in instructions/s at
-    /// `f`. The interval is formed by evaluating both variants; which
-    /// one is lower depends on `f` relative to the measurement point, so
-    /// both orders are handled.
-    pub fn perf_interval(&self, f: FreqMhz) -> (f64, f64) {
-        let a = self.optimistic.perf_at(f);
-        let b = self.pessimistic.perf_at(f);
-        (a.min(b), a.max(b))
-    }
-
     /// Worst-case (largest) predicted loss vs `f_ref` at `f`: the value
     /// a conservative scheduler compares with ε.
     pub fn worst_case_loss(&self, f_ref: FreqMhz, f: FreqMhz) -> f64 {
@@ -139,6 +129,14 @@ mod tests {
     use crate::counters::synthesize_delta;
     use crate::perfloss::PerfLossTable;
 
+    /// The performance interval `(min, max)` in instructions/s the two
+    /// variants predict at `f`; which one is lower depends on `f`
+    /// relative to the measurement point.
+    fn perf_interval(b: &BoundedCpiModel, f: FreqMhz) -> (f64, f64) {
+        let (x, y) = (b.optimistic.perf_at(f), b.pessimistic.perf_at(f));
+        (x.min(y), x.max(y))
+    }
+
     fn window(mem_rate: f64, f: FreqMhz) -> CounterDelta {
         let lat = MemoryLatencies::P630;
         let truth = CpiModel::from_components(1.0, mem_rate * lat.mem_s);
@@ -159,7 +157,7 @@ mod tests {
         let delta = synthesize_delta(&truth, 0.0, 0.0, 0.01, 1.0e7, FreqMhz(1000));
         let b = BoundedCpiModel::estimate(&delta, FreqMhz(1000), &bounds, 0.05).unwrap();
         for f in FrequencySet::p630().iter() {
-            let (lo, hi) = b.perf_interval(f);
+            let (lo, hi) = perf_interval(&b, f);
             let p = truth.perf_at(f);
             assert!(
                 lo <= p * 1.000001 && p <= hi * 1.000001,
@@ -175,7 +173,7 @@ mod tests {
         let b = BoundedCpiModel::estimate(&delta, FreqMhz(800), &bounds, 0.05).unwrap();
         // Both variants reproduce the observed CPI at the measurement
         // frequency by construction.
-        let (lo, hi) = b.perf_interval(FreqMhz(800));
+        let (lo, hi) = perf_interval(&b, FreqMhz(800));
         assert!(
             (hi - lo) / hi < 1e-9,
             "interval should collapse: {lo}..{hi}"
@@ -208,7 +206,7 @@ mod tests {
         let delta = window(0.0, FreqMhz(1000));
         let b = BoundedCpiModel::estimate(&delta, FreqMhz(1000), &bounds, 0.05).unwrap();
         for f in [FreqMhz(250), FreqMhz(650), FreqMhz(1000)] {
-            let (lo, hi) = b.perf_interval(f);
+            let (lo, hi) = perf_interval(&b, f);
             assert!((hi - lo).abs() < 1e-6, "no memory → no uncertainty");
         }
     }

@@ -83,15 +83,6 @@ impl CpiModel {
         }
     }
 
-    /// The memory-intensity fraction of execution time at frequency `f`:
-    /// the share of each instruction's latency spent stalled off-core.
-    /// 0 for CPU-bound work; → 1 as work becomes memory-bound or the clock
-    /// rises.
-    pub fn memory_fraction_at(&self, f: FreqMhz) -> f64 {
-        let mem_cycles = self.mem_time_per_instr * f.hz();
-        mem_cycles / (self.cpi0 + mem_cycles)
-    }
-
     /// The lowest frequency (in Hz, continuous) at which the workload
     /// achieves `target_ips` instructions per second, or `None` if the
     /// target exceeds what any frequency can deliver (i.e. is at or above
@@ -141,7 +132,6 @@ mod tests {
         let p2 = m.perf_at(FreqMhz(1000));
         assert!((p2 / p1 - 2.0).abs() < 1e-12);
         assert_eq!(m.perf_asymptote(), f64::INFINITY);
-        assert_eq!(m.memory_fraction_at(FreqMhz(1000)), 0.0);
     }
 
     #[test]
@@ -177,16 +167,6 @@ mod tests {
         let m = mem_bound();
         assert!(m.frequency_for_perf_hz(m.perf_asymptote() * 1.01).is_none());
         assert!(m.frequency_for_perf_hz(m.perf_asymptote()).is_none());
-    }
-
-    #[test]
-    fn memory_fraction_rises_with_frequency() {
-        let m = mem_bound();
-        let lo = m.memory_fraction_at(FreqMhz(250));
-        let hi = m.memory_fraction_at(FreqMhz(1000));
-        assert!(lo < hi);
-        assert!(hi < 1.0);
-        assert!(lo > 0.0);
     }
 
     #[test]

@@ -45,16 +45,6 @@ impl MemoryLatencies {
             mem_s: t,
         }
     }
-
-    /// Latencies expressed in cycles at frequency `f_hz`, for reporting.
-    pub fn cycles_at(&self, f_hz: f64) -> (f64, f64, f64, f64) {
-        (
-            self.l1_cycles,
-            self.l2_s * f_hz,
-            self.l3_s * f_hz,
-            self.mem_s * f_hz,
-        )
-    }
 }
 
 impl Default for MemoryLatencies {
@@ -69,18 +59,10 @@ mod tests {
 
     #[test]
     fn p630_latencies_match_paper_at_1ghz() {
-        let (l1, l2, l3, mem) = MemoryLatencies::P630.cycles_at(1.0e9);
-        assert!((l1 - 4.5).abs() < 1e-9);
-        assert!((l2 - 15.0).abs() < 1e-9);
-        assert!((l3 - 113.0).abs() < 1e-9);
-        assert!((mem - 393.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn latencies_halve_in_cycles_at_half_clock() {
-        let (_, l2, l3, mem) = MemoryLatencies::P630.cycles_at(0.5e9);
-        assert!((l2 - 7.5).abs() < 1e-9);
-        assert!((l3 - 56.5).abs() < 1e-9);
-        assert!((mem - 196.5).abs() < 1e-9);
+        let l = MemoryLatencies::P630;
+        assert!((l.l1_cycles - 4.5).abs() < 1e-9);
+        assert!((l.l2_s * 1.0e9 - 15.0).abs() < 1e-9);
+        assert!((l.l3_s * 1.0e9 - 113.0).abs() < 1e-9);
+        assert!((l.mem_s * 1.0e9 - 393.0).abs() < 1e-9);
     }
 }

@@ -35,18 +35,6 @@ impl AccessRates {
         self.l2_per_instr * lat.l2_s + self.l3_per_instr * lat.l3_s + self.mem_per_instr * lat.mem_s
     }
 
-    /// Linear interpolation between two rate sets (used when blending
-    /// phases or constructing intensity sweeps); `w = 0` yields `self`,
-    /// `w = 1` yields `other`.
-    pub fn lerp(&self, other: &AccessRates, w: f64) -> AccessRates {
-        let mix = |a: f64, b: f64| a + (b - a) * w;
-        AccessRates {
-            l2_per_instr: mix(self.l2_per_instr, other.l2_per_instr),
-            l3_per_instr: mix(self.l3_per_instr, other.l3_per_instr),
-            mem_per_instr: mix(self.mem_per_instr, other.mem_per_instr),
-        }
-    }
-
     /// Scale all rates by a constant factor.
     pub fn scaled(&self, k: f64) -> AccessRates {
         AccessRates {
@@ -132,20 +120,6 @@ mod tests {
         assert_eq!(p.rates.stall_time_per_instr(&MemoryLatencies::P630), 0.0);
         assert!((p.cpi0() - 0.5).abs() < 1e-12);
         assert!(p.is_valid());
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = AccessRates::NONE;
-        let b = AccessRates {
-            l2_per_instr: 0.02,
-            l3_per_instr: 0.01,
-            mem_per_instr: 0.008,
-        };
-        assert_eq!(a.lerp(&b, 0.0), a);
-        assert_eq!(a.lerp(&b, 1.0), b);
-        let mid = a.lerp(&b, 0.5);
-        assert!((mid.mem_per_instr - 0.004).abs() < 1e-15);
     }
 
     #[test]

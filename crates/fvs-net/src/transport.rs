@@ -298,7 +298,7 @@ impl Transport {
     }
 
     /// Read what `src` has straight into the frame buffer, at most
-    /// [`FILL_BUDGET`] bytes a call. Returns after the first read that
+    /// `FILL_BUDGET` bytes a call. Returns after the first read that
     /// left room (the reader had no more than that), when the budget is
     /// spent, the reader has nothing (`WouldBlock` or a read timeout),
     /// the peer closes, or an error surfaces. Bytes that arrive at

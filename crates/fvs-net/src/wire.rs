@@ -827,7 +827,7 @@ impl FrameReader {
 
     /// One `read` of at most `limit` bytes from `src` straight into the
     /// storage; returns what `read` returned. The room offered is all
-    /// the storage behind the unread bytes: [`INITIAL_READ_ROOM`] at
+    /// the storage behind the unread bytes: `INITIAL_READ_ROOM` at
     /// first, doubled whenever it is found full — that is, only after a
     /// read filled it (or a frame larger than it is still arriving).
     pub fn read_from<R: io::Read>(&mut self, src: &mut R, limit: usize) -> io::Result<usize> {

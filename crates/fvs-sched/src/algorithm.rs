@@ -5,12 +5,12 @@
 //! - [`FvsstAlgorithm::schedule_cached`] — the production path, over a
 //!   [`ScheduleCache`] of `O(n)` state. Pass 1 fills one reused `|F|` row
 //!   per rebuilt processor and keeps the two entries every round reads in
-//!   dense columns ([`slot_losses`]): pass 2's first candidates, and pass
+//!   dense columns (`slot_losses`): pass 2's first candidates, and pass
 //!   3's loss of every processor pass 2 left alone. Any other loss is
-//!   evaluated where a round reads it ([`loss_at`]), one per demotion.
+//!   evaluated where a round reads it (`loss_at`), one per demotion.
 //!   Pass 2 keeps the running total power updated by per-step deltas from
 //!   a per-index power table and, only when the desired power exceeds the
-//!   budget, draws each victim from a [`DemotionQueue`]: candidates
+//!   budget, draws each victim from a `DemotionQueue`: candidates
 //!   bucketed by a monotone function of their next-step predicted loss,
 //!   each bucket sorted only when the cursor reaches it; `O(n + d)` plus
 //!   the in-bucket sorts for `d` demotions, against the naive `O(d·n)`.

@@ -27,7 +27,9 @@
 //!   trigger every `T = n·t`, immediate trigger on budget change, idle
 //!   edges; the baselines' comparators and oracle read it too.
 //! - [`scheduler`] — [`FvsstScheduler`]: the stateful daemon. Optional
-//!   idle detection, actuation verification, daemon overhead accounting.
+//!   idle detection, actuation verification, daemon overhead accounting,
+//!   and [`unlanded_charge_w`], what an unlanded command costs in the
+//!   daemon and the cluster coordinator alike.
 //! - [`sim_loop`] — [`ScheduledSimulation`]: drives a
 //!   [`fvs_sim::Machine`] under any policy and produces a [`RunReport`]
 //!   (energy, budget compliance, completion times, full trace).
@@ -55,5 +57,5 @@ pub use feedback::FeedbackGuard;
 pub use policy::{Decision, OverheadModel, PlatformView, Policy, TickContext};
 pub use predictor::{ErrorStats, PredictionTracker, Predictor};
 pub use round_clock::{RoundClock, Tick};
-pub use scheduler::{FvsstScheduler, SchedulerConfig};
+pub use scheduler::{unlanded_charge_w, FvsstScheduler, SchedulerConfig};
 pub use sim_loop::{dispatch_ticks, RunReport, ScheduledSimulation};

@@ -7,6 +7,7 @@ use crate::algorithm::{
 use crate::policy::{Decision, OverheadModel, Policy, TickContext};
 use crate::predictor::{ErrorStats, PredictionTracker, Predictor};
 use crate::round_clock::RoundClock;
+use fvs_model::FreqMhz;
 use fvs_power::BudgetSchedule;
 use fvs_telemetry::{
     BudgetDeadlineTracker, Counter, Gauge, Histogram, SchedEvent, Telemetry, Tracer, TriggerKind,
@@ -49,10 +50,6 @@ pub struct SchedulerConfig {
     /// telemetry deadline accounting. The paper's section-2 scenario
     /// gives the survivors 1 s of overload tolerance.
     pub deadline_s: f64,
-    /// Failed actuation verifications tolerated (with exponential
-    /// backoff between re-issues) before a processor is pinned at the
-    /// fail-safe minimum frequency and excluded from Pass 1.
-    pub max_actuation_retries: u32,
 }
 
 impl SchedulerConfig {
@@ -69,7 +66,6 @@ impl SchedulerConfig {
             telemetry: Telemetry::disabled(),
             tracer: Tracer::disabled(),
             deadline_s: 1.0,
-            max_actuation_retries: 3,
         }
     }
 
@@ -121,13 +117,6 @@ impl SchedulerConfig {
         self.algorithm.idle_detection = enabled;
         self
     }
-
-    /// Set how many failed actuation verifications are retried before
-    /// the fail-safe pin engages.
-    pub fn with_max_actuation_retries(mut self, retries: u32) -> Self {
-        self.max_actuation_retries = retries;
-        self
-    }
 }
 
 /// Metric handles the daemon keeps warm (created once at construction
@@ -164,13 +153,12 @@ impl SchedMetrics {
     }
 }
 
-/// Per-processor actuation verify-retry state (degradation-ladder rungs
-/// 2 and 3: retry with backoff, then pin at the fail-safe minimum).
-#[derive(Debug, Clone, Copy, Default)]
-struct FailsafeState {
-    retries: u32,
-    next_retry_tick: u64,
-    pinned: bool,
+/// What a processor or a node whose command has not landed is charged
+/// (W), written once for the daemon and the cluster coordinator: the
+/// larger of what it runs at and what it was last commanded, because the
+/// command may still land.
+pub fn unlanded_charge_w(running_w: f64, commanded_w: f64) -> f64 {
+    running_w.max(commanded_w)
 }
 
 /// The fvsst scheduling daemon, as a [`Policy`].
@@ -180,9 +168,9 @@ pub struct FvsstScheduler {
     predictor: Predictor,
     tracker: PredictionTracker,
     clock: RoundClock,
-    /// The command in force: the last round's frequencies with the
-    /// fail-safe pins folded in. Everything else about the round is read
-    /// from `cache`.
+    /// The command in force: the last round's frequencies, with `f_min`
+    /// for every processor held since. Everything else about the round
+    /// is read from `cache`.
     command: Decision,
     schedules_run: u64,
     cache: ScheduleCache,
@@ -191,11 +179,17 @@ pub struct FvsstScheduler {
     metrics: Option<SchedMetrics>,
     /// Counter samples the predictor refused.
     quarantined: u64,
-    failsafe: Vec<FailsafeState>,
-    /// No processor is pinned or mid-retry (every [`FailsafeState`] has
-    /// zero `retries` and no pin), as the last verify walk left it.
-    failsafe_quiet: bool,
-    actuation_retries: u64,
+    /// Per processor, the command a hold replaced with `f_min`, which
+    /// the processor's charge counts until the hold lands; `f_min` when
+    /// it is not held. Reset by the next verify walk or round that sees
+    /// the processor landed.
+    unlanded: Vec<FreqMhz>,
+    /// Per processor, the `f_min` re-issues of its holds so far.
+    reissues: Vec<u32>,
+    /// Holds begun so far.
+    holds: u64,
+    /// What the last round took off the budget for unlanded commands (W).
+    reserved_w: f64,
 }
 
 impl FvsstScheduler {
@@ -211,6 +205,7 @@ impl FvsstScheduler {
         FvsstScheduler {
             predictor: Predictor::new(n_cores, config.latencies),
             tracker: PredictionTracker::new(n_cores),
+            unlanded: vec![config.algorithm.freq_set.min(); n_cores],
             config,
             clock,
             command: Decision::default(),
@@ -220,9 +215,9 @@ impl FvsstScheduler {
             budget_tracker,
             metrics,
             quarantined: 0,
-            failsafe: vec![FailsafeState::default(); n_cores],
-            failsafe_quiet: true,
-            actuation_retries: 0,
+            reissues: vec![0; n_cores],
+            holds: 0,
+            reserved_w: 0.0,
         }
     }
 
@@ -248,9 +243,8 @@ impl FvsstScheduler {
     }
 
     /// The most recent round's decision, as the schedule cache computed
-    /// it: the fail-safe pins are not folded in (the host is commanded
-    /// `f_min` for every processor [`failsafe_pinned`](Self::failsafe_pinned)
-    /// says is pinned). `None` before the first round.
+    /// it; a processor held since that round is commanded `f_min`
+    /// instead. `None` before the first round.
     pub fn last_decision(&self) -> Option<&ScheduleDecision> {
         (self.schedules_run > 0).then(|| self.cache.decision())
     }
@@ -271,120 +265,86 @@ impl FvsstScheduler {
         self.quarantined
     }
 
-    /// Actuation re-issues performed so far (degradation-ladder rung 2).
+    /// Actuation re-issues so far: `f_min` written again to a held
+    /// processor it had not landed on.
     pub fn actuation_retries(&self) -> u64 {
-        self.actuation_retries
+        self.reissues.iter().map(|&r| u64::from(r)).sum()
     }
 
-    /// Whether processor `i` is pinned at the fail-safe minimum.
-    pub fn failsafe_pinned(&self, i: usize) -> bool {
-        self.failsafe[i].pinned
+    /// Holds begun so far: commands a verify walk or a round found had
+    /// not landed.
+    pub fn holds(&self) -> u64 {
+        self.holds
     }
 
-    /// Processors currently pinned at the fail-safe minimum.
-    pub fn failsafe_pins(&self) -> usize {
-        self.failsafe.iter().filter(|f| f.pinned).count()
+    /// What the last round took off the budget pass 2 divides (W): for
+    /// each processor whose command had not landed, its charge
+    /// ([`unlanded_charge_w`]) less the `f_min` pass 2 counts it at. 0
+    /// when every command landed.
+    pub fn reserved_w(&self) -> f64 {
+        self.reserved_w
     }
 
-    /// Release every fail-safe pin (e.g. after the platform's actuator
-    /// was repaired); retry accounting restarts from zero.
-    pub fn clear_failsafe_pins(&mut self) {
-        for f in &mut self.failsafe {
-            *f = FailsafeState::default();
+    /// Begin holding processor `i`, whose command `unlanded` has not
+    /// landed: count it and journal it. The caller commands `f_min`.
+    fn hold(&mut self, ctx: &TickContext<'_>, i: usize, unlanded: FreqMhz) {
+        self.unlanded[i] = unlanded;
+        self.holds += 1;
+        self.config.telemetry.emit(SchedEvent::FailsafePin {
+            t_s: ctx.now_s,
+            proc: i as u32,
+            pinned_mhz: self.config.algorithm.freq_set.min().0,
+            retries: self.reissues[i],
+        });
+        if let Some(m) = &self.metrics {
+            m.failsafe_pins.inc();
         }
-        self.failsafe_quiet = true;
     }
 
-    /// Verify the command in force (set by the bootstrap round, which
-    /// `decide` runs first) actually took effect on the hardware;
-    /// re-issue with exponential backoff, and after the configured
-    /// retries pin the offender at the fail-safe minimum
-    /// (degradation-ladder rungs 2 and 3). Returns `true` when `out`
-    /// carries a re-issued assignment the host must apply. With healthy
-    /// actuation this is one slice comparison.
+    /// Between rounds, verify that the command in force (set by the
+    /// bootstrap round, which `decide` runs first) landed: the requested
+    /// register reads it. A processor it did not land on is held: it is
+    /// commanded `f_min` from this tick, re-issued every tick until that
+    /// lands, and charged by the next round. Returns `true` when `out`
+    /// carries the command the host must apply. With healthy actuation
+    /// this is one slice comparison.
     fn verify_actuation(&mut self, ctx: &TickContext<'_>, out: &mut Decision) -> bool {
-        // Every command landed and nothing is pinned or mid-retry: the
-        // walk would reset retry counts that are already zero.
-        let command = &self.command;
-        if self.failsafe_quiet && ctx.current == command.freqs {
+        if ctx.current == self.command.freqs {
             return false;
         }
         let f_min = self.config.algorithm.freq_set.min();
-        let mut reissue = false;
-        let mut quiet = true;
-        for i in 0..ctx.current.len() {
-            let fs = &mut self.failsafe[i];
-            quiet &= !fs.pinned;
-            let target = if fs.pinned { f_min } else { command.freqs[i] };
-            if ctx.current[i] == target {
-                if !fs.pinned {
-                    fs.retries = 0;
-                }
-                continue;
-            }
-            quiet = false;
-            if fs.pinned {
-                // Already at the bottom of the ladder: keep nudging the
-                // pin until it lands, without further retry accounting.
-                reissue = true;
-                continue;
-            }
-            if fs.retries >= self.config.max_actuation_retries {
-                fs.pinned = true;
-                let retries = fs.retries;
-                self.config.telemetry.emit(SchedEvent::FailsafePin {
-                    t_s: ctx.now_s,
-                    proc: i as u32,
-                    pinned_mhz: f_min.0,
-                    retries,
-                });
-                if let Some(m) = &self.metrics {
-                    m.failsafe_pins.inc();
-                }
-                reissue = true;
-                continue;
-            }
-            if ctx.tick >= fs.next_retry_tick {
-                fs.retries += 1;
-                // Exponential backoff: 2, 4, 8… ticks between attempts.
-                fs.next_retry_tick = ctx.tick + (1u64 << fs.retries.min(16));
-                let attempt = fs.retries;
-                self.actuation_retries += 1;
+        for (i, &running) in ctx.current.iter().enumerate() {
+            let commanded = self.command.freqs[i];
+            if running == commanded {
+                self.unlanded[i] = f_min;
+            } else if commanded != f_min {
+                self.hold(ctx, i, commanded);
+                self.command.freqs[i] = f_min;
+                self.command.desired[i] = f_min;
+            } else {
+                self.reissues[i] += 1;
                 self.config.telemetry.emit(SchedEvent::ActuationRetry {
                     t_s: ctx.now_s,
                     proc: i as u32,
-                    attempt,
-                    requested_mhz: target.0,
-                    actual_mhz: ctx.current[i].0,
+                    attempt: self.reissues[i],
+                    requested_mhz: commanded.0,
+                    actual_mhz: running.0,
                 });
                 if let Some(m) = &self.metrics {
                     m.actuation_retries.inc();
                 }
-                reissue = true;
             }
         }
-        self.failsafe_quiet = quiet;
-        if reissue {
-            self.command_in_force(out);
-        }
-        reissue
+        self.hand_off(out);
+        true
     }
 
-    /// Fold the fail-safe pins into the command in force and hand it to
-    /// `out`, field by field so warm buffers are reused. The command keeps
-    /// the pins, so the verify walk compares against what was commanded.
-    fn command_in_force(&mut self, out: &mut Decision) {
-        let f_min = self.config.algorithm.freq_set.min();
-        let command = &mut self.command;
-        for (i, fs) in self.failsafe.iter().enumerate() {
-            if fs.pinned {
-                command.freqs[i] = f_min;
-                command.desired[i] = f_min;
-            }
-        }
-        out.freqs.clone_from(&command.freqs);
-        out.desired.clone_from(&command.desired);
-        out.powered_on.clone_from(&command.powered_on);
+    /// Hand the command in force to `out`, field by field so warm
+    /// buffers are reused.
+    fn hand_off(&self, out: &mut Decision) {
+        out.freqs.clone_from(&self.command.freqs);
+        out.desired.clone_from(&self.command.desired);
+        out.powered_on.clone_from(&self.command.powered_on);
     }
 
     fn run_schedule(&mut self, ctx: &TickContext<'_>, trigger: TriggerKind, out: &mut Decision) {
@@ -411,22 +371,46 @@ impl FvsstScheduler {
                 self.tracker.observe(i, observed, ctx.transitional[i]);
             }
         }
+        let f_min = self.config.algorithm.freq_set.min();
+        let mut reserved_w = 0.0;
         self.proc_buf.clear();
-        for i in 0..n {
+        for (i, &running) in ctx.current.iter().enumerate() {
             // The window only ever held validated samples, so a fresh
             // fit is trustworthy by construction; a window that
             // quarantine left empty keeps the predictor's last fit.
-            // Pinned processors (exhausted actuation retries) are fed
-            // through the idle-pin path: excluded from Pass 1, assigned
-            // the fail-safe minimum.
-            let model = self.predictor.refit(i, ctx.current[i]);
-            let pinned = self.failsafe[i].pinned;
+            let model = self.predictor.refit(i, running);
+            let commanded = self.command.freqs.get(i).copied().unwrap_or(running);
+            if running == commanded {
+                self.unlanded[i] = f_min;
+                self.proc_buf.push(ProcInput {
+                    model,
+                    idle: ctx.idle[i],
+                    current: running,
+                });
+                continue;
+            }
+            // Not landed: in through the idle path at f_min (unmodelled
+            // at f_min when idle detection is off, so it stays there
+            // either way), and what it may draw above f_min comes off
+            // the budget.
+            if commanded != f_min {
+                self.hold(ctx, i, commanded);
+            }
+            let unlanded = self.unlanded[i];
+            let table = &self.config.algorithm.power_table;
+            let charge_w = unlanded_charge_w(
+                table.power_interpolated(running),
+                table.power_interpolated(unlanded),
+            );
+            reserved_w += charge_w - table.power_interpolated(f_min);
             self.proc_buf.push(ProcInput {
-                model: if pinned { None } else { model },
-                idle: ctx.idle[i] || pinned,
-                current: ctx.current[i],
+                model: None,
+                idle: true,
+                current: f_min,
             });
         }
+        self.reserved_w = reserved_w;
+        let budget_w = ctx.budget_w - reserved_w;
         // Steady-state path: the cache skips pass 1 for every processor
         // whose fitted model stayed inside the fingerprint tolerance, and
         // skips the round entirely when nothing (and no budget) changed;
@@ -434,7 +418,7 @@ impl FvsstScheduler {
         let d = self.config.algorithm.schedule_cached_traced(
             &mut self.cache,
             &self.proc_buf,
-            ctx.budget_w,
+            budget_w,
             &self.config.tracer,
         );
         for i in 0..n {
@@ -445,10 +429,7 @@ impl FvsstScheduler {
         command.desired.clone_from(&d.desired);
         command.powered_on.clear();
         command.powered_on.resize(n, true);
-        // Fail-safe pins override whatever the round produced (the
-        // idle-pin path already yields f_min when idle detection is on;
-        // this keeps the pin binding when it is off).
-        self.command_in_force(out);
+        self.hand_off(out);
         if telemetry_on {
             // Journal the round: what was desired from the command in
             // force, the rest from the cache's decision and demotion log
@@ -487,8 +468,8 @@ impl FvsstScheduler {
                 feasible: d.feasible,
                 demotions: d.demotions as u32,
                 predicted_power_w: d.predicted_power_w,
-                budget_w: ctx.budget_w,
-                headroom_w: ctx.budget_w - d.predicted_power_w,
+                budget_w,
+                headroom_w: budget_w - d.predicted_power_w,
                 wall_ns: u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
             });
             if let Some(m) = &self.metrics {
@@ -556,8 +537,8 @@ impl Policy for FvsstScheduler {
             self.run_schedule(ctx, trigger, out);
             return true;
         }
-        // No round fired: verify the standing command actually took
-        // effect (rungs 2–3 of the degradation ladder).
+        // No round fired: verify the standing command landed (rung 2 of
+        // the degradation ladder).
         self.verify_actuation(ctx, out)
     }
 
@@ -656,14 +637,15 @@ mod tests {
         let cfg = SchedulerConfig::p630().with_telemetry(telemetry.clone());
         let mut s = FvsstScheduler::new(1, cfg);
         let model = CpiModel::from_components(1.0, 0.0);
-        let current = [FreqMhz(1000)];
         let idle = [false];
         // Tick 0 establishes the budget (bootstrap decision); tick 1
-        // changes it.
-        let samples = [sample_for(&model, 0.0, FreqMhz(1000), 0.01)];
+        // changes it. The host applies what was commanded.
+        let current = [FreqMhz(1000)];
+        let samples = [sample_for(&model, 0.0, current[0], 0.01)];
         let c0 = ctx(0.01, 0, 560.0, &samples, &idle, &current, &platform);
-        assert!(s.on_tick(&c0).is_some(), "bootstrap decision");
-        let samples = [sample_for(&model, 0.0, FreqMhz(1000), 0.01)];
+        let d0 = s.on_tick(&c0).expect("bootstrap decision");
+        let current = [d0.freqs[0]];
+        let samples = [sample_for(&model, 0.0, current[0], 0.01)];
         let c1 = ctx(0.02, 1, 75.0, &samples, &idle, &current, &platform);
         let d = s.on_tick(&c1).expect("budget change must trigger");
         assert_eq!(
@@ -683,7 +665,7 @@ mod tests {
         let mut s = FvsstScheduler::new(1, cfg);
         let model = CpiModel::from_components(1.0 / 1.3, 0.0);
         let current = [FreqMhz(1000)];
-        let samples = [sample_for(&model, 0.0, FreqMhz(1000), 0.01)];
+        let samples = [sample_for(&model, 0.0, current[0], 0.01)];
         let c0 = ctx(
             0.01,
             0,
@@ -693,10 +675,11 @@ mod tests {
             &current,
             &platform,
         );
-        assert!(s.on_tick(&c0).is_some(), "bootstrap decision");
-        // The edge arrives one tick after the bootstrap: deferred by the
-        // rate limiter (min spacing 2)…
-        let samples = [sample_for(&model, 0.0, FreqMhz(1000), 0.01)];
+        let d0 = s.on_tick(&c0).expect("bootstrap decision");
+        // The host applies the command. The edge arrives one tick after
+        // the bootstrap: deferred by the rate limiter (min spacing 2)…
+        let current = [d0.freqs[0]];
+        let samples = [sample_for(&model, 0.0, current[0], 0.01)];
         let c1 = ctx(
             0.02,
             1,
@@ -708,7 +691,7 @@ mod tests {
         );
         assert!(s.on_tick(&c1).is_none(), "edge deferred inside the window");
         // …and served on the next tick, not dropped.
-        let samples = [sample_for(&model, 0.0, FreqMhz(1000), 0.01)];
+        let samples = [sample_for(&model, 0.0, current[0], 0.01)];
         let c2 = ctx(
             0.03,
             2,
@@ -769,11 +752,13 @@ mod tests {
         // Heavily memory-bound: β = 10 at cpi0 = 1.
         let model = CpiModel::from_components(1.0, 10.0e-9);
         let mem_rate = 10.0e-9 / 393.0e-9;
-        let current = [FreqMhz(1000)];
+        let mut current = [FreqMhz(1000)];
         let idle = [false];
         let mut last = None;
-        for tick in 0..10u64 {
-            let samples = [sample_for(&model, mem_rate, FreqMhz(1000), 0.01)];
+        // The host applies each command, so the timer round is the one
+        // under test, not a hold.
+        for tick in 0..11u64 {
+            let samples = [sample_for(&model, mem_rate, current[0], 0.01)];
             let c = ctx(
                 (tick + 1) as f64 * 0.01,
                 tick,
@@ -784,9 +769,11 @@ mod tests {
                 &platform,
             );
             if let Some(d) = s.on_tick(&c) {
+                current = [d.freqs[0]];
                 last = Some(d);
             }
         }
+        assert_eq!(s.schedules_run(), 2, "bootstrap and timer");
         let d = last.expect("timer fired");
         assert!(
             d.freqs[0] <= FreqMhz(700),
@@ -797,7 +784,7 @@ mod tests {
     }
 
     /// The verify walk, tick by tick, on two processors with the timer
-    /// out of the way: what it re-issues, counts, pins and journals, and
+    /// out of the way: what it holds, re-issues, counts and journals, and
     /// when it is skipped. Processor 0's commands always land; whether
     /// processor 1's do is the table's input.
     #[test]
@@ -813,9 +800,10 @@ mod tests {
         let membound = CpiModel::from_components(1.0, 10.0e-9);
         let mut current = [FreqMhz(1000); 2];
         let mut tick = 0u64;
-        // One tick: decide, then apply what was commanded — processor 1
-        // only when `lands`. Returns whether anything was commanded.
-        let mut step = |s: &mut FvsstScheduler, current: &mut [FreqMhz; 2], lands: bool| {
+        // One tick under `budget_w`: decide, then apply what was commanded
+        // — processor 1 only when `lands`. Returns processor 1's command,
+        // if anything was commanded.
+        let mut step = |s: &mut FvsstScheduler, current: &mut [FreqMhz; 2], budget_w, lands| {
             let samples = [
                 sample_for(&compute, 0.0, current[0], 0.01),
                 sample_for(&membound, 10.0e-9 / 393.0e-9, current[1], 0.01),
@@ -823,23 +811,21 @@ mod tests {
             let c = ctx(
                 (tick + 1) as f64 * 0.01,
                 tick,
-                f64::INFINITY,
+                budget_w,
                 &samples,
                 &[false, false],
                 &current[..],
                 &platform,
             );
             tick += 1;
-            let commanded = s.on_tick(&c);
-            if let Some(d) = &commanded {
-                current[0] = d.freqs[0];
-                if lands {
-                    current[1] = d.freqs[1];
-                }
+            let d = s.on_tick(&c)?;
+            current[0] = d.freqs[0];
+            if lands {
+                current[1] = d.freqs[1];
             }
-            commanded
+            Some(d.freqs[1])
         };
-        // The ladder's events so far: (kind, processor, attempt / retries).
+        // The walk's events so far: (kind, processor, retries / attempt).
         let ladder_events = |telemetry: &Telemetry| -> Vec<(&str, u32, u32)> {
             (telemetry.events().iter())
                 .filter_map(|e| match *e {
@@ -851,75 +837,53 @@ mod tests {
                 })
                 .collect()
         };
-        let retry = |attempt| ("retry", 1, attempt);
+        let (pin, retry) = (|r| ("pin", 1, r), |a| ("retry", 1, a));
+        let inf = f64::INFINITY;
 
         // Tick 0, the bootstrap round: the memory-bound processor is
         // sent below f_max, and the command lands.
-        let d0 = step(&mut s, &mut current, true).expect("bootstrap round");
-        assert!(d0.freqs[1] < FreqMhz(1000) && d0.freqs[1] > f_min);
-        // Command landed: nothing happens and nothing is stored.
+        let f1 = step(&mut s, &mut current, inf, true).expect("bootstrap round");
+        assert!(f1 < FreqMhz(1000) && f1 > f_min);
+        // Command landed: nothing happens.
         for _ in 1..4 {
-            assert!(step(&mut s, &mut current, true).is_none());
-            assert!(s.failsafe_quiet && s.failsafe.iter().all(|f| f.retries == 0));
+            assert_eq!(step(&mut s, &mut current, inf, true), None);
         }
-        assert_eq!((s.actuation_retries(), s.failsafe_pins()), (0, 0));
+        assert_eq!((s.holds(), s.actuation_retries()), (0, 0));
         assert_eq!(ladder_events(&telemetry), []);
 
         // Tick 4: processor 1 falls back to f_max on its own. The walk
-        // re-issues at once, then two and four ticks later (ticks 4, 6
-        // and 10); the third re-issue lands.
+        // holds it at once, commanding f_min, and re-issues f_min every
+        // tick until it lands (tick 7's write).
         current[1] = FreqMhz(1000);
-        let reissued: Vec<bool> = (4..12)
-            .map(|t| step(&mut s, &mut current, t == 10).is_some_and(|d| d.freqs == d0.freqs))
+        let commanded: Vec<Option<FreqMhz>> = (4..9)
+            .map(|t| step(&mut s, &mut current, inf, t == 7))
             .collect();
-        assert_eq!(
-            reissued,
-            [true, false, true, false, false, false, true, false]
-        );
-        assert_eq!(current[1], d0.freqs[1]);
-        assert_eq!(ladder_events(&telemetry), [retry(1), retry(2), retry(3)]);
-        assert_eq!((s.actuation_retries(), s.failsafe_pins()), (3, 0));
-        // Landed: the count is back at zero (tick 11 found the match),
-        // so the next walk is skipped and a later fault starts over.
-        assert!(s.failsafe_quiet && s.failsafe[1].retries == 0);
-        assert!(step(&mut s, &mut current, true).is_none());
-
-        // Tick 13 on: the same fault, and now nothing lands. The backoff
-        // deadline the last re-issue set (tick 18) still stands, so
-        // attempts 1-3 come at ticks 18, 20 and 24; the pin on the tick
-        // after the third, and from then on the pin is re-issued every
-        // tick while processor 0 matches throughout.
-        current[1] = FreqMhz(1000);
-        let commanded: Vec<Option<FreqMhz>> = (13..29)
-            .map(|_| step(&mut s, &mut current, false).map(|d| d.freqs[1]))
-            .collect();
-        let (reissue, pin) = (Some(d0.freqs[1]), Some(f_min));
-        let mut expected = [None; 16];
-        (expected[5], expected[7], expected[11]) = (reissue, reissue, reissue);
-        expected[12..].fill(pin);
-        assert_eq!(commanded, expected);
-        assert_eq!(
-            ladder_events(&telemetry)[3..],
-            [retry(1), retry(2), retry(3), ("pin", 1, 3)]
-        );
-        assert_eq!((s.actuation_retries(), s.failsafe_pins()), (6, 1));
-        assert!(s.failsafe_pinned(1) && !s.failsafe_pinned(0));
-        // The pin lands: nothing more is commanded, but a pinned
-        // processor keeps the walk on.
-        assert_eq!(
-            step(&mut s, &mut current, true).map(|d| d.freqs[1]),
-            Some(f_min)
-        );
-        assert!(step(&mut s, &mut current, true).is_none());
-        assert!(!s.failsafe_quiet);
-        // Released: quiet again, with the pinned frequency still the
-        // command in force.
-        s.clear_failsafe_pins();
-        assert!(s.failsafe_quiet && s.failsafe_pins() == 0);
-        assert!(step(&mut s, &mut current, true).is_none());
+        let held = Some(f_min);
+        assert_eq!(commanded, [held, held, held, held, None]);
         assert_eq!(current[1], f_min);
-        assert_eq!(ladder_events(&telemetry).len(), 7);
-        assert_eq!(s.actuation_retries(), 6);
+        assert_eq!(
+            ladder_events(&telemetry),
+            [pin(0), retry(1), retry(2), retry(3)]
+        );
+        assert_eq!((s.holds(), s.actuation_retries()), (1, 3));
+
+        // Tick 9: the register slips off f_min. f_min is already the
+        // command in force, so the walk re-issues it: no new hold.
+        current[1] = FreqMhz(1000);
+        assert_eq!(step(&mut s, &mut current, inf, true), held);
+        assert_eq!(ladder_events(&telemetry)[4..], [retry(4)]);
+
+        // Tick 10: a budget change rounds. Processor 1 has landed, so the
+        // round schedules it normally and reserves nothing. Its new
+        // command does not land, so the next tick holds it again, and the
+        // hold carries the re-issues of its earlier one.
+        let f1 = step(&mut s, &mut current, 1.0e6, false).expect("budget-change round");
+        assert!(f1 > f_min);
+        assert_eq!(s.reserved_w(), 0.0);
+        assert_eq!(step(&mut s, &mut current, 1.0e6, true), held);
+        assert_eq!(step(&mut s, &mut current, 1.0e6, true), None);
+        assert_eq!(ladder_events(&telemetry)[5..], [pin(4)]);
+        assert_eq!((s.holds(), s.actuation_retries()), (2, 4));
     }
 
     /// A sample can pass `is_sane` and still be impossible. The

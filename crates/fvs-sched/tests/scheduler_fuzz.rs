@@ -15,7 +15,8 @@ struct FuzzTick {
     mem: f64,
     idle: bool,
     budget_w: f64,
-    current_mhz: u32,
+    /// Whether the host's write of this tick's command lands.
+    lands: bool,
 }
 
 fn arb_tick() -> impl Strategy<Value = FuzzTick> {
@@ -33,10 +34,10 @@ fn arb_tick() -> impl Strategy<Value = FuzzTick> {
         0.0f64..1.0e8,
         any::<bool>(),
         prop_oneof![Just(f64::INFINITY), 0.0f64..2000.0],
-        prop::sample::select(vec![250u32, 500, 650, 800, 1000]),
+        any::<bool>(),
     )
         .prop_map(
-            |(instructions, cycles, l2, l3, mem, idle, budget_w, current_mhz)| FuzzTick {
+            |(instructions, cycles, l2, l3, mem, idle, budget_w, lands)| FuzzTick {
                 instructions,
                 cycles,
                 l2,
@@ -44,17 +45,19 @@ fn arb_tick() -> impl Strategy<Value = FuzzTick> {
                 mem,
                 idle,
                 budget_w,
-                current_mhz,
+                lands,
             },
         )
 }
 
-/// Feed `ticks` to a one-core scheduler: every decision it emits is
-/// well-formed and the error statistics stay finite.
+/// Feed `ticks` to a one-core scheduler whose host starts it at `f_min`
+/// and applies each command whose write lands: every decision it emits
+/// is well-formed and the error statistics stay finite.
 fn check_tick_stream(ticks: &[FuzzTick]) -> Result<(), TestCaseError> {
     let platform = PlatformView::p630();
     let set = platform.freq_set.clone();
     let mut s = FvsstScheduler::new(1, SchedulerConfig::p630());
+    let mut current = [set.min()];
     for (i, t) in ticks.iter().enumerate() {
         let samples = [CounterDelta {
             instructions: t.instructions,
@@ -65,7 +68,6 @@ fn check_tick_stream(ticks: &[FuzzTick]) -> Result<(), TestCaseError> {
         }];
         let idle = [t.idle];
         let transitional = [false];
-        let current = [FreqMhz(t.current_mhz)];
         let ground_truth = [fvs_model::CpiModel::from_components(1.0, 0.0)];
         let ctx = TickContext {
             now_s: (i + 1) as f64 * 0.01,
@@ -84,6 +86,9 @@ fn check_tick_stream(ticks: &[FuzzTick]) -> Result<(), TestCaseError> {
             prop_assert!(set.contains(d.freqs[0]), "freq {} not in set", d.freqs[0]);
             prop_assert!(set.contains(d.desired[0]));
             prop_assert!(d.freqs[0] <= d.desired[0] || t.idle);
+            if t.lands {
+                current = [d.freqs[0]];
+            }
         }
     }
     // Error statistics must stay finite regardless of input garbage.
@@ -105,7 +110,7 @@ fn absurd_ipc_then_nan_under_a_lifted_budget() {
         mem: 0.0,
         idle: false,
         budget_w,
-        current_mhz: 250,
+        lands: true,
     };
     let ticks = [tick(8892414197.425999, 0.0), tick(f64::NAN, f64::INFINITY)];
     check_tick_stream(&ticks).unwrap();

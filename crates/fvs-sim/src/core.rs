@@ -74,11 +74,11 @@ mod tests {
     #[test]
     fn workload_completes_and_falls_into_idle() {
         for mut m in core_with(WorkloadSpec::synthetic(100.0, 1.0e8), FreqMhz(1000)) {
-            assert!(!m.core(0).is_idle());
+            assert!(!m.idle_signal(0));
             // 1e8 instructions at ~1.2e9 instr/s: finishes well within 1 s.
             m.step(1.0);
             assert!(m.core(0).is_finished());
-            assert!(m.core(0).is_idle());
+            assert!(m.idle_signal(0));
             let done_at = m.core(0).stats().completed_at_s.unwrap();
             assert!(done_at > 0.0 && done_at < 0.2, "completed at {done_at}");
             // Idle loop keeps retiring instructions afterwards.
@@ -247,7 +247,7 @@ mod tests {
             assert!(m.core(0).is_finished());
             m.core_mut(0).assign(WorkloadSpec::synthetic(50.0, 1.0e6));
             assert!(!m.core(0).is_finished());
-            assert!(!m.core(0).is_idle());
+            assert!(!m.idle_signal(0));
         }
     }
 }

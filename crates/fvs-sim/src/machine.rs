@@ -238,12 +238,6 @@ impl<'a> CoreView<'a> {
         self.bank.finished[self.i]
     }
 
-    /// Whether the core is in the idle loop: either its assigned
-    /// workload *is* the idle loop, or the workload has completed.
-    pub fn is_idle(&self) -> bool {
-        self.bank.finished[self.i] || self.workload.is_idle_loop
-    }
-
     /// Whether the core is powered on.
     pub fn is_powered(&self) -> bool {
         self.bank.powered[self.i]

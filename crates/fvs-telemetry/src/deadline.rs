@@ -86,11 +86,6 @@ impl BudgetDeadlineTracker {
         self.last
     }
 
-    /// Whether a drop is currently awaiting compliance.
-    pub fn episode_open(&self) -> bool {
-        self.episode.is_some()
-    }
-
     /// The open episode as a portable image (crash-recovery snapshots),
     /// or `None` when no drop is awaiting compliance.
     pub fn export_episode(&self) -> Option<OpenEpisode> {
@@ -191,7 +186,7 @@ mod tests {
         let mut t = BudgetDeadlineTracker::new(1.0);
         let ev = t.on_budget_change(0.5, 560.0, 294.0);
         assert!(matches!(ev, Some(SchedEvent::BudgetDrop { .. })));
-        assert!(t.episode_open());
+        assert!(t.export_episode().is_some());
         t.on_round();
         // Still over at the next sample…
         assert_eq!(t.on_power_sample(0.51, 400.0), None);
@@ -213,7 +208,7 @@ mod tests {
         }
         assert_eq!(t.compliances(), 1);
         assert_eq!(t.violations(), 0);
-        assert!(!t.episode_open());
+        assert!(t.export_episode().is_none());
     }
 
     #[test]
@@ -260,7 +255,7 @@ mod tests {
         // sum stays at 900 W and the episode stays open.
         t.on_round();
         assert_eq!(t.on_power_sample(1.21, 450.0 + 450.0), None);
-        assert!(t.episode_open(), "lost reading must not close the episode");
+        assert!(t.export_episode().is_some(), "a lost reading closed it");
         // The survivor is rescheduled down to 100 W; conservative sum
         // 550 W complies, still inside ΔT — and the episode clock ran
         // from the drop, not from the dropout.
@@ -286,9 +281,9 @@ mod tests {
     fn budget_raise_cancels_the_episode() {
         let mut t = BudgetDeadlineTracker::new(1.0);
         t.on_budget_change(0.5, 560.0, 294.0);
-        assert!(t.episode_open());
+        assert!(t.export_episode().is_some());
         assert_eq!(t.on_budget_change(0.6, 294.0, 560.0), None);
-        assert!(!t.episode_open());
+        assert!(t.export_episode().is_none());
         assert_eq!(t.on_power_sample(0.7, 400.0), None);
     }
 
@@ -314,7 +309,7 @@ mod tests {
             dropped_at_s: 0.0 - age_s,
             ..ep
         });
-        assert!(resumed.episode_open());
+        assert!(resumed.export_episode().is_some());
         resumed.on_round();
         let ev = resumed.on_power_sample(0.2, 290.0).unwrap();
         match ev {

@@ -235,7 +235,8 @@ sched_events! {
         demotions: u32,
         /// Σ table power of the final assignment (W).
         predicted_power_w: f64,
-        /// Budget in force (W).
+        /// Budget pass 2 divided (W): the budget in force, less what the
+        /// daemon reserved for commands that had not landed.
         budget_w: f64,
         /// `budget_w - predicted_power_w`.
         headroom_w: f64,
@@ -305,14 +306,15 @@ sched_events! {
         /// power).
         value: f64,
     },
-    /// A commanded frequency did not take effect; the scheduler
+    /// A held processor's `f_min` command had not landed; the scheduler
     /// re-issued it.
     ActuationRetry = "actuation_retry" {
         /// When the retry fired (s).
         t_s: f64,
         /// Processor being retried.
         proc: u32,
-        /// Retry attempt number (1-based).
+        /// The processor's re-issues so far in the run, this one
+        /// included (1-based).
         attempt: u32,
         /// The frequency that was commanded (MHz).
         requested_mhz: u32,
@@ -331,16 +333,17 @@ sched_events! {
         /// Power conservatively charged against the global budget (W).
         charged_w: f64,
     },
-    /// Actuation retries were exhausted; the processor is pinned at its
-    /// fail-safe minimum frequency and excluded from Pass 1.
+    /// A command had not landed; the processor is held at its fail-safe
+    /// minimum frequency, re-issued until that lands, and charged by the
+    /// rounds it misses.
     FailsafePin = "failsafe_pin" {
-        /// When the pin was applied (s).
+        /// When the hold began (s).
         t_s: f64,
-        /// The pinned processor.
+        /// The held processor.
         proc: u32,
         /// The fail-safe frequency (MHz).
         pinned_mhz: u32,
-        /// Failed retries that led here.
+        /// The processor's re-issues in earlier holds.
         retries: u32,
     },
     /// One tier of the budget-delegation tree ran (or skipped) a

@@ -111,11 +111,6 @@ impl AppBenchmark {
         }
     }
 
-    /// Whether the paper classifies it as memory-intensive.
-    pub fn is_memory_intensive(&self) -> bool {
-        matches!(self, AppBenchmark::Mcf | AppBenchmark::Health)
-    }
-
     /// The workload spec, scaled to roughly `total_instructions` of body
     /// work (phase structure is preserved; per-phase budgets scale).
     pub fn workload(&self, total_instructions: f64) -> WorkloadSpec {
@@ -241,14 +236,6 @@ mod tests {
             assert_eq!(w.phases.last().unwrap().kind, PhaseKind::Exit);
             assert!(w.body_instructions() > 0.9e9);
         }
-    }
-
-    #[test]
-    fn classification_matches_paper() {
-        assert!(!AppBenchmark::Gzip.is_memory_intensive());
-        assert!(!AppBenchmark::Gap.is_memory_intensive());
-        assert!(AppBenchmark::Mcf.is_memory_intensive());
-        assert!(AppBenchmark::Health.is_memory_intensive());
     }
 
     #[test]
