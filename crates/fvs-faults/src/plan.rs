@@ -12,8 +12,8 @@ use std::fmt;
 
 use crate::wire_plan::WireFaultPlan;
 
-/// A scripted supply fault: at `at_s` the budget collapses to
-/// `factor` × the initial budget (a failed supply mid-round).
+/// A scripted supply fault: from `at_s` the budget is `factor` × the
+/// initial one, a supply bank's too (`BudgetSchedule::push_drop`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BudgetDropSpec {
     /// When the supply fails (s).

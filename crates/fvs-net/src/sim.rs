@@ -30,7 +30,7 @@ use crate::wire::WireMsg;
 use fvs_cluster::{ClusterNode, GlobalCoordinator, NodeSummary};
 use fvs_faults::{CounterFaultKind, FaultInjector};
 use fvs_model::CpiModel;
-use fvs_power::{BudgetEvent, BudgetSchedule};
+use fvs_power::BudgetSchedule;
 use fvs_sched::FvsstAlgorithm;
 use fvs_sim::MachineBuilder;
 use fvs_telemetry::{Counter, FaultDomain, SchedEvent, Telemetry};
@@ -324,12 +324,8 @@ impl ClusterSim {
     /// that cannot be run is refused, not run without it.
     pub fn with_faults(mut self, injector: FaultInjector) -> Self {
         let plan = injector.plan();
-        let initial = self.config.budget.initial_w();
         for drop in &plan.budget_drops {
-            self.config.budget.push_event(BudgetEvent {
-                at_s: drop.at_s,
-                budget_w: initial * drop.factor,
-            });
+            self.config.budget.push_drop(drop.at_s, drop.factor);
         }
         for o in &plan.node_outages {
             if o.node >= self.slots.len() {
@@ -698,6 +694,7 @@ fn corrupt_summary(kind: CounterFaultKind, s: &mut NodeSummary) {
 mod tests {
     use super::*;
     use fvs_faults::FaultPlan;
+    use fvs_power::BudgetEvent;
     use fvs_workloads::Tier;
     use proptest::prelude::*;
 

@@ -64,9 +64,19 @@ impl BudgetSchedule {
         self.initial_w
     }
 
+    /// Merge a fault plan's drop into the scenario: from `at_s` the
+    /// budget is `factor` × the initial budget. The one place a drop
+    /// becomes a budget, for every driver that runs a plan.
+    pub fn push_drop(&mut self, at_s: f64, factor: f64) {
+        self.push_event(BudgetEvent {
+            at_s,
+            budget_w: self.initial_w * factor,
+        });
+    }
+
     /// Add a scripted change after construction, keeping events sorted
-    /// by time (a fault plan merging its supply drops into a scenario).
-    pub fn push_event(&mut self, event: BudgetEvent) {
+    /// by time (equal times in the order they were added).
+    fn push_event(&mut self, event: BudgetEvent) {
         self.events.push(event);
         self.sort_events();
     }
@@ -133,6 +143,10 @@ mod tests {
         });
         assert_eq!(b.budget_at(7.0), 400.0);
         assert_eq!(b.budget_at(10.0), 294.0);
+        // A drop is a fraction of the initial budget, not of the one in
+        // force, and a later event at its time wins over the earlier.
+        b.push_drop(10.0, 0.5);
+        assert_eq!(b.budget_at(10.0), 280.0);
     }
 
     /// `budget_at` as it was before the binary search: a scan from the

@@ -12,8 +12,9 @@
 //! - **energy accounting** (the paper's Table 3 reports normalised
 //!   energy), and
 //! - the **power-supply failure scenario** of section 2: supplies with
-//!   finite capacity, a failure at `T0`, and a cascade deadline `ΔT` by
-//!   which the system must be back under the surviving capacity.
+//!   finite capacity and a failure at `T0`, which the bank scripts as a
+//!   budget drop, and the cascade deadline `ΔT` it names; the simulation
+//!   that runs under the budget times the overload against `ΔT`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -30,6 +31,6 @@ pub use budget::{replaced_budget, BudgetEvent, BudgetSchedule};
 pub use energy::EnergyMeter;
 pub use index::PowerVoltageIndex;
 pub use model::{AnalyticPowerModel, CalibrationReport};
-pub use supply::{CascadeOutcome, PowerSupply, SupplyBank, SupplyEvent};
+pub use supply::{PowerSupply, SupplyBank, SupplyEvent};
 pub use table::FreqPowerTable;
 pub use voltage::VoltageTable;

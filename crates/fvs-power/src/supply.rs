@@ -6,7 +6,14 @@
 //! back under the surviving capacity by `T0 + ΔT`, the next supply fails
 //! too — a cascade. The scheduler must therefore bring aggregate power
 //! under the new limit within `ΔT`.
+//!
+//! A [`SupplyBank`] describes the scenario and nothing more: its failures
+//! and restorations are drops and rises of the processor budget
+//! ([`SupplyBank::budget`]), and it names `ΔT`
+//! ([`SupplyBank::cascade_deadline_s`]). The simulation that runs under
+//! the budget times the overload and records the cascade.
 
+use crate::budget::{BudgetEvent, BudgetSchedule};
 use serde::{Deserialize, Serialize};
 
 /// One power supply.
@@ -16,26 +23,19 @@ pub struct PowerSupply {
     pub capacity_w: f64,
     /// Seconds of overload the supply survives before failing.
     pub overload_tolerance_s: f64,
-    /// Whether the supply has failed.
-    pub failed: bool,
 }
 
 impl PowerSupply {
-    /// A healthy supply with the paper's example rating.
+    /// A supply with the paper's example rating.
     pub fn p630_example() -> Self {
-        PowerSupply {
-            capacity_w: 480.0,
-            overload_tolerance_s: 1.0,
-            failed: false,
-        }
+        PowerSupply::new(480.0, 1.0)
     }
 
-    /// A healthy supply with a given rating and tolerance.
+    /// A supply with a given rating and tolerance.
     pub fn new(capacity_w: f64, overload_tolerance_s: f64) -> Self {
         PowerSupply {
             capacity_w,
             overload_tolerance_s,
-            failed: false,
         }
     }
 }
@@ -68,48 +68,20 @@ impl SupplyEvent {
     }
 }
 
-/// Outcome of driving a [`SupplyBank`] through a load history.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum CascadeOutcome {
-    /// Load stayed within surviving capacity (or overloads were shorter
-    /// than the tolerance).
-    Survived,
-    /// A cascading failure occurred at the given time: an overload
-    /// persisted past a surviving supply's tolerance.
-    Cascaded {
-        /// Time at which the cascade tripped, in seconds.
-        at_s: f64,
-    },
-}
-
-/// A bank of supplies feeding the system, with a scripted event timeline.
-///
-/// Drive it forward with [`SupplyBank::advance`], reporting the system
-/// load for each interval; the bank tracks how long the load has exceeded
-/// the surviving capacity and declares a cascade when the continuous
-/// overload outlives the (minimum) tolerance of the loaded supplies.
+/// A bank of supplies feeding the system, with a scripted timeline of
+/// failures and restorations.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SupplyBank {
     supplies: Vec<PowerSupply>,
     events: Vec<SupplyEvent>,
-    next_event: usize,
-    now_s: f64,
-    overload_since: Option<f64>,
-    cascaded_at: Option<f64>,
 }
 
 impl SupplyBank {
-    /// Bank from supplies and a timeline (events are sorted by time).
+    /// Bank from supplies and a timeline (events are sorted by time; an
+    /// event naming a supply the bank does not have changes nothing).
     pub fn new(supplies: Vec<PowerSupply>, mut events: Vec<SupplyEvent>) -> Self {
         events.sort_by(|a, b| a.at().total_cmp(&b.at()));
-        SupplyBank {
-            supplies,
-            events,
-            next_event: 0,
-            now_s: 0.0,
-            overload_since: None,
-            cascaded_at: None,
-        }
+        SupplyBank { supplies, events }
     }
 
     /// The paper's section-2 system: two 480 W supplies, one failing at
@@ -124,69 +96,49 @@ impl SupplyBank {
         )
     }
 
-    /// Current aggregate capacity of the non-failed supplies.
-    pub fn capacity_w(&self) -> f64 {
-        self.supplies
+    /// The processor budget the bank leaves when the rest of the system
+    /// draws `non_cpu_w`: the capacity of every supply minus `non_cpu_w`
+    /// at first, then one step per timeline event to the survivors'
+    /// capacity minus `non_cpu_w` (floored at zero by
+    /// [`BudgetSchedule::budget_at`]).
+    pub fn budget(&self, non_cpu_w: f64) -> BudgetSchedule {
+        let mut up = vec![true; self.supplies.len()];
+        let surviving_w = |up: &[bool]| -> f64 {
+            self.supplies
+                .iter()
+                .zip(up)
+                .filter(|(_, up)| **up)
+                .map(|(s, _)| s.capacity_w)
+                .sum()
+        };
+        let initial_w = surviving_w(&up) - non_cpu_w;
+        let events = self
+            .events
             .iter()
-            .filter(|s| !s.failed)
-            .map(|s| s.capacity_w)
-            .sum()
+            .map(|e| {
+                let (index, to) = match *e {
+                    SupplyEvent::Fail { index, .. } => (index, false),
+                    SupplyEvent::Restore { index, .. } => (index, true),
+                };
+                if let Some(u) = up.get_mut(index) {
+                    *u = to;
+                }
+                BudgetEvent {
+                    at_s: e.at(),
+                    budget_w: surviving_w(&up) - non_cpu_w,
+                }
+            })
+            .collect();
+        BudgetSchedule::with_events(initial_w, events)
     }
 
-    /// Shortest overload tolerance among surviving supplies — the `ΔT`
-    /// deadline the scheduler must beat. Infinite when nothing survives.
+    /// The `ΔT` deadline the scheduler must beat: the shortest overload
+    /// tolerance in the bank. Infinite for a bank of no supplies.
     pub fn cascade_deadline_s(&self) -> f64 {
         self.supplies
             .iter()
-            .filter(|s| !s.failed)
             .map(|s| s.overload_tolerance_s)
             .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Current simulation time.
-    pub fn now_s(&self) -> f64 {
-        self.now_s
-    }
-
-    /// Whether (and when) a cascade has tripped.
-    pub fn cascaded_at(&self) -> Option<f64> {
-        self.cascaded_at
-    }
-
-    /// Advance by `dt` seconds with the system drawing `load_w`.
-    /// Applies any timeline events whose time falls inside the interval
-    /// (at interval granularity), then updates the overload clock.
-    pub fn advance(&mut self, load_w: f64, dt: f64) -> CascadeOutcome {
-        let end = self.now_s + dt;
-        while self.next_event < self.events.len() && self.events[self.next_event].at() <= end {
-            match self.events[self.next_event] {
-                SupplyEvent::Fail { index, .. } => {
-                    if let Some(s) = self.supplies.get_mut(index) {
-                        s.failed = true;
-                    }
-                }
-                SupplyEvent::Restore { index, .. } => {
-                    if let Some(s) = self.supplies.get_mut(index) {
-                        s.failed = false;
-                    }
-                }
-            }
-            self.next_event += 1;
-        }
-        self.now_s = end;
-        if let Some(at_s) = self.cascaded_at {
-            return CascadeOutcome::Cascaded { at_s };
-        }
-        if load_w > self.capacity_w() {
-            let since = *self.overload_since.get_or_insert(self.now_s - dt);
-            if self.now_s - since >= self.cascade_deadline_s() {
-                self.cascaded_at = Some(self.now_s);
-                return CascadeOutcome::Cascaded { at_s: self.now_s };
-            }
-        } else {
-            self.overload_since = None;
-        }
-        CascadeOutcome::Survived
     }
 }
 
@@ -196,68 +148,43 @@ mod tests {
 
     #[test]
     fn capacity_drops_on_failure() {
-        let mut bank = SupplyBank::p630_scenario(1.0);
-        assert_eq!(bank.capacity_w(), 960.0);
-        bank.advance(700.0, 0.5); // before failure
-        assert_eq!(bank.capacity_w(), 960.0);
-        bank.advance(700.0, 0.6); // crosses t0 = 1.0
-        assert_eq!(bank.capacity_w(), 480.0);
+        let budget = SupplyBank::p630_scenario(1.0).budget(186.0);
+        assert_eq!(budget.initial_w(), 774.0);
+        assert_eq!(budget.budget_at(0.5), 774.0);
+        assert_eq!(budget.budget_at(1.0), 294.0);
+        assert_eq!(budget.budget_at(1.1), 294.0);
     }
 
     #[test]
-    fn fast_response_survives() {
-        // Load drops under the surviving capacity before ΔT = 1 s elapses.
-        let mut bank = SupplyBank::p630_scenario(0.0);
-        assert_eq!(bank.advance(700.0, 0.5), CascadeOutcome::Survived);
-        assert_eq!(bank.advance(400.0, 0.5), CascadeOutcome::Survived);
-        assert_eq!(bank.advance(400.0, 10.0), CascadeOutcome::Survived);
-        assert_eq!(bank.cascaded_at(), None);
-    }
-
-    #[test]
-    fn slow_response_cascades() {
-        let mut bank = SupplyBank::p630_scenario(0.0);
-        assert_eq!(bank.advance(700.0, 0.5), CascadeOutcome::Survived);
-        // Still overloaded past the 1 s tolerance: cascade.
-        match bank.advance(700.0, 0.6) {
-            CascadeOutcome::Cascaded { at_s } => assert!((at_s - 1.1).abs() < 1e-9),
-            CascadeOutcome::Survived => panic!("expected cascade"),
-        }
-        // Cascade is sticky.
-        assert!(matches!(
-            bank.advance(100.0, 1.0),
-            CascadeOutcome::Cascaded { .. }
-        ));
-    }
-
-    #[test]
-    fn overload_clock_resets_when_load_recovers() {
-        let mut bank = SupplyBank::p630_scenario(0.0);
-        bank.advance(700.0, 0.9);
-        bank.advance(400.0, 0.1); // back under: clock resets
-        bank.advance(700.0, 0.9); // new overload, under tolerance again
-        assert_eq!(bank.cascaded_at(), None);
+    fn a_budget_below_zero_is_floored() {
+        // The rest of the system outdraws the surviving supply.
+        let budget = SupplyBank::p630_scenario(0.0).budget(600.0);
+        assert_eq!(budget.budget_at(0.0), 0.0);
     }
 
     #[test]
     fn restore_event_recovers_capacity() {
-        let mut bank = SupplyBank::new(
+        let bank = SupplyBank::new(
             vec![PowerSupply::new(480.0, 1.0), PowerSupply::new(480.0, 1.0)],
             vec![
-                SupplyEvent::Fail {
-                    index: 0,
-                    at_s: 1.0,
-                },
                 SupplyEvent::Restore {
                     index: 0,
                     at_s: 5.0,
                 },
+                SupplyEvent::Fail {
+                    index: 0,
+                    at_s: 1.0,
+                },
+                // A supply the bank does not have changes nothing.
+                SupplyEvent::Fail {
+                    index: 7,
+                    at_s: 2.0,
+                },
             ],
         );
-        bank.advance(400.0, 2.0);
-        assert_eq!(bank.capacity_w(), 480.0);
-        bank.advance(400.0, 4.0);
-        assert_eq!(bank.capacity_w(), 960.0);
+        let budget = bank.budget(0.0);
+        assert_eq!(budget.budget_at(2.0), 480.0);
+        assert_eq!(budget.budget_at(6.0), 960.0);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 
 use fvs_model::FreqMhz;
 use fvs_power::{
-    AnalyticPowerModel, BudgetEvent, BudgetSchedule, EnergyMeter, FreqPowerTable, PowerSupply,
-    SupplyBank, SupplyEvent, VoltageTable,
+    AnalyticPowerModel, BudgetEvent, BudgetSchedule, EnergyMeter, FreqPowerTable, SupplyBank,
+    VoltageTable,
 };
 use proptest::prelude::*;
 
@@ -107,43 +107,16 @@ proptest! {
         prop_assert_eq!(schedule.budget_at(t), expected);
     }
 
-    /// Supply bank: a load that always fits the surviving capacity never
-    /// cascades, regardless of the failure timeline.
+    /// Supply bank: the budget it yields is the survivors' capacity minus
+    /// the rest of the system's draw, floored at zero, at every time.
     #[test]
-    fn compliant_load_never_cascades(
+    fn supply_budget_is_surviving_capacity_less_non_cpu(
         fail_at in 0.0f64..5.0,
-        load_frac in 0.0f64..0.99,
-        steps in 1usize..200,
+        t in 0.0f64..10.0,
+        non_cpu_w in 0.0f64..1000.0,
     ) {
-        let mut bank = SupplyBank::p630_scenario(fail_at);
-        for _ in 0..steps {
-            let load = bank.capacity_w() * load_frac;
-            bank.advance(load, 0.05);
-            prop_assert_eq!(bank.cascaded_at(), None);
-        }
-    }
-
-    /// Supply bank: a persistent overload cascades within tolerance + one
-    /// step, never earlier than the tolerance.
-    #[test]
-    fn persistent_overload_cascades_on_deadline(
-        tolerance in 0.1f64..2.0,
-        dt in 0.01f64..0.2,
-    ) {
-        let mut bank = SupplyBank::new(
-            vec![PowerSupply::new(480.0, tolerance)],
-            vec![SupplyEvent::Fail { index: 0, at_s: f64::INFINITY }],
-        );
-        let mut t = 0.0;
-        let cascaded_at = loop {
-            bank.advance(1000.0, dt);
-            t += dt;
-            if let Some(at) = bank.cascaded_at() {
-                break at;
-            }
-            prop_assert!(t < tolerance + 10.0 * dt + 1.0, "never cascaded");
-        };
-        prop_assert!(cascaded_at >= tolerance - 1e-9);
-        prop_assert!(cascaded_at <= tolerance + dt + 1e-9);
+        let budget = SupplyBank::p630_scenario(fail_at).budget(non_cpu_w);
+        let surviving_w = if t < fail_at { 960.0 } else { 480.0 };
+        prop_assert_eq!(budget.budget_at(t), (surviving_w - non_cpu_w).max(0.0));
     }
 }

@@ -13,7 +13,7 @@ use crate::policy::{Decision, PlatformView, Policy, TickContext};
 use crate::scheduler::{FvsstScheduler, SchedulerConfig};
 use fvs_faults::{apply_counter_fault, ActuationFaultKind, FaultInjector};
 use fvs_model::{CounterDelta, CpiModel, FreqMhz};
-use fvs_power::{BudgetEvent, BudgetSchedule, EnergyMeter, SupplyBank};
+use fvs_power::{BudgetSchedule, EnergyMeter, SupplyBank};
 use fvs_sim::{Machine, ResidencyHistogram, TraceRecorder, TraceSample};
 use fvs_telemetry::{FaultDomain, SchedEvent, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -28,17 +28,6 @@ pub fn dispatch_ticks(duration: f64, t_s: f64) -> u64 {
         "run_for duration must be finite and non-negative"
     );
     (duration / t_s).round().max(1.0) as u64
-}
-
-/// Where the global power budget comes from.
-#[derive(Debug)]
-enum BudgetSource {
-    /// A scripted schedule of budget values.
-    Schedule(BudgetSchedule),
-    /// A bank of power supplies: the budget is the surviving capacity
-    /// minus the non-processor power draw, and the bank tracks cascade
-    /// deadlines against the *actual* total draw.
-    Supplies { bank: SupplyBank, non_cpu_w: f64 },
 }
 
 /// How many dispatch ticks late a [`ActuationFaultKind::Delay`]ed
@@ -102,7 +91,13 @@ pub struct RunReport {
 pub struct ScheduledSimulation<P: Policy = FvsstScheduler> {
     machine: Machine,
     policy: P,
-    budget: BudgetSource,
+    budget: BudgetSchedule,
+    /// The supply bank's `ΔT`: how long draw may stay over the budget
+    /// before the next supply fails (∞ without a bank).
+    cascade_deadline_s: f64,
+    /// When the current overload began, if draw is over the budget.
+    overload_since_s: Option<f64>,
+    cascaded_at_s: Option<f64>,
     platform: PlatformView,
     t_s: f64,
     tick: u64,
@@ -178,7 +173,10 @@ impl<P: Policy> ScheduledSimulation<P> {
         ScheduledSimulation {
             machine,
             policy,
-            budget: BudgetSource::Schedule(budget),
+            budget,
+            cascade_deadline_s: f64::INFINITY,
+            overload_since_s: None,
+            cascaded_at_s: None,
             platform,
             t_s,
             tick: 0,
@@ -204,11 +202,23 @@ impl<P: Policy> ScheduledSimulation<P> {
         }
     }
 
-    /// Replace the budget schedule with a supply bank: the budget becomes
-    /// the surviving capacity minus `non_cpu_w`, and cascade deadlines
-    /// are enforced against actual draw (the section-2 scenario).
+    /// Replace the budget schedule with a supply bank's (the section-2
+    /// scenario): the budget is the surviving capacity minus `non_cpu_w`
+    /// ([`SupplyBank::budget`]), and a draw that stays over it for the
+    /// bank's `ΔT` is the cascade [`RunReport::cascaded_at_s`] records.
+    ///
+    /// # Panics
+    ///
+    /// When a fault injector is already attached: the bank's schedule
+    /// would replace the one that holds the plan's drops. Attach the bank
+    /// first, `.with_supply_bank(..).with_faults(..)`.
     pub fn with_supply_bank(mut self, bank: SupplyBank, non_cpu_w: f64) -> Self {
-        self.budget = BudgetSource::Supplies { bank, non_cpu_w };
+        assert!(
+            self.faults.is_none(),
+            "attach the supply bank before the faults: .with_supply_bank(..).with_faults(..)"
+        );
+        self.budget = bank.budget(non_cpu_w);
+        self.cascade_deadline_s = bank.cascade_deadline_s();
         self
     }
 
@@ -218,18 +228,12 @@ impl<P: Policy> ScheduledSimulation<P> {
     /// them; actuation faults drop, halve, or delay frequency commands
     /// between the policy and the machine. Scripted budget drops in the
     /// plan are merged into the budget schedule as fractions of its
-    /// initial value (they do not apply when the budget comes from a
-    /// supply bank — there, supply failures model the same thing).
+    /// initial value ([`BudgetSchedule::push_drop`]), a supply bank's
+    /// included, so a bank is attached before the faults.
     pub fn with_faults(mut self, injector: FaultInjector, telemetry: Telemetry) -> Self {
         let n = self.machine.num_cores();
-        if let BudgetSource::Schedule(schedule) = &mut self.budget {
-            let initial = schedule.initial_w();
-            for drop in &injector.plan().budget_drops {
-                schedule.push_event(BudgetEvent {
-                    at_s: drop.at_s,
-                    budget_w: initial * drop.factor,
-                });
-            }
+        for drop in &injector.plan().budget_drops {
+            self.budget.push_drop(drop.at_s, drop.factor);
         }
         self.faults = Some(FaultBox {
             injector,
@@ -274,10 +278,7 @@ impl<P: Policy> ScheduledSimulation<P> {
 
     /// The budget in force right now.
     pub fn budget_w(&self) -> f64 {
-        match &self.budget {
-            BudgetSource::Schedule(s) => s.budget_at(self.machine.now_s()),
-            BudgetSource::Supplies { bank, non_cpu_w } => (bank.capacity_w() - non_cpu_w).max(0.0),
-        }
+        self.budget.budget_at(self.machine.now_s())
     }
 
     /// Advance one dispatch tick.
@@ -314,19 +315,22 @@ impl<P: Policy> ScheduledSimulation<P> {
         self.machine.step(t_s);
         let now = self.machine.now_s();
 
-        // Advance the supply bank against actual total draw.
         let total_power = self.machine.total_power_w();
-        if let BudgetSource::Supplies { bank, non_cpu_w } = &mut self.budget {
-            bank.advance(total_power + *non_cpu_w, t_s);
-        }
         let budget_w = self.budget_w();
 
-        // Compliance accounting.
+        // Compliance accounting, and the overload clock: draw over the
+        // budget since `now - t_s` for `ΔT` or longer cascades, once.
         self.peak_power_w = self.peak_power_w.max(total_power);
         self.power_time_integral += total_power * t_s;
         if total_power > budget_w {
             self.violation_s += t_s;
             self.max_overshoot_w = self.max_overshoot_w.max(total_power - budget_w);
+            let since = *self.overload_since_s.get_or_insert(now - t_s);
+            if self.cascaded_at_s.is_none() && now - since >= self.cascade_deadline_s {
+                self.cascaded_at_s = Some(now);
+            }
+        } else {
+            self.overload_since_s = None;
         }
 
         // Flag windows that ended in a transitional phase, or in which
@@ -524,10 +528,6 @@ impl<P: Policy> ScheduledSimulation<P> {
     pub fn report(&self) -> RunReport {
         let n = self.machine.num_cores();
         let now = self.machine.now_s();
-        let cascaded_at_s = match &self.budget {
-            BudgetSource::Supplies { bank, .. } => bank.cascaded_at(),
-            BudgetSource::Schedule(_) => None,
-        };
         RunReport {
             policy: self.policy.name().to_string(),
             duration_s: now,
@@ -549,7 +549,7 @@ impl<P: Policy> ScheduledSimulation<P> {
                 .map(|i| self.machine.core(i).stats().body_instructions)
                 .collect(),
             residency: (0..n).map(|i| self.machine.residency(i).clone()).collect(),
-            cascaded_at_s,
+            cascaded_at_s: self.cascaded_at_s,
             decisions: self.decisions,
             frequency_switches: self.frequency_switches,
         }

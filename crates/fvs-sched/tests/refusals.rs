@@ -3,10 +3,15 @@
 //! tolerance, a compliance deadline that is NaN or negative, and a run
 //! length or a completion limit that is no number of ticks (NaN,
 //! negative, or an infinite limit that a looping workload never
-//! reaches). A deadline of `+∞` and an ε of 0 are legal.
+//! reaches), and a supply bank attached after the faults, whose schedule
+//! would discard the plan's drops. A deadline of `+∞` and an ε of 0 are
+//! legal.
 
+use fvs_faults::{FaultInjector, FaultPlan};
+use fvs_power::SupplyBank;
 use fvs_sched::{FvsstScheduler, ScheduledSimulation, SchedulerConfig};
 use fvs_sim::MachineBuilder;
+use fvs_telemetry::Telemetry;
 
 fn daemon(config: SchedulerConfig) -> FvsstScheduler {
     FvsstScheduler::new(4, config)
@@ -88,4 +93,13 @@ fn a_negative_completion_limit_is_refused() {
 #[should_panic(expected = "run_to_completion max_s must be finite and non-negative")]
 fn an_infinite_completion_limit_is_refused() {
     simulation().run_to_completion(f64::INFINITY);
+}
+
+#[test]
+#[should_panic(expected = "attach the supply bank before the faults")]
+fn a_supply_bank_attached_after_the_faults_is_refused() {
+    let plan = FaultPlan::parse("drop=0.5@2.0").unwrap();
+    simulation()
+        .with_faults(FaultInjector::new(plan, 1), Telemetry::disabled())
+        .with_supply_bank(SupplyBank::p630_scenario(1.0), 186.0);
 }
